@@ -341,21 +341,40 @@ func BenchmarkCheckPathParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkCanAccessAll measures the batch API fanning one resource check
-// across every member of the graph through the internal worker pool.
+// BenchmarkCanAccessAll measures the batch API on the join index below
+// fanOutMin (decided serially), at it (fanned out over the worker pool) and
+// over every member of the graph. "warm"
+// batches are decision-cache hits; "cold" ones follow a policy change,
+// which starts the cache fresh, so every decision runs the evaluator. It is
+// the measurement fanOutMin's comment quotes.
 func BenchmarkCanAccessAll(b *testing.B) {
 	n, _ := benchAccessNetwork(b, Index)
-	requesters := make([]UserID, benchSize)
-	for i := range requesters {
-		requesters[i] = UserID(i)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := n.CanAccessAll("r", requesters); err != nil {
-			b.Fatal(err)
+	owner, _ := n.UserID("u000011")
+	for _, size := range []int{16, fanOutMin, benchSize} {
+		requesters := make([]UserID, size)
+		for i := range requesters {
+			requesters[i] = UserID(i)
+		}
+		for _, arm := range []string{"warm", "cold"} {
+			b.Run(fmt.Sprintf("%s/n=%d", arm, size), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if arm == "cold" {
+						b.StopTimer()
+						id, err := n.Share("touch", owner, "friend+[1]")
+						if err != nil {
+							b.Fatal(err)
+						}
+						n.Revoke("touch", id)
+						b.StartTimer()
+					}
+					if _, err := n.CanAccessAll("r", requesters); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(size), "decisions/op")
+			})
 		}
 	}
-	b.ReportMetric(float64(benchSize), "decisions/op")
 }
 
 // BenchmarkInterleavedMutateRead measures the snapshot republication cost
@@ -429,6 +448,129 @@ func BenchmarkInterleavedMutateRead(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// benchChurnNetwork is embed-churn's system at micro-benchmark scale: a
+// 20 000-node ldbc graph of degree 8 behind the planner, with the given
+// number of resources shared by successive members, published and warmed so
+// that a spare exists. It returns the network and two members whose
+// "bench-touch" edge the caller toggles to force graph publications.
+func benchChurnNetwork(b *testing.B, resources int) (n *Network, x, y UserID) {
+	b.Helper()
+	top, err := generate.New("ldbc", generate.WithNodes(20000), generate.WithDegree(8), generate.WithSeed(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, err := generate.Build(top)
+	if err != nil {
+		b.Fatal(err)
+	}
+	n = FromGraph(g, WithPlanner(PlannerOptions{}))
+	err = n.Batch(func(tx *Tx) error {
+		for i := 0; i < resources; i++ {
+			if _, err := tx.Share(fmt.Sprintf("res%05d", i), UserID(i%20000), "friend+[1,2]"); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	x, y = UserID(1), UserID(2)
+	for i := 0; i < 4; i++ {
+		benchToggle(b, n, x, y, i)
+		if _, err := n.CanAccess("res00000", y); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return n, x, y
+}
+
+// benchToggle adds (even i) or removes (odd i) the x → y "bench-touch" edge.
+func benchToggle(b *testing.B, n *Network, x, y UserID, i int) {
+	b.Helper()
+	var err error
+	if i%2 == 0 {
+		err = n.Relate(x, y, "bench-touch")
+	} else {
+		err = n.Unrelate(x, y, "bench-touch")
+	}
+	if err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkPublishPinnedReader measures one graph publication (a toggle and
+// the check that publishes it) beside a reader that closes its View and
+// pins the published snapshot anew every 64 publications, as embed-churn's
+// caller does every 2 048 operations. Each pinned snapshot parks in the
+// spare pool once retired, so the cost stays the O(Δ) advance of another
+// retired clone; with a single spare every new pin cost one full rebuild
+// (~20 ms here, ~300 µs/op at this cadence). rebuilt/op reports how many
+// publications still were.
+func BenchmarkPublishPinnedReader(b *testing.B) {
+	n, x, y := benchChurnNetwork(b, 512)
+	var v *View
+	defer func() { v.Close() }()
+	publish := func(i int) {
+		if i%64 == 0 {
+			if v != nil {
+				v.Close()
+			}
+			var err error
+			if v, err = n.View(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		benchToggle(b, n, x, y, i)
+		if _, err := n.CanAccess("res00000", y); err != nil {
+			b.Fatal(err)
+		}
+	}
+	// The first pinned reader costs a third clone: pay that rebuild before
+	// timing.
+	for i := 0; i < 2; i++ {
+		publish(i)
+	}
+	before := n.Stats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		publish(i)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(n.Stats().Delta(before).PublicationsRebuilt)/float64(b.N), "rebuilt/op")
+}
+
+// BenchmarkPublishPolicyChange measures one policy publication (a Share or
+// the Revoke undoing it, and the check that publishes it) against the
+// number of resources in the store. The frozen policy view is
+// copy-on-write, so the cost follows what the mutation touched — one
+// resource, one bucket — and not the store's size: 65 536 resources must
+// stay within 4x of 512 (a deep-copied view was linear, over 100x).
+func BenchmarkPublishPolicyChange(b *testing.B) {
+	for _, resources := range []int{512, 65536} {
+		b.Run(fmt.Sprintf("resources=%d", resources), func(b *testing.B) {
+			n, _, y := benchChurnNetwork(b, resources)
+			var rule string
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i%2 == 0 {
+					var err error
+					if rule, err = n.Share("res00007", 7, "colleague+[1]"); err != nil {
+						b.Fatal(err)
+					}
+				} else if !n.Revoke("res00007", rule) {
+					b.Fatal("revoke failed")
+				}
+				if _, err := n.CanAccess("res00000", y); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -23,7 +23,9 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"hash/maphash"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -98,13 +100,53 @@ type IncrementalEvaluator interface {
 	ApplyDelta(g *graph.Graph, deltas []graph.Delta) bool
 }
 
+// storeFanout is the number of buckets a Store spreads its resources over.
+// It fixes the cost of Clone (one spine copy) and bounds what a mutation
+// copies (one bucket: 1/storeFanout of the resources).
+const storeFanout = 256
+
+// bucketSeed keys the resource → bucket hash; one seed per process, so a
+// Store and its clones agree on every resource's bucket.
+var bucketSeed = maphash.MakeSeed()
+
+func bucketOf(res ResourceID) int {
+	return int(maphash.String(bucketSeed, string(res)) % storeFanout)
+}
+
+// resourcePolicy is one resource's registration and rules. It is immutable
+// once stored, rule slice included — mutations store a replacement — so
+// stores, clones and RulesFor callers may share it.
+type resourcePolicy struct {
+	res   ResourceID
+	owner graph.NodeID
+	rules []*Rule
+}
+
+// bucket holds the resources of one spine slot, sorted by ID. Only the
+// store whose tag it carries may change it in place; every other holder
+// copies it first.
+type bucket struct {
+	tag     uint64
+	entries []*resourcePolicy
+}
+
+// storeTags hands out bucket tags, each used by one store at a time.
+var storeTags atomic.Uint64
+
 // Store holds resource ownership and the access rules protecting each
 // resource. It is safe for concurrent use.
+//
+// The resources live in a persistent two-level structure: a fixed spine of
+// buckets. Clone copies the spine and retags both stores, which disowns
+// every existing bucket at once; the first mutation of a disowned bucket
+// copies that bucket. A frozen view therefore costs O(storeFanout) to take
+// and O(resources touched) to diverge from, however many resources exist.
 type Store struct {
-	mu     sync.RWMutex
-	owners map[ResourceID]graph.NodeID
-	rules  map[ResourceID][]*Rule
-	nextID int
+	mu      sync.RWMutex
+	buckets [storeFanout]*bucket
+	tag     uint64
+	count   int
+	nextID  int
 	// gen counts policy mutations (registrations, rule additions and
 	// removals). Snapshot-isolated readers record it to detect staleness;
 	// it is atomic so the check needs no lock.
@@ -116,33 +158,53 @@ type Store struct {
 // graph.Graph.Version it is safe to read concurrently with mutations.
 func (s *Store) Generation() uint64 { return s.gen.Load() }
 
+// NewStore returns an empty policy store.
+func NewStore() *Store { return &Store{tag: storeTags.Add(1)} }
+
 // Clone returns an independent copy of the store — a frozen policy view for
-// snapshot-isolated evaluation. Rule values are shared (they are immutable
-// once added); the per-resource rule slices and ownership map are copied, so
-// later mutations of s are invisible to the clone and vice versa.
+// snapshot-isolated evaluation — in O(storeFanout): everything is shared
+// until either side mutates it (see Store). Later mutations of s are
+// invisible to the clone and vice versa.
 func (s *Store) Clone() *Store {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	c := &Store{
-		owners: make(map[ResourceID]graph.NodeID, len(s.owners)),
-		rules:  make(map[ResourceID][]*Rule, len(s.rules)),
-		nextID: s.nextID,
-	}
-	for r, o := range s.owners {
-		c.owners[r] = o
-	}
-	for r, rs := range s.rules {
-		c.rules[r] = append([]*Rule(nil), rs...)
-	}
-	return c
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.tag = storeTags.Add(1)
+	return &Store{buckets: s.buckets, tag: storeTags.Add(1), count: s.count, nextID: s.nextID}
 }
 
-// NewStore returns an empty policy store.
-func NewStore() *Store {
-	return &Store{
-		owners: make(map[ResourceID]graph.NodeID),
-		rules:  make(map[ResourceID][]*Rule),
+// find locates res: its bucket (nil if the slot is empty), its position
+// there — or where it would be inserted — and whether it is present.
+// Callers hold s.mu.
+func (s *Store) find(res ResourceID) (b *bucket, i int, ok bool) {
+	if b = s.buckets[bucketOf(res)]; b != nil {
+		i, ok = slices.BinarySearchFunc(b.entries, res, func(p *resourcePolicy, r ResourceID) int {
+			return strings.Compare(string(p.res), string(r))
+		})
 	}
+	return b, i, ok
+}
+
+// own returns res's bucket ready to be changed in place: created if absent,
+// copied first if a clone (or the store s was cloned from) may share it.
+// Positions returned by find stay valid. Callers hold s.mu for writing.
+func (s *Store) own(res ResourceID) *bucket {
+	slot := &s.buckets[bucketOf(res)]
+	if b := *slot; b == nil {
+		*slot = &bucket{tag: s.tag}
+	} else if b.tag != s.tag {
+		*slot = &bucket{tag: s.tag, entries: slices.Clone(b.entries)}
+	}
+	return *slot
+}
+
+// lookup returns res's registration and rules, nil if it has none.
+func (s *Store) lookup(res ResourceID) *resourcePolicy {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if b, i, ok := s.find(res); ok {
+		return b.entries[i]
+	}
+	return nil
 }
 
 // Register declares a resource and its owner. Re-registering with a
@@ -150,13 +212,17 @@ func NewStore() *Store {
 func (s *Store) Register(res ResourceID, owner graph.NodeID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if cur, ok := s.owners[res]; ok && cur != owner {
-		return fmt.Errorf("core: resource %q already owned by node %d", res, cur)
+	b, i, ok := s.find(res)
+	if ok {
+		if cur := b.entries[i].owner; cur != owner {
+			return fmt.Errorf("core: resource %q already owned by node %d", res, cur)
+		}
+		return nil
 	}
-	if _, ok := s.owners[res]; !ok {
-		s.owners[res] = owner
-		s.gen.Add(1)
-	}
+	b = s.own(res)
+	b.entries = slices.Insert(b.entries, i, &resourcePolicy{res: res, owner: owner})
+	s.count++
+	s.gen.Add(1)
 	return nil
 }
 
@@ -167,21 +233,23 @@ func (s *Store) Register(res ResourceID, owner graph.NodeID) error {
 func (s *Store) Unregister(res ResourceID) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.owners[res]; !ok || len(s.rules[res]) > 0 {
+	b, i, ok := s.find(res)
+	if !ok || len(b.entries[i].rules) > 0 {
 		return false
 	}
-	delete(s.owners, res)
-	delete(s.rules, res)
+	b = s.own(res)
+	b.entries = slices.Delete(b.entries, i, i+1)
+	s.count--
 	s.gen.Add(1)
 	return true
 }
 
 // Owner returns the owner of a registered resource.
 func (s *Store) Owner(res ResourceID) (graph.NodeID, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	o, ok := s.owners[res]
-	return o, ok
+	if p := s.lookup(res); p != nil {
+		return p.owner, true
+	}
+	return 0, false
 }
 
 // AddRule attaches a rule to its resource. The resource must be registered
@@ -192,12 +260,13 @@ func (s *Store) AddRule(r *Rule) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	owner, ok := s.owners[r.Resource]
+	b, i, ok := s.find(r.Resource)
 	if !ok {
 		return fmt.Errorf("core: resource %q not registered", r.Resource)
 	}
-	if owner != r.Owner {
-		return fmt.Errorf("core: rule owner %d is not resource owner %d", r.Owner, owner)
+	p := b.entries[i]
+	if p.owner != r.Owner {
+		return fmt.Errorf("core: rule owner %d is not resource owner %d", r.Owner, p.owner)
 	}
 	if r.ID == "" {
 		s.nextID++
@@ -208,12 +277,13 @@ func (s *Store) AddRule(r *Rule) error {
 		// ID would collide with it.
 		s.nextID = n
 	}
-	for _, existing := range s.rules[r.Resource] {
+	for _, existing := range p.rules {
 		if existing.ID == r.ID {
 			return fmt.Errorf("core: duplicate rule id %q on resource %q", r.ID, r.Resource)
 		}
 	}
-	s.rules[r.Resource] = append(s.rules[r.Resource], r)
+	// Clip first, so that the append copies (see resourcePolicy).
+	s.own(r.Resource).entries[i] = &resourcePolicy{res: p.res, owner: p.owner, rules: append(slices.Clip(p.rules), r)}
 	s.gen.Add(1)
 	return nil
 }
@@ -242,17 +312,15 @@ func ruleSeq(id string) (int, bool) {
 func (s *Store) RemoveRule(res ResourceID, ruleID string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	rules := s.rules[res]
-	for i, r := range rules {
+	b, i, ok := s.find(res)
+	if !ok {
+		return false
+	}
+	p := b.entries[i]
+	for j, r := range p.rules {
 		if r.ID == ruleID {
-			// Copy instead of splicing in place. Not strictly required —
-			// Clone and RulesFor hand out their own slice copies — but it
-			// keeps old backing arrays immutable so no future reader can
-			// come to depend on that splice being private.
-			next := make([]*Rule, 0, len(rules)-1)
-			next = append(next, rules[:i]...)
-			next = append(next, rules[i+1:]...)
-			s.rules[res] = next
+			// Copy, never splice in place (see resourcePolicy).
+			s.own(res).entries[i] = &resourcePolicy{res: res, owner: p.owner, rules: slices.Delete(slices.Clone(p.rules), j, j+1)}
 			s.gen.Add(1)
 			return true
 		}
@@ -260,22 +328,36 @@ func (s *Store) RemoveRule(res ResourceID, ruleID string) bool {
 	return false
 }
 
-// RulesFor returns a copy of the rules protecting a resource.
+// RulesFor returns the rules protecting a resource. The slice is shared
+// with the store and its clones: callers must not modify it.
 func (s *Store) RulesFor(res ResourceID) []*Rule {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return append([]*Rule(nil), s.rules[res]...)
+	if p := s.lookup(res); p != nil {
+		return p.rules
+	}
+	return nil
 }
 
 // Resources returns all registered resource IDs, sorted.
 func (s *Store) Resources() []ResourceID {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make([]ResourceID, 0, len(s.owners))
-	for r := range s.owners {
-		out = append(out, r)
+	out := make([]ResourceID, 0, s.count)
+	for _, p := range s.sortedLocked() {
+		out = append(out, p.res)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+// sortedLocked returns every resource's policy in resource-ID order.
+// Callers hold s.mu.
+func (s *Store) sortedLocked() []*resourcePolicy {
+	out := make([]*resourcePolicy, 0, s.count)
+	for _, b := range s.buckets {
+		if b != nil {
+			out = append(out, b.entries...)
+		}
+	}
+	slices.SortFunc(out, func(x, y *resourcePolicy) int { return strings.Compare(string(x.res), string(y.res)) })
 	return out
 }
 
@@ -377,20 +459,20 @@ func NewEngineWithLog(store *Store, eval Evaluator, log *AuditLog) *Engine {
 // Decide answers one access request: may requester access res?
 func (e *Engine) Decide(res ResourceID, requester graph.NodeID) (Decision, error) {
 	d := Decision{Resource: res, Requester: requester}
-	owner, ok := e.store.Owner(res)
-	if !ok {
+	pol := e.store.lookup(res)
+	if pol == nil {
 		d.Reason = "unknown resource"
 		e.record(d)
 		return d, nil
 	}
-	if owner == requester {
+	if pol.owner == requester {
 		d.Effect = Allow
 		d.RuleID = "owner"
 		d.Reason = "requester owns the resource"
 		e.record(d)
 		return d, nil
 	}
-	for _, rule := range e.store.RulesFor(res) {
+	for _, rule := range pol.rules {
 		valid := true
 		for _, cond := range rule.Conditions {
 			ok, err := e.eval.Reachable(rule.Owner, requester, cond.Path)

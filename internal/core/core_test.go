@@ -1,6 +1,10 @@
 package core
 
 import (
+	"fmt"
+	"maps"
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -338,4 +342,95 @@ func TestEffectString(t *testing.T) {
 	if Allow.String() != "allow" || Deny.String() != "deny" {
 		t.Fatal("Effect strings")
 	}
+}
+
+// TestCloneIsCopyOnWrite drives a store and its clones through the same
+// random registrations, rule additions and removals as a plain map model —
+// enough resources that buckets hold several — and checks that every
+// clone keeps reading the state it was taken at, that a rule slice handed
+// out earlier never changes, and that a mutation copies only its own
+// resource's rules.
+func TestCloneIsCopyOnWrite(t *testing.T) {
+	_, store, _, ids := fixture(t)
+	alice := ids[paperfix.Alice]
+	p := pathexpr.MustParse("friend+[1]")
+	rng := rand.New(rand.NewSource(1))
+	model := map[ResourceID][]string{} // resource → rule IDs, in order
+	type frozen struct {
+		view  *Store
+		model map[ResourceID][]string
+		rules map[ResourceID][]*Rule
+	}
+	var views []frozen
+	check := func(s *Store, want map[ResourceID][]string) {
+		t.Helper()
+		if got := s.Resources(); len(got) != len(want) || !slices.IsSorted(got) {
+			t.Fatalf("Resources() = %d entries (sorted=%v), want %d", len(got), slices.IsSorted(got), len(want))
+		}
+		for res, ruleIDs := range want {
+			if o, ok := s.Owner(res); !ok || o != alice {
+				t.Fatalf("%s: owner = (%d, %v)", res, o, ok)
+			}
+			var got []string
+			for _, r := range s.RulesFor(res) {
+				got = append(got, r.ID)
+			}
+			if !slices.Equal(got, ruleIDs) {
+				t.Fatalf("%s: rules %v, want %v", res, got, ruleIDs)
+			}
+		}
+	}
+	for step := 0; step < 4000; step++ {
+		res := ResourceID(fmt.Sprintf("res%04d", rng.Intn(1500)))
+		ruleIDs, registered := model[res]
+		switch op := rng.Intn(10); {
+		case !registered:
+			if err := store.Register(res, alice); err != nil {
+				t.Fatal(err)
+			}
+			model[res] = nil
+		case op < 5:
+			r := &Rule{Resource: res, Owner: alice, Conditions: []Condition{{Path: p}}}
+			if err := store.AddRule(r); err != nil {
+				t.Fatal(err)
+			}
+			model[res] = append(slices.Clip(ruleIDs), r.ID)
+		case op < 8 && len(ruleIDs) > 0:
+			i := rng.Intn(len(ruleIDs))
+			if !store.RemoveRule(res, ruleIDs[i]) {
+				t.Fatalf("%s: rule %s not found", res, ruleIDs[i])
+			}
+			model[res] = slices.Delete(slices.Clone(ruleIDs), i, i+1)
+		case len(ruleIDs) == 0:
+			if !store.Unregister(res) {
+				t.Fatalf("%s: unregister refused", res)
+			}
+			delete(model, res)
+		}
+		if step%500 == 499 {
+			f := frozen{view: store.Clone(), model: maps.Clone(model), rules: map[ResourceID][]*Rule{}}
+			for res := range model {
+				f.rules[res] = f.view.RulesFor(res)
+			}
+			views = append(views, f)
+		}
+	}
+	check(store, model)
+	for _, f := range views {
+		check(f.view, f.model)
+		for res, rules := range f.rules {
+			if now := f.view.RulesFor(res); len(now) != len(rules) || (len(now) > 0 && &now[0] != &rules[0]) {
+				t.Fatalf("%s: a frozen view's rule slice was replaced", res)
+			}
+		}
+	}
+	// A clone is a store in its own right: mutating it leaves its source be.
+	last := views[len(views)-1]
+	if err := last.view.Register("only-in-clone", alice); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := store.Owner("only-in-clone"); ok {
+		t.Fatal("a clone's mutation reached the store it was cloned from")
+	}
+	check(store, model)
 }

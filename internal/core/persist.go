@@ -38,18 +38,13 @@ func (s *Store) Write(w io.Writer) error {
 	defer s.mu.RUnlock()
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
-	if err := enc.Encode(policyHeader{Magic: policyMagic, Resources: len(s.owners)}); err != nil {
+	if err := enc.Encode(policyHeader{Magic: policyMagic, Resources: s.count}); err != nil {
 		return err
 	}
 	// Deterministic order via sorted resource IDs.
-	resources := make([]ResourceID, 0, len(s.owners))
-	for r := range s.owners {
-		resources = append(resources, r)
-	}
-	sortResources(resources)
-	for _, res := range resources {
-		rec := policyResource{Resource: string(res), Owner: uint32(s.owners[res])}
-		for _, rule := range s.rules[res] {
+	for _, p := range s.sortedLocked() {
+		rec := policyResource{Resource: string(p.res), Owner: uint32(p.owner)}
+		for _, rule := range p.rules {
 			pr := policyRule{ID: rule.ID}
 			for _, c := range rule.Conditions {
 				pr.Conditions = append(pr.Conditions, c.Path.String())
@@ -61,14 +56,6 @@ func (s *Store) Write(w io.Writer) error {
 		}
 	}
 	return bw.Flush()
-}
-
-func sortResources(rs []ResourceID) {
-	for i := 1; i < len(rs); i++ {
-		for j := i; j > 0 && rs[j-1] > rs[j]; j-- {
-			rs[j-1], rs[j] = rs[j], rs[j-1]
-		}
-	}
 }
 
 // ReadStore deserializes a store written by Write. Owners are validated

@@ -112,14 +112,21 @@ func (g *Graph) trimDeltas() {
 // copy. Like all mutating/bulk accessors it requires external
 // synchronization with mutators; only Version itself is lock-free.
 func (g *Graph) ChangesSince(version uint64) (deltas []Delta, ok bool) {
-	cur := g.version.Load()
-	if version == cur {
-		return nil, true
-	}
-	if version > cur || version < g.deltaBase {
+	if !g.Covers(version) {
 		return nil, false
 	}
+	if version == g.version.Load() {
+		return nil, true
+	}
 	return append([]Delta(nil), g.deltas[version-g.deltaBase:]...), true
+}
+
+// Covers reports whether ChangesSince(version) would succeed — version is
+// the current one, or one the delta window still reaches back to — without
+// copying anything. It needs the same external synchronization.
+func (g *Graph) Covers(version uint64) bool {
+	cur := g.version.Load()
+	return version == cur || (version < cur && version >= g.deltaBase)
 }
 
 // Apply replays one recorded delta onto g — typically a private clone being

@@ -623,6 +623,9 @@ func (r *Router) Stats(ctx context.Context) httpapi.StatsResponse {
 		agg.Mutations += st.Mutations
 		agg.Batches += st.Batches
 		agg.Republications += st.Republications
+		agg.PublicationsShared += st.PublicationsShared
+		agg.PublicationsAdvanced += st.PublicationsAdvanced
+		agg.PublicationsRebuilt += st.PublicationsRebuilt
 		agg.DecisionCacheHits += st.DecisionCacheHits
 		agg.DecisionCacheMisses += st.DecisionCacheMisses
 		agg.DecisionCacheEvictions += st.DecisionCacheEvictions

@@ -2,8 +2,12 @@ package reachac
 
 import (
 	"fmt"
+	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
+
+	"reachac/internal/search"
 )
 
 // TestConcurrentStress races mutators (Relate/Unrelate/Share/Revoke)
@@ -12,8 +16,7 @@ import (
 // -race, the absence of data races in the snapshot publication protocol and
 // the evaluators' query paths.
 func TestConcurrentStress(t *testing.T) {
-	kinds := []EngineKind{Online, OnlineDFS, OnlineAdaptive, Closure, Index, IndexPaperJoin}
-	for _, kind := range kinds {
+	for _, kind := range allKinds {
 		t.Run(kind.String(), func(t *testing.T) {
 			t.Parallel()
 			n := New()
@@ -165,6 +168,113 @@ func TestConcurrentStress(t *testing.T) {
 			}
 			if d.Effect != Deny {
 				t.Fatalf("distant member allowed after stress: %+v", d)
+			}
+		})
+	}
+}
+
+// TestConcurrentViewsAgainstPlainEvaluator races readers that hold Views for
+// random lifetimes — more of them than the spare pool has room for — against
+// an edge mutator and a policy mutator, on every engine kind. Each view's
+// decisions are checked against the plain BFS evaluator over the view's own
+// pinned graph and frozen rules: a publication that advanced a clone a view
+// still holds would show as a wrong decision here and as a data race under
+// -race.
+func TestConcurrentViewsAgainstPlainEvaluator(t *testing.T) {
+	for _, kind := range allKinds {
+		t.Run(kind.String(), func(t *testing.T) {
+			t.Parallel()
+			n, ids := ringNet(t, kind, 24)
+			readers, views, mutations := 5, 120, 200
+			if kind == Index || kind == IndexPaperJoin {
+				views, mutations = 25, 30
+			}
+			errc := make(chan error, readers+2)
+			var wg sync.WaitGroup
+			wg.Add(2)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < mutations; i++ {
+					if err := n.Relate(ids[3], ids[14], "friend"); err != nil {
+						errc <- err
+						return
+					}
+					if err := n.Unrelate(ids[3], ids[14], "friend"); err != nil {
+						errc <- err
+						return
+					}
+				}
+			}()
+			go func() {
+				defer wg.Done()
+				for i := 0; i < mutations/4; i++ {
+					rid, err := n.Share("r", ids[0], "friend-[1,2]")
+					if err != nil {
+						errc <- err
+						return
+					}
+					if !n.Revoke("r", rid) {
+						errc <- fmt.Errorf("rule %s vanished before revoke", rid)
+						return
+					}
+				}
+			}()
+			// checkView opens a view, holds it for a random number of checked
+			// decisions and closes it.
+			checkView := func(rng *rand.Rand) error {
+				v, err := n.View()
+				if err != nil {
+					return err
+				}
+				defer v.Close()
+				plain, pinnedAt := search.New(v.s.g), v.s.g.Version()
+				for c := rng.Intn(6); c >= 0; c-- {
+					req := ids[rng.Intn(len(ids))]
+					got, err := v.CanAccess("r", req)
+					if err != nil {
+						return err
+					}
+					want := req == ids[0]
+					for _, rule := range v.s.store.RulesFor("r") {
+						ok := !want
+						for _, cond := range rule.Conditions {
+							if ok {
+								ok, _ = plain.Reachable(rule.Owner, req, cond.Path)
+							}
+						}
+						want = want || ok
+					}
+					if (got.Effect == Allow) != want {
+						return fmt.Errorf("view at version %d: requester %d %v, plain evaluator allows=%v",
+							v.s.version, req, got.Effect, want)
+					}
+					runtime.Gosched()
+				}
+				if got := v.s.g.Version(); got != pinnedAt {
+					return fmt.Errorf("view at version %d: its clone went from version %d to %d while pinned", v.s.version, pinnedAt, got)
+				}
+				return nil
+			}
+			for r := 0; r < readers; r++ {
+				wg.Add(1)
+				go func(seed int64) {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(seed))
+					for i := 0; i < views; i++ {
+						if err := checkView(rng); err != nil {
+							errc <- err
+							return
+						}
+					}
+				}(int64(r) + 1)
+			}
+			wg.Wait()
+			close(errc)
+			for err := range errc {
+				t.Fatal(err)
+			}
+			if len(n.spares) > sparePoolCap {
+				t.Fatalf("%d snapshots parked, capacity %d", len(n.spares), sparePoolCap)
 			}
 		})
 	}

@@ -105,12 +105,15 @@ type Evaluator = core.Evaluator
 // after a change republishes the snapshot once, off the common hot path.
 //
 // Republication is incremental whenever possible: mutations are recorded in
-// the graph's bounded delta log, and once the previous snapshot's readers
-// have drained, its clone is fast-forwarded by replaying the log (O(Δ) in
-// the number of mutations) instead of re-cloned from scratch (O(V+E)).
+// the graph's bounded delta log, and a retired snapshot no reader holds any
+// more has its clone fast-forwarded by replaying the log (O(Δ) in the
+// number of mutations) instead of re-cloned from scratch (O(V+E)); a small
+// pool of retired snapshots keeps one available while Views pin others.
 // Evaluators that implement core.IncrementalEvaluator advance in place too;
-// the rest are rebuilt over the advanced clone. Use Batch to coalesce many
-// mutations into one republication.
+// the rest are rebuilt over the advanced clone. The frozen policy view is
+// copy-on-write: a publication copies only what policy mutations touched
+// since the previous one. Use Batch to coalesce many mutations into one
+// republication.
 //
 // A network created by Open is durable: every committed mutation batch is
 // appended to a write-ahead log (one atomic record group, fsynced per the
@@ -133,11 +136,13 @@ type Network struct {
 	// snap is the published engine snapshot; nil until the first access
 	// check or UseEngine call.
 	snap atomic.Pointer[snapshot]
-	// spare is the most recently retired snapshot whose graph clone is not
-	// shared with the published one. Once its readers drain, publication
-	// fast-forwards its clone through the graph's delta log (O(Δ)) instead
-	// of re-cloning (O(V+E)); see publishLocked. Guarded by mu.
-	spare *snapshot
+	// spares parks retired snapshots whose graph clone is not shared with
+	// the published one, oldest first, at most sparePoolCap of them.
+	// Publication fast-forwards the newest one no reader holds through the
+	// graph's delta log (O(Δ)) instead of re-cloning (O(V+E)); one a View
+	// still pins waits here for a later publication. See publishLocked.
+	// Guarded by mu.
+	spares []*snapshot
 
 	// wal, when non-nil, is the durability log a network created by Open
 	// appends every committed mutation batch to before acknowledging it.

@@ -3,6 +3,7 @@ package reachac
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -30,9 +31,10 @@ type snapshot struct {
 	// reval is the evaluator reads run on: the planner's routed wrapper when
 	// routing is enabled (see routedEval), otherwise eval itself.
 	reval Evaluator
-	// store is the frozen policy view (a Store clone); engine decides
-	// against it, so concurrent Share/Revoke cannot change the rules a
-	// reader observes mid-decision.
+	// store is the frozen policy view (a Store clone, shared by consecutive
+	// snapshots of one policy generation); engine decides against it, so
+	// concurrent Share/Revoke cannot change the rules a reader observes
+	// mid-decision.
 	store  *core.Store
 	engine *core.Engine
 	// aud caches audience sets over g, maintained incrementally across
@@ -57,8 +59,8 @@ type snapshot struct {
 	// refs counts in-flight readers of the snapshot's graph clone. It is a
 	// pointer because a policy-only republication shares the previous
 	// snapshot's clone — the counter must then be shared too, so that a
-	// later steal of either snapshot's clone (see advanceSpareLocked)
-	// observes every reader of that graph.
+	// later advance of that clone (see advanceSpareLocked) observes every
+	// reader of that graph.
 	refs *atomic.Int64
 	// retired is set (under Network.mu) once the snapshot has been
 	// replaced by a newer publication. A reader that acquires a retired
@@ -198,23 +200,37 @@ func (n *Network) snapshot() (*snapshot, error) {
 // the edge store, so long-lived networks stop cloning tombstones forever.
 const compactMinDead = 64
 
+// sparePoolCap bounds Network.spares. Three clones — published, free spare,
+// one parked under a long-lived View — is what a single spare already held
+// at its peak (the View kept the third alive as garbage-to-be); the pool
+// keeps that clone for reuse instead, and room for one more pinned reader.
+const sparePoolCap = 3
+
 // publishLocked builds and publishes a snapshot of the current master
 // state. Callers must hold n.mu, which serializes it against mutators and
 // concurrent publishers.
 //
-// Publication cost, cheapest first:
+// Publication cost, cheapest first (Stats counts each tier):
 //
-//  1. policy-only change — the previous snapshot's graph clone and
-//     evaluator are reused (shared); only the policy view and decision
+//  1. shared — a policy-only change reuses the previous snapshot's graph
+//     clone, evaluator and audience cache; only the policy view and decision
 //     cache are refreshed;
-//  2. delta advance — the retired spare snapshot's clone, once provably
-//     unobserved, is fast-forwarded by replaying the master's delta log
-//     (O(Δ)), and its evaluator advances in place when it implements
-//     core.IncrementalEvaluator;
-//  3. full rebuild — O(V+E) clone plus evaluator construction, the
-//     pre-delta behavior and the fallback whenever the spare is still
-//     referenced, the delta window was trimmed, or the evaluator declines
-//     the batch.
+//  2. advanced — the newest parked snapshot no reader holds is
+//     fast-forwarded by replaying the master's delta log (O(Δ)), and its
+//     evaluator advances in place when it implements
+//     core.IncrementalEvaluator. A parked snapshot a View still pins is
+//     passed over and waits in the pool, so a pinned reader costs one clone
+//     of memory, not a rebuild;
+//  3. rebuilt — O(V+E) clone plus evaluator construction: the cold start,
+//     and the fallback when every parked snapshot is pinned or behind the
+//     delta window, or the replay fails.
+//
+// The policy view is O(Δ) on every tier: the previous snapshot's view when
+// no policy changed since, a copy-on-write core.Store.Clone otherwise.
+//
+// Two invariants hold throughout: a snapshot is never mutated after
+// publication, and a retired snapshot's clone is advanced in place only
+// when provably unobserved (see snapshot.acquire).
 func (n *Network) publishLocked() (*snapshot, error) {
 	// Reassess the engine choice first. The recommendation is always
 	// computed (it surfaces through Stats as observability); with
@@ -243,7 +259,8 @@ func (n *Network) publishLocked() (*snapshot, error) {
 	// at worst marks the new snapshot already stale (forcing one extra
 	// rebuild), never lets it linger as current with missing state.
 	gv, gen := n.g.Version(), store.Generation()
-	if cur != nil && cur.version == gv && cur.src == store && cur.gen == gen && cur.kind == n.kind {
+	samePolicy := cur != nil && cur.src == store && cur.gen == gen
+	if samePolicy && cur.version == gv && cur.kind == n.kind {
 		return cur, nil
 	}
 	var (
@@ -252,14 +269,17 @@ func (n *Network) publishLocked() (*snapshot, error) {
 		aud  *search.AudienceCache
 		dc   *planner.DecisionCache
 		refs *atomic.Int64
+		tier = &n.ctr.pubRebuilt
 	)
 	if cur != nil && cur.version == gv && cur.kind == n.kind {
 		// Policy-only change: share the clone, evaluator, audience cache
 		// and reader count. The decision cache starts fresh — its label
 		// tags derive from the rules that just changed.
 		gc, eval, aud, refs = cur.g, cur.eval, cur.aud, cur.refs
+		tier = &n.ctr.pubShared
 	} else if agc, aeval, aaud, adc := n.advanceSpareLocked(cur, store, gen); agc != nil {
 		gc, eval, aud, dc = agc, aeval, aaud, adc
+		tier = &n.ctr.pubAdvanced
 	}
 	if gc == nil {
 		gc = n.g.Clone()
@@ -280,7 +300,12 @@ func (n *Network) publishLocked() (*snapshot, error) {
 	if refs == nil {
 		refs = new(atomic.Int64)
 	}
-	view := store.Clone()
+	var view *core.Store
+	if samePolicy {
+		view = cur.store
+	} else {
+		view = store.Clone()
+	}
 	if dc == nil {
 		dc = planner.NewDecisionCache(labelsForStore(view), n.planner.CacheCounters())
 	}
@@ -310,56 +335,53 @@ func (n *Network) publishLocked() (*snapshot, error) {
 		gen:     gen,
 		refs:    refs,
 	}
-	n.ctr.republications.Add(1)
+	tier.Add(1)
 	old := n.snap.Swap(s)
 	if old != nil && old != s {
 		old.retired.Store(true)
 		if old.g != s.g {
 			// The outgoing snapshot's clone is not the one just published,
-			// so once its readers drain it becomes the next advance
-			// candidate. (After a policy-only share the clones are equal
-			// and the older spare, if any, stays on deck instead.)
-			n.spare = old
+			// so it parks as an advance candidate, pushing out the stalest
+			// when the pool is full. (After a policy-only share the clones
+			// are equal, and the clone parks when the sharer retires.)
+			if len(n.spares) == sparePoolCap {
+				n.spares = slices.Delete(n.spares, 0, 1)
+			}
+			n.spares = append(n.spares, old)
 		}
 	}
 	return s, nil
 }
 
-// advanceSpareLocked tries to satisfy a publication by fast-forwarding the
-// retired spare snapshot's private clone to the master's current version —
+// advanceSpareLocked tries to satisfy a publication by fast-forwarding a
+// parked snapshot's private clone to the master's current version —
 // replaying the bounded delta log at O(Δ) instead of paying the O(V+E)
 // re-clone — and advancing its evaluator, audience cache and decision cache
-// in place when possible. store and gen identify the policy state being
-// published: the decision cache is carried forward only when the spare was
-// built against the same policy generation (its label tags derive from the
-// rules). It returns nils when no spare is stealable: none exists, readers
-// still hold it, or the delta window has been trimmed past its version.
-// Callers must hold n.mu.
+// in place when possible. Parked snapshots the delta window has left behind
+// are dropped first: they can only fall further behind. Of the rest it
+// takes the newest that no reader holds (refs == 0 after retired: the
+// acquire/back-off proof); pinned ones stay parked. store and gen identify
+// the policy state being published: the decision cache is carried forward
+// only when the spare was built against the same policy generation (its
+// label tags derive from the rules). It returns nils when no parked
+// snapshot qualifies. Callers must hold n.mu.
 func (n *Network) advanceSpareLocked(cur *snapshot, store *core.Store, gen uint64) (*graph.Graph, Evaluator, *search.AudienceCache, *planner.DecisionCache) {
-	spare := n.spare
+	n.spares = slices.DeleteFunc(n.spares, func(c *snapshot) bool { return !n.g.Covers(c.version) })
+	var spare *snapshot
+	for i := len(n.spares) - 1; i >= 0; i-- {
+		// Never advance a clone the published snapshot shares (parking
+		// rules that out already).
+		if c := n.spares[i]; c.refs.Load() == 0 && (cur == nil || cur.g != c.g) {
+			// Taken, c leaves the pool for good: on any failure below its
+			// clone is partially advanced and must never be reused.
+			spare, n.spares = c, slices.Delete(n.spares, i, i+1)
+			break
+		}
+	}
 	if spare == nil {
 		return nil, nil, nil, nil
 	}
-	if cur != nil && cur.g == spare.g {
-		// Defensive: never advance a clone the published snapshot shares.
-		n.spare = nil
-		return nil, nil, nil, nil
-	}
-	if spare.refs.Load() != 0 {
-		// A reader still traverses the clone; keep the spare for a later
-		// publication and fall back to a full rebuild now.
-		return nil, nil, nil, nil
-	}
-	deltas, ok := n.g.ChangesSince(spare.version)
-	if !ok {
-		// The window no longer reaches back; the spare can only fall
-		// further behind, so drop it.
-		n.spare = nil
-		return nil, nil, nil, nil
-	}
-	// The spare is consumed either way: on any failure below its clone is
-	// partially advanced and must never be reused.
-	n.spare = nil
+	deltas, _ := n.g.ChangesSince(spare.version)
 	gc := spare.g
 	for _, d := range deltas {
 		if err := gc.Apply(d); err != nil {
@@ -398,11 +420,11 @@ func (n *Network) advanceSpareLocked(cur *snapshot, store *core.Store, gen uint6
 }
 
 // CanAccessAll decides access to one resource for many requesters in a
-// single call, fanning the checks out across a worker pool. All decisions
-// are made against one engine snapshot, so the result is a consistent view
-// even if mutations land mid-batch. The returned slice is index-aligned
-// with requesters. On any evaluation error the batch is abandoned and the
-// first error is returned.
+// single call, fanning large batches out across a worker pool. All
+// decisions are made against one engine snapshot, so the result is a
+// consistent view even if mutations land mid-batch. The returned slice is
+// index-aligned with requesters. On any evaluation error the batch is
+// abandoned and the first error is returned.
 func (n *Network) CanAccessAll(resource string, requesters []UserID) ([]Decision, error) {
 	s, err := n.snapshot()
 	if err != nil {
@@ -414,24 +436,33 @@ func (n *Network) CanAccessAll(resource string, requesters []UserID) ([]Decision
 	return s.decideAll(core.ResourceID(resource), requesters)
 }
 
+// fanOutMin is the batch size from which decideAll fans out over goroutines.
+// Below it spawn and join cost more than the second core returns. Serial vs
+// fanned out on two cores (BenchmarkCanAccessAll, join index): 16 cached
+// decisions — most of a serving-layer check-batch — 1.3 vs 2.0 µs; 16
+// uncached 92 vs 102 µs; 32 uncached a wash, 165 vs 172 µs; 64 uncached 359
+// vs 272 µs. Cached batches lose at every size (2 000: 152 vs 291 µs), but
+// a batch does not know it is cached until it has looked, and uncached it
+// gains 1.4x there.
+const fanOutMin = 64
+
 // decideAll is CanAccessAll's body over an already-pinned snapshot, shared
 // with View.CanAccessAll.
 func (s *snapshot) decideAll(res core.ResourceID, requesters []UserID) ([]Decision, error) {
-	var err error
 	out := make([]Decision, len(requesters))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(requesters) {
-		workers = len(requesters)
-	}
-	if workers <= 1 {
+	workers := min(runtime.GOMAXPROCS(0), len(requesters))
+	if workers <= 1 || len(requesters) < fanOutMin {
 		for i, r := range requesters {
-			if out[i], err = s.decide(res, r); err != nil {
+			d, err := s.decide(res, r)
+			if err != nil {
 				return nil, err
 			}
+			out[i] = d
 		}
 		return out, nil
 	}
 	var (
+		err     error
 		next    atomic.Int64
 		failed  atomic.Bool
 		errOnce sync.Once

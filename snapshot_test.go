@@ -3,7 +3,11 @@ package reachac
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
+
+	"reachac/internal/core"
+	"reachac/internal/graph"
 )
 
 // publish forces a publication via a read and returns the published
@@ -16,9 +20,9 @@ func publish(t *testing.T, n *Network) *snapshot {
 	return n.snap.Load()
 }
 
-// TestDeltaAdvanceRecyclesClone pins the ping-pong: after two publications
-// the retired clone is stolen and fast-forwarded instead of re-cloned, and
-// an incremental evaluator survives with it.
+// TestDeltaAdvanceRecyclesClone pins the recycling: after two publications
+// the retired clone is taken from the pool and fast-forwarded instead of
+// re-cloned, and an incremental evaluator survives with it.
 func TestDeltaAdvanceRecyclesClone(t *testing.T) {
 	n := New()
 	ids := make([]UserID, 8)
@@ -53,7 +57,7 @@ func TestDeltaAdvanceRecyclesClone(t *testing.T) {
 	if d, err := n.CanAccess("r", ids[2]); err != nil || d.Effect != Allow {
 		t.Fatalf("friend-of-friend via advanced clone = (%v, %v)", d.Effect, err)
 	}
-	// And the ping-pong continues: the next mutation steals s2's clone.
+	// And it continues: the next mutation takes s2's clone.
 	if err := n.Unrelate(ids[1], ids[2], "friend"); err != nil {
 		t.Fatal(err)
 	}
@@ -87,8 +91,8 @@ func TestPolicyOnlyPublicationShares(t *testing.T) {
 	if s2 == s1 || s2.g != s1.g || s2.eval != s1.eval {
 		t.Fatal("policy-only change must share clone and evaluator")
 	}
-	if n.spare == s1 {
-		t.Fatal("a snapshot sharing the published clone must not become the spare")
+	if slices.Contains(n.spares, s1) {
+		t.Fatal("a snapshot sharing the published clone must not be parked")
 	}
 }
 
@@ -186,5 +190,224 @@ func TestRelateMutualRollback(t *testing.T) {
 	}
 	if !n.Graph().HasEdge(a, c, "friend") || !n.Graph().HasEdge(c, a, "friend") {
 		t.Fatal("mutual relationship incomplete")
+	}
+}
+
+// allKinds lists every engine kind, incremental and declining evaluators
+// alike: they all publish through the same spare pool.
+var allKinds = []EngineKind{Online, OnlineDFS, OnlineAdaptive, Closure, Index, IndexPaperJoin}
+
+// ringNet builds a friend ring of the given size with "r" shared by member
+// 0 under friend+[1,3], on the given engine, and returns the member IDs.
+func ringNet(t *testing.T, kind EngineKind, members int) (*Network, []UserID) {
+	t.Helper()
+	n := New()
+	ids := make([]UserID, members)
+	for i := range ids {
+		ids[i] = n.MustAddUser(fmt.Sprintf("u%02d", i))
+	}
+	for i := range ids {
+		if err := n.Relate(ids[i], ids[(i+1)%members], "friend"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := n.Share("r", ids[0], "friend+[1,3]"); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.UseEngine(kind); err != nil {
+		t.Fatal(err)
+	}
+	return n, ids
+}
+
+// TestPinnedReaderKeepsPublicationIncremental holds a View across 200 graph
+// publications on every engine kind, then re-pins one every tenth
+// publication for 200 more: a pinned snapshot parks in the pool instead of
+// forcing a rebuild, every decision equals a from-scratch network's over
+// the same graph, and after Close the parked clone is advanced again.
+func TestPinnedReaderKeepsPublicationIncremental(t *testing.T) {
+	for _, kind := range allKinds {
+		t.Run(kind.String(), func(t *testing.T) {
+			t.Parallel()
+			n, ids := ringNet(t, kind, 16)
+			toggle := func(i int) {
+				t.Helper()
+				var err error
+				if i%2 == 0 {
+					err = n.Relate(ids[2], ids[9], "friend")
+				} else {
+					err = n.Unrelate(ids[2], ids[9], "friend")
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Warm: a network that has published twice holds two clones, the
+			// published one and a spare. The reader below costs the third,
+			// which is the one rebuild allowed.
+			for i := 0; i < 2; i++ {
+				toggle(i)
+				publish(t, n)
+			}
+			v, err := n.View()
+			if err != nil {
+				t.Fatal(err)
+			}
+			pinned, pinnedAt := v.s.g, v.s.g.Version()
+			before := n.Stats()
+			for i := 0; i < 200; i++ {
+				toggle(i)
+				req := ids[(i*7)%len(ids)]
+				got, err := n.CanAccess("r", req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref := FromGraph(n.Graph().Clone())
+				if _, err := ref.Share("r", ids[0], "friend+[1,3]"); err != nil {
+					t.Fatal(err)
+				}
+				want, err := ref.CanAccess("r", req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Effect != want.Effect {
+					t.Fatalf("step %d requester %d: %v, a fresh rebuild says %v", i, req, got.Effect, want.Effect)
+				}
+				// The pinned snapshot keeps answering from its own generation.
+				if v.s.g != pinned || pinned.Version() != pinnedAt {
+					t.Fatalf("step %d: the pinned view observed a later publication", i)
+				}
+			}
+			held := n.Stats().Delta(before)
+			if held.Republications != 200 || held.PublicationsRebuilt > 1 {
+				t.Fatalf("200 publications under a pinned reader: %d advanced, %d rebuilt, %d shared; want at most 1 rebuilt",
+					held.PublicationsAdvanced, held.PublicationsRebuilt, held.PublicationsShared)
+			}
+			v.Close()
+
+			// A reader that re-pins the published snapshot every tenth
+			// publication: with a single spare each new pin cost a rebuild.
+			// The pool passes over the pinned snapshot (newest, parked) and
+			// advances an older free one — first of all the clone the first
+			// view had parked.
+			before = n.Stats()
+			reused := false
+			for i := 200; i < 400; i++ {
+				if i%10 == 0 {
+					if v, err = n.View(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				toggle(i)
+				if publish(t, n).g == pinned {
+					reused = true
+				}
+				if i%10 == 9 {
+					v.Close()
+				}
+			}
+			after := n.Stats().Delta(before)
+			if !reused || after.PublicationsAdvanced != 200 || after.PublicationsRebuilt != 0 {
+				t.Fatalf("re-pinning reader: parked clone reused=%v, %d advanced, %d rebuilt; want true, 200, 0",
+					reused, after.PublicationsAdvanced, after.PublicationsRebuilt)
+			}
+		})
+	}
+}
+
+// TestPolicyViewIsCopyOnWrite pins the O(Δ) policy view: a graph-only
+// publication reuses the previous frozen view outright, and a Share on one
+// resource leaves every other resource's rule slice shared between
+// consecutive views.
+func TestPolicyViewIsCopyOnWrite(t *testing.T) {
+	n, ids := ringNet(t, Online, 8)
+	resources := []string{"r"}
+	for i := 0; i < 40; i++ {
+		res := fmt.Sprintf("res%02d", i)
+		resources = append(resources, res)
+		if _, err := n.Share(res, ids[i%len(ids)], "friend+[1]"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s1 := publish(t, n)
+	if err := n.Relate(ids[0], ids[4], "friend"); err != nil {
+		t.Fatal(err)
+	}
+	s2 := publish(t, n)
+	if s2 == s1 || s2.store != s1.store {
+		t.Fatal("a graph-only publication must reuse the frozen policy view")
+	}
+	if _, err := n.Share("res07", ids[7], "friend+[1,2]"); err != nil {
+		t.Fatal(err)
+	}
+	s3 := publish(t, n)
+	if s3.store == s2.store {
+		t.Fatal("a policy change must publish a new policy view")
+	}
+	for _, res := range resources {
+		old, cur := s2.store.RulesFor(core.ResourceID(res)), s3.store.RulesFor(core.ResourceID(res))
+		if res == "res07" {
+			if len(old) != 1 || len(cur) != 2 {
+				t.Fatalf("res07 has %d rules in the old view and %d in the new, want 1 and 2", len(old), len(cur))
+			}
+			continue
+		}
+		if len(old) != len(cur) || &old[0] != &cur[0] {
+			t.Fatalf("%s: untouched rule slice was copied between consecutive views", res)
+		}
+	}
+}
+
+// TestParkedSpareBehindWindowIsDropped: a parked snapshot is dropped from
+// the pool once the delta window no longer reaches it, never advanced —
+// its reader keeps it alive and readable for as long as it likes.
+func TestParkedSpareBehindWindowIsDropped(t *testing.T) {
+	n, ids := ringNet(t, Online, 8)
+	v, err := n.View()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v.Close()
+	stale := v.s
+	toggle := func(i int) {
+		t.Helper()
+		var err error
+		if i%2 == 0 {
+			err = n.Relate(ids[1], ids[5], "friend")
+		} else {
+			err = n.Unrelate(ids[1], ids[5], "friend")
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	toggle(0)
+	publish(t, n)
+	if !slices.Contains(n.spares, stale) {
+		t.Fatal("a pinned retired snapshot should wait in the pool")
+	}
+	// The default window retains at least graph.DefaultDeltaLogLimit
+	// mutations and is trimmed at twice that.
+	for i := 1; i <= 2*graph.DefaultDeltaLogLimit+1; i++ {
+		toggle(i)
+	}
+	if n.Graph().Covers(stale.version) {
+		t.Fatal("test setup: the window still reaches the pinned snapshot")
+	}
+	for i := 0; i < 3; i++ {
+		toggle(i)
+		if s := publish(t, n); s.g == stale.g {
+			t.Fatal("a clone behind the delta window was advanced")
+		}
+		if slices.Contains(n.spares, stale) {
+			t.Fatal("a clone behind the delta window stayed in the pool")
+		}
+	}
+	// The view predates the 1 → 5 shortcut that the network now has.
+	if d, err := v.CanAccess("r", ids[5]); err != nil || d.Effect != Deny {
+		t.Fatalf("the dropped snapshot's view decides (%v, %v)", d.Effect, err)
+	}
+	if d, err := n.CanAccess("r", ids[5]); err != nil || d.Effect != Allow {
+		t.Fatalf("decision after dropping the stale spare = (%v, %v)", d.Effect, err)
 	}
 }

@@ -31,8 +31,15 @@ type Stats struct {
 	Batches   uint64 `json:"batches"`
 
 	// Republications counts engine snapshot publications (the slow path a
-	// reader pays after a change).
-	Republications uint64 `json:"republications"`
+	// reader pays after a change); the three Publications* counters split
+	// it by what each one cost (see publishLocked): Shared reused the
+	// published graph clone (policy-only change), Advanced fast-forwarded a
+	// retired clone through the delta log (O(Δ)), Rebuilt cloned the graph
+	// and built the evaluator from scratch (O(V+E)).
+	Republications       uint64 `json:"republications"`
+	PublicationsShared   uint64 `json:"publications_shared"`
+	PublicationsAdvanced uint64 `json:"publications_advanced"`
+	PublicationsRebuilt  uint64 `json:"publications_rebuilt"`
 
 	// DecisionCacheHits/Misses count decision-cache lookups across every
 	// snapshot's cache (the counter block is network-lifetime);
@@ -117,6 +124,9 @@ func (s Stats) Delta(prev Stats) Stats {
 	d.Mutations -= prev.Mutations
 	d.Batches -= prev.Batches
 	d.Republications -= prev.Republications
+	d.PublicationsShared -= prev.PublicationsShared
+	d.PublicationsAdvanced -= prev.PublicationsAdvanced
+	d.PublicationsRebuilt -= prev.PublicationsRebuilt
 	d.DecisionCacheHits -= prev.DecisionCacheHits
 	d.DecisionCacheMisses -= prev.DecisionCacheMisses
 	d.DecisionCacheEvictions -= prev.DecisionCacheEvictions
@@ -135,14 +145,17 @@ func (s Stats) Delta(prev Stats) Stats {
 // counters holds the network's atomically-updated operation tallies; see
 // Stats for field meanings.
 type counters struct {
-	checks         atomic.Uint64
-	batchChecks    atomic.Uint64
-	audiences      atomic.Uint64
-	mutations      atomic.Uint64
-	batches        atomic.Uint64
-	republications atomic.Uint64
-	ckptTaken      atomic.Uint64
-	ckptSkipped    atomic.Uint64
+	checks      atomic.Uint64
+	batchChecks atomic.Uint64
+	audiences   atomic.Uint64
+	mutations   atomic.Uint64
+	batches     atomic.Uint64
+	// pubShared + pubAdvanced + pubRebuilt is Stats.Republications.
+	pubShared   atomic.Uint64
+	pubAdvanced atomic.Uint64
+	pubRebuilt  atomic.Uint64
+	ckptTaken   atomic.Uint64
+	ckptSkipped atomic.Uint64
 }
 
 // Stats collects the network's operation counters and current sizes. It is
@@ -163,11 +176,14 @@ func (n *Network) Stats() Stats {
 		Audiences:          n.ctr.audiences.Load(),
 		Mutations:          n.ctr.mutations.Load(),
 		Batches:            n.ctr.batches.Load(),
-		Republications:     n.ctr.republications.Load(),
 		Checkpoints:        n.ctr.ckptTaken.Load(),
 		CheckpointsSkipped: n.ctr.ckptSkipped.Load(),
 		AuditRetained:      n.audit.Len(),
 	}
+	st.PublicationsShared = n.ctr.pubShared.Load()
+	st.PublicationsAdvanced = n.ctr.pubAdvanced.Load()
+	st.PublicationsRebuilt = n.ctr.pubRebuilt.Load()
+	st.Republications = st.PublicationsShared + st.PublicationsAdvanced + st.PublicationsRebuilt
 	pc := n.planner.Counters()
 	st.DecisionCacheHits = pc.CacheHits
 	st.DecisionCacheMisses = pc.CacheMisses

@@ -16,10 +16,14 @@ import (
 // (resolve the requester's name, then check) without racing concurrent
 // mutators and without touching the network's mutation lock.
 //
-// A view holds its snapshot's reader pin until Close, which must be called
-// (keep views request-scoped and short-lived: a pinned snapshot blocks the
-// O(Δ) clone-advance of the next publication). After Close every method
-// panics. A View is safe for concurrent use before Close.
+// A view holds its snapshot's reader pin until Close, which must be called.
+// Publication does not wait for it and stays O(Δ): once retired, the pinned
+// snapshot parks in the network's small spare pool while other retired
+// clones are advanced, and is recycled after Close. What an open view costs
+// is memory — one graph clone for as long as it is held — and with more
+// than a few generations pinned at once the pool overflows and a
+// publication may have to rebuild after all, so keep views request-scoped. After Close every method panics. A View is safe for
+// concurrent use before Close.
 type View struct {
 	n *Network
 	s *snapshot
