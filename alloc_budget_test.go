@@ -12,6 +12,8 @@ package reachac
 import (
 	"fmt"
 	"testing"
+
+	"reachac/internal/core"
 )
 
 // allocNet builds a 200-member network with a shared album and warms the
@@ -95,19 +97,75 @@ func TestCanAccessAllAllocBudget(t *testing.T) {
 	}
 }
 
-// TestUncachedDecideAllocBudget: a denial decided past the decision cache —
-// rule lookup, evaluator, audit record — allocates nothing: the rules are
-// read through the store's shared slice (it was 1 object/op while RulesFor
-// copied), and only an allow formats a reason.
+// TestUncachedDecideAllocBudget: a decision made past the decision cache —
+// rule lookup, evaluator, audit record — allocates nothing, denied or
+// allowed: the rules are read through the store's shared slice (it was 1
+// object/op while RulesFor copied) and an allow's reason is rendered when its
+// rule is stored (it was formatted per decision).
 func TestUncachedDecideAllocBudget(t *testing.T) {
 	n, ids := allocNet(t)
 	s := n.snap.Load()
-	allocs := testing.AllocsPerRun(200, func() {
-		if d, err := s.engine.Decide("album", ids[100]); err != nil || d.Effect != Deny {
-			t.Fatalf("Decide = (%v, %v), want a denial", d.Effect, err)
+	for _, c := range []struct {
+		requester UserID
+		want      core.Effect
+	}{{ids[100], Deny}, {ids[2], Allow}} {
+		allocs := testing.AllocsPerRun(200, func() {
+			if d, err := s.engine.Decide("album", c.requester); err != nil || d.Effect != c.want {
+				t.Fatalf("Decide = (%v, %v), want %v", d.Effect, err, c.want)
+			}
+		})
+		if allocs > 0 {
+			t.Fatalf("uncached %v allocates %.2f objects/op, budget 0", c.want, allocs)
 		}
-	})
-	if allocs > 0 {
-		t.Fatalf("uncached denial allocates %.2f objects/op, budget 0", allocs)
+	}
+}
+
+// TestManyRulesCheckAllocBudget: an uncached, planner-routed check allocates
+// nothing however many rules the store holds, on either flat route. Each run
+// decides a different one of 2 048 single-rule resources, which share five
+// expressions and so five plans; while plans were cached per rule pointer,
+// 1 024 at most, every other rule here compiled its plan anew on every check
+// (a dozen objects each time).
+func TestManyRulesCheckAllocBudget(t *testing.T) {
+	const rules = 2048
+	n, ids := manyRulesNet(t, rules)
+	for _, route := range []struct {
+		name      string
+		first     int // even resources belong to the out-hub, odd ones to lattice members
+		requester UserID
+		count     func(Stats) uint64
+	}{
+		{"forward", 1, ids[1], func(st Stats) uint64 { return st.PlannerRouteFlatForward }},
+		{"reverse", 0, ids[500], func(st Stats) uint64 { return st.PlannerRouteFlatReverse }},
+	} {
+		names := make([]string, 0, rules/2)
+		for i := route.first; i < rules; i += 2 {
+			names = append(names, fmt.Sprintf("res%05d", i))
+		}
+		if _, err := n.CanAccess(names[0], route.requester); err != nil {
+			t.Fatal(err)
+		}
+		s := n.snap.Load()
+		for _, res := range names[:16] { // one pass over the five expressions and more
+			if _, err := s.engine.Decide(core.ResourceID(res), route.requester); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := n.Stats()
+		i := 0
+		allocs := testing.AllocsPerRun(len(names), func() {
+			if _, err := s.engine.Decide(core.ResourceID(names[i%len(names)]), route.requester); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+		if allocs > 0 {
+			t.Fatalf("%s route: uncached check allocates %.2f objects/op over %d rules, budget 0", route.name, allocs, rules)
+		}
+		d := n.Stats().Delta(before)
+		if got := route.count(d); got < uint64(len(names)) {
+			t.Fatalf("%s route took %d of %d checks (forward %d, reverse %d, audience %d, primary %d)", route.name, got, len(names),
+				d.PlannerRouteFlatForward, d.PlannerRouteFlatReverse, d.PlannerRouteAudience, d.PlannerRoutePrimary)
+		}
 	}
 }

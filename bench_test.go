@@ -761,6 +761,90 @@ func BenchmarkCanAccessZeroAlloc(b *testing.B) {
 	}
 }
 
+// BenchmarkCanAccessManyRules measures an uncached, planner-routed check —
+// past the decision cache, so rule lookup, plan lookup, routing and the flat
+// search — against the number of rules in the store. The two arms decide the
+// same (owner, expression, requester) triples (see manyRulesNet), so all that
+// differs is how many rules share the five expressions: ns/op at 8 192 rules
+// must stay within 1.25x of 512, at 0 allocs/op. Plans used to be cached per
+// rule pointer, 1 024 at most, and the larger arm recompiled its plan on
+// seven checks in eight.
+func BenchmarkCanAccessManyRules(b *testing.B) {
+	for _, rules := range []int{512, 8192} {
+		b.Run(fmt.Sprintf("rules=%d", rules), func(b *testing.B) {
+			n, ids := manyRulesNet(b, rules)
+			names := make([]core.ResourceID, rules)
+			for i := range names {
+				names[i] = core.ResourceID(fmt.Sprintf("res%05d", i))
+			}
+			decide := func(s *snapshot, i int) {
+				if _, err := s.engine.Decide(names[i%rules], ids[300+i%512%7]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if _, err := n.CanAccess("res00000", ids[300]); err != nil {
+				b.Fatal(err)
+			}
+			s := n.snap.Load()
+			for i := 0; i < 512; i++ {
+				decide(s, i)
+			}
+			before := n.Stats()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				decide(s, i)
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(n.Stats().Delta(before).PlanCompiles)/float64(b.N), "compiles/op")
+		})
+	}
+}
+
+// BenchmarkReachableByGraphSize measures one flat point query over a
+// neighbourhood of fixed size (every node has three outgoing friend edges, so
+// friend+[1,3] visits at most 39 states) in graphs of 10k, 100k and 1M nodes,
+// from owners spread over the whole graph. The search touches the same few
+// states at every size, and so does the scratch reset, which un-marks what
+// the search marked: ns/op must stay within 2x across the three sizes (what
+// is left is cache misses in a larger CSR). Clearing the whole visited set
+// per query cost O(nodes) on top: 24 KB at 10k nodes, 2.4 MB at 1M.
+func BenchmarkReachableByGraphSize(b *testing.B) {
+	for _, nodes := range []int{10_000, 100_000, 1_000_000} {
+		b.Run(fmt.Sprintf("nodes=%dk", nodes/1000), func(b *testing.B) {
+			g := graph.New()
+			for i := 0; i < nodes; i++ {
+				g.MustAddNode(fmt.Sprintf("u%07d", i), nil)
+			}
+			for i := 0; i < nodes; i++ {
+				for _, hop := range []int{1, 7, 13} {
+					g.MustAddEdge(graph.NodeID(i), graph.NodeID((i+hop)%nodes), "friend")
+				}
+			}
+			g.CSR()
+			e := search.New(g)
+			p := pathexpr.MustParse("friend+[1,3]")
+			// 7919 is prime to every size, so owners walk the whole graph;
+			// i+16 is never reached within three hops of 1, 7 or 13, so
+			// every search runs to exhaustion.
+			query := func(i int) {
+				owner := i * 7919 % nodes
+				if ok, err := e.Reachable(graph.NodeID(owner), graph.NodeID((owner+16)%nodes), p); err != nil || ok {
+					b.Fatalf("Reachable = (%v, %v), want a miss", ok, err)
+				}
+			}
+			for i := 0; i < 64; i++ {
+				query(i)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				query(i)
+			}
+		})
+	}
+}
+
 // BenchmarkAudienceIncremental measures the audience read after a mutation,
 // which forces a snapshot republication per iteration: the incremental arm
 // advances the audience cache through the recorded deltas (the O(Δ) path),

@@ -76,7 +76,9 @@ type ShardExpandResponse struct {
 // pathCache memoizes parsed path expressions: a hot shard re-receives the
 // same handful of canonical paths on every expand round. Parsed paths are
 // read-only. Bounded because the expressions arrive over the wire — an
-// adversarial client must not grow the map without limit.
+// adversarial client must not grow the map without limit; once full, a new
+// expression pushes out an arbitrary one, so expressions that never repeat
+// cannot keep the ones that do out of the cache.
 var (
 	pathCacheMu sync.RWMutex
 	pathCache   = make(map[string]*pathexpr.Path)
@@ -96,9 +98,13 @@ func cachedParsePath(expr string) (*pathexpr.Path, error) {
 		return nil, err
 	}
 	pathCacheMu.Lock()
-	if len(pathCache) < pathCacheMax {
-		pathCache[expr] = p
+	if len(pathCache) >= pathCacheMax {
+		for victim := range pathCache {
+			delete(pathCache, victim)
+			break
+		}
 	}
+	pathCache[expr] = p
 	pathCacheMu.Unlock()
 	return p, nil
 }

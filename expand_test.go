@@ -271,7 +271,8 @@ func TestShardExpandRequestValidation(t *testing.T) {
 
 // TestCachedParsePathAndRing: the per-shard memoization layers — repeat
 // lookups hit, invalid inputs never populate, and the path cache stays
-// bounded against adversarial expression streams.
+// bounded against adversarial expression streams without shutting out the
+// expressions that come after them.
 func TestCachedParsePathAndRing(t *testing.T) {
 	p1, err := cachedParsePath(`colleague+[1,4]`)
 	if err != nil {
@@ -284,7 +285,8 @@ func TestCachedParsePathAndRing(t *testing.T) {
 	if _, err := cachedParsePath(`!!`); err == nil {
 		t.Fatalf("invalid path parsed")
 	}
-	// Flood past the bound: the cache must stop growing, not evict-thrash.
+	// Flood past the bound: the cache must stop growing, and still admit
+	// what arrives next.
 	for i := 0; i < 2*pathCacheMax; i++ {
 		if _, err := cachedParsePath(fmt.Sprintf(`friend+[1,%d]`, i+2)); err != nil {
 			t.Fatalf("flood parse %d: %v", i, err)
@@ -295,6 +297,13 @@ func TestCachedParsePathAndRing(t *testing.T) {
 	pathCacheMu.RUnlock()
 	if size > pathCacheMax {
 		t.Fatalf("path cache grew to %d entries past its %d bound", size, pathCacheMax)
+	}
+	p3, err := cachedParsePath(`parent-[1]/friend+[1,2]`)
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	if p4, err := cachedParsePath(`parent-[1]/friend+[1,2]`); err != nil || p3 != p4 {
+		t.Fatalf("an expression arriving after the flood was not cached: %p vs %p (%v)", p3, p4, err)
 	}
 
 	r1, err := cachedRing(5, 0)

@@ -55,6 +55,9 @@ type Rule struct {
 	Owner graph.NodeID
 	// Conditions all must be satisfied (conjunction).
 	Conditions []Condition
+	// allowReason is the Decision.Reason of an allow this rule grants,
+	// rendered once by Store.AddRule (a stored rule never changes).
+	allowReason string
 }
 
 // Validate checks structural sanity of the rule.
@@ -147,6 +150,9 @@ type Store struct {
 	tag     uint64
 	count   int
 	nextID  int
+	// paths interns rule paths by canonical text (see intern). It belongs to
+	// the store rules are added to; clones start without one.
+	paths map[string]*pathexpr.Path
 	// gen counts policy mutations (registrations, rule additions and
 	// removals). Snapshot-isolated readers record it to detect staleness;
 	// it is atomic so the check needs no lock.
@@ -282,10 +288,35 @@ func (s *Store) AddRule(r *Rule) error {
 			return fmt.Errorf("core: duplicate rule id %q on resource %q", r.ID, r.Resource)
 		}
 	}
+	r.allowReason = fmt.Sprintf("all conditions of rule %q satisfied", r.ID)
+	for j, c := range r.Conditions {
+		r.Conditions[j].Path = s.intern(c.Path)
+	}
 	// Clip first, so that the append copies (see resourcePolicy).
 	s.own(r.Resource).entries[i] = &resourcePolicy{res: p.res, owner: p.owner, rules: append(slices.Clip(p.rules), r)}
 	s.gen.Add(1)
 	return nil
+}
+
+// maxInternedPaths bounds Store.paths. Rules are written from a handful of
+// expression templates; a store that has seen this many distinct ones starts
+// the table over, which costs later rules some sharing and nothing else.
+const maxInternedPaths = 4096
+
+// intern returns the path the store already holds for p's expression, or p
+// itself after remembering it: a rule set has far more rules than distinct
+// expressions, and structurally equal conditions then share one immutable
+// Path. Callers hold s.mu for writing.
+func (s *Store) intern(p *pathexpr.Path) *pathexpr.Path {
+	key := p.String()
+	if q, ok := s.paths[key]; ok {
+		return q
+	}
+	if s.paths == nil || len(s.paths) >= maxInternedPaths {
+		s.paths = make(map[string]*pathexpr.Path)
+	}
+	s.paths[key] = p
+	return p
 }
 
 // ruleSeq parses an auto-assigned rule ID of the form "rule-N".
@@ -487,7 +518,7 @@ func (e *Engine) Decide(res ResourceID, requester graph.NodeID) (Decision, error
 		if valid {
 			d.Effect = Allow
 			d.RuleID = rule.ID
-			d.Reason = fmt.Sprintf("all conditions of rule %q satisfied", rule.ID)
+			d.Reason = rule.allowReason
 			e.record(d)
 			return d, nil
 		}

@@ -270,6 +270,40 @@ func TestAutoRuleIDs(t *testing.T) {
 	}
 }
 
+// TestAddRuleInternsPathsAndRendersReason: rules whose conditions are the
+// same expression, parsed separately and spelled differently, share one Path
+// once stored; a different expression does not; and an allow names its rule
+// in the reason rendered when the rule was added.
+func TestAddRuleInternsPathsAndRendersReason(t *testing.T) {
+	_, store, eng, ids := fixture(t)
+	alice := ids[paperfix.Alice]
+	var rules []*Rule
+	for i, expr := range []string{"friend+[1,2]", "friend +[1, 2]", "friend+[1,3]"} {
+		res := ResourceID(fmt.Sprintf("r%d", i))
+		if err := store.Register(res, alice); err != nil {
+			t.Fatal(err)
+		}
+		r := &Rule{Resource: res, Owner: alice, Conditions: []Condition{{Path: pathexpr.MustParse(expr)}}}
+		if err := store.AddRule(r); err != nil {
+			t.Fatal(err)
+		}
+		rules = append(rules, r)
+	}
+	if rules[0].Conditions[0].Path != rules[1].Conditions[0].Path {
+		t.Fatal("equal expressions were stored as two paths")
+	}
+	if rules[0].Conditions[0].Path == rules[2].Conditions[0].Path {
+		t.Fatal("different expressions were stored as one path")
+	}
+	d, err := eng.Decide("r1", ids[paperfix.Bill])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("all conditions of rule %q satisfied", rules[1].ID); d.Effect != Allow || d.RuleID != rules[1].ID || d.Reason != want {
+		t.Fatalf("decision = %+v, want an allow by %s with reason %q", d, rules[1].ID, want)
+	}
+}
+
 func TestResourcesSorted(t *testing.T) {
 	_, store, _, ids := fixture(t)
 	for _, r := range []ResourceID{"zeta", "alpha", "mid"} {

@@ -22,6 +22,7 @@ package pathexpr
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"reachac/internal/graph"
@@ -124,25 +125,28 @@ func (p Pred) Eval(attrs graph.Attrs) bool {
 // with the lexer's own escape rules (backslash escapes the next byte, any
 // byte content allowed), so that String/Parse round-trips exactly.
 func (p Pred) String() string {
-	v := p.Value.String()
-	if p.Value.Kind() == graph.KindString {
-		v = quoteValue(v)
-	}
-	return p.Attr + p.Op.String() + v
+	var b strings.Builder
+	p.render(&b)
+	return b.String()
 }
 
-func quoteValue(s string) string {
-	var b strings.Builder
+func (p Pred) render(b *strings.Builder) {
+	b.WriteString(p.Attr)
+	b.WriteString(p.Op.String())
+	v := p.Value.String()
+	if p.Value.Kind() != graph.KindString {
+		b.WriteString(v)
+		return
+	}
 	b.WriteByte('"')
-	for i := 0; i < len(s); i++ {
-		c := s[i]
+	for i := 0; i < len(v); i++ {
+		c := v[i]
 		if c == '"' || c == '\\' {
 			b.WriteByte('\\')
 		}
 		b.WriteByte(c)
 	}
 	b.WriteByte('"')
-	return b.String()
 }
 
 // Step is one ordered step (r, dir, I, C) of a path.
@@ -159,41 +163,72 @@ type Step struct {
 // printed so that round-trips are exact.
 func (s Step) String() string {
 	var b strings.Builder
+	s.render(&b)
+	return b.String()
+}
+
+func (s Step) render(b *strings.Builder) {
 	b.WriteString(s.Label)
 	b.WriteString(s.Dir.String())
+	b.WriteByte('[')
+	b.WriteString(strconv.Itoa(s.MinDepth))
 	if s.Unbounded {
-		fmt.Fprintf(&b, "[%d,*]", s.MinDepth)
-	} else if s.MinDepth == s.MaxDepth {
-		fmt.Fprintf(&b, "[%d]", s.MinDepth)
-	} else {
-		fmt.Fprintf(&b, "[%d,%d]", s.MinDepth, s.MaxDepth)
+		b.WriteString(",*")
+	} else if s.MinDepth != s.MaxDepth {
+		b.WriteByte(',')
+		b.WriteString(strconv.Itoa(s.MaxDepth))
 	}
+	b.WriteByte(']')
 	if len(s.Preds) > 0 {
 		b.WriteByte('{')
 		for i, p := range s.Preds {
 			if i > 0 {
 				b.WriteString(", ")
 			}
-			b.WriteString(p.String())
+			p.render(b)
 		}
 		b.WriteByte('}')
 	}
-	return b.String()
 }
 
 // Path is a parsed reachability constraint: the ordered sequence of steps
 // that must link the resource owner to the requester.
+//
+// A Path returned by Parse is immutable: it carries its canonical text, which
+// is what String returns and what identifies the expression to the engines'
+// plan caches. To derive a different expression, Clone it and change the
+// clone.
 type Path struct {
 	Steps []Step
+	// canon is the canonical text, rendered once by Parse. Paths built any
+	// other way leave it empty and render on every String call.
+	canon string
 }
 
-// String renders the path in concrete syntax; Parse(p.String()) == p.
+// String renders the path in concrete syntax; Parse(p.String()) == p. Two
+// paths are structurally equal exactly when their String results are. On a
+// parsed path it returns the text cached at parse time, without allocating.
 func (p *Path) String() string {
-	parts := make([]string, len(p.Steps))
-	for i, s := range p.Steps {
-		parts[i] = s.String()
+	if p.canon != "" {
+		return p.canon
 	}
-	return strings.Join(parts, "/")
+	return p.render()
+}
+
+func (p *Path) render() string {
+	var b strings.Builder
+	size := 0
+	for _, s := range p.Steps {
+		size += len(s.Label) + len("+[1,2]/") + 16*len(s.Preds)
+	}
+	b.Grow(size)
+	for i, s := range p.Steps {
+		if i > 0 {
+			b.WriteByte('/')
+		}
+		s.render(&b)
+	}
+	return b.String()
 }
 
 // Validate checks structural sanity: at least one step, positive depths,
@@ -254,7 +289,7 @@ func (p *Path) HasPreds() bool {
 	return false
 }
 
-// Clone returns a deep copy.
+// Clone returns a deep copy, which the caller may modify.
 func (p *Path) Clone() *Path {
 	steps := make([]Step, len(p.Steps))
 	copy(steps, p.Steps)

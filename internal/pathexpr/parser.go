@@ -6,7 +6,8 @@ import (
 	"reachac/internal/graph"
 )
 
-// Parse parses the concrete path syntax into a validated Path.
+// Parse parses the concrete path syntax into a validated Path carrying its
+// canonical text (see Path).
 func Parse(input string) (*Path, error) {
 	p := &parser{lex: lexer{input: input}}
 	if err := p.advance(); err != nil {
@@ -19,6 +20,7 @@ func Parse(input string) (*Path, error) {
 	if err := path.Validate(); err != nil {
 		return nil, err
 	}
+	path.canon = path.render()
 	return path, nil
 }
 

@@ -232,6 +232,32 @@ func TestClone(t *testing.T) {
 	}
 }
 
+// TestParsedPathCarriesCanonicalText: String on a parsed path returns the
+// text rendered at parse time — the same for every spelling of an expression,
+// equal to what a structurally equal hand-built path renders, and free —
+// while a clone renders afresh, so that changing it changes its text.
+func TestParsedPathCarriesCanonicalText(t *testing.T) {
+	p := MustParse(`friend +[1, 2] / colleague{age>=18,city="paris"}`)
+	const want = `friend+[1,2]/colleague*[1]{age>=18, city="paris"}`
+	if got := p.String(); got != want {
+		t.Fatalf("String() = %q, want %q", got, want)
+	}
+	if got := MustParse(want).String(); got != want {
+		t.Fatalf("canonical text does not parse back to itself: %q", got)
+	}
+	if got := (&Path{Steps: p.Steps}).String(); got != want {
+		t.Fatalf("hand-built path renders %q, want %q", got, want)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = p.String() }); allocs != 0 {
+		t.Fatalf("String on a parsed path allocates %.0f objects, want 0", allocs)
+	}
+	c := p.Clone()
+	c.Steps[0].Label = "other"
+	if got := c.String(); got == want || p.String() != want {
+		t.Fatalf("after changing a clone: clone %q, original %q", got, p.String())
+	}
+}
+
 func TestPredEval(t *testing.T) {
 	attrs := graph.Attrs{
 		"age":  graph.Int(24),

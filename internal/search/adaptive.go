@@ -12,9 +12,9 @@ import (
 // the reversed pattern (pathexpr.Reverse) from the requester bounds the
 // frontier by the smaller cone. Decisions are identical to Reachable.
 //
-// It is a thin shim over the planner cost hooks in route.go: RouteCosts
-// supplies the per-endpoint seed counts and ReachableReverse executes the
-// (plan-cached) reversed pattern.
+// It is a thin shim over the planner cost hooks in route.go, resolving the
+// plan once: RouteCostsPlan supplies the per-endpoint seed counts and
+// ReachableReversePlan executes the plan's reversed pattern.
 func (e *Engine) ReachableAdaptive(owner, requester graph.NodeID, p *pathexpr.Path) (bool, error) {
 	if err := p.Validate(); err != nil {
 		return false, err
@@ -23,14 +23,14 @@ func (e *Engine) ReachableAdaptive(owner, requester graph.NodeID, p *pathexpr.Pa
 		// Delegate for uniform error wording.
 		return e.Reachable(owner, requester, p)
 	}
-	fwd, rev, err := e.RouteCosts(owner, requester, p)
+	pl, err := e.Plan(p)
 	if err != nil {
 		return false, err
 	}
-	if rev < fwd {
-		return e.ReachableReverse(owner, requester, p)
+	if fwd, rev := e.RouteCostsPlan(owner, requester, pl); rev < fwd {
+		return e.ReachableReversePlan(owner, requester, pl), nil
 	}
-	return e.Reachable(owner, requester, p)
+	return e.ReachablePlan(owner, requester, pl), nil
 }
 
 // Adaptive wraps an Engine so that its Reachable method uses adaptive

@@ -40,11 +40,11 @@ type audKey struct {
 	path  string
 }
 
-// audEntry is one cached audience: the compiled path it was computed under,
-// the full product-BFS visited bitset (the incremental state), the audience
+// audEntry is one cached audience: the plan it was computed under, the full
+// product-BFS visited bitset (the incremental state), the audience
 // membership bitset, and its materialized sorted form.
 type audEntry struct {
-	c       *compiled
+	c       *Plan
 	visited []uint64
 	member  []uint64
 	out     []graph.NodeID
@@ -88,13 +88,20 @@ func (ac *AudienceCache) Peek(owner, requester graph.NodeID, p *pathexpr.Path) (
 	if !g.ValidNode(owner) || !g.ValidNode(requester) {
 		return false, false
 	}
-	c, err := ac.e.plan(p)
+	pl, err := ac.e.Plan(p)
 	if err != nil {
 		return false, false
 	}
+	return ac.PeekPlan(owner, requester, pl)
+}
+
+// PeekPlan is Peek for a caller that already holds the expression's plan
+// from Engine().Plan; both endpoints must be valid nodes.
+func (ac *AudienceCache) PeekPlan(owner, requester graph.NodeID, c *Plan) (member, ok bool) {
+	g := ac.e.g
 	ac.mu.RLock()
 	defer ac.mu.RUnlock()
-	ent, exists := ac.entries[audKey{owner, c.str}]
+	ent, exists := ac.entries[audKey{owner, c.key}]
 	if !exists || (ent.c.anyMissing && ent.c.labelsLen != g.NumLabels()) {
 		return false, false
 	}
@@ -115,7 +122,7 @@ func (ac *AudienceCache) Audience(owner graph.NodeID, p *pathexpr.Path) ([]graph
 	if !g.ValidNode(owner) {
 		return nil, fmt.Errorf("search: invalid owner %d", owner)
 	}
-	c, err := ac.e.plan(p)
+	c, err := ac.e.Plan(p)
 	if err != nil {
 		return nil, err
 	}
@@ -124,7 +131,7 @@ func (ac *AudienceCache) Audience(owner graph.NodeID, p *pathexpr.Path) ([]graph
 		// Pathological state space: compute without caching.
 		return ac.e.AudienceSet(owner, p)
 	}
-	key := audKey{owner, c.str}
+	key := audKey{owner, c.key}
 	ac.mu.Lock()
 	defer ac.mu.Unlock()
 	old, exists := ac.entries[key]
@@ -144,7 +151,7 @@ func (ac *AudienceCache) Audience(owner graph.NodeID, p *pathexpr.Path) ([]graph
 
 // compute runs the full product BFS for (owner, c) into a fresh entry.
 // Callers hold ac.mu.
-func (ac *AudienceCache) compute(c *compiled, owner graph.NodeID) *audEntry {
+func (ac *AudienceCache) compute(c *Plan, owner graph.NodeID) *audEntry {
 	v := ac.e.g.NumNodes()
 	ent := &audEntry{
 		c:       c,
@@ -152,8 +159,8 @@ func (ac *AudienceCache) compute(c *compiled, owner graph.NodeID) *audEntry {
 		member:  make([]uint64, (v+63)/64),
 	}
 	if !c.anyMissing {
-		frontier := seedFlat(c, ent.visited, ac.frontier[:0], owner)
-		_, frontier, _ = ac.e.runFlat(c, ent.visited, ent.member, frontier, graph.InvalidNode, true)
+		frontier := seedFlat(&c.compiled, ent.visited, ac.frontier[:0], owner)
+		_, frontier, _ = ac.e.runFlat(&c.compiled, ent.visited, ent.member, frontier, graph.InvalidNode, true)
 		ac.frontier = frontier
 		ent.out = appendBits(nil, ent.member)
 	}
@@ -259,7 +266,7 @@ func (ac *AudienceCache) extend(ent *audEntry, from, to graph.NodeID, l graph.La
 	}
 	if len(frontier) > 0 {
 		ent.dirty = true
-		_, frontier, _ = ac.e.runFlat(c, ent.visited, ent.member, frontier, graph.InvalidNode, true)
+		_, frontier, _ = ac.e.runFlat(&c.compiled, ent.visited, ent.member, frontier, graph.InvalidNode, true)
 	}
 	ac.frontier = frontier
 }

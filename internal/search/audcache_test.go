@@ -224,10 +224,7 @@ func TestAudienceSetMapMatchesFlat(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := e.audienceSetMap(steps, owner)
-			if err != nil {
-				t.Fatal(err)
-			}
+			got := e.audienceSetMap(steps, owner)
 			if !sameIDs(got, want) {
 				t.Fatalf("owner %d path %s: map %v, flat %v", owner, expr, got, want)
 			}

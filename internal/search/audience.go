@@ -27,28 +27,19 @@ func (e *Engine) AppendAudience(dst []graph.NodeID, owner graph.NodeID, p *pathe
 	if !e.g.ValidNode(owner) {
 		return dst, fmt.Errorf("search: invalid owner %d", owner)
 	}
-	c, err := e.plan(p)
+	pl, err := e.Plan(p)
 	if err != nil {
 		return dst, err
 	}
+	c := &pl.compiled
 	if c.anyMissing {
 		return dst, nil
 	}
-	v := e.g.NumNodes()
-	if !c.flatOK(v) {
-		set, err := e.audienceSetMap(c.steps, owner)
-		if err != nil {
-			return dst, err
-		}
-		return append(dst, set...), nil
+	if !c.flatOK(e.g.NumNodes()) {
+		return append(dst, e.audienceSetMap(c.steps, owner)...), nil
 	}
 	sc := scratchPool.Get().(*scratch)
-	sc.visited = bitset(sc.visited, c.flatWords(v))
-	sc.member = bitset(sc.member, (v+63)/64)
-	frontier := seedFlat(c, sc.visited, sc.frontier[:0], owner)
-	_, frontier, work := e.runFlat(c, sc.visited, sc.member, frontier, graph.InvalidNode, true)
-	sc.frontier = frontier
-	dst = appendBits(dst, sc.member)
+	dst, work := e.audienceFlat(sc, c, dst, owner)
 	scratchPool.Put(sc)
 	if e.g.FreshCSR() == nil {
 		e.g.AddCSRDebt(work)
@@ -70,7 +61,7 @@ func appendBits(dst []graph.NodeID, member []uint64) []graph.NodeID {
 
 // audienceSetMap is the pre-flat map-based product BFS, kept as the
 // fallback for state spaces beyond the flat layout's bounds.
-func (e *Engine) audienceSetMap(steps []compiledStep, owner graph.NodeID) ([]graph.NodeID, error) {
+func (e *Engine) audienceSetMap(steps []compiledStep, owner graph.NodeID) []graph.NodeID {
 	start := state{node: owner, step: 0, d: 0}
 	seen := map[state]bool{start: true}
 	frontier := []state{start}
@@ -128,5 +119,5 @@ func (e *Engine) audienceSetMap(steps []compiledStep, owner graph.NodeID) ([]gra
 		out = append(out, id)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out, nil
+	return out
 }

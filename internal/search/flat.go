@@ -12,33 +12,44 @@ import (
 // a dense integer range — node*states + stepBase[step] + d — so the visited
 // set is a flat bitset instead of a map, the frontier is a reusable slice of
 // packed uint64 states, and both live in a sync.Pool scratch that queries
-// borrow. Adjacency comes from the graph's label-partitioned CSR slabs when
-// fresh (see graph.CSR); otherwise the edge-list iteration is used and its
-// cost is fed back as CSR debt so read-heavy phases converge to the CSR.
+// borrow and hand back all-zero. Adjacency comes from the graph's
+// label-partitioned CSR slabs when fresh (see graph.CSR); otherwise the
+// edge-list iteration is used and its cost is fed back as CSR debt so
+// read-heavy phases converge to the CSR.
 
-// compiled is a path compiled against a graph plus the dense state layout
-// derived from it. Engines cache compiled plans per *pathexpr.Path, so the
-// per-query compile cost (and its allocations) is paid once per rule.
+// compiled is one direction of a plan: the steps of a pattern resolved
+// against a graph, plus the dense state layout derived from them.
 type compiled struct {
 	steps    []compiledStep
 	stepBase []int32
 	// states is the per-node state count S: state (node, step, d) maps to
 	// bit node*S + stepBase[step] + d.
 	states int32
-	// labelsLen is the graph's label count at compile time; a grown label
-	// table invalidates the plan (a previously-absent label may now exist).
-	labelsLen int
 	// anyMissing is true when some step's label does not occur in the graph,
 	// so no path can match.
 	anyMissing bool
-	// str is the canonical path text, cached for audience-cache keys.
-	str string
-	// rev and revPreds cache pathexpr.Reverse(p) so reverse-endpoint
-	// execution (route.go) pays the reversal allocation once per plan, not
-	// per query. rev is a stable pointer, so its own compiled form is
-	// plan-cached like any rule path.
-	rev      *pathexpr.Path
+}
+
+// Plan is a path expression compiled against one engine's graph: the pattern
+// as written, searched from the owner, and its reversal (pathexpr.Reverse),
+// searched from the requester. The reversal hangs off the plan instead of
+// being cached under its own text because it is not an expression anyone
+// wrote: its last step's predicates are split off into revPreds, so it only
+// means something next to the plan it came from, and one lookup then serves
+// either search direction.
+//
+// A Plan is immutable and valid only on the engine whose Plan method returned
+// it, until that graph's label table grows.
+type Plan struct {
+	compiled
+	rev      compiled
 	revPreds []pathexpr.Pred
+	// key is the expression's canonical text: the plan's identity in the
+	// engine's plan cache and in audience-cache keys.
+	key string
+	// labelsLen is the graph's label count at compile time; a grown label
+	// table invalidates the plan (a previously-absent label may now exist).
+	labelsLen int
 }
 
 // maxFlatStates bounds node*states products (in bits) served by the flat
@@ -46,65 +57,102 @@ type compiled struct {
 // visited bitset, far above any realistic policy.
 const maxFlatStates = int64(1) << 31
 
-// newCompiled compiles p against g and lays out the dense state space.
-func newCompiled(g *graph.Graph, p *pathexpr.Path) (*compiled, error) {
+// layOut assigns the dense state layout to compiled steps.
+func layOut(steps []compiledStep) compiled {
+	c := compiled{steps: steps, stepBase: make([]int32, len(steps))}
+	for i := range steps {
+		c.stepBase[i] = c.states
+		dCap := steps[i].max
+		if steps[i].unbounded {
+			dCap = steps[i].min
+		}
+		c.states += int32(dCap) + 1
+		if !steps[i].labelOK {
+			c.anyMissing = true
+		}
+	}
+	return c
+}
+
+// newPlan compiles p, whose canonical text is key, against g.
+func newPlan(g *graph.Graph, key string, p *pathexpr.Path) (*Plan, error) {
 	steps, err := compile(g, p)
 	if err != nil {
 		return nil, err
 	}
 	rev, revPreds := pathexpr.Reverse(p)
-	c := &compiled{
-		steps:     steps,
-		stepBase:  make([]int32, len(steps)),
-		labelsLen: g.NumLabels(),
-		str:       p.String(),
-		rev:       rev,
-		revPreds:  revPreds,
-	}
-	var s int32
-	for i := range steps {
-		c.stepBase[i] = s
-		dCap := steps[i].max
-		if steps[i].unbounded {
-			dCap = steps[i].min
-		}
-		s += int32(dCap) + 1
-		if !steps[i].labelOK {
-			c.anyMissing = true
-		}
-	}
-	c.states = s
-	return c, nil
-}
-
-// maxPlanCacheEntries bounds the per-engine plan cache. Rule paths are
-// stable pointers, so real policies stay far below it; ad-hoc parsed paths
-// (CheckPath) beyond the cap are compiled per query instead of cached.
-const maxPlanCacheEntries = 1024
-
-// plan returns the cached compiled form of p, compiling (and caching) it on
-// first use or after the graph's label table has grown.
-func (e *Engine) plan(p *pathexpr.Path) (*compiled, error) {
-	if v, ok := e.plans.Load(p); ok {
-		c := v.(*compiled)
-		if c.labelsLen == e.g.NumLabels() {
-			return c, nil
-		}
-	}
-	c, err := newCompiled(e.g, p)
+	revSteps, err := compile(g, rev)
 	if err != nil {
 		return nil, err
 	}
-	if _, ok := e.plans.Load(p); ok || e.planCount.Load() < maxPlanCacheEntries {
-		e.plans.Store(p, c)
-		if !ok {
-			e.planCount.Add(1)
-		}
-	}
-	return c, nil
+	return &Plan{
+		compiled:  layOut(steps),
+		rev:       layOut(revSteps),
+		revPreds:  revPreds,
+		key:       key,
+		labelsLen: g.NumLabels(),
+	}, nil
 }
 
-// scratch is the pooled per-query working set of a flat search.
+// maxPlanCacheEntries bounds an engine's plan cache. Plans are keyed by
+// expression, and a policy set draws its rules from a handful of templates,
+// so the bound is only met by ad-hoc expressions (CheckPath) that never
+// repeat; those then push out arbitrary entries, which recompile on next use.
+const maxPlanCacheEntries = 1024
+
+// Plan returns the compiled plan of p on this engine, compiling it on first
+// use of the expression or after the graph's label table has grown.
+// Structurally equal paths share one plan. The warm path is one lock-free
+// map probe and, for a parsed path, allocates nothing.
+func (e *Engine) Plan(p *pathexpr.Path) (*Plan, error) {
+	key := p.String()
+	if m := e.plans.Load(); m != nil {
+		if pl := (*m)[key]; pl != nil && pl.labelsLen == e.g.NumLabels() {
+			return pl, nil
+		}
+	}
+	pl, err := newPlan(e.g, key, p)
+	if err != nil {
+		return nil, err
+	}
+	if e.PlanCompiles != nil {
+		e.PlanCompiles.Add(1)
+	}
+	// Readers never lock, so a new plan is published in a copy of the map.
+	// The copy stops one short of the bound: whatever the (randomly ordered)
+	// iteration has not reached by then is evicted.
+	e.planMu.Lock()
+	defer e.planMu.Unlock()
+	var cur map[string]*Plan
+	if m := e.plans.Load(); m != nil {
+		cur = *m
+	}
+	next := make(map[string]*Plan, min(len(cur)+1, maxPlanCacheEntries))
+	for k, v := range cur {
+		if len(next) == maxPlanCacheEntries-1 {
+			break
+		}
+		if k != key {
+			next[k] = v
+		}
+	}
+	next[key] = pl
+	e.plans.Store(&next)
+	return pl, nil
+}
+
+// PlanCacheLen returns the number of cached plans.
+func (e *Engine) PlanCacheLen() int {
+	if m := e.plans.Load(); m != nil {
+		return len(*m)
+	}
+	return 0
+}
+
+// scratch is the pooled working set of a flat search. A parked scratch is
+// all-zero over the whole capacity of visited and member: a search un-marks
+// exactly the bits it marked before it returns the scratch, so taking one
+// costs nothing, however many nodes the graph has.
 type scratch struct {
 	visited  []uint64
 	member   []uint64
@@ -113,16 +161,51 @@ type scratch struct {
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
-// bitset returns b grown to words entries with the first words zeroed.
-func bitset(b []uint64, words int) []uint64 {
+// sized returns the all-zero bitset b (see scratch) with words entries.
+func sized(b []uint64, words int) []uint64 {
 	if cap(b) < words {
 		return make([]uint64, words)
 	}
-	b = b[:words]
-	for i := range b {
-		b[i] = 0
+	return b[:words]
+}
+
+// unmark clears the visited bit of every state in frontier. A search enqueues
+// each state it marks, so after it frontier lists exactly the set bits.
+func (c *compiled) unmark(visited, frontier []uint64) {
+	S := uint64(c.states)
+	for _, packed := range frontier {
+		bit := (packed>>32)*S + uint64(c.stepBase[uint16(packed>>16)]) + uint64(uint16(packed))
+		visited[bit>>6] &^= 1 << (bit & 63)
 	}
-	return b
+}
+
+// reachFlat answers one point query on sc, which it takes and leaves
+// all-zero. The work result counts edge scans.
+func (e *Engine) reachFlat(sc *scratch, c *compiled, from, to graph.NodeID) (found bool, work int) {
+	sc.visited = sized(sc.visited, c.flatWords(e.g.NumNodes()))
+	frontier := seedFlat(c, sc.visited, sc.frontier[:0], from)
+	found, frontier, work = e.runFlat(c, sc.visited, nil, frontier, to, false)
+	c.unmark(sc.visited, frontier)
+	sc.frontier = frontier
+	return found, work
+}
+
+// audienceFlat appends to dst, in ascending order, every node the pattern
+// reaches from owner. Like reachFlat it takes and leaves sc all-zero.
+func (e *Engine) audienceFlat(sc *scratch, c *compiled, dst []graph.NodeID, owner graph.NodeID) ([]graph.NodeID, int) {
+	v := e.g.NumNodes()
+	sc.visited = sized(sc.visited, c.flatWords(v))
+	sc.member = sized(sc.member, (v+63)/64)
+	frontier := seedFlat(c, sc.visited, sc.frontier[:0], owner)
+	_, frontier, work := e.runFlat(c, sc.visited, sc.member, frontier, graph.InvalidNode, true)
+	c.unmark(sc.visited, frontier)
+	sc.frontier = frontier
+	n := len(dst)
+	dst = appendBits(dst, sc.member)
+	for _, id := range dst[n:] {
+		sc.member[id>>6] &^= 1 << (id & 63)
+	}
+	return dst, work
 }
 
 // packState packs (node, step, d) into one frontier word.

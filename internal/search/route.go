@@ -7,8 +7,8 @@ import (
 
 // This file exposes the engine's query-cost hooks to the planner: first-step
 // seed fan-outs for both endpoints of a pattern (RouteCosts) and execution
-// of the reversed pattern from the requester (ReachableReverse). The old
-// adaptive engine's endpoint selection (adaptive.go) is now a thin shim over
+// of the reversed pattern from the requester (ReachableReverse). The
+// adaptive engine's endpoint selection (adaptive.go) is a thin shim over
 // these two.
 
 // RouteCosts estimates, for one reachability query, the seed fan-out of
@@ -18,15 +18,18 @@ import (
 // with its orientation flipped). With a fresh CSR both are O(1) run-length
 // reads. Both endpoints must be valid nodes.
 func (e *Engine) RouteCosts(owner, requester graph.NodeID, p *pathexpr.Path) (fwd, rev int, err error) {
-	c, err := e.plan(p)
+	pl, err := e.Plan(p)
 	if err != nil {
 		return 0, 0, err
 	}
-	first := &c.steps[0]
-	fwd = e.seedCount(owner, first.label, first.labelOK, first.dir)
-	last := &c.steps[len(c.steps)-1]
-	rev = e.seedCount(requester, last.label, last.labelOK, flipDir(last.dir))
+	fwd, rev = e.RouteCostsPlan(owner, requester, pl)
 	return fwd, rev, nil
+}
+
+// RouteCostsPlan is RouteCosts for a caller that already holds the
+// expression's plan.
+func (e *Engine) RouteCostsPlan(owner, requester graph.NodeID, pl *Plan) (fwd, rev int) {
+	return e.seedCount(owner, &pl.steps[0]), e.seedCount(requester, &pl.rev.steps[0])
 }
 
 // ReachableReverse answers Reachable(owner, requester, p) by running the
@@ -40,26 +43,33 @@ func (e *Engine) ReachableReverse(owner, requester graph.NodeID, p *pathexpr.Pat
 		// Delegate for uniform error wording.
 		return e.Reachable(owner, requester, p)
 	}
-	c, err := e.plan(p)
+	pl, err := e.Plan(p)
 	if err != nil {
 		return false, err
 	}
-	for _, pr := range c.revPreds {
-		if !pr.Eval(e.g.Node(requester).Attrs) {
-			return false, nil
-		}
-	}
-	return e.Reachable(requester, owner, c.rev)
+	return e.ReachableReversePlan(owner, requester, pl), nil
 }
 
-// seedCount counts the traversals of node n admitted as a first edge with
-// the resolved label and orientation (predicates do not affect fan-out).
-// With a fresh CSR the counts are O(1) run-length reads; otherwise the edge
-// scan's cost matches one BFS step the caller was about to pay anyway.
-func (e *Engine) seedCount(n graph.NodeID, label graph.Label, labelOK bool, dir pathexpr.Direction) int {
-	if !labelOK {
+// ReachableReversePlan is ReachableReverse for a caller that already holds
+// the expression's plan; both endpoints must be valid nodes.
+func (e *Engine) ReachableReversePlan(owner, requester graph.NodeID, pl *Plan) bool {
+	for _, pr := range pl.revPreds {
+		if !pr.Eval(e.g.Node(requester).Attrs) {
+			return false
+		}
+	}
+	return e.reach(requester, owner, &pl.rev)
+}
+
+// seedCount counts the traversals of node n admitted as the first edge of a
+// pattern starting with st (predicates do not affect fan-out). With a fresh
+// CSR the counts are O(1) run-length reads; otherwise the edge scan's cost
+// matches one BFS step the caller was about to pay anyway.
+func (e *Engine) seedCount(n graph.NodeID, st *compiledStep) int {
+	if !st.labelOK {
 		return 0
 	}
+	label, dir := st.label, st.dir
 	if c := e.g.FreshCSR(); c != nil {
 		count := 0
 		if dir == pathexpr.Out || dir == pathexpr.Both {
@@ -88,16 +98,4 @@ func (e *Engine) seedCount(n graph.NodeID, label graph.Label, labelOK bool, dir 
 		})
 	}
 	return count
-}
-
-// flipDir reverses a traversal orientation.
-func flipDir(d pathexpr.Direction) pathexpr.Direction {
-	switch d {
-	case pathexpr.Out:
-		return pathexpr.In
-	case pathexpr.In:
-		return pathexpr.Out
-	default:
-		return pathexpr.Both
-	}
 }

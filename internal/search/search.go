@@ -110,10 +110,15 @@ type Engine struct {
 	// DFS selects depth-first instead of breadth-first exploration. Both
 	// return identical decisions; DFS may find longer witnesses.
 	DFS bool
-	// plans caches compiled paths per *pathexpr.Path (see flat.go); paths
-	// must not be mutated after first use, which rule storage guarantees.
-	plans     sync.Map
-	planCount atomic.Int64
+	// PlanCompiles, when set before the engine's first query, is incremented
+	// for every plan the engine compiles. A network points all its engines
+	// at one counter, so that it outlives the snapshots they belong to.
+	PlanCompiles *atomic.Uint64
+	// plans caches compiled plans by canonical expression text (see Plan).
+	// Readers load the map and probe it; planMu serializes the writers that
+	// replace it.
+	plans  atomic.Pointer[map[string]*Plan]
+	planMu sync.Mutex
 }
 
 // New returns an online-search evaluator over g.
@@ -131,35 +136,42 @@ func (e *Engine) ApplyDelta(g *graph.Graph, _ []graph.Delta) bool { return e.g =
 // matching p (Definition 3: the requester must have a direct or indirect
 // relationship with the owner that matches the specified path). It runs the
 // flat bitset search — zero heap allocations once the plan cache and the
-// pooled scratch are warm — and falls back to the map-based Witness search
+// pooled scratch are warm — and falls back to the map-based witness search
 // only for state spaces too large for the flat layout.
 func (e *Engine) Reachable(owner, requester graph.NodeID, p *pathexpr.Path) (bool, error) {
 	if !e.g.ValidNode(owner) || !e.g.ValidNode(requester) {
 		return false, fmt.Errorf("search: invalid node (owner=%d requester=%d)", owner, requester)
 	}
-	c, err := e.plan(p)
+	pl, err := e.Plan(p)
 	if err != nil {
 		return false, err
 	}
+	return e.ReachablePlan(owner, requester, pl), nil
+}
+
+// ReachablePlan is Reachable for a caller that already holds the
+// expression's plan (see Plan); both endpoints must be valid nodes.
+func (e *Engine) ReachablePlan(owner, requester graph.NodeID, pl *Plan) bool {
+	return e.reach(owner, requester, &pl.compiled)
+}
+
+// reach searches for a match of c from one valid node to another.
+func (e *Engine) reach(from, to graph.NodeID, c *compiled) bool {
 	if c.anyMissing {
 		// A label absent from the graph can never be matched.
-		return false, nil
+		return false
 	}
-	v := e.g.NumNodes()
-	if !c.flatOK(v) {
-		_, ok, werr := e.Witness(owner, requester, p)
-		return ok, werr
+	if !c.flatOK(e.g.NumNodes()) {
+		_, ok := e.witness(from, to, c.steps)
+		return ok
 	}
 	sc := scratchPool.Get().(*scratch)
-	sc.visited = bitset(sc.visited, c.flatWords(v))
-	frontier := seedFlat(c, sc.visited, sc.frontier[:0], owner)
-	found, frontier, work := e.runFlat(c, sc.visited, nil, frontier, requester, false)
-	sc.frontier = frontier
+	found, work := e.reachFlat(sc, c, from, to)
 	scratchPool.Put(sc)
 	if e.g.FreshCSR() == nil {
 		e.g.AddCSRDebt(work)
 	}
-	return found, nil
+	return found
 }
 
 // Witness is Reachable returning also a matching path (sequence of hops
@@ -178,7 +190,13 @@ func (e *Engine) Witness(owner, requester graph.NodeID, p *pathexpr.Path) ([]Hop
 			return nil, false, nil
 		}
 	}
+	hops, ok := e.witness(owner, requester, steps)
+	return hops, ok, nil
+}
 
+// witness is the map-based product search behind Witness, over steps whose
+// labels all occur in the graph.
+func (e *Engine) witness(owner, requester graph.NodeID, steps []compiledStep) ([]Hop, bool) {
 	start := state{node: owner, step: 0, d: 0}
 	type visit struct {
 		prev state
@@ -287,10 +305,10 @@ func (e *Engine) Witness(owner, requester graph.NodeID, p *pathexpr.Path) ([]Hop
 		}
 		if found {
 			final := state{node: requester, step: uint16(len(steps)), d: 0}
-			return reconstruct(final), true, nil
+			return reconstruct(final), true
 		}
 	}
-	return nil, false, nil
+	return nil, false
 }
 
 // VerifyWitness checks that hops is a valid match of p from owner to

@@ -212,6 +212,9 @@ func TestServerEndpointsAllEngines(t *testing.T) {
 			if st.Checks == 0 || st.Mutations == 0 || st.Batches == 0 || !st.Durable {
 				t.Fatalf("Stats = %+v", st)
 			}
+			if st.PlanCompiles == 0 || st.PlanCacheEntries == 0 {
+				t.Fatalf("plan counters did not cross the wire: compiles=%d entries=%d", st.PlanCompiles, st.PlanCacheEntries)
+			}
 			if st.Server.CommitGroups == 0 || st.Server.CoalescedMutations == 0 {
 				t.Fatalf("Server stats = %+v", st.Server)
 			}

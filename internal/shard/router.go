@@ -629,6 +629,8 @@ func (r *Router) Stats(ctx context.Context) httpapi.StatsResponse {
 		agg.DecisionCacheHits += st.DecisionCacheHits
 		agg.DecisionCacheMisses += st.DecisionCacheMisses
 		agg.DecisionCacheEvictions += st.DecisionCacheEvictions
+		agg.PlanCompiles += st.PlanCompiles
+		agg.PlanCacheEntries += st.PlanCacheEntries
 		agg.Checkpoints += st.Checkpoints
 		agg.CheckpointsSkipped += st.CheckpointsSkipped
 		agg.WALAppends += st.WALAppends

@@ -496,6 +496,9 @@ func TestStatsAggregation(t *testing.T) {
 	if st.Resources != 1 {
 		t.Fatalf("aggregated resources = %d, want 1", st.Resources)
 	}
+	if st.PlanCompiles == 0 || st.PlanCacheEntries == 0 {
+		t.Fatalf("aggregated plan counters: compiles=%d entries=%d, want the owner shard's", st.PlanCompiles, st.PlanCacheEntries)
+	}
 	if len(st.ShardStats) != 2 || !st.ShardStats[0].Healthy || !st.ShardStats[1].Healthy {
 		t.Fatalf("shard stats = %+v, want two healthy shards", st.ShardStats)
 	}

@@ -32,42 +32,44 @@ type routedEval struct {
 	kind    planner.Kind
 }
 
-// Reachable implements core.Evaluator with cost-based routing. Invalid
-// inputs delegate straight to the primary evaluator for uniform error
-// wording.
+// Reachable implements core.Evaluator with cost-based routing. It resolves
+// the expression's plan once; the audience probe, the cost estimate and
+// either flat search then run off that handle. Invalid inputs delegate
+// straight to the primary evaluator for uniform error wording.
 func (r *routedEval) Reachable(owner, requester UserID, p *pathexpr.Path) (bool, error) {
 	g := r.aud.Graph()
 	if !g.ValidNode(owner) || !g.ValidNode(requester) {
 		return r.primary.Reachable(owner, requester, p)
 	}
-	if member, ok := r.aud.Peek(owner, requester, p); ok {
-		r.pl.Route(planner.StratAudience)
-		return member, nil
-	}
-	fwd, rev, err := r.online.RouteCosts(owner, requester, p)
+	pl, err := r.online.Plan(p)
 	if err != nil {
 		return r.primary.Reachable(owner, requester, p)
 	}
+	if member, ok := r.aud.PeekPlan(owner, requester, pl); ok {
+		r.pl.Route(planner.StratAudience)
+		return member, nil
+	}
+	fwd, rev := r.online.RouteCostsPlan(owner, requester, pl)
 	strat := r.pl.Choose(r.kind, fwd, rev)
 	r.pl.Route(strat)
 	if _, timed := r.pl.Next(); timed {
 		start := time.Now()
-		ok, err := r.exec(strat, owner, requester, p)
+		ok, err := r.exec(strat, owner, requester, p, pl)
 		r.pl.Observe(strat, time.Since(start))
 		return ok, err
 	}
-	return r.exec(strat, owner, requester, p)
+	return r.exec(strat, owner, requester, p, pl)
 }
 
-// exec runs one query with the chosen strategy.
-func (r *routedEval) exec(strat planner.Strategy, owner, requester UserID, p *pathexpr.Path) (bool, error) {
+// exec runs one query with the chosen strategy; pl is p's plan on r.online.
+func (r *routedEval) exec(strat planner.Strategy, owner, requester UserID, p *pathexpr.Path, pl *search.Plan) (bool, error) {
 	switch strat {
 	case planner.StratPrimary:
 		return r.primary.Reachable(owner, requester, p)
 	case planner.StratFlatReverse:
-		return r.online.ReachableReverse(owner, requester, p)
+		return r.online.ReachableReversePlan(owner, requester, pl), nil
 	default:
-		return r.online.Reachable(owner, requester, p)
+		return r.online.ReachablePlan(owner, requester, pl), nil
 	}
 }
 

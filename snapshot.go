@@ -138,15 +138,22 @@ func labelsForStore(view *core.Store) func(core.ResourceID) []string {
 }
 
 // buildEvaluator constructs the evaluator of the given kind over g, which
-// must not be mutated afterwards.
-func buildEvaluator(kind EngineKind, g *graph.Graph) (Evaluator, error) {
+// must not be mutated afterwards. The online kinds count the plans they
+// compile in compiles.
+func buildEvaluator(kind EngineKind, g *graph.Graph, compiles *atomic.Uint64) (Evaluator, error) {
+	online := func(e *search.Engine) *search.Engine {
+		e.PlanCompiles = compiles
+		return e
+	}
 	switch kind {
 	case Online:
-		return search.New(g), nil
+		return online(search.New(g)), nil
 	case OnlineDFS:
-		return search.NewDFS(g), nil
+		return online(search.NewDFS(g)), nil
 	case OnlineAdaptive:
-		return search.NewAdaptive(g), nil
+		a := search.NewAdaptive(g)
+		online(a.Engine)
+		return a, nil
 	case Closure:
 		return tclosure.New(g), nil
 	case Index:
@@ -164,6 +171,25 @@ func buildEvaluator(kind EngineKind, g *graph.Graph) (Evaluator, error) {
 	default:
 		return nil, fmt.Errorf("reachac: unknown engine kind %d", int(kind))
 	}
+}
+
+// newAudienceCache returns an empty audience cache over gc whose engine
+// counts the plans it compiles in the network's counter.
+func (n *Network) newAudienceCache(gc *graph.Graph) *search.AudienceCache {
+	aud := search.NewAudienceCache(gc)
+	aud.Engine().PlanCompiles = &n.ctr.planCompiles
+	return aud
+}
+
+// planCacheEntries counts the compiled plans the snapshot's engines hold:
+// the audience cache's engine, which planner routing searches on, and the
+// primary evaluator when it is an online engine.
+func (s *snapshot) planCacheEntries() int {
+	entries := s.aud.Engine().PlanCacheLen()
+	if e, ok := s.eval.(interface{ PlanCacheLen() int }); ok {
+		entries += e.PlanCacheLen()
+	}
+	return entries
 }
 
 // snapshot returns the current engine snapshot pinned for one read
@@ -291,11 +317,11 @@ func (n *Network) publishLocked() (*snapshot, error) {
 		// run the dense read path from the first call.
 		gc.CSR()
 		var err error
-		eval, err = buildEvaluator(n.kind, gc)
+		eval, err = buildEvaluator(n.kind, gc, &n.ctr.planCompiles)
 		if err != nil {
 			return nil, err
 		}
-		aud = search.NewAudienceCache(gc)
+		aud = n.newAudienceCache(gc)
 	}
 	if refs == nil {
 		refs = new(atomic.Int64)
@@ -393,7 +419,7 @@ func (n *Network) advanceSpareLocked(cur *snapshot, store *core.Store, gen uint6
 	// Advance requires.
 	aud := spare.aud
 	if aud == nil {
-		aud = search.NewAudienceCache(gc)
+		aud = n.newAudienceCache(gc)
 	} else {
 		aud.Advance(deltas)
 	}
@@ -412,7 +438,7 @@ func (n *Network) advanceSpareLocked(cur *snapshot, store *core.Store, gen uint6
 	}
 	// Evaluator declined (or the engine kind changed): the advanced clone
 	// is still sound, rebuild only the evaluator over it.
-	eval, err := buildEvaluator(n.kind, gc)
+	eval, err := buildEvaluator(n.kind, gc, &n.ctr.planCompiles)
 	if err != nil {
 		return nil, nil, nil, nil
 	}

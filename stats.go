@@ -61,6 +61,14 @@ type Stats struct {
 	PlannerMigrations       uint64 `json:"planner_migrations"`
 	PlannerRecommended      string `json:"planner_recommended,omitempty"`
 
+	// PlanCompiles counts path expressions compiled into search plans by the
+	// online engines of every snapshot. A plan is compiled once per distinct
+	// expression per graph clone, so in steady state the counter stands
+	// still; one that climbs with Checks means checks are recompiling plans.
+	// PlanCacheEntries is a gauge: the plans the published snapshot holds.
+	PlanCompiles     uint64 `json:"plan_compiles"`
+	PlanCacheEntries int    `json:"plan_cache_entries"`
+
 	// Checkpoints counts checkpoints taken; CheckpointsSkipped counts
 	// Checkpoint calls satisfied as no-ops because the log was already fully
 	// covered by the last checkpoint.
@@ -112,9 +120,9 @@ type Stats struct {
 
 // Delta returns the counter-by-counter difference s - prev, for bounding
 // the activity of one measured window (acbench records Stats before and
-// after each scenario and reports the difference). The size fields
-// (Users, Relationships, Resources, AuditRetained) and identity fields
-// (Engine, Durable, WALSegmentBytes, WALSegmentSeq) carry s's values
+// after each scenario and reports the difference). The size fields (Users,
+// Relationships, Resources, AuditRetained, PlanCacheEntries) and identity
+// fields (Engine, Durable, WALSegmentBytes, WALSegmentSeq) carry s's values
 // unchanged — they are gauges, not monotonic counters.
 func (s Stats) Delta(prev Stats) Stats {
 	d := s
@@ -135,6 +143,7 @@ func (s Stats) Delta(prev Stats) Stats {
 	d.PlannerRouteFlatReverse -= prev.PlannerRouteFlatReverse
 	d.PlannerRoutePrimary -= prev.PlannerRoutePrimary
 	d.PlannerMigrations -= prev.PlannerMigrations
+	d.PlanCompiles -= prev.PlanCompiles
 	d.Checkpoints -= prev.Checkpoints
 	d.CheckpointsSkipped -= prev.CheckpointsSkipped
 	d.WALAppends -= prev.WALAppends
@@ -156,6 +165,9 @@ type counters struct {
 	pubRebuilt  atomic.Uint64
 	ckptTaken   atomic.Uint64
 	ckptSkipped atomic.Uint64
+
+	// planCompiles is shared by the online engines of every snapshot.
+	planCompiles atomic.Uint64
 }
 
 // Stats collects the network's operation counters and current sizes. It is
@@ -195,6 +207,10 @@ func (n *Network) Stats() Stats {
 	st.PlannerMigrations = pc.Migrations
 	if rec, ok := n.planner.Recommended(); ok {
 		st.PlannerRecommended = EngineKind(rec).String()
+	}
+	st.PlanCompiles = n.ctr.planCompiles.Load()
+	if s := n.snap.Load(); s != nil {
+		st.PlanCacheEntries = s.planCacheEntries()
 	}
 	if n.wal != nil {
 		st.WALAppends = n.wal.Appends()

@@ -10,6 +10,7 @@ func TestStatsDelta(t *testing.T) {
 		Users: 10, Relationships: 20, Engine: "online-bfs",
 		Checks: 100, BatchChecks: 5, Audiences: 2,
 		Mutations: 50, Batches: 30, Republications: 7,
+		PlanCompiles: 5, PlanCacheEntries: 5,
 		Checkpoints: 1, CheckpointsSkipped: 2,
 		WALAppends: 40, WALFsyncs: 25, WALSegmentBytes: 111, WALSegmentSeq: 1,
 	}
@@ -17,19 +18,22 @@ func TestStatsDelta(t *testing.T) {
 		Users: 12, Relationships: 24, Engine: "online-bfs", Durable: true,
 		Checks: 350, BatchChecks: 9, Audiences: 6,
 		Mutations: 80, Batches: 45, Republications: 9,
+		PlanCompiles: 12, PlanCacheEntries: 3,
 		Checkpoints: 2, CheckpointsSkipped: 5,
 		WALAppends: 70, WALFsyncs: 31, WALSegmentBytes: 222, WALSegmentSeq: 2,
 	}
 	d := cur.Delta(prev)
 	if d.Checks != 250 || d.BatchChecks != 4 || d.Audiences != 4 ||
 		d.Mutations != 30 || d.Batches != 15 || d.Republications != 2 ||
+		d.PlanCompiles != 7 ||
 		d.Checkpoints != 1 || d.CheckpointsSkipped != 3 ||
 		d.WALAppends != 30 || d.WALFsyncs != 6 {
 		t.Fatalf("counter deltas wrong: %+v", d)
 	}
 	// Gauges and identity fields carry the current values.
 	if d.Users != 12 || d.Relationships != 24 || !d.Durable ||
-		d.Engine != "online-bfs" || d.WALSegmentBytes != 222 || d.WALSegmentSeq != 2 {
+		d.Engine != "online-bfs" || d.WALSegmentBytes != 222 || d.WALSegmentSeq != 2 ||
+		d.PlanCacheEntries != 3 {
 		t.Fatalf("gauges not carried: %+v", d)
 	}
 }
