@@ -209,6 +209,13 @@ func (v *View) ShardExpand(req ShardExpandRequest) (ShardExpandResponse, error) 
 	if err != nil {
 		return resp, err
 	}
+	// A published snapshot's graph is indexed (see publishLocked) unless it
+	// cannot be: it has no relationship types yet, so no step matches a
+	// local edge, or too many for a CSR.
+	csr := g.CSR()
+	if csr == nil && g.NumLabels() > 0 {
+		return resp, fmt.Errorf("reachac: shard expand: %d users × %d relationship types exceed the adjacency index", g.NumNodes(), g.NumLabels())
+	}
 	rg, err := cachedRing(req.Shards, req.VNodes)
 	if err != nil {
 		return resp, err
@@ -307,20 +314,18 @@ func (v *View) ShardExpand(req ShardExpandRequest) (ShardExpandResponse, error) 
 		}
 
 		if st.dir == pathexpr.Out || st.dir == pathexpr.Both {
-			g.OutEdges(cur.node, func(edge graph.Edge) bool {
-				if edge.Label != st.label {
-					return true
+			for _, nb := range csr.OutNeighbors(cur.node, st.label) {
+				if expand(graph.NodeID(nb)) {
+					break
 				}
-				return !expand(edge.To)
-			})
+			}
 		}
 		if !found && (st.dir == pathexpr.In || st.dir == pathexpr.Both) {
-			g.InEdges(cur.node, func(edge graph.Edge) bool {
-				if edge.Label != st.label {
-					return true
+			for _, nb := range csr.InNeighbors(cur.node, st.label) {
+				if expand(graph.NodeID(nb)) {
+					break
 				}
-				return !expand(edge.From)
-			})
+			}
 		}
 	}
 

@@ -2,20 +2,27 @@ package graph
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 )
 
-// FuzzCSRAdjacency drives a random add/remove/compact sequence from the fuzz
-// input and asserts after every mutation batch that the CSR view agrees with
-// the legacy OutEdges/InEdges iteration: identical per-(node,label) runs in
-// identical order, identical degrees.
+// FuzzCSRAdjacency drives a random add-node/add-edge/remove/compact sequence
+// from the fuzz input and asserts after every operation that the graph's CSR,
+// patched through the operations so far, agrees with a CSR built from scratch
+// on a clone and with the OutEdges/InEdges iteration: identical
+// per-(node,label) runs in identical order, identical degrees. Labels enter
+// the stream as operations first use them, and the last seed is long enough
+// to cross the overlay bound several times.
 func FuzzCSRAdjacency(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7})
 	f.Add([]byte{10, 20, 30, 40, 50, 60, 70, 80, 90, 100, 110, 120})
 	f.Add([]byte{255, 254, 253, 3, 3, 3, 9, 9, 9, 0, 0, 0, 128, 64, 32})
+	long := make([]byte, 1536)
+	rand.New(rand.NewSource(1)).Read(long)
+	f.Add(long)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) > 512 {
-			data = data[:512]
+		if len(data) > 1536 {
+			data = data[:1536]
 		}
 		g := New()
 		labels := []string{"friend", "colleague", "parent", "follows"}

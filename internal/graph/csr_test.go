@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -29,8 +31,10 @@ func legacyInNeighbors(g *Graph, n NodeID, l Label) []uint32 {
 	return out
 }
 
-// checkCSRAgainstLegacy asserts the CSR view matches the edge-list view for
-// every (node, label) pair: same runs in the same order, same degrees.
+// checkCSRAgainstLegacy asserts that the graph's CSR — patched by whatever
+// mutations it lived through, or just built — matches both a CSR built from
+// scratch on a clone and the edge-list view, for every (node, label) pair:
+// same runs in the same order, same degrees.
 func checkCSRAgainstLegacy(t *testing.T, g *Graph) {
 	t.Helper()
 	c := g.CSR()
@@ -43,34 +47,25 @@ func checkCSRAgainstLegacy(t *testing.T, g *Graph) {
 	if c == nil {
 		t.Fatalf("CSR() = nil for %d nodes, %d labels", g.NumNodes(), g.NumLabels())
 	}
-	if c.Version() != g.Version() {
-		t.Fatalf("CSR version %d, graph version %d", c.Version(), g.Version())
+	if c.Version() != g.Version() || c.NumNodes() != g.NumNodes() {
+		t.Fatalf("CSR at version %d over %d nodes, graph at %d over %d", c.Version(), c.NumNodes(), g.Version(), g.NumNodes())
+	}
+	rebuilt := g.Clone().BuildCSR()
+	equal := func(dir string, n, l int, runs ...[]uint32) int {
+		for _, r := range runs[1:] {
+			if !slices.Equal(runs[0], r) {
+				t.Fatalf("node %d label %d: %s runs (graph's CSR, rebuilt, edge list) = %v", n, l, dir, runs)
+			}
+		}
+		return len(runs[0])
 	}
 	for n := 0; n < g.NumNodes(); n++ {
 		id := NodeID(n)
 		outDeg, inDeg := 0, 0
 		for l := 0; l < g.NumLabels(); l++ {
 			lbl := Label(l)
-			got, want := c.OutNeighbors(id, lbl), legacyOutNeighbors(g, id, lbl)
-			if len(got) != len(want) {
-				t.Fatalf("node %d label %d: out run %v, want %v", n, l, got, want)
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("node %d label %d: out run %v, want %v", n, l, got, want)
-				}
-			}
-			outDeg += len(got)
-			got, want = c.InNeighbors(id, lbl), legacyInNeighbors(g, id, lbl)
-			if len(got) != len(want) {
-				t.Fatalf("node %d label %d: in run %v, want %v", n, l, got, want)
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("node %d label %d: in run %v, want %v", n, l, got, want)
-				}
-			}
-			inDeg += len(got)
+			outDeg += equal("out", n, l, c.OutNeighbors(id, lbl), rebuilt.OutNeighbors(id, lbl), legacyOutNeighbors(g, id, lbl))
+			inDeg += equal("in", n, l, c.InNeighbors(id, lbl), rebuilt.InNeighbors(id, lbl), legacyInNeighbors(g, id, lbl))
 		}
 		if d := c.OutDegree(id); d != outDeg {
 			t.Fatalf("node %d: CSR OutDegree %d, want %d", n, d, outDeg)
@@ -121,31 +116,80 @@ func TestCSREmptyAndLabelFree(t *testing.T) {
 	}
 }
 
+// TestCSRCachingAndStaleness pins what replaced staleness: a cached CSR is
+// patched by every mutation and stays the graph's fresh CSR, the same
+// object, until the overlay bound or a new label drops it.
 func TestCSRCachingAndStaleness(t *testing.T) {
 	g := New()
-	a := g.MustAddNode("a", nil)
-	b := g.MustAddNode("b", nil)
-	g.MustAddEdge(a, b, "friend")
+	const nodes = 64
+	for i := 0; i < nodes; i++ {
+		g.MustAddNode(fmt.Sprintf("n%d", i), nil)
+	}
+	for i := 0; i < nodes; i++ {
+		g.MustAddEdge(NodeID(i), NodeID((i+1)%nodes), "friend")
+		g.MustAddEdge(NodeID(i), NodeID((i+5)%nodes), "colleague")
+	}
 	c1 := g.CSR()
 	if c2 := g.CSR(); c2 != c1 {
 		t.Fatal("second CSR() call should return the cached view")
 	}
-	if got := g.FreshCSR(); got != c1 {
-		t.Fatal("FreshCSR should return the cached view while fresh")
+	stillFresh := func(after string) {
+		t.Helper()
+		if got := g.FreshCSR(); got != c1 {
+			t.Fatalf("FreshCSR() = %p after %s, want the CSR built before it (%p)", got, after, c1)
+		}
+		checkCSRAgainstLegacy(t, g)
 	}
-	g.MustAddEdge(b, a, "friend")
-	if got := g.FreshCSR(); got != nil {
-		t.Fatal("FreshCSR should be nil after a mutation")
+	stillFresh("the build")
+	id := g.MustAddEdge(3, 9, "friend")
+	stillFresh("an edge addition")
+	if err := g.RemoveEdge(id); err != nil {
+		t.Fatal(err)
 	}
-	// Debt below the build budget must not rebuild; crossing it must.
-	g.AddCSRDebt(1)
+	stillFresh("a removal from a patched cell")
+	if err := g.RemoveEdge(g.FindEdge(10, 11, g.Label("friend"))); err != nil {
+		t.Fatal(err)
+	}
+	stillFresh("a removal from a slab cell")
+	late := g.MustAddNode("late", nil)
+	g.MustAddEdge(late, 0, "colleague")
+	g.MustAddEdge(1, late, "friend")
+	stillFresh("a node addition")
+	if g.CompactTombstones() == 0 {
+		t.Fatal("nothing to compact")
+	}
+	stillFresh("a compaction")
+
+	// Interning a label changes the cell layout, whether or not an edge
+	// follows: the old CSR must not serve the new label's lookups.
+	g.Label("parent")
 	if g.FreshCSR() != nil {
-		t.Fatal("small debt should not trigger a rebuild")
+		t.Fatal("FreshCSR should be nil once the label table has grown")
 	}
-	g.AddCSRDebt(g.NumNodes() + g.NumEdges() + 1)
-	c3 := g.FreshCSR()
-	if c3 == nil || c3.Version() != g.Version() {
-		t.Fatal("accumulated debt should have rebuilt the CSR")
+	g.MustAddEdge(2, 7, "parent")
+	if g.FreshCSR() != nil {
+		t.Fatal("an edge under a new label cannot be patched into the old layout")
+	}
+	c2 := g.CSR()
+	if c2 == nil || c2 == c1 {
+		t.Fatal("CSR() should have built a new view")
+	}
+	checkCSRAgainstLegacy(t, g)
+
+	// Patches beyond the overlay bound drop the CSR; the next CSR() call
+	// builds one whose slabs include them.
+	mutations := 0
+	for i := 0; g.FreshCSR() != nil; i++ {
+		if mutations = i; i > 2*(g.NumNodes()+g.NumEdges()) {
+			t.Fatal("overlay bound never crossed")
+		}
+		g.MustAddEdge(NodeID(i%nodes), NodeID((i+9+i/nodes)%nodes), "parent")
+	}
+	if mutations < overlayFloor/4 {
+		t.Fatalf("CSR dropped after only %d mutations", mutations)
+	}
+	if c3 := g.CSR(); c3 == nil || c3 == c2 {
+		t.Fatal("CSR() should rebuild after the overlay bound was crossed")
 	}
 	checkCSRAgainstLegacy(t, g)
 }
@@ -166,7 +210,8 @@ func TestDegreesO1ViaCSR(t *testing.T) {
 		}
 		_, _ = g.AddEdge(from, to, labels[rng.Intn(len(labels))])
 	}
-	// Degrees without a fresh CSR (scan) and with one (offsets) must agree.
+	// Degrees of a never-indexed graph (scan) and of an indexed one
+	// (offsets) must agree.
 	type deg struct{ out, in int }
 	want := make([]deg, nodes)
 	for i := range want {

@@ -174,6 +174,7 @@ func (g *Graph) CompactTombstones() int {
 	if dead == 0 {
 		return 0
 	}
+	csr := g.FreshCSR()
 	edges := make([]Edge, 0, g.live)
 	for i := range g.out {
 		g.out[i] = g.out[i][:0]
@@ -192,6 +193,10 @@ func (g *Graph) CompactTombstones() int {
 	}
 	g.edges = edges
 	g.version.Add(1)
+	if csr != nil {
+		// Renumbering edges keeps every run's content and order.
+		g.restamp(csr)
+	}
 	g.record(Delta{Op: OpCompact})
 	return dead
 }

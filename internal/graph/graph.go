@@ -72,9 +72,11 @@ type Graph struct {
 	// deltaLimit bounds the retained window (0 means
 	// DefaultDeltaLogLimit; negative disables logging).
 	deltaLimit int
-	// csrState caches the compressed-sparse-row adjacency view serving the
-	// read hot path; see csr.go.
-	csrState
+	// csr caches the compressed-sparse-row adjacency view serving the read
+	// hot path, which the mutators below patch (see csr.go). It is an atomic
+	// so that lock-free readers of a quiescent graph may consult and
+	// (race-benignly) build it.
+	csr atomic.Pointer[CSR]
 }
 
 // New returns an empty social network graph.
@@ -107,12 +109,17 @@ func (g *Graph) AddNode(name string, attrs Attrs) (NodeID, error) {
 	if id, ok := g.byName[name]; ok {
 		return id, fmt.Errorf("graph: node %q already exists", name)
 	}
+	csr := g.FreshCSR()
 	id := NodeID(len(g.nodes))
 	g.nodes = append(g.nodes, Node{ID: id, Name: name, Attrs: attrs})
 	g.out = append(g.out, nil)
 	g.in = append(g.in, nil)
 	g.byName[name] = id
 	g.version.Add(1)
+	if csr != nil {
+		csr.addNode()
+		g.restamp(csr)
+	}
 	g.record(Delta{Op: OpAddNode, Name: name, Attrs: attrs})
 	return id, nil
 }
@@ -187,12 +194,19 @@ func (g *Graph) AddWeightedEdge(from, to NodeID, label string, weight float64) (
 		return InvalidEdge, fmt.Errorf("graph: duplicate edge %s -%s-> %s",
 			g.nodes[from].Name, label, g.nodes[to].Name)
 	}
+	// A label this call interned changes the cell layout: FreshCSR is then
+	// nil and the CSR stays behind.
+	csr := g.FreshCSR()
 	id := EdgeID(len(g.edges))
 	g.edges = append(g.edges, Edge{ID: id, From: from, To: to, Label: l, Weight: weight})
 	g.out[from] = append(g.out[from], id)
 	g.in[to] = append(g.in[to], id)
 	g.live++
 	g.version.Add(1)
+	if csr != nil {
+		csr.addEdge(from, to, l)
+		g.restamp(csr)
+	}
 	g.record(Delta{Op: OpAddEdge, From: from, To: to, Label: label, Weight: weight})
 	return id, nil
 }
@@ -212,10 +226,15 @@ func (g *Graph) RemoveEdge(id EdgeID) error {
 	if int(id) >= len(g.edges) || g.edges[id].deleted {
 		return fmt.Errorf("graph: no live edge %d", id)
 	}
+	csr := g.FreshCSR()
 	e := g.edges[id]
 	g.edges[id].deleted = true
 	g.live--
 	g.version.Add(1)
+	if csr != nil {
+		csr.removeEdge(e.From, e.To, e.Label)
+		g.restamp(csr)
+	}
 	g.record(Delta{Op: OpRemoveEdge, From: e.From, To: e.To, Label: g.labels.name(e.Label)})
 	return nil
 }
@@ -287,9 +306,10 @@ func (g *Graph) InEdges(n NodeID, fn func(Edge) bool) {
 	}
 }
 
-// OutDegree returns the number of live outgoing edges of n: an O(1) offset
-// subtraction when the cached CSR is fresh, an O(degree) edge-list scan
-// otherwise (no build is forced, so mutation-heavy callers never thrash).
+// OutDegree returns the number of live outgoing edges of n: read off the CSR
+// when the graph has one (see CSR.OutDegree), an O(degree) edge-list scan on
+// a graph that was never indexed (no build is forced, so a graph still being
+// loaded never thrashes).
 func (g *Graph) OutDegree(n NodeID) int {
 	if c := g.FreshCSR(); c != nil {
 		return c.OutDegree(n)

@@ -14,9 +14,11 @@ import (
 )
 
 // allocFixture builds a mid-size graph, a parsed path, and a warmed engine:
-// the CSR is built and the plan cache and pooled scratch are populated by a
-// few throwaway queries.
-func allocFixture(t testing.TB) (*Engine, *graph.Graph, *pathexpr.Path, graph.NodeID, graph.NodeID) {
+// the CSR is built and then patched — the way a published snapshot's is —
+// around the owner and along the searched cone, leaving most nodes clean,
+// and the plan cache and pooled scratch are populated by a few throwaway
+// queries.
+func allocFixture(t testing.TB) (*Engine, *pathexpr.Path, graph.NodeID, graph.NodeID) {
 	t.Helper()
 	g := graph.New()
 	const n = 200
@@ -36,8 +38,18 @@ func allocFixture(t testing.TB) (*Engine, *graph.Graph, *pathexpr.Path, graph.No
 		t.Fatal(err)
 	}
 	e := New(g)
-	if g.CSR() == nil {
+	csr := g.CSR()
+	if csr == nil {
 		t.Fatal("CSR build failed")
+	}
+	g.MustAddEdge(ids[0], ids[5], "friend")
+	g.MustAddEdge(ids[2], ids[0], "colleague")
+	if err := g.RemoveEdge(g.FindEdge(ids[1], ids[8], g.Label("colleague"))); err != nil {
+		t.Fatal(err)
+	}
+	g.MustAddEdge(g.MustAddNode("late", nil), ids[3], "friend")
+	if g.FreshCSR() != csr {
+		t.Fatal("mutations did not patch the CSR in place")
 	}
 	for i := 0; i < 8; i++ { // warm plan cache and scratch pool
 		if _, err := e.Reachable(ids[0], ids[i+20], p); err != nil {
@@ -47,13 +59,13 @@ func allocFixture(t testing.TB) (*Engine, *graph.Graph, *pathexpr.Path, graph.No
 			t.Fatal(err)
 		}
 	}
-	return e, g, p, ids[0], ids[21]
+	return e, p, ids[0], ids[21]
 }
 
 // TestReachableZeroAlloc locks in the tentpole guarantee: a warmed engine
 // answers Reachable with zero heap allocations per query.
 func TestReachableZeroAlloc(t *testing.T) {
-	e, _, p, owner, req := allocFixture(t)
+	e, p, owner, req := allocFixture(t)
 	allocs := testing.AllocsPerRun(200, func() {
 		if _, err := e.Reachable(owner, req, p); err != nil {
 			t.Fatal(err)
@@ -68,7 +80,7 @@ func TestReachableZeroAlloc(t *testing.T) {
 // destination buffer, a warmed engine materializes the full audience with
 // zero heap allocations per query.
 func TestAppendAudienceZeroAlloc(t *testing.T) {
-	e, _, p, owner, _ := allocFixture(t)
+	e, p, owner, _ := allocFixture(t)
 	buf, err := e.AppendAudience(nil, owner, p)
 	if err != nil {
 		t.Fatal(err)
@@ -85,34 +97,5 @@ func TestAppendAudienceZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("AppendAudience allocates %.2f objects/op on a warmed engine, want 0", allocs)
-	}
-}
-
-// TestReachableZeroAllocLegacyPath asserts the fallback edge-list iteration
-// (no fresh CSR) stays allocation-free too: the closure-based expansion must
-// not escape to the heap.
-func TestReachableZeroAllocLegacyPath(t *testing.T) {
-	e, g, p, owner, req := allocFixture(t)
-	// Invalidate the CSR without touching reachability-relevant structure;
-	// keep debt below the rebuild budget so the legacy path stays active.
-	g.MustAddNode("straggler", nil)
-	if g.FreshCSR() != nil {
-		t.Fatal("CSR unexpectedly fresh after mutation")
-	}
-	for i := 0; i < 4; i++ {
-		if _, err := e.Reachable(owner, req, p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if g.FreshCSR() != nil {
-		t.Skip("CSR debt rebuilt the index; legacy path not exercisable here")
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := e.Reachable(owner, req, p); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("legacy-path Reachable allocates %.2f objects/op, want 0", allocs)
 	}
 }

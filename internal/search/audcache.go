@@ -126,8 +126,7 @@ func (ac *AudienceCache) Audience(owner graph.NodeID, p *pathexpr.Path) ([]graph
 	if err != nil {
 		return nil, err
 	}
-	v := g.NumNodes()
-	if !c.flatOK(v) {
+	if !c.flatOK(g) {
 		// Pathological state space: compute without caching.
 		return ac.e.AudienceSet(owner, p)
 	}
@@ -160,7 +159,7 @@ func (ac *AudienceCache) compute(c *Plan, owner graph.NodeID) *audEntry {
 	}
 	if !c.anyMissing {
 		frontier := seedFlat(&c.compiled, ent.visited, ac.frontier[:0], owner)
-		_, frontier, _ = ac.e.runFlat(&c.compiled, ent.visited, ent.member, frontier, graph.InvalidNode, true)
+		_, frontier = ac.e.runFlat(&c.compiled, ent.visited, ent.member, frontier, graph.InvalidNode, true)
 		ac.frontier = frontier
 		ent.out = appendBits(nil, ent.member)
 	}
@@ -203,7 +202,7 @@ func (ac *AudienceCache) Advance(deltas []graph.Delta) {
 			delete(ac.entries, key)
 			continue
 		}
-		if !ent.c.flatOK(v) {
+		if !ent.c.flatOK(g) {
 			delete(ac.entries, key)
 			continue
 		}
@@ -266,7 +265,7 @@ func (ac *AudienceCache) extend(ent *audEntry, from, to graph.NodeID, l graph.La
 	}
 	if len(frontier) > 0 {
 		ent.dirty = true
-		_, frontier, _ = ac.e.runFlat(&c.compiled, ent.visited, ent.member, frontier, graph.InvalidNode, true)
+		_, frontier = ac.e.runFlat(&c.compiled, ent.visited, ent.member, frontier, graph.InvalidNode, true)
 	}
 	ac.frontier = frontier
 }

@@ -35,15 +35,12 @@ func (e *Engine) AppendAudience(dst []graph.NodeID, owner graph.NodeID, p *pathe
 	if c.anyMissing {
 		return dst, nil
 	}
-	if !c.flatOK(e.g.NumNodes()) {
+	if !c.flatOK(e.g) {
 		return append(dst, e.audienceSetMap(c.steps, owner)...), nil
 	}
 	sc := scratchPool.Get().(*scratch)
-	dst, work := e.audienceFlat(sc, c, dst, owner)
+	dst = e.audienceFlat(sc, c, dst, owner)
 	scratchPool.Put(sc)
-	if e.g.FreshCSR() == nil {
-		e.g.AddCSRDebt(work)
-	}
 	return dst, nil
 }
 

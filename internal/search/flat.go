@@ -12,10 +12,11 @@ import (
 // a dense integer range — node*states + stepBase[step] + d — so the visited
 // set is a flat bitset instead of a map, the frontier is a reusable slice of
 // packed uint64 states, and both live in a sync.Pool scratch that queries
-// borrow and hand back all-zero. Adjacency comes from the graph's
-// label-partitioned CSR slabs when fresh (see graph.CSR); otherwise the
-// edge-list iteration is used and its cost is fed back as CSR debt so
-// read-heavy phases converge to the CSR.
+// borrow and hand back all-zero. Adjacency always comes from the graph's
+// label-partitioned CSR (see graph.CSR), which the graph keeps fresh across
+// mutations; an engine over a graph that was never indexed builds it on its
+// first query. The few graphs that cannot have one are served by the
+// map-based search over edge lists (see flatOK).
 
 // compiled is one direction of a plan: the steps of a pattern resolved
 // against a graph, plus the dense state layout derived from them.
@@ -180,24 +181,24 @@ func (c *compiled) unmark(visited, frontier []uint64) {
 }
 
 // reachFlat answers one point query on sc, which it takes and leaves
-// all-zero. The work result counts edge scans.
-func (e *Engine) reachFlat(sc *scratch, c *compiled, from, to graph.NodeID) (found bool, work int) {
+// all-zero.
+func (e *Engine) reachFlat(sc *scratch, c *compiled, from, to graph.NodeID) bool {
 	sc.visited = sized(sc.visited, c.flatWords(e.g.NumNodes()))
 	frontier := seedFlat(c, sc.visited, sc.frontier[:0], from)
-	found, frontier, work = e.runFlat(c, sc.visited, nil, frontier, to, false)
+	found, frontier := e.runFlat(c, sc.visited, nil, frontier, to, false)
 	c.unmark(sc.visited, frontier)
 	sc.frontier = frontier
-	return found, work
+	return found
 }
 
 // audienceFlat appends to dst, in ascending order, every node the pattern
 // reaches from owner. Like reachFlat it takes and leaves sc all-zero.
-func (e *Engine) audienceFlat(sc *scratch, c *compiled, dst []graph.NodeID, owner graph.NodeID) ([]graph.NodeID, int) {
+func (e *Engine) audienceFlat(sc *scratch, c *compiled, dst []graph.NodeID, owner graph.NodeID) []graph.NodeID {
 	v := e.g.NumNodes()
 	sc.visited = sized(sc.visited, c.flatWords(v))
 	sc.member = sized(sc.member, (v+63)/64)
 	frontier := seedFlat(c, sc.visited, sc.frontier[:0], owner)
-	_, frontier, work := e.runFlat(c, sc.visited, sc.member, frontier, graph.InvalidNode, true)
+	_, frontier = e.runFlat(c, sc.visited, sc.member, frontier, graph.InvalidNode, true)
 	c.unmark(sc.visited, frontier)
 	sc.frontier = frontier
 	n := len(dst)
@@ -205,7 +206,7 @@ func (e *Engine) audienceFlat(sc *scratch, c *compiled, dst []graph.NodeID, owne
 	for _, id := range dst[n:] {
 		sc.member[id>>6] &^= 1 << (id & 63)
 	}
-	return dst, work
+	return dst
 }
 
 // packState packs (node, step, d) into one frontier word.
@@ -213,22 +214,24 @@ func packState(node graph.NodeID, step, d int32) uint64 {
 	return uint64(node)<<32 | uint64(uint16(step))<<16 | uint64(uint16(d))
 }
 
-// flatOK reports whether the flat path can serve a query over V nodes.
-func (c *compiled) flatOK(v int) bool {
-	return len(c.steps) < 1<<16 && int64(v)*int64(c.states) <= maxFlatStates
+// flatOK reports whether the flat path can serve a query over g: the state
+// space fits the dense layout and g has a CSR, which it builds here if g was
+// never indexed. A graph with labels has none only when nodes × labels is
+// beyond what graph.BuildCSR will lay out.
+func (c *compiled) flatOK(g *graph.Graph) bool {
+	return len(c.steps) < 1<<16 && int64(g.NumNodes())*int64(c.states) <= maxFlatStates && g.CSR() != nil
 }
 
 // runFlat runs the product BFS from the already-marked states in frontier
-// until exhaustion (or until target is reached when collect is false).
-// visited and member are caller-owned bitsets indexed by the compiled state
-// layout (member by node ID); frontier's backing array is reused and the
-// possibly-grown slice is returned. The work result counts edge scans, for
-// CSR-debt accounting. runFlat performs no allocations beyond frontier
-// growth.
+// until exhaustion (or until target is reached when collect is false), over
+// the graph's CSR; c.flatOK must hold. visited and member are caller-owned
+// bitsets indexed by the compiled state layout (member by node ID);
+// frontier's backing array is reused and the possibly-grown slice is
+// returned. runFlat performs no allocations beyond frontier growth.
 func (e *Engine) runFlat(c *compiled, visited, member []uint64, frontier []uint64,
-	target graph.NodeID, collect bool) (found bool, frontierOut []uint64, work int) {
+	target graph.NodeID, collect bool) (bool, []uint64) {
 	g := e.g
-	csr := g.FreshCSR()
+	csr := g.CSR()
 	S := c.states
 	last := int32(len(c.steps) - 1)
 	for head := 0; head < len(frontier); head++ {
@@ -241,16 +244,14 @@ func (e *Engine) runFlat(c *compiled, visited, member []uint64, frontier []uint6
 		mayClose := st.mayClose(d1)
 		mayCont := st.mayContinue(d1)
 		dk := int32(st.dKey(d1))
-		// expand handles one traversed neighbor; closures here do not
-		// escape (they are only passed down the iteration), so they stay
-		// off the heap.
+		// expand handles one traversed neighbor; the closure does not
+		// escape, so it stays off the heap.
 		expand := func(next graph.NodeID) bool {
 			if mayClose && st.predsHold(g, next) {
 				if step == last {
 					if collect {
 						member[next>>6] |= 1 << (next & 63)
 					} else if next == target {
-						found = true
 						return true
 					}
 				} else {
@@ -271,55 +272,21 @@ func (e *Engine) runFlat(c *compiled, visited, member []uint64, frontier []uint6
 			return false
 		}
 		if st.dir == pathexpr.Out || st.dir == pathexpr.Both {
-			if csr != nil {
-				run := csr.OutNeighbors(node, st.label)
-				work += len(run)
-				for _, nb := range run {
-					if expand(graph.NodeID(nb)) {
-						return true, frontier, work
-					}
-				}
-			} else {
-				stop := false
-				g.OutEdges(node, func(edge graph.Edge) bool {
-					work++
-					if edge.Label == st.label && expand(edge.To) {
-						stop = true
-						return false
-					}
-					return true
-				})
-				if stop {
-					return true, frontier, work
+			for _, nb := range csr.OutNeighbors(node, st.label) {
+				if expand(graph.NodeID(nb)) {
+					return true, frontier
 				}
 			}
 		}
 		if st.dir == pathexpr.In || st.dir == pathexpr.Both {
-			if csr != nil {
-				run := csr.InNeighbors(node, st.label)
-				work += len(run)
-				for _, nb := range run {
-					if expand(graph.NodeID(nb)) {
-						return true, frontier, work
-					}
-				}
-			} else {
-				stop := false
-				g.InEdges(node, func(edge graph.Edge) bool {
-					work++
-					if edge.Label == st.label && expand(edge.From) {
-						stop = true
-						return false
-					}
-					return true
-				})
-				if stop {
-					return true, frontier, work
+			for _, nb := range csr.InNeighbors(node, st.label) {
+				if expand(graph.NodeID(nb)) {
+					return true, frontier
 				}
 			}
 		}
 	}
-	return false, frontier, work
+	return false, frontier
 }
 
 // seedFlat marks and enqueues the BFS start state (owner, step 0, d 0).

@@ -15,8 +15,8 @@ import (
 // starting the product search at each endpoint: fwd counts owner's
 // traversals admitted by the pattern's first step, rev counts requester's
 // traversals admitted by the reversed pattern's first step (the last step
-// with its orientation flipped). With a fresh CSR both are O(1) run-length
-// reads. Both endpoints must be valid nodes.
+// with its orientation flipped). Both are O(1) run-length reads of the CSR.
+// Both endpoints must be valid nodes.
 func (e *Engine) RouteCosts(owner, requester graph.NodeID, p *pathexpr.Path) (fwd, rev int, err error) {
 	pl, err := e.Plan(p)
 	if err != nil {
@@ -62,40 +62,21 @@ func (e *Engine) ReachableReversePlan(owner, requester graph.NodeID, pl *Plan) b
 }
 
 // seedCount counts the traversals of node n admitted as the first edge of a
-// pattern starting with st (predicates do not affect fan-out). With a fresh
-// CSR the counts are O(1) run-length reads; otherwise the edge scan's cost
-// matches one BFS step the caller was about to pay anyway.
+// pattern starting with st (predicates do not affect fan-out): O(1)
+// run-length reads of the CSR. On a graph too large to have one the estimate
+// is 0 for either endpoint, which leaves the choice of route to chance and
+// the decision unchanged.
 func (e *Engine) seedCount(n graph.NodeID, st *compiledStep) int {
-	if !st.labelOK {
+	c := e.g.CSR()
+	if !st.labelOK || c == nil {
 		return 0
 	}
-	label, dir := st.label, st.dir
-	if c := e.g.FreshCSR(); c != nil {
-		count := 0
-		if dir == pathexpr.Out || dir == pathexpr.Both {
-			count += len(c.OutNeighbors(n, label))
-		}
-		if dir == pathexpr.In || dir == pathexpr.Both {
-			count += len(c.InNeighbors(n, label))
-		}
-		return count
-	}
 	count := 0
-	if dir == pathexpr.Out || dir == pathexpr.Both {
-		e.g.OutEdges(n, func(edge graph.Edge) bool {
-			if edge.Label == label {
-				count++
-			}
-			return true
-		})
+	if st.dir == pathexpr.Out || st.dir == pathexpr.Both {
+		count += len(c.OutNeighbors(n, st.label))
 	}
-	if dir == pathexpr.In || dir == pathexpr.Both {
-		e.g.InEdges(n, func(edge graph.Edge) bool {
-			if edge.Label == label {
-				count++
-			}
-			return true
-		})
+	if st.dir == pathexpr.In || st.dir == pathexpr.Both {
+		count += len(c.InNeighbors(n, st.label))
 	}
 	return count
 }

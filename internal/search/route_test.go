@@ -72,8 +72,8 @@ func TestReachableReverseInvalidNodeErrorMatchesForward(t *testing.T) {
 }
 
 func TestRouteCostsSeedCountsWithoutCSR(t *testing.T) {
-	// Seed counts must agree between the CSR fast path and the edge-scan
-	// fallback on a stale CSR.
+	// An engine over a never-indexed graph indexes it on first use, and the
+	// counts then follow the graph through patched mutations.
 	g := graph.New()
 	a := g.MustAddNode("a", nil)
 	b := g.MustAddNode("b", nil)
@@ -83,23 +83,27 @@ func TestRouteCostsSeedCountsWithoutCSR(t *testing.T) {
 	g.MustAddEdge(b, a, "friend")
 	e := New(g)
 	p := pathexpr.MustParse("friend+[1]")
-	fwdScan, revScan, err := e.RouteCosts(a, b, p)
-	if err != nil {
+	if g.FreshCSR() != nil {
+		t.Fatal("fixture graph already indexed")
+	}
+	fwd, rev, err := e.RouteCosts(a, b, p)
+	if err != nil || fwd != 2 || rev != 1 {
+		t.Fatalf("counts = (%d, %d, %v), want (2, 1, nil)", fwd, rev, err)
+	}
+	csr := g.FreshCSR()
+	if csr == nil {
+		t.Fatal("first query did not index the graph")
+	}
+	g.MustAddEdge(c, b, "friend")
+	if err := g.RemoveEdge(g.FindEdge(a, c, g.Label("friend"))); err != nil {
 		t.Fatal(err)
 	}
-	g.CSR() // build
-	fwdCSR, revCSR, err := e.RouteCosts(a, b, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fwdScan != 2 || revScan != 1 {
-		t.Fatalf("scan counts = (%d, %d), want (2, 1)", fwdScan, revScan)
-	}
-	if fwdCSR != fwdScan || revCSR != revScan {
-		t.Fatalf("CSR counts (%d, %d) != scan counts (%d, %d)", fwdCSR, revCSR, fwdScan, revScan)
+	fwd, rev, err = e.RouteCosts(a, b, p)
+	if err != nil || fwd != 1 || rev != 2 || g.FreshCSR() != csr {
+		t.Fatalf("patched counts = (%d, %d, %v), want (1, 2, nil) off the same CSR", fwd, rev, err)
 	}
 	// A label absent from the graph admits no seeds on either side.
-	fwd, rev, err := e.RouteCosts(a, b, pathexpr.MustParse("ghost+[1]"))
+	fwd, rev, err = e.RouteCosts(a, b, pathexpr.MustParse("ghost+[1]"))
 	if err != nil || fwd != 0 || rev != 0 {
 		t.Fatalf("ghost label: (%d, %d, %v), want (0, 0, nil)", fwd, rev, err)
 	}

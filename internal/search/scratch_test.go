@@ -52,7 +52,7 @@ func TestScratchLeftAllZero(t *testing.T) {
 			}
 			for _, owner := range ids[:5] {
 				for _, req := range ids[:24] {
-					got, _ := e.reachFlat(sc, &pl.compiled, owner, req)
+					got := e.reachFlat(sc, &pl.compiled, owner, req)
 					if !allZero(sc) {
 						t.Fatalf("%s %d→%d: scratch not all-zero after reachFlat", expr, owner, req)
 					}
@@ -69,7 +69,7 @@ func TestScratchLeftAllZero(t *testing.T) {
 						misses++
 					}
 				}
-				got, _ := e.audienceFlat(sc, &pl.compiled, nil, owner)
+				got := e.audienceFlat(sc, &pl.compiled, nil, owner)
 				if !allZero(sc) {
 					t.Fatalf("%s from %d: scratch not all-zero after audienceFlat", expr, owner)
 				}

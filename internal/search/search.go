@@ -137,7 +137,8 @@ func (e *Engine) ApplyDelta(g *graph.Graph, _ []graph.Delta) bool { return e.g =
 // relationship with the owner that matches the specified path). It runs the
 // flat bitset search — zero heap allocations once the plan cache and the
 // pooled scratch are warm — and falls back to the map-based witness search
-// only for state spaces too large for the flat layout.
+// only for state spaces too large for the flat layout and graphs too large
+// for a CSR.
 func (e *Engine) Reachable(owner, requester graph.NodeID, p *pathexpr.Path) (bool, error) {
 	if !e.g.ValidNode(owner) || !e.g.ValidNode(requester) {
 		return false, fmt.Errorf("search: invalid node (owner=%d requester=%d)", owner, requester)
@@ -161,16 +162,13 @@ func (e *Engine) reach(from, to graph.NodeID, c *compiled) bool {
 		// A label absent from the graph can never be matched.
 		return false
 	}
-	if !c.flatOK(e.g.NumNodes()) {
+	if !c.flatOK(e.g) {
 		_, ok := e.witness(from, to, c.steps)
 		return ok
 	}
 	sc := scratchPool.Get().(*scratch)
-	found, work := e.reachFlat(sc, c, from, to)
+	found := e.reachFlat(sc, c, from, to)
 	scratchPool.Put(sc)
-	if e.g.FreshCSR() == nil {
-		e.g.AddCSRDebt(work)
-	}
 	return found
 }
 

@@ -1,6 +1,7 @@
 package search
 
 import (
+	"slices"
 	"testing"
 
 	"reachac/internal/graph"
@@ -356,5 +357,56 @@ func TestVerifyWitnessRejectsBad(t *testing.T) {
 	// Wrong pattern.
 	if err := VerifyWitness(g, alice, george, pathexpr.MustParse("friend+[3]"), hops); err == nil {
 		t.Fatal("mismatched pattern accepted")
+	}
+}
+
+// TestUnindexedAndLabelFreeGraphsAgreeWithWitness covers the two ways an
+// engine meets a graph without a CSR. One that was never indexed is indexed
+// by the engine's first query and searched flat; one with no relationship
+// types cannot be indexed at all and matches nothing. Either way every
+// decision equals the map-based Witness search over the edge lists.
+func TestUnindexedAndLabelFreeGraphsAgreeWithWitness(t *testing.T) {
+	bare := graph.New()
+	for _, name := range paperfix.Names {
+		bare.MustAddNode(name, nil)
+	}
+	exprs := []string{"friend+[1,2]/colleague+[1]", "friend-[1]", "friend*[1,2]", "parent+[1]/friend+[1,3]"}
+	for name, g := range map[string]*graph.Graph{"never indexed": paperfix.Graph(), "label-free": bare} {
+		if g.FreshCSR() != nil {
+			t.Fatalf("%s: fixture graph already indexed", name)
+		}
+		e := New(g)
+		for _, expr := range exprs {
+			p := pathexpr.MustParse(expr)
+			for _, from := range paperfix.Names {
+				owner := node(t, g, from)
+				aud, err := e.AudienceSet(owner, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, to := range paperfix.Names {
+					req := node(t, g, to)
+					got, err := e.Reachable(owner, req, p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					rev, err := e.ReachableReverse(owner, req, p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					_, want, err := e.Witness(owner, req, p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					_, inAud := slices.BinarySearch(aud, req)
+					if got != want || rev != want || inAud != want {
+						t.Fatalf("%s: %s from %s to %s: Reachable %v, reversed %v, in audience %v, Witness %v", name, expr, from, to, got, rev, inAud, want)
+					}
+				}
+			}
+		}
+		if indexed := g.FreshCSR() != nil; indexed != (g.NumLabels() > 0) {
+			t.Fatalf("%s: indexed after the queries = %v", name, indexed)
+		}
 	}
 }

@@ -242,21 +242,24 @@ const sparePoolCap = 3
 //     clone, evaluator and audience cache; only the policy view and decision
 //     cache are refreshed;
 //  2. advanced — the newest parked snapshot no reader holds is
-//     fast-forwarded by replaying the master's delta log (O(Δ)), and its
+//     fast-forwarded by replaying the master's delta log (O(Δ)); each
+//     replayed delta patches the clone's CSR (see graph.CSR), and its
 //     evaluator advances in place when it implements
 //     core.IncrementalEvaluator. A parked snapshot a View still pins is
 //     passed over and waits in the pool, so a pinned reader costs one clone
 //     of memory, not a rebuild;
-//  3. rebuilt — O(V+E) clone plus evaluator construction: the cold start,
-//     and the fallback when every parked snapshot is pinned or behind the
-//     delta window, or the replay fails.
+//  3. rebuilt — O(V+E) clone, CSR and evaluator construction: the cold
+//     start, and the fallback when every parked snapshot is pinned or behind
+//     the delta window, or the replay fails.
 //
 // The policy view is O(Δ) on every tier: the previous snapshot's view when
 // no policy changed since, a copy-on-write core.Store.Clone otherwise.
 //
-// Two invariants hold throughout: a snapshot is never mutated after
-// publication, and a retired snapshot's clone is advanced in place only
-// when provably unobserved (see snapshot.acquire).
+// Three invariants hold throughout: a snapshot is never mutated after
+// publication, a retired snapshot's clone is advanced in place only when
+// provably unobserved (see snapshot.acquire) — which is also what makes
+// patching its CSR in place safe — and a published snapshot's graph has a
+// fresh CSR whenever it can have one at all.
 func (n *Network) publishLocked() (*snapshot, error) {
 	// Reassess the engine choice first. The recommendation is always
 	// computed (it surfaces through Stats as observability); with
@@ -312,10 +315,6 @@ func (n *Network) publishLocked() (*snapshot, error) {
 		// Private clones never serve ChangesSince (the master's log drives
 		// every advance), so don't let delta replays accumulate in them.
 		gc.SetDeltaLogLimit(-1)
-		// Build the CSR adjacency eagerly: the full-rebuild path already
-		// pays O(V+E), and a fresh CSR makes every query on the snapshot
-		// run the dense read path from the first call.
-		gc.CSR()
 		var err error
 		eval, err = buildEvaluator(n.kind, gc, &n.ctr.planCompiles)
 		if err != nil {
@@ -326,6 +325,12 @@ func (n *Network) publishLocked() (*snapshot, error) {
 	if refs == nil {
 		refs = new(atomic.Int64)
 	}
+	// Published ⇒ indexed, on every tier: a shared clone kept its CSR, a
+	// replay patched it delta by delta, and this builds it for a new clone
+	// and for a replay that dropped it (a new relationship type, or more
+	// patches than the overlay bound). No reader scans edge lists or pays
+	// for a build.
+	gc.CSR()
 	var view *core.Store
 	if samePolicy {
 		view = cur.store

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 	"testing"
 
 	"reachac/internal/core"
@@ -409,5 +410,95 @@ func TestParkedSpareBehindWindowIsDropped(t *testing.T) {
 	}
 	if d, err := n.CanAccess("r", ids[5]); err != nil || d.Effect != Allow {
 		t.Fatalf("decision after dropping the stale spare = (%v, %v)", d.Effect, err)
+	}
+}
+
+// TestPublishedSnapshotsAreIndexed churns relationships through a network —
+// edges toggled all over the ring (more than one clone's overlay bound
+// takes), a relationship type and a member that appear mid-run — while
+// readers pin Views across the publications, and asserts "published ⇒
+// indexed": every published snapshot's graph carries a fresh CSR, patched in
+// place when its retired clone was advanced. Run under -race it also checks
+// that no clone is patched while a reader can see it.
+func TestPublishedSnapshotsAreIndexed(t *testing.T) {
+	const members = 64
+	n, ids := ringNet(t, Online, members)
+	indexed := func(g *graph.Graph) error {
+		if c := g.FreshCSR(); c == nil || c.Version() != g.Version() {
+			return fmt.Errorf("published graph at version %d has no fresh CSR (%v)", g.Version(), c)
+		}
+		return nil
+	}
+	done := make(chan struct{})
+	errc := make(chan error, 2)
+	var wg sync.WaitGroup
+	for r := 0; r < cap(errc); r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := r; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				v, err := n.View()
+				if err != nil {
+					errc <- err
+					return
+				}
+				// Several searches off one pin, so that publications land
+				// while the view is held.
+				for j := 0; j < 8 && err == nil; j++ {
+					if err = indexed(v.s.g); err == nil {
+						_, err = v.CheckPath(ids[(i+j)%members], ids[(i*7+j)%members], "friend+[1,3]")
+					}
+				}
+				v.Close()
+				if err != nil {
+					errc <- err
+					return
+				}
+			}
+		}(r)
+	}
+	before := n.Stats()
+	var late UserID
+	for i := 0; i < 600; i++ {
+		// Pair k = i/2 is related on the even step and unrelated on the odd
+		// one; its offset of 2..30 keeps it off the ring's own edges.
+		k := i / 2
+		from, to, rel := ids[k*5%members], ids[(k*5+2+k%29)%members], "friend"
+		if i == 200 {
+			late = n.MustAddUser("late")
+		}
+		switch {
+		case i >= 200 && i%8 < 2:
+			to = late
+		case i >= 300 && i%8 < 4:
+			rel = "colleague"
+		}
+		var err error
+		if i%2 == 0 {
+			err = n.Relate(from, to, rel)
+		} else {
+			err = n.Unrelate(from, to, rel)
+		}
+		if err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+		if err := indexed(publish(t, n).g); err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+	}
+	close(done)
+	wg.Wait()
+	select {
+	case err := <-errc:
+		t.Fatal(err)
+	default:
+	}
+	if d := n.Stats().Delta(before); d.PublicationsAdvanced < 300 {
+		t.Fatalf("%d of %d publications advanced a clone; the patched path went unexercised", d.PublicationsAdvanced, d.Republications)
 	}
 }
