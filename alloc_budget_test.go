@@ -17,7 +17,7 @@ import (
 )
 
 // allocNet builds a 200-member network with a shared album and warms the
-// snapshot: decision cache, plan cache, CSR and audience cache all hot.
+// snapshot: plan cache, CSR and audience cache all hot.
 func allocNet(t testing.TB) (*Network, []UserID) {
 	t.Helper()
 	n := New()
@@ -48,8 +48,8 @@ func allocNet(t testing.TB) (*Network, []UserID) {
 	return n, ids
 }
 
-// TestCanAccessAllocBudget: a warmed CanAccess is a snapshot pin plus a
-// decision-cache hit and allocates nothing at all.
+// TestCanAccessAllocBudget: a warmed CanAccess is a snapshot pin plus one
+// evaluation and allocates nothing at all.
 func TestCanAccessAllocBudget(t *testing.T) {
 	n, ids := allocNet(t)
 	allocs := testing.AllocsPerRun(200, func() {
@@ -97,11 +97,11 @@ func TestCanAccessAllAllocBudget(t *testing.T) {
 	}
 }
 
-// TestUncachedDecideAllocBudget: a decision made past the decision cache —
-// rule lookup, evaluator, audit record — allocates nothing, denied or
-// allowed: the rules are read through the store's shared slice (it was 1
-// object/op while RulesFor copied) and an allow's reason is rendered when its
-// rule is stored (it was formatted per decision).
+// TestUncachedDecideAllocBudget: a decision — rule lookup, evaluator, audit
+// record — allocates nothing, denied or allowed: the rules are read through
+// the store's shared slice (it was 1 object/op while RulesFor copied) and an
+// allow's reason is rendered when its rule is stored (it was formatted per
+// decision).
 func TestUncachedDecideAllocBudget(t *testing.T) {
 	n, ids := allocNet(t)
 	s := n.snap.Load()
@@ -115,12 +115,12 @@ func TestUncachedDecideAllocBudget(t *testing.T) {
 			}
 		})
 		if allocs > 0 {
-			t.Fatalf("uncached %v allocates %.2f objects/op, budget 0", c.want, allocs)
+			t.Fatalf("%v allocates %.2f objects/op, budget 0", c.want, allocs)
 		}
 	}
 }
 
-// TestManyRulesCheckAllocBudget: an uncached, planner-routed check allocates
+// TestManyRulesCheckAllocBudget: a routed check allocates
 // nothing however many rules the store holds, on either flat route. Each run
 // decides a different one of 2 048 single-rule resources, which share five
 // expressions and so five plans; while plans were cached per rule pointer,
@@ -160,7 +160,7 @@ func TestManyRulesCheckAllocBudget(t *testing.T) {
 			i++
 		})
 		if allocs > 0 {
-			t.Fatalf("%s route: uncached check allocates %.2f objects/op over %d rules, budget 0", route.name, allocs, rules)
+			t.Fatalf("%s route: check allocates %.2f objects/op over %d rules, budget 0", route.name, allocs, rules)
 		}
 		d := n.Stats().Delta(before)
 		if got := route.count(d); got < uint64(len(names)) {

@@ -1,8 +1,9 @@
 package reachac
 
-// Benchmark families, one per experiment of DESIGN.md §3 (run
-// cmd/experiments for the full table-producing sweeps; these testing.B
-// targets regenerate each experiment's core measurement at a fixed size):
+// Benchmark families, one per experiment of cmd/experiments (the §5 row of
+// ARCHITECTURE.md's "Paper section → package map"; run it for the full
+// table-producing sweeps — these testing.B targets regenerate each
+// experiment's core measurement at a fixed size):
 //
 //	E1  BenchmarkIndexBuild      index construction per family
 //	E2  BenchmarkQueryHit        per-engine latency, reachability-biased pairs
@@ -316,10 +317,10 @@ func BenchmarkCanAccessParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkCheckPathParallel is the cache-free companion of
-// BenchmarkCanAccessParallel: CheckPath evaluates the path expression anew
-// on every call (no decision cache, no audit), so this measures the
-// evaluators' own concurrent read throughput against one snapshot.
+// BenchmarkCheckPathParallel is the audit-free companion of
+// BenchmarkCanAccessParallel: CheckPath parses and evaluates the path
+// expression without recording a decision, so this measures the evaluators'
+// own concurrent read throughput against one snapshot.
 func BenchmarkCheckPathParallel(b *testing.B) {
 	for _, kind := range []EngineKind{Online, Closure, Index} {
 		b.Run(kind.String(), func(b *testing.B) {
@@ -341,39 +342,46 @@ func BenchmarkCheckPathParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkCanAccessAll measures the batch API on the join index below
-// fanOutMin (decided serially), at it (fanned out over the worker pool) and
-// over every member of the graph. "warm"
-// batches are decision-cache hits; "cold" ones follow a policy change,
-// which starts the cache fresh, so every decision runs the evaluator. It is
-// the measurement fanOutMin's comment quotes.
+// BenchmarkCanAccessAll measures the batch API below fanOutMin (decided
+// serially), at it (fanned out over the worker pool) and over every member
+// of the graph, on the online search and on the join index. The "loop" arm
+// makes the same decisions one View.CanAccess at a time: the serial
+// reference for the sizes "batch" fans out. It is the measurement
+// fanOutMin's comment quotes.
 func BenchmarkCanAccessAll(b *testing.B) {
-	n, _ := benchAccessNetwork(b, Index)
-	owner, _ := n.UserID("u000011")
-	for _, size := range []int{16, fanOutMin, benchSize} {
-		requesters := make([]UserID, size)
-		for i := range requesters {
-			requesters[i] = UserID(i)
-		}
-		for _, arm := range []string{"warm", "cold"} {
-			b.Run(fmt.Sprintf("%s/n=%d", arm, size), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if arm == "cold" {
-						b.StopTimer()
-						id, err := n.Share("touch", owner, "friend+[1]")
-						if err != nil {
+	for _, kind := range []EngineKind{Online, Index} {
+		b.Run(kind.String(), func(b *testing.B) {
+			n, _ := benchAccessNetwork(b, kind)
+			for _, size := range []int{16, 32, fanOutMin, benchSize} {
+				requesters := make([]UserID, size)
+				for i := range requesters {
+					requesters[i] = UserID(i)
+				}
+				b.Run(fmt.Sprintf("batch/n=%d", size), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						if _, err := n.CanAccessAll("r", requesters); err != nil {
 							b.Fatal(err)
 						}
-						n.Revoke("touch", id)
-						b.StartTimer()
 					}
-					if _, err := n.CanAccessAll("r", requesters); err != nil {
+					b.ReportMetric(float64(size), "decisions/op")
+				})
+				b.Run(fmt.Sprintf("loop/n=%d", size), func(b *testing.B) {
+					v, err := n.View()
+					if err != nil {
 						b.Fatal(err)
 					}
-				}
-				b.ReportMetric(float64(size), "decisions/op")
-			})
-		}
+					defer v.Close()
+					for i := 0; i < b.N; i++ {
+						for _, r := range requesters {
+							if _, err := v.CanAccess("r", r); err != nil {
+								b.Fatal(err)
+							}
+						}
+					}
+					b.ReportMetric(float64(size), "decisions/op")
+				})
+			}
+		})
 	}
 }
 
@@ -391,8 +399,6 @@ func BenchmarkInterleavedMutateRead(b *testing.B) {
 		size int
 	}{
 		{Online, 50000},
-		{OnlineDFS, 50000},
-		{OnlineAdaptive, 50000},
 		{Closure, 2000},
 		{Index, 2000},
 	}
@@ -761,9 +767,9 @@ func BenchmarkCanAccessZeroAlloc(b *testing.B) {
 	}
 }
 
-// BenchmarkCanAccessManyRules measures an uncached, planner-routed check —
-// past the decision cache, so rule lookup, plan lookup, routing and the flat
-// search — against the number of rules in the store. The two arms decide the
+// BenchmarkCanAccessManyRules measures a routed check — rule lookup, plan
+// lookup, routing and the flat search — against the number of rules in the
+// store. The two arms decide the
 // same (owner, expression, requester) triples (see manyRulesNet), so all that
 // differs is how many rules share the five expressions: ns/op at 8 192 rules
 // must stay within 1.25x of 512, at 0 allocs/op. Plans used to be cached per
@@ -857,8 +863,7 @@ func BenchmarkReachableByGraphSize(b *testing.B) {
 // BenchmarkReachableByGraphSize, on the same graphs: a friend edge related
 // or unrelated somewhere in the graph, the publication the next read pays
 // for (a retired clone fast-forwarded through the two deltas it is behind,
-// its CSR patched), and the check itself, uncached because the delta
-// evicted every decision that depends on friend edges. None of the three
+// its CSR patched), and the check itself. None of the three
 // touches more than the deltas and a 39-state neighbourhood, so ns/op and
 // B/op should stay flat from 10k to 1M nodes (5.7 / 6.8 / 7.8 µs measured;
 // what is left is cache misses in larger tables). A CSR rebuilt per
@@ -902,9 +907,6 @@ func BenchmarkChurnByGraphSize(b *testing.B) {
 			}
 			b.StopTimer()
 			d := n.Stats().Delta(before)
-			if d.DecisionCacheHits != 0 {
-				b.Fatalf("%d of %d checks were served from the decision cache", d.DecisionCacheHits, b.N)
-			}
 			b.ReportMetric(float64(d.PublicationsRebuilt)/float64(b.N), "rebuilt/op")
 		})
 	}
@@ -953,11 +955,11 @@ func BenchmarkAudienceIncremental(b *testing.B) {
 }
 
 // BenchmarkPlannerRouting compares a statically-evaluated network against
-// the same network with cost-based planner routing on a mixed query shape:
-// point checks (decision-cache friendly), path checks with asymmetric
-// endpoints (reverse-routing friendly) and audience scans (audience-cache
-// friendly). The planner arm should never trail the static arm by more
-// than its per-query routing overhead.
+// the same network with per-query routing on a mixed query shape: point
+// checks, path checks with asymmetric endpoints (reverse-routing friendly)
+// and audience scans (which materialize the audience the point checks then
+// probe). The planner arm should never trail the static arm by more than
+// its per-query routing overhead.
 func BenchmarkPlannerRouting(b *testing.B) {
 	arms := []struct {
 		name string
@@ -975,8 +977,8 @@ func BenchmarkPlannerRouting(b *testing.B) {
 				b.Fatal(err)
 			}
 			pairs := workload.HitPairs(g, 256, 2, 7)
-			// Warm: publish the snapshot, fill the decision cache and
-			// materialize the audience sets outside the timer.
+			// Warm: publish the snapshot and materialize the audience sets
+			// outside the timer.
 			for _, p := range pairs {
 				if _, err := n.CanAccess("r", p.Requester); err != nil {
 					b.Fatal(err)
@@ -1000,83 +1002,6 @@ func BenchmarkPlannerRouting(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
-			}
-		})
-	}
-}
-
-// BenchmarkDecisionCacheChurn measures the warmed check latency right
-// after a mutation, by how the mutation's labels relate to the cached
-// decisions' tags. "no-mutation" is the pure cache-hit floor. "unrelated"
-// toggles an edge whose label no rule mentions: per-delta invalidation
-// must carry every entry across the republication, keeping the warmed
-// reads within the same order as the floor (the acceptance bound is 2x).
-// "related" toggles an edge on the rule's own label, evicting every
-// tagged entry — the price of correctness, paid only when it must be.
-// The untimed post-mutation read pays the republication itself; the timer
-// covers only the warmed decision sweep.
-func BenchmarkDecisionCacheChurn(b *testing.B) {
-	for _, arm := range []struct{ name, label string }{
-		{"no-mutation", ""},
-		{"unrelated", "bench-unrelated"},
-		{"related", "friend"},
-	} {
-		b.Run(arm.name, func(b *testing.B) {
-			g := benchGraph("social")
-			n := FromGraph(g)
-			owner, _ := n.UserID("u000010")
-			if _, err := n.Share("r", owner, "friend+[1,2]"); err != nil {
-				b.Fatal(err)
-			}
-			pairs := workload.HitPairs(g, 256, 2, 7)
-			x, _ := n.UserID("u000001")
-			y, _ := n.UserID("u000002")
-			sweep := func() {
-				for _, p := range pairs {
-					if _, err := n.CanAccess("r", p.Requester); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-			// Warm both ping-pong snapshots' decision caches: the carried
-			// cache is the retired spare's, one publication behind.
-			for i := 0; i < 2; i++ {
-				if err := n.Relate(x, y, "bench-warm"); err != nil {
-					b.Fatal(err)
-				}
-				sweep()
-				if err := n.Unrelate(x, y, "bench-warm"); err != nil {
-					b.Fatal(err)
-				}
-				sweep()
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if arm.label != "" {
-					b.StopTimer()
-					var err error
-					if i%2 == 0 {
-						err = n.Relate(x, y, arm.label)
-					} else {
-						err = n.Unrelate(x, y, arm.label)
-					}
-					if err != nil {
-						b.Fatal(err)
-					}
-					// Pay the republication (spare advance + cache carry)
-					// outside the timer; the sweep below measures warmed
-					// decisions only.
-					if _, err := n.CanAccess("r", pairs[0].Requester); err != nil {
-						b.Fatal(err)
-					}
-					b.StartTimer()
-				}
-				sweep()
-			}
-			st := n.Stats()
-			if b.N > 0 {
-				b.ReportMetric(float64(st.DecisionCacheEvictions)/float64(b.N), "evictions/op")
 			}
 		})
 	}

@@ -308,8 +308,9 @@ func (c *Client) ReachAudience(ctx context.Context, owner, expr string) ([]strin
 	return out.Users, err
 }
 
-// Audit fetches the retained decision tail, oldest first; n bounds the
-// length (0 means everything retained).
+// Audit fetches the retained tail of the audit trail — every decision,
+// repeats included — oldest first; n bounds the length (0 means everything
+// retained).
 func (c *Client) Audit(ctx context.Context, n int) ([]Decision, error) {
 	var out httpapi.AuditResponse
 	q := url.Values{}

@@ -78,7 +78,7 @@ type embeddedTarget struct {
 
 // newEmbeddedTarget builds a network over a private clone of g (each
 // scenario starts from the pristine graph), selects the engine — or, for
-// the planner pseudo-engine, enables cost-based routing over the Online
+// the planner pseudo-engine, enables per-query routing over the Online
 // primary — and pre-shares the scenario's resources in one batch.
 func newEmbeddedTarget(g *graph.Graph, kind reachac.EngineKind, specs []workload.ResourceSpec, workers int) (*embeddedTarget, error) {
 	var n *reachac.Network
@@ -658,14 +658,10 @@ func countersFromStats(st reachac.Stats, srv *httpapi.ServerStats) Counters {
 		Mutations:          st.Mutations,
 		Batches:            st.Batches,
 		Republications:     st.Republications,
-		DecisionCacheHits:  st.DecisionCacheHits,
-		DecisionCacheMiss:  st.DecisionCacheMisses,
-		DecisionCacheEvict: st.DecisionCacheEvictions,
 		PlannerAudience:    st.PlannerRouteAudience,
 		PlannerFlatForward: st.PlannerRouteFlatForward,
 		PlannerFlatReverse: st.PlannerRouteFlatReverse,
 		PlannerPrimary:     st.PlannerRoutePrimary,
-		PlannerMigrations:  st.PlannerMigrations,
 		WALAppends:         st.WALAppends,
 		WALFsyncs:          st.WALFsyncs,
 	}

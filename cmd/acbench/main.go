@@ -59,7 +59,7 @@ func main() {
 	var (
 		mode        = flag.String("mode", "embedded", "benchmark mode: embedded, http, or both")
 		addr        = flag.String("addr", "", "drive an external acserverd at this address (http mode; default self-hosts one per engine)")
-		engines     = flag.String("engines", "online,index", "comma-separated engine kinds, 'planner' (cost-based routing), or 'all'")
+		engines     = flag.String("engines", "online,index", "comma-separated engine kinds, 'planner' (per-query routing), or 'all'")
 		scenarios   = flag.String("scenarios", "all", "comma-separated scenario names from the workload registry, or 'all' (have: "+strings.Join(workload.Names(), ", ")+")")
 		nodesCSV    = flag.String("nodes", "2000", "social graph size, or a comma list for a scaling sweep")
 		topology    = flag.String("topology", "osn", "topology family: "+strings.Join(generate.Kinds(), ", "))
@@ -428,11 +428,7 @@ func parseModes(s string) ([]string, error) {
 	return nil, fmt.Errorf("unknown -mode %q (have embedded, http, both)", s)
 }
 
-var allEngines = []reachac.EngineKind{
-	reachac.Online, reachac.OnlineDFS, reachac.OnlineAdaptive,
-	reachac.Closure, reachac.Index, reachac.IndexPaperJoin,
-	plannerEngine,
-}
+var allEngines = append(reachac.EngineKinds(), plannerEngine)
 
 // plannerEngine is a pseudo engine kind: the target is built with
 // WithPlanner routing enabled over the Online primary instead of a static
@@ -467,25 +463,12 @@ func parseEngines(s string) ([]reachac.EngineKind, error) {
 	return kinds, nil
 }
 
-// engineByName accepts both the canonical EngineKind names and acquery's
-// shorthands.
+// engineByName is reachac.ParseEngineKind plus the planner pseudo-kind.
 func engineByName(s string) (reachac.EngineKind, error) {
-	for _, k := range allEngines {
-		if s == k.String() {
-			return k, nil
-		}
-	}
-	switch s {
-	case "online":
-		return reachac.Online, nil
-	case "index":
-		return reachac.Index, nil
-	case "index-paper":
-		return reachac.IndexPaperJoin, nil
-	case "planner":
+	if s == "planner" {
 		return plannerEngine, nil
 	}
-	return 0, fmt.Errorf("unknown engine %q (have online, online-dfs, online-adaptive, closure, index, index-paper, planner)", s)
+	return reachac.ParseEngineKind(s)
 }
 
 // parseScenarios resolves -scenarios against the workload registry,

@@ -288,7 +288,7 @@ func TestParseHelpers(t *testing.T) {
 	if ms, _ := parseModes("both"); len(ms) != 2 {
 		t.Fatalf("both = %v", ms)
 	}
-	if ks, err := parseEngines("all"); err != nil || len(ks) != 7 {
+	if ks, err := parseEngines("all"); err != nil || len(ks) != len(reachac.EngineKinds())+1 {
 		t.Fatalf("all engines = %v, %v", ks, err)
 	}
 	if k, err := parseEngines("planner"); err != nil || len(k) != 1 || k[0] != plannerEngine {

@@ -66,17 +66,12 @@ type Counters struct {
 	Mutations      uint64 `json:"mutations"`
 	Batches        uint64 `json:"batches"`
 	Republications uint64 `json:"republications"`
-	// Decision-cache and planner activity attributed to the window; the
-	// planner_* fields stay zero unless the cell routes through the
-	// cost-based planner (engine "planner").
-	DecisionCacheHits  uint64 `json:"decision_cache_hits"`
-	DecisionCacheMiss  uint64 `json:"decision_cache_misses"`
-	DecisionCacheEvict uint64 `json:"decision_cache_evictions"`
+	// Route counts attributed to the window; zero unless the cell routes
+	// per query (engine "planner").
 	PlannerAudience    uint64 `json:"planner_route_audience,omitempty"`
 	PlannerFlatForward uint64 `json:"planner_route_flat_forward,omitempty"`
 	PlannerFlatReverse uint64 `json:"planner_route_flat_reverse,omitempty"`
 	PlannerPrimary     uint64 `json:"planner_route_primary,omitempty"`
-	PlannerMigrations  uint64 `json:"planner_migrations,omitempty"`
 	WALAppends         uint64 `json:"wal_appends"`
 	WALFsyncs          uint64 `json:"wal_fsyncs"`
 	CommitGroups       uint64 `json:"server_commit_groups,omitempty"`
@@ -103,14 +98,10 @@ func (c Counters) delta(prev Counters) Counters {
 		Mutations:          c.Mutations - prev.Mutations,
 		Batches:            c.Batches - prev.Batches,
 		Republications:     c.Republications - prev.Republications,
-		DecisionCacheHits:  c.DecisionCacheHits - prev.DecisionCacheHits,
-		DecisionCacheMiss:  c.DecisionCacheMiss - prev.DecisionCacheMiss,
-		DecisionCacheEvict: c.DecisionCacheEvict - prev.DecisionCacheEvict,
 		PlannerAudience:    c.PlannerAudience - prev.PlannerAudience,
 		PlannerFlatForward: c.PlannerFlatForward - prev.PlannerFlatForward,
 		PlannerFlatReverse: c.PlannerFlatReverse - prev.PlannerFlatReverse,
 		PlannerPrimary:     c.PlannerPrimary - prev.PlannerPrimary,
-		PlannerMigrations:  c.PlannerMigrations - prev.PlannerMigrations,
 		WALAppends:         c.WALAppends - prev.WALAppends,
 		WALFsyncs:          c.WALFsyncs - prev.WALFsyncs,
 		CommitGroups:       c.CommitGroups - prev.CommitGroups,

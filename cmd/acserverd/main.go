@@ -56,7 +56,7 @@ func main() {
 	var (
 		addr         = flag.String("addr", ":8708", "listen address")
 		dir          = flag.String("dir", "", "durable network directory (required; created if absent)")
-		engine       = flag.String("engine", "online", "evaluator: online, online-dfs, online-adaptive, closure, index, index-paper")
+		engine       = flag.String("engine", "online", "evaluator: online, closure, index, index-paper")
 		syncMode     = flag.String("sync", "always", "WAL fsync policy: always, interval, never")
 		syncInterval = flag.Duration("sync-interval", 50*time.Millisecond, "fsync cadence under -sync interval")
 		ckptEvery    = flag.Int64("checkpoint-every", reachac.DefaultCheckpointEvery, "WAL segment bytes triggering a background checkpoint (<=0 disables)")
@@ -72,7 +72,7 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	kind, err := engineKind(*engine)
+	kind, err := reachac.ParseEngineKind(*engine)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -151,26 +151,4 @@ func main() {
 		log.Fatalf("drain: %v", err)
 	}
 	log.Print("clean shutdown")
-}
-
-// engineKind parses the -engine flag.
-func engineKind(s string) (reachac.EngineKind, error) {
-	for _, k := range []reachac.EngineKind{
-		reachac.Online, reachac.OnlineDFS, reachac.OnlineAdaptive,
-		reachac.Closure, reachac.Index, reachac.IndexPaperJoin,
-	} {
-		if s == k.String() {
-			return k, nil
-		}
-	}
-	// Convenience shorthands matching acquery's vocabulary.
-	switch s {
-	case "online":
-		return reachac.Online, nil
-	case "index":
-		return reachac.Index, nil
-	case "index-paper":
-		return reachac.IndexPaperJoin, nil
-	}
-	return 0, fmt.Errorf("unknown -engine %q (have online, online-dfs, online-adaptive, closure, index, index-paper)", s)
 }

@@ -49,7 +49,7 @@ func main() {
 		backendsFlag = flag.String("backends", "", "comma-separated acserverd shard addresses (remote mode)")
 		shards       = flag.Int("shards", 0, "embedded shard count (embedded mode; requires -dir)")
 		dir          = flag.String("dir", "", "base directory for embedded shards (shard-<i> subdirectories)")
-		engine       = flag.String("engine", "online", "embedded shards' evaluator: online, online-dfs, online-adaptive, closure, index, index-paper")
+		engine       = flag.String("engine", "online", "embedded shards' evaluator: online, closure, index, index-paper")
 		syncMode     = flag.String("sync", "always", "embedded shards' WAL fsync policy: always, interval, never")
 		vnodes       = flag.Int("vnodes", ring.DefaultVNodes, "virtual nodes per shard on the hash ring")
 		timeout      = flag.Duration("shard-timeout", 2*time.Second, "per-shard deadline on scatter calls")
@@ -73,7 +73,7 @@ func main() {
 		if *dir == "" {
 			log.Fatal("-shards requires -dir")
 		}
-		kind, err := engineKind(*engine)
+		kind, err := reachac.ParseEngineKind(*engine)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -142,25 +142,4 @@ func main() {
 		log.Fatalf("closing shards: %v", err)
 	}
 	log.Print("clean shutdown")
-}
-
-// engineKind parses the -engine flag (same vocabulary as acserverd).
-func engineKind(s string) (reachac.EngineKind, error) {
-	for _, k := range []reachac.EngineKind{
-		reachac.Online, reachac.OnlineDFS, reachac.OnlineAdaptive,
-		reachac.Closure, reachac.Index, reachac.IndexPaperJoin,
-	} {
-		if s == k.String() {
-			return k, nil
-		}
-	}
-	switch s {
-	case "online":
-		return reachac.Online, nil
-	case "index":
-		return reachac.Index, nil
-	case "index-paper":
-		return reachac.IndexPaperJoin, nil
-	}
-	return 0, fmt.Errorf("unknown -engine %q (have online, online-dfs, online-adaptive, closure, index, index-paper)", s)
 }

@@ -10,9 +10,9 @@
 //
 // Exact postorder numbers in F5 and the center set in F6/F7 depend on
 // tie-breaking choices the paper leaves unspecified (SCC representative
-// selection, tree-cover traversal order, greedy cover ties); this tool uses
-// the deterministic choices documented in DESIGN.md, and the test suite
-// verifies the semantic invariants the figures illustrate.
+// selection, tree-cover traversal order, greedy cover ties); this tool's
+// choices are deterministic, and the test suite verifies the semantic
+// invariants the figures illustrate.
 package main
 
 import (
@@ -170,7 +170,7 @@ func figure5(g *graph.Graph) {
 	tbl.Fprint(os.Stdout)
 	fmt.Println("\n  (po↓/I↓ label the line DAG G1; po↑/I↑ its reverse G2;")
 	fmt.Println("   x reaches y iff po(y) ∈ I↓(x); exact numbers depend on")
-	fmt.Println("   tie-breaking the paper leaves unspecified, see DESIGN.md)")
+	fmt.Println("   tie-breaking the paper leaves unspecified)")
 }
 
 func intervalsString(set []interval.Interval) string {

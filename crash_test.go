@@ -268,9 +268,6 @@ func stateSignature(n *Network) string {
 	return b.String()
 }
 
-// allEngineKinds is every evaluator the facade offers.
-var allEngineKinds = []EngineKind{Online, OnlineDFS, OnlineAdaptive, Closure, Index, IndexPaperJoin}
-
 // assertSameDecisions asserts got and want agree on (resource, requester)
 // decisions under each of the given engine kinds, and on the basic
 // structural counters. Small networks are checked exhaustively; large ones
@@ -347,7 +344,7 @@ func sampleUsers(n, max int) []int {
 // Crash-consistency differential: truncate the WAL at every record boundary
 // (and at assorted byte offsets inside records) and assert the recovered
 // network's decisions equal an in-memory network replaying the surviving
-// step prefix, across all six engine kinds.
+// step prefix, across every engine kind.
 // ---------------------------------------------------------------------------
 
 func TestCrashConsistencyTruncation(t *testing.T) {
@@ -399,7 +396,7 @@ func TestCrashConsistencyTruncation(t *testing.T) {
 			t.Fatalf("cut %d: torn = %v, want %v", cut, rec.TornTail, wantTorn)
 		}
 		ref := replayPrefix(t, trace, wantSteps)
-		assertSameDecisions(t, fmt.Sprintf("cut@%d", cut), n2, ref, allEngineKinds)
+		assertSameDecisions(t, fmt.Sprintf("cut@%d", cut), n2, ref, EngineKinds())
 	}
 
 	// Every record boundary, torn-free.
@@ -541,7 +538,7 @@ func TestKillRecovery(t *testing.T) {
 
 	trace := makeTrace(crashSeed, crashMaxSteps)
 	ref := replayPrefix(t, trace, rec.Groups)
-	assertSameDecisions(t, "kill", n, ref, allEngineKinds)
+	assertSameDecisions(t, "kill", n, ref, EngineKinds())
 }
 
 func TestKillRecoveryWithCheckpoints(t *testing.T) {

@@ -11,12 +11,12 @@ import (
 // delta-advance path, where the audience cache is maintained incrementally
 // (search.AudienceCache.Advance), one with the delta log disabled so every
 // publication rebuilds graph, evaluator and audience cache from scratch —
-// across all six engine kinds, and asserts Audience and PathAudience agree
+// across every engine kind, and asserts Audience and PathAudience agree
 // after every mutation. It is the end-to-end counterpart of the
 // search-level TestAudienceCacheAdvance: incremental audience maintenance
 // must be invisible to callers.
 func TestDifferentialAudienceIncremental(t *testing.T) {
-	kinds := []EngineKind{Online, OnlineDFS, OnlineAdaptive, Closure, Index, IndexPaperJoin}
+	kinds := EngineKinds()
 	for _, kind := range kinds {
 		t.Run(kind.String(), func(t *testing.T) {
 			t.Parallel()

@@ -9,11 +9,11 @@ import (
 // TestDifferentialDeltaVsRebuild replays one randomized mutation/query
 // trace through two identical networks — one publishing snapshots via the
 // delta-advance path, one with the delta log disabled so every publication
-// pays the full clone+rebuild — across all six engine kinds, and asserts
+// pays the full clone+rebuild — across every engine kind, and asserts
 // the decisions are identical at every step. This is the end-to-end
 // guarantee that incremental publication is invisible to callers.
 func TestDifferentialDeltaVsRebuild(t *testing.T) {
-	kinds := []EngineKind{Online, OnlineDFS, OnlineAdaptive, Closure, Index, IndexPaperJoin}
+	kinds := EngineKinds()
 	for _, kind := range kinds {
 		t.Run(kind.String(), func(t *testing.T) {
 			t.Parallel()

@@ -23,8 +23,8 @@
 //
 // All Network methods are safe for concurrent use. Access checks are
 // snapshot-isolated: they run lock-free against an immutable published
-// engine snapshot with a per-snapshot decision cache, so read throughput
-// scales with cores; CanAccessAll batches many requesters against one
+// engine snapshot, so read throughput scales with cores, and every decision
+// is evaluated afresh and audited; CanAccessAll batches many requesters against one
 // consistent snapshot. Republication after a mutation is incremental
 // (O(Δ) via the graph's delta log) whenever possible, and Batch coalesces
 // many mutations into one republication. See ARCHITECTURE.md for the

@@ -36,7 +36,6 @@ type openConfig struct {
 	syncInterval time.Duration
 	ckptEvery    int64
 	route        bool
-	planner      PlannerOptions
 	follow       string
 	followHTTP   *http.Client
 }
@@ -116,7 +115,6 @@ func Open(dir string, opts ...Option) (*Network, error) {
 	n.replSource.OnStaleEpoch(func(e uint64) { n.ObserveEpoch(e) })
 	n.ckptEvery = cfg.ckptEvery
 	n.route = cfg.route
-	n.autoMigrate = cfg.planner.AutoMigrate
 	n.recovery = RecoveryInfo{Groups: rec.Groups, TornTail: rec.TornTail, CheckpointSeq: rec.CheckpointSeq}
 	// Republish the snapshot now, so the first read after recovery doesn't
 	// pay for the engine build.

@@ -54,7 +54,7 @@ func TestOpenCloseReopen(t *testing.T) {
 		t.Fatal("read after Close broke")
 	}
 
-	for _, kind := range []EngineKind{Online, OnlineDFS, OnlineAdaptive, Closure, Index, IndexPaperJoin} {
+	for _, kind := range EngineKinds() {
 		n2, err := Open(dir, WithEngine(kind))
 		if err != nil {
 			t.Fatalf("reopen with %v: %v", kind, err)

@@ -144,7 +144,8 @@ type ReachResponse struct {
 	Path      string `json:"path"`
 }
 
-// AuditResponse is the retained decision tail, oldest first.
+// AuditResponse answers /v1/audit: the retained tail of the audit trail,
+// oldest first. The trail records every decision, repeats included.
 type AuditResponse struct {
 	Decisions []Decision `json:"decisions"`
 }

@@ -2,8 +2,7 @@
 // (Definition 4): each vertex of L(G) represents one traversal of an edge of
 // G, and x -> y in L(G) iff the head of x's traversal is the tail of y's.
 //
-// Two departures from the paper's presentation, both documented in
-// DESIGN.md:
+// Two departures from the paper's presentation:
 //
 //   - Orientation doubling. The paper's figures only compose edges head-to-
 //     tail (outgoing steps). Access conditions may also use incoming ('-')

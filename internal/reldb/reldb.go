@@ -7,8 +7,7 @@
 // and evaluates each step of a reachability query as a *reachability join*
 // T_a ⋈_{a↪b} T_b: the pair ⟨x, y⟩ joins iff Lout(x) ∩ Lin(y) ≠ ∅.
 // The paper used an external DBMS purely as a table store and join executor;
-// this package implements those two roles directly (see DESIGN.md,
-// substitutions).
+// this package implements those two roles directly.
 package reldb
 
 import "sort"

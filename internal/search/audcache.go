@@ -66,7 +66,7 @@ func NewAudienceCache(g *graph.Graph) *AudienceCache {
 // Graph returns the graph the cache reads.
 func (ac *AudienceCache) Graph() *graph.Graph { return ac.e.g }
 
-// Engine returns the online search engine the cache runs on. The planner's
+// Engine returns the online search engine the cache runs on. The facade's
 // routed evaluator uses it to execute flat searches against the same graph
 // clone (and the same warmed plan cache) the audience cache reads.
 func (ac *AudienceCache) Engine() *Engine { return ac.e }

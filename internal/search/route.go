@@ -5,11 +5,10 @@ import (
 	"reachac/internal/pathexpr"
 )
 
-// This file exposes the engine's query-cost hooks to the planner: first-step
-// seed fan-outs for both endpoints of a pattern (RouteCosts) and execution
-// of the reversed pattern from the requester (ReachableReverse). The
-// adaptive engine's endpoint selection (adaptive.go) is a thin shim over
-// these two.
+// This file exposes the engine's query-cost hooks to the facade's router
+// (reachac.routedEval): first-step seed fan-outs for both endpoints of a
+// pattern (RouteCosts) and execution of the reversed pattern from the
+// requester (ReachableReverse).
 
 // RouteCosts estimates, for one reachability query, the seed fan-out of
 // starting the product search at each endpoint: fwd counts owner's

@@ -1,5 +1,5 @@
 // Package search implements the online evaluation baseline from §1 of the
-// paper: a breadth-first (or depth-first) traversal of the social graph
+// paper: a breadth-first traversal of the social graph
 // constrained by the access condition's path, i.e. a product search over
 // G × the step machine of the path expression. It needs no precomputation
 // and takes O(|V| + |E|) per query, which is the cost the index pipeline of
@@ -107,9 +107,6 @@ type Hop struct {
 // concurrent queries over a quiescent graph.
 type Engine struct {
 	g *graph.Graph
-	// DFS selects depth-first instead of breadth-first exploration. Both
-	// return identical decisions; DFS may find longer witnesses.
-	DFS bool
 	// PlanCompiles, when set before the engine's first query, is incremented
 	// for every plan the engine compiles. A network points all its engines
 	// at one counter, so that it outlives the snapshots they belong to.
@@ -123,9 +120,6 @@ type Engine struct {
 
 // New returns an online-search evaluator over g.
 func New(g *graph.Graph) *Engine { return &Engine{g: g} }
-
-// NewDFS returns a depth-first variant (same semantics).
-func NewDFS(g *graph.Graph) *Engine { return &Engine{g: g, DFS: true} }
 
 // ApplyDelta implements core.IncrementalEvaluator. Online engines hold no
 // precomputed state — every query traverses the live graph — so once the
@@ -226,20 +220,9 @@ func (e *Engine) witness(owner, requester graph.NodeID, steps []compiledStep) ([
 	// is only granted if a genuine cycle back to the owner matches; the loop
 	// below handles that naturally.
 
-	pop := func() state {
-		var s state
-		if e.DFS {
-			s = frontier[len(frontier)-1]
-			frontier = frontier[:len(frontier)-1]
-		} else {
-			s = frontier[0]
-			frontier = frontier[1:]
-		}
-		return s
-	}
-
 	for len(frontier) > 0 {
-		cur := pop()
+		cur := frontier[0]
+		frontier = frontier[1:]
 		st := &steps[cur.step]
 
 		// expand consumes one edge of the current step from cur.node.

@@ -263,39 +263,6 @@ func TestInvalidPathError(t *testing.T) {
 	}
 }
 
-func TestDFSAgreesWithBFS(t *testing.T) {
-	g := paperfix.Graph()
-	bfs, dfs := New(g), NewDFS(g)
-	queries := []string{
-		"friend+[1,2]/colleague+[1]",
-		"friend+[1]/parent+[1]/friend+[1]",
-		"friend-[1]",
-		"friend*[1,3]",
-		"friend+[1,*]",
-		"colleague+[1]/friend+[1,2]",
-		"parent-[1]/colleague-[1]",
-	}
-	for _, q := range queries {
-		p := pathexpr.MustParse(q)
-		for _, o := range paperfix.Names {
-			for _, r := range paperfix.Names {
-				oid, rid := node(t, g, o), node(t, g, r)
-				b, err := bfs.Reachable(oid, rid, p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				d, err := dfs.Reachable(oid, rid, p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if b != d {
-					t.Fatalf("BFS/DFS disagree on (%s,%s,%s): %v vs %v", o, r, q, b, d)
-				}
-			}
-		}
-	}
-}
-
 func TestWitnessAlwaysVerifies(t *testing.T) {
 	g := paperfix.Graph()
 	e := New(g)

@@ -49,15 +49,10 @@ func newHarness(t *testing.T, kind reachac.EngineKind, cfg server.Config, opts .
 	return h
 }
 
-var allKinds = []reachac.EngineKind{
-	reachac.Online, reachac.OnlineDFS, reachac.OnlineAdaptive,
-	reachac.Closure, reachac.Index, reachac.IndexPaperJoin,
-}
-
 // TestServerEndpointsAllEngines drives every endpoint end to end — through
-// the real HTTP stack and the typed client — across all six engine kinds.
+// the real HTTP stack and the typed client — across every engine kind.
 func TestServerEndpointsAllEngines(t *testing.T) {
-	for _, kind := range allKinds {
+	for _, kind := range reachac.EngineKinds() {
 		t.Run(kind.String(), func(t *testing.T) {
 			h := newHarness(t, kind, server.Config{})
 			ctx := context.Background()

@@ -260,10 +260,7 @@ func (h *diffHarness) requester(rng *rand.Rand) string {
 }
 
 func TestDifferentialShardedVsSingleNode(t *testing.T) {
-	kinds := []reachac.EngineKind{
-		reachac.Online, reachac.OnlineDFS, reachac.OnlineAdaptive,
-		reachac.Closure, reachac.Index, reachac.IndexPaperJoin,
-	}
+	kinds := reachac.EngineKinds()
 	counts := []int{1, 2, 4}
 	steps := 350
 	if testing.Short() || raceEnabled {

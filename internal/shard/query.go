@@ -278,7 +278,7 @@ func (r *Router) delegate(pol *resourcePolicy) (int, bool) {
 }
 
 // Check decides one access request. Co-locatable queries delegate to the
-// owning shard (its native engine, decision cache and audit trail); the
+// owning shard (its native engine and audit trail); the
 // rest scatter: each rule condition becomes a distributed audience the
 // requester is tested against, with results cached under per-label epochs.
 // A shard failure on the scatter path fails the check CLOSED.

@@ -626,9 +626,6 @@ func (r *Router) Stats(ctx context.Context) httpapi.StatsResponse {
 		agg.PublicationsShared += st.PublicationsShared
 		agg.PublicationsAdvanced += st.PublicationsAdvanced
 		agg.PublicationsRebuilt += st.PublicationsRebuilt
-		agg.DecisionCacheHits += st.DecisionCacheHits
-		agg.DecisionCacheMisses += st.DecisionCacheMisses
-		agg.DecisionCacheEvictions += st.DecisionCacheEvictions
 		agg.PlanCompiles += st.PlanCompiles
 		agg.PlanCacheEntries += st.PlanCacheEntries
 		agg.Checkpoints += st.Checkpoints

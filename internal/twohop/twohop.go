@@ -15,7 +15,7 @@
 //     processes vertices in decreasing-degree order and runs pruned forward
 //     and backward BFS from each. It preserves exactly the Definition-6
 //     cover property and replaces the inner MaxCardinality machinery the
-//     paper treats as a black box (see DESIGN.md, substitutions).
+//     paper treats as a black box.
 //
 // Centers are identified by *rank* (selection/processing order); label
 // slices are sorted by rank so queries are sorted-list intersections.

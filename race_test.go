@@ -16,7 +16,7 @@ import (
 // -race, the absence of data races in the snapshot publication protocol and
 // the evaluators' query paths.
 func TestConcurrentStress(t *testing.T) {
-	for _, kind := range allKinds {
+	for _, kind := range EngineKinds() {
 		t.Run(kind.String(), func(t *testing.T) {
 			t.Parallel()
 			n := New()
@@ -181,7 +181,7 @@ func TestConcurrentStress(t *testing.T) {
 // still holds would show as a wrong decision here and as a data race under
 // -race.
 func TestConcurrentViewsAgainstPlainEvaluator(t *testing.T) {
-	for _, kind := range allKinds {
+	for _, kind := range EngineKinds() {
 		t.Run(kind.String(), func(t *testing.T) {
 			t.Parallel()
 			n, ids := ringNet(t, kind, 24)

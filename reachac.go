@@ -4,13 +4,13 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"strings"
 	"sync"
 	"sync/atomic"
 
 	"reachac/internal/core"
 	"reachac/internal/graph"
 	"reachac/internal/pathexpr"
-	"reachac/internal/planner"
 	"reachac/internal/replica"
 	"reachac/internal/wal"
 )
@@ -53,12 +53,6 @@ const (
 	// Online evaluates each query with a constrained BFS over the graph —
 	// no precomputation, O(V+E) per query (the paper's §1 baseline).
 	Online EngineKind = iota
-	// OnlineDFS is Online with depth-first exploration.
-	OnlineDFS
-	// OnlineAdaptive is Online with endpoint selection: the search starts
-	// from whichever of owner/requester admits fewer seed edges, using the
-	// reversed pattern when the requester side is cheaper.
-	OnlineAdaptive
 	// Closure precomputes per-label adjacency/closure bitsets — fast
 	// queries, O(V²)-ish space (the paper's other §1 baseline).
 	Closure
@@ -74,10 +68,6 @@ func (k EngineKind) String() string {
 	switch k {
 	case Online:
 		return "online-bfs"
-	case OnlineDFS:
-		return "online-dfs"
-	case OnlineAdaptive:
-		return "online-adaptive"
 	case Closure:
 		return "closure"
 	case Index:
@@ -87,6 +77,32 @@ func (k EngineKind) String() string {
 	default:
 		return fmt.Sprintf("EngineKind(%d)", int(k))
 	}
+}
+
+// EngineKinds lists every engine kind, in declaration order.
+func EngineKinds() []EngineKind {
+	return []EngineKind{Online, Closure, Index, IndexPaperJoin}
+}
+
+// ParseEngineKind resolves an engine name: a kind's String form, or one of
+// the command-line shorthands "online", "index" and "index-paper".
+func ParseEngineKind(name string) (EngineKind, error) {
+	switch name {
+	case "online":
+		return Online, nil
+	case "index":
+		return Index, nil
+	case "index-paper":
+		return IndexPaperJoin, nil
+	}
+	kinds := EngineKinds()
+	names := make([]string, len(kinds))
+	for i, k := range kinds {
+		if names[i] = k.String(); name == names[i] {
+			return k, nil
+		}
+	}
+	return 0, fmt.Errorf("reachac: unknown engine kind %q (have %s)", name, strings.Join(names, ", "))
 }
 
 // Evaluator answers reachability queries; see core.Evaluator.
@@ -175,15 +191,10 @@ type Network struct {
 	// See Network.ObserveEpoch in durable.go.
 	fencedEpoch atomic.Uint64
 
-	// planner accumulates routing statistics and owns the decision-cache
-	// counters; it lives as long as the network, surviving snapshot
-	// republication. route enables per-query cost-based routing and
-	// autoMigrate lets publication apply the planner's whole-network
-	// engine recommendations (both set by WithPlanner; the decision cache
-	// itself is always on).
-	planner     *planner.Planner
-	route       bool
-	autoMigrate bool
+	// route enables per-query routing (set by WithPlanner; see routedEval);
+	// routes counts the queries each route answered, across snapshots.
+	route  bool
+	routes routeCounters
 
 	// ctr tallies operations for Stats.
 	ctr counters
@@ -197,7 +208,7 @@ func New(opts ...Option) *Network {
 }
 
 func newNetwork(g *graph.Graph, store *core.Store) *Network {
-	n := &Network{g: g, kind: Online, audit: core.NewAuditLog(0), planner: planner.New()}
+	n := &Network{g: g, kind: Online, audit: core.NewAuditLog(0)}
 	n.store.Store(store)
 	return n
 }
@@ -211,7 +222,6 @@ func (n *Network) applyOptions(opts []Option) *Network {
 	}
 	n.kind = cfg.kind
 	n.route = cfg.route
-	n.autoMigrate = cfg.planner.AutoMigrate
 	return n
 }
 
@@ -452,9 +462,8 @@ func (n *Network) Revoke(resource, ruleID string) bool {
 // CanAccess decides whether requester may access resource under the current
 // policies, using the selected engine. The check runs against the current
 // engine snapshot (republished first if the graph or policies changed), so
-// concurrent checks never contend on a lock. Repeated checks of the same
-// (resource, requester) pair are served from the snapshot's decision cache
-// and appear once in the audit trail.
+// concurrent checks never contend on a lock. Every call is evaluated afresh
+// and recorded in the audit trail.
 func (n *Network) CanAccess(resource string, requester UserID) (Decision, error) {
 	s, err := n.snapshot()
 	if err != nil {
@@ -462,7 +471,7 @@ func (n *Network) CanAccess(resource string, requester UserID) (Decision, error)
 	}
 	defer s.release()
 	n.ctr.checks.Add(1)
-	return s.decide(core.ResourceID(resource), requester)
+	return s.engine.Decide(core.ResourceID(resource), requester)
 }
 
 // CheckPath answers a raw reachability question: does a path matching expr

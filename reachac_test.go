@@ -2,7 +2,11 @@ package reachac
 
 import (
 	"bytes"
+	"strings"
 	"testing"
+
+	"reachac/internal/core"
+	"reachac/internal/search"
 )
 
 // buildPaperNetwork recreates the Figure-1 graph through the public API.
@@ -69,7 +73,7 @@ func TestAllEnginesAgreeOnPolicies(t *testing.T) {
 		"friend*[1,3]",
 		"friend+[1,*]",
 	}
-	kinds := []EngineKind{Online, OnlineDFS, OnlineAdaptive, Closure, Index, IndexPaperJoin}
+	kinds := EngineKinds()
 	names := []string{"Alice", "Bill", "Colin", "David", "Elena", "Fred", "George"}
 
 	// Reference decision matrix from the Online engine.
@@ -301,6 +305,64 @@ func TestAuditThroughFacade(t *testing.T) {
 	}
 }
 
+// TestEveryDecisionIsAuditedAndFresh: a repeated CanAccess appears in the
+// audit trail once per call, and after an edge addition makes an earlier
+// rule match, the repeat names the rule a fresh evaluation matches.
+func TestEveryDecisionIsAuditedAndFresh(t *testing.T) {
+	n := New()
+	alice, bob, carol := n.MustAddUser("alice"), n.MustAddUser("bob"), n.MustAddUser("carol")
+	if err := n.Relate(alice, bob, "friend"); err != nil {
+		t.Fatal(err)
+	}
+	first, err := n.Share("doc", alice, "colleague+[1]")
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := n.Share("doc", alice, "friend+[1]")
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := 0
+	check := func(wantRule string) {
+		t.Helper()
+		calls++
+		d, err := n.CanAccess("doc", bob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := core.NewEngine(n.Store(), search.New(n.Graph()), -1).Decide("doc", bob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d != fresh || d.RuleID != wantRule {
+			t.Fatalf("call %d: decision %+v, fresh evaluation %+v, want rule %s", calls, d, fresh, wantRule)
+		}
+		if audit := n.Audit(); len(audit) != calls || audit[calls-1] != d {
+			t.Fatalf("call %d: audit holds %d entries, last %+v", calls, len(audit), audit[len(audit)-1])
+		}
+	}
+	// Repeats on one snapshot, then across publications that recycle every
+	// pooled snapshot (an unrelated edge toggles between the checks).
+	check(second)
+	check(second)
+	for i := 0; i < 2*sparePoolCap; i++ {
+		if i%2 == 0 {
+			err = n.Relate(bob, carol, "neighbour")
+		} else {
+			err = n.Unrelate(bob, carol, "neighbour")
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(second)
+	}
+	if err := n.Relate(alice, bob, "colleague"); err != nil {
+		t.Fatal(err)
+	}
+	check(first)
+	check(first)
+}
+
 func TestParsePathCanonicalizes(t *testing.T) {
 	s, err := ParsePath("friend + [ 1 , 2 ] / colleague+[1]")
 	if err != nil {
@@ -316,8 +378,7 @@ func TestParsePathCanonicalizes(t *testing.T) {
 
 func TestEngineKindString(t *testing.T) {
 	kinds := map[EngineKind]string{
-		Online: "online-bfs", OnlineDFS: "online-dfs", OnlineAdaptive: "online-adaptive",
-		Closure: "closure", Index: "join-index", IndexPaperJoin: "join-index-paper",
+		Online: "online-bfs", Closure: "closure", Index: "join-index", IndexPaperJoin: "join-index-paper",
 	}
 	for k, want := range kinds {
 		if k.String() != want {
@@ -326,6 +387,48 @@ func TestEngineKindString(t *testing.T) {
 	}
 	if err := New().UseEngine(EngineKind(99)); err == nil {
 		t.Fatal("unknown engine accepted")
+	}
+}
+
+func TestParseEngineKind(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		want EngineKind
+		ok   bool
+	}{
+		{"online-bfs", Online, true},
+		{"closure", Closure, true},
+		{"join-index", Index, true},
+		{"join-index-paper", IndexPaperJoin, true},
+		{"online", Online, true},
+		{"index", Index, true},
+		{"index-paper", IndexPaperJoin, true},
+		{"online-dfs", 0, false},
+		{"online-adaptive", 0, false},
+		{"", 0, false},
+		{"Closure", 0, false},
+	} {
+		got, err := ParseEngineKind(c.name)
+		if c.ok {
+			if err != nil || got != c.want {
+				t.Errorf("ParseEngineKind(%q) = (%v, %v), want %v", c.name, got, err, c.want)
+			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("ParseEngineKind(%q) = %v, want an error", c.name, got)
+			continue
+		}
+		for _, k := range EngineKinds() {
+			if !strings.Contains(err.Error(), k.String()) {
+				t.Errorf("ParseEngineKind(%q) error %q does not list %v", c.name, err, k)
+			}
+		}
+	}
+	for _, k := range EngineKinds() {
+		if got, err := ParseEngineKind(k.String()); err != nil || got != k {
+			t.Errorf("ParseEngineKind(%v.String()) = (%v, %v)", k, got, err)
+		}
 	}
 }
 

@@ -53,8 +53,8 @@ func waitReplicaCaughtUp(t *testing.T, follower, leader *Network) {
 
 // TestReplicaDifferentialAllEngines drives the deterministic trace through a
 // leader, catches the follower up after every committed step, and asserts
-// the replicated state decides identically to the leader under all six
-// engine kinds — with a follower restart mid-stream, after which the two
+// the replicated state decides identically to the leader under every
+// engine kind — with a follower restart mid-stream, after which the two
 // directories must hold byte-identical logs.
 func TestReplicaDifferentialAllEngines(t *testing.T) {
 	const seed, steps, restartAt = 11, 14, 7
@@ -92,7 +92,7 @@ func TestReplicaDifferentialAllEngines(t *testing.T) {
 			defer follower.Close()
 		}
 		waitReplicaCaughtUp(t, follower, leader)
-		assertSameDecisions(t, fmt.Sprintf("step %d", i), follower, leader, allEngineKinds)
+		assertSameDecisions(t, fmt.Sprintf("step %d", i), follower, leader, EngineKinds())
 	}
 
 	// The mirror is byte-identical, not just decision-identical.

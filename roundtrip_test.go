@@ -2,7 +2,6 @@ package reachac
 
 import (
 	"bytes"
-	"fmt"
 	"testing"
 )
 
@@ -19,7 +18,7 @@ func TestPersistenceRoundTrips(t *testing.T) {
 	//   rel:FROM,TO,LABEL    add a relationship
 	//   unrel:FROM,TO,LABEL  remove one
 	//   share:RES,OWNER,PATH attach a rule
-	//   engine:KIND          switch engines (by EngineKind integer)
+	//   engine:KIND          switch engines (a ParseEngineKind name)
 	//   graph-rt             round-trip through Save/Load (policies LOST)
 	//   policy-rt            round-trip policies through SavePolicies/LoadPolicies
 	//   full-rt              round-trip through Save+SavePolicies/Load+LoadPolicies
@@ -79,15 +78,15 @@ func TestPersistenceRoundTrips(t *testing.T) {
 				"user:alice", "user:bob", "user:carol",
 				"rel:alice,bob,friend", "rel:bob,carol,colleague",
 				"share:note,alice,friend+[1,1]/colleague+[1,1]",
-				"engine:3", // Closure
+				"engine:closure",
 				"allow:note,carol",
 				"state-rt",
-				"engine:4", // Index
+				"engine:index",
 				"allow:note,carol", "deny:note,bob",
 				"full-rt",
-				"engine:5", // IndexPaperJoin
+				"engine:index-paper",
 				"allow:note,carol",
-				"engine:0", // Online
+				"engine:online",
 				"allow:note,carol",
 			},
 		},
@@ -141,9 +140,11 @@ func TestPersistenceRoundTrips(t *testing.T) {
 						fail(err)
 					}
 				case scan(step, "engine:%s", &a):
-					var k int
-					fmt.Sscanf(a, "%d", &k)
-					if err := n.UseEngine(EngineKind(k)); err != nil {
+					k, err := ParseEngineKind(a)
+					if err != nil {
+						fail(err)
+					}
+					if err := n.UseEngine(k); err != nil {
 						fail(err)
 					}
 				case step == "graph-rt":

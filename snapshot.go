@@ -10,16 +10,15 @@ import (
 	"reachac/internal/core"
 	"reachac/internal/graph"
 	"reachac/internal/joinindex"
-	"reachac/internal/planner"
 	"reachac/internal/search"
 	"reachac/internal/tclosure"
 )
 
 // snapshot is one immutable engine generation: a private clone of the social
-// graph, an evaluator built over it, a frozen policy view, and a decision
-// cache. Once published via Network.snap it is never mutated (the cache is
-// internally synchronized), so any number of readers may use it with no
-// coordination while mutators prepare the next generation.
+// graph, an evaluator built over it and a frozen policy view. Once published
+// via Network.snap it is never mutated (the audience cache is internally
+// synchronized), so any number of readers may use it with no coordination
+// while mutators prepare the next generation.
 type snapshot struct {
 	// g is a private clone of the master graph; nothing mutates it after
 	// the snapshot is built, so evaluators may traverse it lock-free.
@@ -28,13 +27,13 @@ type snapshot struct {
 	// eval is the raw primary evaluator of the selected kind; delta advances
 	// (core.IncrementalEvaluator) talk to it directly.
 	eval Evaluator
-	// reval is the evaluator reads run on: the planner's routed wrapper when
-	// routing is enabled (see routedEval), otherwise eval itself.
+	// reval is the evaluator reads run on: the routed wrapper when routing is
+	// enabled (see routedEval), otherwise eval itself.
 	reval Evaluator
 	// store is the frozen policy view (a Store clone, shared by consecutive
 	// snapshots of one policy generation); engine decides against it, so
 	// concurrent Share/Revoke cannot change the rules a reader observes
-	// mid-decision.
+	// mid-decision. Every decision is evaluated afresh and audited.
 	store  *core.Store
 	engine *core.Engine
 	// aud caches audience sets over g, maintained incrementally across
@@ -48,14 +47,6 @@ type snapshot struct {
 	version uint64
 	src     *core.Store
 	gen     uint64
-	// dcache memoizes decisions per (resource, requester) with per-delta
-	// label-tagged invalidation (see planner.DecisionCache). Unlike its
-	// drop-wholesale predecessor it survives graph mutations: a delta
-	// advance carries it to the next snapshot, evicting only the entries
-	// whose label tags intersect the delta. A policy change (different
-	// store generation) starts a fresh cache, because the tags themselves
-	// derive from the rules.
-	dcache *planner.DecisionCache
 	// refs counts in-flight readers of the snapshot's graph clone. It is a
 	// pointer because a policy-only republication shares the previous
 	// snapshot's clone — the counter must then be shared too, so that a
@@ -95,48 +86,6 @@ func (s *snapshot) current(g *graph.Graph, store *core.Store) bool {
 	return s.version == g.Version() && s.src == store && s.gen == store.Generation()
 }
 
-// decide answers one access request against the snapshot, serving repeats
-// from the decision cache. Cached hits do not re-enter the audit trail. A
-// surviving entry (carried across a delta advance) preserves the decision's
-// Effect; its RuleID/Reason may name a different rule than a fresh
-// evaluation would (see planner.DecisionCache).
-func (s *snapshot) decide(res core.ResourceID, requester UserID) (Decision, error) {
-	if d, ok := s.dcache.Get(res, requester); ok {
-		return d, nil
-	}
-	d, err := s.engine.Decide(res, requester)
-	if err != nil {
-		return Decision{}, err
-	}
-	s.dcache.Put(res, requester, d)
-	return d, nil
-}
-
-// labelsForStore builds the decision cache's tag resolver over one frozen
-// policy view: the union of label names the resource's rules constrain on.
-// An unregistered resource resolves to an empty tag, so its "unknown
-// resource" denial is never evicted by graph deltas (registration is a
-// policy change, which starts a fresh cache anyway).
-func labelsForStore(view *core.Store) func(core.ResourceID) []string {
-	return func(res core.ResourceID) []string {
-		var labels []string
-		for _, r := range view.RulesFor(res) {
-			for _, c := range r.Conditions {
-			steps:
-				for _, st := range c.Path.Steps {
-					for _, l := range labels {
-						if l == st.Label {
-							continue steps
-						}
-					}
-					labels = append(labels, st.Label)
-				}
-			}
-		}
-		return labels
-	}
-}
-
 // buildEvaluator constructs the evaluator of the given kind over g, which
 // must not be mutated afterwards. The online kinds count the plans they
 // compile in compiles.
@@ -148,12 +97,6 @@ func buildEvaluator(kind EngineKind, g *graph.Graph, compiles *atomic.Uint64) (E
 	switch kind {
 	case Online:
 		return online(search.New(g)), nil
-	case OnlineDFS:
-		return online(search.NewDFS(g)), nil
-	case OnlineAdaptive:
-		a := search.NewAdaptive(g)
-		online(a.Engine)
-		return a, nil
 	case Closure:
 		return tclosure.New(g), nil
 	case Index:
@@ -182,7 +125,7 @@ func (n *Network) newAudienceCache(gc *graph.Graph) *search.AudienceCache {
 }
 
 // planCacheEntries counts the compiled plans the snapshot's engines hold:
-// the audience cache's engine, which planner routing searches on, and the
+// the audience cache's engine, which routedEval searches on, and the
 // primary evaluator when it is an online engine.
 func (s *snapshot) planCacheEntries() int {
 	entries := s.aud.Engine().PlanCacheLen()
@@ -239,8 +182,7 @@ const sparePoolCap = 3
 // Publication cost, cheapest first (Stats counts each tier):
 //
 //  1. shared — a policy-only change reuses the previous snapshot's graph
-//     clone, evaluator and audience cache; only the policy view and decision
-//     cache are refreshed;
+//     clone, evaluator and audience cache; only the policy view is refreshed;
 //  2. advanced — the newest parked snapshot no reader holds is
 //     fast-forwarded by replaying the master's delta log (O(Δ)); each
 //     replayed delta patches the clone's CSR (see graph.CSR), and its
@@ -261,18 +203,6 @@ const sparePoolCap = 3
 // patching its CSR in place safe — and a published snapshot's graph has a
 // fresh CSR whenever it can have one at all.
 func (n *Network) publishLocked() (*snapshot, error) {
-	// Reassess the engine choice first. The recommendation is always
-	// computed (it surfaces through Stats as observability); with
-	// auto-migration enabled it also changes n.kind before the tier checks
-	// below, so the migration rides the publication that observed it.
-	if n.route {
-		reads := n.ctr.checks.Load() + n.ctr.audiences.Load()
-		muts := n.ctr.mutations.Load()
-		if rec, ok := n.planner.Recommend(planner.Kind(n.kind), reads, muts); ok && n.autoMigrate {
-			n.kind = EngineKind(rec)
-			n.planner.Migrated(rec)
-		}
-	}
 	store := n.store.Load()
 	cur := n.snap.Load()
 	if cur == nil || cur.version != n.g.Version() {
@@ -296,18 +226,16 @@ func (n *Network) publishLocked() (*snapshot, error) {
 		gc   *graph.Graph
 		eval Evaluator
 		aud  *search.AudienceCache
-		dc   *planner.DecisionCache
 		refs *atomic.Int64
 		tier = &n.ctr.pubRebuilt
 	)
 	if cur != nil && cur.version == gv && cur.kind == n.kind {
 		// Policy-only change: share the clone, evaluator, audience cache
-		// and reader count. The decision cache starts fresh — its label
-		// tags derive from the rules that just changed.
+		// and reader count.
 		gc, eval, aud, refs = cur.g, cur.eval, cur.aud, cur.refs
 		tier = &n.ctr.pubShared
-	} else if agc, aeval, aaud, adc := n.advanceSpareLocked(cur, store, gen); agc != nil {
-		gc, eval, aud, dc = agc, aeval, aaud, adc
+	} else if agc, aeval, aaud := n.advanceSpareLocked(cur); agc != nil {
+		gc, eval, aud = agc, aeval, aaud
 		tier = &n.ctr.pubAdvanced
 	}
 	if gc == nil {
@@ -337,19 +265,16 @@ func (n *Network) publishLocked() (*snapshot, error) {
 	} else {
 		view = store.Clone()
 	}
-	if dc == nil {
-		dc = planner.NewDecisionCache(labelsForStore(view), n.planner.CacheCounters())
-	}
 	// The routed wrapper is rebuilt per publication (it is a tiny struct):
 	// the primary evaluator or audience cache underneath may have changed.
 	reval := eval
 	if n.route {
 		reval = &routedEval{
-			pl:      n.planner,
+			ctr:     &n.routes,
 			primary: eval,
 			online:  aud.Engine(),
 			aud:     aud,
-			kind:    planner.Kind(n.kind),
+			flat:    n.kind == Online,
 		}
 	}
 	s := &snapshot{
@@ -360,7 +285,6 @@ func (n *Network) publishLocked() (*snapshot, error) {
 		aud:     aud,
 		store:   view,
 		engine:  core.NewEngineWithLog(view, reval, n.audit),
-		dcache:  dc,
 		version: gv,
 		src:     store,
 		gen:     gen,
@@ -387,16 +311,13 @@ func (n *Network) publishLocked() (*snapshot, error) {
 // advanceSpareLocked tries to satisfy a publication by fast-forwarding a
 // parked snapshot's private clone to the master's current version —
 // replaying the bounded delta log at O(Δ) instead of paying the O(V+E)
-// re-clone — and advancing its evaluator, audience cache and decision cache
-// in place when possible. Parked snapshots the delta window has left behind
-// are dropped first: they can only fall further behind. Of the rest it
-// takes the newest that no reader holds (refs == 0 after retired: the
-// acquire/back-off proof); pinned ones stay parked. store and gen identify
-// the policy state being published: the decision cache is carried forward
-// only when the spare was built against the same policy generation (its
-// label tags derive from the rules). It returns nils when no parked
-// snapshot qualifies. Callers must hold n.mu.
-func (n *Network) advanceSpareLocked(cur *snapshot, store *core.Store, gen uint64) (*graph.Graph, Evaluator, *search.AudienceCache, *planner.DecisionCache) {
+// re-clone — and advancing its evaluator and audience cache in place when
+// possible. Parked snapshots the delta window has left behind are dropped
+// first: they can only fall further behind. Of the rest it takes the newest
+// that no reader holds (refs == 0 after retired: the acquire/back-off
+// proof); pinned ones stay parked. It returns nils when no parked snapshot
+// qualifies. Callers must hold n.mu.
+func (n *Network) advanceSpareLocked(cur *snapshot) (*graph.Graph, Evaluator, *search.AudienceCache) {
 	n.spares = slices.DeleteFunc(n.spares, func(c *snapshot) bool { return !n.g.Covers(c.version) })
 	var spare *snapshot
 	for i := len(n.spares) - 1; i >= 0; i-- {
@@ -410,16 +331,16 @@ func (n *Network) advanceSpareLocked(cur *snapshot, store *core.Store, gen uint6
 		}
 	}
 	if spare == nil {
-		return nil, nil, nil, nil
+		return nil, nil, nil
 	}
 	deltas, _ := n.g.ChangesSince(spare.version)
 	gc := spare.g
 	for _, d := range deltas {
 		if err := gc.Apply(d); err != nil {
-			return nil, nil, nil, nil
+			return nil, nil, nil
 		}
 	}
-	// The clone is fully advanced, so the caches can follow it
+	// The clone is fully advanced, so the audience cache can follow it
 	// incrementally; the spare being unobserved guarantees the quiescence
 	// Advance requires.
 	aud := spare.aud
@@ -428,26 +349,18 @@ func (n *Network) advanceSpareLocked(cur *snapshot, store *core.Store, gen uint6
 	} else {
 		aud.Advance(deltas)
 	}
-	// Carry the warm decision cache iff the policy is unchanged since the
-	// spare was built: Advance evicts exactly the entries the delta batch
-	// could have flipped, so everything else keeps serving.
-	var dc *planner.DecisionCache
-	if spare.dcache != nil && spare.src == store && spare.gen == gen {
-		dc = spare.dcache
-		dc.Advance(deltas)
-	}
 	if spare.kind == n.kind {
 		if inc, isInc := spare.eval.(core.IncrementalEvaluator); isInc && inc.ApplyDelta(gc, deltas) {
-			return gc, spare.eval, aud, dc
+			return gc, spare.eval, aud
 		}
 	}
 	// Evaluator declined (or the engine kind changed): the advanced clone
 	// is still sound, rebuild only the evaluator over it.
 	eval, err := buildEvaluator(n.kind, gc, &n.ctr.planCompiles)
 	if err != nil {
-		return nil, nil, nil, nil
+		return nil, nil, nil
 	}
-	return gc, eval, aud, dc
+	return gc, eval, aud
 }
 
 // CanAccessAll decides access to one resource for many requesters in a
@@ -468,13 +381,16 @@ func (n *Network) CanAccessAll(resource string, requesters []UserID) ([]Decision
 }
 
 // fanOutMin is the batch size from which decideAll fans out over goroutines.
-// Below it spawn and join cost more than the second core returns. Serial vs
-// fanned out on two cores (BenchmarkCanAccessAll, join index): 16 cached
-// decisions — most of a serving-layer check-batch — 1.3 vs 2.0 µs; 16
-// uncached 92 vs 102 µs; 32 uncached a wash, 165 vs 172 µs; 64 uncached 359
-// vs 272 µs. Cached batches lose at every size (2 000: 152 vs 291 µs), but
-// a batch does not know it is cached until it has looked, and uncached it
-// gains 1.4x there.
+// Whether that pays depends on what one decision costs, since every decision
+// ends in the audit log's mutex. Serial vs fanned out on two cores
+// (BenchmarkCanAccessAll, medians of three to six runs): on the join index,
+// ~6 µs a decision, 16 decisions are a wash (89 vs 90 µs), 32 gain 1.2x (199
+// vs 161 µs), 64 gain 1.3x (412 vs 309 µs) and 2 000 gain 1.6x (14.8 vs 9.1
+// ms); on the online search, ~0.5 µs a decision, fanning out loses at every
+// size — 16: 10 vs 22 µs, 32: 20 vs 37 µs, 64: 34 vs 47 µs, 2 000: 0.97 vs
+// 1.07 ms, a quarter of the fanned CPU time being AuditLog.Record under
+// contention. 64 keeps a serving-layer check-batch (16) serial on both and
+// bounds the online loss to 13 µs a batch where the index starts to gain.
 const fanOutMin = 64
 
 // decideAll is CanAccessAll's body over an already-pinned snapshot, shared
@@ -484,7 +400,7 @@ func (s *snapshot) decideAll(res core.ResourceID, requesters []UserID) ([]Decisi
 	workers := min(runtime.GOMAXPROCS(0), len(requesters))
 	if workers <= 1 || len(requesters) < fanOutMin {
 		for i, r := range requesters {
-			d, err := s.decide(res, r)
+			d, err := s.engine.Decide(res, r)
 			if err != nil {
 				return nil, err
 			}
@@ -508,7 +424,7 @@ func (s *snapshot) decideAll(res core.ResourceID, requesters []UserID) ([]Decisi
 				if i >= len(requesters) {
 					return
 				}
-				d, derr := s.decide(res, requesters[i])
+				d, derr := s.engine.Decide(res, requesters[i])
 				if derr != nil {
 					errOnce.Do(func() { err = derr })
 					failed.Store(true)

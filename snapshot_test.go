@@ -194,10 +194,6 @@ func TestRelateMutualRollback(t *testing.T) {
 	}
 }
 
-// allKinds lists every engine kind, incremental and declining evaluators
-// alike: they all publish through the same spare pool.
-var allKinds = []EngineKind{Online, OnlineDFS, OnlineAdaptive, Closure, Index, IndexPaperJoin}
-
 // ringNet builds a friend ring of the given size with "r" shared by member
 // 0 under friend+[1,3], on the given engine, and returns the member IDs.
 func ringNet(t *testing.T, kind EngineKind, members int) (*Network, []UserID) {
@@ -227,7 +223,7 @@ func ringNet(t *testing.T, kind EngineKind, members int) (*Network, []UserID) {
 // forcing a rebuild, every decision equals a from-scratch network's over
 // the same graph, and after Close the parked clone is advanced again.
 func TestPinnedReaderKeepsPublicationIncremental(t *testing.T) {
-	for _, kind := range allKinds {
+	for _, kind := range EngineKinds() {
 		t.Run(kind.String(), func(t *testing.T) {
 			t.Parallel()
 			n, ids := ringNet(t, kind, 16)

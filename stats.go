@@ -41,25 +41,19 @@ type Stats struct {
 	PublicationsAdvanced uint64 `json:"publications_advanced"`
 	PublicationsRebuilt  uint64 `json:"publications_rebuilt"`
 
-	// DecisionCacheHits/Misses count decision-cache lookups across every
-	// snapshot's cache (the counter block is network-lifetime);
-	// DecisionCacheEvictions counts entries dropped by per-delta label
-	// intersection when a cache is carried across a graph mutation.
+	// The next three fields are always zero: decisions are not cached. They
+	// stay declared because benchmark/main.go:391 reads them (their only
+	// reader), until a benchmark PR can drop them.
 	DecisionCacheHits      uint64 `json:"decision_cache_hits"`
 	DecisionCacheMisses    uint64 `json:"decision_cache_misses"`
 	DecisionCacheEvictions uint64 `json:"decision_cache_evictions"`
 
-	// PlannerRoute* count reachability queries answered per strategy when
-	// planner routing is enabled (WithPlanner); all zero otherwise.
-	// PlannerMigrations counts applied whole-network engine migrations and
-	// PlannerRecommended names the planner's current engine recommendation
-	// (empty before the first assessment window, and without WithPlanner).
+	// PlannerRoute* count reachability queries answered per route when
+	// routing is enabled (WithPlanner; see routedEval); all zero otherwise.
 	PlannerRouteAudience    uint64 `json:"planner_route_audience"`
 	PlannerRouteFlatForward uint64 `json:"planner_route_flat_forward"`
 	PlannerRouteFlatReverse uint64 `json:"planner_route_flat_reverse"`
 	PlannerRoutePrimary     uint64 `json:"planner_route_primary"`
-	PlannerMigrations       uint64 `json:"planner_migrations"`
-	PlannerRecommended      string `json:"planner_recommended,omitempty"`
 
 	// PlanCompiles counts path expressions compiled into search plans by the
 	// online engines of every snapshot. A plan is compiled once per distinct
@@ -135,14 +129,10 @@ func (s Stats) Delta(prev Stats) Stats {
 	d.PublicationsShared -= prev.PublicationsShared
 	d.PublicationsAdvanced -= prev.PublicationsAdvanced
 	d.PublicationsRebuilt -= prev.PublicationsRebuilt
-	d.DecisionCacheHits -= prev.DecisionCacheHits
-	d.DecisionCacheMisses -= prev.DecisionCacheMisses
-	d.DecisionCacheEvictions -= prev.DecisionCacheEvictions
 	d.PlannerRouteAudience -= prev.PlannerRouteAudience
 	d.PlannerRouteFlatForward -= prev.PlannerRouteFlatForward
 	d.PlannerRouteFlatReverse -= prev.PlannerRouteFlatReverse
 	d.PlannerRoutePrimary -= prev.PlannerRoutePrimary
-	d.PlannerMigrations -= prev.PlannerMigrations
 	d.PlanCompiles -= prev.PlanCompiles
 	d.Checkpoints -= prev.Checkpoints
 	d.CheckpointsSkipped -= prev.CheckpointsSkipped
@@ -196,18 +186,10 @@ func (n *Network) Stats() Stats {
 	st.PublicationsAdvanced = n.ctr.pubAdvanced.Load()
 	st.PublicationsRebuilt = n.ctr.pubRebuilt.Load()
 	st.Republications = st.PublicationsShared + st.PublicationsAdvanced + st.PublicationsRebuilt
-	pc := n.planner.Counters()
-	st.DecisionCacheHits = pc.CacheHits
-	st.DecisionCacheMisses = pc.CacheMisses
-	st.DecisionCacheEvictions = pc.CacheEvictions
-	st.PlannerRouteAudience = pc.RouteAudience
-	st.PlannerRouteFlatForward = pc.RouteFlatForward
-	st.PlannerRouteFlatReverse = pc.RouteFlatReverse
-	st.PlannerRoutePrimary = pc.RoutePrimary
-	st.PlannerMigrations = pc.Migrations
-	if rec, ok := n.planner.Recommended(); ok {
-		st.PlannerRecommended = EngineKind(rec).String()
-	}
+	st.PlannerRouteAudience = n.routes.audience.Load()
+	st.PlannerRouteFlatForward = n.routes.flatForward.Load()
+	st.PlannerRouteFlatReverse = n.routes.flatReverse.Load()
+	st.PlannerRoutePrimary = n.routes.primary.Load()
 	st.PlanCompiles = n.ctr.planCompiles.Load()
 	if s := n.snap.Load(); s != nil {
 		st.PlanCacheEntries = s.planCacheEntries()

@@ -90,7 +90,7 @@ func (v *View) HasRelationship(from, to UserID, relType string) bool {
 // CanAccess is Network.CanAccess against the pinned snapshot.
 func (v *View) CanAccess(resource string, requester UserID) (Decision, error) {
 	v.n.ctr.checks.Add(1)
-	return v.s.decide(core.ResourceID(resource), requester)
+	return v.s.engine.Decide(core.ResourceID(resource), requester)
 }
 
 // CanAccessAll is Network.CanAccessAll against the pinned snapshot.
