@@ -35,12 +35,11 @@ import (
 const benchSize = 2000
 
 func benchGraph(family string) *graph.Graph {
-	return generate.OSN(generate.OSNConfig{
-		Nodes:     benchSize,
-		Seed:      42,
-		WithAttrs: true,
-		Acyclic:   family == "follow",
-	})
+	opts := []generate.Option{generate.WithNodes(benchSize), generate.WithSeed(42), generate.WithAttrs()}
+	if family == "follow" {
+		opts = append(opts, generate.WithAcyclic())
+	}
+	return generate.MustBuild(generate.MustNew("osn", opts...))
 }
 
 func BenchmarkIndexBuild(b *testing.B) {
@@ -159,7 +158,7 @@ func BenchmarkAblation(b *testing.B) {
 		})
 	}
 	// W-table on/off for the literal paper-join strategy, small graph.
-	small := generate.OSN(generate.OSNConfig{Nodes: 150, Seed: 42, AvgOutDegree: 4})
+	small := generate.MustBuild(generate.MustNew("osn", generate.WithNodes(150), generate.WithSeed(42), generate.WithDegree(4)))
 	q := pathexpr.MustParse("friend+[1]/colleague+[1]")
 	smallPairs := workload.HitPairs(small, 32, 2, 6)
 	for name, opts := range map[string]joinindex.Options{
@@ -405,7 +404,7 @@ func BenchmarkInterleavedMutateRead(b *testing.B) {
 	for _, c := range cases {
 		for _, mode := range []string{"delta", "rebuild"} {
 			b.Run(fmt.Sprintf("%s-%d/%s", c.kind, c.size, mode), func(b *testing.B) {
-				g := generate.OSN(generate.OSNConfig{Nodes: c.size, Seed: 7, WithAttrs: true})
+				g := generate.MustBuild(generate.MustNew("osn", generate.WithNodes(c.size), generate.WithSeed(7), generate.WithAttrs()))
 				if mode == "rebuild" {
 					g.SetDeltaLogLimit(-1)
 				}
@@ -587,7 +586,7 @@ func BenchmarkBatchMutate(b *testing.B) {
 	const size, k = 20000, 16
 	setup := func(b *testing.B) (*Network, []workload.Pair, UserID, UserID) {
 		b.Helper()
-		g := generate.OSN(generate.OSNConfig{Nodes: size, Seed: 11})
+		g := generate.MustBuild(generate.MustNew("osn", generate.WithNodes(size), generate.WithSeed(11)))
 		n := FromGraph(g)
 		owner, _ := n.UserID("u000010")
 		if _, err := n.Share("r", owner, "friend+[1,2]"); err != nil {
@@ -684,8 +683,9 @@ func BenchmarkTwoHopInsert(b *testing.B) {
 // scale, here as fixed-op-count testing.B targets.
 func BenchmarkScenarioMixes(b *testing.B) {
 	base := benchGraph("social")
-	specs := workload.Resources(base, 16, 7)
-	for _, mix := range workload.Mixes() {
+	specs := workload.Scenario{}.Resources(base, 16, 7)
+	for _, sc := range workload.Scenarios() {
+		mix := sc.Mix
 		b.Run(mix.Name, func(b *testing.B) {
 			n := FromGraph(base.Clone())
 			if err := n.Batch(func(tx *Tx) error {

@@ -12,7 +12,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -43,36 +42,18 @@ func (e *Error) Error() string {
 	return fmt.Sprintf("acserverd: %s (HTTP %d, %s)", e.Message, e.Status, e.Code)
 }
 
-// Is maps wire error codes onto the reachac sentinel errors, so callers
-// classify remote failures exactly like local ones.
+// Is maps the wire error code back onto the sentinel that produced it (the
+// httpapi.Errors table read right to left), so callers classify remote
+// failures exactly like local ones.
 func (e *Error) Is(target error) bool {
-	switch target {
-	case reachac.ErrUnknownUser:
-		return e.Code == httpapi.CodeUnknownUser
-	case reachac.ErrDuplicateUser:
-		return e.Code == httpapi.CodeDuplicateUser
-	case reachac.ErrUnknownResource:
-		return e.Code == httpapi.CodeUnknownResource
-	case reachac.ErrUnknownRelationship:
-		return e.Code == httpapi.CodeUnknownRelationship
-	case reachac.ErrDuplicateRelationship:
-		return e.Code == httpapi.CodeDuplicateRelationship
-	case reachac.ErrSelfRelationship:
-		return e.Code == httpapi.CodeSelfRelationship
-	case reachac.ErrResourceOwned:
-		return e.Code == httpapi.CodeResourceOwned
-	case reachac.ErrReadOnly:
-		return e.Code == httpapi.CodeReadOnly
-	case reachac.ErrClosed:
-		return e.Code == httpapi.CodeClosed
-	}
-	return false
+	s := httpapi.Sentinel(e.Code)
+	return s != nil && s == target
 }
 
 // ErrOverloaded matches responses shed by the server's admission control
 // (full mutation queue, saturated check limiter); retry after
 // Error.RetryAfter.
-var ErrOverloaded = errors.New("server overloaded")
+var ErrOverloaded = httpapi.ErrOverloaded
 
 // Decision is the wire form of one access decision; see httpapi.Decision.
 type Decision = httpapi.Decision
@@ -167,9 +148,7 @@ func (c *Client) do(ctx context.Context, method, path string, query url.Values, 
 	return json.NewDecoder(resp.Body).Decode(out)
 }
 
-// decodeError turns a non-2xx response into an *Error (wrapping
-// ErrOverloaded for shed load, so errors.Is(err, client.ErrOverloaded)
-// works alongside the sentinel mapping).
+// decodeError turns a non-2xx response into an *Error.
 func decodeError(resp *http.Response) error {
 	apiErr := &Error{Status: resp.StatusCode}
 	var body httpapi.ErrorBody
@@ -183,9 +162,6 @@ func decodeError(resp *http.Response) error {
 		if secs, err := strconv.Atoi(ra); err == nil && secs >= 0 {
 			apiErr.RetryAfter = time.Duration(secs) * time.Second
 		}
-	}
-	if apiErr.Code == httpapi.CodeOverloaded {
-		return fmt.Errorf("%w: %w", ErrOverloaded, apiErr)
 	}
 	return apiErr
 }

@@ -358,7 +358,10 @@ func (t *shardedTarget) do(ctx context.Context, worker int, op workload.Op) erro
 }
 
 func (t *shardedTarget) stats() (Counters, error) {
-	st := t.r.Stats(context.Background())
+	st, err := t.r.Stats(context.Background())
+	if err != nil {
+		return Counters{}, err
+	}
 	c := countersFromStats(st.Stats, nil)
 	if rs := st.Router; rs != nil {
 		c.RouterFastPath = rs.FastPath

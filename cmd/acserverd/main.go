@@ -35,15 +35,9 @@
 package main
 
 import (
-	"context"
 	"flag"
-	"fmt"
 	"log"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"reachac"
@@ -77,18 +71,11 @@ func main() {
 		log.Fatal(err)
 	}
 
-	opts := []reachac.Option{reachac.WithEngine(kind), reachac.WithCheckpointEvery(*ckptEvery)}
-	switch *syncMode {
-	case "always":
-		opts = append(opts, reachac.WithSync(reachac.SyncAlways))
-	case "interval":
-		opts = append(opts, reachac.WithSyncInterval(*syncInterval))
-	case "never":
-		opts = append(opts, reachac.WithSync(reachac.SyncNever))
-	default:
-		log.Fatalf("unknown -sync %q (have always, interval, never)", *syncMode)
+	syncOpt, err := server.SyncOption(*syncMode, *syncInterval)
+	if err != nil {
+		log.Fatal(err)
 	}
-
+	opts := []reachac.Option{reachac.WithEngine(kind), reachac.WithCheckpointEvery(*ckptEvery), syncOpt}
 	if *follow != "" {
 		opts = append(opts, reachac.WithFollow(*follow))
 	}
@@ -110,45 +97,8 @@ func main() {
 		CoalesceBatch:       *coalesce,
 		CoalesceWait:        *coalesceWait,
 	})
-	httpSrv := &http.Server{
-		Handler: srv,
-		// Slow-client bounds: a trickled request must not hold a connection
-		// (or, via the handlers, an admission slot) indefinitely.
-		ReadHeaderTimeout: 10 * time.Second,
-		ReadTimeout:       time.Minute,
-		IdleTimeout:       2 * time.Minute,
-	}
-
-	// Listen explicitly (rather than ListenAndServe) so -addr :0 works:
-	// the kernel-assigned port is announced on stdout in a stable,
-	// parseable form before any request is served. CI and scripts start
-	// the daemon on port 0 and scrape the line instead of racing for a
-	// fixed port.
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
+	log.Printf("serving the %s engine", kind)
+	if err := server.Serve("acserverd", *addr, srv, *drainTimeout, srv.Shutdown); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("ACSERVERD_LISTEN=%s\n", ln.Addr())
-
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-	errCh := make(chan error, 1)
-	go func() { errCh <- httpSrv.Serve(ln) }()
-	log.Printf("serving %s engine on %s", kind, ln.Addr())
-
-	select {
-	case err := <-errCh:
-		log.Fatal(err)
-	case <-ctx.Done():
-	}
-	log.Print("shutting down: draining requests and queued mutations")
-	dctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancel()
-	if err := httpSrv.Shutdown(dctx); err != nil {
-		log.Printf("HTTP shutdown: %v", err)
-	}
-	if err := srv.Shutdown(dctx); err != nil {
-		log.Fatalf("drain: %v", err)
-	}
-	log.Print("clean shutdown")
 }

@@ -26,18 +26,15 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"path/filepath"
 	"strings"
-	"syscall"
 	"time"
 
 	"reachac"
 	"reachac/client"
 	"reachac/internal/ring"
+	"reachac/internal/server"
 	"reachac/internal/shard"
 )
 
@@ -77,17 +74,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		opts := []reachac.Option{reachac.WithEngine(kind)}
-		switch *syncMode {
-		case "always":
-			opts = append(opts, reachac.WithSync(reachac.SyncAlways))
-		case "interval":
-			opts = append(opts, reachac.WithSyncInterval(50*time.Millisecond))
-		case "never":
-			opts = append(opts, reachac.WithSync(reachac.SyncNever))
-		default:
-			log.Fatalf("unknown -sync %q (have always, interval, never)", *syncMode)
+		syncOpt, err := server.SyncOption(*syncMode, 50*time.Millisecond)
+		if err != nil {
+			log.Fatal(err)
 		}
+		opts := []reachac.Option{reachac.WithEngine(kind), syncOpt}
 		for i := 0; i < *shards; i++ {
 			n, err := reachac.Open(filepath.Join(*dir, fmt.Sprintf("shard-%d", i)), opts...)
 			if err != nil {
@@ -107,39 +98,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	handler := shard.NewHandler(router)
-	httpSrv := &http.Server{
-		Handler:           handler,
-		ReadHeaderTimeout: 10 * time.Second,
-		ReadTimeout:       time.Minute,
-		IdleTimeout:       2 * time.Minute,
-	}
-
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
+	log.Printf("routing %d shards (%d vnodes/shard)", router.Shards(), *vnodes)
+	closeShards := func(context.Context) error { return router.Close() }
+	if err := server.Serve("acshardd", *addr, server.NewHandler(router), *drainTimeout, closeShards); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("ACSHARDD_LISTEN=%s\n", ln.Addr())
-
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-	errCh := make(chan error, 1)
-	go func() { errCh <- httpSrv.Serve(ln) }()
-	log.Printf("routing %d shards on %s (%d vnodes/shard)", router.Shards(), ln.Addr(), *vnodes)
-
-	select {
-	case err := <-errCh:
-		log.Fatal(err)
-	case <-ctx.Done():
-	}
-	log.Print("shutting down")
-	dctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancel()
-	if err := httpSrv.Shutdown(dctx); err != nil {
-		log.Printf("HTTP shutdown: %v", err)
-	}
-	if err := router.Close(); err != nil {
-		log.Fatalf("closing shards: %v", err)
-	}
-	log.Print("clean shutdown")
 }

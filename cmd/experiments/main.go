@@ -81,12 +81,11 @@ func sizes() []int {
 // "follow" (hierarchy-oriented, acyclic — the paper's pruning structures
 // keep full resolution).
 func makeGraph(n int, family string) *graph.Graph {
-	return generate.OSN(generate.OSNConfig{
-		Nodes:     n,
-		Seed:      *seed,
-		WithAttrs: true,
-		Acyclic:   family == "follow",
-	})
+	opts := []generate.Option{generate.WithNodes(n), generate.WithSeed(*seed), generate.WithAttrs()}
+	if family == "follow" {
+		opts = append(opts, generate.WithAcyclic())
+	}
+	return generate.MustBuild(generate.MustNew("osn", opts...))
 }
 
 var families = []string{"social", "follow"}
@@ -292,7 +291,7 @@ func e5() {
 	fmt.Println("\nE5b: paper-join W-table pruning (small graphs, friends-of-friends query)")
 	tbl2 := benchutil.NewTable("|V|", "with W-table", "without", "note")
 	for _, n := range []int{100, 200, 400} {
-		g := generate.OSN(generate.OSNConfig{Nodes: n, Seed: *seed, AvgOutDegree: 4})
+		g := generate.MustBuild(generate.MustNew("osn", generate.WithNodes(n), generate.WithSeed(*seed), generate.WithDegree(4)))
 		q := workload.DefaultCatalog()[1] // friend+[1,2]
 		pairs := workload.HitPairs(g, 30, 2, *seed+6)
 		mean := func(opts joinindex.Options) (string, string) {

@@ -17,11 +17,7 @@ import (
 func main() {
 	const members = 50_000
 	fmt.Printf("generating %d-member social network...\n", members)
-	g := generate.OSN(generate.OSNConfig{
-		Nodes:     members,
-		Seed:      7,
-		WithAttrs: true,
-	})
+	g := generate.MustBuild(generate.MustNew("osn", generate.WithNodes(members), generate.WithSeed(7), generate.WithAttrs()))
 	n := reachac.FromGraph(g)
 	fmt.Printf("  %d members, %d relationships\n", n.NumUsers(), n.NumRelationships())
 
@@ -61,7 +57,7 @@ func main() {
 	// on a 10k-member follow-shaped (acyclic) network, where the line graph
 	// keeps full SCC resolution.
 	fmt.Println("\ntransitive-friend checks (friend+[1,*]), 200 random pairs, 10k follow graph:")
-	g = generate.OSN(generate.OSNConfig{Nodes: 10_000, Seed: 7, WithAttrs: true, Acyclic: true})
+	g = generate.MustBuild(generate.MustNew("osn", generate.WithNodes(10_000), generate.WithSeed(7), generate.WithAttrs(), generate.WithAcyclic()))
 	n = reachac.FromGraph(g)
 	misses := workload.RandomPairs(g, 200, 13)
 	for _, kind := range []reachac.EngineKind{reachac.Online, reachac.Index} {

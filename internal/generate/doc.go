@@ -33,11 +33,4 @@
 // Options not consumed by a family are ignored; invalid combinations
 // (e.g. WithAcyclic on "ldbc") are rejected by [New]. Zero or negative
 // values fall back to per-kind defaults documented on each option.
-//
-// # Legacy surface
-//
-// The positional constructors ([OSN], [ErdosRenyi], [BarabasiAlbert],
-// [WattsStrogatz]) remain as deprecated shims over New + Build and
-// produce byte-identical graphs to the pre-streaming implementation for
-// every seed.
 package generate

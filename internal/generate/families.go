@@ -152,10 +152,11 @@ func (t *wsTopology) Stream(emit func(Op) error) error {
 var cities = []string{"paris", "berlin", "tunis", "london", "rome", "madrid", "lyon", "oslo"}
 
 // osnTopology is the community-structured social generator. Its stream
-// reproduces the legacy OSN() draw sequence exactly — same rng, same
-// draw order, with a global seen-set standing in for the duplicate
-// rejection graph.AddEdge used to do — so graphs built through the shim
-// are byte-identical to pre-redesign output. The preferential pools and
+// reproduces the draw sequence of the materializing OSN() constructor it
+// replaced exactly — same rng, same draw order, with a global seen-set
+// standing in for the duplicate rejection graph.AddEdge used to do — so
+// its output is byte-identical to pre-streaming output for every seed
+// (TestOSNByteIdentical pins it). The preferential pools and
 // the seen-set make its working memory O(nodes + edges); the ldbc family
 // is the bounded-memory choice for very large streams.
 type osnTopology struct{ cfg config }

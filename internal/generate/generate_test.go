@@ -8,8 +8,12 @@ import (
 
 var testLabels = []string{"friend", "colleague", "parent"}
 
+func erdosRenyi(n, m int, seed int64) *graph.Graph {
+	return MustBuild(MustNew("er", WithNodes(n), WithEdges(m), WithLabels(testLabels...), WithSeed(seed)))
+}
+
 func TestErdosRenyi(t *testing.T) {
-	g := ErdosRenyi(100, 300, testLabels, 1)
+	g := erdosRenyi(100, 300, 1)
 	if g.NumNodes() != 100 {
 		t.Fatalf("nodes = %d", g.NumNodes())
 	}
@@ -22,8 +26,8 @@ func TestErdosRenyi(t *testing.T) {
 }
 
 func TestErdosRenyiDeterministic(t *testing.T) {
-	a := ErdosRenyi(50, 120, testLabels, 7)
-	b := ErdosRenyi(50, 120, testLabels, 7)
+	a := erdosRenyi(50, 120, 7)
+	b := erdosRenyi(50, 120, 7)
 	same := true
 	a.Edges(func(e graph.Edge) bool {
 		if !b.HasEdge(e.From, e.To, a.LabelName(e.Label)) {
@@ -35,7 +39,7 @@ func TestErdosRenyiDeterministic(t *testing.T) {
 	if !same {
 		t.Fatal("same seed produced different graphs")
 	}
-	c := ErdosRenyi(50, 120, testLabels, 8)
+	c := erdosRenyi(50, 120, 8)
 	diff := false
 	a.Edges(func(e graph.Edge) bool {
 		if !c.HasEdge(e.From, e.To, a.LabelName(e.Label)) {
@@ -50,7 +54,7 @@ func TestErdosRenyiDeterministic(t *testing.T) {
 }
 
 func TestBarabasiAlbertHubs(t *testing.T) {
-	g := BarabasiAlbert(400, 3, testLabels, 3)
+	g := MustBuild(MustNew("ba", WithNodes(400), WithDegree(3), WithLabels(testLabels...), WithSeed(3)))
 	if g.NumNodes() != 400 {
 		t.Fatalf("nodes = %d", g.NumNodes())
 	}
@@ -74,7 +78,7 @@ func TestBarabasiAlbertHubs(t *testing.T) {
 }
 
 func TestWattsStrogatz(t *testing.T) {
-	g := WattsStrogatz(120, 3, 0.1, testLabels, 5)
+	g := MustBuild(MustNew("ws", WithNodes(120), WithDegree(3), WithRewire(0.1), WithLabels(testLabels...), WithSeed(5)))
 	if g.NumNodes() != 120 {
 		t.Fatalf("nodes = %d", g.NumNodes())
 	}
@@ -86,7 +90,7 @@ func TestWattsStrogatz(t *testing.T) {
 }
 
 func TestOSNShape(t *testing.T) {
-	g := OSN(OSNConfig{Nodes: 1000, Seed: 11, WithAttrs: true})
+	g := MustBuild(MustNew("osn", WithNodes(1000), WithSeed(11), WithAttrs()))
 	if g.NumNodes() != 1000 {
 		t.Fatalf("nodes = %d", g.NumNodes())
 	}
@@ -107,8 +111,8 @@ func TestOSNShape(t *testing.T) {
 }
 
 func TestOSNDeterministic(t *testing.T) {
-	a := OSN(OSNConfig{Nodes: 300, Seed: 2})
-	b := OSN(OSNConfig{Nodes: 300, Seed: 2})
+	a := MustBuild(MustNew("osn", WithNodes(300), WithSeed(2)))
+	b := MustBuild(MustNew("osn", WithNodes(300), WithSeed(2)))
 	if a.NumEdges() != b.NumEdges() {
 		t.Fatalf("edge counts differ: %d vs %d", a.NumEdges(), b.NumEdges())
 	}
@@ -121,8 +125,7 @@ func TestOSNDeterministic(t *testing.T) {
 }
 
 func TestOSNCommunityBias(t *testing.T) {
-	cfg := OSNConfig{Nodes: 800, Communities: 8, IntraProb: 0.9, Seed: 9}
-	g := OSN(cfg)
+	g := MustBuild(MustNew("osn", WithNodes(800), WithCommunities(8), WithIntraProb(0.9), WithSeed(9)))
 	intra, total := 0, 0
 	g.Edges(func(e graph.Edge) bool {
 		total++
@@ -138,7 +141,7 @@ func TestOSNCommunityBias(t *testing.T) {
 }
 
 func TestOSNFriendReciprocity(t *testing.T) {
-	g := OSN(OSNConfig{Nodes: 500, Seed: 4, Reciprocity: 0.9})
+	g := MustBuild(MustNew("osn", WithNodes(500), WithSeed(4), WithReciprocity(0.9)))
 	recip, friends := 0, 0
 	g.Edges(func(e graph.Edge) bool {
 		if g.LabelName(e.Label) != "friend" {
@@ -159,7 +162,7 @@ func TestOSNFriendReciprocity(t *testing.T) {
 }
 
 func TestOSNAcyclic(t *testing.T) {
-	g := OSN(OSNConfig{Nodes: 600, Seed: 13, Acyclic: true})
+	g := MustBuild(MustNew("osn", WithNodes(600), WithSeed(13), WithAcyclic()))
 	g.Edges(func(e graph.Edge) bool {
 		if e.From <= e.To {
 			t.Fatalf("edge %v violates acyclic orientation", e)
@@ -172,11 +175,7 @@ func TestOSNAcyclic(t *testing.T) {
 }
 
 func TestOSNCustomLabels(t *testing.T) {
-	g := OSN(OSNConfig{
-		Nodes:        200,
-		Seed:         6,
-		LabelWeights: map[string]float64{"follows": 1.0},
-	})
+	g := MustBuild(MustNew("osn", WithNodes(200), WithSeed(6), WithLabelWeights(map[string]float64{"follows": 1.0})))
 	if g.NumLabels() != 1 {
 		t.Fatalf("labels = %v", g.Labels())
 	}

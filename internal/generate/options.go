@@ -79,7 +79,7 @@ func WithAcyclic() Option { return func(c *config) { c.acyclic = true } }
 
 // WithReciprocity sets the probability an osn friend edge is
 // reciprocated (default 0.5; values <= 0 fall back to the default, a
-// quirk kept from the legacy OSNConfig).
+// quirk the frozen draw sequence depends on).
 func WithReciprocity(p float64) Option { return func(c *config) { c.reciprocity = p } }
 
 // WithRewire sets the Watts–Strogatz rewiring probability beta

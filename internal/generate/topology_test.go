@@ -173,36 +173,28 @@ func TestLDBCAttrs(t *testing.T) {
 	}
 }
 
-// TestOSNShimByteIdentical pins the shim's output against a frozen
-// fingerprint so future refactors cannot silently shift the draw
-// sequence legacy call sites (bench baselines, experiment scripts)
-// depend on.
-func TestOSNShimByteIdentical(t *testing.T) {
-	top := MustNew("osn", cfgToOptions(OSNConfig{Nodes: 300, Seed: 2})...)
-	fp, err := Fingerprint(top)
-	if err != nil {
-		t.Fatal(err)
+// TestOSNByteIdentical pins the osn family's op stream against frozen
+// fingerprints taken from the positional-argument OSN() generator it
+// replaced, so future refactors cannot silently shift the draw sequence
+// that bench baselines and experiment scripts depend on.
+func TestOSNByteIdentical(t *testing.T) {
+	cases := []struct {
+		opts []Option
+		want uint64
+	}{
+		{[]Option{WithNodes(300), WithSeed(2)}, 0xc12b90bcff3353ea},
+		{[]Option{WithNodes(300), WithSeed(2), WithDegree(4), WithAttrs(), WithAcyclic()}, 0x9c297fbac0d1bf75},
 	}
-	// Independently regenerate via the legacy entry point and compare
-	// edge sets — OSN() and the topology must describe the same graph.
-	g := OSN(OSNConfig{Nodes: 300, Seed: 2})
-	h := MustBuild(top)
-	if g.NumEdges() != h.NumEdges() || g.NumNodes() != h.NumNodes() {
-		t.Fatalf("shim and topology disagree: (%d,%d) vs (%d,%d)",
-			g.NumNodes(), g.NumEdges(), h.NumNodes(), h.NumEdges())
-	}
-	g.Edges(func(e graph.Edge) bool {
-		if !h.HasEdge(e.From, e.To, g.LabelName(e.Label)) {
-			t.Fatalf("edge %v missing from topology build", e)
+	for i, tc := range cases {
+		fp, err := Fingerprint(MustNew("osn", tc.opts...))
+		if err != nil {
+			t.Fatal(err)
 		}
-		return true
-	})
-	if fp == 0 {
-		t.Fatal("implausible zero fingerprint")
+		if fp != tc.want {
+			t.Errorf("case %d: fingerprint %#x, want the frozen %#x", i, fp, tc.want)
+		}
 	}
 }
-
-func cfgToOptions(c OSNConfig) []Option { return c.options() }
 
 // TestNewRejectsBadConfigs covers New's validation surface.
 func TestNewRejectsBadConfigs(t *testing.T) {

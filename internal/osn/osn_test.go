@@ -11,7 +11,7 @@ import (
 )
 
 func TestPopulateAndRun(t *testing.T) {
-	g := generate.OSN(generate.OSNConfig{Nodes: 400, Seed: 1})
+	g := generate.MustBuild(generate.MustNew("osn", generate.WithNodes(400), generate.WithSeed(1)))
 	n := New(g, search.New(g))
 	created, err := n.Populate(workload.DefaultCatalog(), 2, 3)
 	if err != nil {
@@ -45,7 +45,7 @@ func TestPopulateAndRun(t *testing.T) {
 }
 
 func TestPopulateEveryone(t *testing.T) {
-	g := generate.OSN(generate.OSNConfig{Nodes: 50, Seed: 2})
+	g := generate.MustBuild(generate.MustNew("osn", generate.WithNodes(50), generate.WithSeed(2)))
 	n := New(g, search.New(g))
 	created, err := n.Populate(workload.DefaultCatalog(), 1, 1)
 	if err != nil {
@@ -68,7 +68,7 @@ func TestPopulateEveryone(t *testing.T) {
 }
 
 func TestPopulateRejectsDuplicateRun(t *testing.T) {
-	g := generate.OSN(generate.OSNConfig{Nodes: 20, Seed: 3})
+	g := generate.MustBuild(generate.MustNew("osn", generate.WithNodes(20), generate.WithSeed(3)))
 	n := New(g, search.New(g))
 	if _, err := n.Populate(workload.DefaultCatalog(), 1, 1); err != nil {
 		t.Fatal(err)
@@ -80,7 +80,7 @@ func TestPopulateRejectsDuplicateRun(t *testing.T) {
 }
 
 func TestRunSkipsOwnerlessMembers(t *testing.T) {
-	g := generate.OSN(generate.OSNConfig{Nodes: 40, Seed: 4})
+	g := generate.MustBuild(generate.MustNew("osn", generate.WithNodes(40), generate.WithSeed(4)))
 	n := New(g, search.New(g))
 	// Only every 4th member owns a resource.
 	if _, err := n.Populate(workload.DefaultCatalog(), 4, 2); err != nil {

@@ -215,3 +215,40 @@ func TestCoalescerPartialFailure(t *testing.T) {
 		t.Fatal("successful groupmate rolled back by its neighbour's failure")
 	}
 }
+
+// TestReadsTakeNoMutationLock: every read of a Local — name resolution
+// included — is answered from a pinned view, so none waits for a writer
+// holding the network's mutation lock (an embedded shard's UserID used to).
+func TestReadsTakeNoMutationLock(t *testing.T) {
+	n := reachac.New()
+	n.MustAddUser("alice")
+	l := NewLocal(n, Config{})
+	defer l.Close()
+	ctx := context.Background()
+	if _, err := l.UserID(ctx, "alice"); err != nil { // publishes the snapshot
+		t.Fatal(err)
+	}
+
+	inTx, release := make(chan struct{}), make(chan struct{})
+	go n.Batch(func(*reachac.Tx) error {
+		close(inTx)
+		<-release
+		return nil
+	})
+	<-inTx
+	defer close(release)
+
+	done := make(chan error, 1)
+	go func() {
+		_, err := l.UserID(ctx, "alice")
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("UserID waited for the mutation lock")
+	}
+}

@@ -2,20 +2,21 @@ package server
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"reachac"
+	"reachac/internal/httpapi"
 )
 
-// Admission failures, mapped by the handlers to 503 + Retry-After.
+// Admission failures; each wraps the sentinel that gives it its wire form
+// (503 + Retry-After).
 var (
-	errQueueFull = errors.New("server: mutation queue is full")
-	errSaturated = errors.New("server: too many concurrent checks")
-	errDraining  = errors.New("server: shutting down")
+	errQueueFull = fmt.Errorf("%w: mutation queue is full", httpapi.ErrOverloaded)
+	errSaturated = fmt.Errorf("%w: too many concurrent checks", httpapi.ErrOverloaded)
+	errDraining  = fmt.Errorf("server shutting down: %w", reachac.ErrClosed)
 )
 
 // mutation is one writer's request riding a coalesced commit group.

@@ -1,33 +1,33 @@
-// Package server is the HTTP serving layer over a reachac.Network: an
-// access-control service speaking the JSON API of internal/httpapi.
+// Package server is the HTTP serving layer: one handler set (NewHandler)
+// speaking the JSON API of internal/httpapi over a Service — the
+// name-addressed form of the paper's contract — and Local, the Service over
+// one reachac.Network.
 //
-// Reads (check, check-batch, audience, reach, audit) are answered straight
+// Local answers reads (check, check-batch, audience, reach, audit) straight
 // off the published engine snapshot through the facade's View API — no
 // per-request locking — behind a concurrency gate that sheds load with
 // 503 + Retry-After instead of queueing unboundedly. Mutations (users,
 // relationships, share, revoke) are coalesced: concurrent requests are
 // folded into shared Batch commit groups so one WAL fsync covers many
 // writers, with a bounded, deadline-aware admission queue in front.
+//
+// New is what acserverd mounts: the shared routes over a Local plus the ones
+// only a single node has. acshardd mounts NewHandler over a shard.Router,
+// whose embedded shards are Locals again.
 package server
 
 import (
-	"context"
-	"encoding/json"
-	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"runtime"
 	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"reachac"
 	"reachac/internal/httpapi"
 )
 
-// Config tunes the serving layer; the zero value selects the defaults.
+// Config tunes a Local; the zero value selects the defaults.
 type Config struct {
 	// MaxConcurrentChecks bounds in-flight read requests (default
 	// 4×GOMAXPROCS).
@@ -45,9 +45,6 @@ type Config struct {
 	// AdmitWait is how long a read waits for a check slot before rejection
 	// (default 100ms).
 	AdmitWait time.Duration
-	// RetryAfter is the Retry-After hint attached to 503 responses
-	// (default 1s).
-	RetryAfter time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -63,67 +60,32 @@ func (c Config) withDefaults() Config {
 	if c.AdmitWait == 0 {
 		c.AdmitWait = 100 * time.Millisecond
 	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
-	}
 	return c
 }
 
 // Server exposes one Network over HTTP. Create with New, mount as an
 // http.Handler, and call Shutdown to drain and release the network.
 type Server struct {
-	net  *reachac.Network
-	cfg  Config
-	mux  *http.ServeMux
-	co   *coalescer
-	gate *gate
-
-	checkRejected atomic.Uint64
-	closed        chan struct{} // closed by Shutdown after the drain
-	shutdownOnce  sync.Once
-	shutdownErr   error
+	*Local
+	mux *http.ServeMux
 }
 
-// New wraps n in a serving layer. The server takes over the network's
-// lifecycle: Shutdown drains pending mutations, takes a final checkpoint
-// (skipped when the log is already clean) and closes the network.
+// New wraps n in a serving layer: the shared routes over a Local, plus what
+// only a single node can answer — the policy store's serialization (it
+// embeds node-local IDs), the /v1/shard/* endpoints a router drives, and,
+// on a durable leader, the WAL-shipping endpoints followers attach to. The
+// server takes over the network's lifecycle (see Local.Shutdown).
 func New(n *reachac.Network, cfg Config) *Server {
-	cfg = cfg.withDefaults()
-	s := &Server{
-		net:    n,
-		cfg:    cfg,
-		mux:    http.NewServeMux(),
-		co:     newCoalescer(n, cfg.MaxQueuedMutations, cfg.CoalesceBatch, cfg.CoalesceWait),
-		gate:   newGate(cfg.MaxConcurrentChecks, cfg.AdmitWait),
-		closed: make(chan struct{}),
-	}
-	s.routes()
-	return s
-}
-
-func (s *Server) routes() {
-	s.mux.HandleFunc("GET "+httpapi.PathHealth, s.handleHealth)
-	s.mux.HandleFunc("GET "+httpapi.PathStats, s.handleStats)
-	s.mux.HandleFunc("POST "+httpapi.PathUsers, s.handleAddUser)
-	s.mux.HandleFunc("GET "+httpapi.PathUsers+"/{name}", s.handleGetUser)
-	s.mux.HandleFunc("POST "+httpapi.PathRelationships, s.handleRelate)
-	s.mux.HandleFunc("DELETE "+httpapi.PathRelationships, s.handleUnrelate)
-	s.mux.HandleFunc("POST "+httpapi.PathShare, s.handleShare)
-	s.mux.HandleFunc("POST "+httpapi.PathRevoke, s.handleRevoke)
-	s.mux.HandleFunc("GET "+httpapi.PathCheck, s.handleCheck)
-	s.mux.HandleFunc("POST "+httpapi.PathCheckBatch, s.handleCheckBatch)
-	s.mux.HandleFunc("GET "+httpapi.PathAudience, s.handleAudience)
-	s.mux.HandleFunc("GET "+httpapi.PathReach, s.handleReach)
-	s.mux.HandleFunc("GET "+httpapi.PathReachAudience, s.handleReachAudience)
-	s.mux.HandleFunc("GET "+httpapi.PathPolicies, s.handleGetPolicies)
-	s.mux.HandleFunc("PUT "+httpapi.PathPolicies, s.handlePutPolicies)
-	s.mux.HandleFunc("GET "+httpapi.PathAudit, s.handleAudit)
-	s.mux.HandleFunc("POST "+httpapi.PathShardExpand, s.handleShardExpand)
-	s.mux.HandleFunc("GET "+httpapi.PathShardPolicies, s.handleShardPolicies)
-	if src := s.net.ReplicaSource(); src != nil {
-		// A durable leader is followable: mount the WAL-shipping endpoints.
+	s := &Server{Local: NewLocal(n, cfg)}
+	s.mux = NewHandler(s.Local)
+	s.mux.HandleFunc("GET "+httpapi.PathPolicies, s.getPolicies)
+	s.mux.HandleFunc("PUT "+httpapi.PathPolicies, s.putPolicies)
+	s.mux.HandleFunc("POST "+httpapi.PathShardExpand, s.shardExpand)
+	s.mux.HandleFunc("GET "+httpapi.PathShardPolicies, s.shardPolicies)
+	if src := n.ReplicaSource(); src != nil {
 		src.Register(s.mux)
 	}
+	return s
 }
 
 // ServeHTTP implements http.Handler. A follower stamps every response with
@@ -137,596 +99,39 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// Shutdown gracefully stops the serving layer: intake closes, every queued
-// mutation commits (bounded by ctx), a final checkpoint compacts the log
-// unless nothing changed since the last one, and the network closes. The
-// HTTP listener must already be stopped (http.Server.Shutdown) so no new
-// requests race the drain. Idempotent; later calls return the first result.
-func (s *Server) Shutdown(ctx context.Context) error {
-	s.shutdownOnce.Do(func() {
-		err := s.co.shutdown(ctx)
-		if s.net.Durable() {
-			if cerr := s.net.Checkpoint(); cerr != nil && err == nil {
-				err = cerr
-			}
-		}
-		if cerr := s.net.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-		s.shutdownErr = err
-		close(s.closed)
-	})
-	<-s.closed
-	return s.shutdownErr
-}
-
-// --- response plumbing ---
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
+func (s *Server) getPolicies(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	// On failure the headers are gone; the truncated body is the best signal
+	// left.
+	_ = s.net.SavePolicies(w)
 }
 
-// httpError maps a facade or admission error to status + wire code. 503s
-// carry a Retry-After hint so well-behaved clients back off.
-func (s *Server) httpError(w http.ResponseWriter, err error) {
-	status, code := http.StatusInternalServerError, httpapi.CodeInternal
-	switch {
-	case errors.Is(err, reachac.ErrUnknownUser):
-		status, code = http.StatusNotFound, httpapi.CodeUnknownUser
-	case errors.Is(err, reachac.ErrUnknownResource):
-		status, code = http.StatusNotFound, httpapi.CodeUnknownResource
-	case errors.Is(err, reachac.ErrUnknownRelationship):
-		status, code = http.StatusNotFound, httpapi.CodeUnknownRelationship
-	case errors.Is(err, reachac.ErrDuplicateUser):
-		status, code = http.StatusConflict, httpapi.CodeDuplicateUser
-	case errors.Is(err, reachac.ErrDuplicateRelationship):
-		status, code = http.StatusConflict, httpapi.CodeDuplicateRelationship
-	case errors.Is(err, reachac.ErrSelfRelationship):
-		status, code = http.StatusBadRequest, httpapi.CodeSelfRelationship
-	case errors.Is(err, reachac.ErrResourceOwned):
-		status, code = http.StatusConflict, httpapi.CodeResourceOwned
-	case errors.Is(err, reachac.ErrReadOnly):
-		status, code = http.StatusServiceUnavailable, httpapi.CodeReadOnly
-	case errors.Is(err, reachac.ErrClosed), errors.Is(err, errDraining):
-		status, code = http.StatusServiceUnavailable, httpapi.CodeClosed
-	case errors.Is(err, errQueueFull), errors.Is(err, errSaturated),
-		errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		status, code = http.StatusServiceUnavailable, httpapi.CodeOverloaded
-	}
-	if status == http.StatusServiceUnavailable {
-		w.Header().Set("Retry-After", strconv.Itoa(int((s.cfg.RetryAfter+time.Second-1)/time.Second)))
-	}
-	writeJSON(w, status, httpapi.ErrorBody{Error: err.Error(), Code: code})
-}
-
-func badRequest(w http.ResponseWriter, err error) {
-	writeJSON(w, http.StatusBadRequest, httpapi.ErrorBody{Error: err.Error(), Code: httpapi.CodeBadRequest})
-}
-
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(io.LimitReader(r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		badRequest(w, fmt.Errorf("decoding request body: %w", err))
-		return false
-	}
-	return true
-}
-
-// view pins a read snapshot or reports the failure.
-func (s *Server) view(w http.ResponseWriter) (*reachac.View, bool) {
-	v, err := s.net.View()
-	if err != nil {
-		s.httpError(w, err)
-		return nil, false
-	}
-	return v, true
-}
-
-// admit reserves a check slot, answering 503 when the server is saturated.
-func (s *Server) admit(w http.ResponseWriter, r *http.Request) bool {
-	if !s.gate.acquire(r.Context()) {
-		s.checkRejected.Add(1)
-		s.httpError(w, errSaturated)
-		return false
-	}
-	return true
-}
-
-func wireDecision(v *reachac.View, d reachac.Decision) httpapi.Decision {
-	req, _ := v.UserName(d.Requester)
-	if req == "" {
-		req = strconv.FormatUint(uint64(d.Requester), 10)
-	}
-	return httpapi.Decision{
-		Resource:  string(d.Resource),
-		Requester: req,
-		Effect:    d.Effect.String(),
-		Rule:      d.RuleID,
-		Reason:    d.Reason,
-	}
-}
-
-// --- handlers ---
-
-func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	st := s.net.Stats()
-	resp := httpapi.HealthResponse{
-		Status:        "ok",
-		Role:          "standalone",
-		Engine:        st.Engine,
-		Durable:       st.Durable,
-		Users:         st.Users,
-		Relationships: st.Relationships,
-	}
-	if st.Durable {
-		resp.Role = "leader"
-		rec := s.net.Recovery()
-		resp.Recovery = &httpapi.Recovery{Groups: rec.Groups, TornTail: rec.TornTail, CheckpointSeq: rec.CheckpointSeq}
-	}
-	if s.net.Follower() {
-		rs := s.net.ReplicaStatus()
-		resp.Role = "follower"
-		resp.Replica = &httpapi.Replica{
-			Epoch:       rs.Epoch,
-			Connected:   rs.Connected,
-			Halted:      rs.Halted,
-			AppliedSeq:  rs.AppliedSeq,
-			AppliedOff:  rs.AppliedOff,
-			LagBytes:    rs.LagBytes(),
-			StalenessMS: time.Since(rs.LastContact).Milliseconds(),
-		}
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, httpapi.StatsResponse{
-		Stats: s.net.Stats(),
-		Server: httpapi.ServerStats{
-			CommitGroups:       s.co.groups.Load(),
-			CoalescedMutations: s.co.applied.Load(),
-			QueueRejected:      s.co.rejected.Load(),
-			CheckRejected:      s.checkRejected.Load(),
-			QueueDepth:         s.co.depth(),
-		},
-	})
-}
-
-func (s *Server) handleAddUser(w http.ResponseWriter, r *http.Request) {
-	var req httpapi.AddUserRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	if req.Name == "" {
-		badRequest(w, errors.New("name is required"))
-		return
-	}
-	attrs, err := attrsFromWire(req.Attrs)
-	if err != nil {
-		badRequest(w, err)
-		return
-	}
-	var id reachac.UserID
-	err = s.co.enqueue(r.Context(), func(tx *reachac.Tx) error {
-		var e error
-		id, e = tx.AddUser(req.Name, attrs...)
-		return e
-	})
-	if err != nil {
-		s.httpError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, httpapi.UserResponse{ID: uint32(id), Name: req.Name})
-}
-
-func (s *Server) handleGetUser(w http.ResponseWriter, r *http.Request) {
-	v, ok := s.view(w)
-	if !ok {
-		return
-	}
-	defer v.Close()
-	name := r.PathValue("name")
-	id, ok := v.UserID(name)
-	if !ok {
-		s.httpError(w, fmt.Errorf("user %q: %w", name, reachac.ErrUnknownUser))
-		return
-	}
-	writeJSON(w, http.StatusOK, httpapi.UserResponse{ID: uint32(id), Name: name})
-}
-
-// resolveTxUser looks a named member up inside the transaction, so the ID is
-// consistent with everything the commit group applied before this op (a user
-// added earlier in the same group resolves correctly).
-func resolveTxUser(tx *reachac.Tx, name string) (reachac.UserID, error) {
-	id, ok := tx.UserID(name)
-	if !ok {
-		return 0, fmt.Errorf("user %q: %w", name, reachac.ErrUnknownUser)
-	}
-	return id, nil
-}
-
-func (s *Server) handleRelate(w http.ResponseWriter, r *http.Request) {
-	var req httpapi.RelateRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	if req.From == "" || req.To == "" || req.Type == "" {
-		badRequest(w, errors.New("from, to and type are required"))
-		return
-	}
-	err := s.co.enqueue(r.Context(), func(tx *reachac.Tx) error {
-		from, err := resolveTxUser(tx, req.From)
-		if err != nil {
-			return err
-		}
-		to, err := resolveTxUser(tx, req.To)
-		if err != nil {
-			return err
-		}
-		if err := tx.Relate(from, to, req.Type); err != nil {
-			return err
-		}
-		if req.Mutual {
-			return tx.Relate(to, from, req.Type)
-		}
-		return nil
-	})
-	if err != nil {
-		s.httpError(w, err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
-func (s *Server) handleUnrelate(w http.ResponseWriter, r *http.Request) {
-	var req httpapi.UnrelateRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	err := s.co.enqueue(r.Context(), func(tx *reachac.Tx) error {
-		from, err := resolveTxUser(tx, req.From)
-		if err != nil {
-			return err
-		}
-		to, err := resolveTxUser(tx, req.To)
-		if err != nil {
-			return err
-		}
-		return tx.Unrelate(from, to, req.Type)
-	})
-	if err != nil {
-		s.httpError(w, err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
-func (s *Server) handleShare(w http.ResponseWriter, r *http.Request) {
-	var req httpapi.ShareRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	if req.Resource == "" || req.Owner == "" || len(req.Paths) == 0 {
-		badRequest(w, errors.New("resource, owner and at least one path are required"))
-		return
-	}
-	for _, p := range req.Paths {
-		if _, err := reachac.ParsePath(p); err != nil {
-			badRequest(w, err)
-			return
-		}
-	}
-	var rule string
-	err := s.co.enqueue(r.Context(), func(tx *reachac.Tx) error {
-		owner, err := resolveTxUser(tx, req.Owner)
-		if err != nil {
-			return err
-		}
-		rule, err = tx.Share(req.Resource, owner, req.Paths...)
-		return err
-	})
-	if err != nil {
-		s.httpError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, httpapi.ShareResponse{Rule: rule})
-}
-
-func (s *Server) handleRevoke(w http.ResponseWriter, r *http.Request) {
-	var req httpapi.RevokeRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	var removed bool
-	err := s.co.enqueue(r.Context(), func(tx *reachac.Tx) error {
-		removed = tx.Revoke(req.Resource, req.Rule)
-		return nil
-	})
-	if err != nil {
-		s.httpError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, httpapi.RevokeResponse{Removed: removed})
-}
-
-func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
-	if !s.admit(w, r) {
-		return
-	}
-	defer s.gate.release()
-	q := r.URL.Query()
-	resource, requester := q.Get("resource"), q.Get("requester")
-	if resource == "" || requester == "" {
-		badRequest(w, errors.New("resource and requester are required"))
-		return
-	}
-	v, ok := s.view(w)
-	if !ok {
-		return
-	}
-	defer v.Close()
-	id, ok := v.UserID(requester)
-	if !ok {
-		s.httpError(w, fmt.Errorf("user %q: %w", requester, reachac.ErrUnknownUser))
-		return
-	}
-	d, err := v.CanAccess(resource, id)
-	if err != nil {
-		s.httpError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, wireDecision(v, d))
-}
-
-func (s *Server) handleCheckBatch(w http.ResponseWriter, r *http.Request) {
-	// Decode before admitting: a slow client trickling its body must not
-	// hold a check slot while it does.
-	var req httpapi.CheckBatchRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	if req.Resource == "" {
-		badRequest(w, errors.New("resource is required"))
-		return
-	}
-	if !s.admit(w, r) {
-		return
-	}
-	defer s.gate.release()
-	v, ok := s.view(w)
-	if !ok {
-		return
-	}
-	defer v.Close()
-	ids := make([]reachac.UserID, len(req.Requesters))
-	for i, name := range req.Requesters {
-		id, ok := v.UserID(name)
-		if !ok {
-			s.httpError(w, fmt.Errorf("user %q: %w", name, reachac.ErrUnknownUser))
-			return
-		}
-		ids[i] = id
-	}
-	ds, err := v.CanAccessAll(req.Resource, ids)
-	if err != nil {
-		s.httpError(w, err)
-		return
-	}
-	out := make([]httpapi.Decision, len(ds))
-	for i, d := range ds {
-		out[i] = wireDecision(v, d)
-	}
-	writeJSON(w, http.StatusOK, httpapi.CheckBatchResponse{Decisions: out})
-}
-
-func (s *Server) handleAudience(w http.ResponseWriter, r *http.Request) {
-	if !s.admit(w, r) {
-		return
-	}
-	defer s.gate.release()
-	resource := r.URL.Query().Get("resource")
-	if resource == "" {
-		badRequest(w, errors.New("resource is required"))
-		return
-	}
-	v, ok := s.view(w)
-	if !ok {
-		return
-	}
-	defer v.Close()
-	ids, err := v.Audience(resource)
-	if err != nil {
-		s.httpError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, httpapi.UsersResponse{Users: idsToNames(v, ids)})
-}
-
-func (s *Server) handleReach(w http.ResponseWriter, r *http.Request) {
-	if !s.admit(w, r) {
-		return
-	}
-	defer s.gate.release()
-	q := r.URL.Query()
-	owner, requester, path := q.Get("owner"), q.Get("requester"), q.Get("path")
-	if owner == "" || requester == "" || path == "" {
-		badRequest(w, errors.New("owner, requester and path are required"))
-		return
-	}
-	canonical, err := reachac.ParsePath(path)
-	if err != nil {
-		badRequest(w, err)
-		return
-	}
-	v, ok := s.view(w)
-	if !ok {
-		return
-	}
-	defer v.Close()
-	oid, ok := v.UserID(owner)
-	if !ok {
-		s.httpError(w, fmt.Errorf("user %q: %w", owner, reachac.ErrUnknownUser))
-		return
-	}
-	rid, ok := v.UserID(requester)
-	if !ok {
-		s.httpError(w, fmt.Errorf("user %q: %w", requester, reachac.ErrUnknownUser))
-		return
-	}
-	reached, err := v.CheckPath(oid, rid, path)
-	if err != nil {
-		s.httpError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, httpapi.ReachResponse{Reachable: reached, Path: canonical})
-}
-
-func (s *Server) handleReachAudience(w http.ResponseWriter, r *http.Request) {
-	if !s.admit(w, r) {
-		return
-	}
-	defer s.gate.release()
-	q := r.URL.Query()
-	owner, path := q.Get("owner"), q.Get("path")
-	if owner == "" || path == "" {
-		badRequest(w, errors.New("owner and path are required"))
-		return
-	}
-	if _, err := reachac.ParsePath(path); err != nil {
-		badRequest(w, err)
-		return
-	}
-	v, ok := s.view(w)
-	if !ok {
-		return
-	}
-	defer v.Close()
-	oid, ok := v.UserID(owner)
-	if !ok {
-		s.httpError(w, fmt.Errorf("user %q: %w", owner, reachac.ErrUnknownUser))
-		return
-	}
-	ids, err := v.PathAudience(oid, path)
-	if err != nil {
-		s.httpError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, httpapi.UsersResponse{Users: idsToNames(v, ids)})
-}
-
-func (s *Server) handleGetPolicies(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := s.net.SavePolicies(w); err != nil {
-		// Headers are gone; the truncated body is the best signal left.
-		return
-	}
-}
-
-func (s *Server) handlePutPolicies(w http.ResponseWriter, r *http.Request) {
+func (s *Server) putPolicies(w http.ResponseWriter, r *http.Request) {
 	if err := s.net.LoadPolicies(io.LimitReader(r.Body, 64<<20)); err != nil {
-		s.httpError(w, err)
+		writeError(w, err)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
 }
 
-func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
-	// The audit tail copies the whole retained trail; it rides the same
-	// admission gate as every other read.
-	if !s.admit(w, r) {
-		return
-	}
-	defer s.gate.release()
-	n := 0
-	if raw := r.URL.Query().Get("n"); raw != "" {
-		var err error
-		if n, err = strconv.Atoi(raw); err != nil || n < 0 {
-			badRequest(w, errors.New("n must be a non-negative integer"))
-			return
-		}
-	}
-	v, ok := s.view(w)
-	if !ok {
-		return
-	}
-	defer v.Close()
-	trail := s.net.Audit()
-	if n > 0 && len(trail) > n {
-		trail = trail[len(trail)-n:]
-	}
-	out := make([]httpapi.Decision, len(trail))
-	for i, d := range trail {
-		out[i] = wireDecision(v, d)
-	}
-	writeJSON(w, http.StatusOK, httpapi.AuditResponse{Decisions: out})
-}
-
-// handleShardExpand advances one round of a distributed reachability search
-// over this backend's local subgraph, on behalf of a shard router. It is a
-// read like any other: same snapshot isolation, same admission gate.
-func (s *Server) handleShardExpand(w http.ResponseWriter, r *http.Request) {
+func (s *Server) shardExpand(w http.ResponseWriter, r *http.Request) {
 	var req httpapi.ShardExpandRequest
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	if !s.admit(w, r) {
-		return
-	}
-	defer s.gate.release()
-	v, ok := s.view(w)
-	if !ok {
-		return
-	}
-	defer v.Close()
-	resp, err := v.ShardExpand(req)
+	resp, err := s.Expand(r.Context(), req)
 	if err != nil {
-		badRequest(w, err)
+		writeError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// handleShardPolicies dumps this backend's policy store keyed by user name
-// (the SavePolicies form embeds shard-local IDs, useless cross-process).
-func (s *Server) handleShardPolicies(w http.ResponseWriter, r *http.Request) {
-	if !s.admit(w, r) {
+func (s *Server) shardPolicies(w http.ResponseWriter, r *http.Request) {
+	pols, err := s.Policies(r.Context())
+	if err != nil {
+		writeError(w, err)
 		return
 	}
-	defer s.gate.release()
-	v, ok := s.view(w)
-	if !ok {
-		return
-	}
-	defer v.Close()
-	writeJSON(w, http.StatusOK, httpapi.ShardPoliciesResponse{Policies: v.PolicyDump()})
-}
-
-func idsToNames(v *reachac.View, ids []reachac.UserID) []string {
-	names := make([]string, 0, len(ids))
-	for _, id := range ids {
-		if name, ok := v.UserName(id); ok {
-			names = append(names, name)
-		}
-	}
-	return names
-}
-
-func attrsFromWire(m map[string]any) ([]reachac.Attr, error) {
-	attrs := make([]reachac.Attr, 0, len(m))
-	for k, val := range m {
-		switch t := val.(type) {
-		case string:
-			attrs = append(attrs, reachac.StringAttr(k, t))
-		case bool:
-			attrs = append(attrs, reachac.BoolAttr(k, t))
-		case float64:
-			attrs = append(attrs, reachac.NumberAttr(k, t))
-		default:
-			return nil, fmt.Errorf("attribute %q: unsupported type %T (want string, number or bool)", k, val)
-		}
-	}
-	return attrs, nil
+	writeJSON(w, http.StatusOK, httpapi.ShardPoliciesResponse{Policies: pols})
 }

@@ -2,7 +2,6 @@ package server_test
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -49,8 +48,11 @@ func newHarness(t *testing.T, kind reachac.EngineKind, cfg server.Config, opts .
 	return h
 }
 
-// TestServerEndpointsAllEngines drives every endpoint end to end — through
-// the real HTTP stack and the typed client — across every engine kind.
+// TestServerEndpointsAllEngines drives the endpoints whose answers an engine
+// computes, and the ones only a single node serves (policies, engine name,
+// commit-group counters), end to end — through the real HTTP stack and the
+// typed client — across every engine kind. What does not depend on the engine
+// (validation, the error rows) is TestWireConformance's.
 func TestServerEndpointsAllEngines(t *testing.T) {
 	for _, kind := range reachac.EngineKinds() {
 		t.Run(kind.String(), func(t *testing.T) {
@@ -71,14 +73,8 @@ func TestServerEndpointsAllEngines(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if _, err := c.AddUser(ctx, "alice", nil); !errors.Is(err, reachac.ErrDuplicateUser) {
-				t.Fatalf("duplicate AddUser: %v", err)
-			}
 			if id, err := c.UserID(ctx, "bob"); err != nil || id != bobID {
 				t.Fatalf("UserID(bob) = %d, %v (want %d)", id, err, bobID)
-			}
-			if _, err := c.UserID(ctx, "zed"); !errors.Is(err, reachac.ErrUnknownUser) {
-				t.Fatalf("UserID(zed): %v", err)
 			}
 
 			// Relationships.
@@ -88,29 +84,11 @@ func TestServerEndpointsAllEngines(t *testing.T) {
 			if err := c.RelateMutual(ctx, "bob", "carol", "friend"); err != nil {
 				t.Fatal(err)
 			}
-			if err := c.Relate(ctx, "alice", "bob", "friend"); !errors.Is(err, reachac.ErrDuplicateRelationship) {
-				t.Fatalf("duplicate Relate: %v", err)
-			}
-			if err := c.Relate(ctx, "alice", "zed", "friend"); !errors.Is(err, reachac.ErrUnknownUser) {
-				t.Fatalf("Relate to unknown: %v", err)
-			}
-			if err := c.Relate(ctx, "alice", "alice", "friend"); !errors.Is(err, reachac.ErrSelfRelationship) {
-				t.Fatalf("self Relate: %v", err)
-			}
-			if err := c.Unrelate(ctx, "alice", "dave", "enemy"); !errors.Is(err, reachac.ErrUnknownRelationship) {
-				t.Fatalf("Unrelate missing: %v", err)
-			}
 
 			// Share / check / audience.
 			rule, err := c.Share(ctx, "photo", "alice", "friend+[1,2]")
 			if err != nil || rule == "" {
 				t.Fatalf("Share = %q, %v", rule, err)
-			}
-			if _, err := c.Share(ctx, "photo", "alice", "friend+["); err == nil {
-				t.Fatal("Share with a bad path accepted")
-			}
-			if _, err := c.Share(ctx, "photo", "bob", "friend+[1]"); !errors.Is(err, reachac.ErrResourceOwned) {
-				t.Fatalf("Share of another user's resource: %v", err)
 			}
 			d, err := c.Check(ctx, "photo", "bob")
 			if err != nil || d.Effect != "allow" {
@@ -121,13 +99,6 @@ func TestServerEndpointsAllEngines(t *testing.T) {
 			}
 			if d, err = c.Check(ctx, "photo", "dave"); err != nil || d.Effect != "deny" {
 				t.Fatalf("Check(photo, dave) = %+v, %v", d, err)
-			}
-			// Unknown resources deny by default (the model), not 404.
-			if d, err = c.Check(ctx, "nothing", "bob"); err != nil || d.Effect != "deny" {
-				t.Fatalf("Check(nothing, bob) = %+v, %v", d, err)
-			}
-			if _, err := c.Check(ctx, "photo", "zed"); !errors.Is(err, reachac.ErrUnknownUser) {
-				t.Fatalf("Check by unknown requester: %v", err)
 			}
 
 			ds, err := c.CheckBatch(ctx, "photo", []string{"bob", "carol", "dave"})
@@ -143,9 +114,6 @@ func TestServerEndpointsAllEngines(t *testing.T) {
 			aud, err := c.Audience(ctx, "photo")
 			if err != nil || len(aud) != 2 || aud[0] != "bob" || aud[1] != "carol" {
 				t.Fatalf("Audience = %v, %v", aud, err)
-			}
-			if _, err := c.Audience(ctx, "nothing"); !errors.Is(err, reachac.ErrUnknownResource) {
-				t.Fatalf("Audience of unknown resource: %v", err)
 			}
 
 			// Raw reachability.
@@ -163,9 +131,6 @@ func TestServerEndpointsAllEngines(t *testing.T) {
 			// Revoke.
 			if removed, err := c.Revoke(ctx, "photo", rule); err != nil || !removed {
 				t.Fatalf("Revoke = %v, %v", removed, err)
-			}
-			if removed, err := c.Revoke(ctx, "photo", rule); err != nil || removed {
-				t.Fatalf("second Revoke = %v, %v", removed, err)
 			}
 			if d, err = c.Check(ctx, "photo", "bob"); err != nil || d.Effect != "deny" {
 				t.Fatalf("Check after revoke = %+v, %v", d, err)

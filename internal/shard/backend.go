@@ -31,16 +31,18 @@ package shard
 
 import (
 	"context"
-	"fmt"
 
 	"reachac"
 	"reachac/client"
 	"reachac/internal/httpapi"
+	"reachac/internal/server"
 )
 
-// Backend is one shard as the router drives it. All identifiers are names:
-// numeric IDs are shard-local and never compared across backends. Embedded
-// and remote implementations return the same reachac sentinel errors
+// Backend is one shard as the router drives it: the mutating and deciding
+// half of server.Service plus the two shard-internal reads (one round of the
+// distributed search, the name-keyed policy dump). All identifiers are
+// names: numeric IDs are shard-local and never compared across backends.
+// Embedded and remote implementations return the same sentinel errors
 // (directly, or via the client's code mapping), so the router classifies
 // failures uniformly.
 type Backend interface {
@@ -53,7 +55,7 @@ type Backend interface {
 
 	Check(ctx context.Context, resource, requester string) (httpapi.Decision, error)
 	CheckBatch(ctx context.Context, resource string, requesters []string) ([]httpapi.Decision, error)
-	Audience(ctx context.Context, resource string) ([]string, error)
+	Audience(ctx context.Context, resource string) (names []string, partial []int, err error)
 
 	Expand(ctx context.Context, req reachac.ShardExpandRequest) (reachac.ShardExpandResponse, error)
 	Policies(ctx context.Context) ([]reachac.ResourcePolicy, error)
@@ -61,203 +63,15 @@ type Backend interface {
 	Close() error
 }
 
-// --- embedded backend ---
-
-// Embedded wraps an in-process Network as a shard backend. The router owns
-// the network's lifecycle: Close closes it.
-type Embedded struct {
-	net *reachac.Network
-}
+// Embedded is an in-process shard: the same single-network service acserverd
+// serves, called without the wire — so an embedded shard resolves names
+// inside its transactions, reports failed commits and coalesces concurrent
+// writers exactly like a remote one. The router owns the network's
+// lifecycle: Close drains and closes it.
+type Embedded = server.Local
 
 // NewEmbedded wraps n as a shard backend.
-func NewEmbedded(n *reachac.Network) *Embedded { return &Embedded{net: n} }
-
-// Network exposes the wrapped network (tests, stats).
-func (b *Embedded) Network() *reachac.Network { return b.net }
-
-func attrsFromMap(m map[string]any) ([]reachac.Attr, error) {
-	attrs := make([]reachac.Attr, 0, len(m))
-	for k, val := range m {
-		switch t := val.(type) {
-		case string:
-			attrs = append(attrs, reachac.StringAttr(k, t))
-		case bool:
-			attrs = append(attrs, reachac.BoolAttr(k, t))
-		case float64:
-			attrs = append(attrs, reachac.NumberAttr(k, t))
-		case int:
-			attrs = append(attrs, reachac.NumberAttr(k, float64(t)))
-		default:
-			return nil, fmt.Errorf("attribute %q: unsupported type %T (want string, number or bool)", k, val)
-		}
-	}
-	return attrs, nil
-}
-
-func (b *Embedded) AddUser(_ context.Context, name string, attrs map[string]any) (uint32, error) {
-	as, err := attrsFromMap(attrs)
-	if err != nil {
-		return 0, err
-	}
-	id, err := b.net.AddUser(name, as...)
-	return uint32(id), err
-}
-
-func (b *Embedded) UserID(_ context.Context, name string) (uint32, error) {
-	id, ok := b.net.UserID(name)
-	if !ok {
-		return 0, fmt.Errorf("user %q: %w", name, reachac.ErrUnknownUser)
-	}
-	return uint32(id), nil
-}
-
-// resolve2 resolves two member names in one view.
-func (b *Embedded) resolve2(from, to string) (reachac.UserID, reachac.UserID, error) {
-	v, err := b.net.View()
-	if err != nil {
-		return 0, 0, err
-	}
-	defer v.Close()
-	f, ok := v.UserID(from)
-	if !ok {
-		return 0, 0, fmt.Errorf("user %q: %w", from, reachac.ErrUnknownUser)
-	}
-	t, ok := v.UserID(to)
-	if !ok {
-		return 0, 0, fmt.Errorf("user %q: %w", to, reachac.ErrUnknownUser)
-	}
-	return f, t, nil
-}
-
-func (b *Embedded) Relate(_ context.Context, from, to, relType string, mutual bool) error {
-	f, t, err := b.resolve2(from, to)
-	if err != nil {
-		return err
-	}
-	if mutual {
-		return b.net.RelateMutual(f, t, relType)
-	}
-	return b.net.Relate(f, t, relType)
-}
-
-func (b *Embedded) Unrelate(_ context.Context, from, to, relType string) error {
-	f, t, err := b.resolve2(from, to)
-	if err != nil {
-		return err
-	}
-	return b.net.Unrelate(f, t, relType)
-}
-
-func (b *Embedded) Share(_ context.Context, resource, owner string, paths []string) (string, error) {
-	oid, ok := b.net.UserID(owner)
-	if !ok {
-		return "", fmt.Errorf("user %q: %w", owner, reachac.ErrUnknownUser)
-	}
-	return b.net.Share(resource, oid, paths...)
-}
-
-func (b *Embedded) Revoke(_ context.Context, resource, rule string) (bool, error) {
-	return b.net.Revoke(resource, rule), nil
-}
-
-func wireDecision(v *reachac.View, d reachac.Decision) httpapi.Decision {
-	req, _ := v.UserName(d.Requester)
-	if req == "" {
-		req = fmt.Sprintf("%d", d.Requester)
-	}
-	return httpapi.Decision{
-		Resource:  string(d.Resource),
-		Requester: req,
-		Effect:    d.Effect.String(),
-		Rule:      d.RuleID,
-		Reason:    d.Reason,
-	}
-}
-
-func (b *Embedded) Check(_ context.Context, resource, requester string) (httpapi.Decision, error) {
-	v, err := b.net.View()
-	if err != nil {
-		return httpapi.Decision{}, err
-	}
-	defer v.Close()
-	id, ok := v.UserID(requester)
-	if !ok {
-		return httpapi.Decision{}, fmt.Errorf("user %q: %w", requester, reachac.ErrUnknownUser)
-	}
-	d, err := v.CanAccess(resource, id)
-	if err != nil {
-		return httpapi.Decision{}, err
-	}
-	return wireDecision(v, d), nil
-}
-
-func (b *Embedded) CheckBatch(_ context.Context, resource string, requesters []string) ([]httpapi.Decision, error) {
-	v, err := b.net.View()
-	if err != nil {
-		return nil, err
-	}
-	defer v.Close()
-	ids := make([]reachac.UserID, len(requesters))
-	for i, name := range requesters {
-		id, ok := v.UserID(name)
-		if !ok {
-			return nil, fmt.Errorf("user %q: %w", name, reachac.ErrUnknownUser)
-		}
-		ids[i] = id
-	}
-	ds, err := v.CanAccessAll(resource, ids)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]httpapi.Decision, len(ds))
-	for i, d := range ds {
-		out[i] = wireDecision(v, d)
-	}
-	return out, nil
-}
-
-func (b *Embedded) Audience(_ context.Context, resource string) ([]string, error) {
-	v, err := b.net.View()
-	if err != nil {
-		return nil, err
-	}
-	defer v.Close()
-	ids, err := v.Audience(resource)
-	if err != nil {
-		return nil, err
-	}
-	names := make([]string, 0, len(ids))
-	for _, id := range ids {
-		if name, ok := v.UserName(id); ok {
-			names = append(names, name)
-		}
-	}
-	return names, nil
-}
-
-func (b *Embedded) Expand(_ context.Context, req reachac.ShardExpandRequest) (reachac.ShardExpandResponse, error) {
-	v, err := b.net.View()
-	if err != nil {
-		return reachac.ShardExpandResponse{}, err
-	}
-	defer v.Close()
-	return v.ShardExpand(req)
-}
-
-func (b *Embedded) Policies(_ context.Context) ([]reachac.ResourcePolicy, error) {
-	v, err := b.net.View()
-	if err != nil {
-		return nil, err
-	}
-	defer v.Close()
-	return v.PolicyDump(), nil
-}
-
-func (b *Embedded) Stats(_ context.Context) (httpapi.StatsResponse, error) {
-	return httpapi.StatsResponse{Stats: b.net.Stats()}, nil
-}
-
-func (b *Embedded) Close() error { return b.net.Close() }
+func NewEmbedded(n *reachac.Network) *Embedded { return server.NewLocal(n, server.Config{}) }
 
 // --- remote backend ---
 
@@ -306,8 +120,9 @@ func (b *Remote) CheckBatch(ctx context.Context, resource string, requesters []s
 	return b.c.CheckBatch(ctx, resource, requesters)
 }
 
-func (b *Remote) Audience(ctx context.Context, resource string) ([]string, error) {
-	return b.c.Audience(ctx, resource)
+func (b *Remote) Audience(ctx context.Context, resource string) ([]string, []int, error) {
+	names, err := b.c.Audience(ctx, resource)
+	return names, nil, err
 }
 
 func (b *Remote) Expand(ctx context.Context, req reachac.ShardExpandRequest) (reachac.ShardExpandResponse, error) {

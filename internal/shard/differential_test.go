@@ -200,7 +200,7 @@ func (h *diffHarness) compareCheck(res, req string) {
 
 func (h *diffHarness) compareAudience(res string) {
 	h.t.Helper()
-	want, werr := h.oracle.Audience(h.ctx, res)
+	want, _, werr := h.oracle.Audience(h.ctx, res)
 	got, partial, gerr := h.router.Audience(h.ctx, res)
 	if budgetAsymmetry(werr, gerr) {
 		return

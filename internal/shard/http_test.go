@@ -13,6 +13,7 @@ import (
 
 	"reachac"
 	"reachac/internal/httpapi"
+	"reachac/internal/server"
 	"reachac/internal/shard"
 )
 
@@ -29,7 +30,7 @@ func newTestServer(t *testing.T, n int) (*httptest.Server, *shard.Router, []*fla
 	if err != nil {
 		t.Fatalf("shard.New: %v", err)
 	}
-	srv := httptest.NewServer(shard.NewHandler(r))
+	srv := httptest.NewServer(server.NewHandler(r))
 	t.Cleanup(func() { srv.Close(); r.Close() })
 	return srv, r, flaky
 }
@@ -62,155 +63,6 @@ func decodeJSON[T any](t *testing.T, resp *http.Response) T {
 		t.Fatalf("decoding %s response: %v", resp.Request.URL.Path, err)
 	}
 	return v
-}
-
-func TestHandlerEndToEnd(t *testing.T) {
-	srv, _, _ := newTestServer(t, 2)
-	base := srv.URL
-
-	for i := 0; i < 6; i++ {
-		resp := postJSON(t, base+httpapi.PathUsers, httpapi.AddUserRequest{Name: fmt.Sprintf("w%d", i)})
-		wantStatus(t, resp, http.StatusCreated)
-		resp.Body.Close()
-	}
-	// Missing name and duplicate creation are client errors, not 500s.
-	resp := postJSON(t, base+httpapi.PathUsers, httpapi.AddUserRequest{})
-	wantStatus(t, resp, http.StatusBadRequest)
-	resp.Body.Close()
-	resp = postJSON(t, base+httpapi.PathUsers, httpapi.AddUserRequest{Name: "w0"})
-	wantStatus(t, resp, http.StatusConflict)
-	if body := decodeJSON[httpapi.ErrorBody](t, resp); body.Code != httpapi.CodeDuplicateUser {
-		t.Fatalf("duplicate user code = %q", body.Code)
-	}
-
-	get, err := http.Get(base + httpapi.PathUsers + "/w3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantStatus(t, get, http.StatusOK)
-	if u := decodeJSON[httpapi.UserResponse](t, get); u.Name != "w3" {
-		t.Fatalf("GET user = %+v", u)
-	}
-	get, err = http.Get(base + httpapi.PathUsers + "/nobody")
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantStatus(t, get, http.StatusNotFound)
-	get.Body.Close()
-
-	for _, e := range [][2]string{{"w0", "w1"}, {"w1", "w2"}, {"w2", "w3"}} {
-		resp = postJSON(t, base+httpapi.PathRelationships, httpapi.RelateRequest{From: e[0], To: e[1], Type: "friend"})
-		wantStatus(t, resp, http.StatusNoContent)
-		resp.Body.Close()
-	}
-	resp = postJSON(t, base+httpapi.PathRelationships, httpapi.RelateRequest{From: "w0", To: "w1", Type: "friend"})
-	wantStatus(t, resp, http.StatusConflict)
-	resp.Body.Close()
-	resp = postJSON(t, base+httpapi.PathRelationships, httpapi.RelateRequest{From: "w0"})
-	wantStatus(t, resp, http.StatusBadRequest)
-	resp.Body.Close()
-
-	resp = postJSON(t, base+httpapi.PathShare, httpapi.ShareRequest{Resource: "doc", Owner: "w0", Paths: []string{"friend+[1,3]"}})
-	wantStatus(t, resp, http.StatusCreated)
-	share := decodeJSON[httpapi.ShareResponse](t, resp)
-	resp = postJSON(t, base+httpapi.PathShare, httpapi.ShareRequest{Resource: "doc2", Owner: "w0", Paths: []string{"not a path["}})
-	wantStatus(t, resp, http.StatusBadRequest)
-	resp.Body.Close()
-
-	check := func(requester string) httpapi.Decision {
-		t.Helper()
-		resp, err := http.Get(base + httpapi.PathCheck + "?resource=doc&requester=" + requester)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantStatus(t, resp, http.StatusOK)
-		return decodeJSON[httpapi.Decision](t, resp)
-	}
-	if d := check("w3"); d.Effect != "allow" {
-		t.Fatalf("check(w3) = %+v, want allow through the 3-hop chain", d)
-	}
-	if d := check("w5"); d.Effect != "deny" {
-		t.Fatalf("check(w5) = %+v, want deny", d)
-	}
-	resp, err = http.Get(base + httpapi.PathCheck + "?resource=doc&requester=nobody")
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantStatus(t, resp, http.StatusNotFound)
-	resp.Body.Close()
-
-	resp = postJSON(t, base+httpapi.PathCheckBatch, httpapi.CheckBatchRequest{Resource: "doc", Requesters: []string{"w1", "w5"}})
-	wantStatus(t, resp, http.StatusOK)
-	batch := decodeJSON[httpapi.CheckBatchResponse](t, resp)
-	if len(batch.Decisions) != 2 || batch.Decisions[0].Effect != "allow" || batch.Decisions[1].Effect != "deny" {
-		t.Fatalf("batch = %+v", batch.Decisions)
-	}
-
-	resp, err = http.Get(base + httpapi.PathAudience + "?resource=doc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantStatus(t, resp, http.StatusOK)
-	if h := resp.Header.Get(httpapi.HeaderShardPartial); h != "" {
-		t.Fatalf("healthy audience carries X-Shard-Partial=%q", h)
-	}
-	aud := decodeJSON[httpapi.UsersResponse](t, resp)
-	if len(aud.Users) != 3 {
-		t.Fatalf("audience = %v, want the 3 chain members", aud.Users)
-	}
-
-	resp, err = http.Get(base + httpapi.PathReach + "?owner=w0&requester=w2&path=" + "friend%2B%5B1%2C2%5D")
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantStatus(t, resp, http.StatusOK)
-	if rr := decodeJSON[httpapi.ReachResponse](t, resp); !rr.Reachable {
-		t.Fatalf("reach(w0→w2) = %+v, want reachable", rr)
-	}
-	resp, err = http.Get(base + httpapi.PathReachAudience + "?owner=w0&path=" + "friend%2B%5B1%2C2%5D")
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantStatus(t, resp, http.StatusOK)
-	if ra := decodeJSON[httpapi.UsersResponse](t, resp); len(ra.Users) != 2 {
-		t.Fatalf("reach-audience = %v, want [w1 w2]", ra.Users)
-	}
-
-	resp = postJSON(t, base+httpapi.PathRevoke, httpapi.RevokeRequest{Resource: "doc", Rule: share.Rule})
-	wantStatus(t, resp, http.StatusOK)
-	if rv := decodeJSON[httpapi.RevokeResponse](t, resp); !rv.Removed {
-		t.Fatalf("revoke = %+v, want removed", rv)
-	}
-
-	resp, err = http.Get(base + httpapi.PathAudit + "?n=2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantStatus(t, resp, http.StatusOK)
-	resp.Body.Close()
-	resp, err = http.Get(base + httpapi.PathAudit + "?n=-1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantStatus(t, resp, http.StatusBadRequest)
-	resp.Body.Close()
-
-	resp, err = http.Get(base + httpapi.PathHealth)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantStatus(t, resp, http.StatusOK)
-	if h := decodeJSON[httpapi.HealthResponse](t, resp); h.Status != "ok" || h.Role != "router" {
-		t.Fatalf("health = %+v", h)
-	}
-	resp, err = http.Get(base + httpapi.PathStats)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantStatus(t, resp, http.StatusOK)
-	if st := decodeJSON[httpapi.StatsResponse](t, resp); st.Router == nil || st.Router.Shards != 2 {
-		t.Fatalf("stats lacks router section: %+v", st.Router)
-	}
 }
 
 func TestHandlerShardOutage(t *testing.T) {
@@ -270,9 +122,6 @@ func TestHandlerShardOutage(t *testing.T) {
 func TestHandlerUnrelateAndDelegatedBatch(t *testing.T) {
 	srv, r, _ := newTestServer(t, 2)
 	ctx := context.Background()
-	if shard.NewHandler(r).Router() != r {
-		t.Fatal("Handler.Router did not return the wrapped router")
-	}
 	for _, u := range []string{"p0", "p1", "p2"} {
 		if _, err := r.AddUser(ctx, u, nil); err != nil {
 			t.Fatalf("AddUser(%s): %v", u, err)

@@ -13,25 +13,22 @@ import (
 )
 
 // classify wraps transport-level failures as ErrShardUnavailable while
-// letting real API answers (sentinel-mapped errors, overload shedding)
-// through untouched: a shard that ANSWERED "unknown user" is healthy; a
-// shard that did not answer at all must fail the query closed.
+// letting real API answers through untouched — anything a remote shard put on
+// the wire, and every row of the wire table bar "closed": a shard that
+// ANSWERED "unknown user" (or shed the call) is healthy; a shard that did not
+// answer at all, or is closed, must fail the query closed.
 func classify(err error) error {
 	if err == nil {
 		return nil
 	}
-	for _, s := range []error{
-		reachac.ErrUnknownUser, reachac.ErrUnknownResource, reachac.ErrUnknownRelationship,
-		reachac.ErrDuplicateUser, reachac.ErrDuplicateRelationship, reachac.ErrSelfRelationship,
-		reachac.ErrResourceOwned, reachac.ErrReadOnly,
-	} {
-		if errors.Is(err, s) {
+	var apiErr *client.Error
+	if errors.As(err, &apiErr) {
+		return err
+	}
+	for _, row := range httpapi.Errors {
+		if row.Err != reachac.ErrClosed && errors.Is(err, row.Err) {
 			return err
 		}
-	}
-	var apiErr *client.Error
-	if errors.As(err, &apiErr) || errors.Is(err, client.ErrOverloaded) {
-		return err
 	}
 	return fmt.Errorf("%w: %v", ErrShardUnavailable, err)
 }
@@ -405,7 +402,7 @@ func (r *Router) Audience(ctx context.Context, resource string) ([]string, []int
 		var names []string
 		err := r.call(ctx, idx, func(ctx context.Context, b Backend) error {
 			var e error
-			names, e = b.Audience(ctx, resource)
+			names, _, e = b.Audience(ctx, resource)
 			return e
 		})
 		return names, nil, classify(err)

@@ -194,7 +194,7 @@ func TestRemoteBackendsEndToEnd(t *testing.T) {
 		t.Fatalf("Audience(photo) after cut = %v, want [bob]", aud)
 	}
 
-	stats := r.Stats(ctx)
+	stats, _ := r.Stats(ctx)
 	if stats.Users != len(users) {
 		t.Fatalf("Stats.Users = %d, want %d", stats.Users, len(users))
 	}

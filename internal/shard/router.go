@@ -13,17 +13,15 @@ import (
 	"reachac/internal/httpapi"
 	"reachac/internal/pathexpr"
 	"reachac/internal/ring"
+	"reachac/internal/server"
 )
 
-// ErrShardUnavailable marks a decision the router refused because a shard it
-// needed did not answer. Checks FAIL CLOSED on it: granting access because
-// the shard holding the denying evidence was down would be an outage turning
-// into a breach. The HTTP layer maps it to 503 + CodeShardUnavailable.
-var ErrShardUnavailable = errors.New("shard unavailable")
+var _ server.Service = (*Router)(nil)
 
-// ErrUnsupported marks an operation the router cannot offer (SetPolicies:
-// the serialization embeds shard-local IDs).
-var ErrUnsupported = errors.New("operation not supported by the shard router")
+// ErrShardUnavailable marks a decision the router refused because a shard it
+// needed did not answer; checks FAIL CLOSED on it. The value lives beside the
+// wire table that maps it to 503 + CodeShardUnavailable.
+var ErrShardUnavailable = httpapi.ErrShardUnavailable
 
 // Config tunes the router; the zero value selects the defaults.
 type Config struct {
@@ -89,8 +87,8 @@ type resourcePolicy struct {
 	depth1 bool
 }
 
-// Router scatters the acserverd API across shard backends. Safe for
-// concurrent use. Create with New, release with Close.
+// Router is the server.Service over many shards: it scatters the API across
+// its backends. Safe for concurrent use. Create with New, release with Close.
 type Router struct {
 	backends []Backend
 	ring     *ring.Ring
@@ -565,7 +563,7 @@ func (r *Router) record(d httpapi.Decision) {
 // Audit returns the router's own decision trail (scatter-decided checks;
 // delegated checks audit on the shard that decided them), oldest first,
 // bounded to the last n when n > 0.
-func (r *Router) Audit(n int) []httpapi.Decision {
+func (r *Router) Audit(_ context.Context, n int) ([]httpapi.Decision, error) {
 	r.tmu.Lock()
 	defer r.tmu.Unlock()
 	out := make([]httpapi.Decision, 0, len(r.trail))
@@ -574,7 +572,7 @@ func (r *Router) Audit(n int) []httpapi.Decision {
 	if n > 0 && len(out) > n {
 		out = out[len(out)-n:]
 	}
-	return out
+	return out, nil
 }
 
 // RouterStats snapshots the routing counters.
@@ -599,8 +597,9 @@ func (r *Router) RouterStats() httpapi.RouterStats {
 
 // Stats aggregates engine counters across shards (sums of per-shard work;
 // Users from shard 0, where every user is replicated; Resources from the
-// policy cache) plus per-shard summaries and the routing counters.
-func (r *Router) Stats(ctx context.Context) httpapi.StatsResponse {
+// policy cache) plus per-shard summaries and the routing counters. A shard
+// that does not answer shows as unhealthy, never as an error.
+func (r *Router) Stats(ctx context.Context) (httpapi.StatsResponse, error) {
 	per := make([]httpapi.StatsResponse, len(r.backends))
 	errs := r.fanOut(ctx, allShards(len(r.backends)), func(ctx context.Context, i int, b Backend) error {
 		st, err := b.Stats(ctx)
@@ -642,15 +641,17 @@ func (r *Router) Stats(ctx context.Context) httpapi.StatsResponse {
 	r.pmu.RLock()
 	agg.Resources = len(r.policies)
 	r.pmu.RUnlock()
-	agg.AuditRetained = len(r.Audit(0))
+	r.tmu.Lock()
+	agg.AuditRetained = len(r.trail)
+	r.tmu.Unlock()
 	rs := r.RouterStats()
-	return httpapi.StatsResponse{Stats: agg, Router: &rs, ShardStats: shardStats}
+	return httpapi.StatsResponse{Stats: agg, Router: &rs, ShardStats: shardStats}, nil
 }
 
 // Health reports router liveness: ok while every shard answers, degraded
 // otherwise (reads may be partial, checks touching lost shards fail closed).
 func (r *Router) Health(ctx context.Context) httpapi.HealthResponse {
-	st := r.Stats(ctx)
+	st, _ := r.Stats(ctx)
 	resp := httpapi.HealthResponse{
 		Status:        "ok",
 		Role:          "router",

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -81,9 +82,9 @@ func (f *flakyBackend) CheckBatch(ctx context.Context, resource string, requeste
 	return f.inner.CheckBatch(ctx, resource, requesters)
 }
 
-func (f *flakyBackend) Audience(ctx context.Context, resource string) ([]string, error) {
+func (f *flakyBackend) Audience(ctx context.Context, resource string) ([]string, []int, error) {
 	if f.down.Load() {
-		return nil, errDown
+		return nil, nil, errDown
 	}
 	return f.inner.Audience(ctx, resource)
 }
@@ -393,7 +394,7 @@ func TestScatterChecksLandInRouterAudit(t *testing.T) {
 			t.Fatalf("check %d: %v", i, err)
 		}
 	}
-	trail := r.Audit(0)
+	trail, _ := r.Audit(ctx, 0)
 	if len(trail) != 4 {
 		t.Fatalf("Audit(0) kept %d decisions, want the ring-buffer cap 4", len(trail))
 	}
@@ -403,7 +404,7 @@ func TestScatterChecksLandInRouterAudit(t *testing.T) {
 			t.Fatalf("trail[%d].Requester = %q, want %q (oldest-first window)", i, d.Requester, want)
 		}
 	}
-	if last := r.Audit(2); len(last) != 2 || last[1].Requester != users[6] {
+	if last, _ := r.Audit(ctx, 2); len(last) != 2 || last[1].Requester != users[6] {
 		t.Fatalf("Audit(2) = %v, want the last two decisions", last)
 	}
 }
@@ -483,7 +484,7 @@ func TestStatsAggregation(t *testing.T) {
 	if d, err := r.Check(ctx, "doc", users[1]); err != nil || d.Effect != "allow" {
 		t.Fatalf("depth-1 check: effect=%q err=%v", d.Effect, err)
 	}
-	st := r.Stats(ctx)
+	st, _ := r.Stats(ctx)
 	if st.Router == nil {
 		t.Fatal("Stats dropped the router counters")
 	}
@@ -506,5 +507,54 @@ func TestStatsAggregation(t *testing.T) {
 	// land twice. Either way the counters must have seen the write.
 	if st.Router.BoundaryEdges+st.Router.LocalEdges == 0 {
 		t.Fatal("edge placement counters never moved")
+	}
+}
+
+// TestEmbeddedShardsConcurrentWriters: an embedded shard is the same service
+// acserverd serves, so writers arriving through the router from many
+// goroutines share its coalescer — every write must land exactly once.
+func TestEmbeddedShardsConcurrentWriters(t *testing.T) {
+	ctx := context.Background()
+	r, err := shard.New(ctx, []shard.Backend{
+		shard.NewEmbedded(reachac.New()),
+		shard.NewEmbedded(reachac.New()),
+	}, shard.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	const writers, perWriter = 8, 16
+	if _, err := r.AddUser(ctx, "hub", nil); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < writers*perWriter; i++ {
+		if _, err := r.AddUser(ctx, fmt.Sprintf("m%03d", i), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, writers)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for j := 0; j < perWriter && errs[w] == nil; j++ {
+				errs[w] = r.Relate(ctx, "hub", fmt.Sprintf("m%03d", w*perWriter+j), "friend", false)
+			}
+		}(w)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	names, partial, err := r.ReachAudience(ctx, "hub", "friend+[1]")
+	if err != nil || len(partial) > 0 || len(names) != writers*perWriter {
+		t.Fatalf("ReachAudience = %d members (partial %v, err %v), want %d", len(names), partial, err, writers*perWriter)
+	}
+	st, err := r.Stats(ctx)
+	if err != nil || st.Relationships < writers*perWriter {
+		t.Fatalf("Stats = %+v, %v", st.Stats, err)
 	}
 }

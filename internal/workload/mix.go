@@ -78,44 +78,12 @@ type Mix struct {
 	BatchSize int
 }
 
-// Mixes returns the mixes of every registered scenario, in registration
-// order.
-//
-// Deprecated: use Scenarios — a scenario carries its catalog and tenant
-// partitioning alongside the mix.
-func Mixes() []Mix {
-	scs := Scenarios()
-	out := make([]Mix, len(scs))
-	for i, sc := range scs {
-		out[i] = sc.Mix
-	}
-	return out
-}
-
-// MixByName resolves a registered scenario's mix.
-//
-// Deprecated: use Lookup.
-func MixByName(name string) (Mix, bool) {
-	sc, ok := Lookup(name)
-	return sc.Mix, ok
-}
-
 // ResourceSpec is one pre-shared resource a scenario runs against: its
 // name, owning member, and the policy paths of its initial rule.
 type ResourceSpec struct {
 	Name  string
 	Owner graph.NodeID
 	Paths []string
-}
-
-// Resources picks n resources owned by members with outgoing edges (so
-// their policies can match someone), rotating the policy shapes of
-// DefaultCatalog. Deterministic for a given seed.
-//
-// Deprecated: use Scenario.Resources, which also honors the scenario's
-// own catalog and tenant partitioning.
-func Resources(src Source, n int, seed int64) []ResourceSpec {
-	return Scenario{Catalog: DefaultCatalog()}.Resources(src, n, seed)
 }
 
 // GenConfig parameterizes a Generator beyond its mix.

@@ -9,7 +9,7 @@ import (
 )
 
 func mixGraph() *graph.Graph {
-	return generate.OSN(generate.OSNConfig{Nodes: 400, Seed: 42})
+	return generate.MustBuild(generate.MustNew("osn", generate.WithNodes(400), generate.WithSeed(42)))
 }
 
 // TestGeneratorDeterministic: the same seed and configuration must yield
@@ -17,8 +17,9 @@ func mixGraph() *graph.Graph {
 // comparability rests on.
 func TestGeneratorDeterministic(t *testing.T) {
 	g := mixGraph()
-	specs := Resources(g, 24, 5)
-	for _, mix := range Mixes() {
+	specs := Scenario{}.Resources(g, 24, 5)
+	for _, sc := range Scenarios() {
+		mix := sc.Mix
 		t.Run(mix.Name, func(t *testing.T) {
 			cfg := GenConfig{Resources: specs, Worker: 1, Workers: 4}
 			a := NewGenerator(g, mix, cfg, 99)
@@ -48,7 +49,7 @@ func TestGeneratorDeterministic(t *testing.T) {
 // mix weights.
 func TestGeneratorMixRatios(t *testing.T) {
 	g := mixGraph()
-	specs := Resources(g, 24, 5)
+	specs := Scenario{}.Resources(g, 24, 5)
 	const n = 20000
 	for _, tc := range []struct {
 		mix    Mix
@@ -76,11 +77,11 @@ func TestGeneratorMixRatios(t *testing.T) {
 
 func mustMix(t *testing.T, name string) Mix {
 	t.Helper()
-	m, ok := MixByName(name)
+	sc, ok := Lookup(name)
 	if !ok {
-		t.Fatalf("missing mix %q", name)
+		t.Fatalf("missing scenario %q", name)
 	}
-	return m
+	return sc.Mix
 }
 
 // TestGeneratorMutateToggle: relate/unrelate ops must balance — every
@@ -88,7 +89,7 @@ func mustMix(t *testing.T, name string) Mix {
 // added, and the live count never exceeds the window.
 func TestGeneratorMutateToggle(t *testing.T) {
 	g := mixGraph()
-	specs := Resources(g, 8, 5)
+	specs := Scenario{}.Resources(g, 8, 5)
 	gen := NewGenerator(g, mustMix(t, "write-heavy"), GenConfig{Resources: specs, LiveEdges: 16}, 7)
 	type pair struct {
 		from, to graph.NodeID
@@ -128,7 +129,7 @@ func TestGeneratorMutateToggle(t *testing.T) {
 // the window.
 func TestGeneratorChurnBalance(t *testing.T) {
 	g := mixGraph()
-	specs := Resources(g, 8, 5)
+	specs := Scenario{}.Resources(g, 8, 5)
 	gen := NewGenerator(g, mustMix(t, "churn"), GenConfig{Resources: specs, LiveRules: 4}, 7)
 	outstanding := make(map[int]int)
 	total := 0
@@ -161,7 +162,7 @@ func TestGeneratorChurnBalance(t *testing.T) {
 // from disjoint source-node partitions.
 func TestGeneratorWorkerPartition(t *testing.T) {
 	g := mixGraph()
-	specs := Resources(g, 8, 5)
+	specs := Scenario{}.Resources(g, 8, 5)
 	mix := mustMix(t, "write-heavy")
 	seen := make(map[graph.NodeID]int)
 	for w := 0; w < 2; w++ {
@@ -184,7 +185,7 @@ func TestGeneratorWorkerPartition(t *testing.T) {
 
 func TestResourcesDeterministicAndOwned(t *testing.T) {
 	g := mixGraph()
-	a, b := Resources(g, 16, 9), Resources(g, 16, 9)
+	a, b := Scenario{}.Resources(g, 16, 9), Scenario{}.Resources(g, 16, 9)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("Resources is not deterministic for a fixed seed")
 	}

@@ -35,7 +35,7 @@ func TestRegistryBuiltins(t *testing.T) {
 			t.Fatalf("%s: mix named %q", w, sc.Mix.Name)
 		}
 	}
-	g := generate.OSN(generate.OSNConfig{Nodes: 300, Seed: 1})
+	g := generate.MustBuild(generate.MustNew("osn", generate.WithNodes(300), generate.WithSeed(1)))
 	for _, sc := range Scenarios() {
 		specs := sc.Resources(g, 8, 4)
 		if len(specs) != 8 {
@@ -78,7 +78,7 @@ func TestMultiTenantPartitioning(t *testing.T) {
 	if sc.Tenants != 8 {
 		t.Fatalf("tenants = %d", sc.Tenants)
 	}
-	g := generate.OSN(generate.OSNConfig{Nodes: 400, Seed: 2})
+	g := generate.MustBuild(generate.MustNew("osn", generate.WithNodes(400), generate.WithSeed(2)))
 	specs := sc.Resources(g, 32, 9)
 	for i, spec := range specs {
 		tenant := i % 8
@@ -96,7 +96,7 @@ func TestMultiTenantPartitioning(t *testing.T) {
 // resource paths that are non-empty and per-scenario distinct where a
 // custom catalog is declared.
 func TestScenarioCatalogsParse(t *testing.T) {
-	g := generate.OSN(generate.OSNConfig{Nodes: 200, Seed: 3})
+	g := generate.MustBuild(generate.MustNew("osn", generate.WithNodes(200), generate.WithSeed(3)))
 	defaultPaths := map[string]bool{}
 	for _, q := range DefaultCatalog() {
 		defaultPaths[q.Path.String()] = true
@@ -118,21 +118,5 @@ func TestScenarioCatalogsParse(t *testing.T) {
 		if !custom {
 			t.Fatalf("%s: catalog indistinguishable from default", name)
 		}
-	}
-}
-
-// TestMixShimsDelegateToRegistry: the deprecated Mixes/MixByName surface
-// must reflect the registry.
-func TestMixShimsDelegateToRegistry(t *testing.T) {
-	mixes := Mixes()
-	if len(mixes) != len(Names()) {
-		t.Fatalf("Mixes() = %d entries, registry has %d", len(mixes), len(Names()))
-	}
-	m, ok := MixByName("trust-graded")
-	if !ok || m.Check != 0.90 {
-		t.Fatalf("MixByName missed a registry scenario: %+v, %v", m, ok)
-	}
-	if _, ok := MixByName("nope"); ok {
-		t.Fatal("MixByName invented a mix")
 	}
 }

@@ -28,7 +28,7 @@ func TestDefaultCatalog(t *testing.T) {
 }
 
 func TestHitPairsAreWellFormed(t *testing.T) {
-	g := generate.OSN(generate.OSNConfig{Nodes: 500, Seed: 3})
+	g := generate.MustBuild(generate.MustNew("osn", generate.WithNodes(500), generate.WithSeed(3)))
 	pairs := HitPairs(g, 200, 3, 9)
 	if len(pairs) != 200 {
 		t.Fatalf("pairs = %d", len(pairs))
@@ -44,7 +44,7 @@ func TestHitPairsAreWellFormed(t *testing.T) {
 }
 
 func TestHitPairsActuallyHitMoreThanRandom(t *testing.T) {
-	g := generate.OSN(generate.OSNConfig{Nodes: 800, Seed: 5})
+	g := generate.MustBuild(generate.MustNew("osn", generate.WithNodes(800), generate.WithSeed(5)))
 	eng := search.New(g)
 	// "friends within 2 hops" as the probe policy.
 	probe := DefaultCatalog()[1].Path
@@ -72,7 +72,7 @@ func TestHitPairsActuallyHitMoreThanRandom(t *testing.T) {
 }
 
 func TestRandomPairsDeterministic(t *testing.T) {
-	g := generate.OSN(generate.OSNConfig{Nodes: 200, Seed: 1})
+	g := generate.MustBuild(generate.MustNew("osn", generate.WithNodes(200), generate.WithSeed(1)))
 	a := RandomPairs(g, 50, 42)
 	b := RandomPairs(g, 50, 42)
 	for i := range a {
@@ -83,7 +83,7 @@ func TestRandomPairsDeterministic(t *testing.T) {
 }
 
 func TestRequests(t *testing.T) {
-	g := generate.OSN(generate.OSNConfig{Nodes: 300, Seed: 2})
+	g := generate.MustBuild(generate.MustNew("osn", generate.WithNodes(300), generate.WithSeed(2)))
 	reqs := Requests(g, 500, len(DefaultCatalog()), 7)
 	if len(reqs) != 500 {
 		t.Fatalf("requests = %d", len(reqs))

@@ -149,7 +149,7 @@ func TestViewSourceAdapter(t *testing.T) {
 		}
 	}
 	// And a View wrapped as a Source must drive workload construction.
-	specs := workload.Resources(viewSource{v}, 6, 3)
+	specs := workload.Scenario{}.Resources(viewSource{v}, 6, 3)
 	if len(specs) != 6 {
 		t.Fatalf("specs = %d", len(specs))
 	}
