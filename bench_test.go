@@ -388,10 +388,12 @@ func BenchmarkCanAccessAll(b *testing.B) {
 // under the worst-case production pattern PR 1 documented: every mutation
 // is immediately followed by a read, so each read pays a publication. The
 // "delta" arm uses the default bounded delta log (the retired clone is
-// fast-forwarded in O(Δ)); the "rebuild" arm disables the log, forcing the
-// pre-delta O(V+E) clone+rebuild on every publication. Online engines run
-// on a 50k-member graph; the precomputed engines run smaller (a 50k×50k
-// bitset closure would not fit) but exercise the same two paths.
+// fast-forwarded in O(Δ)); the "rebuild" arm disables the log, forcing a
+// rebuilt publication every time: a clone of the master's changes since its
+// base and a new evaluator, which is O(V+E) only for the precomputed
+// engines. Online engines run on a 50k-member graph; the precomputed engines
+// run smaller (a 50k×50k bitset closure would not fit) but exercise the same
+// two paths.
 func BenchmarkInterleavedMutateRead(b *testing.B) {
 	cases := []struct {
 		kind EngineKind
@@ -512,9 +514,12 @@ func benchToggle(b *testing.B, n *Network, x, y UserID, i int) {
 // pins the published snapshot anew every 64 publications, as embed-churn's
 // caller does every 2 048 operations. Each pinned snapshot parks in the
 // spare pool once retired, so the cost stays the O(Δ) advance of another
-// retired clone; with a single spare every new pin cost one full rebuild
-// (~20 ms here, ~300 µs/op at this cadence). rebuilt/op reports how many
-// publications still were.
+// retired clone. rebuilt/op counts the publications that still rebuild:
+// the two after each rebase of the master, about one in 7 000, and each
+// clones only the master's changes since its base (a whole graph once, ~20
+// ms here). 4.0–4.4 µs/op on a 2-core Xeon; it read 60–64 µs/op while edge
+// lists kept their tombstones, so that every toggle of the one edge
+// lengthened the list FindEdge scans, on the master and on every clone.
 func BenchmarkPublishPinnedReader(b *testing.B) {
 	n, x, y := benchChurnNetwork(b, 512)
 	var v *View
@@ -865,9 +870,11 @@ func BenchmarkReachableByGraphSize(b *testing.B) {
 // for (a retired clone fast-forwarded through the two deltas it is behind,
 // its CSR patched), and the check itself. None of the three
 // touches more than the deltas and a 39-state neighbourhood, so ns/op and
-// B/op should stay flat from 10k to 1M nodes (5.7 / 6.8 / 7.8 µs measured;
-// what is left is cache misses in larger tables). A CSR rebuilt per
-// publication would grow with the graph, 3 ms at 100k nodes.
+// B/op should stay flat from 10k to 1M nodes (3.6–3.9 / 3.8–4.6 / 4.2–5.9
+// µs on a 2-core Xeon; what is left is cache misses in larger tables, and a
+// rebase of the master every ~1 100 steps at 10k nodes, ~11 000 at 100k,
+// amortized). A CSR rebuilt per publication would grow with the graph, 3 ms
+// at 100k nodes.
 func BenchmarkChurnByGraphSize(b *testing.B) {
 	for _, nodes := range []int{10_000, 100_000, 1_000_000} {
 		b.Run(fmt.Sprintf("nodes=%dk", nodes/1000), func(b *testing.B) {
@@ -908,6 +915,45 @@ func BenchmarkChurnByGraphSize(b *testing.B) {
 			b.StopTimer()
 			d := n.Stats().Delta(before)
 			b.ReportMetric(float64(d.PublicationsRebuilt)/float64(b.N), "rebuilt/op")
+		})
+	}
+}
+
+// BenchmarkCloneByGraphSize measures graph.Clone, what a rebuilt publication
+// pays for its graph, on the graphs of BenchmarkReachableByGraphSize after a
+// rebase and 1 000 toggles (250 friend edges spread over the whole graph,
+// each related, unrelated, related and unrelated). A clone shares the base
+// and copies the private part, which the toggles size alike at every graph
+// size, so ns/op must stay within 2x across the three sizes; what grows is
+// the CSR's dirty bitset, one bit per node. 55–58 / 47–54 / 77–87 µs on a
+// 2-core Xeon; a deep copy was linear, 3.7 / 44 / 543 ms.
+func BenchmarkCloneByGraphSize(b *testing.B) {
+	for _, nodes := range []int{10_000, 100_000, 1_000_000} {
+		b.Run(fmt.Sprintf("nodes=%dk", nodes/1000), func(b *testing.B) {
+			g := fixedFanOutGraph(nodes)
+			g.Rebase()
+			friend := g.Label("friend")
+			for i := 0; i < 1000; i++ {
+				// No node has a friend 16 after it.
+				from := graph.NodeID(i % 250 * 7919 % nodes)
+				to := (from + 16) % graph.NodeID(nodes)
+				var err error
+				if i/250%2 == 0 {
+					_, err = g.AddEdge(from, to, "friend")
+				} else {
+					err = g.RemoveEdge(g.FindEdge(from, to, friend))
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			if g.NeedsRebase() {
+				b.Fatal("the toggles crossed the overlay bound")
+			}
+			b.ReportAllocs()
+			for b.Loop() {
+				g.Clone()
+			}
 		})
 	}
 }

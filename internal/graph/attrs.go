@@ -135,18 +135,6 @@ func (a Attrs) Get(key string) (Value, bool) {
 	return v, ok
 }
 
-// Clone returns an independent copy of a.
-func (a Attrs) Clone() Attrs {
-	if a == nil {
-		return nil
-	}
-	c := make(Attrs, len(a))
-	for k, v := range a {
-		c[k] = v
-	}
-	return c
-}
-
 // Keys returns the attribute names in sorted order, for deterministic
 // rendering.
 func (a Attrs) Keys() []string {

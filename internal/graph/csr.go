@@ -9,17 +9,20 @@ import "slices"
 // needs (no per-edge label filtering, no pointer chasing through edge
 // records), and per-node degrees are O(1) offset subtractions.
 //
-// The CSR travels with its graph: BuildCSR lays the runs out in tight slabs,
-// and from then on every structural mutation of the graph patches the cached
-// CSR and stamps it with the new version, so it stays fresh (and the same
-// *CSR) across mutations. The slabs themselves are never rewritten. The first
-// edge added to or removed from a cell (n, l) copies that run into a small
-// per-direction overlay map and sets n's dirty bit; lookups test the bit — one
-// load for an untouched node — and return the overlay run when there is one.
-// A node added after the build has no slab cells, only overlay ones. Once the
-// overlays hold more than a fixed fraction of V+E entries, or the label table
-// grows (which changes the cell layout), the graph drops the CSR and the next
-// CSR call builds a new one.
+// The CSR travels with its graph: BuildCSR (or Rebase, over the new base)
+// lays the runs out in tight slabs, and from then on every structural
+// mutation of the graph patches the cached CSR and stamps it with the new
+// version, so it stays fresh (and the same *CSR) across mutations. The slabs
+// are never rewritten; a clone's CSR shares them, copying only the overlay
+// and the dirty bitset.
+// The first edge added to or removed from a cell (n, l) copies that run into
+// a small per-direction overlay map and sets n's dirty bit; lookups test the
+// bit — one load for an untouched node — and return the overlay run when
+// there is one. A node added after the build has no slab cells, only overlay
+// ones. Once the patches pass a fixed fraction of V+E entries, or the label
+// table grows (which changes the cell layout), the graph drops the CSR and
+// the next CSR call builds a new one (a network rebases instead; see
+// NeedsRebase).
 //
 // Patching happens inside the graph's mutators, so it needs exactly the
 // synchronization they do: a CSR is safe to read for as long as the graph
@@ -35,9 +38,14 @@ type CSR struct {
 	// dirty has one bit per node: set when some cell of the node lives in
 	// an overlay, and for every node added since the build.
 	dirty []uint64
-	// overlay is the number of neighbor entries plus cells the two overlays
-	// hold; restamp drops the CSR once it exceeds limit.
+	// overlay counts what was patched in since the build: one per node and
+	// per edge added or removed, plus every run copied out of the slabs. It
+	// never falls, so it also bounds the graph's private part (a removal
+	// leaves a tombstone); restamp drops the CSR once it exceeds limit.
 	overlay, limit int
+	// base is the base Rebase laid the slabs over; nil for a CSR that
+	// BuildCSR laid over a private part too.
+	base *Base
 }
 
 // adjacency is one direction of a CSR.
@@ -50,7 +58,9 @@ type adjacency struct {
 	// (matching OutEdges/InEdges order filtered to one label).
 	nbr []uint32
 	// over holds, by cell index, the current run of every cell patched
-	// since the build, in the same order.
+	// since the build, in the same order. Runs follow the graph's private
+	// slices' rule: appended to by their unclipped holder only, never
+	// written in place.
 	over map[uint32][]uint32
 }
 
@@ -60,13 +70,14 @@ type adjacency struct {
 // callers fall back to edge-list iteration.
 const maxCSRCells = 1 << 30
 
-// A patched CSR is kept while its overlays hold at most overlayFloor +
-// (V+E)/overlayFraction entries, V and E as of the build. The bound keeps
-// the overlays' memory and the share of lookups that pay a map probe small,
-// and a rebuild (O(V+E)) amortized O(1) per patched entry; the floor stops
-// tiny graphs from rebuilding every few mutations.
+// A patched CSR is kept while its overlay count stays at most overlayFloor +
+// (V+E)/overlayFraction, V and E as of the build. The bound keeps the
+// overlays' memory, a clone's copy of them and the share of lookups that pay
+// a map probe small, and a rebuild (O(V+E)) amortized O(1) per patched
+// entry; the floor stops tiny graphs from rebuilding every few hundred
+// mutations.
 const (
-	overlayFloor    = 64
+	overlayFloor    = 512
 	overlayFraction = 8
 )
 
@@ -136,6 +147,16 @@ func (c *CSR) own(a *adjacency, n NodeID, cell int) []uint32 {
 	return r
 }
 
+// clone returns a copy of c sharing its slabs, with its own overlay maps
+// (every run clipped, so that neither copy appends into the other's) and
+// dirty bitset.
+func (c *CSR) clone() *CSR {
+	d := *c
+	d.out.over, d.in.over = clipped(c.out.over), clipped(c.in.over)
+	d.dirty = slices.Clone(c.dirty)
+	return &d
+}
+
 // addNode patches in a node with no edges.
 func (c *CSR) addNode() {
 	n := c.nodes
@@ -152,7 +173,7 @@ func (c *CSR) addEdge(from, to NodeID, l Label) {
 	oc, ic := int(from)*c.labels+int(l), int(to)*c.labels+int(l)
 	c.out.over[uint32(oc)] = append(c.own(&c.out, from, oc), uint32(to))
 	c.in.over[uint32(ic)] = append(c.own(&c.in, to, ic), uint32(from))
-	c.overlay += 2
+	c.overlay++
 }
 
 // removeEdge patches out the live edge from -l-> to.
@@ -160,13 +181,13 @@ func (c *CSR) removeEdge(from, to NodeID, l Label) {
 	oc, ic := int(from)*c.labels+int(l), int(to)*c.labels+int(l)
 	c.out.over[uint32(oc)] = without(c.own(&c.out, from, oc), uint32(to))
 	c.in.over[uint32(ic)] = without(c.own(&c.in, to, ic), uint32(from))
-	c.overlay -= 2
+	c.overlay++
 }
 
-// without deletes the one occurrence of v from r, keeping the order.
+// without returns r less its one occurrence of v, in a new run.
 func without(r []uint32, v uint32) []uint32 {
 	i := slices.Index(r, v)
-	return slices.Delete(r, i, i+1)
+	return append(r[:i:i], r[i+1:]...)
 }
 
 // restamp marks c fresh at the graph's current version, after the mutator
@@ -184,11 +205,12 @@ func (g *Graph) restamp(c *CSR) {
 // BuildCSR constructs a fresh CSR over the graph's live edges and caches it
 // as the graph's current CSR. It returns nil when the graph has no labels
 // yet (no edges can exist either) or when nodes*labels exceeds maxCSRCells.
-// Like every bulk accessor it requires external synchronization with
+// It writes nothing but the cache: Rebase is what moves a graph to a new
+// base. Like every bulk accessor it requires external synchronization with
 // mutators; concurrent readers may race to build — both produce identical
 // views and the cache keeps one.
 func (g *Graph) BuildCSR() *CSR {
-	v, l := len(g.nodes), g.labels.len()
+	v, l := g.NumNodes(), g.labels.len()
 	if l == 0 || v == 0 || v*l > maxCSRCells {
 		return nil
 	}
@@ -202,37 +224,39 @@ func (g *Graph) BuildCSR() *CSR {
 		limit:   overlayFloor + (v+g.live)/overlayFraction,
 	}
 	outOff, inOff := c.out.off, c.in.off
+	segs, dead := [...][]Edge{g.b.edges, g.edges}, g.deadSet()
 	// Count pass: run lengths into off[i+1], then prefix-sum to offsets.
-	for i := range g.edges {
-		e := &g.edges[i]
-		if e.deleted {
-			continue
+	for _, seg := range segs {
+		for i := range seg {
+			e := &seg[i]
+			if inSet(dead, e.ID) {
+				continue
+			}
+			outOff[int(e.From)*l+int(e.Label)+1]++
+			inOff[int(e.To)*l+int(e.Label)+1]++
 		}
-		outOff[int(e.From)*l+int(e.Label)+1]++
-		inOff[int(e.To)*l+int(e.Label)+1]++
 	}
 	for i := 1; i < len(outOff); i++ {
 		outOff[i] += outOff[i-1]
 		inOff[i] += inOff[i-1]
 	}
-	// Fill pass in edge-ID order, preserving insertion order within runs.
-	// next cursors reuse the off tables shifted by one (off[i] is the next
-	// write position of run i during the fill), restoring them as we go.
-	outNext := make([]uint32, v*l)
-	inNext := make([]uint32, v*l)
-	copy(outNext, outOff[:v*l])
-	copy(inNext, inOff[:v*l])
-	for i := range g.edges {
-		e := &g.edges[i]
-		if e.deleted {
-			continue
+	// Fill pass in edge-ID order, preserving insertion order within runs,
+	// with a write cursor per run.
+	outNext := slices.Clone(outOff[:v*l])
+	inNext := slices.Clone(inOff[:v*l])
+	for _, seg := range segs {
+		for i := range seg {
+			e := &seg[i]
+			if inSet(dead, e.ID) {
+				continue
+			}
+			oi := int(e.From)*l + int(e.Label)
+			c.out.nbr[outNext[oi]] = uint32(e.To)
+			outNext[oi]++
+			ii := int(e.To)*l + int(e.Label)
+			c.in.nbr[inNext[ii]] = uint32(e.From)
+			inNext[ii]++
 		}
-		oi := int(e.From)*l + int(e.Label)
-		c.out.nbr[outNext[oi]] = uint32(e.To)
-		outNext[oi]++
-		ii := int(e.To)*l + int(e.Label)
-		c.in.nbr[inNext[ii]] = uint32(e.From)
-		inNext[ii]++
 	}
 	g.csr.Store(c)
 	return c

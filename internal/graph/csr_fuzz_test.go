@@ -6,13 +6,17 @@ import (
 	"testing"
 )
 
-// FuzzCSRAdjacency drives a random add-node/add-edge/remove/compact sequence
-// from the fuzz input and asserts after every operation that the graph's CSR,
-// patched through the operations so far, agrees with a CSR built from scratch
-// on a clone and with the OutEdges/InEdges iteration: identical
-// per-(node,label) runs in identical order, identical degrees. Labels enter
-// the stream as operations first use them, and the last seed is long enough
-// to cross the overlay bound several times.
+// FuzzCSRAdjacency drives a random add-node/add-edge/remove/clone sequence
+// from the fuzz input over two graphs that diverge from one base, and
+// asserts after every operation that each graph's CSR, patched through the
+// operations so far, agrees with a CSR built from scratch, with the CSR of a
+// rebased copy and with the OutEdges/InEdges iteration: identical
+// per-(node,label) runs in identical order, identical degrees. It also
+// checksums, around every operation, the bases and CSR slabs both graphs
+// read and the whole of the graph the operation was not applied to: no
+// operation may write into a base, into slabs or into another graph's view
+// of a shared private array. Labels enter the stream as operations first use
+// them, and the last seed is long enough to cross the overlay bound.
 func FuzzCSRAdjacency(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7})
 	f.Add([]byte{10, 20, 30, 40, 50, 60, 70, 80, 90, 100, 110, 120})
@@ -24,50 +28,124 @@ func FuzzCSRAdjacency(f *testing.F) {
 		if len(data) > 1536 {
 			data = data[:1536]
 		}
-		g := New()
 		labels := []string{"friend", "colleague", "parent", "follows"}
-		var liveEdges []EdgeID
-		nodeCount := 0
+		first := New()
+		gs := [2]*Graph{first, first.Clone()}
 		for i := 0; i+2 < len(data); i += 3 {
 			op, x, y := data[i], data[i+1], data[i+2]
+			// Bit 3 of the op picks the graph it applies to.
+			w := int(op>>3) & 1
+			g := gs[w]
+			var bases [2]*Base
+			var slabs [2]*CSR
+			var sums [2]uint64
+			for j, h := range gs {
+				bases[j], slabs[j] = h.b, h.csr.Load()
+				sums[j] = sharedSum(bases[j], slabs[j])
+			}
+			other := fingerprint(gs[w^1])
+			nodes := g.NumNodes()
 			switch op % 8 {
 			case 0, 1: // add node (bounded)
-				if nodeCount < 48 {
-					g.MustAddNode(fmt.Sprintf("n%d", nodeCount), nil)
-					nodeCount++
+				if nodes < 48 {
+					g.MustAddNode(fmt.Sprintf("n%d", nodes), nil)
 				}
 			case 6: // remove a live edge
-				if len(liveEdges) > 0 {
-					j := int(x) % len(liveEdges)
-					id := liveEdges[j]
-					if g.EdgeAlive(id) {
-						if err := g.RemoveEdge(id); err != nil {
-							t.Fatalf("RemoveEdge(%d): %v", id, err)
-						}
+				var live []EdgeID
+				g.Edges(func(e Edge) bool { live = append(live, e.ID); return true })
+				if len(live) > 0 {
+					if err := g.RemoveEdge(live[int(x)%len(live)]); err != nil {
+						t.Fatalf("RemoveEdge: %v", err)
 					}
-					liveEdges = append(liveEdges[:j], liveEdges[j+1:]...)
 				}
-			case 7: // compact tombstones (renumbers every EdgeID)
-				g.CompactTombstones()
-				liveEdges = liveEdges[:0]
-				g.Edges(func(e Edge) bool {
-					liveEdges = append(liveEdges, e.ID)
-					return true
-				})
+			case 7: // clone, and continue on the clone (rebasing first on odd x)
+				if x&1 == 1 {
+					g.Rebase()
+				}
+				gs[w^1] = g.Clone()
 			default: // add edge
-				if nodeCount < 2 {
+				if nodes < 2 {
 					continue
 				}
-				from := NodeID(int(x) % nodeCount)
-				to := NodeID(int(y) % nodeCount)
-				if from == to {
-					continue
-				}
-				if id, err := g.AddEdge(from, to, labels[int(op)%len(labels)]); err == nil {
-					liveEdges = append(liveEdges, id)
+				from, to := NodeID(int(x)%nodes), NodeID(int(y)%nodes)
+				if from != to {
+					_, _ = g.AddEdge(from, to, labels[int(op)%len(labels)])
 				}
 			}
-			checkCSRAgainstLegacy(t, g)
+			for j := range gs {
+				if sharedSum(bases[j], slabs[j]) != sums[j] {
+					t.Fatalf("op %d (%d on graph %d) wrote into the base or slabs graph %d read", i/3, op%8, w, j)
+				}
+			}
+			if op%8 != 7 && fingerprint(gs[w^1]) != other {
+				t.Fatalf("op %d (%d on graph %d) changed the other graph", i/3, op%8, w)
+			}
+			for _, g := range gs {
+				checkCSRAgainstLegacy(t, g)
+			}
 		}
 	})
+}
+
+// checksum accumulates an FNV-1a hash over integers, each sequence
+// delimited by its length.
+type checksum struct{ h uint64 }
+
+func (c *checksum) add(vs ...uint32) {
+	if c.h == 0 {
+		c.h = 14695981039346656037
+	}
+	for _, v := range vs {
+		c.h = (c.h ^ uint64(v)) * 1099511628211
+	}
+	c.h = (c.h ^ uint64(len(vs))) * 1099511628211
+}
+
+// sharedSum checksums what a graph shares with its clones: its base b and
+// the slabs of its CSR csr (nil when it has none). Recomputed over the same
+// objects, it catches any write into them, whichever graph made it.
+func sharedSum(b *Base, csr *CSR) uint64 {
+	var c checksum
+	for _, n := range b.nodes {
+		c.add(uint32(n.ID), uint32(len(n.Name)))
+	}
+	for _, e := range b.edges {
+		c.add(uint32(e.ID), uint32(e.From), uint32(e.To), uint32(e.Label))
+	}
+	for _, r := range []edgeRuns{b.out, b.in} {
+		c.add(r.off...)
+		for _, id := range r.ids {
+			c.add(uint32(id))
+		}
+	}
+	if csr != nil {
+		c.add(csr.out.off...)
+		c.add(csr.out.nbr...)
+		c.add(csr.in.off...)
+		c.add(csr.in.nbr...)
+	}
+	return c.h
+}
+
+// fingerprint checksums everything a reader of g can observe: nodes, live
+// edges, every edge list and, when fresh, every CSR run.
+func fingerprint(g *Graph) uint64 {
+	var c checksum
+	c.add(uint32(g.NumNodes()), uint32(g.NumEdges()), uint32(g.Version()))
+	g.Edges(func(e Edge) bool { c.add(uint32(e.ID), uint32(e.From), uint32(e.To), uint32(e.Label)); return true })
+	csr := g.FreshCSR()
+	for n := NodeID(0); int(n) < g.NumNodes(); n++ {
+		for _, l := range [][]EdgeID{g.outList(n), g.inList(n)} {
+			for _, id := range l {
+				c.add(uint32(id))
+			}
+		}
+		if csr != nil {
+			for l := Label(0); int(l) < csr.labels; l++ {
+				c.add(csr.OutNeighbors(n, l)...)
+				c.add(csr.InNeighbors(n, l)...)
+			}
+		}
+	}
+	return c.h
 }

@@ -32,9 +32,10 @@ func legacyInNeighbors(g *Graph, n NodeID, l Label) []uint32 {
 }
 
 // checkCSRAgainstLegacy asserts that the graph's CSR — patched by whatever
-// mutations it lived through, or just built — matches both a CSR built from
-// scratch on a clone and the edge-list view, for every (node, label) pair:
-// same runs in the same order, same degrees.
+// mutations it lived through, or just built — matches a CSR built from
+// scratch on a clone, the CSR a rebased clone lays out over its new base,
+// and the edge-list view, for every (node, label) pair: same runs in the
+// same order, same degrees.
 func checkCSRAgainstLegacy(t *testing.T, g *Graph) {
 	t.Helper()
 	c := g.CSR()
@@ -51,10 +52,11 @@ func checkCSRAgainstLegacy(t *testing.T, g *Graph) {
 		t.Fatalf("CSR at version %d over %d nodes, graph at %d over %d", c.Version(), c.NumNodes(), g.Version(), g.NumNodes())
 	}
 	rebuilt := g.Clone().BuildCSR()
+	rebased := g.Clone().Rebase()
 	equal := func(dir string, n, l int, runs ...[]uint32) int {
 		for _, r := range runs[1:] {
 			if !slices.Equal(runs[0], r) {
-				t.Fatalf("node %d label %d: %s runs (graph's CSR, rebuilt, edge list) = %v", n, l, dir, runs)
+				t.Fatalf("node %d label %d: %s runs (graph's CSR, rebuilt, rebased, edge list) = %v", n, l, dir, runs)
 			}
 		}
 		return len(runs[0])
@@ -64,8 +66,8 @@ func checkCSRAgainstLegacy(t *testing.T, g *Graph) {
 		outDeg, inDeg := 0, 0
 		for l := 0; l < g.NumLabels(); l++ {
 			lbl := Label(l)
-			outDeg += equal("out", n, l, c.OutNeighbors(id, lbl), rebuilt.OutNeighbors(id, lbl), legacyOutNeighbors(g, id, lbl))
-			inDeg += equal("in", n, l, c.InNeighbors(id, lbl), rebuilt.InNeighbors(id, lbl), legacyInNeighbors(g, id, lbl))
+			outDeg += equal("out", n, l, c.OutNeighbors(id, lbl), rebuilt.OutNeighbors(id, lbl), rebased.OutNeighbors(id, lbl), legacyOutNeighbors(g, id, lbl))
+			inDeg += equal("in", n, l, c.InNeighbors(id, lbl), rebuilt.InNeighbors(id, lbl), rebased.InNeighbors(id, lbl), legacyInNeighbors(g, id, lbl))
 		}
 		if d := c.OutDegree(id); d != outDeg {
 			t.Fatalf("node %d: CSR OutDegree %d, want %d", n, d, outDeg)
@@ -97,8 +99,8 @@ func TestCSRMatchesEdgeLists(t *testing.T) {
 	}
 	checkCSRAgainstLegacy(t, g)
 
-	// Compaction renumbers edges but not adjacency.
-	g.CompactTombstones()
+	// A rebase renumbers edges but not adjacency.
+	g.Rebase()
 	checkCSRAgainstLegacy(t, g)
 }
 
@@ -118,7 +120,8 @@ func TestCSREmptyAndLabelFree(t *testing.T) {
 
 // TestCSRCachingAndStaleness pins what replaced staleness: a cached CSR is
 // patched by every mutation and stays the graph's fresh CSR, the same
-// object, until the overlay bound or a new label drops it.
+// object, until the overlay bound or a new label drops it, and a rebase
+// replaces it with one over the new base.
 func TestCSRCachingAndStaleness(t *testing.T) {
 	g := New()
 	const nodes = 64
@@ -155,10 +158,18 @@ func TestCSRCachingAndStaleness(t *testing.T) {
 	g.MustAddEdge(late, 0, "colleague")
 	g.MustAddEdge(1, late, "friend")
 	stillFresh("a node addition")
-	if g.CompactTombstones() == 0 {
-		t.Fatal("nothing to compact")
+	if !g.NeedsRebase() {
+		t.Fatal("a CSR built over a private part must ask for a rebase")
 	}
-	stillFresh("a compaction")
+	if c := g.Rebase(); c == c1 || g.FreshCSR() != c || g.NeedsRebase() || g.NumTombstones() != 0 {
+		t.Fatal("Rebase should lay a new CSR over a tombstone-free base")
+	}
+	c1 = g.FreshCSR()
+	g.MustAddEdge(4, 40, "friend")
+	stillFresh("an edge addition after the rebase")
+	if g.NeedsRebase() {
+		t.Fatal("a patched CSR over the base should not ask for a rebase")
+	}
 
 	// Interning a label changes the cell layout, whether or not an edge
 	// follows: the old CSR must not serve the new label's lookups.
@@ -167,7 +178,7 @@ func TestCSRCachingAndStaleness(t *testing.T) {
 		t.Fatal("FreshCSR should be nil once the label table has grown")
 	}
 	g.MustAddEdge(2, 7, "parent")
-	if g.FreshCSR() != nil {
+	if g.FreshCSR() != nil || !g.NeedsRebase() {
 		t.Fatal("an edge under a new label cannot be patched into the old layout")
 	}
 	c2 := g.CSR()

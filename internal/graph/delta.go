@@ -5,20 +5,17 @@ import "fmt"
 // DeltaOp is the kind of one recorded structural mutation.
 type DeltaOp uint8
 
-// Delta operations. Attribute updates (SetAttr) do not bump the version
-// counter and are deliberately not logged, matching snapshot semantics.
+// Delta operations: the structural mutations, each of which bumps the
+// version counter. A node's attributes are fixed when it is added.
 const (
 	// OpAddNode records an AddNode call.
 	OpAddNode DeltaOp = iota
 	// OpAddEdge records an AddEdge/AddWeightedEdge call.
 	OpAddEdge
 	// OpRemoveEdge records a RemoveEdge call. The edge is identified by
-	// (From, To, Label) rather than EdgeID, because clones renumber edges.
+	// (From, To, Label) rather than EdgeID, because a rebase renumbers
+	// edges.
 	OpRemoveEdge
-	// OpCompact records a CompactTombstones call. It renumbers edge IDs but
-	// changes no live relationship, so replaying it on a clone is at most a
-	// compaction of the clone's own tombstones.
-	OpCompact
 )
 
 func (op DeltaOp) String() string {
@@ -29,22 +26,20 @@ func (op DeltaOp) String() string {
 		return "add-edge"
 	case OpRemoveEdge:
 		return "remove-edge"
-	case OpCompact:
-		return "compact"
 	default:
 		return fmt.Sprintf("DeltaOp(%d)", uint8(op))
 	}
 }
 
 // Delta is one recorded structural mutation. Deltas are expressed in terms
-// stable across clones: node IDs (never reused), label names and endpoint
-// pairs — never EdgeIDs, which clones renumber. The JSON tags define the
+// stable across rebases: node IDs (never reused), label names and endpoint
+// pairs — never EdgeIDs, which a rebase renumbers. The JSON tags define the
 // WAL's structural record payload; every field's zero value round-trips, so
 // omitempty is lossless.
 type Delta struct {
 	Op DeltaOp `json:"op"`
 	// Name and Attrs describe an OpAddNode. Attrs is shared with the live
-	// node; Apply clones it, mirroring Graph.Clone.
+	// node, and Apply shares it too: attributes never change.
 	Name  string `json:"name,omitempty"`
 	Attrs Attrs  `json:"attrs,omitempty"`
 	// From, To, Label and Weight describe an edge for OpAddEdge and
@@ -63,7 +58,7 @@ const DefaultDeltaLogLimit = 4096
 
 // SetDeltaLogLimit bounds the retained delta window to at least limit
 // mutations (0 keeps the current limit; negative disables logging entirely,
-// forcing every snapshot advance down the full-clone path). Shrinking the
+// forcing every snapshot advance down the rebuild path). Shrinking the
 // window drops the oldest entries immediately.
 func (g *Graph) SetDeltaLogLimit(limit int) {
 	if limit == 0 {
@@ -108,7 +103,7 @@ func (g *Graph) trimDeltas() {
 // ChangesSince returns the deltas that advance the graph from the given
 // version to its current version, oldest first. ok is false when the window
 // no longer reaches back that far (or version is from the future), in which
-// case the caller must fall back to a full Clone. The returned slice is a
+// case the caller must fall back to a Clone. The returned slice is a
 // copy. Like all mutating/bulk accessors it requires external
 // synchronization with mutators; only Version itself is lock-free.
 func (g *Graph) ChangesSince(version uint64) (deltas []Delta, ok bool) {
@@ -136,7 +131,7 @@ func (g *Graph) Covers(version uint64) bool {
 func (g *Graph) Apply(d Delta) error {
 	switch d.Op {
 	case OpAddNode:
-		_, err := g.AddNode(d.Name, d.Attrs.Clone())
+		_, err := g.AddNode(d.Name, d.Attrs)
 		return err
 	case OpAddEdge:
 		_, err := g.AddWeightedEdge(d.From, d.To, d.Label, d.Weight)
@@ -151,52 +146,7 @@ func (g *Graph) Apply(d Delta) error {
 			return fmt.Errorf("graph: apply remove-edge: no %s edge %d -> %d", d.Label, d.From, d.To)
 		}
 		return g.RemoveEdge(e)
-	case OpCompact:
-		g.CompactTombstones()
-		return nil
 	default:
 		return fmt.Errorf("graph: unknown delta op %d", uint8(d.Op))
 	}
-}
-
-// NumTombstones returns the number of removed (tombstoned) edges still
-// occupying slots in the edge store.
-func (g *Graph) NumTombstones() int { return len(g.edges) - g.live }
-
-// CompactTombstones rebuilds the edge store without tombstoned edges,
-// renumbering the surviving edges densely. It invalidates every externally
-// held EdgeID (Node IDs are untouched), bumps the version and logs an
-// OpCompact delta, so snapshot clones advanced through the log compact
-// their own tombstones at the same point in history. It returns the number
-// of tombstones dropped; a tombstone-free graph is left untouched.
-func (g *Graph) CompactTombstones() int {
-	dead := g.NumTombstones()
-	if dead == 0 {
-		return 0
-	}
-	csr := g.FreshCSR()
-	edges := make([]Edge, 0, g.live)
-	for i := range g.out {
-		g.out[i] = g.out[i][:0]
-	}
-	for i := range g.in {
-		g.in[i] = g.in[i][:0]
-	}
-	for _, e := range g.edges {
-		if e.deleted {
-			continue
-		}
-		e.ID = EdgeID(len(edges))
-		edges = append(edges, e)
-		g.out[e.From] = append(g.out[e.From], e.ID)
-		g.in[e.To] = append(g.in[e.To], e.ID)
-	}
-	g.edges = edges
-	g.version.Add(1)
-	if csr != nil {
-		// Renumbering edges keeps every run's content and order.
-		g.restamp(csr)
-	}
-	g.record(Delta{Op: OpCompact})
-	return dead
 }

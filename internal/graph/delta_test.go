@@ -63,8 +63,10 @@ func assertSameGraph(t *testing.T, got, want *Graph) {
 	}
 }
 
-// TestDeltaAdvanceEquivalence replays a randomized mutation trace and checks
-// that a clone advanced through the delta log matches a fresh clone.
+// TestDeltaAdvanceEquivalence replays a randomized mutation trace, rebases
+// included, and checks that a clone advanced through the delta log — on the
+// base it was cloned from, which the rebases leave behind — matches a fresh
+// clone.
 func TestDeltaAdvanceEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := New()
@@ -100,7 +102,7 @@ func TestDeltaAdvanceEquivalence(t *testing.T) {
 				}
 			}
 		case 4:
-			g.CompactTombstones()
+			g.Rebase()
 		}
 	}
 	for i := 0; i < 50; i++ {
@@ -159,6 +161,9 @@ func TestSetDeltaLogLimitDisable(t *testing.T) {
 	}
 }
 
+// TestCompactTombstones pins where tombstones go: a rebase drops them,
+// renumbering the surviving edges densely without a version bump, and leaves
+// the base a clone still reads untouched.
 func TestCompactTombstones(t *testing.T) {
 	g := New()
 	for i := 0; i < 10; i++ {
@@ -168,6 +173,7 @@ func TestCompactTombstones(t *testing.T) {
 	for i := 0; i < 9; i++ {
 		ids = append(ids, g.MustAddEdge(NodeID(i), NodeID(i+1), "friend"))
 	}
+	g.Rebase()
 	clone := g.Clone()
 	base := g.Version()
 	for i := 0; i < 6; i++ {
@@ -179,17 +185,15 @@ func TestCompactTombstones(t *testing.T) {
 		t.Fatalf("tombstones = %d, want 6", got)
 	}
 	v := g.Version()
-	if dropped := g.CompactTombstones(); dropped != 6 {
-		t.Fatalf("compacted %d, want 6", dropped)
+	g.Rebase()
+	if g.NumTombstones() != 0 || g.NumEdges() != 3 || len(g.b.edges) != 3 {
+		t.Fatalf("after rebase: %d tombstones, %d edges in a base of %d", g.NumTombstones(), g.NumEdges(), len(g.b.edges))
 	}
-	if g.NumTombstones() != 0 || g.NumEdges() != 3 {
-		t.Fatalf("after compact: %d tombstones, %d edges", g.NumTombstones(), g.NumEdges())
+	if g.Version() != v {
+		t.Fatalf("a rebase changes no relationship, but moved the version %d -> %d", v, g.Version())
 	}
-	if g.Version() != v+1 {
-		t.Fatalf("compact must bump version: %d -> %d", v, g.Version())
-	}
-	if g.CompactTombstones() != 0 {
-		t.Fatal("second compact must be a no-op")
+	if clone.Base() == g.Base() || clone.NumEdges() != 9 {
+		t.Fatalf("the clone should keep its base and its 9 edges, has %d", clone.NumEdges())
 	}
 	// Edge IDs are dense again and adjacency is consistent.
 	seen := 0
@@ -203,7 +207,7 @@ func TestCompactTombstones(t *testing.T) {
 		seen++
 		return true
 	})
-	// A clone advanced through the log (removals + compact) matches.
+	// A clone advanced through the log matches.
 	deltas, ok := g.ChangesSince(base)
 	if !ok {
 		t.Fatal("window lost")

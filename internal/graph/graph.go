@@ -4,13 +4,17 @@
 // a finite alphabet Σ.
 //
 // The representation favors read-heavy access-control workloads: nodes and
-// edges are stored in dense slices indexed by NodeID/EdgeID, with per-node
+// edges are stored in dense tables indexed by NodeID/EdgeID, with per-node
 // in/out adjacency lists. Edges may be removed (tombstoned); node IDs are
-// never reused.
+// never reused. A graph is an immutable Base, shared with every clone taken
+// of it, plus a private part holding what changed since that base (see
+// Graph).
 package graph
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"sync/atomic"
 )
@@ -28,7 +32,8 @@ const InvalidNode = NodeID(^uint32(0))
 const InvalidEdge = EdgeID(^uint32(0))
 
 // Node is a social network member: a name (unique handle) and an attribute
-// tuple λ(v).
+// tuple λ(v). A node's attributes never change after AddNode, so clones
+// share them.
 type Node struct {
 	ID    NodeID
 	Name  string
@@ -44,19 +49,36 @@ type Edge struct {
 	To     NodeID
 	Label  Label
 	Weight float64
-	// deleted marks a tombstoned edge; iteration skips it.
-	deleted bool
 }
 
 // Graph is the social network graph. The zero value is not usable; call New.
+//
+// A graph is two parts. Its base (see Base) is immutable and shared: Clone
+// gives the copy the same base and copies only the private part — the nodes
+// and edges added since the base, the tombstones of removed edges, and the
+// edge lists and CSR cells those changes touched — so a clone costs what
+// changed since the base, never O(V+E). Rebase folds the private part into a
+// new base.
+//
+// Who may write what: nothing writes a base, and Rebase builds a new one
+// rather than extending the old. Private slices may share backing arrays
+// with clones, which Clone clips, so a graph only ever appends to them, and
+// a removal builds a new list instead of deleting in place: the append slack
+// of an array belongs to the one graph holding it unclipped.
 type Graph struct {
-	nodes  []Node
-	edges  []Edge
-	out    [][]EdgeID
-	in     [][]EdgeID
-	byName map[string]NodeID
-	labels *labelTable
-	live   int // number of non-deleted edges
+	b *Base
+	// nodes and edges are the records added since the base: node id is
+	// nodes[id-len(b.nodes)] and edge id is edges[id-len(b.edges)] once id
+	// is past the base's. names indexes the added nodes by name.
+	nodes []Node
+	names map[string]NodeID
+	edges []Edge
+	// dead holds the removed edges, of the base and added since.
+	dead map[EdgeID]struct{}
+	// out and in hold the private edge lists: see lists.
+	out, in lists
+	labels  *labelTable
+	live    int // number of non-removed edges
 	// version counts structural mutations (node/edge additions, edge
 	// removals); precomputed evaluators record it to detect staleness. It
 	// is atomic so that snapshot validity checks may read it without
@@ -65,8 +87,8 @@ type Graph struct {
 	version atomic.Uint64
 	// deltas is the bounded mutation log backing ChangesSince: deltas[i]
 	// is the mutation that advanced the version from deltaBase+i to
-	// deltaBase+i+1. Clones advanced through the log skip the O(V+E)
-	// re-clone a mutation would otherwise force on the next snapshot.
+	// deltaBase+i+1. Clones advanced through the log skip the re-clone a
+	// mutation would otherwise force on the next snapshot.
 	deltas    []Delta
 	deltaBase uint64
 	// deltaLimit bounds the retained window (0 means
@@ -79,19 +101,111 @@ type Graph struct {
 	csr atomic.Pointer[CSR]
 }
 
-// New returns an empty social network graph.
-func New() *Graph {
-	return &Graph{
-		byName: make(map[string]NodeID),
-		labels: newLabelTable(),
-	}
+// Base is the immutable part of a graph: the node table with names and
+// attributes, the name index, the edge records and every node's edge lists,
+// laid out by Rebase together with the CSR slabs (see CSR). The graph that
+// rebased and every clone taken of it since share one Base; nothing writes
+// it, so any number of them may read it without synchronization, and the
+// garbage collector frees it once no graph points at it. Its edge table
+// holds live edges only (edges[i].ID == i): a rebase drops tombstones.
+type Base struct {
+	nodes  []Node
+	byName map[string]NodeID
+	edges  []Edge
+	// out and in hold every base node's edge IDs in ID order.
+	out, in edgeRuns
 }
 
+// edgeRuns is one direction of a base's edge lists: node n's list is
+// ids[off[n]:off[n+1]].
+type edgeRuns struct {
+	off []uint32
+	ids []EdgeID
+}
+
+// lists is one direction of a graph's private edge lists. Every list holds
+// live edges only, in ID order.
+type lists struct {
+	// added holds the lists of the nodes added since the base, at
+	// id-len(b.nodes).
+	added [][]EdgeID
+	// touched holds the current lists of the base nodes whose edges changed
+	// since the base; an untouched base node's list is the base's.
+	touched map[NodeID][]EdgeID
+}
+
+// get returns node n's current list; nb is the base's node count. A base
+// list comes back clipped, so appending to it copies.
+func (l *lists) get(r *edgeRuns, nb int, n NodeID) []EdgeID {
+	if int(n) >= nb {
+		return l.added[int(n)-nb]
+	}
+	if ids, ok := l.touched[n]; ok {
+		return ids
+	}
+	lo, hi := r.off[n], r.off[n+1]
+	return r.ids[lo:hi:hi]
+}
+
+// set makes ids node n's list.
+func (l *lists) set(nb int, n NodeID, ids []EdgeID) {
+	if int(n) >= nb {
+		l.added[int(n)-nb] = ids
+		return
+	}
+	if l.touched == nil {
+		l.touched = make(map[NodeID][]EdgeID)
+	}
+	l.touched[n] = ids
+}
+
+// remove drops id from node n's list into a new list, keeping the order.
+func (l *lists) remove(r *edgeRuns, nb int, n NodeID, id EdgeID) {
+	ids := l.get(r, nb, n)
+	i := slices.Index(ids, id)
+	l.set(nb, n, append(ids[:i:i], ids[i+1:]...))
+}
+
+// clone copies l with every list clipped, so that neither copy appends into
+// the other's view.
+func (l *lists) clone() lists {
+	c := lists{added: make([][]EdgeID, len(l.added)), touched: clipped(l.touched)}
+	for i, ids := range l.added {
+		c.added[i] = slices.Clip(ids)
+	}
+	return c
+}
+
+// clipped copies m with every slice clipped; see lists.clone.
+func clipped[K comparable, E any](m map[K][]E) map[K][]E {
+	if m == nil {
+		return nil
+	}
+	c := make(map[K][]E, len(m))
+	for k, s := range m {
+		c[k] = slices.Clip(s)
+	}
+	return c
+}
+
+// New returns an empty social network graph.
+func New() *Graph {
+	return &Graph{b: &Base{}, labels: newLabelTable()}
+}
+
+// Base returns the graph's shared base. Graphs returning the same Base share
+// its tables; Rebase moves a graph to a new one.
+func (g *Graph) Base() *Base { return g.b }
+
 // NumNodes returns |V|.
-func (g *Graph) NumNodes() int { return len(g.nodes) }
+func (g *Graph) NumNodes() int { return len(g.b.nodes) + len(g.nodes) }
 
 // NumEdges returns the number of live (non-removed) edges.
 func (g *Graph) NumEdges() int { return g.live }
+
+// NumTombstones returns the number of removed edges the graph carries until
+// its next Rebase.
+func (g *Graph) NumTombstones() int { return len(g.dead) }
 
 // NumLabels returns |Σ|, the number of distinct relationship types seen.
 func (g *Graph) NumLabels() int { return g.labels.len() }
@@ -104,17 +218,20 @@ func (g *Graph) Version() uint64 { return g.version.Load() }
 
 // AddNode adds a member with the given unique name and attributes and
 // returns its ID. Adding a duplicate name returns the existing node's ID and
-// an error.
+// an error. The graph keeps attrs, which must not be modified afterwards.
 func (g *Graph) AddNode(name string, attrs Attrs) (NodeID, error) {
-	if id, ok := g.byName[name]; ok {
+	if id, ok := g.NodeByName(name); ok {
 		return id, fmt.Errorf("graph: node %q already exists", name)
 	}
 	csr := g.FreshCSR()
-	id := NodeID(len(g.nodes))
+	id := NodeID(g.NumNodes())
 	g.nodes = append(g.nodes, Node{ID: id, Name: name, Attrs: attrs})
-	g.out = append(g.out, nil)
-	g.in = append(g.in, nil)
-	g.byName[name] = id
+	g.out.added = append(g.out.added, nil)
+	g.in.added = append(g.in.added, nil)
+	if g.names == nil {
+		g.names = make(map[string]NodeID)
+	}
+	g.names[name] = id
 	g.version.Add(1)
 	if csr != nil {
 		csr.addNode()
@@ -135,29 +252,28 @@ func (g *Graph) MustAddNode(name string, attrs Attrs) NodeID {
 
 // NodeByName resolves a member handle to its ID.
 func (g *Graph) NodeByName(name string) (NodeID, bool) {
-	id, ok := g.byName[name]
+	if id, ok := g.b.byName[name]; ok {
+		return id, true
+	}
+	id, ok := g.names[name]
 	return id, ok
 }
 
 // Node returns the node record for id. It panics if id is out of range.
-func (g *Graph) Node(id NodeID) Node { return g.nodes[id] }
-
-// SetAttr sets (or overwrites) one attribute of a node.
-func (g *Graph) SetAttr(id NodeID, key string, v Value) {
-	n := &g.nodes[id]
-	if n.Attrs == nil {
-		n.Attrs = make(Attrs)
+func (g *Graph) Node(id NodeID) Node {
+	if nb := len(g.b.nodes); int(id) >= nb {
+		return g.nodes[int(id)-nb]
 	}
-	n.Attrs[key] = v
+	return g.b.nodes[id]
 }
 
 // Attr returns one attribute of a node.
 func (g *Graph) Attr(id NodeID, key string) (Value, bool) {
-	return g.nodes[id].Attrs.Get(key)
+	return g.Node(id).Attrs.Get(key)
 }
 
 // ValidNode reports whether id names an existing node.
-func (g *Graph) ValidNode(id NodeID) bool { return int(id) < len(g.nodes) }
+func (g *Graph) ValidNode(id NodeID) bool { return int(id) < g.NumNodes() }
 
 // Label interns a relationship-type name, creating it if needed.
 func (g *Graph) Label(name string) Label { return g.labels.intern(name) }
@@ -192,15 +308,16 @@ func (g *Graph) AddWeightedEdge(from, to NodeID, label string, weight float64) (
 	l := g.labels.intern(label)
 	if g.FindEdge(from, to, l) != InvalidEdge {
 		return InvalidEdge, fmt.Errorf("graph: duplicate edge %s -%s-> %s",
-			g.nodes[from].Name, label, g.nodes[to].Name)
+			g.Node(from).Name, label, g.Node(to).Name)
 	}
 	// A label this call interned changes the cell layout: FreshCSR is then
 	// nil and the CSR stays behind.
 	csr := g.FreshCSR()
-	id := EdgeID(len(g.edges))
+	id := EdgeID(len(g.b.edges) + len(g.edges))
 	g.edges = append(g.edges, Edge{ID: id, From: from, To: to, Label: l, Weight: weight})
-	g.out[from] = append(g.out[from], id)
-	g.in[to] = append(g.in[to], id)
+	nb := len(g.b.nodes)
+	g.out.set(nb, from, append(g.out.get(&g.b.out, nb, from), id))
+	g.in.set(nb, to, append(g.in.get(&g.b.in, nb, to), id))
 	g.live++
 	g.version.Add(1)
 	if csr != nil {
@@ -221,14 +338,21 @@ func (g *Graph) MustAddEdge(from, to NodeID, label string) EdgeID {
 }
 
 // RemoveEdge tombstones an edge. Removing an already-removed or invalid edge
-// is an error. Node IDs and surviving edge IDs are stable across removals.
+// is an error. Node IDs and surviving edge IDs are stable until the next
+// Rebase.
 func (g *Graph) RemoveEdge(id EdgeID) error {
-	if int(id) >= len(g.edges) || g.edges[id].deleted {
+	if !g.EdgeAlive(id) {
 		return fmt.Errorf("graph: no live edge %d", id)
 	}
 	csr := g.FreshCSR()
-	e := g.edges[id]
-	g.edges[id].deleted = true
+	e := *g.edge(id)
+	if g.dead == nil {
+		g.dead = make(map[EdgeID]struct{})
+	}
+	g.dead[id] = struct{}{}
+	nb := len(g.b.nodes)
+	g.out.remove(&g.b.out, nb, e.From, id)
+	g.in.remove(&g.b.in, nb, e.To, id)
 	g.live--
 	g.version.Add(1)
 	if csr != nil {
@@ -239,23 +363,61 @@ func (g *Graph) RemoveEdge(id EdgeID) error {
 	return nil
 }
 
+// edge returns the record of edge id, which must be in range.
+func (g *Graph) edge(id EdgeID) *Edge {
+	if nb := len(g.b.edges); int(id) >= nb {
+		return &g.edges[int(id)-nb]
+	}
+	return &g.b.edges[id]
+}
+
+// isDead reports whether edge id was removed.
+func (g *Graph) isDead(id EdgeID) bool {
+	if len(g.dead) == 0 {
+		return false
+	}
+	_, ok := g.dead[id]
+	return ok
+}
+
+// deadSet returns the removed edges as a bitset over edge IDs (nil for
+// none), for passes over every edge, where a map probe per edge costs most.
+func (g *Graph) deadSet() []uint64 {
+	if len(g.dead) == 0 {
+		return nil
+	}
+	set := make([]uint64, (len(g.b.edges)+len(g.edges)+63)/64)
+	for id := range g.dead {
+		set[id>>6] |= 1 << (id & 63)
+	}
+	return set
+}
+
+// inSet reports whether id is in a set deadSet returned.
+func inSet(set []uint64, id EdgeID) bool {
+	return set != nil && set[id>>6]&(1<<(id&63)) != 0
+}
+
 // EdgeAlive reports whether id names a live edge.
 func (g *Graph) EdgeAlive(id EdgeID) bool {
-	return int(id) < len(g.edges) && !g.edges[id].deleted
+	return int(id) < len(g.b.edges)+len(g.edges) && !g.isDead(id)
 }
 
 // Edge returns the edge record for id (which may be tombstoned; check
 // EdgeAlive). It panics if id is out of range.
-func (g *Graph) Edge(id EdgeID) Edge { return g.edges[id] }
+func (g *Graph) Edge(id EdgeID) Edge { return *g.edge(id) }
+
+// outList and inList return n's live edge IDs in insertion order.
+func (g *Graph) outList(n NodeID) []EdgeID { return g.out.get(&g.b.out, len(g.b.nodes), n) }
+func (g *Graph) inList(n NodeID) []EdgeID  { return g.in.get(&g.b.in, len(g.b.nodes), n) }
 
 // FindEdge returns the live edge (from, to, label) or InvalidEdge.
 func (g *Graph) FindEdge(from, to NodeID, label Label) EdgeID {
 	if !g.ValidNode(from) {
 		return InvalidEdge
 	}
-	for _, eid := range g.out[from] {
-		e := &g.edges[eid]
-		if !e.deleted && e.To == to && e.Label == label {
+	for _, eid := range g.outList(from) {
+		if e := g.edge(eid); e.To == to && e.Label == label {
 			return eid
 		}
 	}
@@ -274,12 +436,8 @@ func (g *Graph) HasEdge(from, to NodeID, label string) bool {
 // OutEdges calls fn for every live outgoing edge of n, in insertion order.
 // fn returning false stops the iteration.
 func (g *Graph) OutEdges(n NodeID, fn func(Edge) bool) {
-	for _, eid := range g.out[n] {
-		e := g.edges[eid]
-		if e.deleted {
-			continue
-		}
-		if !fn(e) {
+	for _, eid := range g.outList(n) {
+		if !fn(*g.edge(eid)) {
 			return
 		}
 	}
@@ -295,28 +453,22 @@ func (g *Graph) Neighbors(n NodeID, fn func(NodeID) bool) {
 
 // InEdges calls fn for every live incoming edge of n, in insertion order.
 func (g *Graph) InEdges(n NodeID, fn func(Edge) bool) {
-	for _, eid := range g.in[n] {
-		e := g.edges[eid]
-		if e.deleted {
-			continue
-		}
-		if !fn(e) {
+	for _, eid := range g.inList(n) {
+		if !fn(*g.edge(eid)) {
 			return
 		}
 	}
 }
 
 // OutDegree returns the number of live outgoing edges of n: read off the CSR
-// when the graph has one (see CSR.OutDegree), an O(degree) edge-list scan on
-// a graph that was never indexed (no build is forced, so a graph still being
-// loaded never thrashes).
+// when the graph has one (see CSR.OutDegree), the length of n's edge list
+// otherwise (no build is forced, so a graph still being loaded never
+// thrashes).
 func (g *Graph) OutDegree(n NodeID) int {
 	if c := g.FreshCSR(); c != nil {
 		return c.OutDegree(n)
 	}
-	d := 0
-	g.OutEdges(n, func(Edge) bool { d++; return true })
-	return d
+	return len(g.outList(n))
 }
 
 // InDegree returns the number of live incoming edges of n; see OutDegree.
@@ -324,28 +476,30 @@ func (g *Graph) InDegree(n NodeID) int {
 	if c := g.FreshCSR(); c != nil {
 		return c.InDegree(n)
 	}
-	d := 0
-	g.InEdges(n, func(Edge) bool { d++; return true })
-	return d
+	return len(g.inList(n))
 }
 
 // Edges calls fn for every live edge in ID order.
 func (g *Graph) Edges(fn func(Edge) bool) {
-	for i := range g.edges {
-		if g.edges[i].deleted {
-			continue
-		}
-		if !fn(g.edges[i]) {
-			return
+	for _, seg := range [...][]Edge{g.b.edges, g.edges} {
+		for i := range seg {
+			if g.isDead(seg[i].ID) {
+				continue
+			}
+			if !fn(seg[i]) {
+				return
+			}
 		}
 	}
 }
 
 // Nodes calls fn for every node in ID order.
 func (g *Graph) Nodes(fn func(Node) bool) {
-	for i := range g.nodes {
-		if !fn(g.nodes[i]) {
-			return
+	for _, seg := range [...][]Node{g.b.nodes, g.nodes} {
+		for i := range seg {
+			if !fn(seg[i]) {
+				return
+			}
 		}
 	}
 }
@@ -353,38 +507,123 @@ func (g *Graph) Nodes(fn func(Node) bool) {
 // EdgeString renders an edge as "Label From->To", matching the paper's
 // line-graph node naming (e.g. "Friend A-C").
 func (g *Graph) EdgeString(e Edge) string {
-	return fmt.Sprintf("%s %s-%s", g.LabelName(e.Label), g.nodes[e.From].Name, g.nodes[e.To].Name)
+	return fmt.Sprintf("%s %s-%s", g.LabelName(e.Label), g.Node(e.From).Name, g.Node(e.To).Name)
 }
 
-// Clone returns a deep copy of g (tombstoned edges are dropped; surviving
-// edges are renumbered densely).
+// Clone returns a copy of g that shares g's base and copies its private part
+// (see Graph): O(what changed since the base), never O(V+E). Edge IDs,
+// tombstones, the version and a fresh CSR carry over; the delta log does not.
 func (g *Graph) Clone() *Graph {
-	c := New()
-	c.labels = g.labels.clone()
-	c.nodes = make([]Node, len(g.nodes))
-	c.out = make([][]EdgeID, len(g.nodes))
-	c.in = make([][]EdgeID, len(g.nodes))
-	for i, n := range g.nodes {
-		c.nodes[i] = Node{ID: n.ID, Name: n.Name, Attrs: n.Attrs.Clone()}
-		c.byName[n.Name] = n.ID
+	c := &Graph{
+		b:      g.b,
+		nodes:  slices.Clip(g.nodes),
+		names:  maps.Clone(g.names),
+		edges:  slices.Clip(g.edges),
+		dead:   maps.Clone(g.dead),
+		out:    g.out.clone(),
+		in:     g.in.clone(),
+		labels: g.labels.clone(),
+		live:   g.live,
 	}
-	g.Edges(func(e Edge) bool {
-		id := EdgeID(len(c.edges))
-		c.edges = append(c.edges, Edge{ID: id, From: e.From, To: e.To, Label: e.Label, Weight: e.Weight})
-		c.out[e.From] = append(c.out[e.From], id)
-		c.in[e.To] = append(c.in[e.To], id)
-		c.live++
-		return true
-	})
+	v := g.version.Load()
+	c.version.Store(v)
+	c.deltaBase = v
+	if csr := g.FreshCSR(); csr != nil {
+		c.csr.Store(csr.clone())
+	}
 	return c
+}
+
+// Rebase folds the private part into a new base and lays the CSR out over
+// it: O(V+E), after which a Clone copies only what changes next. Tombstones
+// are dropped and the surviving edges renumbered densely, so EdgeIDs held
+// across a Rebase are invalid; node IDs, the version and the delta log stay
+// (no relationship changed). The old base is not written: clones on it keep
+// reading it until the last of them goes. The first rebase of a loaded graph
+// moves the loaded tables into the base instead of copying them. Rebase
+// returns the new CSR, nil where BuildCSR would.
+func (g *Graph) Rebase() *CSR {
+	b := g.b
+	next := &Base{nodes: b.nodes, byName: b.byName, edges: b.edges, out: b.out, in: b.in}
+	switch {
+	case len(g.nodes) == 0:
+	case len(b.nodes) == 0:
+		next.nodes, next.byName = g.nodes, g.names
+	default:
+		next.nodes = slices.Concat(b.nodes, g.nodes)
+		next.byName = maps.Clone(b.byName)
+		maps.Copy(next.byName, g.names)
+	}
+	if len(g.nodes) > 0 || len(g.edges) > 0 || len(g.dead) > 0 {
+		switch {
+		case len(g.dead) > 0:
+			dead := g.deadSet()
+			next.edges = make([]Edge, 0, g.live)
+			for _, seg := range [...][]Edge{b.edges, g.edges} {
+				for _, e := range seg {
+					if !inSet(dead, e.ID) {
+						e.ID = EdgeID(len(next.edges))
+						next.edges = append(next.edges, e)
+					}
+				}
+			}
+		case len(b.edges) == 0:
+			next.edges = g.edges
+		default:
+			next.edges = slices.Concat(b.edges, g.edges)
+		}
+		next.out, next.in = layoutEdgeRuns(next.edges, len(next.nodes))
+	}
+	g.b = next
+	g.nodes, g.names, g.edges, g.dead = nil, nil, nil, nil
+	g.out, g.in = lists{}, lists{}
+	c := g.BuildCSR()
+	if c != nil {
+		c.base = next
+	}
+	return c
+}
+
+// layoutEdgeRuns lays the edge IDs of every node out in one slab per
+// direction, each node's in ID order.
+func layoutEdgeRuns(edges []Edge, nodes int) (out, in edgeRuns) {
+	out.off, in.off = make([]uint32, nodes+1), make([]uint32, nodes+1)
+	for i := range edges {
+		out.off[edges[i].From+1]++
+		in.off[edges[i].To+1]++
+	}
+	for n := 1; n <= nodes; n++ {
+		out.off[n] += out.off[n-1]
+		in.off[n] += in.off[n-1]
+	}
+	out.ids, in.ids = make([]EdgeID, len(edges)), make([]EdgeID, len(edges))
+	outNext, inNext := slices.Clone(out.off[:nodes]), slices.Clone(in.off[:nodes])
+	for i := range edges {
+		e := &edges[i]
+		out.ids[outNext[e.From]] = e.ID
+		outNext[e.From]++
+		in.ids[inNext[e.To]] = e.ID
+		inNext[e.To]++
+	}
+	return out, in
+}
+
+// NeedsRebase reports whether a Clone would copy more than a bounded private
+// part: the graph has no fresh CSR laid out by Rebase over its current base
+// — it was never rebased, its label table grew, or its patches crossed the
+// overlay bound (see CSR).
+func (g *Graph) NeedsRebase() bool {
+	c := g.FreshCSR()
+	return c == nil || c.base != g.b
 }
 
 // SortedNodeNames returns all member names sorted, for deterministic output.
 func (g *Graph) SortedNodeNames() []string {
-	names := make([]string, 0, len(g.nodes))
-	for _, n := range g.nodes {
+	names := make([]string, 0, g.NumNodes())
+	g.Nodes(func(n Node) bool {
 		names = append(names, n.Name)
-	}
+		return true
+	})
 	sort.Strings(names)
 	return names
 }
@@ -400,24 +639,10 @@ type Stats struct {
 // once, so the degree sweep is O(V) offset reads instead of O(V+E) scans.
 func (g *Graph) Stats() Stats {
 	s := Stats{Nodes: g.NumNodes(), Edges: g.NumEdges(), Labels: g.NumLabels()}
-	if c := g.CSR(); c != nil {
-		for i := range g.nodes {
-			if d := c.OutDegree(NodeID(i)); d > s.MaxOutDegree {
-				s.MaxOutDegree = d
-			}
-			if d := c.InDegree(NodeID(i)); d > s.MaxInDegree {
-				s.MaxInDegree = d
-			}
-		}
-		return s
-	}
-	for i := range g.nodes {
-		if d := g.OutDegree(NodeID(i)); d > s.MaxOutDegree {
-			s.MaxOutDegree = d
-		}
-		if d := g.InDegree(NodeID(i)); d > s.MaxInDegree {
-			s.MaxInDegree = d
-		}
+	g.CSR()
+	for i := 0; i < s.Nodes; i++ {
+		s.MaxOutDegree = max(s.MaxOutDegree, g.OutDegree(NodeID(i)))
+		s.MaxInDegree = max(s.MaxInDegree, g.InDegree(NodeID(i)))
 	}
 	return s
 }

@@ -221,15 +221,18 @@ func TestAttrs(t *testing.T) {
 	if _, ok := g.Attr(a, "job"); ok {
 		t.Fatal("Attr found missing key")
 	}
-	g.SetAttr(c, "age", Int(40))
-	v, ok = g.Attr(c, "age")
-	if !ok || v.Num() != 40 {
-		t.Fatalf("SetAttr/Attr round trip = %v,%v", v, ok)
+	if v, ok = g.Attr(c, "job"); !ok || v.Str() != "teacher" {
+		t.Fatalf("Attr(c, job) = %v,%v", v, ok)
 	}
-	// SetAttr on a node created without attrs must allocate.
-	g.SetAttr(1, "x", Bool(true))
-	if v, ok := g.Attr(1, "x"); !ok || !v.B() {
-		t.Fatal("SetAttr on nil Attrs failed")
+	// A node added without attrs has none.
+	if _, ok := g.Attr(1, "x"); ok {
+		t.Fatal("Attr found a key on a node without attrs")
+	}
+	// Attributes passed to AddNode after a rebase are read back too.
+	g.Rebase()
+	d := g.MustAddNode("d", Attrs{"x": Bool(true)})
+	if v, ok := g.Attr(d, "x"); !ok || !v.B() {
+		t.Fatalf("Attr(d, x) = %v,%v", v, ok)
 	}
 }
 
@@ -256,10 +259,16 @@ func TestClone(t *testing.T) {
 	if g.HasEdge(b, a, "friend") {
 		t.Fatal("clone mutation leaked into original")
 	}
-	// Attributes are deep-copied.
-	cl.SetAttr(a, "age", Int(99))
-	if v, _ := g.Attr(a, "age"); v.Num() != 24 {
-		t.Fatal("clone attr mutation leaked")
+	// Attributes carry over, and a member the clone adds stays its own.
+	if v, _ := cl.Attr(a, "age"); v.Num() != 24 {
+		t.Fatal("clone lost an attribute")
+	}
+	d := cl.MustAddNode("d", Attrs{"age": Int(99)})
+	if g.ValidNode(d) {
+		t.Fatal("clone node addition leaked into original")
+	}
+	if v, _ := cl.Attr(d, "age"); v.Num() != 99 {
+		t.Fatal("clone lost the attributes of its own node")
 	}
 	if !cl.HasEdge(b, c, "friend") {
 		t.Fatal("clone lost an edge")

@@ -176,16 +176,8 @@ func (sw *StreamWriter) Close() error {
 // Write serializes g to w. Tombstoned edges are dropped.
 func (g *Graph) Write(w io.Writer) error {
 	sw := NewStreamWriter(w, g.NumNodes(), g.NumEdges())
-	for _, n := range g.nodes {
-		if err := sw.Node(n.Name, n.Attrs); err != nil {
-			return err
-		}
-	}
-	ok := true
-	g.Edges(func(e Edge) bool {
-		ok = sw.Edge(e.From, e.To, g.LabelName(e.Label), e.Weight) == nil
-		return ok
-	})
+	g.Nodes(func(n Node) bool { return sw.Node(n.Name, n.Attrs) == nil })
+	g.Edges(func(e Edge) bool { return sw.Edge(e.From, e.To, g.LabelName(e.Label), e.Weight) == nil })
 	return sw.Close()
 }
 

@@ -9,7 +9,8 @@ import (
 
 func TestWriteReadRoundTrip(t *testing.T) {
 	g, a, b, _ := buildTriangle(t)
-	g.SetAttr(b, "vip", Bool(true))
+	vip := g.MustAddNode("vip", Attrs{"vip": Bool(true)})
+	g.MustAddEdge(vip, a, "friend")
 	if _, err := g.AddWeightedEdge(b, a, "parent", 0.8); err != nil {
 		t.Fatal(err)
 	}

@@ -130,7 +130,7 @@ func TestAudienceCacheAdvance(t *testing.T) {
 			primary.MustAddEdge(ids[rng.Intn(len(ids))], id, "friend")
 			ids = append(ids, id)
 		case 9:
-			primary.CompactTombstones()
+			primary.Rebase()
 		}
 		// Advance the clone exactly like snapshot republication: apply the
 		// recorded deltas to the graph, then Advance the cache.

@@ -625,6 +625,7 @@ func (r *Router) Stats(ctx context.Context) (httpapi.StatsResponse, error) {
 		agg.PublicationsShared += st.PublicationsShared
 		agg.PublicationsAdvanced += st.PublicationsAdvanced
 		agg.PublicationsRebuilt += st.PublicationsRebuilt
+		agg.GraphRebases += st.GraphRebases
 		agg.PlanCompiles += st.PlanCompiles
 		agg.PlanCacheEntries += st.PlanCacheEntries
 		agg.Checkpoints += st.Checkpoints

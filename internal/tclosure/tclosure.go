@@ -174,8 +174,7 @@ func (e *Engine) Bytes() int {
 // matrices and invalidate only the affected label's cached closures —
 // replacing the wholesale engine rebuild a mutation used to force. Node
 // additions are free (a node with no incident edges is unreachable; see the
-// Reachable guard), and compactions change only edge IDs, which the
-// matrices never store. The batch is declined — forcing a full rebuild —
+// Reachable guard). The batch is declined — forcing a full rebuild —
 // when an edge touches a node beyond the matrices' width, since growing
 // every row of every matrix would cost as much as rebuilding.
 func (e *Engine) ApplyDelta(g *graph.Graph, deltas []graph.Delta) bool {
@@ -185,7 +184,7 @@ func (e *Engine) ApplyDelta(g *graph.Graph, deltas []graph.Delta) bool {
 	// Pre-scan so a decline never leaves the matrices half-advanced.
 	for _, d := range deltas {
 		switch d.Op {
-		case graph.OpAddNode, graph.OpCompact:
+		case graph.OpAddNode:
 		case graph.OpAddEdge, graph.OpRemoveEdge:
 			if int(d.From) >= e.n || int(d.To) >= e.n {
 				return false

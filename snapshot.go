@@ -164,20 +164,22 @@ func (n *Network) snapshot() (*snapshot, error) {
 	return s, nil
 }
 
-// tombstone compaction thresholds: a full rebuild compacts the master's
-// dead edges once at least compactMinDead of them make up over a fifth of
-// the edge store, so long-lived networks stop cloning tombstones forever.
-const compactMinDead = 64
-
 // sparePoolCap bounds Network.spares. Three clones — published, free spare,
 // one parked under a long-lived View — is what a single spare already held
 // at its peak (the View kept the third alive as garbage-to-be); the pool
 // keeps that clone for reuse instead, and room for one more pinned reader.
+// A parked clone costs its private part, not a graph: it shares the master's
+// base.
 const sparePoolCap = 3
 
 // publishLocked builds and publishes a snapshot of the current master
 // state. Callers must hold n.mu, which serializes it against mutators and
 // concurrent publishers.
+//
+// Every snapshot's graph is a clone of the master sharing its base (see
+// graph.Graph). Before a graph publication the master rebases, O(V+E), when
+// graph.Graph.NeedsRebase says a clone would cost more than a bounded
+// private part; parked snapshots on the old base then leave the pool.
 //
 // Publication cost, cheapest first (Stats counts each tier):
 //
@@ -188,11 +190,12 @@ const sparePoolCap = 3
 //     replayed delta patches the clone's CSR (see graph.CSR), and its
 //     evaluator advances in place when it implements
 //     core.IncrementalEvaluator. A parked snapshot a View still pins is
-//     passed over and waits in the pool, so a pinned reader costs one clone
-//     of memory, not a rebuild;
-//  3. rebuilt — O(V+E) clone, CSR and evaluator construction: the cold
-//     start, and the fallback when every parked snapshot is pinned or behind
-//     the delta window, or the replay fails.
+//     passed over and waits in the pool, so a pinned reader costs one
+//     private part of memory, not a rebuild;
+//  3. rebuilt — a clone of the master's private part and a new evaluator
+//     (O(V+E) for the index kinds, which re-index the whole graph): after a
+//     rebase, and when every parked snapshot is pinned or behind the delta
+//     window, or the replay fails.
 //
 // The policy view is O(Δ) on every tier: the previous snapshot's view when
 // no policy changed since, a copy-on-write core.Store.Clone otherwise.
@@ -205,15 +208,6 @@ const sparePoolCap = 3
 func (n *Network) publishLocked() (*snapshot, error) {
 	store := n.store.Load()
 	cur := n.snap.Load()
-	if cur == nil || cur.version != n.g.Version() {
-		// The graph changed, so every path republishes its clone anyway;
-		// compact the master's tombstones first if they piled up (logged
-		// as a delta, so a spare advance compacts its clone at the same
-		// point in history).
-		if dead := n.g.NumTombstones(); dead >= compactMinDead && dead*4 >= n.g.NumEdges() {
-			n.g.CompactTombstones()
-		}
-	}
 	// Read both counters before cloning: a mutation racing the clone then
 	// at worst marks the new snapshot already stale (forcing one extra
 	// rebuild), never lets it linger as current with missing state.
@@ -234,9 +228,15 @@ func (n *Network) publishLocked() (*snapshot, error) {
 		// and reader count.
 		gc, eval, aud, refs = cur.g, cur.eval, cur.aud, cur.refs
 		tier = &n.ctr.pubShared
-	} else if agc, aeval, aaud := n.advanceSpareLocked(cur); agc != nil {
-		gc, eval, aud = agc, aeval, aaud
-		tier = &n.ctr.pubAdvanced
+	} else {
+		if n.g.NeedsRebase() {
+			n.g.Rebase()
+			n.ctr.rebases.Add(1)
+		}
+		if agc, aeval, aaud := n.advanceSpareLocked(cur); agc != nil {
+			gc, eval, aud = agc, aeval, aaud
+			tier = &n.ctr.pubAdvanced
+		}
 	}
 	if gc == nil {
 		gc = n.g.Clone()
@@ -254,10 +254,11 @@ func (n *Network) publishLocked() (*snapshot, error) {
 		refs = new(atomic.Int64)
 	}
 	// Published ⇒ indexed, on every tier: a shared clone kept its CSR, a
-	// replay patched it delta by delta, and this builds it for a new clone
-	// and for a replay that dropped it (a new relationship type, or more
-	// patches than the overlay bound). No reader scans edge lists or pays
-	// for a build.
+	// clone copied the master's, and a replay patched it delta by delta (a
+	// spare on the master's base replays the master's own mutations, so it
+	// crosses the overlay bound only where the master did, and the master
+	// then rebased and emptied the pool). This call finds the CSR fresh; no
+	// reader scans edge lists or pays for a build.
 	gc.CSR()
 	var view *core.Store
 	if samePolicy {
@@ -294,11 +295,12 @@ func (n *Network) publishLocked() (*snapshot, error) {
 	old := n.snap.Swap(s)
 	if old != nil && old != s {
 		old.retired.Store(true)
-		if old.g != s.g {
-			// The outgoing snapshot's clone is not the one just published,
-			// so it parks as an advance candidate, pushing out the stalest
-			// when the pool is full. (After a policy-only share the clones
-			// are equal, and the clone parks when the sharer retires.)
+		if old.g != s.g && old.g.Base() == n.g.Base() {
+			// The outgoing snapshot's clone is not the one just published
+			// and shares the master's base, so it parks as an advance
+			// candidate, pushing out the stalest when the pool is full.
+			// (After a policy-only share the clones are equal, and the clone
+			// parks when the sharer retires.)
 			if len(n.spares) == sparePoolCap {
 				n.spares = slices.Delete(n.spares, 0, 1)
 			}
@@ -310,15 +312,18 @@ func (n *Network) publishLocked() (*snapshot, error) {
 
 // advanceSpareLocked tries to satisfy a publication by fast-forwarding a
 // parked snapshot's private clone to the master's current version —
-// replaying the bounded delta log at O(Δ) instead of paying the O(V+E)
-// re-clone — and advancing its evaluator and audience cache in place when
-// possible. Parked snapshots the delta window has left behind are dropped
-// first: they can only fall further behind. Of the rest it takes the newest
-// that no reader holds (refs == 0 after retired: the acquire/back-off
-// proof); pinned ones stay parked. It returns nils when no parked snapshot
-// qualifies. Callers must hold n.mu.
+// replaying the bounded delta log at O(Δ) instead of paying a clone and a
+// new evaluator — and advancing its evaluator and audience cache in place
+// when possible. Parked snapshots the delta window has left behind, or on a
+// base the master has rebased away from, are dropped first: they can only
+// fall further behind. Of the rest it takes the newest that no reader holds
+// (refs == 0 after retired: the acquire/back-off proof); pinned ones stay
+// parked. It returns nils when no parked snapshot qualifies. Callers must
+// hold n.mu.
 func (n *Network) advanceSpareLocked(cur *snapshot) (*graph.Graph, Evaluator, *search.AudienceCache) {
-	n.spares = slices.DeleteFunc(n.spares, func(c *snapshot) bool { return !n.g.Covers(c.version) })
+	n.spares = slices.DeleteFunc(n.spares, func(c *snapshot) bool {
+		return !n.g.Covers(c.version) || c.g.Base() != n.g.Base()
+	})
 	var spare *snapshot
 	for i := len(n.spares) - 1; i >= 0; i-- {
 		// Never advance a clone the published snapshot shares (parking

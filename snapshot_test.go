@@ -3,9 +3,11 @@ package reachac
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
+	"weak"
 
 	"reachac/internal/core"
 	"reachac/internal/graph"
@@ -29,6 +31,11 @@ func TestDeltaAdvanceRecyclesClone(t *testing.T) {
 	ids := make([]UserID, 8)
 	for i := range ids {
 		ids[i] = n.MustAddUser(fmt.Sprintf("u%d", i))
+	}
+	// The relationship type exists before the first publication, which
+	// rebases; a new type would rebase again.
+	if err := n.Relate(ids[6], ids[7], "friend"); err != nil {
+		t.Fatal(err)
 	}
 	if _, err := n.Share("r", ids[0], "friend+[1,2]"); err != nil {
 		t.Fatal(err)
@@ -496,5 +503,134 @@ func TestPublishedSnapshotsAreIndexed(t *testing.T) {
 	}
 	if d := n.Stats().Delta(before); d.PublicationsAdvanced < 300 {
 		t.Fatalf("%d of %d publications advanced a clone; the patched path went unexercised", d.PublicationsAdvanced, d.Republications)
+	}
+}
+
+// TestSnapshotsShareOneBase churns a relationship ring on every engine kind
+// through 600 toggles — a new relationship type at step 100, and past the
+// overlay bound after it — while two readers hold Views across the
+// publications. After every publication the published and every parked
+// snapshot share the master's base, and every decision equals a network
+// built fresh from the master; once the Views close, at most two of the
+// bases the run made are still reachable. Run under -race it also checks
+// that no graph writes what a clone or a reader shares.
+func TestSnapshotsShareOneBase(t *testing.T) {
+	for _, kind := range EngineKinds() {
+		t.Run(kind.String(), func(t *testing.T) {
+			t.Parallel()
+			// Small, because the paper's join engine is slow on anything
+			// larger; a ring of 16 still crosses the overlay bound.
+			const members = 16
+			n, ids := ringNet(t, kind, members)
+			bases := map[weak.Pointer[graph.Base]]bool{}
+			shareOneBase := func(step int) {
+				t.Helper()
+				n.mu.Lock()
+				defer n.mu.Unlock()
+				b := n.g.Base()
+				bases[weak.Make(b)] = true
+				if n.snap.Load().g.Base() != b {
+					t.Fatalf("step %d: the published snapshot is not on the master's base", step)
+				}
+				for _, sp := range n.spares {
+					if sp.g.Base() != b {
+						t.Fatalf("step %d: a parked snapshot is not on the master's base", step)
+					}
+				}
+			}
+			shareOneBase(-1)
+			done := make(chan struct{})
+			errc := make(chan error, 2)
+			var wg sync.WaitGroup
+			for r := 0; r < cap(errc); r++ {
+				wg.Add(1)
+				go func(r int) {
+					defer wg.Done()
+					for i := r; ; i++ {
+						select {
+						case <-done:
+							return
+						default:
+						}
+						v, err := n.View()
+						if err != nil {
+							errc <- err
+							return
+						}
+						for j := 0; j < 8 && err == nil; j++ {
+							_, err = v.CheckPath(ids[(i+j)%members], ids[(i*7+j)%members], "friend+[1,3]")
+						}
+						v.Close()
+						if err != nil {
+							errc <- err
+							return
+						}
+					}
+				}(r)
+			}
+			before := n.Stats()
+			for i := 0; i < 600; i++ {
+				// Pair k = i/2 is related on the even step and unrelated on
+				// the odd one; its offset of 2..14 keeps it off the ring's own
+				// edges.
+				k := i / 2
+				from, to, rel := ids[k*5%members], ids[(k*5+2+k%13)%members], "friend"
+				if i >= 100 && i%8 < 4 {
+					rel = "colleague"
+				}
+				var err error
+				if i%2 == 0 {
+					err = n.Relate(from, to, rel)
+				} else {
+					err = n.Unrelate(from, to, rel)
+				}
+				if err != nil {
+					t.Fatalf("step %d: %v", i, err)
+				}
+				req := ids[(i*7)%members]
+				got, err := n.CanAccess("r", req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				shareOneBase(i)
+				n.mu.Lock()
+				ref := FromGraph(n.g.Clone())
+				n.mu.Unlock()
+				if _, err := ref.Share("r", ids[0], "friend+[1,3]"); err != nil {
+					t.Fatal(err)
+				}
+				want, err := ref.CanAccess("r", req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Effect != want.Effect {
+					t.Fatalf("step %d requester %d: %v, a fresh network says %v", i, req, got.Effect, want.Effect)
+				}
+			}
+			close(done)
+			wg.Wait()
+			select {
+			case err := <-errc:
+				t.Fatal(err)
+			default:
+			}
+			d := n.Stats().Delta(before)
+			if d.GraphRebases < 2 || d.PublicationsAdvanced < 300 {
+				t.Fatalf("%d rebases and %d advanced publications of %d; want a new type and a bound crossing, and most publications advanced",
+					d.GraphRebases, d.PublicationsAdvanced, d.Republications)
+			}
+			runtime.GC()
+			runtime.GC()
+			live := 0
+			for b := range bases {
+				if b.Value() != nil {
+					live++
+				}
+			}
+			if live > 2 {
+				t.Fatalf("%d of the %d bases the run made are still reachable", live, len(bases))
+			}
+			runtime.KeepAlive(n) // its base is one of the reachable
+		})
 	}
 }

@@ -34,12 +34,18 @@ type Stats struct {
 	// reader pays after a change); the three Publications* counters split
 	// it by what each one cost (see publishLocked): Shared reused the
 	// published graph clone (policy-only change), Advanced fast-forwarded a
-	// retired clone through the delta log (O(Δ)), Rebuilt cloned the graph
-	// and built the evaluator from scratch (O(V+E)).
+	// retired clone through the delta log (O(Δ)), Rebuilt cloned the
+	// master's changes since its base (O(Δ) since the last rebase) and
+	// built a new evaluator — O(V+E) on the index kinds, which re-index the
+	// whole graph, and an empty audience cache on every kind.
 	Republications       uint64 `json:"republications"`
 	PublicationsShared   uint64 `json:"publications_shared"`
 	PublicationsAdvanced uint64 `json:"publications_advanced"`
 	PublicationsRebuilt  uint64 `json:"publications_rebuilt"`
+	// GraphRebases counts publications that first folded the master graph's
+	// changes into a new shared base, the one O(V+E) graph step left (see
+	// graph.Graph.Rebase); a rebuilt publication or two follows each.
+	GraphRebases uint64 `json:"graph_rebases"`
 
 	// The next three fields are always zero: decisions are not cached. They
 	// stay declared because benchmark/main.go:391 reads them (their only
@@ -129,6 +135,7 @@ func (s Stats) Delta(prev Stats) Stats {
 	d.PublicationsShared -= prev.PublicationsShared
 	d.PublicationsAdvanced -= prev.PublicationsAdvanced
 	d.PublicationsRebuilt -= prev.PublicationsRebuilt
+	d.GraphRebases -= prev.GraphRebases
 	d.PlannerRouteAudience -= prev.PlannerRouteAudience
 	d.PlannerRouteFlatForward -= prev.PlannerRouteFlatForward
 	d.PlannerRouteFlatReverse -= prev.PlannerRouteFlatReverse
@@ -153,6 +160,7 @@ type counters struct {
 	pubShared   atomic.Uint64
 	pubAdvanced atomic.Uint64
 	pubRebuilt  atomic.Uint64
+	rebases     atomic.Uint64
 	ckptTaken   atomic.Uint64
 	ckptSkipped atomic.Uint64
 
@@ -186,6 +194,7 @@ func (n *Network) Stats() Stats {
 	st.PublicationsAdvanced = n.ctr.pubAdvanced.Load()
 	st.PublicationsRebuilt = n.ctr.pubRebuilt.Load()
 	st.Republications = st.PublicationsShared + st.PublicationsAdvanced + st.PublicationsRebuilt
+	st.GraphRebases = n.ctr.rebases.Load()
 	st.PlannerRouteAudience = n.routes.audience.Load()
 	st.PlannerRouteFlatForward = n.routes.flatForward.Load()
 	st.PlannerRouteFlatReverse = n.routes.flatReverse.Load()

@@ -9,7 +9,7 @@ func TestStatsDelta(t *testing.T) {
 	prev := Stats{
 		Users: 10, Relationships: 20, Engine: "online-bfs",
 		Checks: 100, BatchChecks: 5, Audiences: 2,
-		Mutations: 50, Batches: 30, Republications: 7,
+		Mutations: 50, Batches: 30, Republications: 7, GraphRebases: 1,
 		PlanCompiles: 5, PlanCacheEntries: 5,
 		Checkpoints: 1, CheckpointsSkipped: 2,
 		WALAppends: 40, WALFsyncs: 25, WALSegmentBytes: 111, WALSegmentSeq: 1,
@@ -17,7 +17,7 @@ func TestStatsDelta(t *testing.T) {
 	cur := Stats{
 		Users: 12, Relationships: 24, Engine: "online-bfs", Durable: true,
 		Checks: 350, BatchChecks: 9, Audiences: 6,
-		Mutations: 80, Batches: 45, Republications: 9,
+		Mutations: 80, Batches: 45, Republications: 9, GraphRebases: 3,
 		PlanCompiles: 12, PlanCacheEntries: 3,
 		Checkpoints: 2, CheckpointsSkipped: 5,
 		WALAppends: 70, WALFsyncs: 31, WALSegmentBytes: 222, WALSegmentSeq: 2,
@@ -25,7 +25,7 @@ func TestStatsDelta(t *testing.T) {
 	d := cur.Delta(prev)
 	if d.Checks != 250 || d.BatchChecks != 4 || d.Audiences != 4 ||
 		d.Mutations != 30 || d.Batches != 15 || d.Republications != 2 ||
-		d.PlanCompiles != 7 ||
+		d.GraphRebases != 2 || d.PlanCompiles != 7 ||
 		d.Checkpoints != 1 || d.CheckpointsSkipped != 3 ||
 		d.WALAppends != 30 || d.WALFsyncs != 6 {
 		t.Fatalf("counter deltas wrong: %+v", d)

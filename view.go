@@ -19,11 +19,18 @@ import (
 // A view holds its snapshot's reader pin until Close, which must be called.
 // Publication does not wait for it and stays O(Δ): once retired, the pinned
 // snapshot parks in the network's small spare pool while other retired
-// clones are advanced, and is recycled after Close. What an open view costs
-// is memory — one graph clone for as long as it is held — and with more
-// than a few generations pinned at once the pool overflows and a
-// publication may have to rebuild after all, so keep views request-scoped. After Close every method panics. A View is safe for
-// concurrent use before Close.
+// clones are advanced, and is recycled after Close.
+//
+// What an open view costs is memory. Its clone shares the master graph's
+// base, so while the master keeps that base the view holds only the clone's
+// private part: what changed between the base and the view's generation.
+// Once the master rebases, the view alone keeps the old base alive, a whole
+// graph, until Close. With more than a few generations pinned at once the
+// pool overflows and a publication may have to rebuild after all, so keep
+// views request-scoped.
+//
+// After Close every method panics. A View is safe for concurrent use before
+// Close.
 type View struct {
 	n *Network
 	s *snapshot
