@@ -25,6 +25,7 @@ import (
 	"reachac/internal/linegraph"
 	"reachac/internal/osn"
 	"reachac/internal/pathexpr"
+	"reachac/internal/ring"
 	"reachac/internal/scc"
 	"reachac/internal/search"
 	"reachac/internal/tclosure"
@@ -996,6 +997,64 @@ func BenchmarkAudienceIncremental(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkShardExpand measures one shard's expand call, the unit of a
+// sharded sweep, on a 20 000-node ldbc graph of degree 8 held whole by one
+// view. Each op seeds one owner's start state at the shard that owns it and
+// expands one expression of the repository benchmark's deep catalog, asking
+// for the retired set as a router building a cached audience does. With one
+// shard the call exhausts the search locally; with four it retires every
+// state generated on another shard's user as an exit. states/s counts the
+// retired states.
+func BenchmarkShardExpand(b *testing.B) {
+	top, err := generate.New("ldbc", generate.WithNodes(20000), generate.WithDegree(8), generate.WithSeed(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, err := generate.Build(top)
+	if err != nil {
+		b.Fatal(err)
+	}
+	n := FromGraph(g)
+	defer n.Close()
+	v, err := n.View()
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer v.Close()
+	paths := []string{"friend+[1,3]", "friend+[1,4]", "colleague+[1]/friend+[1,2]",
+		"friend+[1,2]/colleague+[1]/friend+[1]", "friend-[1]/colleague+[1]"}
+	for _, shards := range []int{1, 4} {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			rg, err := ring.New(shards, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			// 7919 is prime to 20 000, so seeds walk the whole graph.
+			expand := func(i int) int {
+				seed, _ := v.UserName(UserID(i * 7919 % 20000))
+				resp, err := v.ShardExpand(ShardExpandRequest{
+					Path: paths[i%len(paths)], Shards: shards, Self: rg.Owner(seed),
+					States: []ShardState{{Name: seed}}, Retired: true,
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				return len(resp.Retired)
+			}
+			for i := 0; i < 16; i++ {
+				expand(i)
+			}
+			states := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				states += expand(i)
+			}
+			b.ReportMetric(float64(states)/b.Elapsed().Seconds(), "states/s")
 		})
 	}
 }

@@ -2,11 +2,12 @@ package reachac
 
 import (
 	"fmt"
-	"sync"
+	"sync/atomic"
 
 	"reachac/internal/graph"
 	"reachac/internal/pathexpr"
 	"reachac/internal/ring"
+	"reachac/internal/search"
 )
 
 // This file is the shard-side half of the distributed reachability search
@@ -21,10 +22,16 @@ import (
 // re-dispatches the boundary frontier to the owning shards until it drains,
 // deduplicating states globally; that exit set IS the dynamic boundary
 // summary that keeps multi-hop reachability across the partition cut exact.
+//
+// The call runs no search of its own: it is one search.Engine.Expand on the
+// snapshot's engine and plan, seeded with the request's states, whose
+// foreign test is ring ownership. A shard therefore searches with the same
+// kernels and the same step rules as a single node.
 
 // ShardState is one product-search state: a node (by name — IDs are not
 // comparable across shards), the path step being matched, and the
-// canonicalized count of edges consumed within that step (see search.dKey).
+// canonicalized count of edges consumed within that step (see
+// pathexpr.Step.DKey).
 type ShardState struct {
 	Name string `json:"name"`
 	Step int    `json:"step"`
@@ -73,118 +80,27 @@ type ShardExpandResponse struct {
 	Retired []ShardState `json:"retired_states,omitempty"`
 }
 
-// pathCache memoizes parsed path expressions: a hot shard re-receives the
-// same handful of canonical paths on every expand round. Parsed paths are
-// read-only. Bounded because the expressions arrive over the wire — an
-// adversarial client must not grow the map without limit; once full, a new
-// expression pushes out an arbitrary one, so expressions that never repeat
-// cannot keep the ones that do out of the cache.
-var (
-	pathCacheMu sync.RWMutex
-	pathCache   = make(map[string]*pathexpr.Path)
-)
+// lastRing is the ring of the most recent expand call. A deployment uses one
+// (shards, vnodes) pair, so one entry always hits, and parameters that
+// arrive over the wire can displace it but never accumulate.
+var lastRing atomic.Pointer[ringEntry]
 
-const pathCacheMax = 256
-
-func cachedParsePath(expr string) (*pathexpr.Path, error) {
-	pathCacheMu.RLock()
-	p := pathCache[expr]
-	pathCacheMu.RUnlock()
-	if p != nil {
-		return p, nil
-	}
-	p, err := pathexpr.Parse(expr)
-	if err != nil {
-		return nil, err
-	}
-	pathCacheMu.Lock()
-	if len(pathCache) >= pathCacheMax {
-		for victim := range pathCache {
-			delete(pathCache, victim)
-			break
-		}
-	}
-	pathCache[expr] = p
-	pathCacheMu.Unlock()
-	return p, nil
+type ringEntry struct {
+	shards, vnodes int
+	r              *ring.Ring
 }
 
-// ringCache memoizes rings by (shards, vnodes): construction is cheap but
-// per-request on a hot shard adds up. The parameter space in one deployment
-// is a handful of values, so an unbounded map is fine.
-var ringCache sync.Map // [2]int -> *ring.Ring
-
 func cachedRing(shards, vnodes int) (*ring.Ring, error) {
-	key := [2]int{shards, vnodes}
-	if r, ok := ringCache.Load(key); ok {
-		return r.(*ring.Ring), nil
+	if e := lastRing.Load(); e != nil && e.shards == shards && e.vnodes == vnodes {
+		return e.r, nil
 	}
 	r, err := ring.New(shards, vnodes)
 	if err != nil {
 		return nil, err
 	}
-	actual, _ := ringCache.LoadOrStore(key, r)
-	return actual.(*ring.Ring), nil
+	lastRing.Store(&ringEntry{shards: shards, vnodes: vnodes, r: r})
+	return r, nil
 }
-
-// shardStep is a path step compiled against the view's graph, mirroring the
-// oracle semantics of internal/search exactly (dKey collapse, close/continue
-// windows, predicates evaluated on the node a step ends at).
-type shardStep struct {
-	label     graph.Label
-	labelOK   bool
-	dir       pathexpr.Direction
-	min, max  int
-	unbounded bool
-	preds     []pathexpr.Pred
-}
-
-// maxShardDepth mirrors search.maxDepthLimit: depths beyond it are rejected
-// rather than searched.
-const maxShardDepth = 1 << 15
-
-func compileShardSteps(g *graph.Graph, p *pathexpr.Path) ([]shardStep, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	steps := make([]shardStep, len(p.Steps))
-	for i, st := range p.Steps {
-		if st.MaxDepth >= maxShardDepth || st.MinDepth >= maxShardDepth {
-			return nil, fmt.Errorf("reachac: shard expand: step %d depth exceeds limit %d", i+1, maxShardDepth)
-		}
-		label, ok := g.LookupLabel(st.Label)
-		steps[i] = shardStep{
-			label:     label,
-			labelOK:   ok,
-			dir:       st.Dir,
-			min:       st.MinDepth,
-			max:       st.MaxDepth,
-			unbounded: st.Unbounded,
-			preds:     st.Preds,
-		}
-	}
-	return steps, nil
-}
-
-func (s *shardStep) predsHold(g *graph.Graph, n graph.NodeID) bool {
-	for _, p := range s.preds {
-		if !p.Eval(g.Node(n).Attrs) {
-			return false
-		}
-	}
-	return true
-}
-
-func (s *shardStep) dKey(d int) int {
-	if s.unbounded && d > s.min {
-		return s.min
-	}
-	return d
-}
-
-func (s *shardStep) mayContinue(d int) bool { return s.unbounded || d < s.max }
-
-func (s *shardStep) mayClose(d int) bool { return d >= s.min }
 
 // ShardExpand advances a distributed reachability search over the view's
 // local subgraph; see the file comment for the protocol. A label absent from
@@ -201,20 +117,14 @@ func (v *View) ShardExpand(req ShardExpandRequest) (ShardExpandResponse, error) 
 	if len(req.States) == 0 {
 		return resp, nil
 	}
-	p, err := cachedParsePath(req.Path)
+	p, err := pathexpr.Parse(req.Path)
 	if err != nil {
 		return resp, err
 	}
-	steps, err := compileShardSteps(g, p)
+	e := v.s.aud.Engine()
+	pl, err := e.Plan(p)
 	if err != nil {
 		return resp, err
-	}
-	// A published snapshot's graph is indexed (see publishLocked) unless it
-	// cannot be: it has no relationship types yet, so no step matches a
-	// local edge, or too many for a CSR.
-	csr := g.CSR()
-	if csr == nil && g.NumLabels() > 0 {
-		return resp, fmt.Errorf("reachac: shard expand: %d users × %d relationship types exceed the adjacency index", g.NumNodes(), g.NumLabels())
 	}
 	rg, err := cachedRing(req.Shards, req.VNodes)
 	if err != nil {
@@ -223,19 +133,10 @@ func (v *View) ShardExpand(req ShardExpandRequest) (ShardExpandResponse, error) 
 	if req.Self < 0 || req.Self >= rg.Shards() {
 		return resp, fmt.Errorf("reachac: shard expand: self index %d outside ring of %d", req.Self, rg.Shards())
 	}
-
-	// States are keyed by local node ID inside this call — integer map keys
-	// hash far cheaper than the wire form's name strings; names only matter
-	// at the boundary (exit emission and ring ownership).
-	type localState struct {
-		node    graph.NodeID
-		step, d int32
-	}
-	seen := make(map[localState]struct{}, len(req.States)*4)
-	var queue []localState
+	seeds := make([]search.State, 0, len(req.States))
 	for _, st := range req.States {
-		if st.Step < 0 || st.Step >= len(steps) || st.D < 0 {
-			return resp, fmt.Errorf("reachac: shard expand: state (%q,%d,%d) outside path of %d steps", st.Name, st.Step, st.D, len(steps))
+		if st.Step < 0 || st.Step >= len(p.Steps) || st.D < 0 || p.Steps[st.Step].DKey(st.D) >= p.Steps[st.Step].Depths() {
+			return resp, fmt.Errorf("reachac: shard expand: state (%q,%d,%d) outside the steps and depths of %s", st.Name, st.Step, st.D, p)
 		}
 		id, ok := g.NodeByName(st.Name)
 		if !ok {
@@ -244,111 +145,40 @@ func (v *View) ShardExpand(req ShardExpandRequest) (ShardExpandResponse, error) 
 			// lag, so an under-approximation here is the safe direction.
 			continue
 		}
-		key := localState{node: id, step: int32(st.Step), d: int32(steps[st.Step].dKey(st.D))}
-		if _, dup := seen[key]; dup {
-			continue
-		}
-		seen[key] = struct{}{}
-		queue = append(queue, key)
+		seeds = append(seeds, search.State{Node: id, Step: st.Step, D: p.Steps[st.Step].DKey(st.D)})
 	}
-
-	accepted := make(map[graph.NodeID]struct{})
-	exits := make(map[localState]struct{})
-	found := false
-	var reqID graph.NodeID
-	reqOK := false
+	target := graph.InvalidNode
 	if req.Requester != "" {
-		reqID, reqOK = g.NodeByName(req.Requester)
-	}
-
-	for len(queue) > 0 && !found {
-		cur := queue[0]
-		queue = queue[1:]
-		st := &steps[cur.step]
-		if !st.labelOK {
-			// The step's label never occurs locally: no local edge can match,
-			// and any cross-shard continuation already arrived as a state at
-			// a node another shard owns (an exit recorded when generated).
-			continue
-		}
-
-		// expand consumes one edge of the current step from cur.node,
-		// mirroring search.Engine.Witness: close the step when its depth
-		// window and end-of-step predicates allow (the last step accepting
-		// the reached node), and/or continue consuming within the step.
-		expand := func(next graph.NodeID) bool {
-			d := int(cur.d) + 1
-			if st.mayClose(d) && st.predsHold(g, next) {
-				if int(cur.step) == len(steps)-1 {
-					if _, dup := accepted[next]; !dup {
-						accepted[next] = struct{}{}
-						if reqOK && next == reqID {
-							found = true
-							return true
-						}
-					}
-				} else {
-					ns := localState{node: next, step: cur.step + 1, d: 0}
-					if _, dup := seen[ns]; !dup {
-						seen[ns] = struct{}{}
-						if rg.Owner(g.Node(next).Name) == req.Self {
-							queue = append(queue, ns)
-						} else {
-							exits[ns] = struct{}{}
-						}
-					}
-				}
-			}
-			if st.mayContinue(d) {
-				ns := localState{node: next, step: cur.step, d: int32(st.dKey(d))}
-				if _, dup := seen[ns]; !dup {
-					seen[ns] = struct{}{}
-					if rg.Owner(g.Node(next).Name) == req.Self {
-						queue = append(queue, ns)
-					} else {
-						exits[ns] = struct{}{}
-					}
-				}
-			}
-			return false
-		}
-
-		if st.dir == pathexpr.Out || st.dir == pathexpr.Both {
-			for _, nb := range csr.OutNeighbors(cur.node, st.label) {
-				if expand(graph.NodeID(nb)) {
-					break
-				}
-			}
-		}
-		if !found && (st.dir == pathexpr.In || st.dir == pathexpr.Both) {
-			for _, nb := range csr.InNeighbors(cur.node, st.label) {
-				if expand(graph.NodeID(nb)) {
-					break
-				}
-			}
+		if id, ok := g.NodeByName(req.Requester); ok {
+			target = id
 		}
 	}
-
-	resp.Found = found
-	if len(accepted) > 0 {
-		resp.Accepted = make([]string, 0, len(accepted))
-		for id := range accepted {
-			resp.Accepted = append(resp.Accepted, g.Node(id).Name)
+	foreign := func(n graph.NodeID) bool { return rg.Owner(g.Node(n).Name) != req.Self }
+	x := e.Expand(pl, seeds, target, foreign, req.Retired)
+	resp.Found = x.Found
+	if len(x.Members) > 0 {
+		resp.Accepted = make([]string, len(x.Members))
+		for i, id := range x.Members {
+			resp.Accepted[i] = g.Node(id).Name
 		}
 	}
-	if len(exits) > 0 {
-		resp.Exits = make([]ShardState, 0, len(exits))
-		for st := range exits {
-			resp.Exits = append(resp.Exits, ShardState{Name: g.Node(st.node).Name, Step: int(st.step), D: int(st.d)})
-		}
-	}
+	resp.Exits = shardStates(g, x.Exits)
 	if req.Retired {
-		resp.Retired = make([]ShardState, 0, len(seen))
-		for st := range seen {
-			resp.Retired = append(resp.Retired, ShardState{Name: g.Node(st.node).Name, Step: int(st.step), D: int(st.d)})
-		}
+		resp.Retired = shardStates(g, x.Retired)
 	}
 	return resp, nil
+}
+
+// shardStates is the wire form of states, nil when there are none.
+func shardStates(g *graph.Graph, states []search.State) []ShardState {
+	if len(states) == 0 {
+		return nil
+	}
+	out := make([]ShardState, len(states))
+	for i, st := range states {
+		out[i] = ShardState{Name: g.Node(st.Node).Name, Step: st.Step, D: st.D}
+	}
+	return out
 }
 
 // PolicyRule is one access rule in name-keyed form (see PolicyDump).

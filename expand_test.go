@@ -245,6 +245,10 @@ func TestShardExpandAbsentLabel(t *testing.T) {
 	}
 }
 
+// TestShardExpandRequestValidation: every malformed request is refused
+// before it is searched — among them a seed depth outside its step's window,
+// which in the flat layout would mark a bit of another step, and ring
+// parameters that would make the shard allocate without bound.
 func TestShardExpandRequestValidation(t *testing.T) {
 	_, v, names := expandTestNetwork(t)
 	st := []ShardState{{Name: names[0], Step: 0, D: 0}}
@@ -260,52 +264,49 @@ func TestShardExpandRequestValidation(t *testing.T) {
 			States: []ShardState{{Name: names[0], Step: 4, D: 0}}}},
 		{"negative d", ShardExpandRequest{Path: `friend*[1]`, Shards: 2, Self: 0,
 			States: []ShardState{{Name: names[0], Step: 0, D: -2}}}},
+		{"bounded d at max", ShardExpandRequest{Path: `friend+[1,2]`, Shards: 1, Self: 0,
+			States: []ShardState{{Name: names[0], Step: 0, D: 2}}}},
+		{"bounded d past max", ShardExpandRequest{Path: `friend+[1,2]`, Shards: 1, Self: 0,
+			States: []ShardState{{Name: names[0], Step: 0, D: 5}}}},
+		{"bad d of an unknown user", ShardExpandRequest{Path: `friend+[1,2]`, Shards: 1, Self: 0,
+			States: []ShardState{{Name: "never-added", Step: 0, D: 5}}}},
 		{"depth beyond limit", ShardExpandRequest{Path: `friend+[1,40000]`, Shards: 2, Self: 0, States: st}},
+		{"huge ring", ShardExpandRequest{Path: `friend*[1]`, Shards: 100_000_000, Self: 0, States: st}},
+		{"huge vnodes", ShardExpandRequest{Path: `friend*[1]`, Shards: 2, VNodes: 1 << 40, Self: 0, States: st}},
 	}
 	for _, tc := range cases {
 		if _, err := v.ShardExpand(tc.req); err == nil {
 			t.Errorf("%s: expected an error", tc.name)
 		}
 	}
-}
 
-// TestCachedParsePathAndRing: the per-shard memoization layers — repeat
-// lookups hit, invalid inputs never populate, and the path cache stays
-// bounded against adversarial expression streams without shutting out the
-// expressions that come after them.
-func TestCachedParsePathAndRing(t *testing.T) {
-	p1, err := cachedParsePath(`colleague+[1,4]`)
+	// An unbounded step's depths past its minimum are one canonical depth:
+	// accepted, and echoed canonicalized.
+	resp, err := v.ShardExpand(ShardExpandRequest{Path: `friend+[2,*]`, Shards: 1, Self: 0,
+		States: []ShardState{{Name: names[3], Step: 0, D: 9}}, Retired: true})
 	if err != nil {
-		t.Fatalf("parse: %v", err)
+		t.Fatalf("unbounded d past min: %v", err)
 	}
-	p2, err := cachedParsePath(`colleague+[1,4]`)
-	if err != nil || p1 != p2 {
-		t.Fatalf("second parse did not hit the cache: %p vs %p (%v)", p1, p2, err)
+	want, err := v.ShardExpand(ShardExpandRequest{Path: `friend+[2,*]`, Shards: 1, Self: 0,
+		States: []ShardState{{Name: names[3], Step: 0, D: 2}}, Retired: true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := cachedParsePath(`!!`); err == nil {
-		t.Fatalf("invalid path parsed")
+	sort.Strings(resp.Accepted)
+	sort.Strings(want.Accepted)
+	if fmt.Sprint(resp.Accepted) != fmt.Sprint(want.Accepted) || len(resp.Accepted) == 0 {
+		t.Fatalf("seeded at d 9, accepted %v; at d 2, %v", resp.Accepted, want.Accepted)
 	}
-	// Flood past the bound: the cache must stop growing, and still admit
-	// what arrives next.
-	for i := 0; i < 2*pathCacheMax; i++ {
-		if _, err := cachedParsePath(fmt.Sprintf(`friend+[1,%d]`, i+2)); err != nil {
-			t.Fatalf("flood parse %d: %v", i, err)
+	for _, st := range resp.Retired {
+		if st.D > 2 {
+			t.Fatalf("retired state %+v not canonicalized", st)
 		}
 	}
-	pathCacheMu.RLock()
-	size := len(pathCache)
-	pathCacheMu.RUnlock()
-	if size > pathCacheMax {
-		t.Fatalf("path cache grew to %d entries past its %d bound", size, pathCacheMax)
-	}
-	p3, err := cachedParsePath(`parent-[1]/friend+[1,2]`)
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	if p4, err := cachedParsePath(`parent-[1]/friend+[1,2]`); err != nil || p3 != p4 {
-		t.Fatalf("an expression arriving after the flood was not cached: %p vs %p (%v)", p3, p4, err)
-	}
+}
 
+// TestCachedRing: a shard keeps the ring it last built, so repeat lookups
+// hit, and invalid parameters never displace it.
+func TestCachedRing(t *testing.T) {
 	r1, err := cachedRing(5, 0)
 	if err != nil {
 		t.Fatalf("ring: %v", err)
@@ -316,6 +317,9 @@ func TestCachedParsePathAndRing(t *testing.T) {
 	}
 	if _, err := cachedRing(0, 0); err == nil {
 		t.Fatalf("zero-shard ring constructed")
+	}
+	if r3, err := cachedRing(5, 0); err != nil || r3 != r1 {
+		t.Fatalf("an invalid lookup displaced the cached ring")
 	}
 }
 

@@ -189,25 +189,14 @@ func (idx *Index) evalAnchored(owner, requester graph.NodeID, p *pathexpr.Path) 
 	// Automaton state: having consumed the d-th edge of step i, now at
 	// member node. Future transitions depend only on (node, i, d), so
 	// states deduplicate on the landing node — the traversal identity
-	// matters only for the look-ahead test. For unbounded steps depths at
-	// or above MinDepth collapse (the state's future capabilities no longer
-	// depend on d).
+	// matters only for the look-ahead test. Depths are canonicalized by
+	// pathexpr.Step.DKey, which closes and continues them by the step's
+	// MayClose and MayContinue.
 	type state struct {
 		node graph.NodeID
 		step int
 		d    int
 	}
-	dKey := func(i, d int) int {
-		if p.Steps[i].Unbounded && d > p.Steps[i].MinDepth {
-			return p.Steps[i].MinDepth
-		}
-		return d
-	}
-	mayClose := func(i, d int) bool { return d >= p.Steps[i].MinDepth }
-	mayContinue := func(i, d int) bool {
-		return p.Steps[i].Unbounded || d < p.Steps[i].MaxDepth
-	}
-
 	seen := make(map[[3]uint32]bool)
 	var queue []state
 
@@ -222,11 +211,11 @@ func (idx *Index) evalAnchored(owner, requester graph.NodeID, p *pathexpr.Path) 
 			return false
 		}
 		h := tr.head()
-		if i == k-1 && mayClose(i, d) && h == requester {
+		if i == k-1 && st.MayClose(d) && h == requester {
 			// Last-step predicates were pre-checked on the requester.
 			return true
 		}
-		key := [3]uint32{uint32(h), uint32(i), uint32(dKey(i, d))}
+		key := [3]uint32{uint32(h), uint32(i), uint32(st.DKey(d))}
 		if seen[key] {
 			return false
 		}
@@ -234,7 +223,7 @@ func (idx *Index) evalAnchored(owner, requester graph.NodeID, p *pathexpr.Path) 
 		if !lookahead(tr, i) {
 			return false
 		}
-		queue = append(queue, state{h, i, dKey(i, d)})
+		queue = append(queue, state{h, i, st.DKey(d)})
 		return false
 	}
 
@@ -276,13 +265,13 @@ func (idx *Index) evalAnchored(owner, requester graph.NodeID, p *pathexpr.Path) 
 		cur := queue[0]
 		queue = queue[1:]
 		// Option 1: close step cur.step here and start the next one.
-		if cur.step+1 < k && mayClose(cur.step, cur.d) && stepPredsHold(cur.step, cur.node) {
+		if cur.step+1 < k && p.Steps[cur.step].MayClose(cur.d) && stepPredsHold(cur.step, cur.node) {
 			if expandFrom(cur.node, cur.step+1, 1) {
 				return true, nil
 			}
 		}
 		// Option 2: continue the current step.
-		if mayContinue(cur.step, cur.d) {
+		if p.Steps[cur.step].MayContinue(cur.d) {
 			if expandFrom(cur.node, cur.step, cur.d+1) {
 				return true, nil
 			}

@@ -159,6 +159,38 @@ type Step struct {
 	Preds     []Pred
 }
 
+// The four rules below are the step's semantics in a product search over
+// G × the path's steps, whose state is (node, step, d) with d the edges
+// consumed within the step so far. Every search in the repository reads them
+// from here.
+
+// MayClose reports whether the step is complete after d edges.
+func (s *Step) MayClose(d int) bool { return d >= s.MinDepth }
+
+// MayContinue reports whether, after d edges, the step may consume another.
+func (s *Step) MayContinue(d int) bool { return s.Unbounded || d < s.MaxDepth }
+
+// DKey canonicalizes d: for an unbounded step every depth at or above
+// MinDepth behaves alike (the step may close, and may always continue), so
+// those depths collapse to MinDepth. This keeps the state space finite.
+func (s *Step) DKey(d int) int {
+	if s.Unbounded && d > s.MinDepth {
+		return s.MinDepth
+	}
+	return d
+}
+
+// Depths returns how many canonical depths a search state within the step
+// can hold. A state is kept only while the step may continue, so a bounded
+// step's states hold d in [0, MaxDepth), and an unbounded step's, after
+// DKey, d in [0, MinDepth].
+func (s *Step) Depths() int {
+	if s.Unbounded {
+		return s.MinDepth + 1
+	}
+	return s.MaxDepth
+}
+
 // String renders the step in concrete syntax. The depth suffix is always
 // printed so that round-trips are exact.
 func (s Step) String() string {

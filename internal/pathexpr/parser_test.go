@@ -1,6 +1,7 @@
 package pathexpr
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -211,6 +212,46 @@ func TestMinMaxLen(t *testing.T) {
 	if got := p.MaxLen(10); got != 15 {
 		t.Fatalf("MaxLen(10) = %d, want 15", got)
 	}
+}
+
+// TestStepRules pins the step semantics every product search reads: for
+// each depth d, whether the step may close or continue after d edges, d's
+// canonical key, and the count of canonical depths a state can hold. Every
+// state a search keeps — d = 0, or a key reached by continuing — must fall
+// below that count.
+func TestStepRules(t *testing.T) {
+	for _, tc := range []struct {
+		expr             string
+		close, cont, key string // per d = 0..5
+		depths           int
+	}{
+		{"friend+[1]", "011111", "100000", "012345", 1},
+		{"friend+[2,4]", "001111", "111100", "012345", 4},
+		{"friend+[1,*]", "011111", "111111", "011111", 2},
+		{"friend+[3,*]", "000111", "111111", "012333", 4},
+	} {
+		st := MustParse(tc.expr).Steps[0]
+		for d := 0; d <= 5; d++ {
+			got := fmt.Sprintf("%d%d%d", boolDigit(st.MayClose(d)), boolDigit(st.MayContinue(d)), st.DKey(d))
+			want := string([]byte{tc.close[d], tc.cont[d], tc.key[d]})
+			if got != want {
+				t.Errorf("%s at d=%d: close, continue, key = %s, want %s", tc.expr, d, got, want)
+			}
+			if (d == 0 || st.MayContinue(d)) && st.DKey(d) >= st.Depths() {
+				t.Errorf("%s: kept state at d=%d has key %d beyond Depths %d", tc.expr, d, st.DKey(d), st.Depths())
+			}
+		}
+		if st.Depths() != tc.depths {
+			t.Errorf("%s: Depths = %d, want %d", tc.expr, st.Depths(), tc.depths)
+		}
+	}
+}
+
+func boolDigit(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 func TestHasPreds(t *testing.T) {

@@ -19,8 +19,14 @@ import (
 
 // DefaultVNodes is the virtual-node count per shard: enough to spread
 // ownership within a few percent of uniform, cheap enough to rebuild per
-// request on a shard (shards cache rings by parameters anyway).
+// request on a shard (shards keep the last ring they built anyway).
 const DefaultVNodes = 64
+
+// maxPoints bounds shards × vnodes, the virtual nodes one ring places: far
+// above any deployment (1 024 shards at DefaultVNodes), and low enough that
+// parameters arriving over the wire cannot make a shard allocate more than a
+// megabyte for a ring.
+const maxPoints = 1 << 16
 
 // Ring places names on shards by consistent hashing.
 type Ring struct {
@@ -35,13 +41,16 @@ type point struct {
 }
 
 // New builds a ring over shards backends with vnodes virtual nodes each
-// (vnodes <= 0 selects DefaultVNodes).
+// (vnodes <= 0 selects DefaultVNodes), at most maxPoints in all.
 func New(shards, vnodes int) (*Ring, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("ring: need at least one shard, got %d", shards)
 	}
 	if vnodes <= 0 {
 		vnodes = DefaultVNodes
+	}
+	if vnodes > maxPoints/shards {
+		return nil, fmt.Errorf("ring: %d shards × %d virtual nodes exceed %d points", shards, vnodes, maxPoints)
 	}
 	r := &Ring{shards: shards, vnodes: vnodes, points: make([]point, 0, shards*vnodes)}
 	for s := 0; s < shards; s++ {

@@ -14,6 +14,20 @@ func TestNewRejectsZeroShards(t *testing.T) {
 	}
 }
 
+// A ring's size comes from the wire on a shard: New must refuse, before
+// allocating, any product of shards and vnodes beyond maxPoints, including
+// one that overflows.
+func TestNewRejectsOversizedRing(t *testing.T) {
+	for _, tc := range [][2]int{{maxPoints/DefaultVNodes + 1, 0}, {1e8, 0}, {2, maxPoints}, {1 << 40, 1 << 40}} {
+		if _, err := New(tc[0], tc[1]); err == nil {
+			t.Errorf("New(%d, %d) succeeded, want error", tc[0], tc[1])
+		}
+	}
+	if _, err := New(maxPoints/DefaultVNodes, 0); err != nil {
+		t.Fatalf("New at the bound: %v", err)
+	}
+}
+
 func TestDefaultVNodes(t *testing.T) {
 	r, err := New(3, 0)
 	if err != nil {

@@ -158,12 +158,19 @@ func (ac *AudienceCache) compute(c *Plan, owner graph.NodeID) *audEntry {
 		member:  make([]uint64, (v+63)/64),
 	}
 	if !c.anyMissing {
-		frontier := seedFlat(&c.compiled, ent.visited, ac.frontier[:0], owner)
-		_, frontier = ac.e.runFlat(&c.compiled, ent.visited, ent.member, frontier, graph.InvalidNode, true)
-		ac.frontier = frontier
+		ac.runEntry(ent, append(ac.frontier[:0], packState(owner, 0, 0)))
 		ent.out = appendBits(nil, ent.member)
 	}
 	return ent
+}
+
+// runEntry runs the flat kernel over ent's bitsets from seeds, dropping those
+// already marked, and reports whether any was not. Callers hold ac.mu.
+func (ac *AudienceCache) runEntry(ent *audEntry, seeds []uint64) bool {
+	sc := scratch{visited: ent.visited, member: ent.member, frontier: seeds}
+	ac.e.runFlat(&ent.c.compiled, &sc, query{target: graph.InvalidNode, collect: true})
+	ac.frontier = sc.frontier
+	return len(sc.frontier) > 0
 }
 
 // Advance brings every cached entry up to date after the cache's graph has
@@ -250,66 +257,48 @@ func grow(b []uint64, words int) []uint64 {
 // Callers hold ac.mu.
 func (ac *AudienceCache) extend(ent *audEntry, from, to graph.NodeID, l graph.Label) {
 	c := ent.c
-	frontier := ac.frontier[:0]
+	seeds := ac.frontier[:0]
 	for si := range c.steps {
 		st := &c.steps[si]
 		if !st.labelOK || st.label != l {
 			continue
 		}
-		if st.dir == pathexpr.Out || st.dir == pathexpr.Both {
-			frontier = ac.seedEdge(ent, frontier, int32(si), from, to)
+		if st.Dir != pathexpr.In {
+			seeds = ac.seedEdge(ent, seeds, int32(si), from, to)
 		}
-		if st.dir == pathexpr.In || st.dir == pathexpr.Both {
-			frontier = ac.seedEdge(ent, frontier, int32(si), to, from)
+		if st.Dir != pathexpr.Out {
+			seeds = ac.seedEdge(ent, seeds, int32(si), to, from)
 		}
 	}
-	if len(frontier) > 0 {
+	if ac.runEntry(ent, seeds) {
 		ent.dirty = true
-		_, frontier = ac.e.runFlat(&c.compiled, ent.visited, ent.member, frontier, graph.InvalidNode, true)
 	}
-	ac.frontier = frontier
 }
 
 // seedEdge simulates traversing the new edge from every reached state
-// (u, si, d), marking the resulting states/members and enqueueing them.
-func (ac *AudienceCache) seedEdge(ent *audEntry, frontier []uint64, si int32, u, next graph.NodeID) []uint64 {
+// (u, si, d): it marks the members the traversal closes the path at, and
+// appends the states it leads to, reached before or not, to seeds.
+func (ac *AudienceCache) seedEdge(ent *audEntry, seeds []uint64, si int32, u, next graph.NodeID) []uint64 {
 	c := ent.c
 	st := &c.steps[si]
-	S := uint64(c.states)
 	last := int32(len(c.steps) - 1)
-	dCap := st.max
-	if st.unbounded {
-		dCap = st.min
-	}
-	base := uint64(u)*S + uint64(c.stepBase[si])
-	for d := 0; d <= dCap; d++ {
-		bit := base + uint64(d)
+	for d := 0; d < st.Depths(); d++ {
+		bit := c.bit(u, si, int32(d))
 		if ent.visited[bit>>6]&(1<<(bit&63)) == 0 {
 			continue
 		}
 		d1 := d + 1
-		if st.mayClose(d1) && st.predsHold(ac.e.g, next) {
-			if si == last {
-				if ent.member[next>>6]&(1<<(next&63)) == 0 {
-					ent.member[next>>6] |= 1 << (next & 63)
-					ent.dirty = true
-				}
-			} else {
-				nbit := uint64(next)*S + uint64(c.stepBase[si+1])
-				if ent.visited[nbit>>6]&(1<<(nbit&63)) == 0 {
-					ent.visited[nbit>>6] |= 1 << (nbit & 63)
-					frontier = append(frontier, packState(next, si+1, 0))
-				}
+		if st.MayClose(d1) && st.predsHold(ac.e.g, next) {
+			if si < last {
+				seeds = append(seeds, packState(next, si+1, 0))
+			} else if ent.member[next>>6]&(1<<(next&63)) == 0 {
+				ent.member[next>>6] |= 1 << (next & 63)
+				ent.dirty = true
 			}
 		}
-		if st.mayContinue(d1) {
-			dk := int32(st.dKey(d1))
-			nbit := uint64(next)*S + uint64(c.stepBase[si]) + uint64(dk)
-			if ent.visited[nbit>>6]&(1<<(nbit&63)) == 0 {
-				ent.visited[nbit>>6] |= 1 << (nbit & 63)
-				frontier = append(frontier, packState(next, si, dk))
-			}
+		if st.MayContinue(d1) {
+			seeds = append(seeds, packState(next, si, int32(st.DKey(d1))))
 		}
 	}
-	return frontier
+	return seeds
 }

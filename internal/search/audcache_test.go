@@ -203,9 +203,9 @@ func TestAudienceCacheResultImmutable(t *testing.T) {
 	}
 }
 
-// TestAudienceSetMapMatchesFlat exercises the map-based fallback BFS (used
-// when a state space exceeds the flat layout's bounds) directly and checks
-// it agrees with the flat collect path on every owner.
+// TestAudienceSetMapMatchesFlat exercises the map kernel (the fallback when
+// a state space exceeds the flat layout's bounds) as an audience sweep
+// directly and checks it agrees with the flat collect path on every owner.
 func TestAudienceSetMapMatchesFlat(t *testing.T) {
 	g, ids := audCacheFixture(t, 24)
 	e := New(g)
@@ -215,7 +215,7 @@ func TestAudienceSetMapMatchesFlat(t *testing.T) {
 		"colleague-[1]/friend*[2]",
 	} {
 		p := mustPath(t, expr)
-		steps, err := compile(g, p)
+		pl, err := e.Plan(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -224,8 +224,12 @@ func TestAudienceSetMapMatchesFlat(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := e.audienceSetMap(steps, owner)
-			if !sameIDs(got, want) {
+			sc := &scratch{
+				member:   make([]uint64, (g.NumNodes()+63)/64),
+				frontier: []uint64{packState(owner, 0, 0)},
+			}
+			e.runMap(&pl.compiled, sc, query{target: graph.InvalidNode, collect: true})
+			if got := appendBits(nil, sc.member); !sameIDs(got, want) {
 				t.Fatalf("owner %d path %s: map %v, flat %v", owner, expr, got, want)
 			}
 		}

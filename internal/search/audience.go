@@ -3,7 +3,6 @@ package search
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 
 	"reachac/internal/graph"
 	"reachac/internal/pathexpr"
@@ -31,15 +30,14 @@ func (e *Engine) AppendAudience(dst []graph.NodeID, owner graph.NodeID, p *pathe
 	if err != nil {
 		return dst, err
 	}
-	c := &pl.compiled
-	if c.anyMissing {
+	if pl.anyMissing {
 		return dst, nil
 	}
-	if !c.flatOK(e.g) {
-		return append(dst, e.audienceSetMap(c.steps, owner)...), nil
-	}
 	sc := scratchPool.Get().(*scratch)
-	dst = e.audienceFlat(sc, c, dst, owner)
+	sc.member = sized(sc.member, (e.g.NumNodes()+63)/64)
+	sc.frontier = append(sc.frontier[:0], packState(owner, 0, 0))
+	e.run(&pl.compiled, sc, query{target: graph.InvalidNode, collect: true})
+	dst = takeBits(dst, sc.member)
 	scratchPool.Put(sc)
 	return dst, nil
 }
@@ -56,65 +54,12 @@ func appendBits(dst []graph.NodeID, member []uint64) []graph.NodeID {
 	return dst
 }
 
-// audienceSetMap is the pre-flat map-based product BFS, kept as the
-// fallback for state spaces beyond the flat layout's bounds.
-func (e *Engine) audienceSetMap(steps []compiledStep, owner graph.NodeID) []graph.NodeID {
-	start := state{node: owner, step: 0, d: 0}
-	seen := map[state]bool{start: true}
-	frontier := []state{start}
-	audience := make(map[graph.NodeID]bool)
-
-	for len(frontier) > 0 {
-		cur := frontier[0]
-		frontier = frontier[1:]
-		st := &steps[cur.step]
-
-		expand := func(next graph.NodeID) {
-			d := int(cur.d) + 1
-			// Close the step here when allowed.
-			if st.mayClose(d) && st.predsHold(e.g, next) {
-				if int(cur.step) == len(steps)-1 {
-					audience[next] = true
-				} else {
-					ns := state{node: next, step: cur.step + 1, d: 0}
-					if !seen[ns] {
-						seen[ns] = true
-						frontier = append(frontier, ns)
-					}
-				}
-			}
-			// Continue the step.
-			if st.mayContinue(d) {
-				ns := state{node: next, step: cur.step, d: uint16(st.dKey(d))}
-				if !seen[ns] {
-					seen[ns] = true
-					frontier = append(frontier, ns)
-				}
-			}
-		}
-
-		if st.dir == pathexpr.Out || st.dir == pathexpr.Both {
-			e.g.OutEdges(cur.node, func(edge graph.Edge) bool {
-				if edge.Label == st.label {
-					expand(edge.To)
-				}
-				return true
-			})
-		}
-		if st.dir == pathexpr.In || st.dir == pathexpr.Both {
-			e.g.InEdges(cur.node, func(edge graph.Edge) bool {
-				if edge.Label == st.label {
-					expand(edge.From)
-				}
-				return true
-			})
-		}
+// takeBits is appendBits clearing the bits it appends.
+func takeBits(dst []graph.NodeID, member []uint64) []graph.NodeID {
+	n := len(dst)
+	dst = appendBits(dst, member)
+	for _, id := range dst[n:] {
+		member[id>>6] &^= 1 << (id & 63)
 	}
-
-	out := make([]graph.NodeID, 0, len(audience))
-	for id := range audience {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return dst
 }

@@ -7,16 +7,16 @@ import (
 	"reachac/internal/pathexpr"
 )
 
-// This file is the allocation-free fast path behind Reachable and
-// AudienceSet. The product search space (node, step, depth-key) is mapped to
-// a dense integer range — node*states + stepBase[step] + d — so the visited
+// This file is the flat kernel, the allocation-free hot path of every entry
+// point. The product search space (node, step, depth-key) is mapped to a
+// dense integer range — node*states + stepBase[step] + d — so the visited
 // set is a flat bitset instead of a map, the frontier is a reusable slice of
 // packed uint64 states, and both live in a sync.Pool scratch that queries
 // borrow and hand back all-zero. Adjacency always comes from the graph's
 // label-partitioned CSR (see graph.CSR), which the graph keeps fresh across
 // mutations; an engine over a graph that was never indexed builds it on its
-// first query. The few graphs that cannot have one are served by the
-// map-based search over edge lists (see flatOK).
+// first query. A plan or graph the layout cannot serve (see flatOK) is
+// searched by the map kernel of search.go instead.
 
 // compiled is one direction of a plan: the steps of a pattern resolved
 // against a graph, plus the dense state layout derived from them.
@@ -54,20 +54,17 @@ type Plan struct {
 }
 
 // maxFlatStates bounds node*states products (in bits) served by the flat
-// path; beyond it the map-based search takes over. 2^31 bits = 256 MiB of
+// kernel; beyond it the map kernel takes over. 2^31 bits = 256 MiB of
 // visited bitset, far above any realistic policy.
 const maxFlatStates = int64(1) << 31
 
-// layOut assigns the dense state layout to compiled steps.
+// layOut assigns the dense state layout to compiled steps: each step gets
+// one bit per canonical depth its states can hold (pathexpr.Step.Depths).
 func layOut(steps []compiledStep) compiled {
 	c := compiled{steps: steps, stepBase: make([]int32, len(steps))}
 	for i := range steps {
 		c.stepBase[i] = c.states
-		dCap := steps[i].max
-		if steps[i].unbounded {
-			dCap = steps[i].min
-		}
-		c.states += int32(dCap) + 1
+		c.states += int32(steps[i].Depths())
 		if !steps[i].labelOK {
 			c.anyMissing = true
 		}
@@ -150,14 +147,18 @@ func (e *Engine) PlanCacheLen() int {
 	return 0
 }
 
-// scratch is the pooled working set of a flat search. A parked scratch is
-// all-zero over the whole capacity of visited and member: a search un-marks
-// exactly the bits it marked before it returns the scratch, so taking one
-// costs nothing, however many nodes the graph has.
+// scratch is the working set of one search: the visited bitset (flat kernel
+// only), the member bitset over node IDs, the frontier — the seeds on entry,
+// on return every state marked and not retired as an exit — and the exits.
+// A parked scratch is all-zero over the whole capacity of visited and
+// member: a search un-marks exactly the bits it marked before it returns
+// the scratch, so taking one costs nothing, however many nodes the graph
+// has.
 type scratch struct {
 	visited  []uint64
 	member   []uint64
 	frontier []uint64
+	exits    []uint64
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -170,43 +171,59 @@ func sized(b []uint64, words int) []uint64 {
 	return b[:words]
 }
 
-// unmark clears the visited bit of every state in frontier. A search enqueues
-// each state it marks, so after it frontier lists exactly the set bits.
-func (c *compiled) unmark(visited, frontier []uint64) {
-	S := uint64(c.states)
-	for _, packed := range frontier {
-		bit := (packed>>32)*S + uint64(c.stepBase[uint16(packed>>16)]) + uint64(uint16(packed))
-		visited[bit>>6] &^= 1 << (bit & 63)
-	}
+// query is what a product search is asked beyond its seeds; both kernels
+// take it.
+type query struct {
+	// target, unless graph.InvalidNode, ends the search as soon as it closes
+	// the last step.
+	target graph.NodeID
+	// collect sets, in the scratch's member bitset, every node that closes
+	// the last step.
+	collect bool
+	// foreign, when set, retires every generated state whose node it reports
+	// true for into the scratch's exits, without expanding it. Seeds are
+	// always expanded.
+	foreign func(graph.NodeID) bool
 }
 
-// reachFlat answers one point query on sc, which it takes and leaves
-// all-zero.
-func (e *Engine) reachFlat(sc *scratch, c *compiled, from, to graph.NodeID) bool {
+// run searches from the seeds in sc.frontier with the kernel c can use on
+// this graph, and leaves sc.visited all-zero. sc.member must cover the
+// graph's nodes when q collects.
+func (e *Engine) run(c *compiled, sc *scratch, q query) bool {
+	if !c.flatOK(e.g) {
+		found, _, _ := e.runMap(c, sc, q)
+		return found
+	}
 	sc.visited = sized(sc.visited, c.flatWords(e.g.NumNodes()))
-	frontier := seedFlat(c, sc.visited, sc.frontier[:0], from)
-	found, frontier := e.runFlat(c, sc.visited, nil, frontier, to, false)
-	c.unmark(sc.visited, frontier)
-	sc.frontier = frontier
+	found := e.runFlat(c, sc, q)
+	c.unmark(sc.visited, sc.frontier)
+	c.unmark(sc.visited, sc.exits)
 	return found
 }
 
-// audienceFlat appends to dst, in ascending order, every node the pattern
-// reaches from owner. Like reachFlat it takes and leaves sc all-zero.
-func (e *Engine) audienceFlat(sc *scratch, c *compiled, dst []graph.NodeID, owner graph.NodeID) []graph.NodeID {
-	v := e.g.NumNodes()
-	sc.visited = sized(sc.visited, c.flatWords(v))
-	sc.member = sized(sc.member, (v+63)/64)
-	frontier := seedFlat(c, sc.visited, sc.frontier[:0], owner)
-	_, frontier = e.runFlat(c, sc.visited, sc.member, frontier, graph.InvalidNode, true)
-	c.unmark(sc.visited, frontier)
-	sc.frontier = frontier
-	n := len(dst)
-	dst = appendBits(dst, sc.member)
-	for _, id := range dst[n:] {
-		sc.member[id>>6] &^= 1 << (id & 63)
+// bit returns the visited bit of state (node, step, d) in c's layout.
+func (c *compiled) bit(node graph.NodeID, step, d int32) uint64 {
+	return uint64(node)*uint64(c.states) + uint64(c.stepBase[step]) + uint64(d)
+}
+
+// mark sets the visited bit of state (node, step, d) and reports whether it
+// was clear.
+func (c *compiled) mark(visited []uint64, node graph.NodeID, step, d int32) bool {
+	bit := c.bit(node, step, d)
+	w, m := bit>>6, uint64(1)<<(bit&63)
+	if visited[w]&m != 0 {
+		return false
 	}
-	return dst
+	visited[w] |= m
+	return true
+}
+
+// unmark clears the visited bit of every state in states.
+func (c *compiled) unmark(visited, states []uint64) {
+	for _, packed := range states {
+		bit := c.bit(unpackState(packed))
+		visited[bit>>6] &^= 1 << (bit & 63)
+	}
 }
 
 // packState packs (node, step, d) into one frontier word.
@@ -214,7 +231,12 @@ func packState(node graph.NodeID, step, d int32) uint64 {
 	return uint64(node)<<32 | uint64(uint16(step))<<16 | uint64(uint16(d))
 }
 
-// flatOK reports whether the flat path can serve a query over g: the state
+// unpackState is the inverse of packState.
+func unpackState(packed uint64) (node graph.NodeID, step, d int32) {
+	return graph.NodeID(packed >> 32), int32(uint16(packed >> 16)), int32(uint16(packed))
+}
+
+// flatOK reports whether the flat kernel can serve a query over g: the state
 // space fits the dense layout and g has a CSR, which it builds here if g was
 // never indexed. A graph with labels has none only when nodes × labels is
 // beyond what graph.BuildCSR will lay out.
@@ -222,78 +244,88 @@ func (c *compiled) flatOK(g *graph.Graph) bool {
 	return len(c.steps) < 1<<16 && int64(g.NumNodes())*int64(c.states) <= maxFlatStates && g.CSR() != nil
 }
 
-// runFlat runs the product BFS from the already-marked states in frontier
-// until exhaustion (or until target is reached when collect is false), over
-// the graph's CSR; c.flatOK must hold. visited and member are caller-owned
-// bitsets indexed by the compiled state layout (member by node ID);
-// frontier's backing array is reused and the possibly-grown slice is
-// returned. runFlat performs no allocations beyond frontier growth.
-func (e *Engine) runFlat(c *compiled, visited, member []uint64, frontier []uint64,
-	target graph.NodeID, collect bool) (bool, []uint64) {
+// runFlat is the flat kernel: the product BFS over the graph's CSR, with
+// sc.visited a bitset in c's layout, clear outside the states already
+// marked; c.flatOK must hold. It searches from the seeds in sc.frontier —
+// dropping those already marked — until exhaustion or until q.target closes
+// the last step. On return sc.frontier and sc.exits list every state it
+// marked. It allocates nothing beyond their growth.
+func (e *Engine) runFlat(c *compiled, sc *scratch, q query) bool {
 	g := e.g
 	csr := g.CSR()
-	S := c.states
+	visited, member := sc.visited, sc.member
+	frontier, exits := sc.frontier[:0], sc.exits[:0]
+	for _, packed := range sc.frontier {
+		if node, step, d := unpackState(packed); c.mark(visited, node, step, d) {
+			frontier = append(frontier, packed)
+		}
+	}
+	// queue lists a newly marked state in the frontier, or in exits when
+	// its node is foreign.
+	queue := func(next graph.NodeID, packed uint64) {
+		if q.foreign != nil && q.foreign(next) {
+			exits = append(exits, packed)
+		} else {
+			frontier = append(frontier, packed)
+		}
+	}
 	last := int32(len(c.steps) - 1)
-	for head := 0; head < len(frontier); head++ {
-		packed := frontier[head]
-		node := graph.NodeID(packed >> 32)
-		step := int32(uint16(packed >> 16))
-		d := int32(uint16(packed))
-		st := &c.steps[step]
+	// The state being expanded, and what one more edge of its step allows.
+	var (
+		st                *compiledStep
+		step, dk          int32
+		mayClose, mayCont bool
+	)
+	// expand handles one traversed neighbor and reports whether it is the
+	// target. The closure does not escape, so it stays off the heap, and it
+	// is made once per search: one made per state would copy its captures
+	// each time, a few percent of a point query.
+	expand := func(next graph.NodeID) bool {
+		if mayClose && st.predsHold(g, next) {
+			if step < last {
+				if c.mark(visited, next, step+1, 0) {
+					queue(next, packState(next, step+1, 0))
+				}
+			} else {
+				if q.collect {
+					member[next>>6] |= 1 << (next & 63)
+				}
+				if next == q.target {
+					return true
+				}
+			}
+		}
+		if mayCont && c.mark(visited, next, step, dk) {
+			queue(next, packState(next, step, dk))
+		}
+		return false
+	}
+	found := false
+	for head := 0; head < len(frontier) && !found; head++ {
+		node, s, d := unpackState(frontier[head])
+		step, st = s, &c.steps[s]
+		if !st.labelOK {
+			continue
+		}
 		d1 := int(d) + 1
-		mayClose := st.mayClose(d1)
-		mayCont := st.mayContinue(d1)
-		dk := int32(st.dKey(d1))
-		// expand handles one traversed neighbor; the closure does not
-		// escape, so it stays off the heap.
-		expand := func(next graph.NodeID) bool {
-			if mayClose && st.predsHold(g, next) {
-				if step == last {
-					if collect {
-						member[next>>6] |= 1 << (next & 63)
-					} else if next == target {
-						return true
-					}
-				} else {
-					bit := uint64(next)*uint64(S) + uint64(c.stepBase[step+1])
-					if visited[bit>>6]&(1<<(bit&63)) == 0 {
-						visited[bit>>6] |= 1 << (bit & 63)
-						frontier = append(frontier, packState(next, step+1, 0))
-					}
-				}
-			}
-			if mayCont {
-				bit := uint64(next)*uint64(S) + uint64(c.stepBase[step]) + uint64(dk)
-				if visited[bit>>6]&(1<<(bit&63)) == 0 {
-					visited[bit>>6] |= 1 << (bit & 63)
-					frontier = append(frontier, packState(next, step, dk))
-				}
-			}
-			return false
-		}
-		if st.dir == pathexpr.Out || st.dir == pathexpr.Both {
+		mayClose, mayCont, dk = st.MayClose(d1), st.MayContinue(d1), int32(st.DKey(d1))
+		if st.Dir != pathexpr.In {
 			for _, nb := range csr.OutNeighbors(node, st.label) {
-				if expand(graph.NodeID(nb)) {
-					return true, frontier
+				if found = expand(graph.NodeID(nb)); found {
+					break
 				}
 			}
 		}
-		if st.dir == pathexpr.In || st.dir == pathexpr.Both {
+		if !found && st.Dir != pathexpr.Out {
 			for _, nb := range csr.InNeighbors(node, st.label) {
-				if expand(graph.NodeID(nb)) {
-					return true, frontier
+				if found = expand(graph.NodeID(nb)); found {
+					break
 				}
 			}
 		}
 	}
-	return false, frontier
-}
-
-// seedFlat marks and enqueues the BFS start state (owner, step 0, d 0).
-func seedFlat(c *compiled, visited []uint64, frontier []uint64, owner graph.NodeID) []uint64 {
-	bit := uint64(owner) * uint64(c.states)
-	visited[bit>>6] |= 1 << (bit & 63)
-	return append(frontier, packState(owner, 0, 0))
+	sc.frontier, sc.exits = frontier, exits
+	return found
 }
 
 // flatWords returns the visited-bitset size in words for V nodes.

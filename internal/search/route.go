@@ -71,10 +71,10 @@ func (e *Engine) seedCount(n graph.NodeID, st *compiledStep) int {
 		return 0
 	}
 	count := 0
-	if st.dir == pathexpr.Out || st.dir == pathexpr.Both {
+	if st.Dir != pathexpr.In {
 		count += len(c.OutNeighbors(n, st.label))
 	}
-	if st.dir == pathexpr.In || st.dir == pathexpr.Both {
+	if st.Dir != pathexpr.Out {
 		count += len(c.InNeighbors(n, st.label))
 	}
 	return count

@@ -5,12 +5,29 @@
 // and takes O(|V| + |E|) per query, which is the cost the index pipeline of
 // §3 is designed to beat on large graphs.
 //
+// The product search is written twice, over the same inputs — seed states,
+// each at any step and depth; an optional target for early exit; optional
+// member collection; an optional foreign test that retires a state without
+// expanding it (see query):
+//
+//   - runFlat (flat.go), the allocation-free kernel over the graph's CSR
+//     with a dense bitset visited set, serves every entry point whenever the
+//     plan and graph fit its layout (flatOK);
+//   - runMap (below), a map-keyed kernel over the edge lists that records
+//     parents, serves every entry point otherwise, and always serves
+//     Witness, which walks the parents back.
+//
+// Both kernels read the step rules (close, continue, the canonical depth key
+// and the number of canonical depths) from pathexpr.Step, their one
+// definition.
+//
 // It also serves as the reference oracle: all index-based engines are tested
 // to agree with it.
 package search
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -19,47 +36,24 @@ import (
 )
 
 // maxDepthLimit bounds per-step depths so that search states pack into a
-// 64-bit key. Real policies use single-digit depths.
+// 64-bit word (see packState). Real policies use single-digit depths.
 const maxDepthLimit = 1 << 15
 
 // compiledStep is a path step with its label resolved against a graph.
 type compiledStep struct {
-	label     graph.Label
-	labelOK   bool // false when the label does not occur in the graph at all
-	dir       pathexpr.Direction
-	min, max  int
-	unbounded bool
-	preds     []pathexpr.Pred
+	pathexpr.Step
+	label   graph.Label
+	labelOK bool // false when the label does not occur in the graph at all
 }
 
 func (s *compiledStep) predsHold(g *graph.Graph, n graph.NodeID) bool {
-	for _, p := range s.preds {
+	for _, p := range s.Preds {
 		if !p.Eval(g.Node(n).Attrs) {
 			return false
 		}
 	}
 	return true
 }
-
-// dKey canonicalizes the "edges consumed within this step" counter: for an
-// unbounded step, any depth at or above min behaves identically (the step
-// may close, and may always continue), so depths collapse to min. This keeps
-// the state space finite.
-func (s *compiledStep) dKey(d int) int {
-	if s.unbounded && d > s.min {
-		return s.min
-	}
-	return d
-}
-
-// mayContinue reports whether, after consuming d edges in this step, another
-// same-label edge may be consumed.
-func (s *compiledStep) mayContinue(d int) bool {
-	return s.unbounded || d < s.max
-}
-
-// mayClose reports whether the step is complete after d edges.
-func (s *compiledStep) mayClose(d int) bool { return d >= s.min }
 
 func compile(g *graph.Graph, p *pathexpr.Path) ([]compiledStep, error) {
 	if err := p.Validate(); err != nil {
@@ -71,24 +65,17 @@ func compile(g *graph.Graph, p *pathexpr.Path) ([]compiledStep, error) {
 			return nil, fmt.Errorf("search: step %d depth exceeds limit %d", i+1, maxDepthLimit)
 		}
 		label, ok := g.LookupLabel(st.Label)
-		steps[i] = compiledStep{
-			label:     label,
-			labelOK:   ok,
-			dir:       st.Dir,
-			min:       st.MinDepth,
-			max:       st.MaxDepth,
-			unbounded: st.Unbounded,
-			preds:     st.Preds,
-		}
+		steps[i] = compiledStep{Step: st, label: label, labelOK: ok}
 	}
 	return steps, nil
 }
 
-// state packs (node, stepIndex, depthKey) into one comparable key.
-type state struct {
-	node graph.NodeID
-	step uint16
-	d    uint16
+// State is one product-search state: a node, the index of the path step
+// being matched, and the canonical count of edges consumed within that step
+// (pathexpr.Step.DKey).
+type State struct {
+	Node    graph.NodeID
+	Step, D int
 }
 
 // Hop is one traversed edge of a witness path, with the orientation used
@@ -100,11 +87,11 @@ type Hop struct {
 	Step    int
 }
 
-// Engine evaluates reachability constraints by online graph traversal.
-// Decision queries (Reachable, AudienceSet) run on the flat bitset search of
-// flat.go — allocation-free after warmup — while Witness keeps the map-based
-// traversal it needs for path reconstruction. An Engine is safe for
-// concurrent queries over a quiescent graph.
+// Engine evaluates reachability constraints by online graph traversal, on
+// the kernel the package comment assigns to each query: the flat kernel,
+// allocation-free after warmup, whenever the plan and graph fit it, and the
+// map kernel otherwise and for Witness. An Engine is safe for concurrent
+// queries over a quiescent graph.
 type Engine struct {
 	g *graph.Graph
 	// PlanCompiles, when set before the engine's first query, is incremented
@@ -128,11 +115,9 @@ func (e *Engine) ApplyDelta(g *graph.Graph, _ []graph.Delta) bool { return e.g =
 
 // Reachable reports whether requester is reachable from owner through a path
 // matching p (Definition 3: the requester must have a direct or indirect
-// relationship with the owner that matches the specified path). It runs the
-// flat bitset search — zero heap allocations once the plan cache and the
-// pooled scratch are warm — and falls back to the map-based witness search
-// only for state spaces too large for the flat layout and graphs too large
-// for a CSR.
+// relationship with the owner that matches the specified path). On the flat
+// kernel it performs zero heap allocations once the plan cache and the
+// pooled scratch are warm.
 func (e *Engine) Reachable(owner, requester graph.NodeID, p *pathexpr.Path) (bool, error) {
 	if !e.g.ValidNode(owner) || !e.g.ValidNode(requester) {
 		return false, fmt.Errorf("search: invalid node (owner=%d requester=%d)", owner, requester)
@@ -156,140 +141,170 @@ func (e *Engine) reach(from, to graph.NodeID, c *compiled) bool {
 		// A label absent from the graph can never be matched.
 		return false
 	}
-	if !c.flatOK(e.g) {
-		_, ok := e.witness(from, to, c.steps)
-		return ok
-	}
 	sc := scratchPool.Get().(*scratch)
-	found := e.reachFlat(sc, c, from, to)
+	sc.frontier = append(sc.frontier[:0], packState(from, 0, 0))
+	found := e.run(c, sc, query{target: to})
 	scratchPool.Put(sc)
 	return found
 }
 
+// Expansion is the outcome of Expand.
+type Expansion struct {
+	// Found reports that the target closed the last step; the search
+	// stopped there.
+	Found bool
+	// Members are the nodes that closed the last step, in ascending order.
+	Members []graph.NodeID
+	// Exits are the generated states on foreign nodes, retired unexpanded.
+	Exits []State
+	// Retired, when asked for, is every state the search marked: the seeds,
+	// the states it expanded and the exits.
+	Retired []State
+}
+
+// Expand runs the product search of pl from seeds, each of which may start
+// at any step and depth, and collects every node that closes the last step.
+// It stops early once target (unless graph.InvalidNode) closes it. A state
+// generated on a node foreign (when non-nil) reports true for is retired as
+// an exit without being expanded; seeds are always expanded. A step whose
+// label the graph lacks matches no edge, and its states retire unexpanded.
+// Each seed must be a valid node at a step of pl with D canonical and below
+// that step's Depths.
+func (e *Engine) Expand(pl *Plan, seeds []State, target graph.NodeID, foreign func(graph.NodeID) bool, retired bool) Expansion {
+	sc := scratchPool.Get().(*scratch)
+	sc.member = sized(sc.member, (e.g.NumNodes()+63)/64)
+	sc.frontier = sc.frontier[:0]
+	for _, s := range seeds {
+		sc.frontier = append(sc.frontier, packState(s.Node, int32(s.Step), int32(s.D)))
+	}
+	x := Expansion{Found: e.run(&pl.compiled, sc, query{target: target, collect: true, foreign: foreign})}
+	x.Members = takeBits(nil, sc.member)
+	x.Exits = appendStates(make([]State, 0, len(sc.exits)), sc.exits)
+	if retired {
+		x.Retired = appendStates(make([]State, 0, len(sc.frontier)+len(sc.exits)), sc.frontier)
+		x.Retired = appendStates(x.Retired, sc.exits)
+	}
+	scratchPool.Put(sc)
+	return x
+}
+
+// appendStates appends the unpacked form of packed to dst.
+func appendStates(dst []State, packed []uint64) []State {
+	for _, s := range packed {
+		node, step, d := unpackState(s)
+		dst = append(dst, State{Node: node, Step: int(step), D: int(d)})
+	}
+	return dst
+}
+
 // Witness is Reachable returning also a matching path (sequence of hops
-// from owner to requester) when one exists.
+// from owner to requester) when one exists. It runs the map kernel, whose
+// parents it walks back from the requester.
 func (e *Engine) Witness(owner, requester graph.NodeID, p *pathexpr.Path) ([]Hop, bool, error) {
 	if !e.g.ValidNode(owner) || !e.g.ValidNode(requester) {
 		return nil, false, fmt.Errorf("search: invalid node (owner=%d requester=%d)", owner, requester)
 	}
-	steps, err := compile(e.g, p)
+	pl, err := e.Plan(p)
 	if err != nil {
 		return nil, false, err
 	}
-	for i := range steps {
-		if !steps[i].labelOK {
-			// A label absent from the graph can never be matched.
-			return nil, false, nil
-		}
+	if pl.anyMissing {
+		// A label absent from the graph can never be matched.
+		return nil, false, nil
 	}
-	hops, ok := e.witness(owner, requester, steps)
-	return hops, ok, nil
+	sc := &scratch{frontier: []uint64{packState(owner, 0, 0)}}
+	found, parents, last := e.runMap(&pl.compiled, sc, query{target: requester})
+	if !found {
+		return nil, false, nil
+	}
+	hops := []Hop{last.hop}
+	for v := parents[last.prev]; v.has; v = parents[v.prev] {
+		hops = append(hops, v.hop)
+	}
+	slices.Reverse(hops)
+	return hops, true, nil
 }
 
-// witness is the map-based product search behind Witness, over steps whose
-// labels all occur in the graph.
-func (e *Engine) witness(owner, requester graph.NodeID, steps []compiledStep) ([]Hop, bool) {
-	start := state{node: owner, step: 0, d: 0}
-	type visit struct {
-		prev state
-		hop  Hop
-		has  bool
-	}
-	seen := map[state]visit{start: {}}
-	frontier := []state{start}
+// visit is how the map kernel first reached a state: from state prev over
+// hop. A seed has none.
+type visit struct {
+	prev uint64
+	hop  Hop
+	has  bool
+}
 
-	reconstruct := func(final state) []Hop {
-		var rev []Hop
-		cur := final
-		for {
-			v := seen[cur]
-			if !v.has {
-				break
-			}
-			rev = append(rev, v.hop)
-			cur = v.prev
+// runMap is the map kernel: runFlat's search, reading adjacency from the
+// graph's edge lists and deduplicating states in a map, so that it needs
+// neither a CSR nor a dense layout. It takes sc as runFlat does, but never
+// touches sc.visited. It returns, besides whether q.target was reached, how
+// every marked state was first reached, and how the target was.
+func (e *Engine) runMap(c *compiled, sc *scratch, q query) (found bool, parents map[uint64]visit, last visit) {
+	g := e.g
+	parents = make(map[uint64]visit, len(sc.frontier))
+	frontier, exits := sc.frontier[:0], sc.exits[:0]
+	for _, packed := range sc.frontier {
+		if _, dup := parents[packed]; !dup {
+			parents[packed] = visit{}
+			frontier = append(frontier, packed)
 		}
-		// Reverse in place.
-		for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-			rev[i], rev[j] = rev[j], rev[i]
-		}
-		return rev
 	}
-
-	// A zero-length pattern cannot exist (MinDepth >= 1), so owner==requester
-	// is only granted if a genuine cycle back to the owner matches; the loop
-	// below handles that naturally.
-
-	for len(frontier) > 0 {
-		cur := frontier[0]
-		frontier = frontier[1:]
-		st := &steps[cur.step]
-
-		// expand consumes one edge of the current step from cur.node.
+	// push marks a generated state and queues it, or retires it into exits
+	// when its node is foreign.
+	push := func(next graph.NodeID, step, d int32, v visit) {
+		packed := packState(next, step, d)
+		if _, dup := parents[packed]; dup {
+			return
+		}
+		parents[packed] = v
+		if q.foreign != nil && q.foreign(next) {
+			exits = append(exits, packed)
+		} else {
+			frontier = append(frontier, packed)
+		}
+	}
+	lastStep := int32(len(c.steps) - 1)
+	for head := 0; head < len(frontier) && !found; head++ {
+		cur := frontier[head]
+		node, step, d := unpackState(cur)
+		st := &c.steps[step]
+		if !st.labelOK {
+			continue
+		}
+		d1 := int(d) + 1
+		mayClose, mayCont, dk := st.MayClose(d1), st.MayContinue(d1), int32(st.DKey(d1))
+		// expand consumes one edge of the step; it reports whether to go on.
 		expand := func(edge graph.Edge, next graph.NodeID, forward bool) bool {
-			d := int(cur.d) + 1
-			hop := Hop{Edge: edge, Forward: forward, Step: int(cur.step)}
-			// Option 1: close the step here (preds checked at step end).
-			if st.mayClose(d) && st.predsHold(e.g, next) {
-				if int(cur.step) == len(steps)-1 {
-					if next == requester {
-						// Done: record the final pseudo-state for reconstruction.
-						final := state{node: next, step: cur.step + 1, d: 0}
-						if _, dup := seen[final]; !dup {
-							seen[final] = visit{prev: cur, hop: hop, has: true}
-						}
-						return true
-					}
+			if edge.Label != st.label {
+				return true
+			}
+			v := visit{prev: cur, hop: Hop{Edge: edge, Forward: forward, Step: int(step)}, has: true}
+			if mayClose && st.predsHold(g, next) {
+				if step < lastStep {
+					push(next, step+1, 0, v)
 				} else {
-					ns := state{node: next, step: cur.step + 1, d: 0}
-					if _, dup := seen[ns]; !dup {
-						seen[ns] = visit{prev: cur, hop: hop, has: true}
-						frontier = append(frontier, ns)
+					if q.collect {
+						sc.member[next>>6] |= 1 << (next & 63)
+					}
+					if next == q.target {
+						found, last = true, v
+						return false
 					}
 				}
 			}
-			// Option 2: continue the step.
-			if st.mayContinue(d) {
-				ns := state{node: next, step: cur.step, d: uint16(st.dKey(d))}
-				if _, dup := seen[ns]; !dup {
-					seen[ns] = visit{prev: cur, hop: hop, has: true}
-					frontier = append(frontier, ns)
-				}
+			if mayCont {
+				push(next, step, dk, v)
 			}
-			return false
+			return true
 		}
-
-		found := false
-		if st.dir == pathexpr.Out || st.dir == pathexpr.Both {
-			e.g.OutEdges(cur.node, func(edge graph.Edge) bool {
-				if edge.Label != st.label {
-					return true
-				}
-				if expand(edge, edge.To, true) {
-					found = true
-					return false
-				}
-				return true
-			})
+		if st.Dir != pathexpr.In {
+			g.OutEdges(node, func(edge graph.Edge) bool { return expand(edge, edge.To, true) })
 		}
-		if !found && (st.dir == pathexpr.In || st.dir == pathexpr.Both) {
-			e.g.InEdges(cur.node, func(edge graph.Edge) bool {
-				if edge.Label != st.label {
-					return true
-				}
-				if expand(edge, edge.From, false) {
-					found = true
-					return false
-				}
-				return true
-			})
-		}
-		if found {
-			final := state{node: requester, step: uint16(len(steps)), d: 0}
-			return reconstruct(final), true
+		if !found && st.Dir != pathexpr.Out {
+			g.InEdges(node, func(edge graph.Edge) bool { return expand(edge, edge.From, false) })
 		}
 	}
-	return nil, false
+	sc.frontier, sc.exits = frontier, exits
+	return found, parents, last
 }
 
 // VerifyWitness checks that hops is a valid match of p from owner to
@@ -318,12 +333,12 @@ func VerifyWitness(g *graph.Graph, owner, requester graph.NodeID, p *pathexpr.Pa
 			var from, to graph.NodeID
 			if h.Forward {
 				from, to = edge.From, edge.To
-				if st.dir == pathexpr.In {
+				if st.Dir == pathexpr.In {
 					return fmt.Errorf("hop %d: forward traversal on incoming-only step", hi)
 				}
 			} else {
 				from, to = edge.To, edge.From
-				if st.dir == pathexpr.Out {
+				if st.Dir == pathexpr.Out {
 					return fmt.Errorf("hop %d: backward traversal on outgoing-only step", hi)
 				}
 			}
@@ -334,8 +349,8 @@ func VerifyWitness(g *graph.Graph, owner, requester graph.NodeID, p *pathexpr.Pa
 			d++
 			hi++
 		}
-		if d < st.min || (!st.unbounded && d > st.max) {
-			return fmt.Errorf("step %d: depth %d outside [%d,%d]", si, d, st.min, st.max)
+		if d < st.MinDepth || (!st.Unbounded && d > st.MaxDepth) {
+			return fmt.Errorf("step %d: depth %d outside [%d,%d]", si, d, st.MinDepth, st.MaxDepth)
 		}
 		if !st.predsHold(g, cur) {
 			return fmt.Errorf("step %d: predicates fail at node %d", si, cur)

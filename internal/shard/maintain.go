@@ -30,19 +30,9 @@ import (
 // insert time (see condAudience).
 
 // maxScanDepth bounds the per-step depth enumeration of the delta scan. A
-// bounded step deeper than this is cheaper to invalidate than to scan.
+// step with more canonical depths (pathexpr.Step.Depths) than this is
+// cheaper to invalidate than to scan.
 const maxScanDepth = 16
-
-func stepDKey(st *pathexpr.Step, d int) int {
-	if st.Unbounded && d > st.MinDepth {
-		return st.MinDepth
-	}
-	return d
-}
-
-func stepMayClose(st *pathexpr.Step, d int) bool { return d >= st.MinDepth }
-
-func stepMayContinue(st *pathexpr.Step, d int) bool { return st.Unbounded || d < st.MaxDepth }
 
 type deltaVerdict int
 
@@ -94,14 +84,8 @@ func entryDelta(e *audEntry, from, to, label string, mutual, added bool) deltaPl
 		if st.Label != label {
 			continue
 		}
-		if !st.Unbounded && st.MaxDepth > maxScanDepth {
+		if st.Depths() > maxScanDepth {
 			return deltaPlan{verdict: deltaInvalidate}
-		}
-		// Canonical depths a visited state can consume one more edge from:
-		// bounded steps store d in [0,max-1], unbounded collapse to [0,min].
-		maxDV := st.MaxDepth - 1
-		if st.Unbounded {
-			maxDV = st.MinDepth
 		}
 		for ei := 0; ei < nEdges; ei++ {
 			var travs [2][2]string // {source, destination} per authorized orientation
@@ -116,7 +100,7 @@ func entryDelta(e *audEntry, from, to, label string, mutual, added bool) deltaPl
 			}
 			for ti := 0; ti < nt; ti++ {
 				src, dst := travs[ti][0], travs[ti][1]
-				for dv := 0; dv <= maxDV; dv++ {
+				for dv := 0; dv < st.Depths(); dv++ {
 					if _, ok := e.visited[reachac.ShardState{Name: src, Step: k, D: dv}]; !ok {
 						continue
 					}
@@ -133,7 +117,7 @@ func entryDelta(e *audEntry, from, to, label string, mutual, added bool) deltaPl
 						continue
 					}
 					d := dv + 1
-					if stepMayClose(st, d) {
+					if st.MayClose(d) {
 						if k == last {
 							if _, dup := e.members[dst]; !dup {
 								plan.addMember(dst)
@@ -145,8 +129,8 @@ func entryDelta(e *audEntry, from, to, label string, mutual, added bool) deltaPl
 							}
 						}
 					}
-					if stepMayContinue(st, d) {
-						ns := reachac.ShardState{Name: dst, Step: k, D: stepDKey(st, d)}
+					if st.MayContinue(d) {
+						ns := reachac.ShardState{Name: dst, Step: k, D: st.DKey(d)}
 						if _, dup := e.visited[ns]; !dup {
 							plan.addSeed(ns)
 						}
