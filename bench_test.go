@@ -1004,11 +1004,10 @@ func BenchmarkAudienceIncremental(b *testing.B) {
 // BenchmarkShardExpand measures one shard's expand call, the unit of a
 // sharded sweep, on a 20 000-node ldbc graph of degree 8 held whole by one
 // view. Each op seeds one owner's start state at the shard that owns it and
-// expands one expression of the repository benchmark's deep catalog, asking
-// for the retired set as a router building a cached audience does. With one
-// shard the call exhausts the search locally; with four it retires every
-// state generated on another shard's user as an exit. states/s counts the
-// retired states.
+// expands one expression of the repository benchmark's deep catalog. With
+// one shard the call exhausts the search locally; with four it retires every
+// state generated on another shard's user as an exit. results/s counts the
+// accepted members and exits the calls return.
 func BenchmarkShardExpand(b *testing.B) {
 	top, err := generate.New("ldbc", generate.WithNodes(20000), generate.WithDegree(8), generate.WithSeed(1))
 	if err != nil {
@@ -1038,23 +1037,23 @@ func BenchmarkShardExpand(b *testing.B) {
 				seed, _ := v.UserName(UserID(i * 7919 % 20000))
 				resp, err := v.ShardExpand(ShardExpandRequest{
 					Path: paths[i%len(paths)], Shards: shards, Self: rg.Owner(seed),
-					States: []ShardState{{Name: seed}}, Retired: true,
+					States: []ShardState{{Name: seed}},
 				})
 				if err != nil {
 					b.Fatal(err)
 				}
-				return len(resp.Retired)
+				return len(resp.Accepted) + len(resp.Exits)
 			}
 			for i := 0; i < 16; i++ {
 				expand(i)
 			}
-			states := 0
+			results := 0
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				states += expand(i)
+				results += expand(i)
 			}
-			b.ReportMetric(float64(states)/b.Elapsed().Seconds(), "states/s")
+			b.ReportMetric(float64(results)/b.Elapsed().Seconds(), "results/s")
 		})
 	}
 }

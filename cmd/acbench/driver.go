@@ -367,10 +367,6 @@ func (t *shardedTarget) stats() (Counters, error) {
 		c.RouterFastPath = rs.FastPath
 		c.RouterScatter = rs.Scatter
 		c.RouterExpand = rs.ExpandCalls
-		c.RouterAudHits = rs.AudienceCacheHits
-		c.RouterAudMisses = rs.AudienceCacheMisses
-		c.RouterAudExtends = rs.AudienceCacheExtends
-		c.RouterAudInvalids = rs.AudienceCacheInvalidate
 	}
 	return c, nil
 }

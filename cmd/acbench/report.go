@@ -79,13 +79,9 @@ type Counters struct {
 	CheckRejected      uint64 `json:"server_check_rejected,omitempty"`
 	// The router_* fields are the shard router's own counters; all zero
 	// outside sharded cells.
-	RouterFastPath    uint64 `json:"router_fast_path,omitempty"`
-	RouterScatter     uint64 `json:"router_scatter,omitempty"`
-	RouterExpand      uint64 `json:"router_expand_calls,omitempty"`
-	RouterAudHits     uint64 `json:"router_audience_cache_hits,omitempty"`
-	RouterAudMisses   uint64 `json:"router_audience_cache_misses,omitempty"`
-	RouterAudExtends  uint64 `json:"router_audience_cache_extends,omitempty"`
-	RouterAudInvalids uint64 `json:"router_audience_cache_invalidations,omitempty"`
+	RouterFastPath uint64 `json:"router_fast_path,omitempty"`
+	RouterScatter  uint64 `json:"router_scatter,omitempty"`
+	RouterExpand   uint64 `json:"router_expand_calls,omitempty"`
 }
 
 // delta subtracts prev's cumulative counters, attributing activity to one
@@ -110,10 +106,6 @@ func (c Counters) delta(prev Counters) Counters {
 		RouterFastPath:     c.RouterFastPath - prev.RouterFastPath,
 		RouterScatter:      c.RouterScatter - prev.RouterScatter,
 		RouterExpand:       c.RouterExpand - prev.RouterExpand,
-		RouterAudHits:      c.RouterAudHits - prev.RouterAudHits,
-		RouterAudMisses:    c.RouterAudMisses - prev.RouterAudMisses,
-		RouterAudExtends:   c.RouterAudExtends - prev.RouterAudExtends,
-		RouterAudInvalids:  c.RouterAudInvalids - prev.RouterAudInvalids,
 	}
 }
 

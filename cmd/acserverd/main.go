@@ -50,7 +50,7 @@ func main() {
 	var (
 		addr         = flag.String("addr", ":8708", "listen address")
 		dir          = flag.String("dir", "", "durable network directory (required; created if absent)")
-		engine       = flag.String("engine", "online", "evaluator: online, closure, index, index-paper")
+		engine       = flag.String("engine", "online", "evaluator: online, closure, index")
 		syncMode     = flag.String("sync", "always", "WAL fsync policy: always, interval, never")
 		syncInterval = flag.Duration("sync-interval", 50*time.Millisecond, "fsync cadence under -sync interval")
 		ckptEvery    = flag.Int64("checkpoint-every", reachac.DefaultCheckpointEvery, "WAL segment bytes triggering a background checkpoint (<=0 disables)")

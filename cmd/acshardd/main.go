@@ -46,7 +46,7 @@ func main() {
 		backendsFlag = flag.String("backends", "", "comma-separated acserverd shard addresses (remote mode)")
 		shards       = flag.Int("shards", 0, "embedded shard count (embedded mode; requires -dir)")
 		dir          = flag.String("dir", "", "base directory for embedded shards (shard-<i> subdirectories)")
-		engine       = flag.String("engine", "online", "embedded shards' evaluator: online, closure, index, index-paper")
+		engine       = flag.String("engine", "online", "embedded shards' evaluator: online, closure, index")
 		syncMode     = flag.String("sync", "always", "embedded shards' WAL fsync policy: always, interval, never")
 		vnodes       = flag.Int("vnodes", ring.DefaultVNodes, "virtual nodes per shard on the hash ring")
 		timeout      = flag.Duration("shard-timeout", 2*time.Second, "per-shard deadline on scatter calls")

@@ -130,7 +130,7 @@ func TestDifferentialAudienceIncremental(t *testing.T) {
 			check("initial")
 
 			rounds := 60
-			if kind == Index || kind == IndexPaperJoin {
+			if kind == Index {
 				rounds = 25 // index rebuilds are the expensive arm
 			}
 			for round := 0; round < rounds; round++ {

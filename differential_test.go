@@ -64,7 +64,7 @@ func TestDifferentialDeltaVsRebuild(t *testing.T) {
 			}
 
 			rounds := 60
-			if kind == Index || kind == IndexPaperJoin {
+			if kind == Index {
 				rounds = 25 // index rebuilds are the expensive arm
 			}
 			check := func(step string) {

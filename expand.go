@@ -56,12 +56,6 @@ type ShardExpandRequest struct {
 	// Resolve asks the shard to report which of these user names do not
 	// exist (users are replicated everywhere, so any shard can answer).
 	Resolve []string `json:"resolve,omitempty"`
-	// Retired asks the shard to report EVERY state this call retired, not
-	// just the boundary exits. The router needs the complete retired set
-	// when the sweep builds a cached audience: incremental maintenance
-	// reasons from "state absent ⇒ edge irrelevant", which only holds over
-	// a complete set. Point queries and uncached sweeps leave it false.
-	Retired bool `json:"retired,omitempty"`
 }
 
 // ShardExpandResponse is one shard's contribution to the search round.
@@ -75,9 +69,6 @@ type ShardExpandResponse struct {
 	Found bool `json:"found,omitempty"`
 	// Missing lists the Resolve names this shard does not know.
 	Missing []string `json:"missing,omitempty"`
-	// Retired echoes every state retired by this call (locally-explored
-	// states AND exits) when the request set Retired.
-	Retired []ShardState `json:"retired_states,omitempty"`
 }
 
 // lastRing is the ring of the most recent expand call. A deployment uses one
@@ -154,7 +145,7 @@ func (v *View) ShardExpand(req ShardExpandRequest) (ShardExpandResponse, error) 
 		}
 	}
 	foreign := func(n graph.NodeID) bool { return rg.Owner(g.Node(n).Name) != req.Self }
-	x := e.Expand(pl, seeds, target, foreign, req.Retired)
+	x := e.Expand(pl, seeds, target, foreign)
 	resp.Found = x.Found
 	if len(x.Members) > 0 {
 		resp.Accepted = make([]string, len(x.Members))
@@ -162,23 +153,13 @@ func (v *View) ShardExpand(req ShardExpandRequest) (ShardExpandResponse, error) 
 			resp.Accepted[i] = g.Node(id).Name
 		}
 	}
-	resp.Exits = shardStates(g, x.Exits)
-	if req.Retired {
-		resp.Retired = shardStates(g, x.Retired)
+	if len(x.Exits) > 0 {
+		resp.Exits = make([]ShardState, len(x.Exits))
+		for i, st := range x.Exits {
+			resp.Exits[i] = ShardState{Name: g.Node(st.Node).Name, Step: st.Step, D: st.D}
+		}
 	}
 	return resp, nil
-}
-
-// shardStates is the wire form of states, nil when there are none.
-func shardStates(g *graph.Graph, states []search.State) []ShardState {
-	if len(states) == 0 {
-		return nil
-	}
-	out := make([]ShardState, len(states))
-	for i, st := range states {
-		out[i] = ShardState{Name: g.Node(st.Node).Name, Step: st.Step, D: st.D}
-	}
-	return out
 }
 
 // PolicyRule is one access rule in name-keyed form (see PolicyDump).

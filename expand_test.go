@@ -16,33 +16,28 @@ import (
 // (CheckPath / PathAudience) for every path shape the router routes.
 
 // expandSweep runs the router's sweep discipline against a single view:
-// dispatch each frontier slice with the owner's Self index, dedupe exits
-// against the global visited set, and merge complete retired sets only after
-// the exits have formed the next frontier (exits are a subset of retired).
-func expandSweep(t *testing.T, v *View, shards int, path, seed, requester string, retired bool) (accepted []string, found bool, visited map[ShardState]struct{}) {
+// dispatch each frontier slice with the owner's Self index and dedupe exits
+// against the global visited set.
+func expandSweep(t *testing.T, v *View, shards int, path, seed, requester string) (accepted []string, found bool) {
 	t.Helper()
 	rg, err := ring.New(shards, ring.DefaultVNodes)
 	if err != nil {
 		t.Fatalf("ring.New(%d): %v", shards, err)
 	}
 	start := ShardState{Name: seed, Step: 0, D: 0}
-	visited = map[ShardState]struct{}{start: {}}
+	visited := map[ShardState]struct{}{start: {}}
 	frontier := map[int][]ShardState{rg.Owner(seed): {start}}
 	accSet := make(map[string]struct{})
 	for len(frontier) > 0 && !found {
-		var replies []ShardExpandResponse
+		next := make(map[int][]ShardState)
 		for self, states := range frontier {
 			resp, err := v.ShardExpand(ShardExpandRequest{
 				Path: path, Shards: shards, Self: self,
-				States: states, Requester: requester, Retired: retired,
+				States: states, Requester: requester,
 			})
 			if err != nil {
 				t.Fatalf("ShardExpand(self=%d, path=%s): %v", self, path, err)
 			}
-			replies = append(replies, resp)
-		}
-		next := make(map[int][]ShardState)
-		for _, resp := range replies {
 			if resp.Found {
 				found = true
 			}
@@ -57,18 +52,13 @@ func expandSweep(t *testing.T, v *View, shards int, path, seed, requester string
 				next[rg.Owner(st.Name)] = append(next[rg.Owner(st.Name)], st)
 			}
 		}
-		for _, resp := range replies {
-			for _, st := range resp.Retired {
-				visited[st] = struct{}{}
-			}
-		}
 		frontier = next
 	}
 	for name := range accSet {
 		accepted = append(accepted, name)
 	}
 	sort.Strings(accepted)
-	return accepted, found, visited
+	return accepted, found
 }
 
 func expandTestNetwork(t *testing.T) (*Network, *View, []string) {
@@ -149,7 +139,7 @@ func TestShardExpandSweepMatchesOracle(t *testing.T) {
 				want = append(want, name)
 			}
 			sort.Strings(want)
-			got, _, _ := expandSweep(t, v, shards, path, seed, "", false)
+			got, _ := expandSweep(t, v, shards, path, seed, "")
 			if fmt.Sprint(got) != fmt.Sprint(want) {
 				t.Fatalf("shards=%d path=%s: sweep accepted %v, oracle audience %v", shards, path, got, want)
 			}
@@ -160,35 +150,12 @@ func TestShardExpandSweepMatchesOracle(t *testing.T) {
 				if err != nil {
 					t.Fatalf("CheckPath(%s): %v", path, err)
 				}
-				_, found, _ := expandSweep(t, v, shards, path, seed, req, false)
+				_, found := expandSweep(t, v, shards, path, seed, req)
 				if found != want {
 					t.Fatalf("shards=%d path=%s req=%s: sweep found=%v oracle=%v", shards, path, req, found, want)
 				}
 			}
 		}
-	}
-}
-
-// TestShardExpandRetiredSets: with Retired set, every shard echoes its
-// complete retired state set — a superset of its exits, always including the
-// dispatched states — so the router can build cache-maintenance metadata.
-func TestShardExpandRetiredSets(t *testing.T) {
-	_, v, names := expandTestNetwork(t)
-	seed := names[3]
-	path := `friend+[1,2]/colleague+[1]`
-	accPlain, _, _ := expandSweep(t, v, 3, path, seed, "", false)
-	accRetired, _, visited := expandSweep(t, v, 3, path, seed, "", true)
-	if fmt.Sprint(accPlain) != fmt.Sprint(accRetired) {
-		t.Fatalf("retired sweep changed the answer: %v vs %v", accPlain, accRetired)
-	}
-	if _, ok := visited[ShardState{Name: seed, Step: 0, D: 0}]; !ok {
-		t.Fatalf("retired visited set lost the seed state")
-	}
-	// The retained visited set must dominate the plain sweep's boundary-only
-	// set: it adds the locally-explored interior states.
-	_, _, plainVisited := expandSweep(t, v, 3, path, seed, "", false)
-	if len(visited) < len(plainVisited) {
-		t.Fatalf("retired visited %d states, plain boundary tracking %d", len(visited), len(plainVisited))
 	}
 }
 
@@ -281,26 +248,26 @@ func TestShardExpandRequestValidation(t *testing.T) {
 	}
 
 	// An unbounded step's depths past its minimum are one canonical depth:
-	// accepted, and echoed canonicalized.
-	resp, err := v.ShardExpand(ShardExpandRequest{Path: `friend+[2,*]`, Shards: 1, Self: 0,
-		States: []ShardState{{Name: names[3], Step: 0, D: 9}}, Retired: true})
-	if err != nil {
-		t.Fatalf("unbounded d past min: %v", err)
-	}
-	want, err := v.ShardExpand(ShardExpandRequest{Path: `friend+[2,*]`, Shards: 1, Self: 0,
-		States: []ShardState{{Name: names[3], Step: 0, D: 2}}, Retired: true})
+	// accepted, and expanded exactly as the canonical depth is, exits
+	// included.
+	rg, err := ring.New(2, ring.DefaultVNodes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sort.Strings(resp.Accepted)
-	sort.Strings(want.Accepted)
-	if fmt.Sprint(resp.Accepted) != fmt.Sprint(want.Accepted) || len(resp.Accepted) == 0 {
-		t.Fatalf("seeded at d 9, accepted %v; at d 2, %v", resp.Accepted, want.Accepted)
-	}
-	for _, st := range resp.Retired {
-		if st.D > 2 {
-			t.Fatalf("retired state %+v not canonicalized", st)
+	expand := func(d int) ShardExpandResponse {
+		t.Helper()
+		resp, err := v.ShardExpand(ShardExpandRequest{Path: `friend+[2,*]`, Shards: 2, Self: rg.Owner(names[3]),
+			States: []ShardState{{Name: names[3], Step: 0, D: d}}})
+		if err != nil {
+			t.Fatalf("seeded at d %d: %v", d, err)
 		}
+		sort.Strings(resp.Accepted)
+		sort.Slice(resp.Exits, func(i, j int) bool { return fmt.Sprint(resp.Exits[i]) < fmt.Sprint(resp.Exits[j]) })
+		return resp
+	}
+	resp, want := expand(9), expand(2)
+	if fmt.Sprint(resp) != fmt.Sprint(want) || len(resp.Accepted)+len(resp.Exits) == 0 {
+		t.Fatalf("seeded at d 9, answered %+v; at d 2, %+v", resp, want)
 	}
 }
 

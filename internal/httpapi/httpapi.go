@@ -228,14 +228,6 @@ type RouterStats struct {
 	// owners); LocalEdges counts co-located ones.
 	BoundaryEdges uint64 `json:"boundary_edges"`
 	LocalEdges    uint64 `json:"local_edges"`
-	// AudienceCacheHits / AudienceCacheMisses track the router's
-	// condition-audience cache; AudienceCacheExtends counts entries grown
-	// in place by an edge add, AudienceCacheInvalidate entries dropped
-	// because a delta may have shrunk them (incremental maintenance).
-	AudienceCacheHits       uint64 `json:"audience_cache_hits"`
-	AudienceCacheMisses     uint64 `json:"audience_cache_misses"`
-	AudienceCacheExtends    uint64 `json:"audience_cache_extends"`
-	AudienceCacheInvalidate uint64 `json:"audience_cache_invalidations"`
 	// Partial counts audience responses served incomplete; FailedClosed
 	// counts checks refused because a shard was unreachable.
 	Partial      uint64 `json:"partial"`

@@ -178,18 +178,15 @@ func TestScratchLeftAllZero(t *testing.T) {
 			seeds = append(seeds, packState(s.Node, int32(s.Step), int32(s.D)))
 		}
 		want := kernels(tc.name, &pl.compiled, seeds, query{target: tc.target, collect: true, foreign: tc.foreign})
-		x := e.Expand(pl, tc.seeds, tc.target, tc.foreign, true)
-		var retired, exits []uint64
-		for _, s := range x.Retired {
-			retired = append(retired, packState(s.Node, int32(s.Step), int32(s.D)))
-		}
+		x := e.Expand(pl, tc.seeds, tc.target, tc.foreign)
+		var exits []uint64
 		for _, s := range x.Exits {
 			exits = append(exits, packState(s.Node, int32(s.Step), int32(s.D)))
 		}
 		if x.Found != want.found || !want.found && (!sameIDs(x.Members, want.members) ||
-			!slices.Equal(sortedStates(retired), want.retired) || !slices.Equal(sortedStates(exits), want.exits)) {
-			t.Fatalf("%s: Expand found %v, members %v, %d retired, %d exits; map kernel %v, %v, %d, %d",
-				tc.name, x.Found, x.Members, len(x.Retired), len(x.Exits), want.found, want.members, len(want.retired), len(want.exits))
+			!slices.Equal(sortedStates(exits), want.exits)) {
+			t.Fatalf("%s: Expand found %v, members %v, %d exits; map kernel %v, %v, %d",
+				tc.name, x.Found, x.Members, len(x.Exits), want.found, want.members, len(want.exits))
 		}
 		if tc.foreign != nil && !want.found && len(want.exits) == 0 {
 			t.Fatalf("%s: the foreign test retired nothing", tc.name)

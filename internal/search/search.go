@@ -157,9 +157,6 @@ type Expansion struct {
 	Members []graph.NodeID
 	// Exits are the generated states on foreign nodes, retired unexpanded.
 	Exits []State
-	// Retired, when asked for, is every state the search marked: the seeds,
-	// the states it expanded and the exits.
-	Retired []State
 }
 
 // Expand runs the product search of pl from seeds, each of which may start
@@ -170,7 +167,7 @@ type Expansion struct {
 // label the graph lacks matches no edge, and its states retire unexpanded.
 // Each seed must be a valid node at a step of pl with D canonical and below
 // that step's Depths.
-func (e *Engine) Expand(pl *Plan, seeds []State, target graph.NodeID, foreign func(graph.NodeID) bool, retired bool) Expansion {
+func (e *Engine) Expand(pl *Plan, seeds []State, target graph.NodeID, foreign func(graph.NodeID) bool) Expansion {
 	sc := scratchPool.Get().(*scratch)
 	sc.member = sized(sc.member, (e.g.NumNodes()+63)/64)
 	sc.frontier = sc.frontier[:0]
@@ -179,22 +176,13 @@ func (e *Engine) Expand(pl *Plan, seeds []State, target graph.NodeID, foreign fu
 	}
 	x := Expansion{Found: e.run(&pl.compiled, sc, query{target: target, collect: true, foreign: foreign})}
 	x.Members = takeBits(nil, sc.member)
-	x.Exits = appendStates(make([]State, 0, len(sc.exits)), sc.exits)
-	if retired {
-		x.Retired = appendStates(make([]State, 0, len(sc.frontier)+len(sc.exits)), sc.frontier)
-		x.Retired = appendStates(x.Retired, sc.exits)
+	x.Exits = make([]State, len(sc.exits))
+	for i, s := range sc.exits {
+		node, step, d := unpackState(s)
+		x.Exits[i] = State{Node: node, Step: int(step), D: int(d)}
 	}
 	scratchPool.Put(sc)
 	return x
-}
-
-// appendStates appends the unpacked form of packed to dst.
-func appendStates(dst []State, packed []uint64) []State {
-	for _, s := range packed {
-		node, step, d := unpackState(s)
-		dst = append(dst, State{Node: node, Step: int(step), D: int(d)})
-	}
-	return dst
 }
 
 // Witness is Reachable returning also a matching path (sequence of hops

@@ -16,7 +16,7 @@ import (
 // a router over N embedded shards must answer exactly like one unsharded
 // Network fed the same trace — same check effects, same audience sets, same
 // unknown-user failures — while edges straddle the partition cut and
-// mutations churn the incrementally-maintained audience cache.
+// mutations interleave with the scatter reads.
 
 // diffCatalog mixes depth-1 (delegated), deep (scattered), reverse,
 // predicate and unbounded conditions, so every routing path is exercised.
@@ -167,22 +167,10 @@ func (h *diffHarness) share(res, owner string, paths []string) {
 	}
 }
 
-// budgetAsymmetry reports the one tolerated error divergence: the unsharded
-// oracle's engine hit an evaluation budget (e.g. the paper-join intermediate
-// tuple cap) while the router answered. The router's scatter-gather BFS is
-// engine-independent by design, so it legitimately succeeds where a
-// per-engine evaluation strategy gives up.
-func budgetAsymmetry(werr, gerr error) bool {
-	return werr != nil && gerr == nil && !errors.Is(werr, reachac.ErrUnknownUser)
-}
-
 func (h *diffHarness) compareCheck(res, req string) {
 	h.t.Helper()
 	want, werr := h.oracle.Check(h.ctx, res, req)
 	got, gerr := h.router.Check(h.ctx, res, req)
-	if budgetAsymmetry(werr, gerr) {
-		return
-	}
 	if (werr == nil) != (gerr == nil) {
 		h.t.Fatalf("check(%s,%s): oracle err=%v router err=%v", res, req, werr, gerr)
 	}
@@ -202,9 +190,6 @@ func (h *diffHarness) compareAudience(res string) {
 	h.t.Helper()
 	want, _, werr := h.oracle.Audience(h.ctx, res)
 	got, partial, gerr := h.router.Audience(h.ctx, res)
-	if budgetAsymmetry(werr, gerr) {
-		return
-	}
 	if (werr == nil) != (gerr == nil) {
 		h.t.Fatalf("audience(%s): oracle err=%v router err=%v", res, werr, gerr)
 	}
@@ -241,9 +226,6 @@ func (h *diffHarness) compareReach(owner, req, expr string) {
 	want, werr := v.CheckPath(oid, rid, expr)
 	v.Close()
 	got, gerr := h.router.Reach(h.ctx, owner, req, expr)
-	if budgetAsymmetry(werr, gerr) {
-		return
-	}
 	if (werr == nil) != (gerr == nil) {
 		h.t.Fatalf("reach(%s,%s,%s): oracle err=%v router err=%v", owner, req, expr, werr, gerr)
 	}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
 	"reachac"
 	"reachac/client"
@@ -36,155 +35,79 @@ func classify(err error) error {
 // sweepResult is the outcome of one distributed reachability search.
 type sweepResult struct {
 	accepted map[string]struct{}
-	// visited is the complete retired-state set of the search — what the
-	// audience cache keeps to maintain entries incrementally.
-	visited map[reachac.ShardState]struct{}
-	found   bool
+	found    bool
 	// failed lists shard indexes that did not answer a round: their subtrees
 	// are missing, so accepted is an under-approximation.
 	failed []int
 }
 
 // sweep drives the distributed product-BFS for one (owner, path) from the
-// owner's shard outward. pathExpr must be canonical (callers parse). retain
-// asks the shards for their complete retired-state sets (see sweepFrom).
-func (r *Router) sweep(ctx context.Context, owner, pathExpr, requester string, retain bool) (sweepResult, error) {
-	start := reachac.ShardState{Name: owner, Step: 0, D: 0}
+// owner's shard outward. pathExpr must be canonical (callers parse). Each
+// round dispatches the frontier slices to their owning shards at once,
+// merges accepted names, and re-dispatches the boundary exits no earlier
+// round produced. A non-empty requester turns it into a point query with
+// cross-shard early exit. Shard failures are recorded in failed, never
+// silently dropped.
+func (r *Router) sweep(ctx context.Context, owner, pathExpr, requester string) sweepResult {
+	res := sweepResult{accepted: make(map[string]struct{})}
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+
+	start := reachac.ShardState{Name: owner}
 	visited := map[reachac.ShardState]struct{}{start: {}}
-	return r.sweepFrom(ctx, pathExpr, requester, []reachac.ShardState{start}, visited, retain)
-}
-
-// sweepFrom runs the distributed search from explicit seed states over a
-// caller-supplied visited set (which it grows in place): each round
-// dispatches the frontier slices to their owning shards, merges accepted
-// names, and re-dispatches the boundary exits the visited set has not
-// retired. Seeding a non-trivial frontier with a previous sweep's visited
-// set RESUMES that sweep — how the audience cache extends entries under edge
-// adds. A non-empty requester turns it into a point query with cross-shard
-// early exit. Shard failures are recorded in failed, never silently dropped.
-// retain additionally merges every state the shards retired (not just the
-// boundary exits) into visited, making it COMPLETE — required when the
-// result seeds the audience cache, whose incremental maintenance reasons
-// from state absence.
-func (r *Router) sweepFrom(ctx context.Context, pathExpr, requester string, seeds []reachac.ShardState, visited map[reachac.ShardState]struct{}, retain bool) (sweepResult, error) {
-	res := sweepResult{accepted: make(map[string]struct{}), visited: visited}
-	r.scatter.Add(1)
-	cancel := context.CancelFunc(func() {})
-	if !r.local {
-		ctx, cancel = context.WithCancel(ctx)
-		defer cancel()
-	}
-
-	frontier := make(map[int][]reachac.ShardState, 1)
-	for _, st := range seeds {
-		visited[st] = struct{}{}
-		idx := r.ring.Owner(st.Name)
-		frontier[idx] = append(frontier[idx], st)
-	}
+	frontier := map[int][]reachac.ShardState{r.ring.Owner(owner): {start}}
 	failed := make(map[int]struct{})
-
-	type reply struct {
-		idx  int
-		resp reachac.ShardExpandResponse
-		err  error
-	}
+	resps := make([]reachac.ShardExpandResponse, len(r.backends))
 	for len(frontier) > 0 && !res.found {
 		r.expandRounds.Add(1)
-		replies := make([]reply, 0, len(frontier))
-		if r.local {
-			// In-process backends: dispatch the round sequentially — no
-			// goroutines, deadlines or cancellation plumbing to pay for.
-			for idx, states := range frontier {
-				if _, down := failed[idx]; down {
-					continue
-				}
-				r.expandCalls.Add(1)
-				resp, err := r.backends[idx].Expand(ctx, reachac.ShardExpandRequest{
-					Path:      pathExpr,
-					Shards:    len(r.backends),
-					VNodes:    r.cfg.VNodes,
-					Self:      idx,
-					States:    states,
-					Requester: requester,
-					Retired:   retain,
-				})
-				replies = append(replies, reply{idx: idx, resp: resp, err: err})
-				if err == nil && resp.Found {
-					break // point query answered
-				}
+		idxs := make([]int, 0, len(frontier))
+		for idx := range frontier {
+			if _, down := failed[idx]; !down { // don't re-dial a shard that failed this sweep
+				idxs = append(idxs, idx)
 			}
-		} else {
-			var mu sync.Mutex
-			var wg sync.WaitGroup
-			for idx, states := range frontier {
-				if _, down := failed[idx]; down {
-					continue // don't re-dial a shard that already failed this sweep
-				}
-				wg.Add(1)
-				r.expandCalls.Add(1)
-				go func(idx int, states []reachac.ShardState) {
-					defer wg.Done()
-					var resp reachac.ShardExpandResponse
-					err := r.call(ctx, idx, func(ctx context.Context, b Backend) error {
-						var e error
-						resp, e = b.Expand(ctx, reachac.ShardExpandRequest{
-							Path:      pathExpr,
-							Shards:    len(r.backends),
-							VNodes:    r.cfg.VNodes,
-							Self:      idx,
-							States:    states,
-							Requester: requester,
-							Retired:   retain,
-						})
-						return e
-					})
-					mu.Lock()
-					replies = append(replies, reply{idx: idx, resp: resp, err: err})
-					mu.Unlock()
-					if err == nil && resp.Found {
-						cancel() // point query answered: stop sibling dispatches
-					}
-				}(idx, states)
-			}
-			wg.Wait()
 		}
+		r.expandCalls.Add(uint64(len(idxs)))
+		errs := r.fanOut(ctx, idxs, func(ctx context.Context, i int, b Backend) error {
+			var e error
+			resps[i], e = b.Expand(ctx, reachac.ShardExpandRequest{
+				Path:      pathExpr,
+				Shards:    len(r.backends),
+				VNodes:    r.cfg.VNodes,
+				Self:      i,
+				States:    frontier[i],
+				Requester: requester,
+			})
+			if e == nil && resps[i].Found {
+				cancel() // point query answered: stop sibling dispatches
+			}
+			return e
+		})
 
-		for _, rep := range replies {
-			if rep.err == nil && rep.resp.Found {
+		for k, idx := range idxs {
+			if errs[k] == nil && resps[idx].Found {
 				res.found = true
 			}
 		}
 		next := make(map[int][]reachac.ShardState)
-		for _, rep := range replies {
-			if rep.err != nil {
+		for k, idx := range idxs {
+			if errs[k] != nil {
 				if !res.found {
 					// When a sibling found the requester it cancelled this
 					// call — that is an answer, not a shard failure.
-					failed[rep.idx] = struct{}{}
+					failed[idx] = struct{}{}
 				}
 				continue
 			}
-			for _, name := range rep.resp.Accepted {
+			for _, name := range resps[idx].Accepted {
 				res.accepted[name] = struct{}{}
 			}
-			for _, st := range rep.resp.Exits {
+			for _, st := range resps[idx].Exits {
 				if _, dup := visited[st]; dup {
 					continue
 				}
 				visited[st] = struct{}{}
 				owner := r.ring.Owner(st.Name)
 				next[owner] = append(next[owner], st)
-			}
-		}
-		// Merge the complete retired sets only AFTER the exits formed the next
-		// frontier: a shard's exits are a subset of its retired states, so
-		// merging first would mark them visited and stall the sweep.
-		for _, rep := range replies {
-			if rep.err != nil {
-				continue
-			}
-			for _, st := range rep.resp.Retired {
-				visited[st] = struct{}{}
 			}
 		}
 		frontier = next
@@ -194,70 +117,23 @@ func (r *Router) sweepFrom(ctx context.Context, pathExpr, requester string, seed
 		res.failed = append(res.failed, idx)
 	}
 	sort.Ints(res.failed)
-	return res, nil
+	return res
 }
 
-// condAudience returns the member-name set one condition reaches from
-// owner, through the router's incrementally-maintained cache: a cached
-// entry is kept correct by audienceDelta as edges change, so a hit needs no
-// validation at all. Partial results (failed non-empty) are NEVER cached,
-// and neither is a sweep that raced a mutation of one of its labels (the
-// epoch check below) — such a sweep may have missed the concurrent delta
-// AND the delta's maintenance scan, so dropping it is the only safe move.
-func (r *Router) condAudience(ctx context.Context, owner string, cond parsedCond) (map[string]struct{}, []int, error) {
-	key := owner + "\x00" + cond.expr
-	caching := r.cfg.AudienceCacheEntries > 0
-	var epochs map[string]uint64
-	if caching {
-		r.amu.Lock()
-		if e := r.audCache[key]; e != nil {
-			m := e.members
-			r.amu.Unlock()
-			r.audHits.Add(1)
-			return m, nil, nil
-		}
-		epochs = make(map[string]uint64, len(cond.labels))
-		for _, l := range cond.labels {
-			epochs[l] = r.labelEpoch[l]
-		}
-		r.amu.Unlock()
-		r.audMisses.Add(1)
+// condSweeps memoizes the condition sweeps of one request, keyed by
+// canonical path text: a CheckBatch or an Audience sweeps each distinct
+// condition once, and nothing outlives the call that made it.
+type condSweeps map[string]sweepResult
+
+// condAudience returns the sweep of one condition from owner, running it
+// unless this request already has.
+func (r *Router) condAudience(ctx context.Context, owner string, cond parsedCond, memo condSweeps) sweepResult {
+	res, ok := memo[cond.expr]
+	if !ok {
+		res = r.sweep(ctx, owner, cond.expr, "")
+		memo[cond.expr] = res
 	}
-	res, err := r.sweep(ctx, owner, cond.expr, "", caching)
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(res.failed) > 0 {
-		return res.accepted, res.failed, nil
-	}
-	if caching {
-		r.amu.Lock()
-		stale := false
-		for l, ep := range epochs {
-			if r.labelEpoch[l] != ep {
-				stale = true
-				break
-			}
-		}
-		if !stale {
-			if len(r.audCache) >= r.cfg.AudienceCacheEntries {
-				for k := range r.audCache { // evict an arbitrary entry
-					delete(r.audCache, k)
-					break
-				}
-			}
-			r.audCache[key] = &audEntry{
-				owner:   owner,
-				expr:    cond.expr,
-				path:    cond.path,
-				labels:  cond.labels,
-				members: res.accepted,
-				visited: res.visited,
-			}
-		}
-		r.amu.Unlock()
-	}
-	return res.accepted, nil, nil
+	return res
 }
 
 // delegate reports whether (and where) a query on this policy can be
@@ -275,10 +151,10 @@ func (r *Router) delegate(pol *resourcePolicy) (int, bool) {
 }
 
 // Check decides one access request. Co-locatable queries delegate to the
-// owning shard (its native engine and audit trail); the
-// rest scatter: each rule condition becomes a distributed audience the
-// requester is tested against, with results cached under per-label epochs.
-// A shard failure on the scatter path fails the check CLOSED.
+// owning shard (its native engine and audit trail); the rest scatter: each
+// rule condition becomes a distributed audience, swept afresh, that the
+// requester is tested against. A shard failure on the scatter path fails the
+// check CLOSED.
 func (r *Router) Check(ctx context.Context, resource, requester string) (httpapi.Decision, error) {
 	pol := r.policyFor(resource)
 	if idx, ok := r.delegate(pol); ok {
@@ -300,7 +176,7 @@ func (r *Router) Check(ctx context.Context, resource, requester string) (httpapi
 	} else if len(missing) > 0 {
 		return httpapi.Decision{}, fmt.Errorf("user %q: %w", requester, reachac.ErrUnknownUser)
 	}
-	d, err := r.decide(ctx, pol, resource, requester)
+	d, err := r.decide(ctx, pol, resource, requester, condSweeps{})
 	if err != nil {
 		return httpapi.Decision{}, err
 	}
@@ -309,10 +185,11 @@ func (r *Router) Check(ctx context.Context, resource, requester string) (httpapi
 }
 
 // decide evaluates the policy for one requester using distributed condition
-// audiences; the caller has already resolved the requester's existence.
-// Reasons mirror core.Engine.Decide so sharded and single-node deployments
-// explain themselves identically.
-func (r *Router) decide(ctx context.Context, pol *resourcePolicy, resource, requester string) (httpapi.Decision, error) {
+// audiences, sweeping each condition at most once per memo; the caller has
+// already resolved the requester's existence. Reasons mirror
+// core.Engine.Decide so sharded and single-node deployments explain
+// themselves identically.
+func (r *Router) decide(ctx context.Context, pol *resourcePolicy, resource, requester string, memo condSweeps) (httpapi.Decision, error) {
 	d := httpapi.Decision{Resource: resource, Requester: requester, Effect: "deny"}
 	if pol == nil {
 		d.Reason = "unknown resource"
@@ -327,15 +204,12 @@ func (r *Router) decide(ctx context.Context, pol *resourcePolicy, resource, requ
 	for _, rule := range pol.rules {
 		valid := true
 		for _, cond := range rule.conds {
-			members, failedShards, err := r.condAudience(ctx, pol.owner, cond)
-			if err != nil {
-				return httpapi.Decision{}, err
-			}
-			if len(failedShards) > 0 {
+			res := r.condAudience(ctx, pol.owner, cond, memo)
+			if len(res.failed) > 0 {
 				r.failedClosed.Add(1)
-				return httpapi.Decision{}, fmt.Errorf("%w: shards %v unreachable evaluating rule %q", ErrShardUnavailable, failedShards, rule.id)
+				return httpapi.Decision{}, fmt.Errorf("%w: shards %v unreachable evaluating rule %q", ErrShardUnavailable, res.failed, rule.id)
 			}
-			if _, ok := members[requester]; !ok {
+			if _, ok := res.accepted[requester]; !ok {
 				valid = false
 				break
 			}
@@ -376,8 +250,9 @@ func (r *Router) CheckBatch(ctx context.Context, resource string, requesters []s
 		return nil, fmt.Errorf("user %q: %w", missing[0], reachac.ErrUnknownUser)
 	}
 	out := make([]httpapi.Decision, len(requesters))
+	memo := condSweeps{}
 	for i, req := range requesters {
-		d, err := r.decide(ctx, pol, resource, req)
+		d, err := r.decide(ctx, pol, resource, req, memo)
 		if err != nil {
 			return nil, err
 		}
@@ -410,23 +285,21 @@ func (r *Router) Audience(ctx context.Context, resource string) ([]string, []int
 	r.scatter.Add(1)
 	union := make(map[string]struct{})
 	failed := make(map[int]struct{})
+	memo := condSweeps{}
 	for _, rule := range pol.rules {
 		var inter map[string]struct{}
 		short := false
 		for ci, cond := range rule.conds {
-			members, failedShards, err := r.condAudience(ctx, pol.owner, cond)
-			if err != nil {
-				return nil, nil, err
-			}
-			for _, idx := range failedShards {
+			res := r.condAudience(ctx, pol.owner, cond, memo)
+			for _, idx := range res.failed {
 				failed[idx] = struct{}{}
 			}
 			if ci == 0 {
-				inter = members
+				inter = res.accepted
 			} else {
 				nx := make(map[string]struct{})
 				for m := range inter {
-					if _, ok := members[m]; ok {
+					if _, ok := res.accepted[m]; ok {
 						nx[m] = struct{}{}
 					}
 				}
@@ -474,10 +347,8 @@ func (r *Router) Reach(ctx context.Context, owner, requester, expr string) (bool
 	} else if len(missing) > 0 {
 		return false, fmt.Errorf("user %q: %w", missing[0], reachac.ErrUnknownUser)
 	}
-	res, err := r.sweep(ctx, owner, canonical, requester, false)
-	if err != nil {
-		return false, err
-	}
+	r.scatter.Add(1)
+	res := r.sweep(ctx, owner, canonical, requester)
 	if res.found {
 		return true, nil
 	}
@@ -501,10 +372,8 @@ func (r *Router) ReachAudience(ctx context.Context, owner, expr string) ([]strin
 	} else if len(missing) > 0 {
 		return nil, nil, fmt.Errorf("user %q: %w", owner, reachac.ErrUnknownUser)
 	}
-	res, err := r.sweep(ctx, owner, canonical, "", false)
-	if err != nil {
-		return nil, nil, err
-	}
+	r.scatter.Add(1)
+	res := r.sweep(ctx, owner, canonical, "")
 	delete(res.accepted, owner)
 	names := make([]string, 0, len(res.accepted))
 	for m := range res.accepted {

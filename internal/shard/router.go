@@ -33,9 +33,6 @@ type Config struct {
 	Concurrency int
 	// ShardTimeout is the per-shard deadline on scatter calls (default 2s).
 	ShardTimeout time.Duration
-	// AudienceCacheEntries caps the condition-audience cache (default 4096;
-	// negative disables caching).
-	AudienceCacheEntries int
 	// AuditLimit bounds the router's own decision trail (default 1024).
 	// Delegated (fast-path) checks audit on the shard that decided them.
 	AuditLimit int
@@ -54,9 +51,6 @@ func (c Config) withDefaults(shards int) Config {
 	if c.ShardTimeout <= 0 {
 		c.ShardTimeout = 2 * time.Second
 	}
-	if c.AudienceCacheEntries == 0 {
-		c.AudienceCacheEntries = 4096
-	}
 	if c.AuditLimit <= 0 {
 		c.AuditLimit = 1024
 	}
@@ -65,9 +59,8 @@ func (c Config) withDefaults(shards int) Config {
 
 // parsedCond is one rule condition in router form.
 type parsedCond struct {
-	expr   string // canonical — the audience-cache key component
-	path   *pathexpr.Path
-	labels []string
+	expr string // canonical — the key of a request's condition memo
+	path *pathexpr.Path
 }
 
 type routedRule struct {
@@ -89,6 +82,10 @@ type resourcePolicy struct {
 
 // Router is the server.Service over many shards: it scatters the API across
 // its backends. Safe for concurrent use. Create with New, release with Close.
+//
+// A router remembers no answer: every scatter read sweeps the shards afresh.
+// What outlives a request is the policy mirror, the known-user set, the audit
+// trail and the counters.
 type Router struct {
 	backends []Backend
 	ring     *ring.Ring
@@ -105,19 +102,9 @@ type Router struct {
 	kmu   sync.RWMutex
 	known map[string]struct{}
 
-	// amu guards the condition-audience cache and the per-label epochs.
-	// Entries are maintained INCREMENTALLY under edge deltas (see
-	// maintain.go); the epochs only discard sweeps that raced a mutation at
-	// insert time. mmu serializes the maintenance itself, so two concurrent
-	// mutations never extend the same entry's visited set at once.
-	amu        sync.Mutex
-	labelEpoch map[string]uint64
-	audCache   map[string]*audEntry
-	mmu        sync.Mutex
-
 	// local is true when every backend is embedded: calls then skip the
-	// scatter semaphore, per-shard deadlines and goroutine fan-out — an
-	// in-process function call needs none of that machinery.
+	// scatter semaphore and per-shard deadlines — an in-process function
+	// call needs neither.
 	local bool
 
 	// tmu guards the router-local audit trail of scatter-decided checks —
@@ -127,40 +114,14 @@ type Router struct {
 	trail []httpapi.Decision
 	tpos  int
 
-	fastPath       atomic.Uint64
-	scatter        atomic.Uint64
-	expandCalls    atomic.Uint64
-	expandRounds   atomic.Uint64
-	boundaryEdges  atomic.Uint64
-	localEdges     atomic.Uint64
-	audHits        atomic.Uint64
-	audMisses      atomic.Uint64
-	audExtends     atomic.Uint64
-	audInvalidates atomic.Uint64
-	partial        atomic.Uint64
-	failedClosed   atomic.Uint64
-}
-
-// audEntry is one cached condition audience. members is swapped wholesale
-// under amu (copy-on-write: readers keep using the map they were handed);
-// visited is the complete state set of the sweep that built the entry,
-// mutated only by the maintenance path under mmu.
-type audEntry struct {
-	owner   string
-	expr    string
-	path    *pathexpr.Path
-	labels  []string
-	members map[string]struct{}
-	visited map[reachac.ShardState]struct{}
-}
-
-func (e *audEntry) usesLabel(label string) bool {
-	for _, l := range e.labels {
-		if l == label {
-			return true
-		}
-	}
-	return false
+	fastPath      atomic.Uint64
+	scatter       atomic.Uint64
+	expandCalls   atomic.Uint64
+	expandRounds  atomic.Uint64
+	boundaryEdges atomic.Uint64
+	localEdges    atomic.Uint64
+	partial       atomic.Uint64
+	failedClosed  atomic.Uint64
 }
 
 // New builds a router over backends, rebuilding the policy routing cache
@@ -176,14 +137,12 @@ func New(ctx context.Context, backends []Backend, cfg Config) (*Router, error) {
 		return nil, err
 	}
 	r := &Router{
-		backends:   backends,
-		ring:       rg,
-		cfg:        cfg,
-		sem:        make(chan struct{}, cfg.Concurrency),
-		policies:   make(map[string]*resourcePolicy),
-		known:      make(map[string]struct{}),
-		labelEpoch: make(map[string]uint64),
-		audCache:   make(map[string]*audEntry),
+		backends: backends,
+		ring:     rg,
+		cfg:      cfg,
+		sem:      make(chan struct{}, cfg.Concurrency),
+		policies: make(map[string]*resourcePolicy),
+		known:    make(map[string]struct{}),
 	}
 	r.local = true
 	for _, b := range backends {
@@ -229,21 +188,21 @@ func (rp *resourcePolicy) addRule(id string, paths []string) error {
 		if err != nil {
 			return err
 		}
-		cond := parsedCond{expr: p.String(), path: p}
-		seen := make(map[string]struct{}, len(p.Steps))
-		for _, st := range p.Steps {
-			if _, dup := seen[st.Label]; !dup {
-				seen[st.Label] = struct{}{}
-				cond.labels = append(cond.labels, st.Label)
-			}
-			if st.Unbounded || st.MinDepth != 1 || st.MaxDepth != 1 || len(p.Steps) != 1 {
-				rp.depth1 = false
-			}
-		}
-		rule.conds = append(rule.conds, cond)
+		rp.depth1 = rp.depth1 && depth1(p)
+		rule.conds = append(rule.conds, parsedCond{expr: p.String(), path: p})
 	}
 	rp.rules = append(rp.rules, rule)
 	return nil
+}
+
+// depth1 reports p is one [1,1] step, which the owner shard's complete local
+// adjacency decides alone.
+func depth1(p *pathexpr.Path) bool {
+	if len(p.Steps) != 1 {
+		return false
+	}
+	st := p.Steps[0]
+	return !st.Unbounded && st.MinDepth == 1 && st.MaxDepth == 1
 }
 
 // clone returns a copy safe to mutate while readers hold the old one.
@@ -405,7 +364,6 @@ func (r *Router) Relate(ctx context.Context, from, to, relType string, mutual bo
 	}
 	if succ > 0 && dups == len(targets)-succ {
 		// Full or healing success: every non-success was a duplicate.
-		r.audienceDelta(ctx, from, to, relType, mutual, true)
 		return nil
 	}
 	if succ == 0 && dups == len(targets) {
@@ -456,7 +414,6 @@ func (r *Router) Unrelate(ctx context.Context, from, to, relType string) error {
 		}
 	}
 	if succ > 0 && unknown == len(targets)-succ {
-		r.audienceDelta(ctx, from, to, relType, false, false)
 		return nil
 	}
 	return hard
@@ -536,10 +493,7 @@ func (r *Router) Revoke(ctx context.Context, resource, rule string) (bool, error
 			}
 			cp.rules = append(cp.rules, ru)
 			for _, c := range ru.conds {
-				if len(c.path.Steps) != 1 || c.path.Steps[0].Unbounded ||
-					c.path.Steps[0].MinDepth != 1 || c.path.Steps[0].MaxDepth != 1 {
-					cp.depth1 = false
-				}
+				cp.depth1 = cp.depth1 && depth1(c.path)
 			}
 		}
 		r.policies[resource] = cp
@@ -578,20 +532,16 @@ func (r *Router) Audit(_ context.Context, n int) ([]httpapi.Decision, error) {
 // RouterStats snapshots the routing counters.
 func (r *Router) RouterStats() httpapi.RouterStats {
 	return httpapi.RouterStats{
-		Shards:                  len(r.backends),
-		VNodes:                  r.cfg.VNodes,
-		FastPath:                r.fastPath.Load(),
-		Scatter:                 r.scatter.Load(),
-		ExpandCalls:             r.expandCalls.Load(),
-		ExpandRounds:            r.expandRounds.Load(),
-		BoundaryEdges:           r.boundaryEdges.Load(),
-		LocalEdges:              r.localEdges.Load(),
-		AudienceCacheHits:       r.audHits.Load(),
-		AudienceCacheMisses:     r.audMisses.Load(),
-		AudienceCacheExtends:    r.audExtends.Load(),
-		AudienceCacheInvalidate: r.audInvalidates.Load(),
-		Partial:                 r.partial.Load(),
-		FailedClosed:            r.failedClosed.Load(),
+		Shards:        len(r.backends),
+		VNodes:        r.cfg.VNodes,
+		FastPath:      r.fastPath.Load(),
+		Scatter:       r.scatter.Load(),
+		ExpandCalls:   r.expandCalls.Load(),
+		ExpandRounds:  r.expandRounds.Load(),
+		BoundaryEdges: r.boundaryEdges.Load(),
+		LocalEdges:    r.localEdges.Load(),
+		Partial:       r.partial.Load(),
+		FailedClosed:  r.failedClosed.Load(),
 	}
 }
 

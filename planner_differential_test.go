@@ -89,7 +89,7 @@ func differentialPlannerVsStatic(t *testing.T, kind EngineKind, extraRules int) 
 	}
 
 	rounds := 50
-	if kind == Index || kind == IndexPaperJoin {
+	if kind == Index {
 		rounds = 20 // index rebuilds are the expensive arm
 	}
 	check := func(step string) {

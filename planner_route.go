@@ -25,8 +25,7 @@ type routeCounters struct {
 //     queries warm it for the point checks that follow);
 //  2. on the Online kind, the flat product-BFS from whichever endpoint
 //     admits fewer first-step traversals (the CSR makes both counts O(1));
-//  3. on the precomputed kinds (Closure, Index, IndexPaperJoin), the
-//     primary evaluator.
+//  3. on the precomputed kinds (Closure, Index), the primary evaluator.
 //
 // Every route returns identical decisions (the differential suite pins
 // this), so routing only moves cost around. One routedEval is built per

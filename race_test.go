@@ -49,7 +49,7 @@ func TestConcurrentStress(t *testing.T) {
 			// budget small so the test stays fast while still interleaving
 			// plenty of publications with reads.
 			readers, reads, mutations := 4, 300, 150
-			if kind == Index || kind == IndexPaperJoin {
+			if kind == Index {
 				reads, mutations = 40, 20
 			}
 			errc := make(chan error, readers+3)
@@ -186,7 +186,7 @@ func TestConcurrentViewsAgainstPlainEvaluator(t *testing.T) {
 			t.Parallel()
 			n, ids := ringNet(t, kind, 24)
 			readers, views, mutations := 5, 120, 200
-			if kind == Index || kind == IndexPaperJoin {
+			if kind == Index {
 				views, mutations = 25, 30
 			}
 			errc := make(chan error, readers+2)

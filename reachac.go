@@ -59,9 +59,6 @@ const (
 	// Index is the paper's cluster-based join index (§3) with the anchored
 	// evaluation strategy.
 	Index
-	// IndexPaperJoin is the index with the literal §3.3 reachability-join
-	// strategy (for studying the paper's own evaluation plan).
-	IndexPaperJoin
 )
 
 func (k EngineKind) String() string {
@@ -72,8 +69,6 @@ func (k EngineKind) String() string {
 		return "closure"
 	case Index:
 		return "join-index"
-	case IndexPaperJoin:
-		return "join-index-paper"
 	default:
 		return fmt.Sprintf("EngineKind(%d)", int(k))
 	}
@@ -81,19 +76,17 @@ func (k EngineKind) String() string {
 
 // EngineKinds lists every engine kind, in declaration order.
 func EngineKinds() []EngineKind {
-	return []EngineKind{Online, Closure, Index, IndexPaperJoin}
+	return []EngineKind{Online, Closure, Index}
 }
 
 // ParseEngineKind resolves an engine name: a kind's String form, or one of
-// the command-line shorthands "online", "index" and "index-paper".
+// the command-line shorthands "online" and "index".
 func ParseEngineKind(name string) (EngineKind, error) {
 	switch name {
 	case "online":
 		return Online, nil
 	case "index":
 		return Index, nil
-	case "index-paper":
-		return IndexPaperJoin, nil
 	}
 	kinds := EngineKinds()
 	names := make([]string, len(kinds))

@@ -378,7 +378,7 @@ func TestParsePathCanonicalizes(t *testing.T) {
 
 func TestEngineKindString(t *testing.T) {
 	kinds := map[EngineKind]string{
-		Online: "online-bfs", Closure: "closure", Index: "join-index", IndexPaperJoin: "join-index-paper",
+		Online: "online-bfs", Closure: "closure", Index: "join-index",
 	}
 	for k, want := range kinds {
 		if k.String() != want {
@@ -399,10 +399,10 @@ func TestParseEngineKind(t *testing.T) {
 		{"online-bfs", Online, true},
 		{"closure", Closure, true},
 		{"join-index", Index, true},
-		{"join-index-paper", IndexPaperJoin, true},
 		{"online", Online, true},
 		{"index", Index, true},
-		{"index-paper", IndexPaperJoin, true},
+		{"join-index-paper", 0, false},
+		{"index-paper", 0, false},
 		{"online-dfs", 0, false},
 		{"online-adaptive", 0, false},
 		{"", 0, false},

@@ -84,7 +84,6 @@ func TestPersistenceRoundTrips(t *testing.T) {
 				"engine:index",
 				"allow:note,carol", "deny:note,bob",
 				"full-rt",
-				"engine:index-paper",
 				"allow:note,carol",
 				"engine:online",
 				"allow:note,carol",

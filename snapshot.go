@@ -105,12 +105,6 @@ func buildEvaluator(kind EngineKind, g *graph.Graph, compiles *atomic.Uint64) (E
 			return nil, fmt.Errorf("reachac: building index: %w", err)
 		}
 		return idx, nil
-	case IndexPaperJoin:
-		idx, err := joinindex.Build(g, joinindex.Options{Strategy: joinindex.EvalPaperJoin})
-		if err != nil {
-			return nil, fmt.Errorf("reachac: building index: %w", err)
-		}
-		return idx, nil
 	default:
 		return nil, fmt.Errorf("reachac: unknown engine kind %d", int(kind))
 	}
