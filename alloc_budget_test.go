@@ -2,8 +2,8 @@
 
 // Allocation budgets for the facade read path, the user-facing counterpart
 // of the zero-allocation assertions on search.Engine (internal/search's
-// alloc_test.go). The facade cannot be literally allocation-free — audience
-// results are copied out of the shared cache, batch decisions return a
+// alloc_test.go). The facade cannot be literally allocation-free — an
+// audience is assembled into a fresh slice, batch decisions return a
 // slice — so each operation gets an explicit measured budget instead,
 // and CI fails when a regression pushes past it. Excluded under the race
 // detector, whose instrumentation perturbs allocation behavior.
@@ -17,7 +17,7 @@ import (
 )
 
 // allocNet builds a 200-member network with a shared album and warms the
-// snapshot: plan cache, CSR and audience cache all hot.
+// snapshot: plan cache, CSR and search scratch all hot.
 func allocNet(t testing.TB) (*Network, []UserID) {
 	t.Helper()
 	n := New()
@@ -62,9 +62,10 @@ func TestCanAccessAllocBudget(t *testing.T) {
 	}
 }
 
-// TestAudienceAllocBudget: a warmed Audience is served from the audience
-// cache; the only allocations assemble the fresh result slice handed to the
-// caller (measured: 2 objects/op).
+// TestAudienceAllocBudget: a warmed Audience is one product search per rule
+// condition; the only allocations are the condition's member set, which grows
+// by appending (two objects for this fixture's three members), and the fresh
+// result slice handed to the caller (measured: 3 objects/op).
 func TestAudienceAllocBudget(t *testing.T) {
 	n, _ := allocNet(t)
 	allocs := testing.AllocsPerRun(200, func() {
@@ -72,8 +73,8 @@ func TestAudienceAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 2 {
-		t.Fatalf("warmed Audience allocates %.2f objects/op, budget 2", allocs)
+	if allocs > 3 {
+		t.Fatalf("warmed Audience allocates %.2f objects/op, budget 3", allocs)
 	}
 }
 
@@ -120,12 +121,13 @@ func TestUncachedDecideAllocBudget(t *testing.T) {
 	}
 }
 
-// TestManyRulesCheckAllocBudget: a routed check allocates
-// nothing however many rules the store holds, on either flat route. Each run
-// decides a different one of 2 048 single-rule resources, which share five
-// expressions and so five plans; while plans were cached per rule pointer,
-// 1 024 at most, every other rule here compiled its plan anew on every check
-// (a dozen objects each time).
+// TestManyRulesCheckAllocBudget: a check allocates nothing however many
+// rules the store holds, from either endpoint. Each run decides a different
+// one of 2 048 single-rule resources, which share five expressions and so
+// five plans; while plans were cached per rule pointer, 1 024 at most, every
+// other rule here compiled its plan anew on every check (a dozen objects each
+// time). The endpoint costs (search.Engine.RouteCostsPlan) pin which end
+// every check of an arm searches from.
 func TestManyRulesCheckAllocBudget(t *testing.T) {
 	const rules = 2048
 	n, ids := manyRulesNet(t, rules)
@@ -133,10 +135,10 @@ func TestManyRulesCheckAllocBudget(t *testing.T) {
 		name      string
 		first     int // even resources belong to the out-hub, odd ones to lattice members
 		requester UserID
-		count     func(Stats) uint64
+		reverse   bool
 	}{
-		{"forward", 1, ids[1], func(st Stats) uint64 { return st.PlannerRouteFlatForward }},
-		{"reverse", 0, ids[500], func(st Stats) uint64 { return st.PlannerRouteFlatReverse }},
+		{"forward", 1, ids[1], false},
+		{"reverse", 0, ids[500], true},
 	} {
 		names := make([]string, 0, rules/2)
 		for i := route.first; i < rules; i += 2 {
@@ -151,7 +153,16 @@ func TestManyRulesCheckAllocBudget(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		before := n.Stats()
+		for _, res := range names {
+			rule := s.store.RulesFor(core.ResourceID(res))[0]
+			pl, err := s.search.Plan(rule.Conditions[0].Path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fwd, rev := s.search.RouteCostsPlan(rule.Owner, route.requester, pl); (rev < fwd) != route.reverse {
+				t.Fatalf("%s route: %s costs forward %d, reverse %d", route.name, res, fwd, rev)
+			}
+		}
 		i := 0
 		allocs := testing.AllocsPerRun(len(names), func() {
 			if _, err := s.engine.Decide(core.ResourceID(names[i%len(names)]), route.requester); err != nil {
@@ -161,11 +172,6 @@ func TestManyRulesCheckAllocBudget(t *testing.T) {
 		})
 		if allocs > 0 {
 			t.Fatalf("%s route: check allocates %.2f objects/op over %d rules, budget 0", route.name, allocs, rules)
-		}
-		d := n.Stats().Delta(before)
-		if got := route.count(d); got < uint64(len(names)) {
-			t.Fatalf("%s route took %d of %d checks (forward %d, reverse %d, audience %d, primary %d)", route.name, got, len(names),
-				d.PlannerRouteFlatForward, d.PlannerRouteFlatReverse, d.PlannerRouteAudience, d.PlannerRoutePrimary)
 		}
 	}
 }

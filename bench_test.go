@@ -460,7 +460,7 @@ func BenchmarkInterleavedMutateRead(b *testing.B) {
 }
 
 // benchChurnNetwork is embed-churn's system at micro-benchmark scale: a
-// 20 000-node ldbc graph of degree 8 behind the planner, with the given
+// 20 000-node ldbc graph of degree 8, with the given
 // number of resources shared by successive members, published and warmed so
 // that a spare exists. It returns the network and two members whose
 // "bench-touch" edge the caller toggles to force graph publications.
@@ -474,7 +474,7 @@ func benchChurnNetwork(b *testing.B, resources int) (n *Network, x, y UserID) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	n = FromGraph(g, WithPlanner(PlannerOptions{}))
+	n = FromGraph(g)
 	err = n.Batch(func(tx *Tx) error {
 		for i := 0; i < resources; i++ {
 			if _, err := tx.Share(fmt.Sprintf("res%05d", i), UserID(i%20000), "friend+[1,2]"); err != nil {
@@ -879,7 +879,7 @@ func BenchmarkReachableByGraphSize(b *testing.B) {
 func BenchmarkChurnByGraphSize(b *testing.B) {
 	for _, nodes := range []int{10_000, 100_000, 1_000_000} {
 		b.Run(fmt.Sprintf("nodes=%dk", nodes/1000), func(b *testing.B) {
-			n := FromGraph(fixedFanOutGraph(nodes), WithPlanner(PlannerOptions{}))
+			n := FromGraph(fixedFanOutGraph(nodes))
 			if _, err := n.Share("r", 0, "friend+[1,3]"); err != nil {
 				b.Fatal(err)
 			}
@@ -959,45 +959,36 @@ func BenchmarkCloneByGraphSize(b *testing.B) {
 	}
 }
 
-// BenchmarkAudienceIncremental measures the audience read after a mutation,
-// which forces a snapshot republication per iteration: the incremental arm
-// advances the audience cache through the recorded deltas (the O(Δ) path),
-// the rebuild arm disables the delta log so every iteration recomputes
-// graph, evaluator and audiences from scratch. The gap between the arms is
-// what incremental audience maintenance buys on a churn workload.
-func BenchmarkAudienceIncremental(b *testing.B) {
-	for _, arm := range []string{"incremental", "rebuild"} {
-		b.Run(arm, func(b *testing.B) {
-			g := benchGraph("social")
-			n := FromGraph(g)
-			if arm == "rebuild" {
-				n.Graph().SetDeltaLogLimit(-1)
-			}
-			owner, _ := n.UserID("u000010")
-			if _, err := n.Share("r", owner, "friend+[1,2]"); err != nil {
-				b.Fatal(err)
-			}
-			peer, _ := n.UserID("u000011")
-			if _, err := n.Audience("r"); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				var err error
-				if i%2 == 0 {
-					err = n.Relate(owner, peer, "colleague")
-				} else {
-					err = n.Unrelate(owner, peer, "colleague")
-				}
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := n.Audience("r"); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+// BenchmarkAudienceAfterMutation measures the audience read after a
+// mutation, which forces a snapshot republication per iteration: a retired
+// clone fast-forwarded through the deltas, then one product search per rule
+// condition, since nothing carries an audience across publications.
+func BenchmarkAudienceAfterMutation(b *testing.B) {
+	g := benchGraph("social")
+	n := FromGraph(g)
+	owner, _ := n.UserID("u000010")
+	if _, err := n.Share("r", owner, "friend+[1,2]"); err != nil {
+		b.Fatal(err)
+	}
+	peer, _ := n.UserID("u000011")
+	if _, err := n.Audience("r"); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if i%2 == 0 {
+			err = n.Relate(owner, peer, "colleague")
+		} else {
+			err = n.Unrelate(owner, peer, "colleague")
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := n.Audience("r"); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -1054,59 +1045,6 @@ func BenchmarkShardExpand(b *testing.B) {
 				results += expand(i)
 			}
 			b.ReportMetric(float64(results)/b.Elapsed().Seconds(), "results/s")
-		})
-	}
-}
-
-// BenchmarkPlannerRouting compares a statically-evaluated network against
-// the same network with per-query routing on a mixed query shape: point
-// checks, path checks with asymmetric endpoints (reverse-routing friendly)
-// and audience scans (which materialize the audience the point checks then
-// probe). The planner arm should never trail the static arm by more than
-// its per-query routing overhead.
-func BenchmarkPlannerRouting(b *testing.B) {
-	arms := []struct {
-		name string
-		opts []Option
-	}{
-		{"static-online", nil},
-		{"planner", []Option{WithPlanner(PlannerOptions{})}},
-	}
-	for _, arm := range arms {
-		b.Run(arm.name, func(b *testing.B) {
-			g := benchGraph("social")
-			n := FromGraph(g, arm.opts...)
-			owner, _ := n.UserID("u000010")
-			if _, err := n.Share("r", owner, "friend+[1,2]"); err != nil {
-				b.Fatal(err)
-			}
-			pairs := workload.HitPairs(g, 256, 2, 7)
-			// Warm: publish the snapshot and materialize the audience sets
-			// outside the timer.
-			for _, p := range pairs {
-				if _, err := n.CanAccess("r", p.Requester); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if _, err := n.Audience("r"); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				p := pairs[i%len(pairs)]
-				if _, err := n.CanAccess("r", p.Requester); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := n.CheckPath(p.Owner, p.Requester, "friend+[1,2]"); err != nil {
-					b.Fatal(err)
-				}
-				if i%16 == 0 {
-					if _, err := n.Audience("r"); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
 		})
 	}
 }

@@ -77,23 +77,15 @@ type embeddedTarget struct {
 }
 
 // newEmbeddedTarget builds a network over a private clone of g (each
-// scenario starts from the pristine graph), selects the engine — or, for
-// the planner pseudo-engine, enables per-query routing over the Online
-// primary — and pre-shares the scenario's resources in one batch.
+// scenario starts from the pristine graph), pre-shares the scenario's
+// resources in one batch and selects the engine.
 func newEmbeddedTarget(g *graph.Graph, kind reachac.EngineKind, specs []workload.ResourceSpec, workers int) (*embeddedTarget, error) {
-	var n *reachac.Network
-	if kind == plannerEngine {
-		n = reachac.FromGraph(g.Clone(), reachac.WithPlanner(reachac.PlannerOptions{}))
-	} else {
-		n = reachac.FromGraph(g.Clone())
-	}
+	n := reachac.FromGraph(g.Clone())
 	if err := shareSpecs(n, specs); err != nil {
 		return nil, err
 	}
-	if kind != plannerEngine {
-		if err := n.UseEngine(kind); err != nil {
-			return nil, fmt.Errorf("engine %s: %w", kind, err)
-		}
+	if err := n.UseEngine(kind); err != nil {
+		return nil, fmt.Errorf("engine %s: %w", kind, err)
 	}
 	return &embeddedTarget{net: n, specs: specs, rules: newRuleStacks(workers, len(specs))}, nil
 }
@@ -223,12 +215,7 @@ func (c *streamedCell) release() { c.target.releaseView() }
 // construction. Mirrors newEmbeddedTarget's ordering: share specs first,
 // select the engine last.
 func newStreamedCell(top generate.Topology, kind reachac.EngineKind, sc workload.Scenario, cfg benchConfig) (*streamedCell, error) {
-	var n *reachac.Network
-	if kind == plannerEngine {
-		n = reachac.New(reachac.WithPlanner(reachac.PlannerOptions{}))
-	} else {
-		n = reachac.New()
-	}
+	n := reachac.New()
 	if err := n.LoadTopology(top, reachac.DefaultLoadChunk); err != nil {
 		return nil, err
 	}
@@ -242,11 +229,9 @@ func newStreamedCell(top generate.Topology, kind reachac.EngineKind, sc workload
 		v.Close()
 		return nil, err
 	}
-	if kind != plannerEngine {
-		if err := n.UseEngine(kind); err != nil {
-			v.Close()
-			return nil, fmt.Errorf("engine %s: %w", kind, err)
-		}
+	if err := n.UseEngine(kind); err != nil {
+		v.Close()
+		return nil, fmt.Errorf("engine %s: %w", kind, err)
 	}
 	t := &streamedCellTarget{
 		embeddedTarget: embeddedTarget{net: n, specs: specs, rules: newRuleStacks(cfg.workers, len(specs))},
@@ -276,13 +261,7 @@ func (t *shardedTarget) name(id graph.NodeID) string { return generate.UserName(
 func newShardedTarget(g *graph.Graph, kind reachac.EngineKind, specs []workload.ResourceSpec, workers, shards int) (*shardedTarget, error) {
 	backends := make([]shard.Backend, shards)
 	for i := range backends {
-		var n *reachac.Network
-		if kind == plannerEngine {
-			n = reachac.New(reachac.WithPlanner(reachac.PlannerOptions{}))
-		} else {
-			n = reachac.New(reachac.WithEngine(kind))
-		}
-		backends[i] = shard.NewEmbedded(n)
+		backends[i] = shard.NewEmbedded(reachac.New(reachac.WithEngine(kind)))
 	}
 	ctx := context.Background()
 	r, err := shard.New(ctx, backends, shard.Config{})
@@ -534,11 +513,7 @@ func newSelfHostedTarget(g *graph.Graph, kind reachac.EngineKind, specs []worklo
 		os.RemoveAll(dir)
 		return nil, e
 	}
-	opts := []reachac.Option{reachac.WithEngine(kind), sync}
-	if kind == plannerEngine {
-		opts = []reachac.Option{reachac.WithEngine(reachac.Online), reachac.WithPlanner(reachac.PlannerOptions{}), sync}
-	}
-	n, err := reachac.Open(dir, opts...)
+	n, err := reachac.Open(dir, reachac.WithEngine(kind), sync)
 	if err != nil {
 		return fail(err)
 	}
@@ -651,18 +626,14 @@ func importGraph(n *reachac.Network, g *graph.Graph) error {
 
 func countersFromStats(st reachac.Stats, srv *httpapi.ServerStats) Counters {
 	c := Counters{
-		Checks:             st.Checks,
-		BatchChecks:        st.BatchChecks,
-		Audiences:          st.Audiences,
-		Mutations:          st.Mutations,
-		Batches:            st.Batches,
-		Republications:     st.Republications,
-		PlannerAudience:    st.PlannerRouteAudience,
-		PlannerFlatForward: st.PlannerRouteFlatForward,
-		PlannerFlatReverse: st.PlannerRouteFlatReverse,
-		PlannerPrimary:     st.PlannerRoutePrimary,
-		WALAppends:         st.WALAppends,
-		WALFsyncs:          st.WALFsyncs,
+		Checks:         st.Checks,
+		BatchChecks:    st.BatchChecks,
+		Audiences:      st.Audiences,
+		Mutations:      st.Mutations,
+		Batches:        st.Batches,
+		Republications: st.Republications,
+		WALAppends:     st.WALAppends,
+		WALFsyncs:      st.WALFsyncs,
 	}
 	if srv != nil {
 		c.CommitGroups = srv.CommitGroups

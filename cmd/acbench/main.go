@@ -59,7 +59,7 @@ func main() {
 	var (
 		mode        = flag.String("mode", "embedded", "benchmark mode: embedded, http, or both")
 		addr        = flag.String("addr", "", "drive an external acserverd at this address (http mode; default self-hosts one per engine)")
-		engines     = flag.String("engines", "online,index", "comma-separated engine kinds, 'planner' (per-query routing), or 'all'")
+		engines     = flag.String("engines", "online,index", "comma-separated engine kinds, or 'all'")
 		scenarios   = flag.String("scenarios", "all", "comma-separated scenario names from the workload registry, or 'all' (have: "+strings.Join(workload.Names(), ", ")+")")
 		nodesCSV    = flag.String("nodes", "2000", "social graph size, or a comma list for a scaling sweep")
 		topology    = flag.String("topology", "osn", "topology family: "+strings.Join(generate.Kinds(), ", "))
@@ -173,7 +173,7 @@ func main() {
 							cellCfg.rate = r
 							res, err := runScenario(m, env, kind, sc, cellCfg)
 							if err != nil {
-								log.Fatalf("%s/%s/%s: %v", m, engineLabel(kind), sc.Name, err)
+								log.Fatalf("%s/%s/%s: %v", m, kind, sc.Name, err)
 							}
 							art.Scenarios = append(art.Scenarios, res)
 							label := res.Scenario
@@ -335,7 +335,7 @@ func runScenario(mode string, env cellEnv, kind reachac.EngineKind, sc workload.
 
 	engine := t.engineName()
 	if engine == "" {
-		engine = engineLabel(kind)
+		engine = kind.String()
 	}
 	total := res.Ops + res.Errors + res.Shed
 	sr := ScenarioResult{
@@ -428,30 +428,14 @@ func parseModes(s string) ([]string, error) {
 	return nil, fmt.Errorf("unknown -mode %q (have embedded, http, both)", s)
 }
 
-var allEngines = append(reachac.EngineKinds(), plannerEngine)
-
-// plannerEngine is a pseudo engine kind: the target is built with
-// WithPlanner routing enabled over the Online primary instead of a static
-// evaluator selection. It never reaches reachac.UseEngine.
-const plannerEngine reachac.EngineKind = -1
-
-// engineLabel names a cell's engine column, mapping the planner sentinel
-// to its artifact label.
-func engineLabel(kind reachac.EngineKind) string {
-	if kind == plannerEngine {
-		return "planner"
-	}
-	return kind.String()
-}
-
 func parseEngines(s string) ([]reachac.EngineKind, error) {
 	if s == "all" {
-		return allEngines, nil
+		return reachac.EngineKinds(), nil
 	}
 	var kinds []reachac.EngineKind
 	for _, name := range strings.Split(s, ",") {
 		name = strings.TrimSpace(name)
-		kind, err := engineByName(name)
+		kind, err := reachac.ParseEngineKind(name)
 		if err != nil {
 			return nil, err
 		}
@@ -461,14 +445,6 @@ func parseEngines(s string) ([]reachac.EngineKind, error) {
 		return nil, fmt.Errorf("-engines is empty")
 	}
 	return kinds, nil
-}
-
-// engineByName is reachac.ParseEngineKind plus the planner pseudo-kind.
-func engineByName(s string) (reachac.EngineKind, error) {
-	if s == "planner" {
-		return plannerEngine, nil
-	}
-	return reachac.ParseEngineKind(s)
 }
 
 // parseScenarios resolves -scenarios against the workload registry,

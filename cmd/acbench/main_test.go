@@ -61,21 +61,26 @@ func TestCompareCalibrationNormalizes(t *testing.T) {
 	}
 }
 
-func TestCompareMissingCellIsNoteNotFailure(t *testing.T) {
-	baseline := art(100, cell("http", "join-index", "churn", 5000))
+// TestCompareMissingGatedCellFails: a gated baseline cell the current run
+// lacks fails the gate, so cells cannot vanish between regenerations
+// unnoticed; a thin one, which is never gated, stays a note.
+func TestCompareMissingGatedCellFails(t *testing.T) {
+	thin := cell("http", "join-index", "audience-scan", 250)
+	thin.Ops = 400
+	baseline := art(100, cell("http", "join-index", "churn", 5000), thin)
 	current := art(100, cell("embedded", "online-bfs", "read-heavy", 9000))
 	regs, notes := compareArtifacts(baseline, current, 0.25)
-	if len(regs) != 0 {
-		t.Fatalf("missing cell must not fail the gate: %v", regs)
+	if len(regs) != 1 || !strings.Contains(regs[0], "churn") || !strings.Contains(regs[0], "missing") {
+		t.Fatalf("want exactly the missing churn cell to fail, got %v", regs)
 	}
 	found := false
 	for _, n := range notes {
-		if strings.Contains(n, "not in current run") {
+		if strings.Contains(n, "audience-scan") && strings.Contains(n, "too few to gate") {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("missing cell not noted: %v", notes)
+		t.Fatalf("missing thin cell not noted: %v", notes)
 	}
 }
 
@@ -288,17 +293,16 @@ func TestParseHelpers(t *testing.T) {
 	if ms, _ := parseModes("both"); len(ms) != 2 {
 		t.Fatalf("both = %v", ms)
 	}
-	if ks, err := parseEngines("all"); err != nil || len(ks) != len(reachac.EngineKinds())+1 {
+	if ks, err := parseEngines("all"); err != nil || len(ks) != len(reachac.EngineKinds()) {
 		t.Fatalf("all engines = %v, %v", ks, err)
 	}
-	if k, err := parseEngines("planner"); err != nil || len(k) != 1 || k[0] != plannerEngine {
-		t.Fatalf("planner engine = %v, %v", k, err)
+	if k, err := parseEngines("online, index"); err != nil || len(k) != 2 || k[0] != reachac.Online || k[1] != reachac.Index {
+		t.Fatalf("online, index = %v, %v", k, err)
 	}
-	if got := engineLabel(plannerEngine); got != "planner" {
-		t.Fatalf("planner label = %q", got)
-	}
-	if _, err := parseEngines("warp-drive"); err == nil {
-		t.Fatal("bad engine accepted")
+	for _, name := range []string{"warp-drive", "planner"} {
+		if _, err := parseEngines(name); err == nil {
+			t.Fatalf("engine %q accepted", name)
+		}
 	}
 	if scens, err := parseScenarios("all", 8); err != nil || len(scens) != len(workload.Names()) {
 		t.Fatalf("all scenarios = %v, %v", scens, err)

@@ -66,17 +66,11 @@ type Counters struct {
 	Mutations      uint64 `json:"mutations"`
 	Batches        uint64 `json:"batches"`
 	Republications uint64 `json:"republications"`
-	// Route counts attributed to the window; zero unless the cell routes
-	// per query (engine "planner").
-	PlannerAudience    uint64 `json:"planner_route_audience,omitempty"`
-	PlannerFlatForward uint64 `json:"planner_route_flat_forward,omitempty"`
-	PlannerFlatReverse uint64 `json:"planner_route_flat_reverse,omitempty"`
-	PlannerPrimary     uint64 `json:"planner_route_primary,omitempty"`
-	WALAppends         uint64 `json:"wal_appends"`
-	WALFsyncs          uint64 `json:"wal_fsyncs"`
-	CommitGroups       uint64 `json:"server_commit_groups,omitempty"`
-	QueueRejected      uint64 `json:"server_queue_rejected,omitempty"`
-	CheckRejected      uint64 `json:"server_check_rejected,omitempty"`
+	WALAppends     uint64 `json:"wal_appends"`
+	WALFsyncs      uint64 `json:"wal_fsyncs"`
+	CommitGroups   uint64 `json:"server_commit_groups,omitempty"`
+	QueueRejected  uint64 `json:"server_queue_rejected,omitempty"`
+	CheckRejected  uint64 `json:"server_check_rejected,omitempty"`
 	// The router_* fields are the shard router's own counters; all zero
 	// outside sharded cells.
 	RouterFastPath uint64 `json:"router_fast_path,omitempty"`
@@ -88,24 +82,20 @@ type Counters struct {
 // scenario window.
 func (c Counters) delta(prev Counters) Counters {
 	return Counters{
-		Checks:             c.Checks - prev.Checks,
-		BatchChecks:        c.BatchChecks - prev.BatchChecks,
-		Audiences:          c.Audiences - prev.Audiences,
-		Mutations:          c.Mutations - prev.Mutations,
-		Batches:            c.Batches - prev.Batches,
-		Republications:     c.Republications - prev.Republications,
-		PlannerAudience:    c.PlannerAudience - prev.PlannerAudience,
-		PlannerFlatForward: c.PlannerFlatForward - prev.PlannerFlatForward,
-		PlannerFlatReverse: c.PlannerFlatReverse - prev.PlannerFlatReverse,
-		PlannerPrimary:     c.PlannerPrimary - prev.PlannerPrimary,
-		WALAppends:         c.WALAppends - prev.WALAppends,
-		WALFsyncs:          c.WALFsyncs - prev.WALFsyncs,
-		CommitGroups:       c.CommitGroups - prev.CommitGroups,
-		QueueRejected:      c.QueueRejected - prev.QueueRejected,
-		CheckRejected:      c.CheckRejected - prev.CheckRejected,
-		RouterFastPath:     c.RouterFastPath - prev.RouterFastPath,
-		RouterScatter:      c.RouterScatter - prev.RouterScatter,
-		RouterExpand:       c.RouterExpand - prev.RouterExpand,
+		Checks:         c.Checks - prev.Checks,
+		BatchChecks:    c.BatchChecks - prev.BatchChecks,
+		Audiences:      c.Audiences - prev.Audiences,
+		Mutations:      c.Mutations - prev.Mutations,
+		Batches:        c.Batches - prev.Batches,
+		Republications: c.Republications - prev.Republications,
+		WALAppends:     c.WALAppends - prev.WALAppends,
+		WALFsyncs:      c.WALFsyncs - prev.WALFsyncs,
+		CommitGroups:   c.CommitGroups - prev.CommitGroups,
+		QueueRejected:  c.QueueRejected - prev.QueueRejected,
+		CheckRejected:  c.CheckRejected - prev.CheckRejected,
+		RouterFastPath: c.RouterFastPath - prev.RouterFastPath,
+		RouterScatter:  c.RouterScatter - prev.RouterScatter,
+		RouterExpand:   c.RouterExpand - prev.RouterExpand,
 	}
 }
 
@@ -245,9 +235,10 @@ const minGateOps = 1000
 
 // compareArtifacts checks current against baseline cell by cell. A cell
 // regresses when its calibration-normalized throughput falls more than
-// maxRegress below the baseline's. It returns the regression complaints
-// (gate failures) and informational notes (missing cells, improvements,
-// cells skipped for thin samples).
+// maxRegress below the baseline's, or when the current run lacks it: a
+// gated cell that silently vanishes is a lost measurement, not a pass. It
+// returns the regression complaints (gate failures) and informational notes
+// (thin baseline cells, missing or not, and improvements).
 func compareArtifacts(baseline, current *Artifact, maxRegress float64) (regressions, notes []string) {
 	scale := 1.0
 	if baseline.CalibrationScore > 0 && current.CalibrationScore > 0 {
@@ -260,13 +251,13 @@ func compareArtifacts(baseline, current *Artifact, maxRegress float64) (regressi
 		cur[s.key()] = s
 	}
 	for _, b := range baseline.Scenarios {
-		c, ok := cur[b.key()]
-		if !ok {
-			notes = append(notes, fmt.Sprintf("%s: in baseline but not in current run", b.key()))
-			continue
-		}
 		if b.Ops < minGateOps {
 			notes = append(notes, fmt.Sprintf("%s: only %d baseline ops — too few to gate, skipping", b.key(), b.Ops))
+			continue
+		}
+		c, ok := cur[b.key()]
+		if !ok {
+			regressions = append(regressions, fmt.Sprintf("%s: gated baseline cell missing from the current run", b.key()))
 			continue
 		}
 		expected := b.Throughput * scale

@@ -8,13 +8,12 @@ import (
 
 // TestDifferentialAudienceIncremental replays one randomized mutation trace
 // through two identical networks — one publishing snapshots via the
-// delta-advance path, where the audience cache is maintained incrementally
-// (search.AudienceCache.Advance), one with the delta log disabled so every
-// publication rebuilds graph, evaluator and audience cache from scratch —
+// delta-advance path, where a retired clone, its evaluator and its search
+// engine are fast-forwarded through the deltas, one with the delta log
+// disabled so every publication rebuilds graph and engines from scratch —
 // across every engine kind, and asserts Audience and PathAudience agree
-// after every mutation. It is the end-to-end counterpart of the
-// search-level TestAudienceCacheAdvance: incremental audience maintenance
-// must be invisible to callers.
+// after every mutation: how a snapshot was published must be invisible to
+// the audiences read from it.
 func TestDifferentialAudienceIncremental(t *testing.T) {
 	kinds := EngineKinds()
 	for _, kind := range kinds {

@@ -35,7 +35,6 @@ type openConfig struct {
 	sync         SyncPolicy
 	syncInterval time.Duration
 	ckptEvery    int64
-	route        bool
 	follow       string
 	followHTTP   *http.Client
 }
@@ -114,7 +113,6 @@ func Open(dir string, opts ...Option) (*Network, error) {
 	// fence this leader before it diverges from the new history.
 	n.replSource.OnStaleEpoch(func(e uint64) { n.ObserveEpoch(e) })
 	n.ckptEvery = cfg.ckptEvery
-	n.route = cfg.route
 	n.recovery = RecoveryInfo{Groups: rec.Groups, TornTail: rec.TornTail, CheckpointSeq: rec.CheckpointSeq}
 	// Republish the snapshot now, so the first read after recovery doesn't
 	// pay for the engine build.

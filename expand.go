@@ -112,7 +112,7 @@ func (v *View) ShardExpand(req ShardExpandRequest) (ShardExpandResponse, error) 
 	if err != nil {
 		return resp, err
 	}
-	e := v.s.aud.Engine()
+	e := v.s.search
 	pl, err := e.Plan(p)
 	if err != nil {
 		return resp, err

@@ -99,78 +99,14 @@ func ReadStore(r io.Reader, g *graph.Graph) (*Store, error) {
 	return s, nil
 }
 
-// AudienceSetEvaluator is implemented by evaluators that can materialize
-// the full audience of one condition in a single traversal (see
-// search.Engine.AudienceSet); Store.Audience uses it when available instead
-// of issuing one reachability query per member.
-type AudienceSetEvaluator interface {
-	AudienceSet(owner graph.NodeID, p *pathexpr.Path) ([]graph.NodeID, error)
-}
-
-// Audience enumerates every member of g that eval grants access to res
-// under this store's rules, excluding the owner (who always has access).
-// Results are in node-ID order.
-func (s *Store) Audience(res ResourceID, g *graph.Graph, eval Evaluator) ([]graph.NodeID, error) {
-	owner, ok := s.Owner(res)
-	if !ok {
-		return nil, fmt.Errorf("core: resource %q not registered", res)
-	}
-	rules := s.RulesFor(res)
-	if fast, ok := eval.(AudienceSetEvaluator); ok {
-		return s.AudienceWith(res, audienceSourceFunc(fast.AudienceSet))
-	}
-	var out []graph.NodeID
-	var firstErr error
-	g.Nodes(func(n graph.Node) bool {
-		if n.ID == owner {
-			return true
-		}
-		for _, rule := range rules {
-			valid := true
-			for _, cond := range rule.Conditions {
-				ok, err := eval.Reachable(rule.Owner, n.ID, cond.Path)
-				if err != nil {
-					firstErr = err
-					return false
-				}
-				if !ok {
-					valid = false
-					break
-				}
-			}
-			if valid {
-				out = append(out, n.ID)
-				return true
-			}
-		}
-		return true
-	})
-	return out, firstErr
-}
-
-// AudienceSource provides per-(owner, path) audience sets in ascending
-// node-ID order. Implementations may return cached slices: Store treats
-// them as immutable and never modifies them. search.AudienceCache is the
-// canonical implementation; search.Engine.AudienceSet also qualifies via
-// audienceSourceFunc.
-type AudienceSource interface {
-	Audience(owner graph.NodeID, p *pathexpr.Path) ([]graph.NodeID, error)
-}
-
-// audienceSourceFunc adapts a plain audience function to AudienceSource.
-type audienceSourceFunc func(graph.NodeID, *pathexpr.Path) ([]graph.NodeID, error)
-
-func (f audienceSourceFunc) Audience(o graph.NodeID, p *pathexpr.Path) ([]graph.NodeID, error) {
-	return f(o, p)
-}
-
-// AudienceWith assembles the audience of res from per-condition sets:
-// ∪_rules ∩_conditions src.Audience(rule.Owner, condition), excluding the
-// owner, in ascending node-ID order. Set algebra runs on sorted merges —
-// one source call per condition, no per-member queries and no hashing — and
-// the result is always freshly allocated, so src may serve shared cached
-// slices.
-func (s *Store) AudienceWith(res ResourceID, src AudienceSource) ([]graph.NodeID, error) {
+// Audience enumerates every member the rules of res admit, excluding the
+// owner (who always has access), in ascending node-ID order:
+// ∪_rules ∩_conditions set(rule.Owner, condition), where set returns one
+// condition's audience in ascending node-ID order (see
+// search.Engine.AudienceSet). The set algebra runs on sorted merges — one
+// set call per condition, no per-member queries and no hashing — and the
+// result is always freshly allocated; the sets are never modified.
+func (s *Store) Audience(res ResourceID, set func(owner graph.NodeID, p *pathexpr.Path) ([]graph.NodeID, error)) ([]graph.NodeID, error) {
 	owner, ok := s.Owner(res)
 	if !ok {
 		return nil, fmt.Errorf("core: resource %q not registered", res)
@@ -179,14 +115,14 @@ func (s *Store) AudienceWith(res ResourceID, src AudienceSource) ([]graph.NodeID
 	for _, rule := range s.RulesFor(res) {
 		var inter []graph.NodeID
 		for ci, cond := range rule.Conditions {
-			set, err := src.Audience(rule.Owner, cond.Path)
+			members, err := set(rule.Owner, cond.Path)
 			if err != nil {
 				return nil, err
 			}
 			if ci == 0 {
-				inter = set
+				inter = members
 			} else {
-				inter = intersectSorted(inter, set)
+				inter = intersectSorted(inter, members)
 			}
 			if len(inter) == 0 {
 				break

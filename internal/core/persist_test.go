@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -128,7 +129,7 @@ func TestAudience(t *testing.T) {
 		Conditions: []Condition{{Path: paperfix.QFriendParentFriend()}}}); err != nil {
 		t.Fatal(err)
 	}
-	audience, err := store.Audience("r", g, search.New(g))
+	audience, err := store.Audience("r", search.New(g).AudienceSet)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,17 +140,44 @@ func TestAudience(t *testing.T) {
 		}
 		t.Fatalf("audience = %v, want [George]", names)
 	}
-	if _, err := store.Audience("ghost", g, search.New(g)); err == nil {
+	if _, err := store.Audience("ghost", search.New(g).AudienceSet); err == nil {
 		t.Fatal("unknown resource accepted")
 	}
 }
 
-// slowEval hides the AudienceSet fast path so both Audience code paths are
-// exercised and compared.
-type slowEval struct{ e *search.Engine }
-
-func (s slowEval) Reachable(o, r graph.NodeID, p *pathexpr.Path) (bool, error) {
-	return s.e.Reachable(o, r, p)
+// perMemberAudience is the reference Store.Audience's set algebra is
+// compared against: one reachability query per member, per rule condition.
+func perMemberAudience(t *testing.T, s *Store, res ResourceID, g *graph.Graph, eval Evaluator) []graph.NodeID {
+	t.Helper()
+	owner, ok := s.Owner(res)
+	if !ok {
+		t.Fatalf("resource %q not registered", res)
+	}
+	out := []graph.NodeID{}
+	g.Nodes(func(n graph.Node) bool {
+		if n.ID == owner {
+			return true
+		}
+		for _, rule := range s.RulesFor(res) {
+			valid := true
+			for _, cond := range rule.Conditions {
+				ok, err := eval.Reachable(rule.Owner, n.ID, cond.Path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !ok {
+					valid = false
+					break
+				}
+			}
+			if valid {
+				out = append(out, n.ID)
+				return true
+			}
+		}
+		return true
+	})
+	return out
 }
 
 func TestAudienceFastMatchesSlow(t *testing.T) {
@@ -171,21 +199,12 @@ func TestAudienceFastMatchesSlow(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := search.New(g)
-	fast, err := store.Audience("multi", g, eng)
+	fast, err := store.Audience("multi", eng.AudienceSet)
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, err := store.Audience("multi", g, slowEval{eng})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fast) != len(slow) {
-		t.Fatalf("fast %v vs slow %v", fast, slow)
-	}
-	for i := range fast {
-		if fast[i] != slow[i] {
-			t.Fatalf("fast %v vs slow %v", fast, slow)
-		}
+	if slow := perMemberAudience(t, store, "multi", g, eng); !slices.Equal(fast, slow) {
+		t.Fatalf("set algebra %v vs per-member %v", fast, slow)
 	}
 	// Expected audience: George (rule a) ∪ David (rule b).
 	if len(fast) != 2 {

@@ -1,6 +1,7 @@
 package search
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -118,5 +119,77 @@ func TestAudienceSetInvalid(t *testing.T) {
 	set, err := e.AudienceSet(0, pathexpr.MustParse("enemy+[1]"))
 	if err != nil || set != nil {
 		t.Fatalf("unknown label: %v %v", set, err)
+	}
+}
+
+// audCacheFixture builds an n-member ring of friend edges with a colleague
+// chord from every even member, the graph most search tests run on.
+func audCacheFixture(t *testing.T, n int) (*graph.Graph, []graph.NodeID) {
+	t.Helper()
+	g := graph.New()
+	ids := make([]graph.NodeID, n)
+	for i := range ids {
+		ids[i] = g.MustAddNode(fmt.Sprintf("m%03d", i), nil)
+	}
+	for i := 0; i < n; i++ {
+		g.MustAddEdge(ids[i], ids[(i+1)%n], "friend")
+		if i%2 == 0 {
+			g.MustAddEdge(ids[i], ids[(i+5)%n], "colleague")
+		}
+	}
+	return g, ids
+}
+
+func mustPath(t *testing.T, s string) *pathexpr.Path {
+	t.Helper()
+	p, err := pathexpr.Parse(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+func sameIDs(a, b []graph.NodeID) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestAudienceSetMapMatchesFlat exercises the map kernel (the fallback when
+// a state space exceeds the flat layout's bounds) as an audience sweep
+// directly and checks it agrees with the flat collect path on every owner.
+func TestAudienceSetMapMatchesFlat(t *testing.T) {
+	g, ids := audCacheFixture(t, 24)
+	e := New(g)
+	for _, expr := range []string{
+		"friend+[1,3]",
+		"friend+[1,2]/colleague+[1]",
+		"colleague-[1]/friend*[2]",
+	} {
+		p := mustPath(t, expr)
+		pl, err := e.Plan(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, owner := range ids[:6] {
+			want, err := e.AudienceSet(owner, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc := &scratch{
+				member:   make([]uint64, (g.NumNodes()+63)/64),
+				frontier: []uint64{packState(owner, 0, 0)},
+			}
+			e.runMap(&pl.compiled, sc, query{target: graph.InvalidNode, collect: true})
+			if got := appendBits(nil, sc.member); !sameIDs(got, want) {
+				t.Fatalf("owner %d path %s: map %v, flat %v", owner, expr, got, want)
+			}
+		}
 	}
 }

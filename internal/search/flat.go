@@ -45,9 +45,6 @@ type Plan struct {
 	compiled
 	rev      compiled
 	revPreds []pathexpr.Pred
-	// key is the expression's canonical text: the plan's identity in the
-	// engine's plan cache and in audience-cache keys.
-	key string
 	// labelsLen is the graph's label count at compile time; a grown label
 	// table invalidates the plan (a previously-absent label may now exist).
 	labelsLen int
@@ -72,8 +69,8 @@ func layOut(steps []compiledStep) compiled {
 	return c
 }
 
-// newPlan compiles p, whose canonical text is key, against g.
-func newPlan(g *graph.Graph, key string, p *pathexpr.Path) (*Plan, error) {
+// newPlan compiles p against g.
+func newPlan(g *graph.Graph, p *pathexpr.Path) (*Plan, error) {
 	steps, err := compile(g, p)
 	if err != nil {
 		return nil, err
@@ -87,7 +84,6 @@ func newPlan(g *graph.Graph, key string, p *pathexpr.Path) (*Plan, error) {
 		compiled:  layOut(steps),
 		rev:       layOut(revSteps),
 		revPreds:  revPreds,
-		key:       key,
 		labelsLen: g.NumLabels(),
 	}, nil
 }
@@ -109,7 +105,7 @@ func (e *Engine) Plan(p *pathexpr.Path) (*Plan, error) {
 			return pl, nil
 		}
 	}
-	pl, err := newPlan(e.g, key, p)
+	pl, err := newPlan(e.g, p)
 	if err != nil {
 		return nil, err
 	}

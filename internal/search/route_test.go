@@ -2,6 +2,7 @@ package search
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"reachac/internal/graph"
@@ -9,6 +10,20 @@ import (
 	"reachac/internal/pathexpr"
 )
 
+// bothWays answers one query from each endpoint, whichever Reachable would
+// pick: forward from the owner and reversed from the requester.
+func bothWays(t *testing.T, e *Engine, owner, requester graph.NodeID, p *pathexpr.Path) (fwd, rev bool) {
+	t.Helper()
+	pl, err := e.Plan(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e.reach(owner, requester, &pl.compiled), e.reverse(owner, requester, pl)
+}
+
+// TestReachableReverseAgreesWithForward: on random graphs with predicates,
+// the search from either endpoint answers every query the same, and
+// Reachable, which picks one, agrees with both.
 func TestReachableReverseAgreesWithForward(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	labels := []string{"friend", "colleague", "parent"}
@@ -43,17 +58,14 @@ func TestReachableReverseAgreesWithForward(t *testing.T) {
 			for o := 0; o < n; o++ {
 				for r := 0; r < n; r++ {
 					oid, rid := graph.NodeID(o), graph.NodeID(r)
-					want, err := e.Reachable(oid, rid, p)
+					got, err := e.Reachable(oid, rid, p)
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, err := e.ReachableReverse(oid, rid, p)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got != want {
-						t.Fatalf("trial %d: ReachableReverse disagrees on (%s, %d, %d): got %v want %v",
-							trial, expr, o, r, got, want)
+					fwd, rev := bothWays(t, e, oid, rid, p)
+					if fwd != rev || got != fwd {
+						t.Fatalf("trial %d: (%s, %d, %d): forward %v, reversed %v, Reachable %v",
+							trial, expr, o, r, fwd, rev, got)
 					}
 				}
 			}
@@ -61,13 +73,16 @@ func TestReachableReverseAgreesWithForward(t *testing.T) {
 	}
 }
 
+// TestReachableReverseInvalidNodeErrorMatchesForward: an invalid requester,
+// where a reversed search would start, is the same error as an invalid
+// owner, returned before the endpoint costs read either node.
 func TestReachableReverseInvalidNodeErrorMatchesForward(t *testing.T) {
-	g := paperfix.Graph()
-	e := New(g)
-	_, fwdErr := e.Reachable(999, 0, paperfix.Q1())
-	_, revErr := e.ReachableReverse(999, 0, paperfix.Q1())
-	if fwdErr == nil || revErr == nil || fwdErr.Error() != revErr.Error() {
-		t.Fatalf("error wording differs: fwd=%v rev=%v", fwdErr, revErr)
+	e := New(paperfix.Graph())
+	_, ownerErr := e.Reachable(999, 0, paperfix.Q1())
+	_, reqErr := e.Reachable(0, 999, paperfix.Q1())
+	if ownerErr == nil || reqErr == nil || !strings.HasPrefix(reqErr.Error(), "search: invalid node") ||
+		!strings.HasPrefix(ownerErr.Error(), "search: invalid node") {
+		t.Fatalf("invalid endpoints: owner %v, requester %v", ownerErr, reqErr)
 	}
 }
 
@@ -82,13 +97,18 @@ func TestRouteCostsSeedCountsWithoutCSR(t *testing.T) {
 	g.MustAddEdge(a, c, "friend")
 	g.MustAddEdge(b, a, "friend")
 	e := New(g)
-	p := pathexpr.MustParse("friend+[1]")
+	costs := func(expr string) (fwd, rev int) {
+		pl, err := e.Plan(pathexpr.MustParse(expr))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e.RouteCostsPlan(a, b, pl)
+	}
 	if g.FreshCSR() != nil {
 		t.Fatal("fixture graph already indexed")
 	}
-	fwd, rev, err := e.RouteCosts(a, b, p)
-	if err != nil || fwd != 2 || rev != 1 {
-		t.Fatalf("counts = (%d, %d, %v), want (2, 1, nil)", fwd, rev, err)
+	if fwd, rev := costs("friend+[1]"); fwd != 2 || rev != 1 {
+		t.Fatalf("counts = (%d, %d), want (2, 1)", fwd, rev)
 	}
 	csr := g.FreshCSR()
 	if csr == nil {
@@ -98,91 +118,11 @@ func TestRouteCostsSeedCountsWithoutCSR(t *testing.T) {
 	if err := g.RemoveEdge(g.FindEdge(a, c, g.Label("friend"))); err != nil {
 		t.Fatal(err)
 	}
-	fwd, rev, err = e.RouteCosts(a, b, p)
-	if err != nil || fwd != 1 || rev != 2 || g.FreshCSR() != csr {
-		t.Fatalf("patched counts = (%d, %d, %v), want (1, 2, nil) off the same CSR", fwd, rev, err)
+	if fwd, rev := costs("friend+[1]"); fwd != 1 || rev != 2 || g.FreshCSR() != csr {
+		t.Fatalf("patched counts = (%d, %d), want (1, 2) off the same CSR", fwd, rev)
 	}
 	// A label absent from the graph admits no seeds on either side.
-	fwd, rev, err = e.RouteCosts(a, b, pathexpr.MustParse("ghost+[1]"))
-	if err != nil || fwd != 0 || rev != 0 {
-		t.Fatalf("ghost label: (%d, %d, %v), want (0, 0, nil)", fwd, rev, err)
-	}
-}
-
-func TestAudienceCachePeek(t *testing.T) {
-	g := paperfix.Graph()
-	ac := NewAudienceCache(g)
-	p := paperfix.Q1()
-	owner := node(t, g, paperfix.Names[0])
-
-	// Miss before anything is materialized; Peek never computes.
-	if _, ok := ac.Peek(owner, owner, p); ok {
-		t.Fatal("Peek hit on an empty cache")
-	}
-	aud, err := ac.Audience(owner, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	members := map[graph.NodeID]bool{}
-	for _, m := range aud {
-		members[m] = true
-	}
-	// After materialization every requester answers from the bitset and
-	// agrees with the audience slice (and hence with Reachable).
-	for _, name := range paperfix.Names {
-		r := node(t, g, name)
-		got, ok := ac.Peek(owner, r, p)
-		if !ok {
-			t.Fatalf("Peek miss for materialized (owner, path) at %s", name)
-		}
-		if got != members[r] {
-			t.Fatalf("Peek(%s) = %v, audience membership %v", name, got, members[r])
-		}
-	}
-	// A different owner or path is a miss, not a wrong answer.
-	if _, ok := ac.Peek(owner+1, owner, p); ok && owner+1 != owner {
-		if _, err := ac.Audience(owner+1, p); err == nil {
-			// owner+1 may be valid; the point is Peek must not fabricate hits
-			// for paths never materialized.
-			t.Log("peek hit for other owner after its own materialization only")
-		}
-	}
-	if _, ok := ac.Peek(owner, owner, pathexpr.MustParse("colleague+[1]")); ok {
-		t.Fatal("Peek hit for a never-materialized path")
-	}
-	// Invalid nodes are a miss.
-	if _, ok := ac.Peek(9999, owner, p); ok {
-		t.Fatal("Peek hit for invalid owner")
-	}
-	if _, ok := ac.Peek(owner, 9999, p); ok {
-		t.Fatal("Peek hit for invalid requester")
-	}
-}
-
-func TestAudienceCachePeekAfterAdvance(t *testing.T) {
-	// A dirty (incrementally extended, not re-materialized) entry must still
-	// serve correct membership bits through Peek.
-	g := graph.New()
-	a := g.MustAddNode("a", nil)
-	b := g.MustAddNode("b", nil)
-	c := g.MustAddNode("c", nil)
-	g.MustAddEdge(a, b, "friend")
-	ac := NewAudienceCache(g)
-	p := pathexpr.MustParse("friend+[1,2]")
-	if _, err := ac.Audience(a, p); err != nil {
-		t.Fatal(err)
-	}
-	if got, ok := ac.Peek(a, c, p); !ok || got {
-		t.Fatalf("before edge: Peek(c) = (%v, %v), want (false, true)", got, ok)
-	}
-	v := g.Version()
-	g.MustAddEdge(b, c, "friend")
-	deltas, ok := g.ChangesSince(v)
-	if !ok {
-		t.Fatal("delta window lost")
-	}
-	ac.Advance(deltas)
-	if got, ok := ac.Peek(a, c, p); !ok || !got {
-		t.Fatalf("after edge: Peek(c) = (%v, %v), want (true, true)", got, ok)
+	if fwd, rev := costs("ghost+[1]"); fwd != 0 || rev != 0 {
+		t.Fatalf("ghost label: (%d, %d), want (0, 0)", fwd, rev)
 	}
 }

@@ -120,16 +120,13 @@ func TestScratchLeftAllZero(t *testing.T) {
 					} else {
 						misses++
 					}
-					fwd, err := e.Reachable(owner, req, p)
+					got, err := e.Reachable(owner, req, p)
 					if err != nil {
 						t.Fatal(err)
 					}
-					rev, err := e.ReachableReverse(owner, req, p)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if fwd != want || rev != want {
-						t.Fatalf("%s: Reachable %v, reversed %v, map kernel %v", what, fwd, rev, want)
+					fwd, rev := bothWays(t, e, owner, req, p)
+					if got != want || fwd != want || rev != want {
+						t.Fatalf("%s: Reachable %v, forward %v, reversed %v, map kernel %v", what, got, fwd, rev, want)
 					}
 				}
 				what := fmt.Sprintf("%s from %d", expr, owner)
@@ -201,7 +198,6 @@ func TestPooledScratchAllZero(t *testing.T) {
 	g, ids := audCacheFixture(t, 60)
 	g.CSR()
 	e := New(g)
-	ac := NewAudienceCache(g)
 	check := func(what string) {
 		t.Helper()
 		var taken []*scratch
@@ -225,10 +221,8 @@ func TestPooledScratchAllZero(t *testing.T) {
 		t.Fatalf("Reachable = (%v, %v), want not found", ok, err)
 	}
 	check("Reachable, not found")
-	if ok, err := e.ReachableReverse(ids[0], ids[3], deep); err != nil {
-		t.Fatalf("ReachableReverse = (%v, %v)", ok, err)
-	}
-	check("ReachableReverse")
+	bothWays(t, e, ids[0], ids[3], deep)
+	check("forward and reversed")
 	if ok, err := e.Reachable(ids[0], ids[1], mustPath(t, "enemy+[1,2]")); err != nil || ok {
 		t.Fatalf("Reachable over an absent label = (%v, %v)", ok, err)
 	}
@@ -244,8 +238,4 @@ func TestPooledScratchAllZero(t *testing.T) {
 		t.Fatalf("AudienceSet = (%v, %v), want members", aud, err)
 	}
 	check("AudienceSet")
-	if aud, err := ac.Audience(ids[2], deep); err != nil || len(aud) == 0 {
-		t.Fatalf("Audience = (%v, %v), want members", aud, err)
-	}
-	check("AudienceCache.Audience")
 }

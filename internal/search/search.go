@@ -115,9 +115,11 @@ func (e *Engine) ApplyDelta(g *graph.Graph, _ []graph.Delta) bool { return e.g =
 
 // Reachable reports whether requester is reachable from owner through a path
 // matching p (Definition 3: the requester must have a direct or indirect
-// relationship with the owner that matches the specified path). On the flat
-// kernel it performs zero heap allocations once the plan cache and the
-// pooled scratch are warm.
+// relationship with the owner that matches the specified path). It searches
+// from whichever endpoint admits fewer first-step traversals (see
+// RouteCostsPlan): forward from the owner, or the reversed pattern from the
+// requester. On the flat kernel it performs zero heap allocations once the
+// plan cache and the pooled scratch are warm.
 func (e *Engine) Reachable(owner, requester graph.NodeID, p *pathexpr.Path) (bool, error) {
 	if !e.g.ValidNode(owner) || !e.g.ValidNode(requester) {
 		return false, fmt.Errorf("search: invalid node (owner=%d requester=%d)", owner, requester)
@@ -126,13 +128,10 @@ func (e *Engine) Reachable(owner, requester graph.NodeID, p *pathexpr.Path) (boo
 	if err != nil {
 		return false, err
 	}
-	return e.ReachablePlan(owner, requester, pl), nil
-}
-
-// ReachablePlan is Reachable for a caller that already holds the
-// expression's plan (see Plan); both endpoints must be valid nodes.
-func (e *Engine) ReachablePlan(owner, requester graph.NodeID, pl *Plan) bool {
-	return e.reach(owner, requester, &pl.compiled)
+	if fwd, rev := e.RouteCostsPlan(owner, requester, pl); rev < fwd {
+		return e.reverse(owner, requester, pl), nil
+	}
+	return e.reach(owner, requester, &pl.compiled), nil
 }
 
 // reach searches for a match of c from one valid node to another.

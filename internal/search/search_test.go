@@ -357,17 +357,14 @@ func TestUnindexedAndLabelFreeGraphsAgreeWithWitness(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					rev, err := e.ReachableReverse(owner, req, p)
-					if err != nil {
-						t.Fatal(err)
-					}
+					fwd, rev := bothWays(t, e, owner, req, p)
 					_, want, err := e.Witness(owner, req, p)
 					if err != nil {
 						t.Fatal(err)
 					}
 					_, inAud := slices.BinarySearch(aud, req)
-					if got != want || rev != want || inAud != want {
-						t.Fatalf("%s: %s from %s to %s: Reachable %v, reversed %v, in audience %v, Witness %v", name, expr, from, to, got, rev, inAud, want)
+					if got != want || fwd != want || rev != want || inAud != want {
+						t.Fatalf("%s: %s from %s to %s: Reachable %v, forward %v, reversed %v, in audience %v, Witness %v", name, expr, from, to, got, fwd, rev, inAud, want)
 					}
 				}
 			}

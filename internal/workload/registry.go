@@ -193,12 +193,11 @@ func init() {
 	})
 	// mixed-shape interleaves cheap star-shaped point checks with deep
 	// multi-step audience enumerations under relationship churn — the
-	// regime where no single static engine wins and per-query routing
-	// (audience-cache probes for repeat checks, endpoint selection for
-	// the rest) should: planner wins and regressions both land here.
+	// regime where no single static engine wins, and where checks and
+	// audiences share one snapshot's search engine and plans.
 	MustRegister(Scenario{
 		Name:        "mixed-shape",
-		Description: "point checks + deep audiences under churn — the planner's regime",
+		Description: "point checks + deep audiences under churn",
 		Mix:         Mix{Name: "mixed-shape", Check: 0.55, CheckBatch: 0.10, Audience: 0.20, Mutate: 0.10, Churn: 0.05},
 	})
 

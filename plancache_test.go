@@ -18,20 +18,20 @@ var manyRulesExprs = []string{
 // manyRulesMembers is the size of manyRulesNet's graph.
 const manyRulesMembers = 1024
 
-// manyRulesNet builds a planner-routed network of manyRulesMembers users and
-// `rules` single-rule resources res00000, res00001, … Users form a lattice
-// (i → i+1, i+7, i+13 and i+29 as friend, i → i+3 and i+11 as colleague). Two of them are hubs, so
-// that a test can pick the planner's route: ids[0] has 40 more outgoing edges
-// of either label and owns every even resource — a search from it starts
-// wide, so checks against a lattice member run reversed — and ids[1] has 40
-// more incoming edges of either label — as the requester of an odd resource,
-// owned by lattice member 2+i%256, it makes the forward search the narrow
-// one. Resource i's rule is manyRulesExprs[i%256%5], so the (owner,
-// expression) pairs, and with them the searches, are the same for any rule
-// count of at least 512.
+// manyRulesNet builds a network of manyRulesMembers users and `rules`
+// single-rule resources res00000, res00001, … Users form a lattice (i → i+1,
+// i+7, i+13 and i+29 as friend, i → i+3 and i+11 as colleague). Two of them
+// are hubs, so that a test can pick the search's endpoint: ids[0] has 40
+// more outgoing edges of either label and owns every even resource — a
+// search from it starts wide, so checks against a lattice member run
+// reversed — and ids[1] has 40 more incoming edges of either label — as the
+// requester of an odd resource, owned by lattice member 2+i%256, it makes the
+// forward search the narrow one. Resource i's rule is manyRulesExprs[i%256%5],
+// so the (owner, expression) pairs, and with them the searches, are the same
+// for any rule count of at least 512.
 func manyRulesNet(tb testing.TB, rules int) (*Network, []UserID) {
 	tb.Helper()
-	n := New(WithPlanner(PlannerOptions{}))
+	n := New()
 	ids := make([]UserID, manyRulesMembers)
 	for i := range ids {
 		ids[i] = n.MustAddUser(fmt.Sprintf("u%04d", i))
@@ -147,5 +147,44 @@ func TestAdHocExpressionsDoNotPoisonPlanCache(t *testing.T) {
 	}
 	if after.PlanCacheEntries > 12 {
 		t.Fatalf("plan cache holds %d entries, want at most a dozen", after.PlanCacheEntries)
+	}
+}
+
+// TestOnePlanPerExpressionPerSnapshot: a check, an audience and a shard
+// expand on one expression compile its plan exactly once, on every engine
+// kind, because every read of a snapshot that searches runs on the
+// snapshot's one search engine (on Online, the evaluator itself).
+func TestOnePlanPerExpressionPerSnapshot(t *testing.T) {
+	for _, kind := range EngineKinds() {
+		n := New(WithEngine(kind))
+		a, b, c := n.MustAddUser("a"), n.MustAddUser("b"), n.MustAddUser("c")
+		if err := n.Relate(a, b, "friend"); err != nil {
+			t.Fatal(err)
+		}
+		if err := n.Relate(b, c, "friend"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := n.Share("doc", a, "friend+[1,2]"); err != nil {
+			t.Fatal(err)
+		}
+		v, err := n.View()
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := n.Stats()
+		if d, err := n.CanAccess("doc", c); err != nil || d.Effect != Allow {
+			t.Fatalf("%v: CanAccess = (%v, %v), want allow", kind, d.Effect, err)
+		}
+		if aud, err := n.Audience("doc"); err != nil || len(aud) != 2 {
+			t.Fatalf("%v: Audience = (%v, %v), want b and c", kind, aud, err)
+		}
+		resp, err := v.ShardExpand(ShardExpandRequest{Path: "friend+[1,2]", Shards: 1, States: []ShardState{{Name: "a"}}})
+		if err != nil || len(resp.Accepted) != 2 {
+			t.Fatalf("%v: ShardExpand = (%+v, %v), want b and c", kind, resp, err)
+		}
+		v.Close()
+		if d := n.Stats().Delta(before); d.PlanCompiles != 1 || d.Republications != 0 {
+			t.Fatalf("%v: compiled %d plans over %d publications, want 1 over 0", kind, d.PlanCompiles, d.Republications)
+		}
 	}
 }

@@ -8,15 +8,14 @@ import (
 )
 
 // TestDifferentialPlannerVsStatic replays one randomized mutation/query
-// trace through two identical networks — one with per-query routing
-// enabled over the primary engine, one answering every query statically —
-// for each engine kind, and asserts the decisions are identical at every
-// step. Routing picks among the audience cache, the flat engine forward or
-// reversed, and the primary evaluator; whichever route a query takes, the
-// answer must not change.
+// trace through two identical networks — one on the engine kind under test,
+// one on Closure, which never touches the flat search — and asserts the
+// decisions, batches, path checks and audiences are identical at every step.
+// Online checks search from whichever endpoint is cheaper, so the trace
+// drives both directions of the flat search; Index checks go through the
+// join index, and every kind's audiences through the flat search.
 func TestDifferentialPlannerVsStatic(t *testing.T) {
-	kinds := EngineKinds()
-	for _, kind := range kinds {
+	for _, kind := range []EngineKind{Online, Index} {
 		// The second configuration adds more single-rule resources than the
 		// plan cache once had slots (1 024, one per rule pointer), drawn from
 		// a handful of expressions, and sweeps all of them on one snapshot.
@@ -40,9 +39,9 @@ var ruleExprs = []string{
 
 func differentialPlannerVsStatic(t *testing.T, kind EngineKind, extraRules int) {
 	rng := rand.New(rand.NewSource(int64(7000 + kind)))
-	routed := New(WithPlanner(PlannerOptions{}))
-	static := New()
-	nets := []*Network{routed, static}
+	subject, ref := New(), New()
+	nets := []*Network{subject, ref}
+	kinds := []EngineKind{kind, Closure}
 
 	const members = 24
 	ids := make([]UserID, members)
@@ -59,8 +58,8 @@ func differentialPlannerVsStatic(t *testing.T, kind EngineKind, extraRules int) 
 	labels := []string{"friend", "colleague", "parent"}
 	var live []rel
 	addRel := func(r rel) {
-		e1 := routed.Relate(r.from, r.to, r.label)
-		e2 := static.Relate(r.from, r.to, r.label)
+		e1 := subject.Relate(r.from, r.to, r.label)
+		e2 := ref.Relate(r.from, r.to, r.label)
 		if (e1 == nil) != (e2 == nil) {
 			t.Fatalf("Relate divergence: %v vs %v", e1, e2)
 		}
@@ -71,7 +70,7 @@ func differentialPlannerVsStatic(t *testing.T, kind EngineKind, extraRules int) 
 	for i := 0; i < members; i++ {
 		addRel(rel{ids[i], ids[(i+1)%members], "friend"})
 	}
-	for _, n := range nets {
+	for ni, n := range nets {
 		if _, err := n.Share("album", ids[0], "friend+[1,3]"); err != nil {
 			t.Fatal(err)
 		}
@@ -83,7 +82,7 @@ func differentialPlannerVsStatic(t *testing.T, kind EngineKind, extraRules int) 
 				t.Fatal(err)
 			}
 		}
-		if err := n.UseEngine(kind); err != nil {
+		if err := n.UseEngine(kinds[ni]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -96,53 +95,53 @@ func differentialPlannerVsStatic(t *testing.T, kind EngineKind, extraRules int) 
 		t.Helper()
 		for s := 0; s < 6; s++ {
 			req := ids[rng.Intn(members)]
-			d1, err := routed.CanAccess("album", req)
+			d1, err := subject.CanAccess("album", req)
 			if err != nil {
-				t.Fatalf("%s: routed CanAccess: %v", step, err)
+				t.Fatalf("%s: CanAccess: %v", step, err)
 			}
-			d2, err := static.CanAccess("album", req)
+			d2, err := ref.CanAccess("album", req)
 			if err != nil {
-				t.Fatalf("%s: static CanAccess: %v", step, err)
+				t.Fatalf("%s: reference CanAccess: %v", step, err)
 			}
 			if d1.Effect != d2.Effect {
-				t.Fatalf("%s: requester %d: routed=%v static=%v", step, req, d1.Effect, d2.Effect)
+				t.Fatalf("%s: requester %d: %v, closure %v", step, req, d1.Effect, d2.Effect)
 			}
 			o, r := ids[rng.Intn(members)], ids[rng.Intn(members)]
-			p1, err := routed.CheckPath(o, r, "friend+[1,2]")
+			p1, err := subject.CheckPath(o, r, "friend+[1,2]")
 			if err != nil {
 				t.Fatal(err)
 			}
-			p2, err := static.CheckPath(o, r, "friend+[1,2]")
+			p2, err := ref.CheckPath(o, r, "friend+[1,2]")
 			if err != nil {
 				t.Fatal(err)
 			}
 			if p1 != p2 {
-				t.Fatalf("%s: CheckPath(%d,%d): routed=%v static=%v", step, o, r, p1, p2)
+				t.Fatalf("%s: CheckPath(%d,%d): %v, closure %v", step, o, r, p1, p2)
 			}
 		}
-		b1, err := routed.CanAccessAll("album", ids)
+		b1, err := subject.CanAccessAll("album", ids)
 		if err != nil {
-			t.Fatalf("%s: routed CanAccessAll: %v", step, err)
+			t.Fatalf("%s: CanAccessAll: %v", step, err)
 		}
-		b2, err := static.CanAccessAll("album", ids)
+		b2, err := ref.CanAccessAll("album", ids)
 		if err != nil {
-			t.Fatalf("%s: static CanAccessAll: %v", step, err)
+			t.Fatalf("%s: reference CanAccessAll: %v", step, err)
 		}
 		for i := range b1 {
 			if b1[i].Effect != b2[i].Effect {
-				t.Fatalf("%s: batch requester %d: routed=%v static=%v", step, ids[i], b1[i].Effect, b2[i].Effect)
+				t.Fatalf("%s: batch requester %d: %v, closure %v", step, ids[i], b1[i].Effect, b2[i].Effect)
 			}
 		}
-		a1, err := routed.Audience("album")
+		a1, err := subject.Audience("album")
 		if err != nil {
-			t.Fatalf("%s: routed Audience: %v", step, err)
+			t.Fatalf("%s: Audience: %v", step, err)
 		}
-		a2, err := static.Audience("album")
+		a2, err := ref.Audience("album")
 		if err != nil {
-			t.Fatalf("%s: static Audience: %v", step, err)
+			t.Fatalf("%s: reference Audience: %v", step, err)
 		}
 		if !reflect.DeepEqual(a1, a2) {
-			t.Fatalf("%s: Audience: routed=%v static=%v", step, a1, a2)
+			t.Fatalf("%s: Audience: %v, closure %v", step, a1, a2)
 		}
 	}
 	// sweepRules decides every extra resource once, on one snapshot.
@@ -150,16 +149,16 @@ func differentialPlannerVsStatic(t *testing.T, kind EngineKind, extraRules int) 
 		t.Helper()
 		for i := 0; i < extraRules; i++ {
 			res, req := fmt.Sprintf("r%04d", i), ids[rng.Intn(members)]
-			d1, err := routed.CanAccess(res, req)
+			d1, err := subject.CanAccess(res, req)
 			if err != nil {
-				t.Fatalf("%s: routed CanAccess(%s): %v", step, res, err)
+				t.Fatalf("%s: CanAccess(%s): %v", step, res, err)
 			}
-			d2, err := static.CanAccess(res, req)
+			d2, err := ref.CanAccess(res, req)
 			if err != nil {
-				t.Fatalf("%s: static CanAccess(%s): %v", step, res, err)
+				t.Fatalf("%s: reference CanAccess(%s): %v", step, res, err)
 			}
 			if d1.Effect != d2.Effect {
-				t.Fatalf("%s: %s requester %d: routed=%v static=%v", step, res, req, d1.Effect, d2.Effect)
+				t.Fatalf("%s: %s requester %d: %v, closure %v", step, res, req, d1.Effect, d2.Effect)
 			}
 		}
 	}
@@ -176,8 +175,8 @@ func differentialPlannerVsStatic(t *testing.T, kind EngineKind, extraRules int) 
 			if len(live) > 0 {
 				i := rng.Intn(len(live))
 				r := live[i]
-				e1 := routed.Unrelate(r.from, r.to, r.label)
-				e2 := static.Unrelate(r.from, r.to, r.label)
+				e1 := subject.Unrelate(r.from, r.to, r.label)
+				e2 := ref.Unrelate(r.from, r.to, r.label)
 				if (e1 == nil) != (e2 == nil) {
 					t.Fatalf("Unrelate divergence: %v vs %v", e1, e2)
 				}
@@ -189,14 +188,14 @@ func differentialPlannerVsStatic(t *testing.T, kind EngineKind, extraRules int) 
 				n.MustAddUser(name)
 			}
 		default: // policy churn
-			rid1, e1 := routed.Share("album", ids[0], "parent-[1]/friend+[1,2]")
-			rid2, e2 := static.Share("album", ids[0], "parent-[1]/friend+[1,2]")
+			rid1, e1 := subject.Share("album", ids[0], "parent-[1]/friend+[1,2]")
+			rid2, e2 := ref.Share("album", ids[0], "parent-[1]/friend+[1,2]")
 			if (e1 == nil) != (e2 == nil) {
 				t.Fatalf("Share divergence: %v vs %v", e1, e2)
 			}
 			if e1 == nil {
 				check("policy-add")
-				if routed.Revoke("album", rid1) != static.Revoke("album", rid2) {
+				if subject.Revoke("album", rid1) != ref.Revoke("album", rid2) {
 					t.Fatal("Revoke divergence")
 				}
 			}
@@ -204,12 +203,4 @@ func differentialPlannerVsStatic(t *testing.T, kind EngineKind, extraRules int) 
 		check(fmt.Sprintf("round %d", round))
 	}
 	sweepRules("final")
-	// Past the audience cache, Online searches flat and never calls its
-	// primary; the precomputed kinds do the opposite.
-	st := routed.Stats()
-	flat := st.PlannerRouteFlatForward + st.PlannerRouteFlatReverse
-	if kind == Online && (flat == 0 || st.PlannerRoutePrimary != 0) ||
-		kind != Online && (flat != 0 || st.PlannerRoutePrimary == 0) {
-		t.Fatalf("routes on %v: audience=%d flat=%d primary=%d", kind, st.PlannerRouteAudience, flat, st.PlannerRoutePrimary)
-	}
 }

@@ -184,11 +184,6 @@ type Network struct {
 	// See Network.ObserveEpoch in durable.go.
 	fencedEpoch atomic.Uint64
 
-	// route enables per-query routing (set by WithPlanner; see routedEval);
-	// routes counts the queries each route answered, across snapshots.
-	route  bool
-	routes routeCounters
-
 	// ctr tallies operations for Stats.
 	ctr counters
 }
@@ -214,7 +209,6 @@ func (n *Network) applyOptions(opts []Option) *Network {
 		o(&cfg)
 	}
 	n.kind = cfg.kind
-	n.route = cfg.route
 	return n
 }
 
@@ -480,7 +474,7 @@ func (n *Network) CheckPath(owner, requester UserID, expr string) (bool, error) 
 	}
 	defer s.release()
 	n.ctr.checks.Add(1)
-	return s.reval.Reachable(owner, requester, p)
+	return s.eval.Reachable(owner, requester, p)
 }
 
 // Audit returns the retained decision trail. The trail is shared across

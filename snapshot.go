@@ -16,31 +16,27 @@ import (
 
 // snapshot is one immutable engine generation: a private clone of the social
 // graph, an evaluator built over it and a frozen policy view. Once published
-// via Network.snap it is never mutated (the audience cache is internally
-// synchronized), so any number of readers may use it with no coordination
-// while mutators prepare the next generation.
+// via Network.snap it is never mutated, so any number of readers may use it
+// with no coordination while mutators prepare the next generation.
 type snapshot struct {
 	// g is a private clone of the master graph; nothing mutates it after
 	// the snapshot is built, so evaluators may traverse it lock-free.
 	g    *graph.Graph
 	kind EngineKind
-	// eval is the raw primary evaluator of the selected kind; delta advances
-	// (core.IncrementalEvaluator) talk to it directly.
+	// eval is the evaluator of the selected kind: every check and CheckPath
+	// decides on it, and delta advances (core.IncrementalEvaluator) talk to
+	// it directly.
 	eval Evaluator
-	// reval is the evaluator reads run on: the routed wrapper when routing is
-	// enabled (see routedEval), otherwise eval itself.
-	reval Evaluator
+	// search is the snapshot's online search engine over g, which audiences
+	// and ShardExpand run on. On the Online kind it is eval itself, so each
+	// expression compiles one plan per snapshot graph.
+	search *search.Engine
 	// store is the frozen policy view (a Store clone, shared by consecutive
 	// snapshots of one policy generation); engine decides against it, so
 	// concurrent Share/Revoke cannot change the rules a reader observes
 	// mid-decision. Every decision is evaluated afresh and audited.
 	store  *core.Store
 	engine *core.Engine
-	// aud caches audience sets over g, maintained incrementally across
-	// delta advances (see search.AudienceCache). It is shared exactly as
-	// far as g is: policy-only republications reuse it, a delta advance
-	// carries it forward via Advance, and a full rebuild starts it fresh.
-	aud *search.AudienceCache
 	// version is the master graph's Version at clone time; src and gen
 	// identify the live policy store and its Generation at clone time.
 	// The snapshot is current exactly while all three still match.
@@ -110,23 +106,19 @@ func buildEvaluator(kind EngineKind, g *graph.Graph, compiles *atomic.Uint64) (E
 	}
 }
 
-// newAudienceCache returns an empty audience cache over gc whose engine
-// counts the plans it compiles in the network's counter.
-func (n *Network) newAudienceCache(gc *graph.Graph) *search.AudienceCache {
-	aud := search.NewAudienceCache(gc)
-	aud.Engine().PlanCompiles = &n.ctr.planCompiles
-	return aud
-}
-
-// planCacheEntries counts the compiled plans the snapshot's engines hold:
-// the audience cache's engine, which routedEval searches on, and the
-// primary evaluator when it is an online engine.
-func (s *snapshot) planCacheEntries() int {
-	entries := s.aud.Engine().PlanCacheLen()
-	if e, ok := s.eval.(interface{ PlanCacheLen() int }); ok {
-		entries += e.PlanCacheLen()
+// searchEngine returns the online search engine of a snapshot over gc whose
+// evaluator is eval: eval itself on the Online kind, otherwise prev (an
+// engine over gc, or nil), or a new engine when there is none.
+func (n *Network) searchEngine(eval Evaluator, gc *graph.Graph, prev *search.Engine) *search.Engine {
+	if e, ok := eval.(*search.Engine); ok {
+		return e
 	}
-	return entries
+	if prev != nil {
+		return prev
+	}
+	e := search.New(gc)
+	e.PlanCompiles = &n.ctr.planCompiles
+	return e
 }
 
 // snapshot returns the current engine snapshot pinned for one read
@@ -178,7 +170,7 @@ const sparePoolCap = 3
 // Publication cost, cheapest first (Stats counts each tier):
 //
 //  1. shared — a policy-only change reuses the previous snapshot's graph
-//     clone, evaluator and audience cache; only the policy view is refreshed;
+//     clone and engines; only the policy view is refreshed;
 //  2. advanced — the newest parked snapshot no reader holds is
 //     fast-forwarded by replaying the master's delta log (O(Δ)); each
 //     replayed delta patches the clone's CSR (see graph.CSR), and its
@@ -213,22 +205,21 @@ func (n *Network) publishLocked() (*snapshot, error) {
 	var (
 		gc   *graph.Graph
 		eval Evaluator
-		aud  *search.AudienceCache
+		se   *search.Engine
 		refs *atomic.Int64
 		tier = &n.ctr.pubRebuilt
 	)
 	if cur != nil && cur.version == gv && cur.kind == n.kind {
-		// Policy-only change: share the clone, evaluator, audience cache
-		// and reader count.
-		gc, eval, aud, refs = cur.g, cur.eval, cur.aud, cur.refs
+		// Policy-only change: share the clone, engines and reader count.
+		gc, eval, se, refs = cur.g, cur.eval, cur.search, cur.refs
 		tier = &n.ctr.pubShared
 	} else {
 		if n.g.NeedsRebase() {
 			n.g.Rebase()
 			n.ctr.rebases.Add(1)
 		}
-		if agc, aeval, aaud := n.advanceSpareLocked(cur); agc != nil {
-			gc, eval, aud = agc, aeval, aaud
+		if agc, aeval, ase := n.advanceSpareLocked(cur); agc != nil {
+			gc, eval, se = agc, aeval, ase
 			tier = &n.ctr.pubAdvanced
 		}
 	}
@@ -242,7 +233,7 @@ func (n *Network) publishLocked() (*snapshot, error) {
 		if err != nil {
 			return nil, err
 		}
-		aud = n.newAudienceCache(gc)
+		se = n.searchEngine(eval, gc, nil)
 	}
 	if refs == nil {
 		refs = new(atomic.Int64)
@@ -260,26 +251,13 @@ func (n *Network) publishLocked() (*snapshot, error) {
 	} else {
 		view = store.Clone()
 	}
-	// The routed wrapper is rebuilt per publication (it is a tiny struct):
-	// the primary evaluator or audience cache underneath may have changed.
-	reval := eval
-	if n.route {
-		reval = &routedEval{
-			ctr:     &n.routes,
-			primary: eval,
-			online:  aud.Engine(),
-			aud:     aud,
-			flat:    n.kind == Online,
-		}
-	}
 	s := &snapshot{
 		g:       gc,
 		kind:    n.kind,
 		eval:    eval,
-		reval:   reval,
-		aud:     aud,
+		search:  se,
 		store:   view,
-		engine:  core.NewEngineWithLog(view, reval, n.audit),
+		engine:  core.NewEngineWithLog(view, eval, n.audit),
 		version: gv,
 		src:     store,
 		gen:     gen,
@@ -307,14 +285,15 @@ func (n *Network) publishLocked() (*snapshot, error) {
 // advanceSpareLocked tries to satisfy a publication by fast-forwarding a
 // parked snapshot's private clone to the master's current version —
 // replaying the bounded delta log at O(Δ) instead of paying a clone and a
-// new evaluator — and advancing its evaluator and audience cache in place
-// when possible. Parked snapshots the delta window has left behind, or on a
-// base the master has rebased away from, are dropped first: they can only
-// fall further behind. Of the rest it takes the newest that no reader holds
+// new evaluator — and advancing its evaluator in place when possible. The
+// search engine holds nothing the deltas invalidate, so it carries over.
+// Parked snapshots the delta window has left behind, or on a base the master
+// has rebased away from, are dropped first: they can only fall further
+// behind. Of the rest it takes the newest that no reader holds
 // (refs == 0 after retired: the acquire/back-off proof); pinned ones stay
 // parked. It returns nils when no parked snapshot qualifies. Callers must
 // hold n.mu.
-func (n *Network) advanceSpareLocked(cur *snapshot) (*graph.Graph, Evaluator, *search.AudienceCache) {
+func (n *Network) advanceSpareLocked(cur *snapshot) (*graph.Graph, Evaluator, *search.Engine) {
 	n.spares = slices.DeleteFunc(n.spares, func(c *snapshot) bool {
 		return !n.g.Covers(c.version) || c.g.Base() != n.g.Base()
 	})
@@ -339,18 +318,9 @@ func (n *Network) advanceSpareLocked(cur *snapshot) (*graph.Graph, Evaluator, *s
 			return nil, nil, nil
 		}
 	}
-	// The clone is fully advanced, so the audience cache can follow it
-	// incrementally; the spare being unobserved guarantees the quiescence
-	// Advance requires.
-	aud := spare.aud
-	if aud == nil {
-		aud = n.newAudienceCache(gc)
-	} else {
-		aud.Advance(deltas)
-	}
 	if spare.kind == n.kind {
 		if inc, isInc := spare.eval.(core.IncrementalEvaluator); isInc && inc.ApplyDelta(gc, deltas) {
-			return gc, spare.eval, aud
+			return gc, spare.eval, spare.search
 		}
 	}
 	// Evaluator declined (or the engine kind changed): the advanced clone
@@ -359,7 +329,7 @@ func (n *Network) advanceSpareLocked(cur *snapshot) (*graph.Graph, Evaluator, *s
 	if err != nil {
 		return nil, nil, nil
 	}
-	return gc, eval, aud
+	return gc, eval, n.searchEngine(eval, gc, spare.search)
 }
 
 // CanAccessAll decides access to one resource for many requesters in a

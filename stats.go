@@ -37,7 +37,7 @@ type Stats struct {
 	// retired clone through the delta log (O(Δ)), Rebuilt cloned the
 	// master's changes since its base (O(Δ) since the last rebase) and
 	// built a new evaluator — O(V+E) on the index kinds, which re-index the
-	// whole graph, and an empty audience cache on every kind.
+	// whole graph.
 	Republications       uint64 `json:"republications"`
 	PublicationsShared   uint64 `json:"publications_shared"`
 	PublicationsAdvanced uint64 `json:"publications_advanced"`
@@ -47,22 +47,20 @@ type Stats struct {
 	// graph.Graph.Rebase); a rebuilt publication or two follows each.
 	GraphRebases uint64 `json:"graph_rebases"`
 
-	// The next three fields are always zero: decisions are not cached. They
-	// stay declared because benchmark/main.go:391 reads them (their only
-	// reader), until a benchmark PR can drop them.
-	DecisionCacheHits      uint64 `json:"decision_cache_hits"`
-	DecisionCacheMisses    uint64 `json:"decision_cache_misses"`
-	DecisionCacheEvictions uint64 `json:"decision_cache_evictions"`
-
-	// PlannerRoute* count reachability queries answered per route when
-	// routing is enabled (WithPlanner; see routedEval); all zero otherwise.
+	// The next seven fields are always zero: decisions are not cached, and
+	// checks are not routed (the search picks its own endpoint, see
+	// search.Engine.Reachable). They stay declared because benchmark/main.go
+	// reads them (their only reader), until a benchmark PR can drop them.
+	DecisionCacheHits       uint64 `json:"decision_cache_hits"`
+	DecisionCacheMisses     uint64 `json:"decision_cache_misses"`
+	DecisionCacheEvictions  uint64 `json:"decision_cache_evictions"`
 	PlannerRouteAudience    uint64 `json:"planner_route_audience"`
 	PlannerRouteFlatForward uint64 `json:"planner_route_flat_forward"`
 	PlannerRouteFlatReverse uint64 `json:"planner_route_flat_reverse"`
 	PlannerRoutePrimary     uint64 `json:"planner_route_primary"`
 
 	// PlanCompiles counts path expressions compiled into search plans by the
-	// online engines of every snapshot. A plan is compiled once per distinct
+	// search engines of every snapshot. A plan is compiled once per distinct
 	// expression per graph clone, so in steady state the counter stands
 	// still; one that climbs with Checks means checks are recompiling plans.
 	// PlanCacheEntries is a gauge: the plans the published snapshot holds.
@@ -136,10 +134,6 @@ func (s Stats) Delta(prev Stats) Stats {
 	d.PublicationsAdvanced -= prev.PublicationsAdvanced
 	d.PublicationsRebuilt -= prev.PublicationsRebuilt
 	d.GraphRebases -= prev.GraphRebases
-	d.PlannerRouteAudience -= prev.PlannerRouteAudience
-	d.PlannerRouteFlatForward -= prev.PlannerRouteFlatForward
-	d.PlannerRouteFlatReverse -= prev.PlannerRouteFlatReverse
-	d.PlannerRoutePrimary -= prev.PlannerRoutePrimary
 	d.PlanCompiles -= prev.PlanCompiles
 	d.Checkpoints -= prev.Checkpoints
 	d.CheckpointsSkipped -= prev.CheckpointsSkipped
@@ -164,7 +158,7 @@ type counters struct {
 	ckptTaken   atomic.Uint64
 	ckptSkipped atomic.Uint64
 
-	// planCompiles is shared by the online engines of every snapshot.
+	// planCompiles is shared by the search engines of every snapshot.
 	planCompiles atomic.Uint64
 }
 
@@ -195,13 +189,9 @@ func (n *Network) Stats() Stats {
 	st.PublicationsRebuilt = n.ctr.pubRebuilt.Load()
 	st.Republications = st.PublicationsShared + st.PublicationsAdvanced + st.PublicationsRebuilt
 	st.GraphRebases = n.ctr.rebases.Load()
-	st.PlannerRouteAudience = n.routes.audience.Load()
-	st.PlannerRouteFlatForward = n.routes.flatForward.Load()
-	st.PlannerRouteFlatReverse = n.routes.flatReverse.Load()
-	st.PlannerRoutePrimary = n.routes.primary.Load()
 	st.PlanCompiles = n.ctr.planCompiles.Load()
 	if s := n.snap.Load(); s != nil {
-		st.PlanCacheEntries = s.planCacheEntries()
+		st.PlanCacheEntries = s.search.PlanCacheLen()
 	}
 	if n.wal != nil {
 		st.WALAppends = n.wal.Appends()

@@ -2,7 +2,7 @@ package reachac
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"reachac/internal/core"
 	"reachac/internal/graph"
@@ -114,7 +114,7 @@ func (v *View) CheckPath(owner, requester UserID, expr string) (bool, error) {
 		return false, err
 	}
 	v.n.ctr.checks.Add(1)
-	return v.s.reval.Reachable(owner, requester, p)
+	return v.s.eval.Reachable(owner, requester, p)
 }
 
 // Audience is Network.Audience against the pinned snapshot.
@@ -130,25 +130,19 @@ func (v *View) PathAudience(owner UserID, expr string) ([]UserID, error) {
 }
 
 // audience enumerates the users the resource's rules admit; an unregistered
-// resource is ErrUnknownResource. The per-condition sets come from the
-// snapshot's incrementally maintained audience cache, so repeat audiences —
-// and audiences after a delta advance — skip the graph traversal entirely,
-// regardless of the engine kind answering point checks.
+// resource is ErrUnknownResource. Each rule condition's audience is one
+// product search on the snapshot's search engine, whatever kind answers
+// point checks.
 func (s *snapshot) audience(resource string) ([]UserID, error) {
 	res := core.ResourceID(resource)
 	if _, ok := s.store.Owner(res); !ok {
 		return nil, fmt.Errorf("reachac: audience of %q: %w", resource, ErrUnknownResource)
 	}
-	if s.aud != nil {
-		return s.store.AudienceWith(res, s.aud)
-	}
-	return s.store.Audience(res, s.g, s.eval)
+	return s.store.Audience(res, s.search.AudienceSet)
 }
 
 // pathAudience enumerates the users a parsed path expression reaches from
-// owner, excluding the owner, in ID order. Evaluators that can materialize
-// an audience in one traversal (core.AudienceSetEvaluator) are used
-// directly; the rest fall back to one reachability query per member.
+// owner, excluding the owner, in ID order: one product search.
 func (s *snapshot) pathAudience(owner UserID, expr string) ([]UserID, error) {
 	p, err := pathexpr.Parse(expr)
 	if err != nil {
@@ -157,51 +151,9 @@ func (s *snapshot) pathAudience(owner UserID, expr string) ([]UserID, error) {
 	if !s.g.ValidNode(owner) {
 		return nil, fmt.Errorf("reachac: path audience of user %d: %w", owner, ErrUnknownUser)
 	}
-	if s.aud != nil {
-		ids, err := s.aud.Audience(owner, p)
-		if err != nil {
-			return nil, err
-		}
-		// The cache owns ids (sorted ascending); copy, dropping the owner.
-		out := make([]UserID, 0, len(ids))
-		for _, id := range ids {
-			if id != owner {
-				out = append(out, id)
-			}
-		}
-		return out, nil
+	ids, err := s.search.AudienceSet(owner, p)
+	if err != nil {
+		return nil, err
 	}
-	if fast, ok := s.eval.(core.AudienceSetEvaluator); ok {
-		ids, err := fast.AudienceSet(owner, p)
-		if err != nil {
-			return nil, err
-		}
-		out := make([]UserID, 0, len(ids))
-		for _, id := range ids {
-			if id != owner {
-				out = append(out, id)
-			}
-		}
-		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-		return out, nil
-	}
-	var (
-		out      []UserID
-		firstErr error
-	)
-	s.g.Nodes(func(n graph.Node) bool {
-		if n.ID == owner {
-			return true
-		}
-		ok, err := s.eval.Reachable(owner, n.ID, p)
-		if err != nil {
-			firstErr = err
-			return false
-		}
-		if ok {
-			out = append(out, n.ID)
-		}
-		return true
-	})
-	return out, firstErr
+	return slices.DeleteFunc(ids, func(id UserID) bool { return id == owner }), nil
 }
