@@ -122,12 +122,13 @@ func TestUncachedDecideAllocBudget(t *testing.T) {
 }
 
 // TestManyRulesCheckAllocBudget: a check allocates nothing however many
-// rules the store holds, from either endpoint. Each run decides a different
-// one of 2 048 single-rule resources, which share five expressions and so
-// five plans; while plans were cached per rule pointer, 1 024 at most, every
-// other rule here compiled its plan anew on every check (a dozen objects each
-// time). The endpoint costs (search.Engine.RouteCostsPlan) pin which end
-// every check of an arm searches from.
+// rules the store holds, whichever side of the search leads. Each run decides
+// a different one of 2 048 single-rule resources, which share five
+// expressions and so five plans; while plans were cached per rule pointer,
+// 1 024 at most, every other rule here compiled its plan anew on every check
+// (a dozen objects each time). The endpoints' first-step fan-outs, which a
+// meet search compares to pick its first layer, pin which side every check of
+// an arm expands first: the owner's, or the requester's.
 func TestManyRulesCheckAllocBudget(t *testing.T) {
 	const rules = 2048
 	n, ids := manyRulesNet(t, rules)
@@ -135,10 +136,10 @@ func TestManyRulesCheckAllocBudget(t *testing.T) {
 		name      string
 		first     int // even resources belong to the out-hub, odd ones to lattice members
 		requester UserID
-		reverse   bool
+		reverse   bool // the requester's side expands first
 	}{
-		{"forward", 1, ids[1], false},
-		{"reverse", 0, ids[500], true},
+		{"owner first", 1, ids[1], false},
+		{"requester first", 0, ids[500], true},
 	} {
 		names := make([]string, 0, rules/2)
 		for i := route.first; i < rules; i += 2 {
@@ -153,14 +154,17 @@ func TestManyRulesCheckAllocBudget(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		// Every step of manyRulesExprs is outgoing: the owner's side starts on
+		// the first step's out-edges, the requester's on the last step's
+		// in-edges.
+		csr := s.g.CSR()
 		for _, res := range names {
 			rule := s.store.RulesFor(core.ResourceID(res))[0]
-			pl, err := s.search.Plan(rule.Conditions[0].Path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fwd, rev := s.search.RouteCostsPlan(rule.Owner, route.requester, pl); (rev < fwd) != route.reverse {
-				t.Fatalf("%s route: %s costs forward %d, reverse %d", route.name, res, fwd, rev)
+			steps := rule.Conditions[0].Path.Steps
+			fwd := len(csr.OutNeighbors(rule.Owner, s.g.Label(steps[0].Label)))
+			rev := len(csr.InNeighbors(route.requester, s.g.Label(steps[len(steps)-1].Label)))
+			if (rev < fwd) != route.reverse {
+				t.Fatalf("%s: %s fans out %d from the owner, %d from the requester", route.name, res, fwd, rev)
 			}
 		}
 		i := 0

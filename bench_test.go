@@ -15,6 +15,7 @@ package reachac
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"reachac/internal/core"
@@ -992,6 +993,87 @@ func BenchmarkAudienceAfterMutation(b *testing.B) {
 	}
 }
 
+// deepCatalog is the repository benchmark's embed-deep catalog: policies
+// whose evaluation is a real multi-hop search.
+var deepCatalog = []string{"friend+[1,3]", "friend+[1,4]", "colleague+[1]/friend+[1,2]",
+	"friend+[1,2]/colleague+[1]/friend+[1]", "friend-[1]/colleague+[1]"}
+
+// BenchmarkReachableDeepCatalog measures one point query of deepCatalog on
+// a 20 000-node ldbc graph of degree 8, in an allow arm and a deny arm of
+// 4 096 (owner, expression, requester) triples each, drawn as embed-deep
+// draws its checks: owners of out-degree at least 8, half the requesters at
+// the end of a walk of one to four out-edges and half anywhere. The map
+// kernel's Witness sorts each triple into its arm, so the arms do not depend
+// on the search measured. The deny arm is the deep tail deny-by-default
+// makes common: a search from one end explores its whole product ball, one
+// from both ends stops once its layers cover the pattern.
+func BenchmarkReachableDeepCatalog(b *testing.B) {
+	top, err := generate.New("ldbc", generate.WithNodes(20000), generate.WithDegree(8), generate.WithSeed(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, err := generate.Build(top)
+	if err != nil {
+		b.Fatal(err)
+	}
+	csr := g.CSR()
+	e := search.New(g)
+	paths := make([]*pathexpr.Path, len(deepCatalog))
+	for i, expr := range deepCatalog {
+		paths[i] = pathexpr.MustParse(expr)
+	}
+	type triple struct {
+		owner, requester graph.NodeID
+		p                *pathexpr.Path
+	}
+	const perArm = 4096
+	arms := map[bool][]triple{}
+	rng := rand.New(rand.NewSource(1))
+	for len(arms[true]) < perArm || len(arms[false]) < perArm {
+		owner := graph.NodeID(rng.Intn(g.NumNodes()))
+		if csr.OutDegree(owner) < 8 {
+			continue
+		}
+		req := graph.NodeID(rng.Intn(g.NumNodes()))
+		if rng.Intn(2) == 0 {
+			req = owner
+			for steps := 1 + rng.Intn(4); steps > 0; steps-- {
+				var outs []graph.NodeID
+				g.OutEdges(req, func(edge graph.Edge) bool {
+					outs = append(outs, edge.To)
+					return true
+				})
+				if len(outs) == 0 {
+					break
+				}
+				req = outs[rng.Intn(len(outs))]
+			}
+		}
+		t := triple{owner, req, paths[rng.Intn(len(paths))]}
+		if _, ok, err := e.Witness(t.owner, t.requester, t.p); err != nil {
+			b.Fatal(err)
+		} else if len(arms[ok]) < perArm {
+			arms[ok] = append(arms[ok], t)
+		}
+	}
+	for _, arm := range []struct {
+		name  string
+		allow bool
+	}{{"allow", true}, {"deny", false}} {
+		b.Run(arm.name, func(b *testing.B) {
+			ts := arms[arm.allow]
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				t := ts[i%len(ts)]
+				if ok, err := e.Reachable(t.owner, t.requester, t.p); err != nil || ok != arm.allow {
+					b.Fatalf("Reachable = (%v, %v), the map kernel says %v", ok, err, arm.allow)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkShardExpand measures one shard's expand call, the unit of a
 // sharded sweep, on a 20 000-node ldbc graph of degree 8 held whole by one
 // view. Each op seeds one owner's start state at the shard that owns it and
@@ -1015,8 +1097,7 @@ func BenchmarkShardExpand(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer v.Close()
-	paths := []string{"friend+[1,3]", "friend+[1,4]", "colleague+[1]/friend+[1,2]",
-		"friend+[1,2]/colleague+[1]/friend+[1]", "friend-[1]/colleague+[1]"}
+	paths := deepCatalog
 	for _, shards := range []int{1, 4} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			rg, err := ring.New(shards, 0)

@@ -423,9 +423,16 @@ type Decision struct {
 // AuditLog is a bounded, concurrency-safe decision trail. It is shared by
 // pointer so that a trail survives engine rebuilds (e.g. snapshot
 // republication after a graph mutation).
+//
+// The trail is a ring: it grows by appending until it holds limit
+// decisions, and from then on each decision overwrites the oldest in place,
+// so a warm trail records without allocating.
 type AuditLog struct {
 	mu    sync.Mutex
 	trail []Decision
+	// next is where the next decision goes once the trail is full; it is
+	// also the oldest retained decision.
+	next  int
 	limit int
 }
 
@@ -445,17 +452,19 @@ func (l *AuditLog) Record(d Decision) {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.trail = append(l.trail, d)
-	if len(l.trail) > l.limit {
-		l.trail = l.trail[len(l.trail)-l.limit:]
+	if len(l.trail) < l.limit {
+		l.trail = append(l.trail, d)
+		return
 	}
+	l.trail[l.next] = d
+	l.next = (l.next + 1) % l.limit
 }
 
 // Decisions returns a copy of the retained trail, oldest first.
 func (l *AuditLog) Decisions() []Decision {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return append([]Decision(nil), l.trail...)
+	return slices.Concat(l.trail[l.next:], l.trail[:l.next])
 }
 
 // Len returns the retained trail length without copying it.

@@ -53,7 +53,6 @@ func names(g *graph.Graph, ids []graph.NodeID) []string {
 // one-pass audience equals the set of members for which Reachable grants.
 func TestAudienceSetMatchesPerPairLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	labels := []string{"friend", "colleague", "parent"}
 	exprs := []string{
 		"friend+[1,2]",
 		"friend+[1]/colleague+[1]",
@@ -64,20 +63,7 @@ func TestAudienceSetMatchesPerPairLoop(t *testing.T) {
 	}
 	for trial := 0; trial < 15; trial++ {
 		n := 4 + rng.Intn(14)
-		g := graph.New()
-		for i := 0; i < n; i++ {
-			var attrs graph.Attrs
-			if rng.Intn(2) == 0 {
-				attrs = graph.Attrs{"age": graph.Int(10 + rng.Intn(50))}
-			}
-			g.MustAddNode(nameOf(i), attrs)
-		}
-		for i := 0; i < n*3; i++ {
-			u, v := graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n))
-			if u != v {
-				_, _ = g.AddEdge(u, v, labels[rng.Intn(len(labels))])
-			}
-		}
+		g, _ := randomGraph(rng, n, 3)
 		e := New(g)
 		for _, expr := range exprs {
 			p := pathexpr.MustParse(expr)

@@ -1,22 +1,24 @@
 package search
 
 import (
+	"math"
 	"sync"
 
 	"reachac/internal/graph"
 	"reachac/internal/pathexpr"
 )
 
-// This file is the flat kernel, the allocation-free hot path of every entry
-// point. The product search space (node, step, depth-key) is mapped to a
-// dense integer range — node*states + stepBase[step] + d — so the visited
-// set is a flat bitset instead of a map, the frontier is a reusable slice of
-// packed uint64 states, and both live in a sync.Pool scratch that queries
-// borrow and hand back all-zero. Adjacency always comes from the graph's
-// label-partitioned CSR (see graph.CSR), which the graph keeps fresh across
-// mutations; an engine over a graph that was never indexed builds it on its
-// first query. A plan or graph the layout cannot serve (see flatOK) is
-// searched by the map kernel of search.go instead.
+// This file is the flat kernel, the allocation-free hot path of Expand and
+// the audiences (the point query's meet search in meet.go shares its layout
+// and scratch). The product search space (node, step, depth-key) is mapped
+// to a dense integer range — node*states + stepBase[step] + d — so the
+// visited set is a flat bitset instead of a map, the frontier is a reusable
+// slice of packed uint64 states, and both live in a sync.Pool scratch that
+// queries borrow and hand back all-zero. Adjacency always comes from the
+// graph's label-partitioned CSR (see graph.CSR), which the graph keeps fresh
+// across mutations; an engine over a graph that was never indexed builds it
+// on its first query. A plan or graph the layout cannot serve (see flatOK)
+// is searched by the map kernel of search.go instead.
 
 // compiled is one direction of a plan: the steps of a pattern resolved
 // against a graph, plus the dense state layout derived from them.
@@ -37,7 +39,7 @@ type compiled struct {
 // being cached under its own text because it is not an expression anyone
 // wrote: its last step's predicates are split off into revPreds, so it only
 // means something next to the plan it came from, and one lookup then serves
-// either search direction.
+// both halves of the meet search.
 //
 // A Plan is immutable and valid only on the engine whose Plan method returned
 // it, until that graph's label table grows.
@@ -45,6 +47,10 @@ type Plan struct {
 	compiled
 	rev      compiled
 	revPreds []pathexpr.Pred
+	// maxLen is the most edges a match can have, or math.MaxInt when a step
+	// is unbounded: a meet search whose two sides have expanded that many
+	// layers between them has seen every match.
+	maxLen int
 	// labelsLen is the graph's label count at compile time; a grown label
 	// table invalidates the plan (a previously-absent label may now exist).
 	labelsLen int
@@ -80,10 +86,17 @@ func newPlan(g *graph.Graph, p *pathexpr.Path) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
+	maxLen := p.MaxLen(0)
+	for _, st := range p.Steps {
+		if st.Unbounded {
+			maxLen = math.MaxInt
+		}
+	}
 	return &Plan{
 		compiled:  layOut(steps),
 		rev:       layOut(revSteps),
 		revPreds:  revPreds,
+		maxLen:    maxLen,
 		labelsLen: g.NumLabels(),
 	}, nil
 }
@@ -146,15 +159,19 @@ func (e *Engine) PlanCacheLen() int {
 // scratch is the working set of one search: the visited bitset (flat kernel
 // only), the member bitset over node IDs, the frontier — the seeds on entry,
 // on return every state marked and not retired as an exit — and the exits.
-// A parked scratch is all-zero over the whole capacity of visited and
-// member: a search un-marks exactly the bits it marked before it returns
-// the scratch, so taking one costs nothing, however many nodes the graph
-// has.
+// A meet search (meet.go) runs its owner side on visited and frontier and
+// its requester side on backVisited and backMarked. A parked scratch is
+// all-zero over the whole capacity of its bitsets: a search un-marks exactly
+// the bits it marked before it returns the scratch, so taking one costs
+// nothing, however many nodes the graph has.
 type scratch struct {
 	visited  []uint64
 	member   []uint64
 	frontier []uint64
 	exits    []uint64
+
+	backVisited []uint64
+	backMarked  []uint64
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}

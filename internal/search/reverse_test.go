@@ -52,7 +52,6 @@ func TestReversePredicateReattachment(t *testing.T) {
 
 func TestReverseEquivalenceRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
-	labels := []string{"friend", "colleague", "parent"}
 	exprs := []string{
 		"friend+[1,2]/colleague+[1]",
 		"friend-[2]",
@@ -63,20 +62,7 @@ func TestReverseEquivalenceRandomized(t *testing.T) {
 	}
 	for trial := 0; trial < 12; trial++ {
 		n := 4 + rng.Intn(12)
-		g := graph.New()
-		for i := 0; i < n; i++ {
-			var attrs graph.Attrs
-			if rng.Intn(2) == 0 {
-				attrs = graph.Attrs{"age": graph.Int(10 + rng.Intn(50))}
-			}
-			g.MustAddNode(nameOf(i), attrs)
-		}
-		for i := 0; i < n*3; i++ {
-			u, v := graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n))
-			if u != v {
-				_, _ = g.AddEdge(u, v, labels[rng.Intn(len(labels))])
-			}
-		}
+		g, _ := randomGraph(rng, n, 3)
 		e := New(g)
 		for _, expr := range exprs {
 			p := pathexpr.MustParse(expr)
@@ -106,8 +92,4 @@ func TestReverseEquivalenceRandomized(t *testing.T) {
 			}
 		}
 	}
-}
-
-func nameOf(i int) string {
-	return "n" + string(rune('0'+i/100)) + string(rune('0'+i/10%10)) + string(rune('0'+i%10))
 }

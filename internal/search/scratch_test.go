@@ -9,10 +9,10 @@ import (
 	"reachac/internal/pathexpr"
 )
 
-// allZero reports whether both bitsets of sc are zero over their whole
+// allZero reports whether the bitsets of sc are zero over their whole
 // capacity, the state a parked scratch must be in.
 func allZero(sc *scratch) bool {
-	for _, b := range [][]uint64{sc.visited[:cap(sc.visited)], sc.member[:cap(sc.member)]} {
+	for _, b := range [][]uint64{sc.visited[:cap(sc.visited)], sc.member[:cap(sc.member)], sc.backVisited[:cap(sc.backVisited)]} {
 		for _, w := range b {
 			if w != 0 {
 				return false
@@ -120,13 +120,8 @@ func TestScratchLeftAllZero(t *testing.T) {
 					} else {
 						misses++
 					}
-					got, err := e.Reachable(owner, req, p)
-					if err != nil {
-						t.Fatal(err)
-					}
-					fwd, rev := bothWays(t, e, owner, req, p)
-					if got != want || fwd != want || rev != want {
-						t.Fatalf("%s: Reachable %v, forward %v, reversed %v, map kernel %v", what, got, fwd, rev, want)
+					if got, err := e.Reachable(owner, req, p); err != nil || got != want {
+						t.Fatalf("%s: Reachable (%v, %v), map kernel %v", what, got, err, want)
 					}
 				}
 				what := fmt.Sprintf("%s from %d", expr, owner)
@@ -221,8 +216,13 @@ func TestPooledScratchAllZero(t *testing.T) {
 		t.Fatalf("Reachable = (%v, %v), want not found", ok, err)
 	}
 	check("Reachable, not found")
-	bothWays(t, e, ids[0], ids[3], deep)
-	check("forward and reversed")
+	chain, o, r := splitChain()
+	for expr, want := range map[string]bool{"friend+[2]": true, "friend+[3]": false} {
+		if ok, err := New(chain).Reachable(o, r, mustPath(t, expr)); err != nil || ok != want {
+			t.Fatalf("%s on the split chain = (%v, %v), want %v", expr, ok, err, want)
+		}
+		check("Reachable, both sides expanded")
+	}
 	if ok, err := e.Reachable(ids[0], ids[1], mustPath(t, "enemy+[1,2]")); err != nil || ok {
 		t.Fatalf("Reachable over an absent label = (%v, %v)", ok, err)
 	}

@@ -11,15 +11,18 @@
 // expanding it (see query):
 //
 //   - runFlat (flat.go), the allocation-free kernel over the graph's CSR
-//     with a dense bitset visited set, serves every entry point whenever the
-//     plan and graph fit its layout (flatOK);
+//     with a dense bitset visited set, serves Expand and the audiences
+//     whenever the plan and graph fit its layout (flatOK);
 //   - runMap (below), a map-keyed kernel over the edge lists that records
 //     parents, serves every entry point otherwise, and always serves
 //     Witness, which walks the parents back.
 //
-// Both kernels read the step rules (close, continue, the canonical depth key
-// and the number of canonical depths) from pathexpr.Step, their one
-// definition.
+// Reachable, whenever the flat layout fits, runs neither: it searches from
+// both endpoints at once on that layout and stops where the two sides meet
+// (meet.go).
+//
+// Every search reads the step rules (close, continue, the canonical depth
+// key) from pathexpr.Step, their one definition.
 //
 // It also serves as the reference oracle: all index-based engines are tested
 // to agree with it.
@@ -116,10 +119,10 @@ func (e *Engine) ApplyDelta(g *graph.Graph, _ []graph.Delta) bool { return e.g =
 // Reachable reports whether requester is reachable from owner through a path
 // matching p (Definition 3: the requester must have a direct or indirect
 // relationship with the owner that matches the specified path). It searches
-// from whichever endpoint admits fewer first-step traversals (see
-// RouteCostsPlan): forward from the owner, or the reversed pattern from the
-// requester. On the flat kernel it performs zero heap allocations once the
-// plan cache and the pooled scratch are warm.
+// from both ends and stops where they meet (meet.go); on the map kernel,
+// for a plan or graph the flat layout cannot serve, it searches from the
+// owner. On the flat kernel it performs zero heap allocations once the plan
+// cache and the pooled scratch are warm.
 func (e *Engine) Reachable(owner, requester graph.NodeID, p *pathexpr.Path) (bool, error) {
 	if !e.g.ValidNode(owner) || !e.g.ValidNode(requester) {
 		return false, fmt.Errorf("search: invalid node (owner=%d requester=%d)", owner, requester)
@@ -128,23 +131,20 @@ func (e *Engine) Reachable(owner, requester graph.NodeID, p *pathexpr.Path) (boo
 	if err != nil {
 		return false, err
 	}
-	if fwd, rev := e.RouteCostsPlan(owner, requester, pl); rev < fwd {
-		return e.reverse(owner, requester, pl), nil
-	}
-	return e.reach(owner, requester, &pl.compiled), nil
-}
-
-// reach searches for a match of c from one valid node to another.
-func (e *Engine) reach(from, to graph.NodeID, c *compiled) bool {
-	if c.anyMissing {
+	if pl.anyMissing {
 		// A label absent from the graph can never be matched.
-		return false
+		return false, nil
 	}
-	sc := scratchPool.Get().(*scratch)
-	sc.frontier = append(sc.frontier[:0], packState(from, 0, 0))
-	found := e.run(c, sc, query{target: to})
-	scratchPool.Put(sc)
-	return found
+	for _, pr := range pl.revPreds {
+		if !pr.Eval(e.g.Node(requester).Attrs) {
+			return false, nil
+		}
+	}
+	if !pl.flatOK(e.g) {
+		found, _, _ := e.runMap(&pl.compiled, &scratch{frontier: []uint64{packState(owner, 0, 0)}}, query{target: requester})
+		return found, nil
+	}
+	return e.meet(pl, owner, requester), nil
 }
 
 // Expansion is the outcome of Expand.
