@@ -113,34 +113,18 @@ func (c *Client) do(ctx context.Context, method, path string, query url.Values, 
 	if len(query) > 0 {
 		u += "?" + query.Encode()
 	}
-	var rd io.Reader
+	var buf []byte
 	if body != nil {
-		buf, err := json.Marshal(body)
-		if err != nil {
+		var err error
+		if buf, err = json.Marshal(body); err != nil {
 			return err
 		}
-		rd = bytes.NewReader(buf)
 	}
-	req, err := http.NewRequestWithContext(ctx, method, u, rd)
-	if err != nil {
-		return err
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	resp, err := c.http.Do(req)
+	resp, err := c.send(ctx, method, u, buf)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	if v := resp.Header.Get(httpapi.HeaderStaleness); v != "" {
-		if ms, perr := strconv.ParseInt(v, 10, 64); perr == nil {
-			c.staleMS.Store(ms)
-		}
-	}
-	if resp.StatusCode >= 300 {
-		return decodeError(resp)
-	}
 	if out == nil {
 		io.Copy(io.Discard, resp.Body)
 		return nil
@@ -148,13 +132,63 @@ func (c *Client) do(ctx context.Context, method, path string, query url.Values, 
 	return json.NewDecoder(resp.Body).Decode(out)
 }
 
-// decodeError turns a non-2xx response into an *Error.
+// read issues one read-path request and returns the response body read
+// into a pooled buffer; the caller decodes it and hands the buffer back
+// with httpapi.PutBuffer.
+func (c *Client) read(ctx context.Context, method, u string, body []byte) (*[]byte, error) {
+	resp, err := c.send(ctx, method, u, body)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	buf := httpapi.GetBuffer()
+	if *buf, err = httpapi.ReadAll(*buf, resp.Body); err != nil {
+		httpapi.PutBuffer(buf)
+		return nil, err
+	}
+	return buf, nil
+}
+
+// send issues one request with an optional JSON body. A 2xx response is
+// returned for the caller to read and close; any other is returned as its
+// *Error, its body drained so the connection can be reused.
+func (c *Client) send(ctx context.Context, method, u string, body []byte) (*http.Response, error) {
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, u, rd)
+	if err != nil {
+		return nil, err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	resp, err := c.http.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	if v := resp.Header.Get(httpapi.HeaderStaleness); v != "" {
+		if ms, perr := strconv.ParseInt(v, 10, 64); perr == nil {
+			c.staleMS.Store(ms)
+		}
+	}
+	if resp.StatusCode >= 300 {
+		defer resp.Body.Close()
+		return nil, decodeError(resp)
+	}
+	return resp, nil
+}
+
+// decodeError turns a non-2xx response into an *Error, draining what the
+// decoder leaves of the body.
 func decodeError(resp *http.Response) error {
 	apiErr := &Error{Status: resp.StatusCode}
 	var body httpapi.ErrorBody
 	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&body); err == nil {
 		apiErr.Code, apiErr.Message = body.Code, body.Error
 	}
+	io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
 	if apiErr.Message == "" {
 		apiErr.Message = resp.Status
 	}
@@ -244,18 +278,31 @@ func (c *Client) Revoke(ctx context.Context, resource, rule string) (bool, error
 
 // Check decides whether requester may access resource.
 func (c *Client) Check(ctx context.Context, resource, requester string) (Decision, error) {
-	var out Decision
-	q := url.Values{"resource": {resource}, "requester": {requester}}
-	err := c.do(ctx, http.MethodGet, httpapi.PathCheck, q, nil, &out)
-	return out, err
+	buf, err := c.read(ctx, http.MethodGet, c.base+httpapi.PathCheck+
+		"?requester="+url.QueryEscape(requester)+"&resource="+url.QueryEscape(resource), nil)
+	if err != nil {
+		return Decision{}, err
+	}
+	defer httpapi.PutBuffer(buf)
+	return httpapi.DecodeDecision(*buf)
 }
 
 // CheckBatch decides one resource for many requesters against a single
 // consistent snapshot; the result is index-aligned with requesters.
 func (c *Client) CheckBatch(ctx context.Context, resource string, requesters []string) ([]Decision, error) {
-	var out httpapi.CheckBatchResponse
-	err := c.do(ctx, http.MethodPost, httpapi.PathCheckBatch, nil,
-		httpapi.CheckBatchRequest{Resource: resource, Requesters: requesters}, &out)
+	// The request body is not pooled: the transport may still be reading it
+	// after the response is in.
+	size := len(resource) + 32
+	for _, name := range requesters {
+		size += len(name) + 3
+	}
+	body := httpapi.AppendCheckBatchRequest(make([]byte, 0, size), httpapi.CheckBatchRequest{Resource: resource, Requesters: requesters})
+	buf, err := c.read(ctx, http.MethodPost, c.base+httpapi.PathCheckBatch, body)
+	if err != nil {
+		return nil, err
+	}
+	defer httpapi.PutBuffer(buf)
+	out, err := httpapi.DecodeCheckBatchResponse(*buf)
 	return out.Decisions, err
 }
 
@@ -315,37 +362,22 @@ func (c *Client) ShardPolicies(ctx context.Context) ([]reachac.ResourcePolicy, e
 
 // Policies exports the server's policy store serialization.
 func (c *Client) Policies(ctx context.Context) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+httpapi.PathPolicies, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.http.Do(req)
+	resp, err := c.send(ctx, http.MethodGet, c.base+httpapi.PathPolicies, nil)
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode >= 300 {
-		return nil, decodeError(resp)
-	}
 	return io.ReadAll(resp.Body)
 }
 
 // SetPolicies replaces the server's policy store with a serialization
 // produced by Policies (or reachac.Network.SavePolicies).
 func (c *Client) SetPolicies(ctx context.Context, policies []byte) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut, c.base+httpapi.PathPolicies, bytes.NewReader(policies))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.http.Do(req)
+	resp, err := c.send(ctx, http.MethodPut, c.base+httpapi.PathPolicies, policies)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode >= 300 {
-		return decodeError(resp)
-	}
 	io.Copy(io.Discard, resp.Body)
 	return nil
 }

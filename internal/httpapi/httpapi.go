@@ -1,6 +1,7 @@
 // Package httpapi defines the wire types and error codes of the acserverd
 // HTTP/JSON API, shared by the server (internal/server) and the typed Go
-// client (client). Users and resources travel by name — the stable,
+// client (client), and the codec both ends read and write a check's types
+// with (codec.go). Users and resources travel by name — the stable,
 // human-facing identifiers — with numeric IDs included where cheap.
 package httpapi
 

@@ -99,6 +99,7 @@ var wireTable = []wireRow{
 	{name: "add user bad attr type (DIVERGED)", method: "POST", path: "/v1/users", body: `{"name":"zed","attrs":{"x":[1]}}`, status: 400, code: "bad-request"},
 	{name: "add duplicate user", method: "POST", path: "/v1/users", body: `{"name":"alice"}`, status: 409, code: "duplicate-user"},
 	{name: "get user", method: "GET", path: "/v1/users/carol", status: 200, want: `{"id":2,"name":"carol"}`},
+	{name: "add user with a second value", method: "POST", path: "/v1/users", body: `{"name":"zed"} {"name":"yan"}`, status: 400, code: "bad-request"},
 	{name: "get unknown user", method: "GET", path: "/v1/users/zed", status: 404, code: "unknown-user"},
 
 	// Relationships.
@@ -131,6 +132,9 @@ var wireTable = []wireRow{
 	{name: "check missing requester", method: "GET", path: "/v1/check?resource=photo", status: 400, code: "bad-request"},
 	{name: "check-batch", method: "POST", path: "/v1/check-batch", body: `{"resource":"photo","requesters":["bob","dave","erin"]}`, status: 200,
 		want: `{"decisions":[{"requester":"bob","effect":"allow"},{"requester":"dave","effect":"allow"},{"requester":"erin","effect":"deny"}]}`},
+	{name: "check-batch trailing whitespace", method: "POST", path: "/v1/check-batch", body: "{\"resource\":\"photo\",\"requesters\":[\"dave\"]} \n", status: 200,
+		want: `{"decisions":[{"requester":"dave","effect":"allow"}]}`},
+	{name: "check-batch trailing junk", method: "POST", path: "/v1/check-batch", body: `{"resource":"photo","requesters":["bob"]} trailing junk`, status: 400, code: "bad-request"},
 	{name: "check-batch missing resource", method: "POST", path: "/v1/check-batch", body: `{"requesters":["bob"]}`, status: 400, code: "bad-request"},
 	{name: "check-batch unknown requester", method: "POST", path: "/v1/check-batch", body: `{"resource":"photo","requesters":["bob","zed"]}`, status: 404, code: "unknown-user"},
 	{name: "audience", method: "GET", path: "/v1/audience?resource=photo", status: 200, want: `{"users":["bob","carol","dave"]}`},

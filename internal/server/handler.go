@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 
@@ -49,6 +50,21 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
+// jsonContentType is writeOK's Content-Type, shared so that setting it
+// allocates nothing.
+var jsonContentType = []string{"application/json"}
+
+// writeOK answers 200 with the JSON line encode appends, written from a
+// pooled buffer in one Write.
+func writeOK(w http.ResponseWriter, encode func([]byte) []byte) {
+	buf := httpapi.GetBuffer()
+	defer httpapi.PutBuffer(buf)
+	*buf = append(encode(*buf), '\n')
+	w.Header()["Content-Type"] = jsonContentType
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(*buf)
+}
+
 // retryAfter is the backoff hint, in seconds, every 503 carries.
 const retryAfter = "1"
 
@@ -72,14 +88,47 @@ func badRequest(w http.ResponseWriter, err error) {
 	writeJSON(w, http.StatusBadRequest, httpapi.ErrorBody{Error: err.Error(), Code: httpapi.CodeBadRequest})
 }
 
+// maxBody bounds the request bodies the handlers read.
+const maxBody = 1 << 20
+
+// readBody reads the request body, truncated to maxBody, into a pooled
+// buffer and hands it to decode.
+func readBody(r *http.Request, decode func([]byte) error) error {
+	buf := httpapi.GetBuffer()
+	defer httpapi.PutBuffer(buf)
+	var err error
+	if *buf, err = httpapi.ReadAll(*buf, io.LimitReader(r.Body, maxBody)); err != nil {
+		return err
+	}
+	return decode(*buf)
+}
+
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(io.LimitReader(r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	if err := readBody(r, func(b []byte) error { return httpapi.DecodeStrict(b, v) }); err != nil {
 		badRequest(w, fmt.Errorf("decoding request body: %w", err))
 		return false
 	}
 	return true
+}
+
+// queryGet returns the first value of key in a raw query, as
+// url.ParseQuery(raw).Get(key) would, without building the map.
+func queryGet(raw, key string) string {
+	for raw != "" {
+		var pair string
+		pair, raw, _ = strings.Cut(raw, "&")
+		if pair == "" || strings.Contains(pair, ";") {
+			continue
+		}
+		k, v, _ := strings.Cut(pair, "=")
+		if k, err := url.QueryUnescape(k); err != nil || k != key {
+			continue
+		}
+		if v, err := url.QueryUnescape(v); err == nil {
+			return v
+		}
+	}
+	return ""
 }
 
 // writeUsers answers an audience, flagging the shards it is missing.
@@ -201,8 +250,7 @@ func (h handler) revoke(w http.ResponseWriter, r *http.Request) {
 }
 
 func (h handler) check(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	resource, requester := q.Get("resource"), q.Get("requester")
+	resource, requester := queryGet(r.URL.RawQuery, "resource"), queryGet(r.URL.RawQuery, "requester")
 	if resource == "" || requester == "" {
 		badRequest(w, errors.New("resource and requester are required"))
 		return
@@ -212,14 +260,19 @@ func (h handler) check(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, d)
+	writeOK(w, func(b []byte) []byte { return httpapi.AppendDecision(b, d) })
 }
 
 // checkBatch decodes before the service admits the read: a slow client
 // trickling its body must not hold a check slot while it does.
 func (h handler) checkBatch(w http.ResponseWriter, r *http.Request) {
 	var req httpapi.CheckBatchRequest
-	if !decodeBody(w, r, &req) {
+	err := readBody(r, func(b []byte) (err error) {
+		req, err = httpapi.DecodeCheckBatchRequest(b)
+		return err
+	})
+	if err != nil {
+		badRequest(w, fmt.Errorf("decoding request body: %w", err))
 		return
 	}
 	if req.Resource == "" {
@@ -231,7 +284,9 @@ func (h handler) checkBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, httpapi.CheckBatchResponse{Decisions: ds})
+	writeOK(w, func(b []byte) []byte {
+		return httpapi.AppendCheckBatchResponse(b, httpapi.CheckBatchResponse{Decisions: ds})
+	})
 }
 
 func (h handler) audience(w http.ResponseWriter, r *http.Request) {

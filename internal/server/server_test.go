@@ -342,27 +342,33 @@ func (d *discardResponse) Header() http.Header         { return d.h }
 func (d *discardResponse) Write(b []byte) (int, error) { return len(b), nil }
 func (d *discardResponse) WriteHeader(code int)        { d.code = code }
 
-// BenchmarkServerCheckParallel measures check throughput through the full
-// handler stack off the shared snapshot; it should scale with GOMAXPROCS
-// (given more than one core): checks pin the published snapshot with two
-// atomic ops and share no locks.
-func BenchmarkServerCheckParallel(b *testing.B) {
+// checkServer serves "photo", owned by alice under friend+[1,3], over a
+// friend chain alice → u0000 → … → u0199.
+func checkServer(tb testing.TB) *server.Server {
 	n := reachac.New()
 	alice := n.MustAddUser("alice")
 	prev := alice
 	for i := 0; i < 200; i++ {
 		u := n.MustAddUser(fmt.Sprintf("u%04d", i))
 		if err := n.Relate(prev, u, "friend"); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		prev = u
 	}
 	if _, err := n.Share("photo", alice, "friend+[1,3]"); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	srv := server.New(n, server.Config{MaxConcurrentChecks: 1 << 20})
-	defer srv.Shutdown(context.Background())
+	tb.Cleanup(func() { srv.Shutdown(context.Background()) })
+	return srv
+}
 
+// BenchmarkServerCheckParallel measures check throughput through the full
+// handler stack off the shared snapshot; it should scale with GOMAXPROCS
+// (given more than one core): checks pin the published snapshot with two
+// atomic ops and share no locks.
+func BenchmarkServerCheckParallel(b *testing.B) {
+	srv := checkServer(b)
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
 		req := httptest.NewRequest(http.MethodGet, "/v1/check?resource=photo&requester=u0002", nil)
