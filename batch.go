@@ -1,6 +1,7 @@
 package reachac
 
 import (
+	"errors"
 	"fmt"
 
 	"reachac/internal/core"
@@ -38,10 +39,12 @@ type Tx struct {
 // invertible (the graph never removes nodes); users created by a failed
 // batch remain as isolated members, which no path expression can ever
 // match — on a durable network those residual additions are still logged,
-// keeping node-ID allocation identical under replay. Because a failed WAL
-// append can leave in-memory state the log missed, it poisons a durable
-// network read-only — acknowledging later mutations could diverge from
-// what recovery rebuilds.
+// keeping node-ID allocation identical under replay. A batch whose record
+// group would exceed the log's size limit fails with ErrTooLarge the same
+// way: the log refuses the group before writing any of it. Any other failed
+// WAL append can leave in-memory state the log missed, so it poisons a
+// durable network read-only — acknowledging later mutations could diverge
+// from what recovery rebuilds.
 //
 // Reads against the currently published snapshot proceed untouched, but
 // once the batch's first mutation lands, a reader that needs a fresh
@@ -54,32 +57,59 @@ func (n *Network) Batch(fn func(*Tx) error) error {
 		return err
 	}
 	tx := &Tx{n: n}
-	if err := fn(tx); err != nil {
-		tx.rollback()
-		// The non-invertible node additions survive the rollback in memory,
-		// so they must survive in the log too: if they were dropped, the
-		// next node would take ID N live but N-k on replay, and every later
-		// acknowledged record referencing it would recover against the
-		// wrong user. Commit them (alone) as their own group.
-		if ghosts := tx.ghostOps(); len(ghosts) > 0 {
-			if cerr := n.commitLocked(ghosts); cerr != nil {
-				return fmt.Errorf("%w (and logging the batch's residual node additions failed: %v)", err, cerr)
+	err := fn(tx)
+	if err == nil {
+		if err = n.commitLocked(tx.ops); err == nil {
+			if acked := len(tx.ops) - tx.ghosts; acked > 0 {
+				n.ctr.batches.Add(1)
+				n.ctr.mutations.Add(uint64(acked))
 			}
+			return nil
 		}
+		if !errors.Is(err, ErrTooLarge) {
+			// The append failed and poisoned the network read-only;
+			// rollback restores what it can (any residual node additions
+			// are confined to the now-unacknowledgeable in-memory state).
+			tx.rollback()
+			return err
+		}
+		// The group was refused before anything was written: the batch
+		// failed like a callback error, and the network stays writable.
+	}
+	tx.rollback()
+	// The non-invertible node additions survive the rollback in memory, so
+	// they must survive in the log too: if they were dropped, the next node
+	// would take ID N live but N-k on replay, and every later acknowledged
+	// record referencing it would recover against the wrong user. Commit
+	// them (alone) as their own groups.
+	if ghosts := tx.ghostOps(); len(ghosts) > 0 {
+		if cerr := n.appendGhostsLocked(ghosts); cerr != nil {
+			return fmt.Errorf("%w (and logging the batch's residual node additions failed: %v)", err, cerr)
+		}
+		n.maybeCheckpointLocked()
+	}
+	return err
+}
+
+// appendGhostsLocked logs a failed batch's residual node additions, split
+// into as many record groups as the log's size limit needs. They are in
+// memory already, so failing to log them — even one addition too large for
+// any group — poisons the network. No checkpoint may start between the
+// groups: it would capture nodes the later groups then add again. Callers
+// hold n.mu.
+func (n *Network) appendGhostsLocked(ops []wal.Op) error {
+	err := n.appendLocked(ops)
+	if !errors.Is(err, ErrTooLarge) {
 		return err
 	}
-	if err := n.commitLocked(tx.ops); err != nil {
-		// The append failed and poisoned the network read-only; rollback
-		// restores what it can (any residual node additions are confined to
-		// the now-unacknowledgeable in-memory state).
-		tx.rollback()
+	if len(ops) == 1 {
+		n.walErr = err
 		return err
 	}
-	if acked := len(tx.ops) - tx.ghosts; acked > 0 {
-		n.ctr.batches.Add(1)
-		n.ctr.mutations.Add(uint64(acked))
+	if err := n.appendGhostsLocked(ops[:len(ops)/2]); err != nil {
+		return err
 	}
-	return nil
+	return n.appendGhostsLocked(ops[len(ops)/2:])
 }
 
 // Sub runs fn as a sub-transaction of the batch: on error, the mutations fn

@@ -1,6 +1,7 @@
 package reachac
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
 	"time"
@@ -239,30 +240,43 @@ func (n *Network) ObserveEpoch(e uint64) bool {
 func (n *Network) Fenced() bool { return n.fencedEpoch.Load() != 0 }
 
 // commitLocked durably appends one committed batch's operations as a single
-// atomic record group, then triggers a background checkpoint if the segment
-// crossed the size threshold. An append failure poisons the network
-// (read-only from then on): the in-memory state may contain non-invertible
-// mutations the log missed, so acknowledging anything further could diverge
-// from what recovery will rebuild. Callers hold n.mu.
+// atomic record group (see appendLocked), then triggers a background
+// checkpoint if the segment crossed the size threshold. Callers hold n.mu.
 func (n *Network) commitLocked(ops []wal.Op) error {
-	if n.wal == nil || len(ops) == 0 {
-		return nil
-	}
-	if err := n.wal.Append(ops); err != nil {
-		n.walErr = err
-		return fmt.Errorf("reachac: WAL append failed (network is now read-only): %w", err)
+	if err := n.appendLocked(ops); err != nil {
+		return err
 	}
 	n.maybeCheckpointLocked()
 	return nil
 }
 
-// maybeCheckpointLocked starts at most one background checkpoint once the
-// current WAL segment exceeds the configured threshold. The rotation and the
-// state clone happen under n.mu — so the checkpoint covers exactly the
-// rotated segments — while the expensive serialization and fsyncs run in a
-// goroutine off the mutation path. Callers hold n.mu.
+// appendLocked durably appends ops as one record group. A group over the
+// size limit is refused with nothing written (ErrTooLarge), and the caller
+// decides what that means. Any other append failure poisons the network
+// (read-only from then on): the in-memory state may contain non-invertible
+// mutations the log missed, so acknowledging anything further could diverge
+// from what recovery will rebuild. Callers hold n.mu.
+func (n *Network) appendLocked(ops []wal.Op) error {
+	if n.wal == nil || len(ops) == 0 {
+		return nil
+	}
+	if err := n.wal.Append(ops); err != nil {
+		if errors.Is(err, ErrTooLarge) {
+			return fmt.Errorf("reachac: %w", err)
+		}
+		n.walErr = err
+		return fmt.Errorf("reachac: WAL append failed (network is now read-only): %w", err)
+	}
+	return nil
+}
+
+// maybeCheckpointLocked starts at most one background checkpoint once a
+// durable network's current WAL segment exceeds the configured threshold.
+// The rotation and the state clone happen under n.mu — so the checkpoint
+// covers exactly the rotated segments — while the expensive serialization
+// and fsyncs run in a goroutine off the mutation path. Callers hold n.mu.
 func (n *Network) maybeCheckpointLocked() {
-	if n.ckptEvery <= 0 || n.wal.Size() < n.ckptEvery {
+	if n.wal == nil || n.ckptEvery <= 0 || n.wal.Size() < n.ckptEvery {
 		return
 	}
 	if !n.ckptActive.CompareAndSwap(false, true) {

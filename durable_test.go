@@ -2,6 +2,7 @@ package reachac
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -412,6 +413,56 @@ func TestFailedBatchKeepsReplayAligned(t *testing.T) {
 	}
 	if _, ok := n2.UserID("ghost"); !ok {
 		t.Fatal("ghost member missing from recovery (ID allocation diverged)")
+	}
+}
+
+// TestOversizedBatchKeepsNetworkWritable pins that a batch whose record
+// group exceeds the log's size limit fails like a callback error: the log
+// refused it before writing anything, so the relationship is rolled back,
+// the residual node additions are logged in groups under the limit, and the
+// network stays writable with a log that recovers every member in memory.
+func TestOversizedBatchKeepsNetworkWritable(t *testing.T) {
+	dir := t.TempDir()
+	n, err := Open(dir, WithSync(SyncNever))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pad := strings.Repeat("x", 1000)
+	users := wal.MaxRecordSize/len(pad) + 100
+	err = n.Batch(func(tx *Tx) error {
+		for i := 0; i < users; i++ {
+			if _, err := tx.AddUser(fmt.Sprintf("u%06d-%s", i, pad)); err != nil {
+				return err
+			}
+		}
+		return tx.Relate(0, 1, "friend")
+	})
+	if !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("oversized Batch error = %v, want ErrTooLarge", err)
+	}
+	if got := n.NumRelationships(); got != 0 {
+		t.Fatalf("%d relationships after the oversized batch, want its one rolled back", got)
+	}
+	if _, err := n.AddUser("late"); err != nil {
+		t.Fatalf("AddUser after an oversized batch: %v", err)
+	}
+	live := n.NumUsers()
+	if live != users+1 {
+		t.Fatalf("%d users in memory, want %d", live, users+1)
+	}
+	if err := n.Close(); err != nil {
+		t.Fatal(err)
+	}
+	n2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n2.Close()
+	if got := n2.NumUsers(); got != live {
+		t.Fatalf("reopen recovered %d users, memory held %d", got, live)
+	}
+	if id, ok := n2.UserID("late"); !ok || int(id) != users {
+		t.Fatalf("late recovered as %d (%v), want %d", id, ok, users)
 	}
 }
 

@@ -1,6 +1,10 @@
 package reachac
 
-import "errors"
+import (
+	"errors"
+
+	"reachac/internal/wal"
+)
 
 // Sentinel errors returned (wrapped) by the facade, so callers — the HTTP
 // serving layer in particular — can classify failures with errors.Is instead
@@ -31,6 +35,11 @@ var (
 	// ErrReadOnly marks a mutation on a network poisoned read-only by a
 	// write-ahead log failure.
 	ErrReadOnly = errors.New("network is read-only after WAL failure")
+	// ErrTooLarge marks a batch whose write-ahead log record group would
+	// exceed the log's size limit (wal.MaxRecordSize). Nothing of it was
+	// logged, its invertible mutations were rolled back, and the network
+	// stays writable: split the batch.
+	ErrTooLarge = wal.ErrRecordTooLarge
 	// ErrClosed marks a mutation on a network after Close.
 	ErrClosed = errors.New("network is closed")
 	// ErrNotDurable marks a durability-only operation (Checkpoint) on a

@@ -2,9 +2,11 @@ package core
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
+
+	"reachac/internal/codec"
 
 	"reachac/internal/graph"
 	"reachac/internal/pathexpr"
@@ -12,7 +14,9 @@ import (
 
 // Policies are persisted as line-delimited JSON: one header, then one record
 // per resource carrying its owner and rules (conditions as path-expression
-// strings, which Parse round-trips exactly).
+// strings, which Parse round-trips exactly). The record types below define
+// the format by their tags; Write and ReadStore append and scan it on the
+// internal/codec kernel, under its equivalence contract with encoding/json.
 
 const policyMagic = "reachac-policy-v1"
 
@@ -37,33 +41,51 @@ func (s *Store) Write(w io.Writer) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	if err := enc.Encode(policyHeader{Magic: policyMagic, Resources: s.count}); err != nil {
-		return err
-	}
+	buf := strconv.AppendInt([]byte(`{"magic":"`+policyMagic+`","resources":`), int64(s.count), 10)
+	buf = append(buf, "}\n"...)
+	bw.Write(buf)
 	// Deterministic order via sorted resource IDs.
 	for _, p := range s.sortedLocked() {
-		rec := policyResource{Resource: string(p.res), Owner: uint32(p.owner)}
-		for _, rule := range p.rules {
-			pr := policyRule{ID: rule.ID}
-			for _, c := range rule.Conditions {
-				pr.Conditions = append(pr.Conditions, c.Path.String())
+		buf = codec.AppendString(append(buf[:0], `{"resource":`...), string(p.res))
+		buf = strconv.AppendUint(append(buf, `,"owner":`...), uint64(p.owner), 10)
+		if len(p.rules) > 0 {
+			buf = append(buf, `,"rules":[`...)
+			for i, rule := range p.rules {
+				if i > 0 {
+					buf = append(buf, ',')
+				}
+				buf = appendPolicyRule(buf, rule)
 			}
-			rec.Rules = append(rec.Rules, pr)
+			buf = append(buf, ']')
 		}
-		if err := enc.Encode(rec); err != nil {
-			return err
-		}
+		buf = append(buf, "}\n"...)
+		bw.Write(buf)
 	}
 	return bw.Flush()
+}
+
+// appendPolicyRule appends rule as json.Marshal writes its policyRule.
+func appendPolicyRule(dst []byte, rule *Rule) []byte {
+	dst = codec.AppendString(append(dst, `{"id":`...), rule.ID)
+	if len(rule.Conditions) == 0 {
+		return append(dst, `,"conditions":null}`...)
+	}
+	dst = append(dst, `,"conditions":[`...)
+	for i, c := range rule.Conditions {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = codec.AppendString(dst, c.Path.String())
+	}
+	return append(dst, "]}"...)
 }
 
 // ReadStore deserializes a store written by Write. Owners are validated
 // against g.
 func ReadStore(r io.Reader, g *graph.Graph) (*Store, error) {
-	dec := json.NewDecoder(bufio.NewReader(r))
-	var hdr policyHeader
-	if err := dec.Decode(&hdr); err != nil {
+	lines := codec.NewLines(r)
+	hdr, err := codec.Next(lines, scanPolicyHeader)
+	if err != nil {
 		return nil, fmt.Errorf("core: reading policy header: %w", err)
 	}
 	if hdr.Magic != policyMagic {
@@ -71,8 +93,8 @@ func ReadStore(r io.Reader, g *graph.Graph) (*Store, error) {
 	}
 	s := NewStore()
 	for i := 0; i < hdr.Resources; i++ {
-		var rec policyResource
-		if err := dec.Decode(&rec); err != nil {
+		rec, err := codec.Next(lines, scanPolicyResource)
+		if err != nil {
 			return nil, fmt.Errorf("core: reading policy resource %d: %w", i, err)
 		}
 		owner := graph.NodeID(rec.Owner)
@@ -97,6 +119,55 @@ func ReadStore(r io.Reader, g *graph.Graph) (*Store, error) {
 		}
 	}
 	return s, nil
+}
+
+func scanPolicyHeader(s *codec.Scanner) (h policyHeader) {
+	s.Object(func(key []byte) uint32 {
+		switch string(key) {
+		case "magic":
+			h.Magic = s.Str()
+			return 1
+		case "resources":
+			h.Resources = int(s.Int(64))
+			return 2
+		}
+		return 0
+	})
+	return h
+}
+
+func scanPolicyResource(s *codec.Scanner) (r policyResource) {
+	s.Object(func(key []byte) uint32 {
+		switch string(key) {
+		case "resource":
+			r.Resource = s.Str()
+			return 1
+		case "owner":
+			r.Owner = uint32(s.Uint(32))
+			return 2
+		case "rules":
+			r.Rules = []policyRule{}
+			s.Array(func() { r.Rules = append(r.Rules, scanPolicyRule(s)) })
+			return 4
+		}
+		return 0
+	})
+	return r
+}
+
+func scanPolicyRule(s *codec.Scanner) (r policyRule) {
+	s.Object(func(key []byte) uint32 {
+		switch string(key) {
+		case "id":
+			r.ID = s.Str()
+			return 1
+		case "conditions":
+			r.Conditions = s.Strings()
+			return 2
+		}
+		return 0
+	})
+	return r
 }
 
 // Audience enumerates every member the rules of res admit, excluding the

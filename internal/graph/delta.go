@@ -1,6 +1,11 @@
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+
+	"reachac/internal/codec"
+)
 
 // DeltaOp is the kind of one recorded structural mutation.
 type DeltaOp uint8
@@ -48,6 +53,67 @@ type Delta struct {
 	To     NodeID  `json:"to,omitempty"`
 	Label  string  `json:"label,omitempty"`
 	Weight float64 `json:"weight,omitempty"`
+}
+
+// AppendDelta appends d's JSON to dst, as json.Marshal writes it.
+func AppendDelta(dst []byte, d *Delta) ([]byte, error) {
+	var err error
+	dst = strconv.AppendUint(append(dst, `{"op":`...), uint64(d.Op), 10)
+	if d.Name != "" {
+		dst = codec.AppendString(append(dst, `,"name":`...), d.Name)
+	}
+	if len(d.Attrs) > 0 {
+		if dst, err = appendAttrs(append(dst, `,"attrs":`...), d.Attrs); err != nil {
+			return dst, err
+		}
+	}
+	if d.From != 0 {
+		dst = strconv.AppendUint(append(dst, `,"from":`...), uint64(d.From), 10)
+	}
+	if d.To != 0 {
+		dst = strconv.AppendUint(append(dst, `,"to":`...), uint64(d.To), 10)
+	}
+	if d.Label != "" {
+		dst = codec.AppendString(append(dst, `,"label":`...), d.Label)
+	}
+	if d.Weight != 0 {
+		if dst, err = codec.AppendFloat(append(dst, `,"weight":`...), d.Weight); err != nil {
+			return dst, err
+		}
+	}
+	return append(dst, '}'), nil
+}
+
+// ScanDelta reads one delta written by AppendDelta.
+func ScanDelta(s *codec.Scanner) *Delta {
+	d := new(Delta)
+	s.Object(func(key []byte) uint32 {
+		switch string(key) {
+		case "op":
+			d.Op = DeltaOp(s.Uint(8))
+			return 1
+		case "name":
+			d.Name = s.Str()
+			return 2
+		case "attrs":
+			d.Attrs = scanAttrs(s)
+			return 4
+		case "from":
+			d.From = NodeID(s.Uint(32))
+			return 8
+		case "to":
+			d.To = NodeID(s.Uint(32))
+			return 16
+		case "label":
+			d.Label = s.Str()
+			return 32
+		case "weight":
+			d.Weight = s.Float()
+			return 64
+		}
+		return 0
+	})
+	return d
 }
 
 // DefaultDeltaLogLimit is the default bound on the retained delta window.

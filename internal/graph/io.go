@@ -5,11 +5,18 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
+	"strconv"
+
+	"reachac/internal/codec"
 )
 
 // The on-disk format is line-delimited JSON: one header record, then one
 // record per node, then one record per live edge. It is stable, diffable,
-// and streams without loading the whole file.
+// and streams without loading the whole file. The record types below define
+// it by their tags; the appenders and scanners after them write and read
+// it on the internal/codec kernel, under its equivalence contract with
+// encoding/json.
 
 type ioHeader struct {
 	Magic string `json:"magic"`
@@ -17,6 +24,7 @@ type ioHeader struct {
 	Edges int    `json:"edges"`
 }
 
+// ioValue is a Value's tagged form.
 type ioValue struct {
 	Kind string  `json:"k"`
 	Str  string  `json:"s,omitempty"`
@@ -27,6 +35,8 @@ type ioValue struct {
 type ioNode struct {
 	Name  string             `json:"name"`
 	Attrs map[string]ioValue `json:"attrs,omitempty"`
+	// attrs holds the attributes instead when scanNode read the record.
+	attrs Attrs
 }
 
 type ioEdge struct {
@@ -37,17 +47,6 @@ type ioEdge struct {
 }
 
 const ioMagic = "reachac-graph-v1"
-
-func encodeValue(v Value) ioValue {
-	switch v.Kind() {
-	case KindNumber:
-		return ioValue{Kind: "n", Num: v.Num()}
-	case KindBool:
-		return ioValue{Kind: "b", Bool: v.B()}
-	default:
-		return ioValue{Kind: "s", Str: v.Str()}
-	}
-}
 
 func decodeValue(v ioValue) (Value, error) {
 	switch v.Kind {
@@ -62,11 +61,11 @@ func decodeValue(v ioValue) (Value, error) {
 	}
 }
 
-// MarshalJSON encodes the value in the same tagged form the graph file
-// format uses, so types like Delta (whose Attrs carry Values) can be
-// serialized with encoding/json — the WAL's record payloads rely on this.
+// MarshalJSON encodes the value in the tagged form the graph file format
+// uses, so types like Delta (whose Attrs carry Values) can be serialized
+// with encoding/json.
 func (v Value) MarshalJSON() ([]byte, error) {
-	return json.Marshal(encodeValue(v))
+	return appendValue(nil, v)
 }
 
 // UnmarshalJSON decodes a value written by MarshalJSON.
@@ -83,6 +82,177 @@ func (v *Value) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
+// appendValue appends v's tagged JSON form to dst.
+func appendValue(dst []byte, v Value) ([]byte, error) {
+	switch v.Kind() {
+	case KindNumber:
+		if v.num == 0 {
+			return append(dst, `{"k":"n"}`...), nil
+		}
+		dst, err := codec.AppendFloat(append(dst, `{"k":"n","n":`...), v.num)
+		return append(dst, '}'), err
+	case KindBool:
+		if !v.b {
+			return append(dst, `{"k":"b"}`...), nil
+		}
+		return append(dst, `{"k":"b","b":true}`...), nil
+	default:
+		if v.str == "" {
+			return append(dst, `{"k":"s"}`...), nil
+		}
+		dst = codec.AppendString(append(dst, `{"k":"s","s":`...), v.str)
+		return append(dst, '}'), nil
+	}
+}
+
+// scanValue reads one value in its tagged JSON form.
+func scanValue(s *codec.Scanner) Value {
+	var iv ioValue
+	s.Object(func(key []byte) uint32 {
+		switch string(key) {
+		case "k":
+			switch b, _ := s.Raw(); string(b) { // any other tag fails decodeValue
+			case "s":
+				iv.Kind = "s"
+			case "n":
+				iv.Kind = "n"
+			case "b":
+				iv.Kind = "b"
+			}
+			return 1
+		case "s":
+			iv.Str = s.Str()
+			return 2
+		case "n":
+			iv.Num = s.Float()
+			return 4
+		case "b":
+			iv.Bool = s.Bool()
+			return 8
+		}
+		return 0
+	})
+	v, err := decodeValue(iv)
+	if err != nil {
+		s.Fail()
+	}
+	return v
+}
+
+// appendAttrs appends a as json.Marshal writes it: an object of tagged
+// values in ascending key order.
+func appendAttrs(dst []byte, a Attrs) ([]byte, error) {
+	var stack [8]string
+	keys := stack[:0]
+	for k := range a {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	dst = append(dst, '{')
+	for i, k := range keys {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		var err error
+		if dst, err = appendValue(append(codec.AppendString(dst, k), ':'), a[k]); err != nil {
+			return dst, err
+		}
+	}
+	return append(dst, '}'), nil
+}
+
+// scanAttrs reads one attribute object into a fresh non-nil map.
+func scanAttrs(s *codec.Scanner) Attrs {
+	a := Attrs{}
+	s.Map(func(key string) { a[key] = scanValue(s) })
+	return a
+}
+
+// appendHeader, appendNode and appendEdge append one record line each.
+func appendHeader(dst []byte, nodes, edges int) []byte {
+	dst = strconv.AppendInt(append(dst, `{"magic":"`+ioMagic+`","nodes":`...), int64(nodes), 10)
+	dst = strconv.AppendInt(append(dst, `,"edges":`...), int64(edges), 10)
+	return append(dst, "}\n"...)
+}
+
+func appendNode(dst []byte, name string, attrs Attrs) ([]byte, error) {
+	dst = codec.AppendString(append(dst, `{"name":`...), name)
+	if len(attrs) > 0 {
+		var err error
+		if dst, err = appendAttrs(append(dst, `,"attrs":`...), attrs); err != nil {
+			return dst, err
+		}
+	}
+	return append(dst, "}\n"...), nil
+}
+
+func appendEdge(dst []byte, from, to NodeID, label string, weight float64) ([]byte, error) {
+	dst = strconv.AppendUint(append(dst, `{"f":`...), uint64(from), 10)
+	dst = strconv.AppendUint(append(dst, `,"t":`...), uint64(to), 10)
+	dst = codec.AppendString(append(dst, `,"l":`...), label)
+	if weight != 0 {
+		var err error
+		if dst, err = codec.AppendFloat(append(dst, `,"w":`...), weight); err != nil {
+			return dst, err
+		}
+	}
+	return append(dst, "}\n"...), nil
+}
+
+func scanHeader(s *codec.Scanner) (h ioHeader) {
+	s.Object(func(key []byte) uint32 {
+		switch string(key) {
+		case "magic":
+			h.Magic = s.Str()
+			return 1
+		case "nodes":
+			h.Nodes = int(s.Int(64))
+			return 2
+		case "edges":
+			h.Edges = int(s.Int(64))
+			return 4
+		}
+		return 0
+	})
+	return h
+}
+
+func scanNode(s *codec.Scanner) (n ioNode) {
+	s.Object(func(key []byte) uint32 {
+		switch string(key) {
+		case "name":
+			n.Name = s.Str()
+			return 1
+		case "attrs":
+			n.attrs = scanAttrs(s)
+			return 2
+		}
+		return 0
+	})
+	return n
+}
+
+func scanEdge(s *codec.Scanner) (e ioEdge) {
+	s.Object(func(key []byte) uint32 {
+		switch string(key) {
+		case "f":
+			e.From = uint32(s.Uint(32))
+			return 1
+		case "t":
+			e.To = uint32(s.Uint(32))
+			return 2
+		case "l":
+			e.Label = s.Str()
+			return 4
+		case "w":
+			e.Weight = s.Float()
+			return 8
+		}
+		return 0
+	})
+	return e
+}
+
 // StreamWriter emits the graph file format record by record, so callers
 // that produce nodes and edges incrementally (cmd/gengraph streaming a
 // Topology) never hold a whole graph in memory. The format's header
@@ -92,7 +262,7 @@ func (v *Value) UnmarshalJSON(b []byte) error {
 // has produced a complete, loadable file.
 type StreamWriter struct {
 	bw         *bufio.Writer
-	enc        *json.Encoder
+	buf        []byte
 	wantNodes  int
 	wantEdges  int
 	nodes      int
@@ -103,10 +273,21 @@ type StreamWriter struct {
 // NewStreamWriter starts a graph file on w declaring the given node and
 // edge counts in the header.
 func NewStreamWriter(w io.Writer, nodes, edges int) *StreamWriter {
-	bw := bufio.NewWriter(w)
-	sw := &StreamWriter{bw: bw, enc: json.NewEncoder(bw), wantNodes: nodes, wantEdges: edges}
-	sw.firstError = sw.enc.Encode(ioHeader{Magic: ioMagic, Nodes: nodes, Edges: edges})
+	sw := &StreamWriter{bw: bufio.NewWriter(w), wantNodes: nodes, wantEdges: edges}
+	sw.write(appendHeader(sw.buf, nodes, edges), nil)
 	return sw
+}
+
+// write writes one appended record line unless appending it failed.
+func (sw *StreamWriter) write(b []byte, err error) error {
+	sw.buf = b[:0]
+	if err == nil {
+		_, err = sw.bw.Write(b)
+	}
+	if err != nil {
+		return sw.fail(err)
+	}
+	return nil
 }
 
 func (sw *StreamWriter) fail(err error) error {
@@ -128,15 +309,8 @@ func (sw *StreamWriter) Node(name string, attrs Attrs) error {
 	if sw.nodes >= sw.wantNodes {
 		return sw.fail(fmt.Errorf("graph: more than the declared %d nodes", sw.wantNodes))
 	}
-	rec := ioNode{Name: name}
-	if len(attrs) > 0 {
-		rec.Attrs = make(map[string]ioValue, len(attrs))
-		for k, v := range attrs {
-			rec.Attrs[k] = encodeValue(v)
-		}
-	}
-	if err := sw.enc.Encode(rec); err != nil {
-		return sw.fail(err)
+	if err := sw.write(appendNode(sw.buf, name, attrs)); err != nil {
+		return err
 	}
 	sw.nodes++
 	return nil
@@ -153,8 +327,8 @@ func (sw *StreamWriter) Edge(from, to NodeID, label string, weight float64) erro
 	if sw.edges >= sw.wantEdges {
 		return sw.fail(fmt.Errorf("graph: more than the declared %d edges", sw.wantEdges))
 	}
-	if err := sw.enc.Encode(ioEdge{From: uint32(from), To: uint32(to), Label: label, Weight: weight}); err != nil {
-		return sw.fail(err)
+	if err := sw.write(appendEdge(sw.buf, from, to, label, weight)); err != nil {
+		return err
 	}
 	sw.edges++
 	return nil
@@ -183,9 +357,9 @@ func (g *Graph) Write(w io.Writer) error {
 
 // Read deserializes a graph written by Write.
 func Read(r io.Reader) (*Graph, error) {
-	dec := json.NewDecoder(bufio.NewReader(r))
-	var hdr ioHeader
-	if err := dec.Decode(&hdr); err != nil {
+	lines := codec.NewLines(r)
+	hdr, err := codec.Next(lines, scanHeader)
+	if err != nil {
 		return nil, fmt.Errorf("graph: reading header: %w", err)
 	}
 	if hdr.Magic != ioMagic {
@@ -193,28 +367,29 @@ func Read(r io.Reader) (*Graph, error) {
 	}
 	g := New()
 	for i := 0; i < hdr.Nodes; i++ {
-		var rec ioNode
-		if err := dec.Decode(&rec); err != nil {
+		rec, err := codec.Next(lines, scanNode)
+		if err != nil {
 			return nil, fmt.Errorf("graph: reading node %d: %w", i, err)
 		}
-		var attrs Attrs
+		attrs := rec.attrs
 		if len(rec.Attrs) > 0 {
 			attrs = make(Attrs, len(rec.Attrs))
 			for k, v := range rec.Attrs {
-				val, err := decodeValue(v)
-				if err != nil {
+				if attrs[k], err = decodeValue(v); err != nil {
 					return nil, err
 				}
-				attrs[k] = val
 			}
+		}
+		if len(attrs) == 0 {
+			attrs = nil
 		}
 		if _, err := g.AddNode(rec.Name, attrs); err != nil {
 			return nil, err
 		}
 	}
 	for i := 0; i < hdr.Edges; i++ {
-		var rec ioEdge
-		if err := dec.Decode(&rec); err != nil {
+		rec, err := codec.Next(lines, scanEdge)
+		if err != nil {
 			return nil, fmt.Errorf("graph: reading edge %d: %w", i, err)
 		}
 		if _, err := g.AddWeightedEdge(NodeID(rec.From), NodeID(rec.To), rec.Label, rec.Weight); err != nil {

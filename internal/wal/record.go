@@ -16,6 +16,14 @@
 // still replay, absorbed into the chain without a link check. Checkpoints
 // reuse the graph and policy-store JSON writers verbatim, so the compact
 // state format stays diffable and independently readable.
+//
+// The envelopes are written and read by hand on the internal/codec kernel,
+// as graph files and policy files are, not reflected over by encoding/json:
+// appendGroup writes exactly the bytes json.Marshal writes for the
+// envelope, and decodeEnvelope scans that shape and hands anything else to
+// json.Unmarshal, so it returns what json.Unmarshal returns.
+// FuzzDurabilityCodec pins both against a json.Marshal reference, and a log
+// written through encoding/json replays unchanged.
 package wal
 
 import (
@@ -23,9 +31,12 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"strconv"
 
+	"reachac/internal/codec"
 	"reachac/internal/core"
 	"reachac/internal/graph"
 	"reachac/internal/pathexpr"
@@ -158,21 +169,81 @@ type groupEnvelope struct {
 	Ops  []Op   `json:"ops"`
 }
 
+// ErrRecordTooLarge rejects a record group whose payload would exceed
+// MaxRecordSize. The group is refused before anything is written, so the
+// log is left as it was.
+var ErrRecordTooLarge = errors.New("wal: record group exceeds the size limit")
+
 // encodeFrame appends the framed serialization of one record group to buf,
-// linking it to chain and returning the advanced chain value.
+// linking it to chain and returning the advanced chain value. On error buf
+// comes back at its original length.
 func encodeFrame(buf []byte, chain Chain, ops []Op) ([]byte, Chain, error) {
-	payload, err := json.Marshal(groupEnvelope{Prev: hex.EncodeToString(chain[:]), Ops: ops})
+	start := len(buf)
+	buf, err := appendGroup(append(buf, make([]byte, frameHeaderSize)...), chain, ops)
 	if err != nil {
-		return buf, chain, err
+		return buf[:start], chain, err
 	}
+	payload := buf[start+frameHeaderSize:]
 	if len(payload) > MaxRecordSize {
-		return buf, chain, fmt.Errorf("wal: record group of %d bytes exceeds limit %d", len(payload), MaxRecordSize)
+		return buf[:start], chain, fmt.Errorf("%w: %d bytes, limit %d", ErrRecordTooLarge, len(payload), MaxRecordSize)
 	}
-	var hdr [frameHeaderSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, crcTable))
-	buf = append(buf, hdr[:]...)
-	return append(buf, payload...), chainNext(chain, payload), nil
+	binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[start+4:], crc32.Checksum(payload, crcTable))
+	return buf, chainNext(chain, payload), nil
+}
+
+// appendGroup appends the envelope of one record group linked to chain, as
+// json.Marshal writes a groupEnvelope.
+func appendGroup(dst []byte, chain Chain, ops []Op) ([]byte, error) {
+	dst = hex.AppendEncode(append(dst, `{"prev":"`...), chain[:])
+	if ops == nil {
+		return append(dst, `","ops":null}`...), nil
+	}
+	dst = append(dst, `","ops":[`...)
+	for i := range ops {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		var err error
+		if dst, err = appendOp(dst, &ops[i]); err != nil {
+			return dst, err
+		}
+	}
+	return append(dst, "]}"...), nil
+}
+
+// appendOp appends one operation as json.Marshal writes an Op.
+func appendOp(dst []byte, op *Op) ([]byte, error) {
+	dst = strconv.AppendUint(append(dst, `{"kind":`...), uint64(op.Kind), 10)
+	if op.Delta != nil {
+		var err error
+		if dst, err = graph.AppendDelta(append(dst, `,"delta":`...), op.Delta); err != nil {
+			return dst, err
+		}
+	}
+	if op.Resource != "" {
+		dst = codec.AppendString(append(dst, `,"resource":`...), op.Resource)
+	}
+	if op.Owner != 0 {
+		dst = strconv.AppendUint(append(dst, `,"owner":`...), uint64(op.Owner), 10)
+	}
+	if op.RuleID != "" {
+		dst = codec.AppendString(append(dst, `,"rule":`...), op.RuleID)
+	}
+	if len(op.Conditions) > 0 {
+		dst = append(dst, `,"conds":[`...)
+		for i, c := range op.Conditions {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = codec.AppendString(dst, c)
+		}
+		dst = append(dst, ']')
+	}
+	if len(op.Policy) > 0 {
+		dst = codec.AppendBytes(append(dst, `,"policy":`...), op.Policy)
+	}
+	return append(dst, '}'), nil
 }
 
 // scanFrames walks the framed records in data, calling fn with each
@@ -221,8 +292,8 @@ func decodeChained(payload []byte) (ops []Op, prev Chain, hasPrev bool, err erro
 		}
 		break
 	}
-	var env groupEnvelope
-	if err := json.Unmarshal(payload, &env); err != nil {
+	env, err := decodeEnvelope(payload)
+	if err != nil {
 		return nil, prev, false, fmt.Errorf("wal: undecodable record group: %w", err)
 	}
 	raw, err := hex.DecodeString(env.Prev)
@@ -231,6 +302,63 @@ func decodeChained(payload []byte) (ops []Op, prev Chain, hasPrev bool, err erro
 	}
 	copy(prev[:], raw)
 	return env.Ops, prev, true, nil
+}
+
+// decodeEnvelope decodes one chained payload, as json.Unmarshal would.
+func decodeEnvelope(payload []byte) (groupEnvelope, error) {
+	s := codec.NewScanner(payload)
+	if env := scanEnvelope(&s); s.End() {
+		return env, nil
+	}
+	var env groupEnvelope
+	err := json.Unmarshal(payload, &env)
+	return env, err
+}
+
+func scanEnvelope(s *codec.Scanner) (env groupEnvelope) {
+	s.Object(func(key []byte) uint32 {
+		switch string(key) {
+		case "prev":
+			env.Prev = s.Str()
+			return 1
+		case "ops":
+			env.Ops = []Op{}
+			s.Array(func() { env.Ops = append(env.Ops, scanOp(s)) })
+			return 2
+		}
+		return 0
+	})
+	return env
+}
+
+func scanOp(s *codec.Scanner) (op Op) {
+	s.Object(func(key []byte) uint32 {
+		switch string(key) {
+		case "kind":
+			op.Kind = OpKind(s.Uint(8))
+			return 1
+		case "delta":
+			op.Delta = graph.ScanDelta(s)
+			return 2
+		case "resource":
+			op.Resource = s.Str()
+			return 4
+		case "owner":
+			op.Owner = graph.NodeID(s.Uint(32))
+			return 8
+		case "rule":
+			op.RuleID = s.Str()
+			return 16
+		case "conds":
+			op.Conditions = s.Strings()
+			return 32
+		case "policy":
+			op.Policy = s.Bytes()
+			return 64
+		}
+		return 0
+	})
+	return op
 }
 
 // decodeGroup parses one CRC-verified payload into its operations, ignoring

@@ -101,8 +101,9 @@ type Log struct {
 	// finds synced past its own index rides a finished fsync for free.
 	// syncedSeq/syncedOff track the same durability frontier as a byte
 	// position — the shipping boundary replication serves up to — and
-	// watch is closed (and renewed) whenever that frontier advances, so a
-	// long-polling tail handler can wait without spinning. Appends extend
+	// watch, made on demand by DurableWatch, is closed whenever that
+	// frontier advances, so a long-polling tail handler can wait without
+	// spinning and an append nobody waits on allocates nothing. Appends extend
 	// size by whole frames only, so the frontier is always frame-aligned.
 	syncMu    sync.Mutex
 	synced    uint64
@@ -231,7 +232,6 @@ func Open(dir string, opts Options) (*Log, Recovered, error) {
 		ckptSeq:   rec.CheckpointSeq,
 		syncedSeq: rec.TailSeq,
 		syncedOff: rec.TailSize,
-		watch:     make(chan struct{}),
 		lock:      lock,
 	}
 	if err := syncDir(dir); err != nil {
@@ -387,7 +387,14 @@ func (l *Log) Append(ops []Op) error {
 		return fmt.Errorf("wal: log is closed")
 	}
 	buf, next, err := encodeFrame(l.scratch[:0], l.chain, ops)
-	l.scratch = buf[:0]
+	// The frame buffer is kept for the next append. One that had to grow is
+	// replaced by one of exactly the frame's size, so the log holds what its
+	// largest frame needed and not append's growth slack on top of it.
+	if cap(buf) > cap(l.scratch) {
+		l.scratch = make([]byte, 0, len(buf))
+	} else {
+		l.scratch = buf[:0]
+	}
 	if err != nil {
 		l.mu.Unlock()
 		return err
@@ -422,8 +429,10 @@ func (l *Log) advanceShipLocked(seq uint64, off int64) {
 		return
 	}
 	l.syncedSeq, l.syncedOff = seq, off
-	close(l.watch)
-	l.watch = make(chan struct{})
+	if l.watch != nil {
+		close(l.watch)
+		l.watch = nil
+	}
 }
 
 // DurablePos reports the shipping frontier: the segment and byte offset up
@@ -441,6 +450,9 @@ func (l *Log) DurablePos() (seq uint64, off int64) {
 func (l *Log) DurableWatch() <-chan struct{} {
 	l.syncMu.Lock()
 	defer l.syncMu.Unlock()
+	if l.watch == nil {
+		l.watch = make(chan struct{})
+	}
 	return l.watch
 }
 
