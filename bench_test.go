@@ -16,6 +16,7 @@ package reachac
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"reachac/internal/core"
@@ -958,6 +959,52 @@ func BenchmarkCloneByGraphSize(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkNetworkFootprint reports the heap a network holds once FromGraph
+// has wrapped a degree-8 ldbc graph and its first View has published a
+// snapshot: the live heap after a collection less the live heap before the
+// graph was generated, per relationship (B/edge) and per member (B/node) —
+// two views of one total, not a split of it. ns/op is the generation,
+// FromGraph and the publication.
+func BenchmarkNetworkFootprint(b *testing.B) {
+	for _, nodes := range []int{20_000, 100_000} {
+		b.Run(fmt.Sprintf("nodes=%dk", nodes/1000), func(b *testing.B) {
+			var heap uint64
+			var edges int
+			for b.Loop() {
+				before := liveHeap()
+				top, err := generate.New("ldbc", generate.WithNodes(nodes), generate.WithDegree(8), generate.WithSeed(1))
+				if err != nil {
+					b.Fatal(err)
+				}
+				g, err := generate.Build(top)
+				if err != nil {
+					b.Fatal(err)
+				}
+				n := FromGraph(g)
+				v, err := n.View()
+				if err != nil {
+					b.Fatal(err)
+				}
+				v.Close()
+				heap, edges = liveHeap()-before, n.Graph().NumEdges()
+				runtime.KeepAlive(n)
+			}
+			b.ReportMetric(float64(heap)/float64(edges), "B/edge")
+			b.ReportMetric(float64(heap)/float64(nodes), "B/node")
+		})
+	}
+}
+
+// liveHeap returns the heap in use after two collections: what an earlier
+// iteration left is partly released by finalizers the first only queues.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }
 
 // BenchmarkAudienceAfterMutation measures the audience read after a

@@ -224,12 +224,13 @@ func (g *Graph) BuildCSR() *CSR {
 		limit:   overlayFloor + (v+g.live)/overlayFraction,
 	}
 	outOff, inOff := c.out.off, c.in.off
-	segs, dead := [...][]Edge{g.b.edges, g.edges}, g.deadSet()
+	segs, dead := [...][]edgeRec{g.b.edges, g.edges}, g.deadSet()
 	// Count pass: run lengths into off[i+1], then prefix-sum to offsets.
-	for _, seg := range segs {
+	for si, seg := range segs {
+		first := EdgeID(si * len(g.b.edges)) // the ID of seg[0]
 		for i := range seg {
 			e := &seg[i]
-			if inSet(dead, e.ID) {
+			if inSet(dead, first+EdgeID(i)) {
 				continue
 			}
 			outOff[int(e.From)*l+int(e.Label)+1]++
@@ -244,10 +245,11 @@ func (g *Graph) BuildCSR() *CSR {
 	// with a write cursor per run.
 	outNext := slices.Clone(outOff[:v*l])
 	inNext := slices.Clone(inOff[:v*l])
-	for _, seg := range segs {
+	for si, seg := range segs {
+		first := EdgeID(si * len(g.b.edges)) // the ID of seg[0]
 		for i := range seg {
 			e := &seg[i]
-			if inSet(dead, e.ID) {
+			if inSet(dead, first+EdgeID(i)) {
 				continue
 			}
 			oi := int(e.From)*l + int(e.Label)

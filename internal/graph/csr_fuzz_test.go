@@ -2,6 +2,8 @@ package graph
 
 import (
 	"fmt"
+	"maps"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -11,8 +13,9 @@ import (
 // asserts after every operation that each graph's CSR, patched through the
 // operations so far, agrees with a CSR built from scratch, with the CSR of a
 // rebased copy and with the OutEdges/InEdges iteration: identical
-// per-(node,label) runs in identical order, identical degrees. It also
-// checksums, around every operation, the bases and CSR slabs both graphs
+// per-(node,label) runs in identical order, identical degrees. Edges carry
+// weights, zero and not, and every live edge's Edge(id).Weight must be the
+// one a model of each graph's edges last gave it. It also checksums, around every operation, the bases and CSR slabs both graphs
 // read and the whole of the graph the operation was not applied to: no
 // operation may write into a base, into slabs or into another graph's view
 // of a shared private array. Labels enter the stream as operations first use
@@ -31,6 +34,7 @@ func FuzzCSRAdjacency(f *testing.F) {
 		labels := []string{"friend", "colleague", "parent", "follows"}
 		first := New()
 		gs := [2]*Graph{first, first.Clone()}
+		models := [2]map[edgeRec]float64{{}, {}}
 		for i := 0; i+2 < len(data); i += 3 {
 			op, x, y := data[i], data[i+1], data[i+2]
 			// Bit 3 of the op picks the graph it applies to.
@@ -54,7 +58,9 @@ func FuzzCSRAdjacency(f *testing.F) {
 				var live []EdgeID
 				g.Edges(func(e Edge) bool { live = append(live, e.ID); return true })
 				if len(live) > 0 {
-					if err := g.RemoveEdge(live[int(x)%len(live)]); err != nil {
+					id := live[int(x)%len(live)]
+					delete(models[w], *g.rec(id))
+					if err := g.RemoveEdge(id); err != nil {
 						t.Fatalf("RemoveEdge: %v", err)
 					}
 				}
@@ -63,13 +69,18 @@ func FuzzCSRAdjacency(f *testing.F) {
 					g.Rebase()
 				}
 				gs[w^1] = g.Clone()
-			default: // add edge
+				models[w^1] = maps.Clone(models[w])
+			default: // add edge, weighted by the op's high bits
 				if nodes < 2 {
 					continue
 				}
 				from, to := NodeID(int(x)%nodes), NodeID(int(y)%nodes)
-				if from != to {
-					_, _ = g.AddEdge(from, to, labels[int(op)%len(labels)])
+				if from == to {
+					continue
+				}
+				weight := float64(op>>4) / 8
+				if id, err := g.AddWeightedEdge(from, to, labels[int(op)%len(labels)], weight); err == nil {
+					models[w][*g.rec(id)] = weight
 				}
 			}
 			for j := range gs {
@@ -80,10 +91,27 @@ func FuzzCSRAdjacency(f *testing.F) {
 			if op%8 != 7 && fingerprint(gs[w^1]) != other {
 				t.Fatalf("op %d (%d on graph %d) changed the other graph", i/3, op%8, w)
 			}
-			for _, g := range gs {
+			for j, g := range gs {
 				checkCSRAgainstLegacy(t, g)
+				checkWeights(t, g, models[j])
 			}
 		}
+	})
+}
+
+// checkWeights asserts that g's live edges are exactly model's keys and
+// that each reads back model's weight.
+func checkWeights(t *testing.T, g *Graph, model map[edgeRec]float64) {
+	t.Helper()
+	if g.NumEdges() != len(model) {
+		t.Fatalf("%d live edges, the model has %d", g.NumEdges(), len(model))
+	}
+	g.Edges(func(e Edge) bool {
+		want, ok := model[edgeRec{From: e.From, To: e.To, Label: e.Label}]
+		if got := g.Edge(e.ID).Weight; !ok || got != want || e.Weight != want {
+			t.Fatalf("edge %d (%s): weight %v, iterated %v, want %v (modelled %v)", e.ID, g.EdgeString(e), got, e.Weight, want, ok)
+		}
+		return true
 	})
 }
 
@@ -101,6 +129,12 @@ func (c *checksum) add(vs ...uint32) {
 	c.h = (c.h ^ uint64(len(vs))) * 1099511628211
 }
 
+// addFloat adds the bits of f.
+func (c *checksum) addFloat(f float64) {
+	b := math.Float64bits(f)
+	c.add(uint32(b), uint32(b>>32))
+}
+
 // sharedSum checksums what a graph shares with its clones: its base b and
 // the slabs of its CSR csr (nil when it has none). Recomputed over the same
 // objects, it catches any write into them, whichever graph made it.
@@ -110,7 +144,10 @@ func sharedSum(b *Base, csr *CSR) uint64 {
 		c.add(uint32(n.ID), uint32(len(n.Name)))
 	}
 	for _, e := range b.edges {
-		c.add(uint32(e.ID), uint32(e.From), uint32(e.To), uint32(e.Label))
+		c.add(uint32(e.From), uint32(e.To), uint32(e.Label))
+	}
+	for _, w := range b.weights {
+		c.addFloat(w)
 	}
 	for _, r := range []edgeRuns{b.out, b.in} {
 		c.add(r.off...)
@@ -132,7 +169,11 @@ func sharedSum(b *Base, csr *CSR) uint64 {
 func fingerprint(g *Graph) uint64 {
 	var c checksum
 	c.add(uint32(g.NumNodes()), uint32(g.NumEdges()), uint32(g.Version()))
-	g.Edges(func(e Edge) bool { c.add(uint32(e.ID), uint32(e.From), uint32(e.To), uint32(e.Label)); return true })
+	g.Edges(func(e Edge) bool {
+		c.add(uint32(e.ID), uint32(e.From), uint32(e.To), uint32(e.Label))
+		c.addFloat(e.Weight)
+		return true
+	})
 	csr := g.FreshCSR()
 	for n := NodeID(0); int(n) < g.NumNodes(); n++ {
 		for _, l := range [][]EdgeID{g.outList(n), g.inList(n)} {

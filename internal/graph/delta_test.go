@@ -219,3 +219,66 @@ func TestCompactTombstones(t *testing.T) {
 	}
 	assertSameGraph(t, clone, g)
 }
+
+// TestRebaseRenumbersWeights is TestCompactTombstones with weights: edges of
+// the base and of the private part, weighted and not, some removed, keep
+// their weights under the IDs a rebase gives them, while a clone taken
+// before the rebase still reads every old ID's weight from the old base.
+func TestRebaseRenumbersWeights(t *testing.T) {
+	g := New()
+	for i := 0; i < 10; i++ {
+		g.MustAddNode(fmt.Sprintf("w%02d", i), nil)
+	}
+	want := map[edgeRec]float64{}
+	add := func(from, to NodeID, label string, w float64) EdgeID {
+		id, err := g.AddWeightedEdge(from, to, label, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[*g.rec(id)] = w
+		return id
+	}
+	var ids []EdgeID
+	for i := 0; i < 9; i++ {
+		ids = append(ids, add(NodeID(i), NodeID(i+1), "friend", float64(i%3)/4))
+	}
+	g.Rebase()
+	for i := 0; i < 4; i++ {
+		ids = append(ids, add(NodeID(i+1), NodeID(i), "parent", float64(i+1)))
+	}
+	for i := 0; i < len(ids); i += 2 {
+		delete(want, *g.rec(ids[i]))
+		if err := g.RemoveEdge(ids[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	clone := g.Clone()
+	g.Rebase()
+	if len(g.b.weights) != len(g.b.edges) || g.NumEdges() != len(want) {
+		t.Fatalf("after rebase: %d weights for %d edges, %d live, want %d", len(g.b.weights), len(g.b.edges), g.NumEdges(), len(want))
+	}
+	seen := 0
+	g.Edges(func(e Edge) bool {
+		if int(e.ID) != seen {
+			t.Fatalf("edge ID %d at position %d", e.ID, seen)
+		}
+		if w, ok := want[edgeRec{From: e.From, To: e.To, Label: e.Label}]; !ok || g.Edge(e.ID).Weight != w {
+			t.Fatalf("edge %d (%s) weighs %v after the rebase, want %v", e.ID, g.EdgeString(e), g.Edge(e.ID).Weight, w)
+		}
+		seen++
+		return true
+	})
+	// The clone reads its IDs as they were, removed edges included.
+	for i, id := range ids {
+		w := float64(i%3) / 4
+		if i >= 9 {
+			w = float64(i - 8)
+		}
+		if got := clone.Edge(id).Weight; got != w {
+			t.Fatalf("the clone's edge %d weighs %v, want %v", id, got, w)
+		}
+		if clone.EdgeAlive(id) != (i%2 == 1) {
+			t.Fatalf("the clone's edge %d: alive %v", id, clone.EdgeAlive(id))
+		}
+	}
+}

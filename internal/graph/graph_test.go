@@ -1,8 +1,10 @@
 package graph
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func buildTriangle(t *testing.T) (*Graph, NodeID, NodeID, NodeID) {
@@ -293,5 +295,48 @@ func TestSortedNodeNames(t *testing.T) {
 	names := g.SortedNodeNames()
 	if strings.Join(names, ",") != "amy,zoe" {
 		t.Fatalf("SortedNodeNames = %v", names)
+	}
+}
+
+// TestEdgeFootprint pins what a base stores per edge: a 12-byte record, no
+// weight column while every weight is zero, and one float per edge once some
+// weight is not, so a fully weighted graph stores 20 bytes per edge. Each
+// graph goes through all three ways Rebase builds a base: moving the loaded
+// tables, appending to a base and compacting out a tombstone.
+func TestEdgeFootprint(t *testing.T) {
+	if got := unsafe.Sizeof(edgeRec{}); got != 12 {
+		t.Fatalf("edge record is %d bytes, want 12", got)
+	}
+	for _, weight := range []float64{0, 0.5} {
+		g := New()
+		for i := 0; i < 100; i++ {
+			g.MustAddNode(fmt.Sprintf("f%03d", i), nil)
+		}
+		for i := 0; i < 99; i++ {
+			if _, err := g.AddWeightedEdge(NodeID(i), NodeID(i+1), "friend", weight); err != nil {
+				t.Fatal(err)
+			}
+			if i == 49 || i == 98 {
+				g.Rebase()
+			}
+		}
+		if err := g.RemoveEdge(0); err != nil {
+			t.Fatal(err)
+		}
+		g.Rebase()
+		b := g.Base()
+		if weight == 0 {
+			if b.weights != nil {
+				t.Fatalf("an unweighted base has a weight column of %d", len(b.weights))
+			}
+			continue
+		}
+		if len(b.weights) != len(b.edges) {
+			t.Fatalf("%d weights for %d edges", len(b.weights), len(b.edges))
+		}
+		stored := int(unsafe.Sizeof(edgeRec{}))*len(b.edges) + int(unsafe.Sizeof(weight))*len(b.weights)
+		if per := float64(stored) / float64(len(b.edges)); per > 20 {
+			t.Fatalf("a weighted base stores %.1f bytes per edge, want at most 20", per)
+		}
 	}
 }

@@ -32,15 +32,29 @@ type pacer struct {
 	next     time.Time
 }
 
-// wait sleeps until the next scheduled arrival (not at all when behind
-// schedule) and returns the intended start time.
+// sleepMargin is how close to an arrival the pacer stops sleeping and spins:
+// time.Sleep wakes about half a millisecond late, which would otherwise be
+// most of the latency an open-loop cell reports.
+const sleepMargin = time.Millisecond
+
+// wait blocks until the next scheduled arrival (not at all when behind
+// schedule) and returns the intended start time. It sleeps only while the
+// arrival is more than sleepMargin away and spins the rest without
+// yielding: a spinner that calls runtime.Gosched sits on the global run
+// queue, so its P never polls the network, and with the other P busy (a GC
+// mark worker, say) every in-flight request waits for sysmon's 10 ms poll.
 func (p *pacer) wait(c Clock) time.Time {
 	intended := p.next
 	p.next = p.next.Add(p.interval)
-	if d := intended.Sub(c.Now()); d > 0 {
-		c.Sleep(d)
+	for {
+		d := intended.Sub(c.Now())
+		switch {
+		case d <= 0:
+			return intended
+		case d > sleepMargin:
+			c.Sleep(d - sleepMargin)
+		}
 	}
-	return intended
 }
 
 // Outcome classifies one operation's result for the counters.

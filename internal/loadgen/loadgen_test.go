@@ -3,25 +3,47 @@ package loadgen
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 )
 
 // fakeClock is a deterministic clock: Sleep advances it instantly, and
-// jobs advance it explicitly to model operation cost.
+// jobs advance it explicitly to model operation cost. Reads are free, so
+// operation costs stay exact, except before spinUntil: there each read
+// advances the clock by spinTick after returning, modelling a caller that
+// spins. Sleep moves spinUntil to sleepMargin past its wake-up, the stretch
+// the pacer spins out.
 type fakeClock struct {
-	mu  sync.Mutex
-	now time.Time
+	mu        sync.Mutex
+	now       time.Time
+	spinUntil time.Time
+	last      time.Time       // what Now last returned
+	sleeps    []time.Duration // every Sleep's argument
 }
+
+const spinTick = time.Microsecond
 
 func (c *fakeClock) Now() time.Time {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.now
+	c.last = c.now
+	if c.now.Before(c.spinUntil) {
+		c.now = c.now.Add(spinTick)
+	}
+	return c.last
 }
 
-func (c *fakeClock) Sleep(d time.Duration) { c.advance(d) }
+func (c *fakeClock) Sleep(d time.Duration) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.sleeps = append(c.sleeps, d)
+	c.now = c.now.Add(d)
+	if wake := c.now.Add(sleepMargin); wake.After(c.spinUntil) {
+		c.spinUntil = wake
+	}
+}
 
 func (c *fakeClock) advance(d time.Duration) {
 	c.mu.Lock()
@@ -215,5 +237,32 @@ func TestRunRealClockSmoke(t *testing.T) {
 	}
 	if res.Hist.Quantile(0.5) < 200*time.Microsecond {
 		t.Fatalf("median %v below the operation's sleep", res.Hist.Quantile(0.5))
+	}
+}
+
+// TestPacerSpinsOutMargin checks the pacer's wait against arrivals at
+// several distances: it sleeps once, to sleepMargin short of an arrival
+// further away than that, never for a nearer one, and spins out the rest,
+// returning at the arrival, neither a read early nor a read late.
+func TestPacerSpinsOutMargin(t *testing.T) {
+	for _, lead := range []time.Duration{0, sleepMargin / 2, sleepMargin, sleepMargin + spinTick, 7 * time.Millisecond} {
+		clock := &fakeClock{}
+		due := clock.now.Add(lead)
+		// The spin's reads advance the clock up to the arrival.
+		clock.spinUntil = due
+		p := &pacer{interval: time.Second, next: due}
+		if got := p.wait(clock); !got.Equal(due) {
+			t.Fatalf("lead %v: intended %v, want %v", lead, got, due)
+		}
+		if !clock.last.Equal(due) {
+			t.Fatalf("lead %v: returned on a read of %v, %v from the arrival", lead, clock.last, clock.last.Sub(due))
+		}
+		var want []time.Duration
+		if lead > sleepMargin {
+			want = []time.Duration{lead - sleepMargin}
+		}
+		if !slices.Equal(clock.sleeps, want) {
+			t.Fatalf("lead %v: slept %v, want %v", lead, clock.sleeps, want)
+		}
 	}
 }
