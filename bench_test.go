@@ -14,6 +14,7 @@ package reachac
 //	F3/F5/F6 Benchmark{LineGraph,Interval,TwoHop} pipeline stage costs
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -995,6 +996,57 @@ func BenchmarkNetworkFootprint(b *testing.B) {
 			b.ReportMetric(float64(heap)/float64(nodes), "B/node")
 		})
 	}
+}
+
+// BenchmarkGraphLoad measures the bulk loads, which lay a graph out as a base
+// in one pass through graph.Loader: generate.Build of the degree-8 ldbc graph
+// the benchmark workloads start from, at 20k and 100k members, and
+// graph.Read of the 20k graph's file, the path of graph files, state streams
+// and checkpoint recovery. ns/edge and allocs/edge are per relationship
+// loaded.
+func BenchmarkGraphLoad(b *testing.B) {
+	ldbc := func(b *testing.B, nodes int) generate.Topology {
+		top, err := generate.New("ldbc", generate.WithNodes(nodes), generate.WithDegree(8), generate.WithSeed(1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		return top
+	}
+	load := func(b *testing.B, edges int, fn func() (*graph.Graph, error)) {
+		b.ReportAllocs()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for b.Loop() {
+			if _, err := fn(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		loaded := float64(b.N) * float64(edges)
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/loaded, "ns/edge")
+		b.ReportMetric(float64(after.Mallocs-before.Mallocs)/loaded, "allocs/edge")
+	}
+	for _, nodes := range []int{20_000, 100_000} {
+		b.Run(fmt.Sprintf("build-%dk", nodes/1000), func(b *testing.B) {
+			top := ldbc(b, nodes)
+			_, edges, err := generate.Count(top)
+			if err != nil {
+				b.Fatal(err)
+			}
+			load(b, edges, func() (*graph.Graph, error) { return generate.Build(top) })
+		})
+	}
+	b.Run("read-20k", func(b *testing.B) {
+		g, err := generate.Build(ldbc(b, 20_000))
+		if err != nil {
+			b.Fatal(err)
+		}
+		var file bytes.Buffer
+		if err := g.Write(&file); err != nil {
+			b.Fatal(err)
+		}
+		load(b, g.NumEdges(), func() (*graph.Graph, error) { return graph.Read(bytes.NewReader(file.Bytes())) })
+	})
 }
 
 // liveHeap returns the heap in use after two collections: what an earlier

@@ -22,6 +22,7 @@ import (
 	"bytes"
 	"encoding/base64"
 	"encoding/json"
+	"errors"
 	"io"
 	"math"
 	"strconv"
@@ -499,6 +500,36 @@ func Next[T any](l *Lines, scan func(*Scanner) T) (T, error) {
 	var v T
 	err := l.dec.Decode(&v)
 	return v, err
+}
+
+// errTrailing is End's error for a stream with more than whitespace left.
+var errTrailing = errors.New("codec: data after the last value")
+
+// End returns nil if nothing but whitespace is left of the stream, and an
+// error if anything else is, or reading the rest fails.
+func (l *Lines) End() error {
+	if l.dec != nil {
+		var v json.RawMessage
+		switch err := l.dec.Decode(&v); err {
+		case io.EOF:
+			return nil
+		case nil:
+			return errTrailing
+		default:
+			return err
+		}
+	}
+	for {
+		b, err := l.br.ReadByte()
+		switch {
+		case err == io.EOF:
+			return nil
+		case err != nil:
+			return err
+		case b != ' ' && b != '\t' && b != '\r' && b != '\n':
+			return errTrailing
+		}
+	}
 }
 
 // line reads through the next newline, or to the end of the stream.

@@ -62,22 +62,27 @@ type Topology interface {
 }
 
 // Build materializes a topology into a graph — the convenience path for
-// tests, experiments and small benchmark graphs. Large graphs should
-// stream instead (reachac.Network.LoadTopology, gengraph).
+// tests, experiments and small benchmark graphs — through a graph.Loader,
+// so the graph comes back rebased, laid out in one pass. Large graphs
+// should stream instead (reachac.Network.LoadTopology, gengraph).
 func Build(t Topology) (*graph.Graph, error) {
-	g := graph.New()
+	l := graph.NewLoader()
+	l.Grow(t.Nodes(), 0)
 	err := t.Stream(func(op Op) error {
 		switch op.Kind {
 		case OpNode:
-			_, err := g.AddNode(op.Name, op.Attrs)
+			_, err := l.AddNode(op.Name, op.Attrs)
 			return err
 		case OpEdge:
-			_, err := g.AddEdge(op.From, op.To, op.Label)
-			return err
+			return l.AddEdge(op.From, op.To, op.Label, 0)
 		default:
 			return fmt.Errorf("generate: unknown op kind %d", op.Kind)
 		}
 	})
+	var g *graph.Graph
+	if err == nil {
+		g, err = l.Graph()
+	}
 	if err != nil {
 		return nil, fmt.Errorf("generate: building %s topology: %w", t.Kind(), err)
 	}

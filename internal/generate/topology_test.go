@@ -196,6 +196,33 @@ func TestOSNByteIdentical(t *testing.T) {
 	}
 }
 
+// TestLDBCByteIdentical pins the ldbc family's op stream, from which every
+// benchmark workload builds its graph, against fingerprints frozen at the
+// benchmark's shapes (20 000 and 100 000 members, degree 8, seeds 1 and
+// 11), so that no change shifts the graphs the benchmark compares across
+// commits without saying so.
+func TestLDBCByteIdentical(t *testing.T) {
+	cases := []struct {
+		nodes int
+		seed  int64
+		want  uint64
+	}{
+		{20_000, 1, 0x5c3f60e4e12475de},
+		{20_000, 11, 0x6210464195ee0171},
+		{100_000, 1, 0x7a1bf8f717466b03},
+		{100_000, 11, 0x454cfb07d2020624},
+	}
+	for _, tc := range cases {
+		fp, err := Fingerprint(MustNew("ldbc", WithNodes(tc.nodes), WithDegree(8), WithSeed(tc.seed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fp != tc.want {
+			t.Errorf("%d nodes, seed %d: fingerprint %#x, want the frozen %#x", tc.nodes, tc.seed, fp, tc.want)
+		}
+	}
+}
+
 // TestNewRejectsBadConfigs covers New's validation surface.
 func TestNewRejectsBadConfigs(t *testing.T) {
 	cases := []struct {

@@ -258,7 +258,7 @@ func (g *Graph) Version() uint64 { return g.version.Load() }
 // an error. The graph keeps attrs, which must not be modified afterwards.
 func (g *Graph) AddNode(name string, attrs Attrs) (NodeID, error) {
 	if id, ok := g.NodeByName(name); ok {
-		return id, fmt.Errorf("graph: node %q already exists", name)
+		return id, errDuplicateNode(name)
 	}
 	csr := g.FreshCSR()
 	id := NodeID(g.NumNodes())
@@ -336,16 +336,12 @@ func (g *Graph) AddEdge(from, to NodeID, label string) (EdgeID, error) {
 
 // AddWeightedEdge is AddEdge carrying an uninterpreted weight annotation.
 func (g *Graph) AddWeightedEdge(from, to NodeID, label string, weight float64) (EdgeID, error) {
-	if !g.ValidNode(from) || !g.ValidNode(to) {
-		return InvalidEdge, fmt.Errorf("graph: edge endpoints out of range (%d, %d)", from, to)
-	}
-	if from == to {
-		return InvalidEdge, fmt.Errorf("graph: self-loop on node %d rejected", from)
+	if err := checkEndpoints(g.NumNodes(), from, to); err != nil {
+		return InvalidEdge, err
 	}
 	l := g.labels.intern(label)
 	if g.FindEdge(from, to, l) != InvalidEdge {
-		return InvalidEdge, fmt.Errorf("graph: duplicate edge %s -%s-> %s",
-			g.Node(from).Name, label, g.Node(to).Name)
+		return InvalidEdge, errDuplicateEdge(g.Node(from).Name, label, g.Node(to).Name)
 	}
 	// A label this call interned changes the cell layout: FreshCSR is then
 	// nil and the CSR stays behind.
@@ -364,6 +360,26 @@ func (g *Graph) AddWeightedEdge(from, to NodeID, label string, weight float64) (
 	}
 	g.record(Delta{Op: OpAddEdge, From: from, To: to, Label: label, Weight: weight})
 	return id, nil
+}
+
+// checkEndpoints returns the error an edge from -> to gets in a graph of n
+// nodes: an endpoint out of range or a self-loop. nil for a valid pair.
+func checkEndpoints(n int, from, to NodeID) error {
+	if int(from) >= n || int(to) >= n {
+		return fmt.Errorf("graph: edge endpoints out of range (%d, %d)", from, to)
+	}
+	if from == to {
+		return fmt.Errorf("graph: self-loop on node %d rejected", from)
+	}
+	return nil
+}
+
+func errDuplicateNode(name string) error {
+	return fmt.Errorf("graph: node %q already exists", name)
+}
+
+func errDuplicateEdge(from, label, to string) error {
+	return fmt.Errorf("graph: duplicate edge %s -%s-> %s", from, label, to)
 }
 
 // MustAddEdge is AddEdge for fixtures and tests; it panics on error.
@@ -584,16 +600,18 @@ func (g *Graph) Clone() *Graph {
 // are dropped and the surviving edges renumbered densely, so EdgeIDs held
 // across a Rebase are invalid; node IDs, the version and the delta log stay
 // (no relationship changed). The old base is not written: clones on it keep
-// reading it until the last of them goes. The first rebase of a loaded graph
-// moves the loaded tables into the base instead of copying them. Rebase
-// returns the new CSR, nil where BuildCSR would.
+// reading it until the last of them goes. The first rebase of a graph built
+// since New, and a Loader's, moves its tables into the base instead of
+// concatenating them, copying only a table with append slack, so that a
+// base holds no slack.
+// Rebase returns the new CSR, nil where BuildCSR would.
 func (g *Graph) Rebase() *CSR {
 	b := g.b
 	next := &Base{nodes: b.nodes, byName: b.byName, edges: b.edges, weights: b.weights, out: b.out, in: b.in}
 	switch {
 	case len(g.nodes) == 0:
 	case len(b.nodes) == 0:
-		next.nodes, next.byName = g.nodes, g.names
+		next.nodes, next.byName = tight(g.nodes), g.names
 	default:
 		next.nodes = slices.Concat(b.nodes, g.nodes)
 		next.byName = maps.Clone(b.byName)
@@ -611,7 +629,7 @@ func (g *Graph) Rebase() *CSR {
 				}
 			}
 		case len(b.edges) == 0:
-			next.edges, next.weights = g.edges, g.weights
+			next.edges, next.weights = tight(g.edges), tight(g.weights)
 		default:
 			next.edges = slices.Concat(b.edges, g.edges)
 			if b.weights != nil || g.weights != nil {
@@ -630,6 +648,23 @@ func (g *Graph) Rebase() *CSR {
 		c.base = next
 	}
 	return c
+}
+
+// tight returns s, or a copy of it without append slack if it has some.
+func tight[S ~[]E, E any](s S) S {
+	if cap(s) == len(s) {
+		return s
+	}
+	return append(make(S, 0, len(s)), s...)
+}
+
+// grown returns s with room for n more elements: s itself if it has it,
+// else a copy with exactly that room.
+func grown[S ~[]E, E any](s S, n int) S {
+	if n <= cap(s)-len(s) {
+		return s
+	}
+	return append(make(S, 0, len(s)+n), s...)
 }
 
 // layoutEdgeRuns lays the edge IDs of every node out in one slab per

@@ -355,7 +355,12 @@ func (g *Graph) Write(w io.Writer) error {
 	return sw.Close()
 }
 
-// Read deserializes a graph written by Write.
+// maxPresize bounds the records Read makes room for up front: a header's
+// counts are not trusted with an allocation larger than that.
+const maxPresize = 1 << 20
+
+// Read deserializes a graph written by Write. The stream must end after
+// the records its header counts, but for whitespace.
 func Read(r io.Reader) (*Graph, error) {
 	lines := codec.NewLines(r)
 	hdr, err := codec.Next(lines, scanHeader)
@@ -365,7 +370,8 @@ func Read(r io.Reader) (*Graph, error) {
 	if hdr.Magic != ioMagic {
 		return nil, fmt.Errorf("graph: bad magic %q", hdr.Magic)
 	}
-	g := New()
+	l := NewLoader()
+	l.Grow(min(max(hdr.Nodes, 0), maxPresize), min(max(hdr.Edges, 0), maxPresize))
 	for i := 0; i < hdr.Nodes; i++ {
 		rec, err := codec.Next(lines, scanNode)
 		if err != nil {
@@ -383,7 +389,7 @@ func Read(r io.Reader) (*Graph, error) {
 		if len(attrs) == 0 {
 			attrs = nil
 		}
-		if _, err := g.AddNode(rec.Name, attrs); err != nil {
+		if _, err := l.AddNode(rec.Name, attrs); err != nil {
 			return nil, err
 		}
 	}
@@ -392,9 +398,12 @@ func Read(r io.Reader) (*Graph, error) {
 		if err != nil {
 			return nil, fmt.Errorf("graph: reading edge %d: %w", i, err)
 		}
-		if _, err := g.AddWeightedEdge(NodeID(rec.From), NodeID(rec.To), rec.Label, rec.Weight); err != nil {
+		if err := l.AddEdge(NodeID(rec.From), NodeID(rec.To), rec.Label, rec.Weight); err != nil {
 			return nil, err
 		}
 	}
-	return g, nil
+	if err := lines.End(); err != nil {
+		return nil, fmt.Errorf("graph: after the header's %d nodes and %d edges: %w", hdr.Nodes, hdr.Edges, err)
+	}
+	return l.Graph()
 }

@@ -95,6 +95,35 @@ func TestReadRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestReadRequiresEnd checks that Read fails on records past its header's
+// counts, whether it scans the lines itself or has handed the stream to
+// encoding/json, and accepts whitespace there.
+func TestReadRequiresEnd(t *testing.T) {
+	const file = `{"magic":"reachac-graph-v1","nodes":2,"edges":1}` + "\n" +
+		`{"name":"a"}` + "\n" + `{"name":"b"}` + "\n" + `{"f":0,"t":1,"l":"friend"}` + "\n"
+	for _, tc := range []struct {
+		data string
+		ok   bool
+	}{
+		{file, true},
+		{file + " \n\t\r\n", true},
+		{strings.Replace(file, `{"name":"b"}`, "{\n\"name\":\"b\"}", 1) + " \n", true}, // a record over two lines: json.Decoder reads the rest
+		{file + `{"f":1,"t":0,"l":"friend"}` + "\n", false},
+		{file + "\n\n" + `{"f":1,"t":0,"l":"friend"}`, false},
+		{file + "x", false},
+		{strings.Replace(file, `{"name":"b"}`, "{\n\"name\":\"b\"}", 1) + `{"f":1,"t":0,"l":"friend"}`, false},
+		{strings.Replace(file, `{"name":"b"}`, "{\n\"name\":\"b\"}", 1) + "}", false},
+	} {
+		g, err := Read(strings.NewReader(tc.data))
+		if (err == nil) != tc.ok {
+			t.Errorf("Read(%q) error %v, want ok %v", tc.data, err, tc.ok)
+		}
+		if err == nil && (g.NumNodes() != 2 || g.NumEdges() != 1) {
+			t.Errorf("Read(%q) read %d nodes and %d edges", tc.data, g.NumNodes(), g.NumEdges())
+		}
+	}
+}
+
 func TestRoundTripRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	labels := []string{"friend", "colleague", "parent", "follows"}

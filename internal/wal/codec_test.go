@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"math/rand"
 	"os"
@@ -244,6 +245,10 @@ func refReadGraph(data []byte) (*graph.Graph, error) {
 		if _, err := g.AddWeightedEdge(graph.NodeID(rec.From), graph.NodeID(rec.To), rec.Label, rec.Weight); err != nil {
 			return nil, err
 		}
+	}
+	var rest json.RawMessage
+	if err := dec.Decode(&rest); err != io.EOF {
+		return nil, errors.New("data after the records")
 	}
 	return g, nil
 }
