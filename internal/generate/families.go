@@ -2,16 +2,42 @@ package generate
 
 import (
 	"math/rand"
+	"slices"
 
 	"reachac/internal/graph"
 )
 
-// edgeKey identifies a directed typed edge for duplicate suppression.
-// Streams must be dup-free (the Topology contract), so each family
-// re-implements the duplicate check graph.AddEdge used to perform.
+// edgeKey identifies a directed typed edge for the global duplicate
+// suppression of the er and osn families, whose edges out of one node are
+// not emitted together. Streams must be dup-free (the Topology contract),
+// so each family re-implements the duplicate check graph.AddEdge used to
+// perform.
 type edgeKey struct {
 	from, to graph.NodeID
 	label    string
+}
+
+// halfEdges holds the (target, label index) pairs already emitted out of
+// one source. Families that emit every edge out of a node during that
+// node's turn (ldbc, ba, ws) suppress duplicates per source with it: reset
+// to length zero per source and scanned linearly, since out-degrees are
+// small and a scan of a few pairs is cheaper than clearing and hashing a
+// map.
+type halfEdges []halfEdge
+
+type halfEdge struct {
+	to    graph.NodeID
+	label int
+}
+
+// add records (to, label) and reports whether the pair was new.
+func (s *halfEdges) add(to graph.NodeID, label int) bool {
+	h := halfEdge{to, label}
+	if slices.Contains(*s, h) {
+		return false
+	}
+	*s = append(*s, h)
+	return true
 }
 
 func emitNodes(n int, emit func(Op) error) error {
@@ -76,27 +102,23 @@ func (t *baTopology) Stream(emit func(Op) error) error {
 	// degree-proportional sampling. Edges out of v are all placed in v's
 	// iteration, so duplicate suppression is per source.
 	targets := []graph.NodeID{0}
-	seen := make(map[edgeKey]struct{}, c.degree)
+	seen := make(halfEdges, 0, c.degree)
 	for v := 1; v < c.nodes; v++ {
 		links := c.degree
 		if v < links {
 			links = v
 		}
-		for k := range seen {
-			delete(seen, k)
-		}
+		seen = seen[:0]
 		for e := 0; e < links; e++ {
 			u := targets[rng.Intn(len(targets))]
 			if u == graph.NodeID(v) {
 				continue
 			}
-			label := c.labels[rng.Intn(len(c.labels))]
-			key := edgeKey{graph.NodeID(v), u, label}
-			if _, dup := seen[key]; dup {
+			label := rng.Intn(len(c.labels))
+			if !seen.add(u, label) {
 				continue
 			}
-			seen[key] = struct{}{}
-			if err := emit(Op{Kind: OpEdge, From: graph.NodeID(v), To: u, Label: label}); err != nil {
+			if err := emit(Op{Kind: OpEdge, From: graph.NodeID(v), To: u, Label: c.labels[label]}); err != nil {
 				return err
 			}
 			targets = append(targets, u)
@@ -120,11 +142,9 @@ func (t *wsTopology) Stream(emit func(Op) error) error {
 	if err := emitNodes(c.nodes, emit); err != nil {
 		return err
 	}
-	seen := make(map[edgeKey]struct{}, c.degree)
+	seen := make(halfEdges, 0, c.degree)
 	for v := 0; v < c.nodes; v++ {
-		for k := range seen {
-			delete(seen, k)
-		}
+		seen = seen[:0]
 		for j := 1; j <= c.degree; j++ {
 			to := graph.NodeID((v + j) % c.nodes)
 			if rng.Float64() < c.beta {
@@ -133,13 +153,11 @@ func (t *wsTopology) Stream(emit func(Op) error) error {
 			if to == graph.NodeID(v) {
 				continue
 			}
-			label := c.labels[rng.Intn(len(c.labels))]
-			key := edgeKey{graph.NodeID(v), to, label}
-			if _, dup := seen[key]; dup {
+			label := rng.Intn(len(c.labels))
+			if !seen.add(to, label) {
 				continue
 			}
-			seen[key] = struct{}{}
-			if err := emit(Op{Kind: OpEdge, From: graph.NodeID(v), To: to, Label: label}); err != nil {
+			if err := emit(Op{Kind: OpEdge, From: graph.NodeID(v), To: to, Label: c.labels[label]}); err != nil {
 				return err
 			}
 		}

@@ -1,6 +1,8 @@
 package generate
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"reachac/internal/graph"
@@ -178,5 +180,15 @@ func TestOSNCustomLabels(t *testing.T) {
 	g := MustBuild(MustNew("osn", WithNodes(200), WithSeed(6), WithLabelWeights(map[string]float64{"follows": 1.0})))
 	if g.NumLabels() != 1 {
 		t.Fatalf("labels = %v", g.Labels())
+	}
+}
+
+// TestUserName: UserName writes exactly fmt.Sprintf("u%06d", i) across the
+// padding, the 6→7-digit boundary, the int32 limit and negative ids.
+func TestUserName(t *testing.T) {
+	for _, i := range []int{0, 9, 10, 99_999, 100_000, 999_999, 1_000_000, math.MaxInt32, -1, -42, -123_456, math.MinInt} {
+		if got, want := UserName(i), fmt.Sprintf("u%06d", i); got != want {
+			t.Errorf("UserName(%d) = %q, want %q", i, got, want)
+		}
 	}
 }

@@ -24,7 +24,8 @@ import (
 //     osn); an edge stays inside its source's community with probability
 //     intra.
 //   - Duplicate suppression is per source only (every edge out of i is
-//     emitted during i's turn), which is what keeps memory bounded.
+//     emitted during i's turn, into a halfEdges slice capped at
+//     maxDegree), which is what keeps memory bounded.
 //     There is consequently no reciprocity pass — the graph is a
 //     directed follows-style network; use osn when reciprocated
 //     friendship edges matter.
@@ -34,18 +35,29 @@ func (t *ldbcTopology) Kind() string { return "ldbc" }
 func (t *ldbcTopology) Nodes() int   { return t.cfg.nodes }
 func (t *ldbcTopology) Seed() int64  { return t.cfg.seed }
 
-// powerLawRank draws a rank in [0, m) with P(r) proportional to
-// (r+1)^-gamma via the inverse of the continuous CDF — O(1) time and
-// space for any m.
-func powerLawRank(rng *rand.Rand, m int, oneMinusGamma float64) int {
+// powerLaw draws ranks in [0, m) with P(r) proportional to (r+1)^-gamma via
+// the inverse of the continuous CDF — O(1) time and space for any m. span
+// and invExp depend only on m and gamma, so they are computed once per
+// distinct m rather than once per draw.
+type powerLaw struct {
+	m      int
+	span   float64 // (m+1)^(1-gamma) - 1
+	invExp float64 // 1/(1-gamma)
+}
+
+func newPowerLaw(m int, oneMinusGamma float64) powerLaw {
+	return powerLaw{m: m, span: math.Pow(float64(m)+1, oneMinusGamma) - 1, invExp: 1 / oneMinusGamma}
+}
+
+func (p powerLaw) rank(rng *rand.Rand) int {
 	u := rng.Float64()
-	t := math.Pow(1+u*(math.Pow(float64(m)+1, oneMinusGamma)-1), 1/oneMinusGamma)
+	t := math.Pow(1+u*p.span, p.invExp)
 	r := int(t) - 1
 	if r < 0 {
 		r = 0
 	}
-	if r >= m {
-		r = m - 1
+	if r >= p.m {
+		r = p.m - 1
 	}
 	return r
 }
@@ -55,14 +67,14 @@ func (t *ldbcTopology) Stream(emit func(Op) error) error {
 	rng := rand.New(rand.NewSource(c.seed))
 
 	labels, cum, total := sortedWeightTable(c.labelWeights)
-	pickLabel := func() string {
+	pickLabel := func() int {
 		x := rng.Float64() * total
 		for i, w := range cum {
 			if x < w {
-				return labels[i]
+				return i
 			}
 		}
-		return labels[len(labels)-1]
+		return len(labels) - 1
 	}
 
 	for i := 0; i < c.nodes; i++ {
@@ -82,16 +94,16 @@ func (t *ldbcTopology) Stream(emit func(Op) error) error {
 	k := c.communities
 	xm := float64(c.degree) * (c.alpha - 1) / c.alpha
 	oneMinusGamma := 1 - c.gamma
-	type halfKey struct {
-		to    graph.NodeID
-		label string
+	global := newPowerLaw(c.nodes, oneMinusGamma)
+	// Community cm holds members cm, cm+k, cm+2k, ...
+	local := make([]powerLaw, k)
+	for cm := range local {
+		local[cm] = newPowerLaw((c.nodes-cm+k-1)/k, oneMinusGamma)
 	}
-	seen := make(map[halfKey]struct{}, c.maxDegree)
+	seen := make(halfEdges, 0, c.maxDegree)
 	for i := 0; i < c.nodes; i++ {
 		src := graph.NodeID(i)
 		cm := i % k
-		// Community cm holds members cm, cm+k, cm+2k, ...
-		commSize := (c.nodes - cm + k - 1) / k
 		outDeg := int(xm * math.Pow(1-rng.Float64(), -1/c.alpha))
 		if outDeg < 1 {
 			outDeg = 1
@@ -99,26 +111,22 @@ func (t *ldbcTopology) Stream(emit func(Op) error) error {
 		if outDeg > c.maxDegree {
 			outDeg = c.maxDegree
 		}
-		for key := range seen {
-			delete(seen, key)
-		}
+		seen = seen[:0]
 		for e := 0; e < outDeg; e++ {
 			var dst graph.NodeID
 			if rng.Float64() < c.intra {
-				dst = graph.NodeID(cm + powerLawRank(rng, commSize, oneMinusGamma)*k)
+				dst = graph.NodeID(cm + local[cm].rank(rng)*k)
 			} else {
-				dst = graph.NodeID(powerLawRank(rng, c.nodes, oneMinusGamma))
+				dst = graph.NodeID(global.rank(rng))
 			}
 			label := pickLabel()
 			if dst == src {
 				continue
 			}
-			hk := halfKey{dst, label}
-			if _, dup := seen[hk]; dup {
+			if !seen.add(dst, label) {
 				continue
 			}
-			seen[hk] = struct{}{}
-			if err := emit(Op{Kind: OpEdge, From: src, To: dst, Label: label}); err != nil {
+			if err := emit(Op{Kind: OpEdge, From: src, To: dst, Label: labels[label]}); err != nil {
 				return err
 			}
 		}

@@ -223,6 +223,34 @@ func TestLDBCByteIdentical(t *testing.T) {
 	}
 }
 
+// TestUniformByteIdentical pins the er, ba and ws op streams the same way
+// TestOSNByteIdentical pins osn's. Each family gets one benchmark-sized case
+// and one small dense case whose draws collide often, so the per-source
+// duplicate suppression is on the pinned path.
+func TestUniformByteIdentical(t *testing.T) {
+	cases := []struct {
+		kind string
+		opts []Option
+		want uint64
+	}{
+		{"er", []Option{WithNodes(2_000), WithEdges(8_000), WithSeed(1)}, 0x808335860e6ffd3},
+		{"er", []Option{WithNodes(50), WithEdges(2_000), WithLabels("friend", "colleague"), WithSeed(3)}, 0x6c749873551465a8},
+		{"ba", []Option{WithNodes(20_000), WithDegree(8), WithSeed(1)}, 0x79d7e01ebf3b7006},
+		{"ba", []Option{WithNodes(300), WithDegree(3), WithLabels(testLabels...), WithSeed(7)}, 0x83ac3165277dbbe0},
+		{"ws", []Option{WithNodes(20_000), WithDegree(8), WithRewire(0.5), WithSeed(1)}, 0x770e393725781579},
+		{"ws", []Option{WithNodes(40), WithDegree(6), WithRewire(0.9), WithLabels("friend"), WithSeed(7)}, 0xb41d50a12cd6f5a9},
+	}
+	for i, tc := range cases {
+		fp, err := Fingerprint(MustNew(tc.kind, tc.opts...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fp != tc.want {
+			t.Errorf("case %d (%s): fingerprint %#x, want the frozen %#x", i, tc.kind, fp, tc.want)
+		}
+	}
+}
+
 // TestNewRejectsBadConfigs covers New's validation surface.
 func TestNewRejectsBadConfigs(t *testing.T) {
 	cases := []struct {
