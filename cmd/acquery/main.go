@@ -29,6 +29,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"time"
@@ -137,7 +138,7 @@ func main() {
 		fmt.Printf("ALLOW  %s -> %s via %s  (%v)\n", *owner, *requester, canonical, el)
 		if *explain {
 			if lq, ok := q.(*localQuerier); ok {
-				lq.printWitness(*owner, *requester, *pathStr)
+				lq.printWitness(os.Stdout, *owner, *requester, *pathStr)
 			} else {
 				log.Print("-explain needs a local graph (-graph or -dir)")
 			}
@@ -247,8 +248,9 @@ func (q *localQuerier) audience(owner, expr string) ([]string, error) {
 
 func (q *localQuerier) numMembers() (int, error) { return q.g.NumNodes(), nil }
 
-// printWitness prints a witness path for a granted online-engine query.
-func (q *localQuerier) printWitness(owner, requester, expr string) {
+// printWitness prints to w a witness path for a granted online-engine
+// query, and nothing for a denied one.
+func (q *localQuerier) printWitness(w io.Writer, owner, requester, expr string) {
 	p, err := pathexpr.Parse(expr)
 	if err != nil {
 		return
@@ -258,8 +260,7 @@ func (q *localQuerier) printWitness(owner, requester, expr string) {
 	if err != nil || !ok {
 		return
 	}
-	cur := ownerID
-	fmt.Printf("  %s", q.g.Node(cur).Name)
+	fmt.Fprintf(w, "  %s", q.g.Node(ownerID).Name)
 	for _, h := range hops {
 		next := h.Edge.To
 		if !h.Forward {
@@ -269,10 +270,9 @@ func (q *localQuerier) printWitness(owner, requester, expr string) {
 		if !h.Forward {
 			dir = "<"
 		}
-		fmt.Printf(" -%s%s- %s", q.g.LabelName(h.Edge.Label), dir, q.g.Node(next).Name)
-		cur = next
+		fmt.Fprintf(w, " -%s%s- %s", q.g.LabelName(h.Edge.Label), dir, q.g.Node(next).Name)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 }
 
 // remoteQuerier routes queries to a running acserverd.

@@ -2,6 +2,8 @@ package reachac
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -184,5 +186,44 @@ func TestViewConsistency(t *testing.T) {
 	// The live network meanwhile sees the new state.
 	if got, err := n.PathAudience(a, "friend+[1]"); err != nil || len(got) != 2 {
 		t.Fatalf("live PathAudience = %v, %v", got, err)
+	}
+}
+
+// TestCanAccessPastSearchBoundDenies pins where the search's plan limits
+// surface: a condition whose product states on the network exceed the
+// search's bound (friend+[1,32000] over 70 000 members: 2.24·10⁹ states,
+// past 2³¹) is not searched at all. CanAccess returns the search's error,
+// wrapped with the rule that failed, and a Deny decision, as for every
+// evaluation error.
+func TestCanAccessPastSearchBoundDenies(t *testing.T) {
+	n := New()
+	var owner, requester UserID
+	if err := n.Batch(func(tx *Tx) error {
+		for i := range 70_000 {
+			id, err := tx.AddUser(fmt.Sprintf("u%d", i))
+			if err != nil {
+				return err
+			}
+			owner, requester = requester, id
+		}
+		return tx.Relate(owner, requester, "friend")
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := n.Share("photo", owner, "friend+[1,32000]"); err != nil {
+		t.Fatal(err)
+	}
+	d, err := n.CanAccess("photo", requester)
+	if err == nil || !strings.Contains(err.Error(), "search bound") {
+		t.Fatalf("CanAccess past the search bound: error %v, want the search's", err)
+	}
+	if d.Effect != Deny {
+		t.Fatalf("CanAccess past the search bound: %v, want a deny", d.Effect)
+	}
+	if _, err := n.Share("nearby", owner, "friend+[1,2]"); err != nil {
+		t.Fatal(err)
+	}
+	if d, err := n.CanAccess("nearby", requester); err != nil || d.Effect != Allow {
+		t.Fatalf("a condition within the bound: (%v, %v), want an allow", d.Effect, err)
 	}
 }

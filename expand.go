@@ -26,7 +26,7 @@ import (
 // The call runs no search of its own: it is one search.Engine.Expand on the
 // snapshot's engine and plan, seeded with the request's states, whose
 // foreign test is ring ownership. A shard therefore searches with the same
-// kernels and the same step rules as a single node.
+// kernel and the same step rules as a single node.
 
 // ShardState is one product-search state: a node (by name — IDs are not
 // comparable across shards), the path step being matched, and the
@@ -145,7 +145,10 @@ func (v *View) ShardExpand(req ShardExpandRequest) (ShardExpandResponse, error) 
 		}
 	}
 	foreign := func(n graph.NodeID) bool { return rg.Owner(g.Node(n).Name) != req.Self }
-	x := e.Expand(pl, seeds, target, foreign)
+	x, err := e.Expand(pl, seeds, target, foreign)
+	if err != nil {
+		return resp, err
+	}
 	resp.Found = x.Found
 	if len(x.Members) > 0 {
 		resp.Accepted = make([]string, len(x.Members))

@@ -1,50 +1,55 @@
 package graph
 
-import "slices"
+import (
+	"fmt"
+	"maps"
+	"slices"
+)
 
 // CSR is a compressed-sparse-row view of the graph's live adjacency,
 // label-partitioned: for every (node, label) pair the out- and in-neighbors
-// form one contiguous []uint32 run. It is the read-hot-path memory layout —
-// a BFS constrained to one relationship type touches exactly the run it
-// needs (no per-edge label filtering, no pointer chasing through edge
-// records), and per-node degrees are O(1) offset subtractions.
+// form one contiguous []uint32 run. It is the graph's only adjacency. A BFS
+// constrained to one relationship type touches exactly the run it needs (no
+// per-edge label filtering, no pointer chasing through edge records), and
+// per-node degrees are O(1) offset subtractions. The out direction carries,
+// parallel to its neighbors, the ID of each edge, which serves FindEdge,
+// OutEdges, InEdges and removal; the in direction carries neighbors only.
 //
-// The CSR travels with its graph: BuildCSR (or Rebase, over the new base)
-// lays the runs out in tight slabs, and from then on every structural
-// mutation of the graph patches the cached CSR and stamps it with the new
-// version, so it stays fresh (and the same *CSR) across mutations. The slabs
-// are never rewritten; a clone's CSR shares them, copying only the overlay
-// and the dirty bitset.
-// The first edge added to or removed from a cell (n, l) copies that run into
-// a small per-direction overlay map and sets n's dirty bit; lookups test the
-// bit — one load for an untouched node — and return the overlay run when
-// there is one. A node added after the build has no slab cells, only overlay
-// ones. Once the patches pass a fixed fraction of V+E entries, or the label
-// table grows (which changes the cell layout), the graph drops the CSR and
-// the next CSR call builds a new one (a network rebases instead; see
-// NeedsRebase).
+// A graph always has a CSR, from New on, so CSR never returns nil. Layouts
+// (New, Rebase, BuildCSR, a Loader's Graph) lay the runs out in tight slabs;
+// from then on every structural mutation patches the CSR in place, and
+// readers never build one. The slabs are never rewritten; a clone's CSR
+// shares them, copying only the overlay and the dirty bitset. The first edge
+// added to or removed from a cell (n, l) copies that run into a
+// per-direction overlay and sets n's dirty bit; lookups test the bit — one
+// load for an untouched node — and return the overlay run when there is
+// one. A node added after the layout has no slab cells, only overlay ones.
+// Once the patches pass a fixed fraction of V+E entries the graph asks for
+// a rebase (see NeedsRebase), which lays the slabs out afresh; the CSR stays
+// correct, only slower to clone and to read, until then.
+//
+// A CSR has cells for the labels of the label table as of the layout that
+// last widened it. An edge under a label past them re-lays the CSR out over
+// the whole table; a label interned with Graph.Label alone, which no edge
+// carries, needs no cell, so it costs no layout.
 //
 // Patching happens inside the graph's mutators, so it needs exactly the
 // synchronization they do: a CSR is safe to read for as long as the graph
-// itself is. It deliberately carries neighbor node IDs only (no edge IDs or
-// weights), which is all the reachability hot path needs. Witness
-// reconstruction and other edge-identity consumers keep using the edge-list
-// iteration.
+// itself is.
 type CSR struct {
-	version uint64
 	nodes   int
 	labels  int
 	out, in adjacency
 	// dirty has one bit per node: set when some cell of the node lives in
-	// an overlay, and for every node added since the build.
+	// an overlay, and for every node added since the layout.
 	dirty []uint64
-	// overlay counts what was patched in since the build: one per node and
+	// overlay counts what was patched in since the layout: one per node and
 	// per edge added or removed, plus every run copied out of the slabs. It
 	// never falls, so it also bounds the graph's private part (a removal
-	// leaves a tombstone); restamp drops the CSR once it exceeds limit.
+	// leaves a tombstone); NeedsRebase holds once it exceeds limit.
 	overlay, limit int
-	// base is the base Rebase laid the slabs over; nil for a CSR that
-	// BuildCSR laid over a private part too.
+	// base is the base the slabs were laid out over when they hold nothing
+	// else; nil for a CSR laid out over a private part too.
 	base *Base
 }
 
@@ -54,54 +59,101 @@ type adjacency struct {
 	// i = n*labels+l is nbr[off[i]:off[i+1]], and the cells of one node are
 	// adjacent, so a clean node's degree is off[(n+1)*labels] - off[n*labels].
 	off []uint32
-	// nbr holds neighbor node IDs in edge-insertion order within each run
-	// (matching OutEdges/InEdges order filtered to one label).
+	// nbr holds neighbor node IDs in edge-ID order within each run.
 	nbr []uint32
-	// over holds, by cell index, the current run of every cell patched
-	// since the build, in the same order. Runs follow the graph's private
-	// slices' rule: appended to by their unclipped holder only, never
-	// written in place.
-	over map[uint32][]uint32
+	// ids holds, in the out direction only (nil in the in direction), the
+	// ID of the edge to each neighbor in nbr, at the same index.
+	ids []EdgeID
+	// over maps every cell patched since the layout to its current run, a
+	// span of the overlay arenas: onbr holds the neighbors and, in the out
+	// direction only, oids their edge IDs, in the same order as a slab run.
+	// The map holds no pointers, so the garbage collector never scans it. A
+	// clone copies the overlay (see clone), so spans are written in place.
+	over map[uint32]span
+	onbr []uint32
+	oids []EdgeID
+}
+
+// span is one overlay run: arena entries [off, off+len), with room to grow
+// in place up to off+cap.
+type span struct{ off, len, cap uint32 }
+
+// run is one cell's run as read: its neighbors and, in the out direction,
+// their edge IDs.
+type run struct {
+	nbr []uint32
+	ids []EdgeID
 }
 
 // maxCSRCells bounds nodes*labels so that offset tables stay addressable
 // and a degenerate graph (millions of nodes × thousands of labels) cannot
-// demand a multi-gigabyte offset table. Beyond it BuildCSR returns nil and
-// callers fall back to edge-list iteration.
+// demand a multi-gigabyte offset table. A node or an edge that would take a
+// graph's CSR past it is refused with an error (see checkCells).
 const maxCSRCells = 1 << 30
 
-// A patched CSR is kept while its overlay count stays at most overlayFloor +
-// (V+E)/overlayFraction, V and E as of the build. The bound keeps the
-// overlays' memory, a clone's copy of them and the share of lookups that pay
-// a map probe small, and a rebuild (O(V+E)) amortized O(1) per patched
-// entry; the floor stops tiny graphs from rebuilding every few hundred
+// A patched CSR serves without a rebase while its overlay count stays at most
+// overlayFloor + (V+E)/overlayFraction, V and E as of the layout. The bound
+// keeps the overlays' memory, a clone's copy of them and the share of lookups
+// that pay a map probe small, and a rebase (O(V+E)) amortized O(1) per
+// patched entry; the floor stops tiny graphs from rebasing every few hundred
 // mutations.
 const (
 	overlayFloor    = 512
 	overlayFraction = 8
 )
 
-// Version returns the graph version the CSR reflects.
-func (c *CSR) Version() uint64 { return c.version }
+// checkCells returns the error a graph of the given nodes and CSR labels
+// gets when that many cells exceed maxCSRCells, nil otherwise.
+func checkCells(nodes, labels int) error {
+	if nodes*labels > maxCSRCells {
+		return fmt.Errorf("graph: %d nodes × %d relationship types exceed the adjacency bound of %d cells", nodes, labels, maxCSRCells)
+	}
+	return nil
+}
 
 // NumNodes returns the node count the CSR covers.
 func (c *CSR) NumNodes() int { return c.nodes }
 
+// NumLabels returns the number of labels the CSR has cells for: every label
+// some edge carries, and at most the graph's NumLabels.
+func (c *CSR) NumLabels() int { return c.labels }
+
 func (c *CSR) isDirty(n NodeID) bool { return c.dirty[n>>6]&(1<<(n&63)) != 0 }
 
-// run returns the current run of a cell of a dirty node.
-func (a *adjacency) run(cell int) []uint32 {
-	if r, ok := a.over[uint32(cell)]; ok {
-		return r
+// cell returns the current run of cell i: the overlay's, else the slab's.
+func (a *adjacency) cell(i int) run {
+	if s, ok := a.over[uint32(i)]; ok {
+		return a.spanned(s)
 	}
-	if cell+1 >= len(a.off) {
-		return nil
-	}
-	return a.nbr[a.off[cell]:a.off[cell+1]]
+	return a.slab(i)
 }
 
-// OutNeighbors returns the out-neighbor run of (n, l). The slice aliases the
-// CSR's storage and must not be modified.
+// spanned returns the overlay run s.
+func (a *adjacency) spanned(s span) run {
+	end := s.off + s.len
+	r := run{nbr: a.onbr[s.off:end:end]}
+	if a.ids != nil {
+		r.ids = a.oids[s.off:end:end]
+	}
+	return r
+}
+
+// slab returns the slab run of cell i, empty for a cell past the slabs.
+func (a *adjacency) slab(i int) run {
+	if i+1 >= len(a.off) {
+		return run{}
+	}
+	lo, hi := a.off[i], a.off[i+1]
+	r := run{nbr: a.nbr[lo:hi:hi]}
+	if a.ids != nil {
+		r.ids = a.ids[lo:hi:hi]
+	}
+	return r
+}
+
+// OutNeighbors returns the out-neighbor run of (n, l), l one of the CSR's
+// labels (see NumLabels). The slice aliases the CSR's storage and must not
+// be modified.
 func (c *CSR) OutNeighbors(n NodeID, l Label) []uint32 { return c.neighbors(&c.out, n, l) }
 
 // InNeighbors returns the in-neighbor run of (n, l); see OutNeighbors.
@@ -110,7 +162,7 @@ func (c *CSR) InNeighbors(n NodeID, l Label) []uint32 { return c.neighbors(&c.in
 func (c *CSR) neighbors(a *adjacency, n NodeID, l Label) []uint32 {
 	i := int(n)*c.labels + int(l)
 	if c.isDirty(n) {
-		return a.run(i)
+		return a.cell(i).nbr
 	}
 	return a.nbr[a.off[i]:a.off[i+1]]
 }
@@ -129,32 +181,131 @@ func (c *CSR) degree(a *adjacency, n NodeID) int {
 	}
 	d := 0
 	for i := lo; i < lo+c.labels; i++ {
-		d += len(a.run(i))
+		d += len(a.cell(i).nbr)
 	}
 	return d
 }
 
-// own returns the overlay run of cell, which belongs to node n, copying it
-// out of the slab on first touch.
-func (c *CSR) own(a *adjacency, n NodeID, cell int) []uint32 {
-	r, ok := a.over[uint32(cell)]
-	if !ok {
-		base := a.run(cell)
-		r = append(make([]uint32, 0, len(base)+1), base...)
-		c.overlay += len(base) + 1
-		c.dirty[n>>6] |= 1 << (n & 63)
+// edgeID returns the live edge from -l-> to, or InvalidEdge: a scan of one
+// out cell. l must be one of the CSR's labels.
+func (c *CSR) edgeID(from, to NodeID, l Label) EdgeID {
+	r := c.out.cell(int(from)*c.labels + int(l))
+	if i := slices.Index(r.nbr, uint32(to)); i >= 0 {
+		return r.ids[i]
 	}
-	return r
+	return InvalidEdge
 }
 
-// clone returns a copy of c sharing its slabs, with its own overlay maps
-// (every run clipped, so that neither copy appends into the other's) and
-// dirty bitset.
+// appendOutIDs appends the IDs of n's live outgoing edges to dst, in ID
+// order across its label cells.
+func (c *CSR) appendOutIDs(dst []EdgeID, n NodeID) []EdgeID {
+	start, lo := len(dst), int(n)*c.labels
+	if c.isDirty(n) {
+		for i := lo; i < lo+c.labels; i++ {
+			dst = append(dst, c.out.cell(i).ids...)
+		}
+	} else {
+		dst = append(dst, c.out.ids[c.out.off[lo]:c.out.off[lo+c.labels]]...)
+	}
+	slices.Sort(dst[start:])
+	return dst
+}
+
+// appendInIDs appends the IDs of n's live incoming edges to dst, in ID
+// order: each in-neighbor m of (n, l) is the edge m -l-> n, which is unique.
+func (c *CSR) appendInIDs(dst []EdgeID, n NodeID) []EdgeID {
+	start := len(dst)
+	for l := range c.labels {
+		for _, m := range c.InNeighbors(n, Label(l)) {
+			dst = append(dst, c.edgeID(NodeID(m), n, Label(l)))
+		}
+	}
+	slices.Sort(dst[start:])
+	return dst
+}
+
+// own returns cell i's overlay span, copying the run out of the slab, with
+// room for grow more entries, on the cell's first touch; n is the cell's
+// node. The caller stores the span back.
+func (c *CSR) own(a *adjacency, n NodeID, i, grow int) span {
+	if s, ok := a.over[uint32(i)]; ok {
+		return s
+	}
+	r := a.slab(i)
+	c.overlay += len(r.nbr) + 1
+	c.dirty[n>>6] |= 1 << (n & 63)
+	return a.write(r, grow)
+}
+
+// write copies r to the end of a's arenas, with room for grow more
+// entries, and returns its span.
+func (a *adjacency) write(r run, grow int) span {
+	s := span{off: uint32(len(a.onbr)), len: uint32(len(r.nbr)), cap: uint32(len(r.nbr) + grow)}
+	a.onbr = append(append(doubled(a.onbr, int(s.cap)), r.nbr...), make([]uint32, grow)...)
+	if a.ids != nil {
+		a.oids = append(append(doubled(a.oids, int(s.cap)), r.ids...), make([]EdgeID, grow)...)
+	}
+	return s
+}
+
+// doubled returns s with room for n more elements, at least doubling its
+// capacity when it must grow: append grows a large slice by a quarter,
+// which copies an arena filled entry by entry several times over.
+func doubled[S ~[]E, E any](s S, n int) S {
+	if n <= cap(s)-len(s) {
+		return s
+	}
+	return slices.Grow(s, max(n, len(s)))
+}
+
+// push appends neighbor v, with edge id in the out direction, to cell i of
+// node n, unless the cell holds v already, and reports whether it did. A
+// refused v may leave the cell copied into the overlay, unchanged.
+func (c *CSR) push(a *adjacency, n NodeID, i int, v uint32, id EdgeID) bool {
+	s := c.own(a, n, i, 2)
+	r := a.spanned(s)
+	if slices.Contains(r.nbr, v) {
+		a.over[uint32(i)] = s
+		return false
+	}
+	if s.len == s.cap {
+		s = a.write(r, len(r.nbr)+2)
+	}
+	a.onbr[s.off+s.len] = v
+	if a.ids != nil {
+		a.oids[s.off+s.len] = id
+	}
+	s.len++
+	a.over[uint32(i)] = s
+	return true
+}
+
+// drop removes neighbor v from cell i of node n.
+func (c *CSR) drop(a *adjacency, n NodeID, i int, v uint32) {
+	s := c.own(a, n, i, 0)
+	r := a.spanned(s)
+	j := slices.Index(r.nbr, v)
+	copy(r.nbr[j:], r.nbr[j+1:])
+	if r.ids != nil {
+		copy(r.ids[j:], r.ids[j+1:])
+	}
+	s.len--
+	a.over[uint32(i)] = s
+}
+
+// clone returns a copy of c sharing its slabs, with its own copy of the
+// overlay and the dirty bitset.
 func (c *CSR) clone() *CSR {
 	d := *c
-	d.out.over, d.in.over = clipped(c.out.over), clipped(c.in.over)
+	d.out, d.in = c.out.cloned(), c.in.cloned()
 	d.dirty = slices.Clone(c.dirty)
 	return &d
+}
+
+// cloned returns a with its own copy of the overlay; see clone.
+func (a adjacency) cloned() adjacency {
+	a.over, a.onbr, a.oids = maps.Clone(a.over), slices.Clone(a.onbr), slices.Clone(a.oids)
+	return a
 }
 
 // addNode patches in a node with no edges.
@@ -168,60 +319,46 @@ func (c *CSR) addNode() {
 	c.overlay++
 }
 
-// addEdge patches in the edge from -l-> to, the newest of both its runs.
-func (c *CSR) addEdge(from, to NodeID, l Label) {
-	oc, ic := int(from)*c.labels+int(l), int(to)*c.labels+int(l)
-	c.out.over[uint32(oc)] = append(c.own(&c.out, from, oc), uint32(to))
-	c.in.over[uint32(ic)] = append(c.own(&c.in, to, ic), uint32(from))
+// addEdge patches in edge id, from -l-> to, the newest of both its runs,
+// and reports whether it did: not when the graph has a live edge from -l->
+// to already.
+func (c *CSR) addEdge(from, to NodeID, l Label, id EdgeID) bool {
+	if !c.push(&c.out, from, int(from)*c.labels+int(l), uint32(to), id) {
+		return false
+	}
+	c.push(&c.in, to, int(to)*c.labels+int(l), uint32(from), 0)
 	c.overlay++
+	return true
 }
 
 // removeEdge patches out the live edge from -l-> to.
 func (c *CSR) removeEdge(from, to NodeID, l Label) {
-	oc, ic := int(from)*c.labels+int(l), int(to)*c.labels+int(l)
-	c.out.over[uint32(oc)] = without(c.own(&c.out, from, oc), uint32(to))
-	c.in.over[uint32(ic)] = without(c.own(&c.in, to, ic), uint32(from))
+	c.drop(&c.out, from, int(from)*c.labels+int(l), uint32(to))
+	c.drop(&c.in, to, int(to)*c.labels+int(l), uint32(from))
 	c.overlay++
 }
 
-// without returns r less its one occurrence of v, in a new run.
-func without(r []uint32, v uint32) []uint32 {
-	i := slices.Index(r, v)
-	return append(r[:i:i], r[i+1:]...)
-}
+// BuildCSR lays the graph's CSR out afresh over its live edges, with cells
+// for the labels the current one has, and returns it. Rebase is what moves a
+// graph to a new base; BuildCSR writes nothing else. Like every mutator it
+// requires external synchronization with readers.
+func (g *Graph) BuildCSR() *CSR { return g.layOut(g.csr.labels) }
 
-// restamp marks c fresh at the graph's current version, after the mutator
-// calling it has patched into c the mutation that produced that version. A
-// CSR whose overlays have outgrown their bound (or whose cells, after node
-// additions, exceed maxCSRCells) is dropped instead.
-func (g *Graph) restamp(c *CSR) {
-	if c.overlay > c.limit || c.nodes*c.labels > maxCSRCells {
-		g.csr.Store(nil)
-		return
-	}
-	c.version = g.version.Load()
-}
-
-// BuildCSR constructs a fresh CSR over the graph's live edges and caches it
-// as the graph's current CSR. It returns nil when the graph has no labels
-// yet (no edges can exist either) or when nodes*labels exceeds maxCSRCells.
-// It writes nothing but the cache: Rebase is what moves a graph to a new
-// base. Like every bulk accessor it requires external synchronization with
-// mutators; concurrent readers may race to build — both produce identical
-// views and the cache keeps one.
-func (g *Graph) BuildCSR() *CSR {
-	v, l := g.NumNodes(), g.labels.len()
-	if l == 0 || v == 0 || v*l > maxCSRCells {
-		return nil
-	}
+// layOut replaces the graph's CSR with one laid out in slabs over its live
+// edges, with cells for the first labels labels, which must cover every
+// live edge's label and fit maxCSRCells with the graph's nodes.
+func (g *Graph) layOut(labels int) *CSR {
+	v, l := g.NumNodes(), labels
 	c := &CSR{
-		version: g.version.Load(),
-		nodes:   v,
-		labels:  l,
-		out:     adjacency{off: make([]uint32, v*l+1), nbr: make([]uint32, g.live), over: map[uint32][]uint32{}},
-		in:      adjacency{off: make([]uint32, v*l+1), nbr: make([]uint32, g.live), over: map[uint32][]uint32{}},
-		dirty:   make([]uint64, (v+63)/64),
-		limit:   overlayFloor + (v+g.live)/overlayFraction,
+		nodes:  v,
+		labels: l,
+		out:    adjacency{off: make([]uint32, v*l+1), nbr: make([]uint32, g.live), ids: make([]EdgeID, g.live), over: map[uint32]span{}},
+		in:     adjacency{off: make([]uint32, v*l+1), nbr: make([]uint32, g.live), over: map[uint32]span{}},
+		dirty:  make([]uint64, (v+63)/64),
+		limit:  overlayFloor + (v+g.live)/overlayFraction,
+	}
+	if len(g.nodes) == 0 && len(g.edges) == 0 && len(g.dead) == 0 {
+		c.base = g.b
 	}
 	outOff, inOff := c.out.off, c.in.off
 	segs, dead := [...][]edgeRec{g.b.edges, g.edges}, g.deadSet()
@@ -241,47 +378,30 @@ func (g *Graph) BuildCSR() *CSR {
 		outOff[i] += outOff[i-1]
 		inOff[i] += inOff[i-1]
 	}
-	// Fill pass in edge-ID order, preserving insertion order within runs,
-	// with a write cursor per run.
+	// Fill pass in edge-ID order, so that every run is in ID order, with a
+	// write cursor per run.
 	outNext := slices.Clone(outOff[:v*l])
 	inNext := slices.Clone(inOff[:v*l])
 	for si, seg := range segs {
 		first := EdgeID(si * len(g.b.edges)) // the ID of seg[0]
 		for i := range seg {
 			e := &seg[i]
-			if inSet(dead, first+EdgeID(i)) {
+			id := first + EdgeID(i)
+			if inSet(dead, id) {
 				continue
 			}
 			oi := int(e.From)*l + int(e.Label)
 			c.out.nbr[outNext[oi]] = uint32(e.To)
+			c.out.ids[outNext[oi]] = id
 			outNext[oi]++
 			ii := int(e.To)*l + int(e.Label)
 			c.in.nbr[inNext[ii]] = uint32(e.From)
 			inNext[ii]++
 		}
 	}
-	g.csr.Store(c)
+	g.csr = c
 	return c
 }
 
-// CSR returns the graph's CSR, building one if none is cached or the cached
-// one was not carried to the current version (see FreshCSR). It returns nil
-// for label-free graphs and pathological node×label products (see BuildCSR).
-func (g *Graph) CSR() *CSR {
-	if c := g.FreshCSR(); c != nil {
-		return c
-	}
-	return g.BuildCSR()
-}
-
-// FreshCSR returns the cached CSR if it reflects the graph's current version
-// and label table, and nil otherwise — it never pays a build. Mutators keep
-// a cached CSR fresh by patching it, so nil means the graph was never
-// indexed, or dropped its CSR: the overlay bound was crossed, or the label
-// table has grown since the build.
-func (g *Graph) FreshCSR() *CSR {
-	if c := g.csr.Load(); c != nil && c.version == g.version.Load() && c.labels == g.labels.len() {
-		return c
-	}
-	return nil
-}
+// CSR returns the graph's CSR, which mutators keep current; never nil.
+func (g *Graph) CSR() *CSR { return g.csr }

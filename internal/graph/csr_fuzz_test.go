@@ -8,18 +8,22 @@ import (
 	"testing"
 )
 
-// FuzzCSRAdjacency drives a random add-node/add-edge/remove/clone sequence
-// from the fuzz input over two graphs that diverge from one base, and
-// asserts after every operation that each graph's CSR, patched through the
-// operations so far, agrees with a CSR built from scratch, with the CSR of a
-// rebased copy and with the OutEdges/InEdges iteration: identical
-// per-(node,label) runs in identical order, identical degrees. Edges carry
-// weights, zero and not, and every live edge's Edge(id).Weight must be the
-// one a model of each graph's edges last gave it. It also checksums, around every operation, the bases and CSR slabs both graphs
-// read and the whole of the graph the operation was not applied to: no
-// operation may write into a base, into slabs or into another graph's view
-// of a shared private array. Labels enter the stream as operations first use
-// them, and the last seed is long enough to cross the overlay bound.
+// FuzzCSRAdjacency drives a random add-node/add-edge/remove/clone/rebase
+// sequence from the fuzz input over two graphs that diverge from one base,
+// and asserts after every operation that each graph's CSR, patched through
+// the operations so far, agrees with a scan of its live edge table (see
+// checkCSR): OutEdges, InEdges, FindEdge, OutDegree, InDegree, Neighbors and
+// every per-(node,label) run, also of a CSR laid out from scratch and of a
+// rebased copy; that CSR() is never nil; and that NeedsRebase holds once the
+// patches pass the overlay bound. Edges carry weights, zero and not, and
+// every live edge's Edge(id).Weight must be the one a model of each graph's
+// edges last gave it. It also checksums, around every operation, the bases
+// and CSR slabs both graphs read and the whole of the graph the operation
+// was not applied to: no operation may write into a base, into slabs or
+// into another graph's view of a shared private array. Labels enter the
+// stream as operations first use them, some interned alone before any edge
+// carries them, and the last seed is long enough to cross the overlay
+// bound.
 func FuzzCSRAdjacency(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7})
 	f.Add([]byte{10, 20, 30, 40, 50, 60, 70, 80, 90, 100, 110, 120})
@@ -31,7 +35,7 @@ func FuzzCSRAdjacency(f *testing.F) {
 		if len(data) > 1536 {
 			data = data[:1536]
 		}
-		labels := []string{"friend", "colleague", "parent", "follows"}
+		labels := []string{"friend", "colleague", "parent", "follows", "blocks", "mentors"}
 		first := New()
 		gs := [2]*Graph{first, first.Clone()}
 		models := [2]map[edgeRec]float64{{}, {}}
@@ -44,7 +48,7 @@ func FuzzCSRAdjacency(f *testing.F) {
 			var slabs [2]*CSR
 			var sums [2]uint64
 			for j, h := range gs {
-				bases[j], slabs[j] = h.b, h.csr.Load()
+				bases[j], slabs[j] = h.b, h.csr
 				sums[j] = sharedSum(bases[j], slabs[j])
 			}
 			other := fingerprint(gs[w^1])
@@ -67,10 +71,18 @@ func FuzzCSRAdjacency(f *testing.F) {
 			case 7: // clone, and continue on the clone (rebasing first on odd x)
 				if x&1 == 1 {
 					g.Rebase()
+					if g.NeedsRebase() {
+						t.Fatal("a graph asks for a rebase right after one")
+					}
 				}
 				gs[w^1] = g.Clone()
 				models[w^1] = maps.Clone(models[w])
 			default: // add edge, weighted by the op's high bits
+				if op%8 == 5 && y < 64 {
+					// Intern a label alone: no edge carries it yet.
+					g.Label(labels[int(x)%len(labels)])
+					break
+				}
 				if nodes < 2 {
 					continue
 				}
@@ -92,7 +104,7 @@ func FuzzCSRAdjacency(f *testing.F) {
 				t.Fatalf("op %d (%d on graph %d) changed the other graph", i/3, op%8, w)
 			}
 			for j, g := range gs {
-				checkCSRAgainstLegacy(t, g)
+				checkCSR(t, g)
 				checkWeights(t, g, models[j])
 			}
 		}
@@ -136,7 +148,7 @@ func (c *checksum) addFloat(f float64) {
 }
 
 // sharedSum checksums what a graph shares with its clones: its base b and
-// the slabs of its CSR csr (nil when it has none). Recomputed over the same
+// the slabs of its CSR csr. Recomputed over the same
 // objects, it catches any write into them, whichever graph made it.
 func sharedSum(b *Base, csr *CSR) uint64 {
 	var c checksum
@@ -149,23 +161,18 @@ func sharedSum(b *Base, csr *CSR) uint64 {
 	for _, w := range b.weights {
 		c.addFloat(w)
 	}
-	for _, r := range []edgeRuns{b.out, b.in} {
-		c.add(r.off...)
-		for _, id := range r.ids {
-			c.add(uint32(id))
-		}
+	c.add(csr.out.off...)
+	c.add(csr.out.nbr...)
+	for _, id := range csr.out.ids {
+		c.add(uint32(id))
 	}
-	if csr != nil {
-		c.add(csr.out.off...)
-		c.add(csr.out.nbr...)
-		c.add(csr.in.off...)
-		c.add(csr.in.nbr...)
-	}
+	c.add(csr.in.off...)
+	c.add(csr.in.nbr...)
 	return c.h
 }
 
 // fingerprint checksums everything a reader of g can observe: nodes, live
-// edges, every edge list and, when fresh, every CSR run.
+// edges, every node's edges in and out, and every CSR run.
 func fingerprint(g *Graph) uint64 {
 	var c checksum
 	c.add(uint32(g.NumNodes()), uint32(g.NumEdges()), uint32(g.Version()))
@@ -174,18 +181,14 @@ func fingerprint(g *Graph) uint64 {
 		c.addFloat(e.Weight)
 		return true
 	})
-	csr := g.FreshCSR()
+	csr := g.CSR()
 	for n := NodeID(0); int(n) < g.NumNodes(); n++ {
-		for _, l := range [][]EdgeID{g.outList(n), g.inList(n)} {
-			for _, id := range l {
-				c.add(uint32(id))
-			}
+		for _, each := range []func(NodeID, func(Edge) bool){g.OutEdges, g.InEdges} {
+			each(n, func(e Edge) bool { c.add(uint32(e.ID)); return true })
 		}
-		if csr != nil {
-			for l := Label(0); int(l) < csr.labels; l++ {
-				c.add(csr.OutNeighbors(n, l)...)
-				c.add(csr.InNeighbors(n, l)...)
-			}
+		for l := Label(0); int(l) < csr.labels; l++ {
+			c.add(csr.OutNeighbors(n, l)...)
+			c.add(csr.InNeighbors(n, l)...)
 		}
 	}
 	return c.h

@@ -4,11 +4,11 @@
 // a finite alphabet Σ.
 //
 // The representation favors read-heavy access-control workloads: nodes and
-// edges are stored in dense tables indexed by NodeID/EdgeID, with per-node
-// in/out adjacency lists. Edges may be removed (tombstoned); node IDs are
-// never reused. A graph is an immutable Base, shared with every clone taken
-// of it, plus a private part holding what changed since that base (see
-// Graph).
+// edges are stored in dense tables indexed by NodeID/EdgeID, and the
+// adjacency is one label-partitioned compressed-sparse-row view (see CSR).
+// Edges may be removed (tombstoned); node IDs are never reused. A graph is
+// an immutable Base, shared with every clone taken of it, plus a private
+// part holding what changed since that base (see Graph).
 package graph
 
 import (
@@ -86,15 +86,14 @@ func withWeight(weights []float64, n int, w float64) []float64 {
 // A graph is two parts. Its base (see Base) is immutable and shared: Clone
 // gives the copy the same base and copies only the private part — the nodes
 // and edges added since the base, the tombstones of removed edges, and the
-// edge lists and CSR cells those changes touched — so a clone costs what
-// changed since the base, never O(V+E). Rebase folds the private part into a
-// new base.
+// CSR cells those changes touched — so a clone costs what changed since the
+// base, never O(V+E). Rebase folds the private part into a new base.
 //
 // Who may write what: nothing writes a base, and Rebase builds a new one
-// rather than extending the old. Private slices may share backing arrays
-// with clones, which Clone clips, so a graph only ever appends to them, and
-// a removal builds a new list instead of deleting in place: the append slack
-// of an array belongs to the one graph holding it unclipped.
+// rather than extending the old. The node, edge and weight tables of the
+// private part may share backing arrays with clones, which Clone clips, so
+// a graph only ever appends to them: the append slack of an array belongs
+// to the one graph holding it unclipped. Clone copies the CSR's overlay.
 type Graph struct {
 	b *Base
 	// nodes and edges are the records added since the base: node id is
@@ -106,11 +105,9 @@ type Graph struct {
 	edges   []edgeRec
 	weights []float64
 	// dead holds the removed edges, of the base and added since.
-	dead map[EdgeID]struct{}
-	// out and in hold the private edge lists: see lists.
-	out, in lists
-	labels  *labelTable
-	live    int // number of non-removed edges
+	dead   map[EdgeID]struct{}
+	labels *labelTable
+	live   int // number of non-removed edges
 	// version counts structural mutations (node/edge additions, edge
 	// removals); precomputed evaluators record it to detect staleness. It
 	// is atomic so that snapshot validity checks may read it without
@@ -126,17 +123,15 @@ type Graph struct {
 	// deltaLimit bounds the retained window (0 means
 	// DefaultDeltaLogLimit; negative disables logging).
 	deltaLimit int
-	// csr caches the compressed-sparse-row adjacency view serving the read
-	// hot path, which the mutators below patch (see csr.go). It is an atomic
-	// so that lock-free readers of a quiescent graph may consult and
-	// (race-benignly) build it.
-	csr atomic.Pointer[CSR]
+	// csr is the graph's adjacency, which the mutators below patch (see
+	// CSR); never nil.
+	csr *CSR
 }
 
 // Base is the immutable part of a graph: the node table with names and
-// attributes, the name index, the edge records and every node's edge lists,
-// laid out by Rebase together with the CSR slabs (see CSR). The graph that
-// rebased and every clone taken of it since share one Base; nothing writes
+// attributes, the name index and the edge records, laid out by Rebase
+// together with the CSR slabs (see CSR). The graph that rebased and every
+// clone taken of it since share one Base; nothing writes
 // it, so any number of them may read it without synchronization, and the
 // garbage collector frees it once no graph points at it. Its edge table
 // holds live edges only, edge i at edges[i]: a rebase drops tombstones.
@@ -149,85 +144,13 @@ type Base struct {
 	byName  map[string]NodeID
 	edges   []edgeRec
 	weights []float64
-	// out and in hold every base node's edge IDs in ID order.
-	out, in edgeRuns
-}
-
-// edgeRuns is one direction of a base's edge lists: node n's list is
-// ids[off[n]:off[n+1]].
-type edgeRuns struct {
-	off []uint32
-	ids []EdgeID
-}
-
-// lists is one direction of a graph's private edge lists. Every list holds
-// live edges only, in ID order.
-type lists struct {
-	// added holds the lists of the nodes added since the base, at
-	// id-len(b.nodes).
-	added [][]EdgeID
-	// touched holds the current lists of the base nodes whose edges changed
-	// since the base; an untouched base node's list is the base's.
-	touched map[NodeID][]EdgeID
-}
-
-// get returns node n's current list; nb is the base's node count. A base
-// list comes back clipped, so appending to it copies.
-func (l *lists) get(r *edgeRuns, nb int, n NodeID) []EdgeID {
-	if int(n) >= nb {
-		return l.added[int(n)-nb]
-	}
-	if ids, ok := l.touched[n]; ok {
-		return ids
-	}
-	lo, hi := r.off[n], r.off[n+1]
-	return r.ids[lo:hi:hi]
-}
-
-// set makes ids node n's list.
-func (l *lists) set(nb int, n NodeID, ids []EdgeID) {
-	if int(n) >= nb {
-		l.added[int(n)-nb] = ids
-		return
-	}
-	if l.touched == nil {
-		l.touched = make(map[NodeID][]EdgeID)
-	}
-	l.touched[n] = ids
-}
-
-// remove drops id from node n's list into a new list, keeping the order.
-func (l *lists) remove(r *edgeRuns, nb int, n NodeID, id EdgeID) {
-	ids := l.get(r, nb, n)
-	i := slices.Index(ids, id)
-	l.set(nb, n, append(ids[:i:i], ids[i+1:]...))
-}
-
-// clone copies l with every list clipped, so that neither copy appends into
-// the other's view.
-func (l *lists) clone() lists {
-	c := lists{added: make([][]EdgeID, len(l.added)), touched: clipped(l.touched)}
-	for i, ids := range l.added {
-		c.added[i] = slices.Clip(ids)
-	}
-	return c
-}
-
-// clipped copies m with every slice clipped; see lists.clone.
-func clipped[K comparable, E any](m map[K][]E) map[K][]E {
-	if m == nil {
-		return nil
-	}
-	c := make(map[K][]E, len(m))
-	for k, s := range m {
-		c[k] = slices.Clip(s)
-	}
-	return c
 }
 
 // New returns an empty social network graph.
 func New() *Graph {
-	return &Graph{b: &Base{}, labels: newLabelTable()}
+	g := &Graph{b: &Base{}, labels: newLabelTable()}
+	g.layOut(0)
+	return g
 }
 
 // Base returns the graph's shared base. Graphs returning the same Base share
@@ -255,25 +178,24 @@ func (g *Graph) Version() uint64 { return g.version.Load() }
 
 // AddNode adds a member with the given unique name and attributes and
 // returns its ID. Adding a duplicate name returns the existing node's ID and
-// an error. The graph keeps attrs, which must not be modified afterwards.
+// an error, and a node that would take the CSR past its cell bound (see
+// CSR) InvalidNode and an error. The graph keeps attrs, which must not be
+// modified afterwards.
 func (g *Graph) AddNode(name string, attrs Attrs) (NodeID, error) {
 	if id, ok := g.NodeByName(name); ok {
 		return id, errDuplicateNode(name)
 	}
-	csr := g.FreshCSR()
 	id := NodeID(g.NumNodes())
+	if err := checkCells(int(id)+1, g.csr.labels); err != nil {
+		return InvalidNode, err
+	}
 	g.nodes = append(g.nodes, Node{ID: id, Name: name, Attrs: attrs})
-	g.out.added = append(g.out.added, nil)
-	g.in.added = append(g.in.added, nil)
 	if g.names == nil {
 		g.names = make(map[string]NodeID)
 	}
 	g.names[name] = id
 	g.version.Add(1)
-	if csr != nil {
-		csr.addNode()
-		g.restamp(csr)
-	}
+	g.csr.addNode()
 	g.record(Delta{Op: OpAddNode, Name: name, Attrs: attrs})
 	return id, nil
 }
@@ -312,7 +234,9 @@ func (g *Graph) Attr(id NodeID, key string) (Value, bool) {
 // ValidNode reports whether id names an existing node.
 func (g *Graph) ValidNode(id NodeID) bool { return int(id) < g.NumNodes() }
 
-// Label interns a relationship-type name, creating it if needed.
+// Label interns a relationship-type name, creating it if needed. It lays
+// nothing out: the CSR gets cells for the label when an edge first carries
+// it.
 func (g *Graph) Label(name string) Label { return g.labels.intern(name) }
 
 // LookupLabel resolves a relationship-type name without creating it.
@@ -329,7 +253,9 @@ func (g *Graph) Labels() []string {
 // AddEdge adds a directed relationship from -> to with the given type name
 // and returns its edge ID. Self-loops are rejected (a member cannot relate to
 // themself in the model); parallel edges with different labels are allowed,
-// and a duplicate (from, to, label) triple is rejected.
+// and a duplicate (from, to, label) triple is rejected. An edge under a
+// label the CSR has no cells for re-lays the CSR out over the whole label
+// table, and is rejected if that would cross its cell bound (see CSR).
 func (g *Graph) AddEdge(from, to NodeID, label string) (EdgeID, error) {
 	return g.AddWeightedEdge(from, to, label, 0)
 }
@@ -339,25 +265,26 @@ func (g *Graph) AddWeightedEdge(from, to NodeID, label string, weight float64) (
 	if err := checkEndpoints(g.NumNodes(), from, to); err != nil {
 		return InvalidEdge, err
 	}
-	l := g.labels.intern(label)
-	if g.FindEdge(from, to, l) != InvalidEdge {
+	l, ok := g.labels.lookup(label)
+	if !ok || int(l) >= g.csr.labels {
+		width := g.labels.len()
+		if !ok {
+			width++
+		}
+		if err := checkCells(g.NumNodes(), width); err != nil {
+			return InvalidEdge, err
+		}
+		l = g.labels.intern(label)
+		g.layOut(width)
+	}
+	id := EdgeID(len(g.b.edges) + len(g.edges))
+	if !g.csr.addEdge(from, to, l, id) {
 		return InvalidEdge, errDuplicateEdge(g.Node(from).Name, label, g.Node(to).Name)
 	}
-	// A label this call interned changes the cell layout: FreshCSR is then
-	// nil and the CSR stays behind.
-	csr := g.FreshCSR()
-	id := EdgeID(len(g.b.edges) + len(g.edges))
 	g.weights = withWeight(g.weights, len(g.edges), weight)
 	g.edges = append(g.edges, edgeRec{From: from, To: to, Label: l})
-	nb := len(g.b.nodes)
-	g.out.set(nb, from, append(g.out.get(&g.b.out, nb, from), id))
-	g.in.set(nb, to, append(g.in.get(&g.b.in, nb, to), id))
 	g.live++
 	g.version.Add(1)
-	if csr != nil {
-		csr.addEdge(from, to, l)
-		g.restamp(csr)
-	}
 	g.record(Delta{Op: OpAddEdge, From: from, To: to, Label: label, Weight: weight})
 	return id, nil
 }
@@ -398,21 +325,14 @@ func (g *Graph) RemoveEdge(id EdgeID) error {
 	if !g.EdgeAlive(id) {
 		return fmt.Errorf("graph: no live edge %d", id)
 	}
-	csr := g.FreshCSR()
 	e := *g.rec(id)
 	if g.dead == nil {
 		g.dead = make(map[EdgeID]struct{})
 	}
 	g.dead[id] = struct{}{}
-	nb := len(g.b.nodes)
-	g.out.remove(&g.b.out, nb, e.From, id)
-	g.in.remove(&g.b.in, nb, e.To, id)
 	g.live--
 	g.version.Add(1)
-	if csr != nil {
-		csr.removeEdge(e.From, e.To, e.Label)
-		g.restamp(csr)
-	}
+	g.csr.removeEdge(e.From, e.To, e.Label)
 	g.record(Delta{Op: OpRemoveEdge, From: e.From, To: e.To, Label: g.labels.name(e.Label)})
 	return nil
 }
@@ -472,21 +392,13 @@ func (g *Graph) Edge(id EdgeID) Edge {
 	return Edge{ID: id, From: r.From, To: r.To, Label: r.Label, Weight: g.weight(id)}
 }
 
-// outList and inList return n's live edge IDs in insertion order.
-func (g *Graph) outList(n NodeID) []EdgeID { return g.out.get(&g.b.out, len(g.b.nodes), n) }
-func (g *Graph) inList(n NodeID) []EdgeID  { return g.in.get(&g.b.in, len(g.b.nodes), n) }
-
-// FindEdge returns the live edge (from, to, label) or InvalidEdge.
+// FindEdge returns the live edge (from, to, label) or InvalidEdge: a scan
+// of the (from, label) cell of the CSR.
 func (g *Graph) FindEdge(from, to NodeID, label Label) EdgeID {
-	if !g.ValidNode(from) {
+	if !g.ValidNode(from) || int(label) >= g.csr.labels {
 		return InvalidEdge
 	}
-	for _, eid := range g.outList(from) {
-		if e := g.rec(eid); e.To == to && e.Label == label {
-			return eid
-		}
-	}
-	return InvalidEdge
+	return g.csr.edgeID(from, to, label)
 }
 
 // HasEdge reports whether a live (from, to, label-name) edge exists.
@@ -498,51 +410,42 @@ func (g *Graph) HasEdge(from, to NodeID, label string) bool {
 	return g.FindEdge(from, to, l) != InvalidEdge
 }
 
-// OutEdges calls fn for every live outgoing edge of n, in insertion order.
-// fn returning false stops the iteration.
+// OutEdges calls fn for every live outgoing edge of n, in ID order, which is
+// the order they were added in. fn returning false stops the iteration.
 func (g *Graph) OutEdges(n NodeID, fn func(Edge) bool) {
-	for _, eid := range g.outList(n) {
-		if !fn(g.Edge(eid)) {
-			return
-		}
-	}
+	var buf [32]EdgeID
+	g.each(g.csr.appendOutIDs(buf[:0], n), fn)
 }
 
 // Neighbors calls fn once per live outgoing edge of n with the target
-// node, in insertion order (a target reachable over several labels is
-// visited once per label). fn returning false stops the iteration. It is
-// the adjacency view workload.Source asks of a graph-shaped value.
+// node, in ID order (a target reachable over several labels is visited once
+// per label). fn returning false stops the iteration. It is the adjacency
+// view workload.Source asks of a graph-shaped value.
 func (g *Graph) Neighbors(n NodeID, fn func(NodeID) bool) {
 	g.OutEdges(n, func(e Edge) bool { return fn(e.To) })
 }
 
-// InEdges calls fn for every live incoming edge of n, in insertion order.
+// InEdges calls fn for every live incoming edge of n, in ID order.
 func (g *Graph) InEdges(n NodeID, fn func(Edge) bool) {
-	for _, eid := range g.inList(n) {
-		if !fn(g.Edge(eid)) {
+	var buf [32]EdgeID
+	g.each(g.csr.appendInIDs(buf[:0], n), fn)
+}
+
+// each calls fn with the edge of every ID in ids until fn returns false.
+func (g *Graph) each(ids []EdgeID, fn func(Edge) bool) {
+	for _, id := range ids {
+		if !fn(g.Edge(id)) {
 			return
 		}
 	}
 }
 
-// OutDegree returns the number of live outgoing edges of n: read off the CSR
-// when the graph has one (see CSR.OutDegree), the length of n's edge list
-// otherwise (no build is forced, so a graph still being loaded never
-// thrashes).
-func (g *Graph) OutDegree(n NodeID) int {
-	if c := g.FreshCSR(); c != nil {
-		return c.OutDegree(n)
-	}
-	return len(g.outList(n))
-}
+// OutDegree returns the number of live outgoing edges of n, read off the
+// CSR (see CSR.OutDegree).
+func (g *Graph) OutDegree(n NodeID) int { return g.csr.OutDegree(n) }
 
 // InDegree returns the number of live incoming edges of n; see OutDegree.
-func (g *Graph) InDegree(n NodeID) int {
-	if c := g.FreshCSR(); c != nil {
-		return c.InDegree(n)
-	}
-	return len(g.inList(n))
-}
+func (g *Graph) InDegree(n NodeID) int { return g.csr.InDegree(n) }
 
 // Edges calls fn for every live edge in ID order.
 func (g *Graph) Edges(fn func(Edge) bool) {
@@ -572,7 +475,7 @@ func (g *Graph) EdgeString(e Edge) string {
 
 // Clone returns a copy of g that shares g's base and copies its private part
 // (see Graph): O(what changed since the base), never O(V+E). Edge IDs,
-// tombstones, the version and a fresh CSR carry over; the delta log does not.
+// tombstones, the version and the CSR carry over; the delta log does not.
 func (g *Graph) Clone() *Graph {
 	c := &Graph{
 		b:       g.b,
@@ -581,17 +484,13 @@ func (g *Graph) Clone() *Graph {
 		edges:   slices.Clip(g.edges),
 		weights: slices.Clip(g.weights),
 		dead:    maps.Clone(g.dead),
-		out:     g.out.clone(),
-		in:      g.in.clone(),
 		labels:  g.labels.clone(),
 		live:    g.live,
+		csr:     g.csr.clone(),
 	}
 	v := g.version.Load()
 	c.version.Store(v)
 	c.deltaBase = v
-	if csr := g.FreshCSR(); csr != nil {
-		c.csr.Store(csr.clone())
-	}
 	return c
 }
 
@@ -603,11 +502,16 @@ func (g *Graph) Clone() *Graph {
 // reading it until the last of them goes. The first rebase of a graph built
 // since New, and a Loader's, moves its tables into the base instead of
 // concatenating them, copying only a table with append slack, so that a
-// base holds no slack.
-// Rebase returns the new CSR, nil where BuildCSR would.
+// base holds no slack. Rebase returns the new CSR.
 func (g *Graph) Rebase() *CSR {
+	g.fold()
+	return g.layOut(g.csr.labels)
+}
+
+// fold moves the private part into a new base; see Rebase.
+func (g *Graph) fold() {
 	b := g.b
-	next := &Base{nodes: b.nodes, byName: b.byName, edges: b.edges, weights: b.weights, out: b.out, in: b.in}
+	next := &Base{nodes: b.nodes, byName: b.byName, edges: b.edges, weights: b.weights}
 	switch {
 	case len(g.nodes) == 0:
 	case len(b.nodes) == 0:
@@ -617,7 +521,7 @@ func (g *Graph) Rebase() *CSR {
 		next.byName = maps.Clone(b.byName)
 		maps.Copy(next.byName, g.names)
 	}
-	if len(g.nodes) > 0 || len(g.edges) > 0 || len(g.dead) > 0 {
+	if len(g.edges) > 0 || len(g.dead) > 0 {
 		switch {
 		case len(g.dead) > 0:
 			dead := g.deadSet()
@@ -638,16 +542,9 @@ func (g *Graph) Rebase() *CSR {
 				copy(next.weights[len(b.edges):], g.weights)
 			}
 		}
-		next.out, next.in = layoutEdgeRuns(next.edges, len(next.nodes))
 	}
 	g.b = next
 	g.nodes, g.names, g.edges, g.weights, g.dead = nil, nil, nil, nil, nil
-	g.out, g.in = lists{}, lists{}
-	c := g.BuildCSR()
-	if c != nil {
-		c.base = next
-	}
-	return c
 }
 
 // tight returns s, or a copy of it without append slack if it has some.
@@ -667,37 +564,13 @@ func grown[S ~[]E, E any](s S, n int) S {
 	return append(make(S, 0, len(s)+n), s...)
 }
 
-// layoutEdgeRuns lays the edge IDs of every node out in one slab per
-// direction, each node's in ID order.
-func layoutEdgeRuns(edges []edgeRec, nodes int) (out, in edgeRuns) {
-	out.off, in.off = make([]uint32, nodes+1), make([]uint32, nodes+1)
-	for i := range edges {
-		out.off[edges[i].From+1]++
-		in.off[edges[i].To+1]++
-	}
-	for n := 1; n <= nodes; n++ {
-		out.off[n] += out.off[n-1]
-		in.off[n] += in.off[n-1]
-	}
-	out.ids, in.ids = make([]EdgeID, len(edges)), make([]EdgeID, len(edges))
-	outNext, inNext := slices.Clone(out.off[:nodes]), slices.Clone(in.off[:nodes])
-	for i := range edges {
-		e := &edges[i]
-		out.ids[outNext[e.From]] = EdgeID(i)
-		outNext[e.From]++
-		in.ids[inNext[e.To]] = EdgeID(i)
-		inNext[e.To]++
-	}
-	return out, in
-}
-
 // NeedsRebase reports whether a Clone would copy more than a bounded private
-// part: the graph has no fresh CSR laid out by Rebase over its current base
-// — it was never rebased, its label table grew, or its patches crossed the
-// overlay bound (see CSR).
+// part: the CSR's slabs were laid out over more than the current base (it
+// was re-laid out for a new label, or built by BuildCSR over a private
+// part), or its patches crossed the overlay bound (see CSR).
 func (g *Graph) NeedsRebase() bool {
-	c := g.FreshCSR()
-	return c == nil || c.base != g.b
+	c := g.csr
+	return c.base != g.b || c.overlay > c.limit
 }
 
 // SortedNodeNames returns all member names sorted, for deterministic output.
@@ -718,11 +591,10 @@ type Stats struct {
 	MaxInDegree          int
 }
 
-// Stats computes summary statistics. It builds (and caches) the CSR view
-// once, so the degree sweep is O(V) offset reads instead of O(V+E) scans.
+// Stats computes summary statistics: the degree sweep is O(V) CSR offset
+// reads.
 func (g *Graph) Stats() Stats {
 	s := Stats{Nodes: g.NumNodes(), Edges: g.NumEdges(), Labels: g.NumLabels()}
-	g.CSR()
 	for i := 0; i < s.Nodes; i++ {
 		s.MaxOutDegree = max(s.MaxOutDegree, g.OutDegree(NodeID(i)))
 		s.MaxInDegree = max(s.MaxInDegree, g.InDegree(NodeID(i)))

@@ -1,15 +1,11 @@
 package graph
 
-import (
-	"cmp"
-	"maps"
-	"slices"
-)
+import "maps"
 
 // Loader builds a graph in bulk: it takes the nodes and edges of a whole
 // graph, as a sequence of AddNode and AddEdge calls on a new Graph would,
 // and Graph lays them out as a base in one pass. Added one by one, each
-// edge would scan its source's list for a duplicate, grow two edge lists
+// edge would scan its source's cell for a duplicate, patch two CSR cells
 // and log a delta, all of which the first Rebase throws away; a Loader
 // only appends records.
 //
@@ -18,7 +14,7 @@ import (
 // with an empty delta log and a CSR laid out over its base, so that
 // NeedsRebase is false. A Loader rejects what AddNode and AddWeightedEdge
 // reject, with their error text, except that Graph, not AddEdge, reports a
-// duplicate edge.
+// duplicate edge, or a graph whose CSR would cross its cell bound.
 type Loader struct {
 	nodes   []Node
 	names   map[string]NodeID
@@ -71,47 +67,37 @@ func (l *Loader) AddEdge(from, to NodeID, label string, weight float64) error {
 func (l *Loader) Graph() (*Graph, error) {
 	g := &Graph{b: &Base{}, nodes: l.nodes, names: l.names, edges: l.edges, weights: l.weights, labels: l.labels, live: len(l.edges)}
 	*l = *NewLoader()
+	if err := checkCells(g.NumNodes(), g.labels.len()); err != nil {
+		return nil, err
+	}
 	v := uint64(len(g.nodes) + g.live)
 	g.version.Store(v)
 	g.deltaBase = v
-	g.Rebase()
-	if id := firstDuplicate(g.b); id != InvalidEdge {
+	g.fold()
+	g.layOut(g.labels.len())
+	if id := firstDuplicate(g.csr); id != InvalidEdge {
 		e := g.rec(id)
 		return nil, errDuplicateEdge(g.Node(e.From).Name, g.LabelName(e.Label), g.Node(e.To).Name)
 	}
 	return g, nil
 }
 
-// firstDuplicate returns the lowest-numbered edge of b that repeats the
-// (from, to, label) of a lower-numbered one, the first that AddWeightedEdge
-// would reject, or InvalidEdge if there is none. It visits one source's
-// run at a time: a mark per node finds the runs that reach some target
-// twice, the only ones that can hold a duplicate, and only those are
-// sorted.
-func firstDuplicate(b *Base) EdgeID {
+// firstDuplicate returns the lowest-numbered edge of a freshly laid out c
+// that repeats the (from, to, label) of a lower-numbered one, the first that
+// AddWeightedEdge would reject, or InvalidEdge if there is none. A repeat
+// shares its cell with the edge it repeats, and a cell's run is in ID order,
+// so a mark per node, stamped with the cell, finds in one pass over the out
+// slab every edge that repeats an earlier one in its run.
+func firstDuplicate(c *CSR) EdgeID {
 	first := InvalidEdge
-	mark := make([]uint32, len(b.nodes)) // mark[t] == n+1: n's run reaches t
-	var run []EdgeID
-	for n := range len(b.nodes) {
-		ids := b.out.ids[b.out.off[n]:b.out.off[n+1]]
-		repeats := false
-		for _, id := range ids {
-			t := b.edges[id].To
-			repeats = repeats || mark[t] == uint32(n+1)
-			mark[t] = uint32(n + 1)
-		}
-		if !repeats {
-			continue
-		}
-		run = append(run[:0], ids...)
-		slices.SortFunc(run, func(x, y EdgeID) int {
-			ex, ey := &b.edges[x], &b.edges[y]
-			return cmp.Or(cmp.Compare(ex.To, ey.To), cmp.Compare(ex.Label, ey.Label), cmp.Compare(x, y))
-		})
-		for i := 1; i < len(run); i++ {
-			if p, q := &b.edges[run[i-1]], &b.edges[run[i]]; p.To == q.To && p.Label == q.Label {
-				first = min(first, run[i])
+	mark := make([]uint32, c.nodes) // mark[t] == i+1: cell i reaches t
+	for i := range len(c.out.off) - 1 {
+		for j := c.out.off[i]; j < c.out.off[i+1]; j++ {
+			t := c.out.nbr[j]
+			if mark[t] == uint32(i+1) {
+				first = min(first, c.out.ids[j])
 			}
+			mark[t] = uint32(i + 1)
 		}
 	}
 	return first

@@ -26,7 +26,7 @@ func (e *Engine) AppendAudience(dst []graph.NodeID, owner graph.NodeID, p *pathe
 	if !e.g.ValidNode(owner) {
 		return dst, fmt.Errorf("search: invalid owner %d", owner)
 	}
-	pl, err := e.Plan(p)
+	pl, err := e.fittingPlan(p)
 	if err != nil {
 		return dst, err
 	}

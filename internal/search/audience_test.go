@@ -147,9 +147,9 @@ func sameIDs(a, b []graph.NodeID) bool {
 	return true
 }
 
-// TestAudienceSetMapMatchesFlat exercises the map kernel (the fallback when
-// a state space exceeds the flat layout's bounds) as an audience sweep
-// directly and checks it agrees with the flat collect path on every owner.
+// TestAudienceSetMapMatchesFlat runs the reference search (refSearch, a
+// map-keyed BFS over the edge table) as an audience sweep and checks that
+// it agrees with the flat collect path on every owner.
 func TestAudienceSetMapMatchesFlat(t *testing.T) {
 	g, ids := audCacheFixture(t, 24)
 	e := New(g)
@@ -168,13 +168,9 @@ func TestAudienceSetMapMatchesFlat(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sc := &scratch{
-				member:   make([]uint64, (g.NumNodes()+63)/64),
-				frontier: []uint64{packState(owner, 0, 0)},
-			}
-			e.runMap(&pl.compiled, sc, query{target: graph.InvalidNode, collect: true})
-			if got := appendBits(nil, sc.member); !sameIDs(got, want) {
-				t.Fatalf("owner %d path %s: map %v, flat %v", owner, expr, got, want)
+			ref := refSearch(g, &pl.compiled, []uint64{packState(owner, 0, 0)}, query{target: graph.InvalidNode, collect: true})
+			if !sameIDs(ref.members, want) {
+				t.Fatalf("owner %d path %s: reference %v, flat %v", owner, expr, ref.members, want)
 			}
 		}
 	}

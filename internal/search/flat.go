@@ -1,6 +1,7 @@
 package search
 
 import (
+	"fmt"
 	"math"
 	"sync"
 
@@ -8,17 +9,16 @@ import (
 	"reachac/internal/pathexpr"
 )
 
-// This file is the flat kernel, the allocation-free hot path of Expand and
-// the audiences (the point query's meet search in meet.go shares its layout
-// and scratch). The product search space (node, step, depth-key) is mapped
-// to a dense integer range — node*states + stepBase[step] + d — so the
-// visited set is a flat bitset instead of a map, the frontier is a reusable
-// slice of packed uint64 states, and both live in a sync.Pool scratch that
-// queries borrow and hand back all-zero. Adjacency always comes from the
-// graph's label-partitioned CSR (see graph.CSR), which the graph keeps fresh
-// across mutations; an engine over a graph that was never indexed builds it
-// on its first query. A plan or graph the layout cannot serve (see flatOK)
-// is searched by the map kernel of search.go instead.
+// This file is the flat kernel, the allocation-free search of Expand, the
+// audiences and Witness (the point query's meet search in meet.go shares its
+// layout and scratch). The product search space (node, step, depth-key) is
+// mapped to a dense integer range — node*states + stepBase[step] + d — so
+// the visited set is a flat bitset instead of a map, the frontier is a
+// reusable slice of packed uint64 states, and both live in a sync.Pool
+// scratch that queries borrow and hand back all-zero. Adjacency comes from
+// the graph's label-partitioned CSR (see graph.CSR), which the graph keeps
+// current across mutations. A plan whose layout does not fit the graph it
+// is asked about (see fits) is an error.
 
 // compiled is one direction of a plan: the steps of a pattern resolved
 // against a graph, plus the dense state layout derived from them.
@@ -42,7 +42,7 @@ type compiled struct {
 // both halves of the meet search.
 //
 // A Plan is immutable and valid only on the engine whose Plan method returned
-// it, until that graph's label table grows.
+// it, until that graph's CSR gets cells for more labels.
 type Plan struct {
 	compiled
 	rev      compiled
@@ -51,14 +51,15 @@ type Plan struct {
 	// is unbounded: a meet search whose two sides have expanded that many
 	// layers between them has seen every match.
 	maxLen int
-	// labelsLen is the graph's label count at compile time; a grown label
-	// table invalidates the plan (a previously-absent label may now exist).
-	labelsLen int
+	// labels is the number of labels the graph's CSR had cells for at
+	// compile time; more invalidate the plan (a label that matched nothing
+	// may now match).
+	labels int
 }
 
-// maxFlatStates bounds node*states products (in bits) served by the flat
-// kernel; beyond it the map kernel takes over. 2^31 bits = 256 MiB of
-// visited bitset, far above any realistic policy.
+// maxFlatStates bounds node*states products (in bits), the size of a
+// search's visited bitset; a query past it is an error. 2^31 bits = 256 MiB
+// of visited bitset, far above any realistic policy.
 const maxFlatStates = int64(1) << 31
 
 // layOut assigns the dense state layout to compiled steps: each step gets
@@ -93,11 +94,11 @@ func newPlan(g *graph.Graph, p *pathexpr.Path) (*Plan, error) {
 		}
 	}
 	return &Plan{
-		compiled:  layOut(steps),
-		rev:       layOut(revSteps),
-		revPreds:  revPreds,
-		maxLen:    maxLen,
-		labelsLen: g.NumLabels(),
+		compiled: layOut(steps),
+		rev:      layOut(revSteps),
+		revPreds: revPreds,
+		maxLen:   maxLen,
+		labels:   g.CSR().NumLabels(),
 	}, nil
 }
 
@@ -108,13 +109,13 @@ func newPlan(g *graph.Graph, p *pathexpr.Path) (*Plan, error) {
 const maxPlanCacheEntries = 1024
 
 // Plan returns the compiled plan of p on this engine, compiling it on first
-// use of the expression or after the graph's label table has grown.
+// use of the expression or after the graph's CSR got cells for more labels.
 // Structurally equal paths share one plan. The warm path is one lock-free
 // map probe and, for a parsed path, allocates nothing.
 func (e *Engine) Plan(p *pathexpr.Path) (*Plan, error) {
 	key := p.String()
 	if m := e.plans.Load(); m != nil {
-		if pl := (*m)[key]; pl != nil && pl.labelsLen == e.g.NumLabels() {
+		if pl := (*m)[key]; pl != nil && pl.labels == e.g.CSR().NumLabels() {
 			return pl, nil
 		}
 	}
@@ -148,6 +149,19 @@ func (e *Engine) Plan(p *pathexpr.Path) (*Plan, error) {
 	return pl, nil
 }
 
+// fittingPlan is Plan, failing for a plan that does not fit the graph (see
+// fits).
+func (e *Engine) fittingPlan(p *pathexpr.Path) (*Plan, error) {
+	pl, err := e.Plan(p)
+	if err != nil {
+		return nil, err
+	}
+	if err := pl.fits(e.g.NumNodes()); err != nil {
+		return nil, err
+	}
+	return pl, nil
+}
+
 // PlanCacheLen returns the number of cached plans.
 func (e *Engine) PlanCacheLen() int {
 	if m := e.plans.Load(); m != nil {
@@ -156,9 +170,9 @@ func (e *Engine) PlanCacheLen() int {
 	return 0
 }
 
-// scratch is the working set of one search: the visited bitset (flat kernel
-// only), the member bitset over node IDs, the frontier — the seeds on entry,
-// on return every state marked and not retired as an exit — and the exits.
+// scratch is the working set of one search: the visited bitset, the member
+// bitset over node IDs, the frontier — the seeds on entry, on return every
+// state marked and not retired as an exit — and the exits.
 // A meet search (meet.go) runs its owner side on visited and frontier and
 // its requester side on backVisited and backMarked. A parked scratch is
 // all-zero over the whole capacity of its bitsets: a search un-marks exactly
@@ -184,8 +198,7 @@ func sized(b []uint64, words int) []uint64 {
 	return b[:words]
 }
 
-// query is what a product search is asked beyond its seeds; both kernels
-// take it.
+// query is what a product search is asked beyond its seeds.
 type query struct {
 	// target, unless graph.InvalidNode, ends the search as soon as it closes
 	// the last step.
@@ -199,14 +212,10 @@ type query struct {
 	foreign func(graph.NodeID) bool
 }
 
-// run searches from the seeds in sc.frontier with the kernel c can use on
-// this graph, and leaves sc.visited all-zero. sc.member must cover the
-// graph's nodes when q collects.
+// run searches from the seeds in sc.frontier with the flat kernel and leaves
+// sc.visited all-zero. c must fit the graph (see fits), and sc.member must
+// cover the graph's nodes when q collects.
 func (e *Engine) run(c *compiled, sc *scratch, q query) bool {
-	if !c.flatOK(e.g) {
-		found, _, _ := e.runMap(c, sc, q)
-		return found
-	}
 	sc.visited = sized(sc.visited, c.flatWords(e.g.NumNodes()))
 	found := e.runFlat(c, sc, q)
 	c.unmark(sc.visited, sc.frontier)
@@ -249,17 +258,19 @@ func unpackState(packed uint64) (node graph.NodeID, step, d int32) {
 	return graph.NodeID(packed >> 32), int32(uint16(packed >> 16)), int32(uint16(packed))
 }
 
-// flatOK reports whether the flat kernel can serve a query over g: the state
-// space fits the dense layout and g has a CSR, which it builds here if g was
-// never indexed. A graph with labels has none only when nodes × labels is
-// beyond what graph.BuildCSR will lay out.
-func (c *compiled) flatOK(g *graph.Graph) bool {
-	return len(c.steps) < 1<<16 && int64(g.NumNodes())*int64(c.states) <= maxFlatStates && g.CSR() != nil
+// fits returns the error of a query of c over a graph of the given nodes
+// whose product states exceed maxFlatStates, nil for one the dense layout
+// holds. The reversal of a plan has the same states as the plan.
+func (c *compiled) fits(nodes int) error {
+	if int64(nodes)*int64(c.states) > maxFlatStates {
+		return fmt.Errorf("search: %d nodes × %d states per node exceed the search bound of %d states", nodes, c.states, maxFlatStates)
+	}
+	return nil
 }
 
 // runFlat is the flat kernel: the product BFS over the graph's CSR, with
 // sc.visited a bitset in c's layout, clear outside the states already
-// marked; c.flatOK must hold. It searches from the seeds in sc.frontier —
+// marked; c must fit the graph. It searches from the seeds in sc.frontier —
 // dropping those already marked — until exhaustion or until q.target closes
 // the last step. On return sc.frontier and sc.exits list every state it
 // marked. It allocates nothing beyond their growth.

@@ -8,8 +8,7 @@ import (
 // This file is the point query, searched from both ends at once (meet in the
 // middle): forward from the owner over the plan's steps, and backward from
 // the requester over their reversal (pathexpr.Reverse), one BFS layer at a
-// time. Both sides share the flat kernel's layout and scratch (flat.go); the
-// map kernel answers for a plan or graph that does not fit it.
+// time. Both sides share the flat kernel's layout and scratch (flat.go).
 //
 // Meet rule. A position (n, s, d) — at node n, in step s, d edges of it
 // consumed — meets a position of the other side at the same node, in the same
@@ -79,8 +78,8 @@ func (h *half) holds(n graph.NodeID, s, lo, hi int32) bool {
 }
 
 // meet searches for a match of pl from owner to requester from both ends.
-// Every label of pl must occur in the graph, pl must be flatOK, and the
-// requester must satisfy pl.revPreds.
+// Every label of pl must occur in the graph, pl must fit it (see fits), and
+// the requester must satisfy pl.revPreds.
 func (e *Engine) meet(pl *Plan, owner, requester graph.NodeID) bool {
 	csr := e.g.CSR()
 	sc := scratchPool.Get().(*scratch)

@@ -11,22 +11,10 @@ import (
 	"reachac/internal/pathexpr"
 )
 
-// mapReachable is the reference every meet search is held to: the map
-// kernel's one-sided search from the owner.
-func mapReachable(t testing.TB, e *Engine, owner, requester graph.NodeID, p *pathexpr.Path) bool {
-	t.Helper()
-	pl, err := e.Plan(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	found, _, _ := e.runMap(&pl.compiled, &scratch{frontier: []uint64{packState(owner, 0, 0)}}, query{target: requester})
-	return found
-}
-
-// agreesWithMap fails t unless Reachable answers every (owner, requester)
-// pair among ids as the reference does, and every allow has a Witness that
-// verifies. It returns the number of allows.
-func agreesWithMap(t testing.TB, what string, e *Engine, g *graph.Graph, p *pathexpr.Path, owners, requesters []graph.NodeID) int {
+// agreesWithRef fails t unless Reachable answers every (owner, requester)
+// pair among ids as the reference search (refReachable) does, and every
+// allow has a Witness that verifies. It returns the number of allows.
+func agreesWithRef(t testing.TB, what string, e *Engine, g *graph.Graph, p *pathexpr.Path, owners, requesters []graph.NodeID) int {
 	t.Helper()
 	allows := 0
 	for _, o := range owners {
@@ -35,8 +23,8 @@ func agreesWithMap(t testing.TB, what string, e *Engine, g *graph.Graph, p *path
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := mapReachable(t, e, o, r, p); got != want {
-				t.Fatalf("%s: %s from %d to %d: Reachable %v, map kernel %v", what, p, o, r, got, want)
+			if want := refReachable(t, e, o, r, p); got != want {
+				t.Fatalf("%s: %s from %d to %d: Reachable %v, reference %v", what, p, o, r, got, want)
 			}
 			if !got {
 				continue
@@ -99,8 +87,9 @@ var meetExprs = []string{
 }
 
 // TestReachableAgreesWithMapKernel: on random graphs, small ones asked every
-// pair and larger ones a sample, the meet search answers as the map kernel's
-// one-sided search does, and every allow has a witness.
+// pair and larger ones a sample, the meet search answers as the reference
+// search (refSearch, a map-keyed BFS over the edge table) does from the
+// owner, and every allow has a witness that verifies.
 func TestReachableAgreesWithMapKernel(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	allows, denies := 0, 0
@@ -116,7 +105,7 @@ func TestReachableAgreesWithMapKernel(t *testing.T) {
 			owners, requesters = ids[:sample], ids[len(ids)-sample:]
 		}
 		for _, expr := range meetExprs {
-			a := agreesWithMap(t, fmt.Sprintf("trial %d", trial), e, g, pathexpr.MustParse(expr), owners, requesters)
+			a := agreesWithRef(t, fmt.Sprintf("trial %d", trial), e, g, pathexpr.MustParse(expr), owners, requesters)
 			allows += a
 			denies += len(owners)*len(requesters) - a
 		}
@@ -182,8 +171,7 @@ func TestReachableReverseInvalidNodeErrorMatchesForward(t *testing.T) {
 }
 
 // TestFanoutFollowsPatchedCSR: the fan-out that picks the side to expand
-// reads the CSR, which an engine over a never-indexed graph builds on its
-// first query and the graph then patches through mutations.
+// reads the CSR, which the graph patches through mutations.
 func TestFanoutFollowsPatchedCSR(t *testing.T) {
 	g := graph.New()
 	a := g.MustAddNode("a", nil)
@@ -194,16 +182,10 @@ func TestFanoutFollowsPatchedCSR(t *testing.T) {
 	g.MustAddEdge(b, a, "friend")
 	e := New(g)
 	p := pathexpr.MustParse("friend+[1]")
-	if g.FreshCSR() != nil {
-		t.Fatal("fixture graph already indexed")
-	}
 	if ok, err := e.Reachable(a, b, p); err != nil || !ok {
 		t.Fatalf("Reachable = (%v, %v), want found", ok, err)
 	}
-	csr := g.FreshCSR()
-	if csr == nil {
-		t.Fatal("first query did not index the graph")
-	}
+	csr := g.CSR()
 	pl, err := e.Plan(p)
 	if err != nil {
 		t.Fatal(err)
@@ -220,7 +202,7 @@ func TestFanoutFollowsPatchedCSR(t *testing.T) {
 	if err := g.RemoveEdge(g.FindEdge(a, c, g.Label("friend"))); err != nil {
 		t.Fatal(err)
 	}
-	if fwd, rev := fans(); fwd != 1 || rev != 2 || g.FreshCSR() != csr {
+	if fwd, rev := fans(); fwd != 1 || rev != 2 || g.CSR() != csr {
 		t.Fatalf("patched fan-outs = (%d, %d), want (1, 2) off the same CSR", fwd, rev)
 	}
 	both, err := e.Plan(pathexpr.MustParse("friend*[1]"))
@@ -233,8 +215,8 @@ func TestFanoutFollowsPatchedCSR(t *testing.T) {
 }
 
 // FuzzReachableMeet builds a graph of up to nine members and a pattern of
-// up to three steps from the input, and holds Reachable to the map kernel
-// on every pair.
+// up to three steps from the input, and holds Reachable to the reference
+// search on every pair, and every allow's Witness to VerifyWitness.
 func FuzzReachableMeet(f *testing.F) {
 	f.Add([]byte{5, 1, 0x00, 0x01, 0x00, 0, 1, 1, 2, 2, 3, 3, 4})
 	f.Add([]byte{7, 2, 0x0c, 0x14, 0x01, 0x20, 0x2e, 0x05, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 0})
@@ -287,6 +269,6 @@ func FuzzReachableMeet(f *testing.F) {
 				_, _ = g.AddEdge(u, v, []string{"friend", "colleague"}[in[i]/16%2])
 			}
 		}
-		agreesWithMap(t, "fuzz", New(g), g, p, ids, ids)
+		agreesWithRef(t, "fuzz", New(g), g, p, ids, ids)
 	})
 }

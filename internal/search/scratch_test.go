@@ -33,14 +33,6 @@ var scratchExprs = []string{
 	"friend+[1,3]/colleague*[1,2]",
 }
 
-// outcome is what one search reports: whether it reached its target, the
-// members it collected and, sorted, the states it marked and its exits.
-type outcome struct {
-	found          bool
-	members        []graph.NodeID
-	retired, exits []uint64
-}
-
 func sortedStates(packed ...[]uint64) []uint64 {
 	out := slices.Concat(packed...)
 	slices.Sort(out)
@@ -50,46 +42,41 @@ func sortedStates(packed ...[]uint64) []uint64 {
 // TestScratchLeftAllZero runs every kind of search the entry points make —
 // point queries found early and exhausted, audience sweeps, multi-state
 // expansions — on the flat kernel over ONE scratch. After each it checks
-// that the scratch is all-zero again, and that the map kernel, which shares
-// no state with it, answers the same on the same inputs; the public entry
-// points must answer as the map kernel does too. A search that left a bit
+// that the scratch is all-zero again, and that the reference search
+// (refSearch), which shares no state with it, answers the same on the same
+// inputs; the public entry points must answer as the reference does too. A search that left a bit
 // behind would fail the first check at once and the second on a later query
 // that finds the state already visited. Every witness is verified.
 func TestScratchLeftAllZero(t *testing.T) {
 	g, ids := audCacheFixture(t, 60)
-	g.CSR()
 	e := New(g)
 	sc := new(scratch)
-	// kernels runs q from seeds on both kernels, fails the test unless they
-	// agree, and returns the map kernel's outcome. An early exit leaves
-	// behind whatever its adjacency order reached, so only an exhausted
-	// search must mark the same states and members on both.
-	kernels := func(what string, c *compiled, seeds []uint64, q query) outcome {
+	// kernels runs q from seeds on the flat kernel and the reference, fails
+	// the test unless they agree, and returns the reference's outcome. An
+	// early exit leaves behind whatever its adjacency order reached, so only
+	// an exhausted search must mark the same states and members on both.
+	kernels := func(what string, c *compiled, seeds []uint64, q query) refOutcome {
 		t.Helper()
-		if !c.flatOK(g) {
-			t.Fatalf("%s: the fixture does not fit the flat kernel", what)
+		if err := c.fits(g.NumNodes()); err != nil {
+			t.Fatalf("%s: %v", what, err)
 		}
 		sc.member = sized(sc.member, (g.NumNodes()+63)/64)
 		sc.frontier = append(sc.frontier[:0], seeds...)
-		flat := outcome{found: e.run(c, sc, q)}
-		flat.retired, flat.exits = sortedStates(sc.frontier, sc.exits), sortedStates(sc.exits)
+		flat := refOutcome{found: e.run(c, sc, q)}
+		flat.marked, flat.exits = sortedStates(sc.frontier, sc.exits), sortedStates(sc.exits)
 		flat.members = takeBits(nil, sc.member)
 		if !allZero(sc) {
 			t.Fatalf("%s: scratch not all-zero after the flat kernel", what)
 		}
-		ms := &scratch{member: make([]uint64, len(sc.member)), frontier: slices.Clone(seeds)}
-		var m outcome
-		m.found, _, _ = e.runMap(c, ms, q)
-		m.retired, m.exits = sortedStates(ms.frontier, ms.exits), sortedStates(ms.exits)
-		m.members = appendBits(nil, ms.member)
-		if flat.found != m.found {
-			t.Fatalf("%s: flat found %v, map %v", what, flat.found, m.found)
+		ref := refSearch(g, c, seeds, q)
+		if flat.found != ref.found {
+			t.Fatalf("%s: flat found %v, reference %v", what, flat.found, ref.found)
 		}
-		if !m.found && (!sameIDs(flat.members, m.members) || !slices.Equal(flat.retired, m.retired) || !slices.Equal(flat.exits, m.exits)) {
-			t.Fatalf("%s: flat marked %d states, %d exits, members %v; map %d, %d, %v",
-				what, len(flat.retired), len(flat.exits), flat.members, len(m.retired), len(m.exits), m.members)
+		if !ref.found && (!sameIDs(flat.members, ref.members) || !slices.Equal(flat.marked, ref.marked) || !slices.Equal(flat.exits, ref.exits)) {
+			t.Fatalf("%s: flat marked %d states, %d exits, members %v; reference %d, %d, %v",
+				what, len(flat.marked), len(flat.exits), flat.members, len(ref.marked), len(ref.exits), ref.members)
 		}
-		return m
+		return ref
 	}
 
 	hits, misses := 0, 0
@@ -110,7 +97,7 @@ func TestScratchLeftAllZero(t *testing.T) {
 						t.Fatal(err)
 					}
 					if ok != want {
-						t.Fatalf("%s: Witness %v, map kernel %v", what, ok, want)
+						t.Fatalf("%s: Witness %v, reference %v", what, ok, want)
 					}
 					if ok {
 						if err := VerifyWitness(g, owner, req, p, hops); err != nil {
@@ -121,13 +108,13 @@ func TestScratchLeftAllZero(t *testing.T) {
 						misses++
 					}
 					if got, err := e.Reachable(owner, req, p); err != nil || got != want {
-						t.Fatalf("%s: Reachable (%v, %v), map kernel %v", what, got, err, want)
+						t.Fatalf("%s: Reachable (%v, %v), reference %v", what, got, err, want)
 					}
 				}
 				what := fmt.Sprintf("%s from %d", expr, owner)
 				want := kernels(what, &pl.compiled, seed, query{target: graph.InvalidNode, collect: true}).members
 				if got, err := e.AudienceSet(owner, p); err != nil || !sameIDs(got, want) {
-					t.Fatalf("%s: AudienceSet (%v, %v), map kernel %v", what, got, err, want)
+					t.Fatalf("%s: AudienceSet (%v, %v), reference %v", what, got, err, want)
 				}
 			}
 		}
@@ -170,14 +157,17 @@ func TestScratchLeftAllZero(t *testing.T) {
 			seeds = append(seeds, packState(s.Node, int32(s.Step), int32(s.D)))
 		}
 		want := kernels(tc.name, &pl.compiled, seeds, query{target: tc.target, collect: true, foreign: tc.foreign})
-		x := e.Expand(pl, tc.seeds, tc.target, tc.foreign)
+		x, err := e.Expand(pl, tc.seeds, tc.target, tc.foreign)
+		if err != nil {
+			t.Fatal(err)
+		}
 		var exits []uint64
 		for _, s := range x.Exits {
 			exits = append(exits, packState(s.Node, int32(s.Step), int32(s.D)))
 		}
 		if x.Found != want.found || !want.found && (!sameIDs(x.Members, want.members) ||
 			!slices.Equal(sortedStates(exits), want.exits)) {
-			t.Fatalf("%s: Expand found %v, members %v, %d exits; map kernel %v, %v, %d",
+			t.Fatalf("%s: Expand found %v, members %v, %d exits; reference %v, %v, %d",
 				tc.name, x.Found, x.Members, len(x.Exits), want.found, want.members, len(want.exits))
 		}
 		if tc.foreign != nil && !want.found && len(want.exits) == 0 {
@@ -191,7 +181,6 @@ func TestScratchLeftAllZero(t *testing.T) {
 // each one inspects what the pool hands out.
 func TestPooledScratchAllZero(t *testing.T) {
 	g, ids := audCacheFixture(t, 60)
-	g.CSR()
 	e := New(g)
 	check := func(what string) {
 		t.Helper()

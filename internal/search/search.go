@@ -5,21 +5,16 @@
 // and takes O(|V| + |E|) per query, which is the cost the index pipeline of
 // §3 is designed to beat on large graphs.
 //
-// The product search is written twice, over the same inputs — seed states,
-// each at any step and depth; an optional target for early exit; optional
-// member collection; an optional foreign test that retires a state without
-// expanding it (see query):
-//
-//   - runFlat (flat.go), the allocation-free kernel over the graph's CSR
-//     with a dense bitset visited set, serves Expand and the audiences
-//     whenever the plan and graph fit its layout (flatOK);
-//   - runMap (below), a map-keyed kernel over the edge lists that records
-//     parents, serves every entry point otherwise, and always serves
-//     Witness, which walks the parents back.
-//
-// Reachable, whenever the flat layout fits, runs neither: it searches from
-// both endpoints at once on that layout and stops where the two sides meet
-// (meet.go).
+// The product search is one kernel, runFlat (flat.go): allocation-free, over
+// the graph's CSR with a dense bitset visited set. It takes seed states, each
+// at any step and depth; an optional target for early exit; optional member
+// collection; an optional foreign test that retires a state without
+// expanding it (see query). It serves Expand, the audiences and Witness,
+// which walks the states it marked back from the requester. Reachable
+// searches from both endpoints at once on the same layout and stops where
+// the two sides meet (meet.go). A plan the layout cannot hold on the graph
+// it is asked about — over maxSteps steps, or over maxFlatStates product
+// states — is an error, not a slower search.
 //
 // Every search reads the step rules (close, continue, the canonical depth
 // key) from pathexpr.Step, their one definition.
@@ -38,15 +33,19 @@ import (
 	"reachac/internal/pathexpr"
 )
 
-// maxDepthLimit bounds per-step depths so that search states pack into a
-// 64-bit word (see packState). Real policies use single-digit depths.
-const maxDepthLimit = 1 << 15
+// maxDepthLimit bounds per-step depths, and maxSteps a pattern's steps, so
+// that search states pack into a 64-bit word (see packState). Real policies
+// use single-digit depths and a handful of steps.
+const (
+	maxDepthLimit = 1 << 15
+	maxSteps      = 1<<16 - 1
+)
 
 // compiledStep is a path step with its label resolved against a graph.
 type compiledStep struct {
 	pathexpr.Step
 	label   graph.Label
-	labelOK bool // false when the label does not occur in the graph at all
+	labelOK bool // false when no edge of the graph can carry the label
 }
 
 func (s *compiledStep) predsHold(g *graph.Graph, n graph.NodeID) bool {
@@ -62,13 +61,19 @@ func compile(g *graph.Graph, p *pathexpr.Path) ([]compiledStep, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	if len(p.Steps) > maxSteps {
+		return nil, fmt.Errorf("search: %d steps exceed the limit of %d", len(p.Steps), maxSteps)
+	}
+	// A label the CSR has no cells for (see graph.CSR) is one no edge
+	// carries: it matches nothing, as an unknown label does.
+	width := g.CSR().NumLabels()
 	steps := make([]compiledStep, len(p.Steps))
 	for i, st := range p.Steps {
 		if st.MaxDepth >= maxDepthLimit || st.MinDepth >= maxDepthLimit {
 			return nil, fmt.Errorf("search: step %d depth exceeds limit %d", i+1, maxDepthLimit)
 		}
 		label, ok := g.LookupLabel(st.Label)
-		steps[i] = compiledStep{Step: st, label: label, labelOK: ok}
+		steps[i] = compiledStep{Step: st, label: label, labelOK: ok && int(label) < width}
 	}
 	return steps, nil
 }
@@ -90,11 +95,9 @@ type Hop struct {
 	Step    int
 }
 
-// Engine evaluates reachability constraints by online graph traversal, on
-// the kernel the package comment assigns to each query: the flat kernel,
-// allocation-free after warmup, whenever the plan and graph fit it, and the
-// map kernel otherwise and for Witness. An Engine is safe for concurrent
-// queries over a quiescent graph.
+// Engine evaluates reachability constraints by online graph traversal (see
+// the package comment), allocation-free after warmup. An Engine is safe for
+// concurrent queries over a quiescent graph.
 type Engine struct {
 	g *graph.Graph
 	// PlanCompiles, when set before the engine's first query, is incremented
@@ -119,15 +122,14 @@ func (e *Engine) ApplyDelta(g *graph.Graph, _ []graph.Delta) bool { return e.g =
 // Reachable reports whether requester is reachable from owner through a path
 // matching p (Definition 3: the requester must have a direct or indirect
 // relationship with the owner that matches the specified path). It searches
-// from both ends and stops where they meet (meet.go); on the map kernel,
-// for a plan or graph the flat layout cannot serve, it searches from the
-// owner. On the flat kernel it performs zero heap allocations once the plan
-// cache and the pooled scratch are warm.
+// from both ends and stops where they meet (meet.go), and performs zero heap
+// allocations once the plan cache and the pooled scratch are warm. A plan
+// whose product states do not fit the graph (see fits) is an error.
 func (e *Engine) Reachable(owner, requester graph.NodeID, p *pathexpr.Path) (bool, error) {
 	if !e.g.ValidNode(owner) || !e.g.ValidNode(requester) {
 		return false, fmt.Errorf("search: invalid node (owner=%d requester=%d)", owner, requester)
 	}
-	pl, err := e.Plan(p)
+	pl, err := e.fittingPlan(p)
 	if err != nil {
 		return false, err
 	}
@@ -139,10 +141,6 @@ func (e *Engine) Reachable(owner, requester graph.NodeID, p *pathexpr.Path) (boo
 		if !pr.Eval(e.g.Node(requester).Attrs) {
 			return false, nil
 		}
-	}
-	if !pl.flatOK(e.g) {
-		found, _, _ := e.runMap(&pl.compiled, &scratch{frontier: []uint64{packState(owner, 0, 0)}}, query{target: requester})
-		return found, nil
 	}
 	return e.meet(pl, owner, requester), nil
 }
@@ -165,8 +163,12 @@ type Expansion struct {
 // an exit without being expanded; seeds are always expanded. A step whose
 // label the graph lacks matches no edge, and its states retire unexpanded.
 // Each seed must be a valid node at a step of pl with D canonical and below
-// that step's Depths.
-func (e *Engine) Expand(pl *Plan, seeds []State, target graph.NodeID, foreign func(graph.NodeID) bool) Expansion {
+// that step's Depths. A plan whose product states do not fit the graph (see
+// fits) is an error.
+func (e *Engine) Expand(pl *Plan, seeds []State, target graph.NodeID, foreign func(graph.NodeID) bool) (Expansion, error) {
+	if err := pl.fits(e.g.NumNodes()); err != nil {
+		return Expansion{}, err
+	}
 	sc := scratchPool.Get().(*scratch)
 	sc.member = sized(sc.member, (e.g.NumNodes()+63)/64)
 	sc.frontier = sc.frontier[:0]
@@ -181,17 +183,18 @@ func (e *Engine) Expand(pl *Plan, seeds []State, target graph.NodeID, foreign fu
 		x.Exits[i] = State{Node: node, Step: int(step), D: int(d)}
 	}
 	scratchPool.Put(sc)
-	return x
+	return x, nil
 }
 
 // Witness is Reachable returning also a matching path (sequence of hops
-// from owner to requester) when one exists. It runs the map kernel, whose
-// parents it walks back from the requester.
+// from owner to requester) when one exists. It runs the flat kernel from the
+// owner with the requester as its target, then walks the states it marked
+// back from the requester (see walkBack).
 func (e *Engine) Witness(owner, requester graph.NodeID, p *pathexpr.Path) ([]Hop, bool, error) {
 	if !e.g.ValidNode(owner) || !e.g.ValidNode(requester) {
 		return nil, false, fmt.Errorf("search: invalid node (owner=%d requester=%d)", owner, requester)
 	}
-	pl, err := e.Plan(p)
+	pl, err := e.fittingPlan(p)
 	if err != nil {
 		return nil, false, err
 	}
@@ -199,99 +202,87 @@ func (e *Engine) Witness(owner, requester graph.NodeID, p *pathexpr.Path) ([]Hop
 		// A label absent from the graph can never be matched.
 		return nil, false, nil
 	}
-	sc := &scratch{frontier: []uint64{packState(owner, 0, 0)}}
-	found, parents, last := e.runMap(&pl.compiled, sc, query{target: requester})
-	if !found {
-		return nil, false, nil
+	c := &pl.compiled
+	sc := scratchPool.Get().(*scratch)
+	sc.visited = sized(sc.visited, c.flatWords(e.g.NumNodes()))
+	sc.frontier = append(sc.frontier[:0], packState(owner, 0, 0))
+	found := e.runFlat(c, sc, query{target: requester})
+	var hops []Hop
+	if found {
+		hops, err = e.walkBack(c, sc.frontier, requester)
 	}
-	hops := []Hop{last.hop}
-	for v := parents[last.prev]; v.has; v = parents[v.prev] {
-		hops = append(hops, v.hop)
+	c.unmark(sc.visited, sc.frontier)
+	scratchPool.Put(sc)
+	if err != nil {
+		return nil, false, err
+	}
+	return hops, found, nil
+}
+
+// walkBack returns the hops of a match of c from the seed of the search that
+// marked frontier, in BFS order, to target, which closed c's last step in it.
+// The search marked every state by one admitted traversal from a state it
+// had marked before, and closed the target from a state of the last step.
+// So from the target each hop goes back to some state of smaller frontier
+// index from which one admitted traversal leads, until the seed at index 0.
+func (e *Engine) walkBack(c *compiled, frontier []uint64, target graph.NodeID) ([]Hop, error) {
+	index := make(map[uint64]int, len(frontier))
+	for i, packed := range frontier {
+		index[packed] = i
+	}
+	var hops []Hop
+	// (n, s, d) is the state the walk stands on; s = len(c.steps) stands
+	// for the target, having closed the last step.
+	n, s, d, at := target, int32(len(c.steps)), int32(0), len(frontier)
+	for at > 0 {
+		hop, i := e.prev(c, index, n, s, d, at)
+		if i < 0 {
+			return nil, fmt.Errorf("search: witness walk found no state leading to (%d, %d, %d)", n, s, d)
+		}
+		hops = append(hops, hop)
+		n, s, d = unpackState(frontier[i])
+		at = i
 	}
 	slices.Reverse(hops)
-	return hops, true, nil
+	return hops, nil
 }
 
-// visit is how the map kernel first reached a state: from state prev over
-// hop. A seed has none.
-type visit struct {
-	prev uint64
-	hop  Hop
-	has  bool
-}
-
-// runMap is the map kernel: runFlat's search, reading adjacency from the
-// graph's edge lists and deduplicating states in a map, so that it needs
-// neither a CSR nor a dense layout. It takes sc as runFlat does, but never
-// touches sc.visited. It returns, besides whether q.target was reached, how
-// every marked state was first reached, and how the target was.
-func (e *Engine) runMap(c *compiled, sc *scratch, q query) (found bool, parents map[uint64]visit, last visit) {
-	g := e.g
-	parents = make(map[uint64]visit, len(sc.frontier))
-	frontier, exits := sc.frontier[:0], sc.exits[:0]
-	for _, packed := range sc.frontier {
-		if _, dup := parents[packed]; !dup {
-			parents[packed] = visit{}
-			frontier = append(frontier, packed)
-		}
-	}
-	// push marks a generated state and queues it, or retires it into exits
-	// when its node is foreign.
-	push := func(next graph.NodeID, step, d int32, v visit) {
-		packed := packState(next, step, d)
-		if _, dup := parents[packed]; dup {
-			return
-		}
-		parents[packed] = v
-		if q.foreign != nil && q.foreign(next) {
-			exits = append(exits, packed)
-		} else {
-			frontier = append(frontier, packed)
-		}
-	}
-	lastStep := int32(len(c.steps) - 1)
-	for head := 0; head < len(frontier) && !found; head++ {
-		cur := frontier[head]
-		node, step, d := unpackState(cur)
-		st := &c.steps[step]
-		if !st.labelOK {
-			continue
-		}
-		d1 := int(d) + 1
-		mayClose, mayCont, dk := st.MayClose(d1), st.MayContinue(d1), int32(st.DKey(d1))
-		// expand consumes one edge of the step; it reports whether to go on.
-		expand := func(edge graph.Edge, next graph.NodeID, forward bool) bool {
-			if edge.Label != st.label {
-				return true
+// prev finds a state indexed before at from which one traversal its step
+// admits reaches (n, s, d) — continuing step s, or closing step s-1 into
+// depth 0 — and returns the traversal's hop and the state's index, or -1.
+func (e *Engine) prev(c *compiled, index map[uint64]int, n graph.NodeID, s, d int32, at int) (Hop, int) {
+	g, csr := e.g, e.g.CSR()
+	for ps := max(s-1, 0); ps <= s && int(ps) < len(c.steps); ps++ {
+		st := &c.steps[ps]
+		for _, forward := range [...]bool{true, false} {
+			// A forward traversal from p to n crosses p -l-> n; a backward
+			// one crosses n -l-> p.
+			nbrs := csr.InNeighbors(n, st.label)
+			if !forward {
+				nbrs = csr.OutNeighbors(n, st.label)
 			}
-			v := visit{prev: cur, hop: Hop{Edge: edge, Forward: forward, Step: int(step)}, has: true}
-			if mayClose && st.predsHold(g, next) {
-				if step < lastStep {
-					push(next, step+1, 0, v)
-				} else {
-					if q.collect {
-						sc.member[next>>6] |= 1 << (next & 63)
+			if forward && st.Dir == pathexpr.In || !forward && st.Dir == pathexpr.Out {
+				continue
+			}
+			for _, nb := range nbrs {
+				p := graph.NodeID(nb)
+				for pd := range int32(st.Depths()) {
+					i, ok := index[packState(p, ps, pd)]
+					d1 := int(pd) + 1
+					if !ok || i >= at || !(ps == s && st.MayContinue(d1) && int32(st.DKey(d1)) == d ||
+						ps < s && d == 0 && st.MayClose(d1) && st.predsHold(g, n)) {
+						continue
 					}
-					if next == q.target {
-						found, last = true, v
-						return false
+					id := g.FindEdge(p, n, st.label)
+					if !forward {
+						id = g.FindEdge(n, p, st.label)
 					}
+					return Hop{Edge: g.Edge(id), Forward: forward, Step: int(ps)}, i
 				}
 			}
-			if mayCont {
-				push(next, step, dk, v)
-			}
-			return true
-		}
-		if st.Dir != pathexpr.In {
-			g.OutEdges(node, func(edge graph.Edge) bool { return expand(edge, edge.To, true) })
-		}
-		if !found && st.Dir != pathexpr.Out {
-			g.InEdges(node, func(edge graph.Edge) bool { return expand(edge, edge.From, false) })
 		}
 	}
-	sc.frontier, sc.exits = frontier, exits
-	return found, parents, last
+	return Hop{}, -1
 }
 
 // VerifyWitness checks that hops is a valid match of p from owner to

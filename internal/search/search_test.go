@@ -1,6 +1,8 @@
 package search
 
 import (
+	"fmt"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -327,21 +329,22 @@ func TestVerifyWitnessRejectsBad(t *testing.T) {
 	}
 }
 
-// TestUnindexedAndLabelFreeGraphsAgreeWithWitness covers the two ways an
-// engine meets a graph without a CSR. One that was never indexed is indexed
-// by the engine's first query and searched flat; one with no relationship
-// types cannot be indexed at all and matches nothing. Either way every
-// decision equals the map-based Witness search over the edge lists.
+// TestUnindexedAndLabelFreeGraphsAgreeWithWitness covers the graphs whose
+// CSR holds no slab for some of what a query reads: one built edge by edge
+// from New, whose every cell lives in the CSR's overlay, never laid out
+// since; one with no relationship types, which matches nothing; and one
+// with a type interned that no edge carries, which has no cells for it.
+// Every decision equals the Witness search and the reference search over
+// the edge table, and every witness verifies.
 func TestUnindexedAndLabelFreeGraphsAgreeWithWitness(t *testing.T) {
 	bare := graph.New()
 	for _, name := range paperfix.Names {
 		bare.MustAddNode(name, nil)
 	}
-	exprs := []string{"friend+[1,2]/colleague+[1]", "friend-[1]", "friend*[1,2]", "parent+[1]/friend+[1,3]"}
-	for name, g := range map[string]*graph.Graph{"never indexed": paperfix.Graph(), "label-free": bare} {
-		if g.FreshCSR() != nil {
-			t.Fatalf("%s: fixture graph already indexed", name)
-		}
+	interned := paperfix.Graph()
+	interned.Label("enemy")
+	exprs := []string{"friend+[1,2]/colleague+[1]", "friend-[1]", "friend*[1,2]", "parent+[1]/friend+[1,3]", "enemy+[1]/friend+[1]"}
+	for name, g := range map[string]*graph.Graph{"never laid out": paperfix.Graph(), "label-free": bare, "label interned alone": interned} {
 		e := New(g)
 		for _, expr := range exprs {
 			p := pathexpr.MustParse(expr)
@@ -357,19 +360,81 @@ func TestUnindexedAndLabelFreeGraphsAgreeWithWitness(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					_, want, err := e.Witness(owner, req, p)
+					hops, want, err := e.Witness(owner, req, p)
 					if err != nil {
 						t.Fatal(err)
 					}
+					if want {
+						if err := VerifyWitness(g, owner, req, p, hops); err != nil {
+							t.Fatalf("%s: %s from %s to %s: witness invalid: %v", name, expr, from, to, err)
+						}
+					}
 					_, inAud := slices.BinarySearch(aud, req)
-					if got != want || inAud != want {
-						t.Fatalf("%s: %s from %s to %s: Reachable %v, in audience %v, Witness %v", name, expr, from, to, got, inAud, want)
+					if ref := refReachable(t, e, owner, req, p); got != want || inAud != want || ref != want {
+						t.Fatalf("%s: %s from %s to %s: Reachable %v, in audience %v, Witness %v, reference %v", name, expr, from, to, got, inAud, want, ref)
 					}
 				}
 			}
 		}
-		if indexed := g.FreshCSR() != nil; indexed != (g.NumLabels() > 0) {
-			t.Fatalf("%s: indexed after the queries = %v", name, indexed)
+	}
+}
+
+// TestPlanLimitsAreErrors pins the two limits of the flat layout, each an
+// error from every entry point instead of a slower search: a pattern of
+// more than maxSteps steps, and a plan whose product states on the graph
+// asked about (nodes × states per node) exceed maxFlatStates. The second is
+// only known at query time, and the search fails before it sizes any
+// bitset, so the query allocates nothing near the 256 MiB its visited set
+// would take.
+func TestPlanLimitsAreErrors(t *testing.T) {
+	l := graph.NewLoader()
+	const nodes = 70_000
+	for i := range nodes {
+		if _, err := l.AddNode(fmt.Sprintf("n%d", i), nil); err != nil {
+			t.Fatal(err)
 		}
+	}
+	if err := l.AddEdge(0, 1, "friend", 0); err != nil {
+		t.Fatal(err)
+	}
+	g, err := l.Graph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(g)
+
+	long := &pathexpr.Path{Steps: make([]pathexpr.Step, maxSteps+1)}
+	for i := range long.Steps {
+		long.Steps[i] = pathexpr.Step{Label: "friend", Dir: pathexpr.Out, MinDepth: 1, MaxDepth: 1}
+	}
+	wide := pathexpr.MustParse("friend+[1,32000]")
+	if _, err := e.Plan(wide); err != nil {
+		t.Fatalf("the wide plan compiles on any graph: %v", err)
+	}
+	for _, p := range []*pathexpr.Path{long, wide} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := e.Reachable(0, 1, p); err == nil {
+			t.Fatalf("Reachable over %d steps: no error", len(p.Steps))
+		}
+		if _, err := e.AudienceSet(0, p); err == nil {
+			t.Fatalf("AudienceSet over %d steps: no error", len(p.Steps))
+		}
+		if _, _, err := e.Witness(0, 1, p); err == nil {
+			t.Fatalf("Witness over %d steps: no error", len(p.Steps))
+		}
+		runtime.ReadMemStats(&after)
+		if p == wide {
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+				t.Fatalf("the refused queries allocated %d bytes", grew)
+			}
+			pl, _ := e.Plan(p)
+			if _, err := e.Expand(pl, []State{{Node: 0}}, graph.InvalidNode, nil); err == nil {
+				t.Fatal("Expand past the state bound: no error")
+			}
+		}
+	}
+	if _, err := e.Plan(long); err == nil {
+		t.Fatal("Plan over maxSteps steps: no error")
 	}
 }

@@ -189,8 +189,8 @@ const sparePoolCap = 3
 // Three invariants hold throughout: a snapshot is never mutated after
 // publication, a retired snapshot's clone is advanced in place only when
 // provably unobserved (see snapshot.acquire) — which is also what makes
-// patching its CSR in place safe — and a published snapshot's graph has a
-// fresh CSR whenever it can have one at all.
+// patching its CSR in place safe — and a published snapshot's graph carries
+// its CSR, which every tier keeps current, so no reader pays for a build.
 func (n *Network) publishLocked() (*snapshot, error) {
 	store := n.store.Load()
 	cur := n.snap.Load()
@@ -238,13 +238,6 @@ func (n *Network) publishLocked() (*snapshot, error) {
 	if refs == nil {
 		refs = new(atomic.Int64)
 	}
-	// Published ⇒ indexed, on every tier: a shared clone kept its CSR, a
-	// clone copied the master's, and a replay patched it delta by delta (a
-	// spare on the master's base replays the master's own mutations, so it
-	// crosses the overlay bound only where the master did, and the master
-	// then rebased and emptied the pool). This call finds the CSR fresh; no
-	// reader scans edge lists or pays for a build.
-	gc.CSR()
 	var view *core.Store
 	if samePolicy {
 		view = cur.store
