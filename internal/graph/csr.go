@@ -23,7 +23,7 @@ import (
 // added to or removed from a cell (n, l) copies that run into a
 // per-direction overlay and sets n's dirty bit; lookups test the bit — one
 // load for an untouched node — and return the overlay run when there is
-// one. A node added after the layout has no slab cells, only overlay ones.
+// one. A node added since the base the slabs cover has only overlay cells.
 // Once the patches pass a fixed fraction of V+E entries the graph asks for
 // a rebase (see NeedsRebase), which lays the slabs out afresh; the CSR stays
 // correct, only slower to clone and to read, until then.
@@ -37,9 +37,11 @@ import (
 // synchronization they do: a CSR is safe to read for as long as the graph
 // itself is.
 type CSR struct {
-	nodes   int
 	labels  int
 	out, in adjacency
+	// slab is the number of nodes the slabs cover: the base's, as of the
+	// layout. The cells of later nodes live in the overlay only.
+	slab int
 	// dirty has one bit per node: set when some cell of the node lives in
 	// an overlay, and for every node added since the layout.
 	dirty []uint64
@@ -64,14 +66,19 @@ type adjacency struct {
 	// ids holds, in the out direction only (nil in the in direction), the
 	// ID of the edge to each neighbor in nbr, at the same index.
 	ids []EdgeID
-	// over maps every cell patched since the layout to its current run, a
-	// span of the overlay arenas: onbr holds the neighbors and, in the out
-	// direction only, oids their edge IDs, in the same order as a slab run.
-	// The map holds no pointers, so the garbage collector never scans it. A
-	// clone copies the overlay (see clone), so spans are written in place.
-	over map[uint32]span
-	onbr []uint32
-	oids []EdgeID
+	// The overlay holds the run of every cell not in the slabs as a span of
+	// the arenas onbr (neighbors) and, out direction only, oids (edge IDs).
+	// A slab cell patched since the layout has its span at spans[over[i]];
+	// a node past the slabs has a tail entry, 0 until a cell of it is
+	// touched, then 1 + the index in spans of its block of one span per
+	// label, so a graph built edge by edge pays no map probe. It holds no
+	// pointer, so the garbage collector never scans it, and a clone copies
+	// it (see clone), so spans are written in place.
+	over  map[uint32]uint32
+	spans []span
+	tail  []uint32
+	onbr  []uint32
+	oids  []EdgeID
 }
 
 // span is one overlay run: arena entries [off, off+len), with room to grow
@@ -112,7 +119,7 @@ func checkCells(nodes, labels int) error {
 }
 
 // NumNodes returns the node count the CSR covers.
-func (c *CSR) NumNodes() int { return c.nodes }
+func (c *CSR) NumNodes() int { return c.slab + len(c.out.tail) }
 
 // NumLabels returns the number of labels the CSR has cells for: every label
 // some edge carries, and at most the graph's NumLabels.
@@ -120,33 +127,32 @@ func (c *CSR) NumLabels() int { return c.labels }
 
 func (c *CSR) isDirty(n NodeID) bool { return c.dirty[n>>6]&(1<<(n&63)) != 0 }
 
-// cell returns the current run of cell i: the overlay's, else the slab's.
-func (a *adjacency) cell(i int) run {
-	if s, ok := a.over[uint32(i)]; ok {
-		return a.spanned(s)
+// cell returns the current run of cell i of node n: the overlay's, else the
+// slab's.
+func (c *CSR) cell(a *adjacency, n NodeID, i int) run {
+	if t := int(n) - c.slab; t >= 0 {
+		if b := a.tail[t]; b != 0 {
+			return a.spanned(a.spans[int(b)-1+i-int(n)*c.labels])
+		}
+		return run{}
+	}
+	if k, ok := a.over[uint32(i)]; ok {
+		return a.spanned(a.spans[k])
 	}
 	return a.slab(i)
 }
 
 // spanned returns the overlay run s.
-func (a *adjacency) spanned(s span) run {
-	end := s.off + s.len
-	r := run{nbr: a.onbr[s.off:end:end]}
-	if a.ids != nil {
-		r.ids = a.oids[s.off:end:end]
-	}
-	return r
-}
+func (a *adjacency) spanned(s span) run { return runOf(a.onbr, a.oids, s.off, s.off+s.len) }
 
-// slab returns the slab run of cell i, empty for a cell past the slabs.
-func (a *adjacency) slab(i int) run {
-	if i+1 >= len(a.off) {
-		return run{}
-	}
-	lo, hi := a.off[i], a.off[i+1]
-	r := run{nbr: a.nbr[lo:hi:hi]}
-	if a.ids != nil {
-		r.ids = a.ids[lo:hi:hi]
+// slab returns the slab run of cell i.
+func (a *adjacency) slab(i int) run { return runOf(a.nbr, a.ids, a.off[i], a.off[i+1]) }
+
+// runOf returns the run of entries [lo, hi) of nbr and, unless nil, ids.
+func runOf(nbr []uint32, ids []EdgeID, lo, hi uint32) run {
+	r := run{nbr: nbr[lo:hi:hi]}
+	if ids != nil {
+		r.ids = ids[lo:hi:hi]
 	}
 	return r
 }
@@ -162,7 +168,7 @@ func (c *CSR) InNeighbors(n NodeID, l Label) []uint32 { return c.neighbors(&c.in
 func (c *CSR) neighbors(a *adjacency, n NodeID, l Label) []uint32 {
 	i := int(n)*c.labels + int(l)
 	if c.isDirty(n) {
-		return a.cell(i).nbr
+		return c.cell(a, n, i).nbr
 	}
 	return a.nbr[a.off[i]:a.off[i+1]]
 }
@@ -181,7 +187,7 @@ func (c *CSR) degree(a *adjacency, n NodeID) int {
 	}
 	d := 0
 	for i := lo; i < lo+c.labels; i++ {
-		d += len(a.cell(i).nbr)
+		d += len(c.cell(a, n, i).nbr)
 	}
 	return d
 }
@@ -189,7 +195,7 @@ func (c *CSR) degree(a *adjacency, n NodeID) int {
 // edgeID returns the live edge from -l-> to, or InvalidEdge: a scan of one
 // out cell. l must be one of the CSR's labels.
 func (c *CSR) edgeID(from, to NodeID, l Label) EdgeID {
-	r := c.out.cell(int(from)*c.labels + int(l))
+	r := c.cell(&c.out, from, int(from)*c.labels+int(l))
 	if i := slices.Index(r.nbr, uint32(to)); i >= 0 {
 		return r.ids[i]
 	}
@@ -202,7 +208,7 @@ func (c *CSR) appendOutIDs(dst []EdgeID, n NodeID) []EdgeID {
 	start, lo := len(dst), int(n)*c.labels
 	if c.isDirty(n) {
 		for i := lo; i < lo+c.labels; i++ {
-			dst = append(dst, c.out.cell(i).ids...)
+			dst = append(dst, c.cell(&c.out, n, i).ids...)
 		}
 	} else {
 		dst = append(dst, c.out.ids[c.out.off[lo]:c.out.off[lo+c.labels]]...)
@@ -224,17 +230,26 @@ func (c *CSR) appendInIDs(dst []EdgeID, n NodeID) []EdgeID {
 	return dst
 }
 
-// own returns cell i's overlay span, copying the run out of the slab, with
-// room for grow more entries, on the cell's first touch; n is the cell's
-// node. The caller stores the span back.
-func (c *CSR) own(a *adjacency, n NodeID, i, grow int) span {
-	if s, ok := a.over[uint32(i)]; ok {
-		return s
+// own returns the overlay span of cell i of node n, copying a slab cell's
+// run out of the slab, with room for grow more entries, on its first
+// touch.
+func (c *CSR) own(a *adjacency, n NodeID, i, grow int) *span {
+	if t := int(n) - c.slab; t >= 0 {
+		if a.tail[t] == 0 {
+			a.tail[t] = uint32(len(a.spans)) + 1
+			a.spans = append(doubled(a.spans, c.labels), make([]span, c.labels)...)
+		}
+		return &a.spans[int(a.tail[t])-1+i-int(n)*c.labels]
+	}
+	if k, ok := a.over[uint32(i)]; ok {
+		return &a.spans[k]
 	}
 	r := a.slab(i)
 	c.overlay += len(r.nbr) + 1
 	c.dirty[n>>6] |= 1 << (n & 63)
-	return a.write(r, grow)
+	a.over[uint32(i)] = uint32(len(a.spans))
+	a.spans = append(doubled(a.spans, 1), a.write(r, grow))
+	return &a.spans[len(a.spans)-1]
 }
 
 // write copies r to the end of a's arenas, with room for grow more
@@ -263,34 +278,31 @@ func doubled[S ~[]E, E any](s S, n int) S {
 // refused v may leave the cell copied into the overlay, unchanged.
 func (c *CSR) push(a *adjacency, n NodeID, i int, v uint32, id EdgeID) bool {
 	s := c.own(a, n, i, 2)
-	r := a.spanned(s)
+	r := a.spanned(*s)
 	if slices.Contains(r.nbr, v) {
-		a.over[uint32(i)] = s
 		return false
 	}
 	if s.len == s.cap {
-		s = a.write(r, len(r.nbr)+2)
+		*s = a.write(r, len(r.nbr)+2)
 	}
 	a.onbr[s.off+s.len] = v
 	if a.ids != nil {
 		a.oids[s.off+s.len] = id
 	}
 	s.len++
-	a.over[uint32(i)] = s
 	return true
 }
 
 // drop removes neighbor v from cell i of node n.
 func (c *CSR) drop(a *adjacency, n NodeID, i int, v uint32) {
 	s := c.own(a, n, i, 0)
-	r := a.spanned(s)
+	r := a.spanned(*s)
 	j := slices.Index(r.nbr, v)
 	copy(r.nbr[j:], r.nbr[j+1:])
 	if r.ids != nil {
 		copy(r.ids[j:], r.ids[j+1:])
 	}
 	s.len--
-	a.over[uint32(i)] = s
 }
 
 // clone returns a copy of c sharing its slabs, with its own copy of the
@@ -304,14 +316,15 @@ func (c *CSR) clone() *CSR {
 
 // cloned returns a with its own copy of the overlay; see clone.
 func (a adjacency) cloned() adjacency {
-	a.over, a.onbr, a.oids = maps.Clone(a.over), slices.Clone(a.onbr), slices.Clone(a.oids)
+	a.over, a.spans, a.tail = maps.Clone(a.over), slices.Clone(a.spans), slices.Clone(a.tail)
+	a.onbr, a.oids = slices.Clone(a.onbr), slices.Clone(a.oids)
 	return a
 }
 
-// addNode patches in a node with no edges.
+// addNode patches in a node with no edges, past the slabs.
 func (c *CSR) addNode() {
-	n := c.nodes
-	c.nodes++
+	n := c.NumNodes()
+	c.out.tail, c.in.tail = append(c.out.tail, 0), append(c.in.tail, 0)
 	if n>>6 == len(c.dirty) {
 		c.dirty = append(c.dirty, 0)
 	}
@@ -344,59 +357,67 @@ func (c *CSR) removeEdge(from, to NodeID, l Label) {
 // requires external synchronization with readers.
 func (g *Graph) BuildCSR() *CSR { return g.layOut(g.csr.labels) }
 
-// layOut replaces the graph's CSR with one laid out in slabs over its live
-// edges, with cells for the first labels labels, which must cover every
-// live edge's label and fit maxCSRCells with the graph's nodes.
+// layOut replaces the graph's CSR with one laid out in slabs over the live
+// edges of the base's nodes, with cells for the first labels labels, which
+// must cover every live edge's label and fit maxCSRCells with the graph's
+// nodes. The cells of the nodes added since the base go to the overlay.
 func (g *Graph) layOut(labels int) *CSR {
-	v, l := g.NumNodes(), labels
+	v, sv, l := g.NumNodes(), len(g.b.nodes), labels
 	c := &CSR{
-		nodes:  v,
 		labels: l,
-		out:    adjacency{off: make([]uint32, v*l+1), nbr: make([]uint32, g.live), ids: make([]EdgeID, g.live), over: map[uint32]span{}},
-		in:     adjacency{off: make([]uint32, v*l+1), nbr: make([]uint32, g.live), over: map[uint32]span{}},
+		slab:   sv,
+		out:    adjacency{off: make([]uint32, sv*l+1), over: map[uint32]uint32{}, tail: make([]uint32, v-sv)},
+		in:     adjacency{off: make([]uint32, sv*l+1), over: map[uint32]uint32{}, tail: make([]uint32, v-sv)},
 		dirty:  make([]uint64, (v+63)/64),
 		limit:  overlayFloor + (v+g.live)/overlayFraction,
+	}
+	for n := sv; n < v; n++ {
+		c.dirty[n>>6] |= 1 << (n & 63)
 	}
 	if len(g.nodes) == 0 && len(g.edges) == 0 && len(g.dead) == 0 {
 		c.base = g.b
 	}
 	outOff, inOff := c.out.off, c.in.off
-	segs, dead := [...][]edgeRec{g.b.edges, g.edges}, g.deadSet()
+	edges, dead := EdgeID(len(g.b.edges)+len(g.edges)), g.deadSet()
 	// Count pass: run lengths into off[i+1], then prefix-sum to offsets.
-	for si, seg := range segs {
-		first := EdgeID(si * len(g.b.edges)) // the ID of seg[0]
-		for i := range seg {
-			e := &seg[i]
-			if inSet(dead, first+EdgeID(i)) {
-				continue
+	for id := EdgeID(0); id < edges; id++ {
+		if e := g.rec(id); !inSet(dead, id) {
+			if int(e.From) < sv {
+				outOff[int(e.From)*l+int(e.Label)+1]++
 			}
-			outOff[int(e.From)*l+int(e.Label)+1]++
-			inOff[int(e.To)*l+int(e.Label)+1]++
+			if int(e.To) < sv {
+				inOff[int(e.To)*l+int(e.Label)+1]++
+			}
 		}
 	}
 	for i := 1; i < len(outOff); i++ {
 		outOff[i] += outOff[i-1]
 		inOff[i] += inOff[i-1]
 	}
+	c.out.nbr, c.out.ids = make([]uint32, outOff[sv*l]), make([]EdgeID, outOff[sv*l])
+	c.in.nbr = make([]uint32, inOff[sv*l])
 	// Fill pass in edge-ID order, so that every run is in ID order, with a
-	// write cursor per run.
-	outNext := slices.Clone(outOff[:v*l])
-	inNext := slices.Clone(inOff[:v*l])
-	for si, seg := range segs {
-		first := EdgeID(si * len(g.b.edges)) // the ID of seg[0]
-		for i := range seg {
-			e := &seg[i]
-			id := first + EdgeID(i)
-			if inSet(dead, id) {
-				continue
-			}
-			oi := int(e.From)*l + int(e.Label)
+	// write cursor per slab run.
+	outNext := slices.Clone(outOff[:sv*l])
+	inNext := slices.Clone(inOff[:sv*l])
+	for id := EdgeID(0); id < edges; id++ {
+		e := g.rec(id)
+		if inSet(dead, id) {
+			continue
+		}
+		oi, ii := int(e.From)*l+int(e.Label), int(e.To)*l+int(e.Label)
+		if int(e.From) < sv {
 			c.out.nbr[outNext[oi]] = uint32(e.To)
 			c.out.ids[outNext[oi]] = id
 			outNext[oi]++
-			ii := int(e.To)*l + int(e.Label)
+		} else {
+			c.push(&c.out, e.From, oi, uint32(e.To), id)
+		}
+		if int(e.To) < sv {
 			c.in.nbr[inNext[ii]] = uint32(e.From)
 			inNext[ii]++
+		} else {
+			c.push(&c.in, e.To, ii, uint32(e.From), 0)
 		}
 	}
 	g.csr = c

@@ -521,26 +521,25 @@ func (g *Graph) fold() {
 		next.byName = maps.Clone(b.byName)
 		maps.Copy(next.byName, g.names)
 	}
-	if len(g.edges) > 0 || len(g.dead) > 0 {
-		switch {
-		case len(g.dead) > 0:
-			dead := g.deadSet()
-			next.edges, next.weights = make([]edgeRec, 0, g.live), nil
-			for id := EdgeID(0); int(id) < len(b.edges)+len(g.edges); id++ {
-				if !inSet(dead, id) {
-					next.weights = withWeight(next.weights, len(next.edges), g.weight(id))
-					next.edges = append(next.edges, *g.rec(id))
-				}
+	switch {
+	case len(g.dead) > 0:
+		dead := g.deadSet()
+		next.edges, next.weights = make([]edgeRec, 0, g.live), nil
+		for id := EdgeID(0); int(id) < len(b.edges)+len(g.edges); id++ {
+			if !inSet(dead, id) {
+				next.weights = withWeight(next.weights, len(next.edges), g.weight(id))
+				next.edges = append(next.edges, *g.rec(id))
 			}
-		case len(b.edges) == 0:
-			next.edges, next.weights = tight(g.edges), tight(g.weights)
-		default:
-			next.edges = slices.Concat(b.edges, g.edges)
-			if b.weights != nil || g.weights != nil {
-				next.weights = make([]float64, len(next.edges))
-				copy(next.weights, b.weights)
-				copy(next.weights[len(b.edges):], g.weights)
-			}
+		}
+	case len(g.edges) == 0:
+	case len(b.edges) == 0:
+		next.edges, next.weights = tight(g.edges), tight(g.weights)
+	default:
+		next.edges = slices.Concat(b.edges, g.edges)
+		if b.weights != nil || g.weights != nil {
+			next.weights = make([]float64, len(next.edges))
+			copy(next.weights, b.weights)
+			copy(next.weights[len(b.edges):], g.weights)
 		}
 	}
 	g.b = next

@@ -90,7 +90,7 @@ func (l *Loader) Graph() (*Graph, error) {
 // slab every edge that repeats an earlier one in its run.
 func firstDuplicate(c *CSR) EdgeID {
 	first := InvalidEdge
-	mark := make([]uint32, c.nodes) // mark[t] == i+1: cell i reaches t
+	mark := make([]uint32, c.NumNodes()) // mark[t] == i+1: cell i reaches t
 	for i := range len(c.out.off) - 1 {
 		for j := c.out.off[i]; j < c.out.off[i+1]; j++ {
 			t := c.out.nbr[j]

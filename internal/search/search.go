@@ -209,13 +209,10 @@ func (e *Engine) Witness(owner, requester graph.NodeID, p *pathexpr.Path) ([]Hop
 	found := e.runFlat(c, sc, query{target: requester})
 	var hops []Hop
 	if found {
-		hops, err = e.walkBack(c, sc.frontier, requester)
+		hops = e.walkBack(c, sc.frontier, requester)
 	}
 	c.unmark(sc.visited, sc.frontier)
 	scratchPool.Put(sc)
-	if err != nil {
-		return nil, false, err
-	}
 	return hops, found, nil
 }
 
@@ -224,8 +221,9 @@ func (e *Engine) Witness(owner, requester graph.NodeID, p *pathexpr.Path) ([]Hop
 // The search marked every state by one admitted traversal from a state it
 // had marked before, and closed the target from a state of the last step.
 // So from the target each hop goes back to some state of smaller frontier
-// index from which one admitted traversal leads, until the seed at index 0.
-func (e *Engine) walkBack(c *compiled, frontier []uint64, target graph.NodeID) ([]Hop, error) {
+// index from which one admitted traversal leads, until the seed at index 0;
+// a step with none is a bug in the kernel.
+func (e *Engine) walkBack(c *compiled, frontier []uint64, target graph.NodeID) []Hop {
 	index := make(map[uint64]int, len(frontier))
 	for i, packed := range frontier {
 		index[packed] = i
@@ -237,14 +235,14 @@ func (e *Engine) walkBack(c *compiled, frontier []uint64, target graph.NodeID) (
 	for at > 0 {
 		hop, i := e.prev(c, index, n, s, d, at)
 		if i < 0 {
-			return nil, fmt.Errorf("search: witness walk found no state leading to (%d, %d, %d)", n, s, d)
+			panic(fmt.Sprintf("search: witness walk found no state leading to (%d, %d, %d)", n, s, d))
 		}
 		hops = append(hops, hop)
 		n, s, d = unpackState(frontier[i])
 		at = i
 	}
 	slices.Reverse(hops)
-	return hops, nil
+	return hops
 }
 
 // prev finds a state indexed before at from which one traversal its step
