@@ -5,6 +5,7 @@ import (
 	"maps"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -17,7 +18,8 @@ import (
 // rebased copy; that CSR() is never nil; and that NeedsRebase holds once the
 // patches pass the overlay bound. Edges carry weights, zero and not, and
 // every live edge's Edge(id).Weight must be the one a model of each graph's
-// edges last gave it. It also checksums, around every operation, the bases
+// edges last gave it, and a refused AddWeightedEdge must leave the CSR
+// unpatched. It also checksums, around every operation, the bases
 // and CSR slabs both graphs read and the whole of the graph the operation
 // was not applied to: no operation may write into a base, into slabs or
 // into another graph's view of a shared private array. Labels enter the
@@ -91,8 +93,11 @@ func FuzzCSRAdjacency(f *testing.F) {
 					continue
 				}
 				weight := float64(op>>4) / 8
+				overlay, dirty := g.csr.overlay, slices.Clone(g.csr.dirty)
 				if id, err := g.AddWeightedEdge(from, to, labels[int(op)%len(labels)], weight); err == nil {
 					models[w][*g.rec(id)] = weight
+				} else if g.csr.overlay != overlay || !slices.Equal(g.csr.dirty, dirty) {
+					t.Fatalf("a refused AddWeightedEdge (%v) patched the CSR", err)
 				}
 			}
 			for j := range gs {

@@ -37,9 +37,21 @@ func ends(es []Edge, l Label, out bool) []uint32 {
 	return r
 }
 
+// labeled returns the edges of es with label l.
+func labeled(es []Edge, l Label) []Edge {
+	var r []Edge
+	for _, e := range es {
+		if e.Label == l {
+			r = append(r, e)
+		}
+	}
+	return r
+}
+
 // checkCSR asserts that g's CSR — patched by whatever mutations it lived
 // through, or just laid out — agrees with a scan of the live edge table:
-// OutEdges, InEdges and Neighbors visit each node's edges in ID order,
+// OutEdges, InEdges and Neighbors visit each node's edges in ID order, and
+// LabeledOutEdges and LabeledInEdges those under one label,
 // OutDegree and InDegree count them, FindEdge finds every live edge and no
 // other, and every (node, label) run holds the edges' far ends in ID order,
 // as do the runs of a CSR laid out from scratch on a clone and of a rebased
@@ -87,6 +99,20 @@ func checkCSR(t *testing.T, g *Graph) {
 		for l := Label(0); int(l) < g.NumLabels(); l++ {
 			if g.FindEdge(n, n, l) != InvalidEdge {
 				t.Fatalf("FindEdge found a self-loop on node %d", n)
+			}
+			for _, dir := range []struct {
+				name string
+				each func(NodeID, Label, func(Edge) bool)
+				want []Edge
+			}{
+				{"LabeledOutEdges", g.LabeledOutEdges, labeled(out[n], l)},
+				{"LabeledInEdges", g.LabeledInEdges, labeled(in[n], l)},
+			} {
+				var got []Edge
+				dir.each(n, l, func(e Edge) bool { got = append(got, e); return true })
+				if !reflect.DeepEqual(got, dir.want) {
+					t.Fatalf("node %d label %d: %s %v, the edge table has %v", n, l, dir.name, got, dir.want)
+				}
 			}
 			if int(l) >= c.NumLabels() {
 				if ends(out[n], l, true) != nil || ends(in[n], l, false) != nil {

@@ -277,10 +277,11 @@ func (g *Graph) AddWeightedEdge(from, to NodeID, label string, weight float64) (
 		l = g.labels.intern(label)
 		g.layOut(width)
 	}
-	id := EdgeID(len(g.b.edges) + len(g.edges))
-	if !g.csr.addEdge(from, to, l, id) {
+	if g.csr.edgeID(from, to, l) != InvalidEdge {
 		return InvalidEdge, errDuplicateEdge(g.Node(from).Name, label, g.Node(to).Name)
 	}
+	id := EdgeID(len(g.b.edges) + len(g.edges))
+	g.csr.addEdge(from, to, l, id)
 	g.weights = withWeight(g.weights, len(g.edges), weight)
 	g.edges = append(g.edges, edgeRec{From: from, To: to, Label: l})
 	g.live++
@@ -414,7 +415,12 @@ func (g *Graph) HasEdge(from, to NodeID, label string) bool {
 // the order they were added in. fn returning false stops the iteration.
 func (g *Graph) OutEdges(n NodeID, fn func(Edge) bool) {
 	var buf [32]EdgeID
-	g.each(g.csr.appendOutIDs(buf[:0], n), fn)
+	ids := buf[:0]
+	for l := range g.csr.labels {
+		ids = append(ids, g.csr.outIDs(n, Label(l))...)
+	}
+	slices.Sort(ids)
+	g.each(ids, fn)
 }
 
 // Neighbors calls fn once per live outgoing edge of n with the target
@@ -428,7 +434,30 @@ func (g *Graph) Neighbors(n NodeID, fn func(NodeID) bool) {
 // InEdges calls fn for every live incoming edge of n, in ID order.
 func (g *Graph) InEdges(n NodeID, fn func(Edge) bool) {
 	var buf [32]EdgeID
-	g.each(g.csr.appendInIDs(buf[:0], n), fn)
+	ids := buf[:0]
+	for l := range g.csr.labels {
+		ids = g.csr.appendInIDs(ids, n, Label(l))
+	}
+	slices.Sort(ids)
+	g.each(ids, fn)
+}
+
+// LabeledOutEdges calls fn for every live outgoing edge of n under label l,
+// in ID order: a read of one CSR cell. fn returning false stops the
+// iteration.
+func (g *Graph) LabeledOutEdges(n NodeID, l Label, fn func(Edge) bool) {
+	if int(l) < g.csr.labels {
+		g.each(g.csr.outIDs(n, l), fn)
+	}
+}
+
+// LabeledInEdges is LabeledOutEdges for n's incoming edges, each found by a
+// scan of one out cell of its source.
+func (g *Graph) LabeledInEdges(n NodeID, l Label, fn func(Edge) bool) {
+	if int(l) < g.csr.labels {
+		var buf [32]EdgeID
+		g.each(g.csr.appendInIDs(buf[:0], n, l), fn)
+	}
 }
 
 // each calls fn with the edge of every ID in ids until fn returns false.

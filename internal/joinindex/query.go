@@ -148,21 +148,17 @@ func (idx *Index) evalAnchored(owner, requester graph.NodeID, p *pathexpr.Path) 
 	var finalLine []int32 // forward line nodes, for look-ahead
 	nFinals := 0
 	if last.Dir == pathexpr.Out || last.Dir == pathexpr.Both {
-		idx.g.InEdges(requester, func(e graph.Edge) bool {
-			if e.Label == labels[k-1] {
-				nFinals++
-				if ln := idx.l.Forward(e.ID); ln >= 0 {
-					finalLine = append(finalLine, ln)
-				}
+		idx.g.LabeledInEdges(requester, labels[k-1], func(e graph.Edge) bool {
+			nFinals++
+			if ln := idx.l.Forward(e.ID); ln >= 0 {
+				finalLine = append(finalLine, ln)
 			}
 			return true
 		})
 	}
 	if last.Dir == pathexpr.In || last.Dir == pathexpr.Both {
-		idx.g.OutEdges(requester, func(e graph.Edge) bool {
-			if e.Label == labels[k-1] {
-				nFinals++
-			}
+		idx.g.LabeledOutEdges(requester, labels[k-1], func(graph.Edge) bool {
+			nFinals++
 			return true
 		})
 	}
@@ -234,10 +230,7 @@ func (idx *Index) evalAnchored(owner, requester graph.NodeID, p *pathexpr.Path) 
 		st := &p.Steps[i]
 		done := false
 		if st.Dir != pathexpr.In {
-			idx.g.OutEdges(h, func(e graph.Edge) bool {
-				if e.Label != labels[i] {
-					return true
-				}
+			idx.g.LabeledOutEdges(h, labels[i], func(e graph.Edge) bool {
 				done = push(traversal{e, true}, i, d)
 				return !done
 			})
@@ -246,10 +239,7 @@ func (idx *Index) evalAnchored(owner, requester graph.NodeID, p *pathexpr.Path) 
 			}
 		}
 		if st.Dir != pathexpr.Out {
-			idx.g.InEdges(h, func(e graph.Edge) bool {
-				if e.Label != labels[i] {
-					return true
-				}
+			idx.g.LabeledInEdges(h, labels[i], func(e graph.Edge) bool {
 				done = push(traversal{e, false}, i, d)
 				return !done
 			})
