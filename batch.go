@@ -3,6 +3,7 @@ package reachac
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"reachac/internal/core"
 	"reachac/internal/graph"
@@ -17,17 +18,44 @@ import (
 // is, and recovery never observes a half-applied batch. A Tx is only valid
 // inside the Batch callback that created it and must not be used
 // concurrently or retained.
+//
+// A Tx holds each mutation once beyond the graph and the store: as a
+// pointer-free undo record, and on a durable network as the bytes of its log
+// record, which each mutation appends to the batch's record group as it
+// applies. The log frames that group where it lies.
 type Tx struct {
 	n *Network
-	// undo holds the inverse of each applied mutation, pushed in order and
-	// run in reverse when the callback (or the WAL commit) fails.
-	undo []func()
-	// ops accumulates the write-ahead log record of each applied mutation,
-	// in order; Batch appends them as one atomic record group at commit.
-	ops []wal.Op
-	// ghosts counts ops kept only for replay alignment (node additions of
-	// failed sub-transactions); Stats excludes them from Mutations.
-	ghosts int
+	// undo holds the inverse of each applied relationship mutation, pushed
+	// in order and run in reverse when the callback (or the WAL commit)
+	// fails; policyUndo does the same for Share and Revoke. Rules name
+	// members, which no undo removes, so the two unwind independently.
+	undo       []undo
+	policyUndo []func()
+	// group is the batch's record group on a durable network (nil
+	// otherwise); err latches the first record that could not be encoded,
+	// which fails the commit as a failed append does.
+	group *wal.Group
+	err   error
+	// ops counts the applied mutations and ghosts the node additions kept
+	// only for replay alignment (those of failed sub-transactions); Stats
+	// counts ops-ghosts as Mutations.
+	ops, ghosts int
+	// firstNode is the first node ID the batch added. Nodes are never
+	// removed, so the batch's node additions are exactly the IDs from
+	// firstNode up: the ones a failed batch must still log.
+	firstNode UserID
+}
+
+// undo is the inverse of one Relate (removed false: remove the edge again)
+// or Unrelate (removed true: re-add it with its weight). An edge is named by
+// (from, to, label), not EdgeID: a later Unrelate of the same relationship
+// in the batch re-adds it under a fresh ID during its own, earlier-running
+// undo.
+type undo struct {
+	from, to graph.NodeID
+	label    graph.Label
+	removed  bool
+	weight   float64
 }
 
 // Batch runs fn with a transaction handle, applying all its mutations under
@@ -56,11 +84,15 @@ func (n *Network) Batch(fn func(*Tx) error) error {
 	if err := n.writeGuardLocked(); err != nil {
 		return err
 	}
-	tx := &Tx{n: n}
+	tx := &Tx{n: n, firstNode: UserID(n.g.NumNodes())}
+	if n.wal != nil {
+		tx.group = &n.group
+		defer n.group.Reset()
+	}
 	err := fn(tx)
 	if err == nil {
-		if err = n.commitLocked(tx.ops); err == nil {
-			if acked := len(tx.ops) - tx.ghosts; acked > 0 {
+		if err = n.commitLocked(tx); err == nil {
+			if acked := tx.ops - tx.ghosts; acked > 0 {
 				n.ctr.batches.Add(1)
 				n.ctr.mutations.Add(uint64(acked))
 			}
@@ -70,20 +102,20 @@ func (n *Network) Batch(fn func(*Tx) error) error {
 			// The append failed and poisoned the network read-only;
 			// rollback restores what it can (any residual node additions
 			// are confined to the now-unacknowledgeable in-memory state).
-			tx.rollback()
+			tx.rollback(0, 0)
 			return err
 		}
 		// The group was refused before anything was written: the batch
 		// failed like a callback error, and the network stays writable.
 	}
-	tx.rollback()
+	tx.rollback(0, 0)
 	// The non-invertible node additions survive the rollback in memory, so
 	// they must survive in the log too: if they were dropped, the next node
 	// would take ID N live but N-k on replay, and every later acknowledged
 	// record referencing it would recover against the wrong user. Commit
 	// them (alone) as their own groups.
-	if ghosts := tx.ghostOps(); len(ghosts) > 0 {
-		if cerr := n.appendGhostsLocked(ghosts); cerr != nil {
+	if last := UserID(n.g.NumNodes()); tx.group != nil && last > tx.firstNode {
+		if cerr := n.appendGhostsLocked(tx.group, tx.firstNode, last); cerr != nil {
 			return fmt.Errorf("%w (and logging the batch's residual node additions failed: %v)", err, cerr)
 		}
 		n.maybeCheckpointLocked()
@@ -91,25 +123,43 @@ func (n *Network) Batch(fn func(*Tx) error) error {
 	return err
 }
 
-// appendGhostsLocked logs a failed batch's residual node additions, split
-// into as many record groups as the log's size limit needs. They are in
-// memory already, so failing to log them — even one addition too large for
-// any group — poisons the network. No checkpoint may start between the
-// groups: it would capture nodes the later groups then add again. Callers
-// hold n.mu.
-func (n *Network) appendGhostsLocked(ops []wal.Op) error {
-	err := n.appendLocked(ops)
+// appendGhostsLocked logs a failed batch's residual node additions, the
+// nodes [lo, hi), in g, split into as many record groups as the log's size
+// limit needs. They are in memory already, so failing to log them — even
+// one addition too large for any group — poisons the network. No checkpoint
+// may start between the groups: it would capture nodes the later groups
+// then add again. Callers hold n.mu.
+func (n *Network) appendGhostsLocked(g *wal.Group, lo, hi UserID) error {
+	g.Reset()
+	if err := n.logNodes(g, lo, hi); err != nil {
+		return n.poisonLocked(err)
+	}
+	err := n.appendLocked(g)
 	if !errors.Is(err, ErrTooLarge) {
 		return err
 	}
-	if len(ops) == 1 {
+	if hi-lo == 1 {
 		n.walErr = err
 		return err
 	}
-	if err := n.appendGhostsLocked(ops[:len(ops)/2]); err != nil {
+	mid := lo + (hi-lo)/2
+	if err := n.appendGhostsLocked(g, lo, mid); err != nil {
 		return err
 	}
-	return n.appendGhostsLocked(ops[len(ops)/2:])
+	return n.appendGhostsLocked(g, mid, hi)
+}
+
+// logNodes adds the node additions of nodes [lo, hi) to g, as AddUser
+// logged them.
+func (n *Network) logNodes(g *wal.Group, lo, hi UserID) error {
+	for id := lo; id < hi; id++ {
+		node := n.g.Node(id)
+		op := wal.Op{Kind: wal.OpGraph, Delta: &graph.Delta{Op: graph.OpAddNode, Name: node.Name, Attrs: node.Attrs}}
+		if err := g.Add(&op); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Sub runs fn as a sub-transaction of the batch: on error, the mutations fn
@@ -123,43 +173,64 @@ func (n *Network) appendGhostsLocked(ops []wal.Op) error {
 // matching any path) and their records stay in the group, keeping replay
 // node-ID allocation aligned with memory.
 func (tx *Tx) Sub(fn func(*Tx) error) error {
-	undoMark, opMark := len(tx.undo), len(tx.ops)
+	undoMark, policyMark, opMark := len(tx.undo), len(tx.policyUndo), tx.ops
+	nodeMark := UserID(tx.n.g.NumNodes())
+	var groupMark wal.GroupMark
+	if tx.group != nil {
+		groupMark = tx.group.Mark()
+	}
 	err := fn(tx)
 	if err == nil {
 		return nil
 	}
-	for i := len(tx.undo) - 1; i >= undoMark; i-- {
-		tx.undo[i]()
-	}
-	tx.undo = tx.undo[:undoMark]
-	kept := tx.ops[:opMark]
-	for _, op := range tx.ops[opMark:] {
-		if op.Kind == wal.OpGraph && op.Delta != nil && op.Delta.Op == graph.OpAddNode {
-			kept = append(kept, op)
-			tx.ghosts++
+	tx.rollback(undoMark, policyMark)
+	last := UserID(tx.n.g.NumNodes())
+	tx.ops = opMark + int(last-nodeMark)
+	tx.ghosts += int(last - nodeMark)
+	if tx.group != nil {
+		tx.group.Truncate(groupMark)
+		if tx.err == nil {
+			tx.err = tx.n.logNodes(tx.group, nodeMark, last)
 		}
 	}
-	tx.ops = kept
 	return err
 }
 
-// ghostOps returns the batch's non-invertible operations — the node
-// additions that rollback cannot remove and that therefore must still be
-// logged when the batch fails.
-func (tx *Tx) ghostOps() []wal.Op {
-	var out []wal.Op
-	for _, op := range tx.ops {
-		if op.Kind == wal.OpGraph && op.Delta != nil && op.Delta.Op == graph.OpAddNode {
-			out = append(out, op)
+// rollback runs the undos recorded past the marks in reverse order and
+// drops them.
+func (tx *Tx) rollback(undoMark, policyMark int) {
+	g := tx.n.g
+	for i := len(tx.undo) - 1; i >= undoMark; i-- {
+		u := tx.undo[i]
+		if u.removed {
+			_, _ = g.AddWeightedEdge(u.from, u.to, g.LabelName(u.label), u.weight)
+		} else if e := g.FindEdge(u.from, u.to, u.label); e != graph.InvalidEdge {
+			_ = g.RemoveEdge(e)
 		}
 	}
-	return out
+	tx.undo = tx.undo[:undoMark]
+	for i := len(tx.policyUndo) - 1; i >= policyMark; i-- {
+		tx.policyUndo[i]()
+	}
+	tx.policyUndo = tx.policyUndo[:policyMark]
 }
 
-// rollback runs the recorded undos in reverse order.
-func (tx *Tx) rollback() {
-	for i := len(tx.undo) - 1; i >= 0; i-- {
-		tx.undo[i]()
+// pushUndo records the inverse of one applied relationship mutation. The
+// log grows by doubling, not append's quarter steps, which copy a bulk
+// batch's undo log several times over.
+func (tx *Tx) pushUndo(u undo) {
+	if len(tx.undo) == cap(tx.undo) {
+		tx.undo = slices.Grow(tx.undo, max(len(tx.undo), 4))
+	}
+	tx.undo = append(tx.undo, u)
+}
+
+// record counts one applied mutation and, on a durable network, adds its
+// log record to the batch's group.
+func (tx *Tx) record(op *wal.Op) {
+	tx.ops++
+	if tx.group != nil && tx.err == nil {
+		tx.err = tx.group.Add(op)
 	}
 }
 
@@ -176,17 +247,17 @@ func (tx *Tx) AddUser(name string, attrs ...Attr) (UserID, error) {
 	if err != nil {
 		return id, err
 	}
-	tx.ops = append(tx.ops, wal.GraphOp(graph.Delta{
-		Op:    graph.OpAddNode,
-		Name:  name,
-		Attrs: tx.n.g.Node(id).Attrs,
-	}))
+	tx.ops++
+	if tx.group != nil && tx.err == nil {
+		tx.err = tx.n.logNodes(tx.group, id, id+1)
+	}
 	return id, nil
 }
 
 // Relate is Network.Relate within the batch; rolled back on batch failure.
 func (tx *Tx) Relate(from, to UserID, relType string) error {
-	if _, err := tx.n.g.AddEdge(from, to, relType); err != nil {
+	e, err := tx.n.g.AddEdge(from, to, relType)
+	if err != nil {
 		g := tx.n.g
 		switch {
 		case !g.ValidNode(from) || !g.ValidNode(to):
@@ -198,19 +269,8 @@ func (tx *Tx) Relate(from, to UserID, relType string) error {
 		}
 		return err
 	}
-	// Undo by (from, to, label) identity, not EdgeID: a later Unrelate of
-	// the same relationship in this batch would re-add it under a fresh ID
-	// during its own (earlier-running) undo.
-	tx.undo = append(tx.undo, func() {
-		if l, ok := tx.n.g.LookupLabel(relType); ok {
-			if e := tx.n.g.FindEdge(from, to, l); e != graph.InvalidEdge {
-				_ = tx.n.g.RemoveEdge(e)
-			}
-		}
-	})
-	tx.ops = append(tx.ops, wal.GraphOp(graph.Delta{
-		Op: graph.OpAddEdge, From: from, To: to, Label: relType,
-	}))
+	tx.pushUndo(undo{from: from, to: to, label: tx.n.g.Edge(e).Label})
+	tx.record(&wal.Op{Kind: wal.OpGraph, Delta: &graph.Delta{Op: graph.OpAddEdge, From: from, To: to, Label: relType}})
 	return nil
 }
 
@@ -229,12 +289,8 @@ func (tx *Tx) Unrelate(from, to UserID, relType string) error {
 	if err := tx.n.g.RemoveEdge(e); err != nil {
 		return err
 	}
-	tx.undo = append(tx.undo, func() {
-		_, _ = tx.n.g.AddWeightedEdge(rec.From, rec.To, relType, rec.Weight)
-	})
-	tx.ops = append(tx.ops, wal.GraphOp(graph.Delta{
-		Op: graph.OpRemoveEdge, From: from, To: to, Label: relType,
-	}))
+	tx.pushUndo(undo{from: rec.From, to: rec.To, label: l, removed: true, weight: rec.Weight})
+	tx.record(&wal.Op{Kind: wal.OpGraph, Delta: &graph.Delta{Op: graph.OpRemoveEdge, From: from, To: to, Label: relType}})
 	return nil
 }
 
@@ -247,14 +303,15 @@ func (tx *Tx) Share(resource string, owner UserID, paths ...string) (string, err
 	if err != nil {
 		return "", err
 	}
-	tx.undo = append(tx.undo, func() {
+	tx.policyUndo = append(tx.policyUndo, func() {
 		s := tx.n.store.Load()
 		s.RemoveRule(core.ResourceID(resource), id)
 		if !existed {
 			s.Unregister(core.ResourceID(resource))
 		}
 	})
-	tx.ops = append(tx.ops, wal.ShareOp(resource, owner, id, conds))
+	op := wal.ShareOp(resource, owner, id, conds)
+	tx.record(&op)
 	return id, nil
 }
 
@@ -273,8 +330,9 @@ func (tx *Tx) Revoke(resource, ruleID string) bool {
 		return false
 	}
 	if removed != nil {
-		tx.undo = append(tx.undo, func() { _ = store.AddRule(removed) })
+		tx.policyUndo = append(tx.policyUndo, func() { _ = store.AddRule(removed) })
 	}
-	tx.ops = append(tx.ops, wal.RevokeOp(resource, ruleID))
+	op := wal.RevokeOp(resource, ruleID)
+	tx.record(&op)
 	return true
 }

@@ -239,35 +239,48 @@ func (n *Network) ObserveEpoch(e uint64) bool {
 // leadership epoch (see ObserveEpoch).
 func (n *Network) Fenced() bool { return n.fencedEpoch.Load() != 0 }
 
-// commitLocked durably appends one committed batch's operations as a single
-// atomic record group (see appendLocked), then triggers a background
-// checkpoint if the segment crossed the size threshold. Callers hold n.mu.
-func (n *Network) commitLocked(ops []wal.Op) error {
-	if err := n.appendLocked(ops); err != nil {
+// commitLocked durably appends one committed batch's record group (see
+// appendLocked), then triggers a background checkpoint if the segment
+// crossed the size threshold. A record the batch could not encode fails
+// the commit as a failed append does. Callers hold n.mu.
+func (n *Network) commitLocked(tx *Tx) error {
+	if tx.err != nil {
+		return n.poisonLocked(tx.err)
+	}
+	if tx.group == nil {
+		return nil
+	}
+	if err := n.appendLocked(tx.group); err != nil {
 		return err
 	}
 	n.maybeCheckpointLocked()
 	return nil
 }
 
-// appendLocked durably appends ops as one record group. A group over the
+// appendLocked durably appends g as one record group. A group over the
 // size limit is refused with nothing written (ErrTooLarge), and the caller
-// decides what that means. Any other append failure poisons the network
-// (read-only from then on): the in-memory state may contain non-invertible
-// mutations the log missed, so acknowledging anything further could diverge
-// from what recovery will rebuild. Callers hold n.mu.
-func (n *Network) appendLocked(ops []wal.Op) error {
-	if n.wal == nil || len(ops) == 0 {
+// decides what that means. Any other append failure poisons the network.
+// Callers hold n.mu.
+func (n *Network) appendLocked(g *wal.Group) error {
+	if n.wal == nil || g.Len() == 0 {
 		return nil
 	}
-	if err := n.wal.Append(ops); err != nil {
+	if err := n.wal.AppendGroup(g); err != nil {
 		if errors.Is(err, ErrTooLarge) {
 			return fmt.Errorf("reachac: %w", err)
 		}
-		n.walErr = err
-		return fmt.Errorf("reachac: WAL append failed (network is now read-only): %w", err)
+		return n.poisonLocked(err)
 	}
 	return nil
+}
+
+// poisonLocked makes the network read-only after a mutation the log could
+// not take: the in-memory state may contain non-invertible mutations the
+// log missed, so acknowledging anything further could diverge from what
+// recovery will rebuild. Callers hold n.mu.
+func (n *Network) poisonLocked(err error) error {
+	n.walErr = err
+	return fmt.Errorf("reachac: WAL append failed (network is now read-only): %w", err)
 }
 
 // maybeCheckpointLocked starts at most one background checkpoint once a

@@ -46,7 +46,9 @@ func AppendString(dst []byte, s string) []byte {
 			dst = append(append(dst, s[start:i]...), '\\', c)
 			start = i + 1
 		default:
-			b, _ := json.Marshal(s) // a string always marshals
+			// A string always marshals. Marshal gets a copy, so that s,
+			// and whatever holds it, does not escape on the copied path.
+			b, _ := json.Marshal(strings.Clone(s))
 			return append(dst[:n], b...)
 		}
 	}

@@ -109,11 +109,13 @@ func (idx *Index) evalAnchored(owner, requester graph.NodeID, p *pathexpr.Path) 
 		return false, err
 	}
 	k := len(p.Steps)
-	// Resolve labels; an absent label can never match.
+	// Resolve labels; an absent label, or one no edge carries yet (no CSR
+	// cells), can never match.
+	csr := idx.g.CSR()
 	labels := make([]graph.Label, k)
 	for i, st := range p.Steps {
 		l, ok := idx.g.LookupLabel(st.Label)
-		if !ok {
+		if !ok || int(l) >= csr.NumLabels() {
 			return false, nil
 		}
 		labels[i] = l
@@ -145,34 +147,39 @@ func (idx *Index) evalAnchored(owner, requester graph.NodeID, p *pathexpr.Path) 
 	// Final candidates: traversals of the last step's label ending at the
 	// requester, in an admitted orientation.
 	last := p.Steps[k-1]
-	var finalLine []int32 // forward line nodes, for look-ahead
 	nFinals := 0
-	if last.Dir == pathexpr.Out || last.Dir == pathexpr.Both {
-		idx.g.LabeledInEdges(requester, labels[k-1], func(e graph.Edge) bool {
-			nFinals++
-			if ln := idx.l.Forward(e.ID); ln >= 0 {
-				finalLine = append(finalLine, ln)
-			}
-			return true
-		})
+	if last.Dir != pathexpr.In {
+		nFinals += len(csr.InNeighbors(requester, labels[k-1]))
 	}
-	if last.Dir == pathexpr.In || last.Dir == pathexpr.Both {
-		idx.g.LabeledOutEdges(requester, labels[k-1], func(graph.Edge) bool {
-			nFinals++
-			return true
-		})
+	if last.Dir != pathexpr.Out {
+		nFinals += len(csr.OutNeighbors(requester, labels[k-1]))
 	}
 	if nFinals == 0 {
 		return false, nil
 	}
 
-	lookahead := func(tr traversal, step int) bool {
-		if idx.opts.DisableLookahead || !sfx[step] || !tr.forward {
+	// finalLine holds the forward line nodes of the final candidates, for
+	// the look-ahead, which resolves them on its first test.
+	var finalLine []int32
+	finalsResolved := false
+	lookahead := func(fwd graph.EdgeID, step int) bool {
+		if idx.opts.DisableLookahead || !sfx[step] || fwd == graph.InvalidEdge {
 			return true
 		}
-		x := idx.l.Forward(tr.edge.ID)
+		x := idx.l.Forward(fwd)
 		if x < 0 {
 			return true
+		}
+		if !finalsResolved {
+			finalsResolved = true
+			if last.Dir != pathexpr.In {
+				idx.g.LabeledInEdges(requester, labels[k-1], func(e graph.Edge) bool {
+					if ln := idx.l.Forward(e.ID); ln >= 0 {
+						finalLine = append(finalLine, ln)
+					}
+					return true
+				})
+			}
 		}
 		for _, f := range finalLine {
 			if idx.lineReach(x, f) {
@@ -196,42 +203,44 @@ func (idx *Index) evalAnchored(owner, requester graph.NodeID, p *pathexpr.Path) 
 	seen := make(map[[3]uint32]bool)
 	var queue []state
 
-	// push consumes one edge (tr) as the d-th edge of step i; it reports
-	// whether this completes a full match.
-	push := func(tr traversal, i, d int) bool {
-		st := p.Steps[i]
-		if tr.edge.Label != labels[i] {
-			return false
-		}
-		if st.Dir == pathexpr.Out && !tr.forward || st.Dir == pathexpr.In && tr.forward {
-			return false
-		}
-		h := tr.head()
+	// push consumes one step-i traversal landing on h as the d-th edge of
+	// step i: fwd is the edge of a forward traversal, InvalidEdge for a
+	// backward one, which needs no edge ID because the look-ahead only
+	// tests forward traversals. It reports whether this completes a full
+	// match.
+	push := func(h graph.NodeID, fwd graph.EdgeID, i, d int) bool {
+		st := &p.Steps[i]
 		if i == k-1 && st.MayClose(d) && h == requester {
 			// Last-step predicates were pre-checked on the requester.
 			return true
 		}
-		key := [3]uint32{uint32(h), uint32(i), uint32(st.DKey(d))}
+		dk := st.DKey(d)
+		if i == k-1 && !st.MayContinue(dk) {
+			// The state can neither close into a next step nor continue,
+			// so it leads nowhere.
+			return false
+		}
+		key := [3]uint32{uint32(h), uint32(i), uint32(dk)}
 		if seen[key] {
 			return false
 		}
 		seen[key] = true
-		if !lookahead(tr, i) {
+		if !lookahead(fwd, i) {
 			return false
 		}
-		queue = append(queue, state{h, i, st.DKey(d)})
+		queue = append(queue, state{h, i, dk})
 		return false
 	}
 
 	// expandFrom consumes one step-i edge out of member h (as depth d),
-	// iterating only the orientations the step admits; it reports whether a
-	// full match was completed.
+	// iterating only the label cells and orientations the step admits; it
+	// reports whether a full match was completed.
 	expandFrom := func(h graph.NodeID, i, d int) bool {
 		st := &p.Steps[i]
 		done := false
 		if st.Dir != pathexpr.In {
 			idx.g.LabeledOutEdges(h, labels[i], func(e graph.Edge) bool {
-				done = push(traversal{e, true}, i, d)
+				done = push(e.To, e.ID, i, d)
 				return !done
 			})
 			if done {
@@ -239,12 +248,13 @@ func (idx *Index) evalAnchored(owner, requester graph.NodeID, p *pathexpr.Path) 
 			}
 		}
 		if st.Dir != pathexpr.Out {
-			idx.g.LabeledInEdges(h, labels[i], func(e graph.Edge) bool {
-				done = push(traversal{e, false}, i, d)
-				return !done
-			})
+			for _, m := range csr.InNeighbors(h, labels[i]) {
+				if push(graph.NodeID(m), graph.InvalidEdge, i, d) {
+					return true
+				}
+			}
 		}
-		return done
+		return false
 	}
 
 	// Seed with the owner's incident traversals as the first edge of step 0.

@@ -124,6 +124,25 @@ func refValueOf(v refValue) (graph.Value, error) {
 	return graph.Value{}, fmt.Errorf("unknown value kind %q", v.Kind)
 }
 
+// encodeFrame appends the frame Append writes for ops linked to chain, and
+// returns the advanced chain value. On error buf comes back as it was.
+func encodeFrame(buf []byte, chain Chain, ops []Op) ([]byte, Chain, error) {
+	var g Group
+	for i := range ops {
+		if err := g.Add(&ops[i]); err != nil {
+			return buf, chain, err
+		}
+	}
+	frame, next, err := g.appendFrame(nil, chain)
+	if err != nil {
+		return buf, chain, err
+	}
+	for _, c := range frame {
+		buf = append(buf, c...)
+	}
+	return buf, next, nil
+}
+
 // refFrame is encodeFrame on json.Marshal.
 func refFrame(chain Chain, ops []Op) ([]byte, error) {
 	env := refEnvelope{Prev: hex.EncodeToString(chain[:])}
@@ -524,7 +543,7 @@ func replace1(s, old, new string) string { return strings.Replace(s, old, new, 1
 func checkGroupCodec(t *testing.T, ops []Op) {
 	t.Helper()
 	var chain Chain
-	for _, group := range [][]Op{ops, ops[:1], {}, nil} {
+	for _, group := range [][]Op{ops, ops[:1], {}} {
 		got, _, err := encodeFrame([]byte("prefix"), chain, group)
 		want, wantErr := refFrame(chain, group)
 		if (err != nil) != (wantErr != nil) {
@@ -626,6 +645,127 @@ func checkDecoders(t *testing.T, data []byte) {
 	}
 	if err == nil && !bytes.Equal(refStore(s), refStore(wantS)) {
 		t.Fatalf("core.ReadStore(%q) read\n%q, reference\n%q", data, refStore(s), refStore(wantS))
+	}
+}
+
+// TestGroupMatchesReference builds multi-megabyte groups operation by
+// operation, truncating some runs of operations as a failed sub-transaction
+// does, and requires the framed chunks to equal the reference frame of the
+// operations kept, and the chain value to advance over that frame.
+func TestGroupMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	randOp := func(i int) Op {
+		switch rng.Intn(9) {
+		case 0:
+			return GraphOp(graph.Delta{Op: graph.OpAddNode, Name: fmt.Sprintf("u%07d", i), Attrs: graph.Attrs{"age": graph.Number(float64(rng.Intn(90)))}})
+		case 1:
+			return ShareOp(fmt.Sprintf("res-%d", i), graph.NodeID(i), fmt.Sprintf("rule-%d", i), []string{"friend+[1,2]"})
+		case 2:
+			return RevokeOp("res", fmt.Sprintf("rule-%d", i))
+		case 3:
+			if rng.Intn(50) == 0 {
+				return PolicyResetOp(bytes.Repeat([]byte{'p'}, rng.Intn(3*maxChunk/2)))
+			}
+			fallthrough
+		default:
+			return GraphOp(graph.Delta{Op: graph.OpAddEdge, From: graph.NodeID(rng.Intn(1e6)), To: graph.NodeID(rng.Intn(1e6)), Label: "friend"})
+		}
+	}
+	var g Group
+	for round := 0; round < 3; round++ {
+		g.Reset()
+		var kept []Op
+		for len(kept) < 40000 {
+			mark, n := g.Mark(), len(kept)
+			for j := rng.Intn(40); j > 0; j-- {
+				op := randOp(len(kept))
+				if err := g.Add(&op); err != nil {
+					t.Fatal(err)
+				}
+				kept = append(kept, op)
+			}
+			if rng.Intn(4) == 0 {
+				g.Truncate(mark)
+				kept = kept[:n]
+			}
+		}
+		if g.Len() != len(kept) {
+			t.Fatalf("round %d: group holds %d ops, want %d", round, g.Len(), len(kept))
+		}
+		chain := Chain{byte(round)}
+		want, err := refFrame(chain, kept)
+		if errors.Is(err, ErrRecordTooLarge) {
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		frame, next, err := g.appendFrame(nil, chain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := bytes.Join(frame, nil); !bytes.Equal(got, want) {
+			t.Fatalf("round %d: %d-chunk frame differs from the reference at byte %d", round, len(frame), firstDiff(got, want))
+		}
+		if len(frame) < 4 {
+			t.Fatalf("round %d: a %d-byte group framed in %d chunks", round, len(want), len(frame))
+		}
+		if next != chainNext(chain, want[frameHeaderSize:]) {
+			t.Fatalf("round %d: chain advanced to %x", round, next[:8])
+		}
+	}
+}
+
+// TestLogKeepsNoBulkBuffer pins that the log keeps at most RetainMax bytes
+// of frame buffer after a multi-megabyte Append or AppendGroup, and that a
+// Group keeps no more across Reset.
+func TestLogKeepsNoBulkBuffer(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := openLog(t, dir, Options{Sync: SyncNever})
+	defer l.Close()
+	held := func(chunks [][]byte) (n int) {
+		for _, c := range chunks[:cap(chunks)] {
+			n += cap(c)
+		}
+		return n
+	}
+	var bulk []Op
+	for i := 0; i < 50000; i++ {
+		bulk = append(bulk, GraphOp(graph.Delta{Op: graph.OpAddEdge, From: graph.NodeID(i), To: graph.NodeID(i + 1), Label: "friend"}))
+	}
+	if err := l.Append(bulk); err != nil {
+		t.Fatal(err)
+	}
+	if size := l.Size(); size < 3<<20 {
+		t.Fatalf("the bulk group framed only %d bytes", size)
+	}
+	if n := held(l.scratch.chunks) + held(l.frame); n > RetainMax {
+		t.Fatalf("after a bulk Append the log holds %d bytes of frame buffer, bound %d", n, RetainMax)
+	}
+	var g Group
+	for i := range bulk {
+		if err := g.Add(&bulk[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.AppendGroup(&g); err != nil {
+		t.Fatal(err)
+	}
+	if n := held(l.scratch.chunks) + held(l.frame); n > RetainMax {
+		t.Fatalf("after a bulk AppendGroup the log holds %d bytes of frame buffer, bound %d", n, RetainMax)
+	}
+	g.Reset()
+	if n := held(g.chunks); n > RetainMax {
+		t.Fatalf("a reset group holds %d bytes, bound %d", n, RetainMax)
+	}
+	if err := l.Append(bulk[:1]); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if offs, err := RecordOffsets(segmentPath(dir, 1)); err != nil || len(offs) != 3 {
+		t.Fatalf("the segment holds %d valid frames, want 3 (%v)", len(offs), err)
 	}
 }
 

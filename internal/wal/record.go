@@ -28,6 +28,7 @@ package wal
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
@@ -174,42 +175,152 @@ type groupEnvelope struct {
 // log is left as it was.
 var ErrRecordTooLarge = errors.New("wal: record group exceeds the size limit")
 
-// encodeFrame appends the framed serialization of one record group to buf,
-// linking it to chain and returning the advanced chain value. On error buf
-// comes back at its original length.
-func encodeFrame(buf []byte, chain Chain, ops []Op) ([]byte, Chain, error) {
-	start := len(buf)
-	buf, err := appendGroup(append(buf, make([]byte, frameHeaderSize)...), chain, ops)
-	if err != nil {
-		return buf[:start], chain, err
-	}
-	payload := buf[start+frameHeaderSize:]
-	if len(payload) > MaxRecordSize {
-		return buf[:start], chain, fmt.Errorf("%w: %d bytes, limit %d", ErrRecordTooLarge, len(payload), MaxRecordSize)
-	}
-	binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[start+4:], crc32.Checksum(payload, crcTable))
-	return buf, chainNext(chain, payload), nil
+// RetainMax bounds the frame buffers a Group keeps across Reset, and so
+// what the log keeps between appends. A one-mutation frame is ~100-200
+// bytes and a server commit group of 128 coalesced mutations (the server's
+// default cap) ~15 KB, so every steady-state append reuses its buffers. A
+// bulk group is larger: the 20k-member import the HTTP benchmark workloads
+// set up through is a 10.9 MB frame, which a log that kept its largest
+// buffer held for the life of the process, 57 % of http-check's heap_mb.
+const RetainMax = 64 << 10
+
+// Group chunk sizes: the first chunk holds a one-op group, each next one
+// doubles up to maxChunk, and an operation starts a new chunk when the last
+// has under minRoom bytes to spare (a larger operation grows its chunk).
+const (
+	firstChunk = 512
+	maxChunk   = 1 << 20
+	minRoom    = 256
+)
+
+// groupHead is the space a Group reserves ahead of its operations: the
+// frame header, and the envelope up to the operations array, whose chain
+// link is only known when the log appends the group.
+const groupHead = frameHeaderSize + len(`{"prev":"`) + 2*len(Chain{}) + len(`","ops":[`)
+
+// Group is one record group encoded operation by operation, behind reserved
+// space for the frame header and the chain link: the frame is the
+// concatenation of its chunks. A writer adds each operation as it applies
+// it, and Log.AppendGroup frames the group where it lies, so a bulk batch
+// is encoded once, never held as a list of operations, and never copied
+// to grow: chunks are only added. The zero Group is empty.
+type Group struct {
+	// chunks are the group's bytes in order. Chunks past len, up to cap,
+	// are spares a Truncate or Reset left for reuse.
+	chunks [][]byte
+	n      int
 }
 
-// appendGroup appends the envelope of one record group linked to chain, as
-// json.Marshal writes a groupEnvelope.
-func appendGroup(dst []byte, chain Chain, ops []Op) ([]byte, error) {
-	dst = hex.AppendEncode(append(dst, `{"prev":"`...), chain[:])
-	if ops == nil {
-		return append(dst, `","ops":null}`...), nil
+// GroupMark is a position in a Group, for Truncate.
+type GroupMark struct{ chunks, off, n int }
+
+// Add appends one operation. On error (a value the format cannot encode,
+// such as a NaN attribute) the group is left as it was.
+func (g *Group) Add(op *Op) error {
+	c := g.room()
+	buf := g.chunks[c]
+	mark := len(buf)
+	if g.n > 0 {
+		buf = append(buf, ',')
 	}
-	dst = append(dst, `","ops":[`...)
-	for i := range ops {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		var err error
-		if dst, err = appendOp(dst, &ops[i]); err != nil {
-			return dst, err
+	buf, err := appendOp(buf, op)
+	if err != nil {
+		g.chunks[c] = buf[:mark]
+		return err
+	}
+	g.chunks[c] = buf
+	g.n++
+	return nil
+}
+
+// room returns the index of the chunk the next operation goes into: the
+// last one, or a spare or new one when the last has under minRoom bytes to
+// spare. The first chunk starts with the reserved head.
+func (g *Group) room() int {
+	k := len(g.chunks)
+	if k > 0 && cap(g.chunks[k-1])-len(g.chunks[k-1]) >= minRoom {
+		return k - 1
+	}
+	if k < cap(g.chunks) && g.chunks[:k+1][k] != nil {
+		g.chunks = g.chunks[:k+1]
+		g.chunks[k] = g.chunks[k][:0]
+	} else {
+		g.chunks = append(g.chunks, make([]byte, 0, min(firstChunk<<min(k, 16), maxChunk)))
+	}
+	if k == 0 {
+		g.chunks[0] = append(g.chunks[0], make([]byte, groupHead)...)
+	}
+	return k
+}
+
+// Len returns the number of operations in the group.
+func (g *Group) Len() int { return g.n }
+
+// Mark returns the group's current end, for Truncate.
+func (g *Group) Mark() GroupMark {
+	m := GroupMark{chunks: len(g.chunks), n: g.n}
+	if m.chunks > 0 {
+		m.off = len(g.chunks[m.chunks-1])
+	}
+	return m
+}
+
+// Truncate drops every operation added since m was taken.
+func (g *Group) Truncate(m GroupMark) {
+	g.chunks, g.n = g.chunks[:m.chunks], m.n
+	if m.chunks > 0 {
+		g.chunks[m.chunks-1] = g.chunks[m.chunks-1][:m.off]
+	}
+}
+
+// Reset empties the group. It keeps its first chunks for the next group, up
+// to RetainMax bytes of them; the collector frees the rest.
+func (g *Group) Reset() {
+	all, kept := g.chunks[:cap(g.chunks)], 0
+	for i, c := range all {
+		if kept += cap(c); kept > RetainMax {
+			clear(all[i:])
+			break
 		}
 	}
-	return append(dst, "]}"...), nil
+	g.chunks, g.n = g.chunks[:0], 0
+}
+
+// appendFrame completes the group's frame linked to chain in place and
+// appends its chunks to dst, returning them with the advanced chain value.
+// The group keeps its operations. A payload over MaxRecordSize is refused.
+func (g *Group) appendFrame(dst [][]byte, chain Chain) ([][]byte, Chain, error) {
+	last := g.room()
+	end := append(g.chunks[last], "]}"...)
+	g.chunks[last] = end[:len(end)-2]
+	out := append(append(dst, g.chunks[:last]...), end)
+	frame := out[len(dst):]
+
+	size := -frameHeaderSize
+	for _, c := range frame {
+		size += len(c)
+	}
+	if size > MaxRecordSize {
+		return dst, chain, fmt.Errorf("%w: %d bytes, limit %d", ErrRecordTooLarge, size, MaxRecordSize)
+	}
+	head := frame[0][frameHeaderSize:]
+	i := copy(head, `{"prev":"`)
+	i += hex.Encode(head[i:], chain[:])
+	copy(head[i:], `","ops":[`)
+	crc, h := uint32(0), sha256.New()
+	h.Write(chain[:])
+	for i, c := range frame {
+		if i == 0 {
+			c = c[frameHeaderSize:]
+		}
+		crc = crc32.Update(crc, crcTable, c)
+		h.Write(c)
+	}
+	binary.LittleEndian.PutUint32(frame[0], uint32(size))
+	binary.LittleEndian.PutUint32(frame[0][4:], crc)
+	var next Chain
+	h.Sum(next[:0])
+	return out, next, nil
 }
 
 // appendOp appends one operation as json.Marshal writes an Op.

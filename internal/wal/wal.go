@@ -80,7 +80,11 @@ type Log struct {
 	size     int64
 	appended uint64
 	closed   bool
-	scratch  []byte
+	// scratch is the group Append encodes into, and frame the chunk list
+	// of the frame being written; neither keeps more than RetainMax bytes
+	// of frame between appends.
+	scratch Group
+	frame   [][]byte
 	// chain is the running tamper-evidence chain value (after the last
 	// appended group); ckptChain snapshots it at the last Rotate, which is
 	// the anchor the matching WriteCheckpoint records.
@@ -372,51 +376,106 @@ func recoverDir(dir string) (Recovered, error) {
 // after the OS write. An error means the group's durability is unknown and
 // the log must not be trusted for further appends.
 func (l *Log) Append(ops []Op) error {
-	if l.syncFailed.Load() {
-		// A previous fsync failed — possibly one the background interval
-		// syncer ran — so durability of anything already acknowledged is
-		// unknown; refuse to acknowledge more.
-		l.syncMu.Lock()
-		err := l.syncErr
-		l.syncMu.Unlock()
-		return fmt.Errorf("wal: log failed a previous sync: %w", err)
+	if err := l.failedSync(); err != nil {
+		return err
 	}
 	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return fmt.Errorf("wal: log is closed")
+	var err error
+	for i := range ops {
+		if err = l.scratch.Add(&ops[i]); err != nil {
+			break
+		}
 	}
-	buf, next, err := encodeFrame(l.scratch[:0], l.chain, ops)
-	// The frame buffer is kept for the next append. One that had to grow is
-	// replaced by one of exactly the frame's size, so the log holds what its
-	// largest frame needed and not append's growth slack on top of it.
-	if cap(buf) > cap(l.scratch) {
-		l.scratch = make([]byte, 0, len(buf))
-	} else {
-		l.scratch = buf[:0]
+	var at appendPos
+	if err == nil {
+		at, err = l.writeLocked(&l.scratch)
 	}
+	l.scratch.Reset()
+	l.mu.Unlock()
 	if err != nil {
-		l.mu.Unlock()
 		return err
 	}
-	if _, err := l.f.Write(buf); err != nil {
-		l.mu.Unlock()
+	return l.await(at)
+}
+
+// AppendGroup is Append for a group encoded as its operations applied: the
+// log frames it where it lies and writes it, and keeps no reference to it.
+func (l *Log) AppendGroup(g *Group) error {
+	if err := l.failedSync(); err != nil {
 		return err
+	}
+	l.mu.Lock()
+	at, err := l.writeLocked(g)
+	l.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	return l.await(at)
+}
+
+// failedSync refuses an append once an fsync failed — possibly one the
+// background interval syncer ran — since the durability of anything
+// already acknowledged is unknown.
+func (l *Log) failedSync() error {
+	if !l.syncFailed.Load() {
+		return nil
+	}
+	l.syncMu.Lock()
+	err := l.syncErr
+	l.syncMu.Unlock()
+	return fmt.Errorf("wal: log failed a previous sync: %w", err)
+}
+
+// appendPos locates one written group: its append index, and the segment
+// and size it left the log at.
+type appendPos struct {
+	idx  uint64
+	seq  uint64
+	size int64
+}
+
+// writeLocked frames g linked to the log's chain and writes it. Callers
+// hold l.mu.
+func (l *Log) writeLocked(g *Group) (appendPos, error) {
+	if l.closed {
+		return appendPos{}, fmt.Errorf("wal: log is closed")
+	}
+	frame, next, err := g.appendFrame(l.frame[:0], l.chain)
+	if err != nil {
+		return appendPos{}, err
+	}
+	written := 0
+	for _, c := range frame {
+		if _, err = l.f.Write(c); err != nil {
+			break
+		}
+		written += len(c)
+	}
+	// The chunk list is kept; the chunks, which may be a bulk group's, are
+	// not.
+	clear(frame)
+	l.frame = frame[:0]
+	if err != nil {
+		return appendPos{}, err
 	}
 	l.chain = next
-	l.size += int64(len(buf))
+	l.size += int64(written)
 	l.appended++
-	idx, seq, size := l.appended, l.seq, l.size
-	l.mu.Unlock()
+	return appendPos{l.appended, l.seq, l.size}, nil
+}
+
+// await returns once the group written at is durable as the sync policy
+// says.
+func (l *Log) await(at appendPos) error {
 	switch l.policy {
 	case SyncAlways:
-		return l.syncTo(idx)
+		return l.syncTo(at.idx)
 	case SyncNever:
 		// Nothing is fsynced, so the shipping frontier mirrors the
 		// durability contract: whatever the OS has is what a follower (or a
 		// crash) can observe.
 		l.syncMu.Lock()
-		l.advanceShipLocked(seq, size)
+		l.advanceShipLocked(at.seq, at.size)
 		l.syncMu.Unlock()
 	}
 	return nil

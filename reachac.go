@@ -161,6 +161,11 @@ type Network struct {
 	walErr   error
 	closed   bool
 	recovery RecoveryInfo
+	// group is the record group a durable batch encodes into, reset after
+	// each commit and kept between batches up to wal.RetainMax, so a small
+	// batch allocates none and a bulk one's buffer goes with it. Guarded
+	// by mu.
+	group wal.Group
 	// ckptEvery is the segment size triggering a background checkpoint;
 	// ckptActive admits one checkpointer at a time, ckptWG lets Close and
 	// Checkpoint wait for it, and ckptErr (guarded by ckptMu, not mu)
@@ -522,7 +527,13 @@ func (n *Network) LoadPolicies(r io.Reader) error {
 	// undone (the network is poisoned read-only regardless).
 	old := n.store.Load()
 	n.store.Store(store)
-	if err := n.commitLocked([]wal.Op{wal.PolicyResetOp(data)}); err != nil {
+	if n.wal == nil {
+		return nil
+	}
+	tx := &Tx{n: n, group: &n.group}
+	defer n.group.Reset()
+	tx.record(&wal.Op{Kind: wal.OpPolicyReset, Policy: data})
+	if err := n.commitLocked(tx); err != nil {
 		n.store.Store(old)
 		return err
 	}
