@@ -91,7 +91,11 @@ func (n *Network) Batch(fn func(*Tx) error) error {
 	}
 	err := fn(tx)
 	if err == nil {
-		if err = n.commitLocked(tx); err == nil {
+		if tx.err != nil {
+			// A record the batch could not encode fails the commit as a
+			// failed append does.
+			err = n.poisonLocked(tx.err)
+		} else if err = n.commitLocked(tx.group); err == nil {
 			if acked := tx.ops - tx.ghosts; acked > 0 {
 				n.ctr.batches.Add(1)
 				n.ctr.mutations.Add(uint64(acked))
@@ -173,7 +177,7 @@ func (n *Network) logNodes(g *wal.Group, lo, hi UserID) error {
 // matching any path) and their records stay in the group, keeping replay
 // node-ID allocation aligned with memory.
 func (tx *Tx) Sub(fn func(*Tx) error) error {
-	undoMark, policyMark, opMark := len(tx.undo), len(tx.policyUndo), tx.ops
+	undoMark, policyMark, opMark, ghostMark := len(tx.undo), len(tx.policyUndo), tx.ops, tx.ghosts
 	nodeMark := UserID(tx.n.g.NumNodes())
 	var groupMark wal.GroupMark
 	if tx.group != nil {
@@ -185,8 +189,10 @@ func (tx *Tx) Sub(fn func(*Tx) error) error {
 	}
 	tx.rollback(undoMark, policyMark)
 	last := UserID(tx.n.g.NumNodes())
+	// The node additions fn made, a failed nested Sub's included, are
+	// counted once, as ghosts of this Sub.
 	tx.ops = opMark + int(last-nodeMark)
-	tx.ghosts += int(last - nodeMark)
+	tx.ghosts = ghostMark + int(last-nodeMark)
 	if tx.group != nil {
 		tx.group.Truncate(groupMark)
 		if tx.err == nil {

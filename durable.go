@@ -241,16 +241,9 @@ func (n *Network) Fenced() bool { return n.fencedEpoch.Load() != 0 }
 
 // commitLocked durably appends one committed batch's record group (see
 // appendLocked), then triggers a background checkpoint if the segment
-// crossed the size threshold. A record the batch could not encode fails
-// the commit as a failed append does. Callers hold n.mu.
-func (n *Network) commitLocked(tx *Tx) error {
-	if tx.err != nil {
-		return n.poisonLocked(tx.err)
-	}
-	if tx.group == nil {
-		return nil
-	}
-	if err := n.appendLocked(tx.group); err != nil {
+// crossed the size threshold. Callers hold n.mu.
+func (n *Network) commitLocked(g *wal.Group) error {
+	if err := n.appendLocked(g); err != nil {
 		return err
 	}
 	n.maybeCheckpointLocked()

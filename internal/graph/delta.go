@@ -203,7 +203,7 @@ func (g *Graph) Apply(d Delta) error {
 		_, err := g.AddWeightedEdge(d.From, d.To, d.Label, d.Weight)
 		return err
 	case OpRemoveEdge:
-		l, ok := g.labels.resolve(d.Label)
+		l, ok := g.labels.lookup(d.Label)
 		if !ok {
 			return fmt.Errorf("graph: apply remove-edge: unknown label %q", d.Label)
 		}

@@ -265,7 +265,7 @@ func (g *Graph) AddWeightedEdge(from, to NodeID, label string, weight float64) (
 	if err := checkEndpoints(g.NumNodes(), from, to); err != nil {
 		return InvalidEdge, err
 	}
-	l, ok := g.labels.resolve(label)
+	l, ok := g.labels.lookup(label)
 	if !ok || int(l) >= g.csr.labels {
 		width := g.labels.len()
 		if !ok {

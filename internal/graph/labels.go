@@ -14,11 +14,6 @@ const NoLabel Label = ^Label(0)
 type labelTable struct {
 	names []string
 	ids   map[string]Label
-	// last is the label a mutator resolved last. A bulk load or an
-	// edge-by-edge import resolves runs of one label, which a string
-	// compare answers without hashing the name. Readers look labels up
-	// without it, so only mutators touch it.
-	last Label
 }
 
 func newLabelTable() *labelTable {
@@ -26,26 +21,13 @@ func newLabelTable() *labelTable {
 }
 
 func (t *labelTable) intern(name string) Label {
-	if id, ok := t.resolve(name); ok {
+	if id, ok := t.ids[name]; ok {
 		return id
 	}
 	id := Label(len(t.names))
 	t.names = append(t.names, name)
 	t.ids[name] = id
-	t.last = id
 	return id
-}
-
-// resolve is lookup for mutators: the label it finds becomes the last.
-func (t *labelTable) resolve(name string) (Label, bool) {
-	if int(t.last) < len(t.names) && t.names[t.last] == name {
-		return t.last, true
-	}
-	id, ok := t.ids[name]
-	if ok {
-		t.last = id
-	}
-	return id, ok
 }
 
 func (t *labelTable) lookup(name string) (Label, bool) {

@@ -42,21 +42,27 @@ type checkpointHeader struct {
 // writeCheckpoint serializes a consistent (graph, store) pair to w, with
 // chain as the recorded anchor. The header comes first and carries the
 // sections' lengths and CRC, so the sections are serialized into a
-// sectionBuffer before anything is written.
+// chunkList before anything is written: a bytes.Buffer copies itself to
+// grow, and allocated ~16 MB for the ~5 MB graph section of a 20k-member
+// checkpoint.
 func writeCheckpoint(w io.Writer, g *graph.Graph, s *core.Store, chain Chain) error {
-	var sec sectionBuffer
+	var sec chunkList
 	if err := g.Write(&sec); err != nil {
 		return err
 	}
-	graphLen := sec.size
+	graphLen := sec.size()
 	if err := s.Write(&sec); err != nil {
 		return err
 	}
+	crc := uint32(0)
+	for _, c := range sec {
+		crc = crc32.Update(crc, crcTable, c)
+	}
 	hdr, err := json.Marshal(checkpointHeader{
 		Magic:    checkpointMagic,
-		GraphLen: graphLen,
-		StoreLen: sec.size - graphLen,
-		CRC:      sec.crc,
+		GraphLen: int64(graphLen),
+		StoreLen: int64(sec.size() - graphLen),
+		CRC:      crc,
 		Chain:    hex.EncodeToString(chain[:]),
 	})
 	if err != nil {
@@ -65,39 +71,12 @@ func writeCheckpoint(w io.Writer, g *graph.Graph, s *core.Store, chain Chain) er
 	if _, err := w.Write(append(hdr, '\n')); err != nil {
 		return err
 	}
-	for _, c := range sec.chunks {
+	for _, c := range sec {
 		if _, err := w.Write(c); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// sectionBuffer holds serialized checkpoint sections in chunks it only
-// adds, doubling from 4 KiB up to maxChunk, and computes their CRC as they
-// are written. A bytes.Buffer copies itself to grow: it allocated ~16 MB
-// for the ~5 MB graph section of a 20k-member checkpoint.
-type sectionBuffer struct {
-	chunks [][]byte
-	size   int64
-	crc    uint32
-}
-
-func (b *sectionBuffer) Write(p []byte) (int, error) {
-	b.crc = crc32.Update(b.crc, crcTable, p)
-	b.size += int64(len(p))
-	written := len(p)
-	for len(p) > 0 {
-		k := len(b.chunks)
-		if k == 0 || len(b.chunks[k-1]) == cap(b.chunks[k-1]) {
-			b.chunks = append(b.chunks, make([]byte, 0, min(4<<10<<min(k, 16), maxChunk)))
-			k++
-		}
-		c := b.chunks[k-1]
-		n := copy(c[len(c):cap(c)], p)
-		b.chunks[k-1], p = c[:len(c)+n], p[n:]
-	}
-	return written, nil
 }
 
 // maxCheckpointSection bounds one checkpoint section, so a corrupt header

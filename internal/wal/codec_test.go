@@ -127,7 +127,7 @@ func refValueOf(v refValue) (graph.Value, error) {
 // encodeFrame appends the frame Append writes for ops linked to chain, and
 // returns the advanced chain value. On error buf comes back as it was.
 func encodeFrame(buf []byte, chain Chain, ops []Op) ([]byte, Chain, error) {
-	var g Group
+	g := Group{null: ops == nil}
 	for i := range ops {
 		if err := g.Add(&ops[i]); err != nil {
 			return buf, chain, err
@@ -543,7 +543,7 @@ func replace1(s, old, new string) string { return strings.Replace(s, old, new, 1
 func checkGroupCodec(t *testing.T, ops []Op) {
 	t.Helper()
 	var chain Chain
-	for _, group := range [][]Op{ops, ops[:1], {}} {
+	for _, group := range [][]Op{ops, ops[:1], {}, nil} {
 		got, _, err := encodeFrame([]byte("prefix"), chain, group)
 		want, wantErr := refFrame(chain, group)
 		if (err != nil) != (wantErr != nil) {
@@ -713,6 +713,42 @@ func TestGroupMatchesReference(t *testing.T) {
 		if next != chainNext(chain, want[frameHeaderSize:]) {
 			t.Fatalf("round %d: chain advanced to %x", round, next[:8])
 		}
+	}
+}
+
+// TestAppendFramesAsReference pins that Log.Append writes the reference
+// frame of every list, a nil list (whose operations json.Marshal writes as
+// null) and an empty one (written as []) included.
+func TestAppendFramesAsReference(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := openLog(t, dir, Options{Sync: SyncNever})
+	defer l.Close()
+	edge := GraphOp(graph.Delta{Op: graph.OpAddEdge, From: 1, To: 2, Label: "friend"})
+	chain := l.Chain()
+	var want []byte
+	for _, ops := range [][]Op{nil, {}, {edge}, {edge, RevokeOp("res", "r1"), edge}, nil} {
+		frame, err := refFrame(chain, ops)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, frame...)
+		chain = chainNext(chain, frame[frameHeaderSize:])
+		if err := l.Append(ops); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if l.Chain() != chain {
+		t.Fatalf("the log's chain is %x, the reference's %x", l.Chain(), chain)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(segmentPath(dir, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("the segment differs from the reference frames at byte %d:\n%q\n%q", firstDiff(got, want), got, want)
 	}
 }
 

@@ -184,19 +184,63 @@ var ErrRecordTooLarge = errors.New("wal: record group exceeds the size limit")
 // buffer held for the life of the process, 57 % of http-check's heap_mb.
 const RetainMax = 64 << 10
 
-// Group chunk sizes: the first chunk holds a one-op group, each next one
-// doubles up to maxChunk, and an operation starts a new chunk when the last
-// has under minRoom bytes to spare (a larger operation grows its chunk).
+// chunkList is a byte sequence held in chunks that are only added, never
+// copied to grow: the first holds firstChunk bytes and each next one
+// doubles, up to maxChunk. Chunks past len, up to cap, are spares a
+// truncation left for reuse. Group encodes record groups into one, and the
+// checkpoint writer serializes its sections into another.
+type chunkList [][]byte
+
+// Chunk sizes: the first chunk holds a one-op group, and each next one
+// doubles up to maxChunk.
 const (
 	firstChunk = 512
 	maxChunk   = 1 << 20
-	minRoom    = 256
 )
+
+// next makes a spare or new chunk the last one and returns its index.
+func (l *chunkList) next() int {
+	k := len(*l)
+	if k < cap(*l) && (*l)[:k+1][k] != nil {
+		*l = (*l)[:k+1]
+		(*l)[k] = (*l)[k][:0]
+	} else {
+		*l = append(*l, make([]byte, 0, min(firstChunk<<min(k, 16), maxChunk)))
+	}
+	return k
+}
+
+// Write appends p, filling the last chunk before it adds the next.
+func (l *chunkList) Write(p []byte) (int, error) {
+	n := len(p)
+	for len(p) > 0 {
+		k := len(*l) - 1
+		if k < 0 || len((*l)[k]) == cap((*l)[k]) {
+			k = l.next()
+		}
+		c := (*l)[k]
+		m := copy(c[len(c):cap(c)], p)
+		(*l)[k], p = c[:len(c)+m], p[m:]
+	}
+	return n, nil
+}
+
+// size returns the number of bytes held.
+func (l chunkList) size() (n int) {
+	for _, c := range l {
+		n += len(c)
+	}
+	return n
+}
+
+// minRoom is the spare room under which a Group starts an operation in a
+// new chunk; a larger operation grows its chunk.
+const minRoom = 256
 
 // groupHead is the space a Group reserves ahead of its operations: the
 // frame header, and the envelope up to the operations array, whose chain
 // link is only known when the log appends the group.
-const groupHead = frameHeaderSize + len(`{"prev":"`) + 2*len(Chain{}) + len(`","ops":[`)
+const groupHead = frameHeaderSize + len(`{"prev":"`) + 2*len(Chain{}) + len(`","ops":`)
 
 // Group is one record group encoded operation by operation, behind reserved
 // space for the frame header and the chain link: the frame is the
@@ -205,10 +249,12 @@ const groupHead = frameHeaderSize + len(`{"prev":"`) + 2*len(Chain{}) + len(`","
 // is encoded once, never held as a list of operations, and never copied
 // to grow: chunks are only added. The zero Group is empty.
 type Group struct {
-	// chunks are the group's bytes in order. Chunks past len, up to cap,
-	// are spares a Truncate or Reset left for reuse.
-	chunks [][]byte
+	chunks chunkList
 	n      int
+	// null frames an empty group's operations as null, as json.Marshal
+	// writes a nil list (an empty one is []); Log.Append sets it for a nil
+	// list.
+	null bool
 }
 
 // GroupMark is a position in a Group, for Truncate.
@@ -222,6 +268,8 @@ func (g *Group) Add(op *Op) error {
 	mark := len(buf)
 	if g.n > 0 {
 		buf = append(buf, ',')
+	} else {
+		buf = append(buf, '[')
 	}
 	buf, err := appendOp(buf, op)
 	if err != nil {
@@ -241,13 +289,7 @@ func (g *Group) room() int {
 	if k > 0 && cap(g.chunks[k-1])-len(g.chunks[k-1]) >= minRoom {
 		return k - 1
 	}
-	if k < cap(g.chunks) && g.chunks[:k+1][k] != nil {
-		g.chunks = g.chunks[:k+1]
-		g.chunks[k] = g.chunks[k][:0]
-	} else {
-		g.chunks = append(g.chunks, make([]byte, 0, min(firstChunk<<min(k, 16), maxChunk)))
-	}
-	if k == 0 {
+	if g.chunks.next() == 0 {
 		g.chunks[0] = append(g.chunks[0], make([]byte, groupHead)...)
 	}
 	return k
@@ -283,30 +325,34 @@ func (g *Group) Reset() {
 			break
 		}
 	}
-	g.chunks, g.n = g.chunks[:0], 0
+	g.chunks, g.n, g.null = g.chunks[:0], 0, false
 }
 
 // appendFrame completes the group's frame linked to chain in place and
 // appends its chunks to dst, returning them with the advanced chain value.
 // The group keeps its operations. A payload over MaxRecordSize is refused.
 func (g *Group) appendFrame(dst [][]byte, chain Chain) ([][]byte, Chain, error) {
-	last := g.room()
-	end := append(g.chunks[last], "]}"...)
-	g.chunks[last] = end[:len(end)-2]
-	out := append(append(dst, g.chunks[:last]...), end)
-	frame := out[len(dst):]
-
-	size := -frameHeaderSize
-	for _, c := range frame {
-		size += len(c)
+	tail := "]}"
+	if g.n == 0 {
+		tail = "[]}"
+		if g.null {
+			tail = "null}"
+		}
 	}
+	last := g.room()
+	end := append(g.chunks[last], tail...)
+	g.chunks[last] = end[:len(end)-len(tail)]
+	out := append(append(dst, g.chunks[:last]...), end)
+	frame := chunkList(out[len(dst):])
+
+	size := frame.size() - frameHeaderSize
 	if size > MaxRecordSize {
 		return dst, chain, fmt.Errorf("%w: %d bytes, limit %d", ErrRecordTooLarge, size, MaxRecordSize)
 	}
 	head := frame[0][frameHeaderSize:]
 	i := copy(head, `{"prev":"`)
 	i += hex.Encode(head[i:], chain[:])
-	copy(head[i:], `","ops":[`)
+	copy(head[i:], `","ops":`)
 	crc, h := uint32(0), sha256.New()
 	h.Write(chain[:])
 	for i, c := range frame {

@@ -380,6 +380,7 @@ func (l *Log) Append(ops []Op) error {
 		return err
 	}
 	l.mu.Lock()
+	l.scratch.null = ops == nil
 	var err error
 	for i := range ops {
 		if err = l.scratch.Add(&ops[i]); err != nil {

@@ -530,10 +530,12 @@ func (n *Network) LoadPolicies(r io.Reader) error {
 	if n.wal == nil {
 		return nil
 	}
-	tx := &Tx{n: n, group: &n.group}
 	defer n.group.Reset()
-	tx.record(&wal.Op{Kind: wal.OpPolicyReset, Policy: data})
-	if err := n.commitLocked(tx); err != nil {
+	op := wal.PolicyResetOp(data)
+	if err = n.group.Add(&op); err == nil {
+		err = n.commitLocked(&n.group)
+	}
+	if err != nil {
 		n.store.Store(old)
 		return err
 	}

@@ -20,18 +20,37 @@ import (
 // the []wal.Op list of a batch as a list of operations, the way the log
 // was written before batches encoded their record group as they applied.
 // Each applied mutation appends its operation; a failed sub-transaction
-// drops its operations but its node additions; a failed batch logs its
-// node additions alone.
-type refTx struct{ ops []wal.Op }
+// drops its operations but its node additions, which it marks as ghosts;
+// a failed batch logs its node additions alone.
+type refTx struct {
+	ops   []wal.Op
+	ghost []bool
+}
+
+func (r *refTx) add(op wal.Op) {
+	r.ops = append(r.ops, op)
+	r.ghost = append(r.ghost, false)
+}
 
 func (r *refTx) subFailed(mark int) {
-	kept := r.ops[:mark]
+	kept, ghost := r.ops[:mark], r.ghost[:mark]
 	for _, op := range r.ops[mark:] {
 		if op.Kind == wal.OpGraph && op.Delta.Op == graph.OpAddNode {
-			kept = append(kept, op)
+			kept, ghost = append(kept, op), append(ghost, true)
 		}
 	}
-	r.ops = kept
+	r.ops, r.ghost = kept, ghost
+}
+
+// acked counts the batch's operations that are not ghosts: what Stats
+// counts as Mutations when the batch commits.
+func (r *refTx) acked() (n int) {
+	for _, g := range r.ghost {
+		if !g {
+			n++
+		}
+	}
+	return n
 }
 
 // txTrace drives random Tx mutations against a network and records each
@@ -42,6 +61,8 @@ type txTrace struct {
 	ref   *refTx
 	users int
 	res   []string
+	// acked sums the committed batches' acknowledged mutations.
+	acked int
 }
 
 var errTxFail = errors.New("tx trace: failing on purpose")
@@ -71,13 +92,13 @@ func (tr *txTrace) mutate(tx *Tx) error {
 			return err
 		}
 		tr.users = max(tr.users, int(id)+1)
-		tr.ref.ops = append(tr.ref.ops, wal.GraphOp(graph.Delta{Op: graph.OpAddNode, Name: name, Attrs: g.Node(id).Attrs}))
+		tr.ref.add(wal.GraphOp(graph.Delta{Op: graph.OpAddNode, Name: name, Attrs: g.Node(id).Attrs}))
 	case 2, 3, 4:
 		from, to, label := tr.user(), tr.user(), txLabels[tr.rng.Intn(len(txLabels))]
 		if err := tx.Relate(from, to, label); err != nil {
 			return err
 		}
-		tr.ref.ops = append(tr.ref.ops, wal.GraphOp(graph.Delta{Op: graph.OpAddEdge, From: from, To: to, Label: label}))
+		tr.ref.add(wal.GraphOp(graph.Delta{Op: graph.OpAddEdge, From: from, To: to, Label: label}))
 	case 5, 6:
 		from, to, label := tr.user(), tr.user(), txLabels[tr.rng.Intn(len(txLabels))]
 		if g.NumEdges() > 0 && tr.rng.Intn(4) > 0 {
@@ -90,7 +111,7 @@ func (tr *txTrace) mutate(tx *Tx) error {
 		if err := tx.Unrelate(from, to, label); err != nil {
 			return err
 		}
-		tr.ref.ops = append(tr.ref.ops, wal.GraphOp(graph.Delta{Op: graph.OpRemoveEdge, From: from, To: to, Label: label}))
+		tr.ref.add(wal.GraphOp(graph.Delta{Op: graph.OpRemoveEdge, From: from, To: to, Label: label}))
 	case 7, 8:
 		res := fmt.Sprintf("res%d", tr.rng.Intn(6))
 		owner, path := tr.user(), txPaths[tr.rng.Intn(len(txPaths))]
@@ -98,7 +119,7 @@ func (tr *txTrace) mutate(tx *Tx) error {
 		if err != nil {
 			return err
 		}
-		tr.ref.ops = append(tr.ref.ops, wal.ShareOp(res, owner, id, []string{pathexpr.MustParse(path).String()}))
+		tr.ref.add(wal.ShareOp(res, owner, id, []string{pathexpr.MustParse(path).String()}))
 		tr.res = append(tr.res, res, id)
 	default:
 		if len(tr.res) == 0 {
@@ -109,9 +130,34 @@ func (tr *txTrace) mutate(tx *Tx) error {
 		if !tx.Revoke(res, id) {
 			return fmt.Errorf("no rule %s on %s", id, res)
 		}
-		tr.ref.ops = append(tr.ref.ops, wal.RevokeOp(res, id))
+		tr.ref.add(wal.RevokeOp(res, id))
 	}
 	return nil
+}
+
+// sub runs one random sub-transaction, which fails half the time and may
+// nest sub-transactions of its own up to depth 2, and drops what a failed
+// one drops from the reference.
+func (tr *txTrace) sub(tx *Tx, depth int) {
+	mark := len(tr.ref.ops)
+	failSub := tr.rng.Intn(2) == 0
+	if err := tx.Sub(func(tx *Tx) error {
+		for i := tr.rng.Intn(5); i >= 0; i-- {
+			if depth < 2 && tr.rng.Intn(4) == 0 {
+				tr.sub(tx, depth+1)
+				continue
+			}
+			if err := tr.mutate(tx); err != nil {
+				return err
+			}
+		}
+		if failSub {
+			return errTxFail
+		}
+		return nil
+	}); err != nil {
+		tr.ref.subFailed(mark)
+	}
 }
 
 // batch runs one random Batch: mutations and sub-transactions, some of
@@ -126,21 +172,7 @@ func (tr *txTrace) batch(ref *wal.Log) error {
 				_ = tr.mutate(tx)
 				continue
 			}
-			mark := len(tr.ref.ops)
-			failSub := tr.rng.Intn(2) == 0
-			if err := tx.Sub(func(tx *Tx) error {
-				for i := tr.rng.Intn(5); i >= 0; i-- {
-					if err := tr.mutate(tx); err != nil {
-						return err
-					}
-				}
-				if failSub {
-					return errTxFail
-				}
-				return nil
-			}); err != nil {
-				tr.ref.subFailed(mark)
-			}
+			tr.sub(tx, 0)
 		}
 		if failBatch {
 			return errTxFail
@@ -149,6 +181,8 @@ func (tr *txTrace) batch(ref *wal.Log) error {
 	})
 	if err != nil {
 		tr.ref.subFailed(0)
+	} else {
+		tr.acked += tr.ref.acked()
 	}
 	if len(tr.ref.ops) > 0 {
 		if rerr := ref.Append(tr.ref.ops); rerr != nil {
@@ -163,10 +197,11 @@ func (tr *txTrace) batch(ref *wal.Log) error {
 
 // TestTxLogMatchesReference runs random Tx traces — node additions,
 // relationship additions and removals, shares and revokes, failing
-// sub-transactions and failing callbacks — on a durable network, and
-// requires the segment it writes to equal, byte for byte, the segment a
-// log writes for the reference's operation lists, and a reopen to recover
-// the live state.
+// sub-transactions, nested ones included, and failing callbacks — on a
+// durable network, and requires Stats to count the acknowledged mutations
+// the reference counts, the segment it writes to equal, byte for byte, the
+// segment a log writes for the reference's operation lists, and a reopen
+// to recover the live state.
 func TestTxLogMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		dir, refDir := t.TempDir(), t.TempDir()
@@ -183,6 +218,9 @@ func TestTxLogMatchesReference(t *testing.T) {
 			if err := tr.batch(ref); err != nil {
 				t.Fatalf("seed %d batch %d: %v", seed, b, err)
 			}
+		}
+		if got := n.Stats().Mutations; got != uint64(tr.acked) {
+			t.Fatalf("seed %d: Stats counts %d mutations, the reference %d", seed, got, tr.acked)
 		}
 		live := txState(n)
 		if err := n.Close(); err != nil {
