@@ -968,15 +968,25 @@ func BenchmarkCloneByGraphSize(b *testing.B) {
 // snapshot: the live heap after a collection less the live heap before the
 // graph was generated, per relationship (B/edge) and per member (B/node) —
 // two views of one total, not a split of it. ns/op is the generation,
-// FromGraph and the publication.
+// FromGraph and the publication. The -attrs arms generate the graph with
+// generate.WithAttrs(), so that their B/node less the plain arms' is what
+// the members' attribute tuples λ(v) cost.
 func BenchmarkNetworkFootprint(b *testing.B) {
-	for _, nodes := range []int{20_000, 100_000} {
-		b.Run(fmt.Sprintf("nodes=%dk", nodes/1000), func(b *testing.B) {
+	for _, arm := range []struct {
+		nodes int
+		attrs bool
+	}{{20_000, false}, {100_000, false}, {20_000, true}, {100_000, true}} {
+		nodes, opts := arm.nodes, []generate.Option{generate.WithNodes(arm.nodes), generate.WithDegree(8), generate.WithSeed(1)}
+		name := fmt.Sprintf("nodes=%dk", nodes/1000)
+		if arm.attrs {
+			opts, name = append(opts, generate.WithAttrs()), name+"-attrs"
+		}
+		b.Run(name, func(b *testing.B) {
 			var heap uint64
 			var edges int
 			for b.Loop() {
 				before := liveHeap()
-				top, err := generate.New("ldbc", generate.WithNodes(nodes), generate.WithDegree(8), generate.WithSeed(1))
+				top, err := generate.New("ldbc", opts...)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -996,6 +1006,50 @@ func BenchmarkNetworkFootprint(b *testing.B) {
 			b.ReportMetric(float64(heap)/float64(edges), "B/edge")
 			b.ReportMetric(float64(heap)/float64(nodes), "B/node")
 		})
+	}
+}
+
+// BenchmarkNodeByName measures resolving a member handle, which an HTTP
+// check does once and a CheckBatch of 16 checks sixteen times: hits on
+// members drawn uniformly, and misses on names of the same length that no
+// member has, at 20k and 100k members, on a graph's base (the name index
+// Rebase builds) and on its private part (the map of the nodes added since
+// the base).
+func BenchmarkNodeByName(b *testing.B) {
+	for _, nodes := range []int{20_000, 100_000} {
+		base, private := graph.New(), graph.New()
+		for i := range nodes {
+			base.MustAddNode(generate.UserName(i), nil)
+			private.MustAddNode(generate.UserName(i), nil)
+		}
+		base.Rebase()
+		rng := rand.New(rand.NewSource(1))
+		hits, misses := make([]string, 1<<16), make([]string, 1<<16)
+		for i := range hits {
+			hits[i] = generate.UserName(rng.Intn(nodes))
+			misses[i] = "x" + generate.UserName(rng.Intn(nodes))[1:]
+		}
+		for _, part := range []struct {
+			name string
+			g    *graph.Graph
+		}{{"base", base}, {"private", private}} {
+			for _, arm := range []struct {
+				name  string
+				names []string
+				hit   bool
+			}{{"hit", hits, true}, {"miss", misses, false}} {
+				b.Run(fmt.Sprintf("%s/%s-%dk", part.name, arm.name, nodes/1000), func(b *testing.B) {
+					b.ReportAllocs()
+					i := 0
+					for b.Loop() {
+						if _, ok := part.g.NodeByName(arm.names[i]); ok != arm.hit {
+							b.Fatalf("NodeByName(%q) found %v", arm.names[i], ok)
+						}
+						i = (i + 1) & (len(arm.names) - 1)
+					}
+				})
+			}
+		}
 	}
 }
 

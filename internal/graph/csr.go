@@ -346,7 +346,7 @@ func (g *Graph) BuildCSR() *CSR { return g.layOut(g.csr.labels) }
 // must cover every live edge's label and fit maxCSRCells with the graph's
 // nodes. The cells of the nodes added since the base go to the overlay.
 func (g *Graph) layOut(labels int) *CSR {
-	v, sv, l := g.NumNodes(), len(g.b.nodes), labels
+	v, sv, l := g.NumNodes(), g.b.numNodes(), labels
 	c := &CSR{
 		labels: l,
 		slab:   sv,

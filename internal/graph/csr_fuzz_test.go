@@ -16,7 +16,8 @@ import (
 // checkCSR): OutEdges, InEdges, FindEdge, OutDegree, InDegree, Neighbors and
 // every per-(node,label) run, also of a CSR laid out from scratch and of a
 // rebased copy; that CSR() is never nil; and that NeedsRebase holds once the
-// patches pass the overlay bound. Edges carry weights, zero and not, and
+// patches pass the overlay bound. Some nodes carry attributes and edges
+// carry weights, zero and not, and
 // every live edge's Edge(id).Weight must be the one a model of each graph's
 // edges last gave it, and a refused AddWeightedEdge must leave the CSR
 // unpatched. It also checksums, around every operation, the bases
@@ -56,9 +57,13 @@ func FuzzCSRAdjacency(f *testing.F) {
 			other := fingerprint(gs[w^1])
 			nodes := g.NumNodes()
 			switch op % 8 {
-			case 0, 1: // add node (bounded)
+			case 0, 1: // add node (bounded), with attributes on op 1
 				if nodes < 48 {
-					g.MustAddNode(fmt.Sprintf("n%d", nodes), nil)
+					var attrs Attrs
+					if op%8 == 1 {
+						attrs = Attrs{"age": Int(int(x))}
+					}
+					g.MustAddNode(fmt.Sprintf("n%d", nodes), attrs)
 				}
 			case 6: // remove a live edge
 				var live []EdgeID
@@ -157,8 +162,18 @@ func (c *checksum) addFloat(f float64) {
 // objects, it catches any write into them, whichever graph made it.
 func sharedSum(b *Base, csr *CSR) uint64 {
 	var c checksum
-	for _, n := range b.nodes {
-		c.add(uint32(n.ID), uint32(len(n.Name)))
+	for i := range len(b.names) {
+		c.add(uint32(b.names[i]))
+	}
+	c.add(b.off...)
+	c.add(b.index...)
+	for _, a := range b.attrs {
+		c.add(uint32(len(a)))
+		for _, k := range a.Keys() {
+			v := a[k]
+			c.add(uint32(len(k)), uint32(v.Kind()), uint32(len(v.Str())))
+			c.addFloat(v.Num())
+		}
 	}
 	for _, e := range b.edges {
 		c.add(uint32(e.From), uint32(e.To), uint32(e.Label))

@@ -4,7 +4,8 @@
 // a finite alphabet Σ.
 //
 // The representation favors read-heavy access-control workloads: nodes and
-// edges are stored in dense tables indexed by NodeID/EdgeID, and the
+// edges are stored as dense columns indexed by NodeID/EdgeID — a base's
+// member names in one string beside a pointer-free name index — and the
 // adjacency is one label-partitioned compressed-sparse-row view (see CSR).
 // Edges may be removed (tombstoned); node IDs are never reused. A graph is
 // an immutable Base, shared with every clone taken of it, plus a private
@@ -33,7 +34,8 @@ const InvalidEdge = EdgeID(^uint32(0))
 
 // Node is a social network member: a name (unique handle) and an attribute
 // tuple λ(v). A node's attributes never change after AddNode, so clones
-// share them.
+// share them. A base stores its nodes as columns (see Base) and assembles a
+// Node when asked for one.
 type Node struct {
 	ID    NodeID
 	Name  string
@@ -97,13 +99,15 @@ func withWeight(weights []float64, n int, w float64) []float64 {
 type Graph struct {
 	b *Base
 	// nodes and edges are the records added since the base: node id is
-	// nodes[id-len(b.nodes)] and edge id is edges[id-len(b.edges)] once id
-	// is past the base's. names indexes the added nodes by name, and
-	// weights is the edges' weight column (see Base).
-	nodes   []Node
-	names   map[string]NodeID
-	edges   []edgeRec
-	weights []float64
+	// nodes[id-b.numNodes()] and edge id is edges[id-len(b.edges)] once id
+	// is past the base's. names indexes the added nodes by name, nameBytes
+	// totals their lengths, and weights is the edges' weight column (see
+	// Base).
+	nodes     []Node
+	names     map[string]NodeID
+	nameBytes int
+	edges     []edgeRec
+	weights   []float64
 	// dead holds the removed edges, of the base and added since.
 	dead   map[EdgeID]struct{}
 	labels *labelTable
@@ -128,20 +132,27 @@ type Graph struct {
 	csr *CSR
 }
 
-// Base is the immutable part of a graph: the node table with names and
-// attributes, the name index and the edge records, laid out by Rebase
-// together with the CSR slabs (see CSR). The graph that rebased and every
-// clone taken of it since share one Base; nothing writes
-// it, so any number of them may read it without synchronization, and the
-// garbage collector frees it once no graph points at it. Its edge table
-// holds live edges only, edge i at edges[i]: a rebase drops tombstones.
+// Base is the immutable part of a graph: the member table and the edge
+// records, laid out by Rebase together with the CSR slabs (see CSR). The
+// graph that rebased and every clone taken of it since share one Base;
+// nothing writes it, so any number of them may read it without
+// synchronization, and the garbage collector frees it once no graph points
+// at it. Its edge table holds live edges only, edge i at edges[i]: a rebase
+// drops tombstones.
 //
-// Weights are a column beside the edge table, weights[i] edge i's: nil, and
-// every weight 0, until some edge has a nonzero one, so an unweighted graph
-// stores 12 bytes per edge record and a weighted one 20.
+// The member table is columns (see members.go): node i is named
+// names[off[i]:off[i+1]], a substring of every name in ID order, and has the
+// attributes attrs[i], and index resolves a name to its node. Attrs is nil,
+// and every node's attributes nil, until some node has attributes, so a
+// member without them costs its name's bytes, 4 bytes of offset and 8 to 16
+// of index. Weights are a column beside the edge table, weights[i] edge
+// i's: nil, and every weight 0, until some edge has a nonzero one, so an
+// unweighted graph stores 12 bytes per edge record and a weighted one 20.
 type Base struct {
-	nodes   []Node
-	byName  map[string]NodeID
+	names   string
+	off     []uint32
+	attrs   []Attrs
+	index   []uint32
 	edges   []edgeRec
 	weights []float64
 }
@@ -158,7 +169,7 @@ func New() *Graph {
 func (g *Graph) Base() *Base { return g.b }
 
 // NumNodes returns |V|.
-func (g *Graph) NumNodes() int { return len(g.b.nodes) + len(g.nodes) }
+func (g *Graph) NumNodes() int { return g.b.numNodes() + len(g.nodes) }
 
 // NumEdges returns the number of live (non-removed) edges.
 func (g *Graph) NumEdges() int { return g.live }
@@ -179,8 +190,8 @@ func (g *Graph) Version() uint64 { return g.version.Load() }
 // AddNode adds a member with the given unique name and attributes and
 // returns its ID. Adding a duplicate name returns the existing node's ID and
 // an error, and a node that would take the CSR past its cell bound (see
-// CSR) InvalidNode and an error. The graph keeps attrs, which must not be
-// modified afterwards.
+// CSR), or the names past maxNameBytes, InvalidNode and an error. The graph
+// keeps attrs, which must not be modified afterwards.
 func (g *Graph) AddNode(name string, attrs Attrs) (NodeID, error) {
 	if id, ok := g.NodeByName(name); ok {
 		return id, errDuplicateNode(name)
@@ -189,11 +200,15 @@ func (g *Graph) AddNode(name string, attrs Attrs) (NodeID, error) {
 	if err := checkCells(int(id)+1, g.csr.labels); err != nil {
 		return InvalidNode, err
 	}
+	if err := checkNameBytes(len(g.b.names) + g.nameBytes + len(name)); err != nil {
+		return InvalidNode, err
+	}
 	g.nodes = append(g.nodes, Node{ID: id, Name: name, Attrs: attrs})
 	if g.names == nil {
 		g.names = make(map[string]NodeID)
 	}
 	g.names[name] = id
+	g.nameBytes += len(name)
 	g.version.Add(1)
 	g.csr.addNode()
 	g.record(Delta{Op: OpAddNode, Name: name, Attrs: attrs})
@@ -211,7 +226,7 @@ func (g *Graph) MustAddNode(name string, attrs Attrs) NodeID {
 
 // NodeByName resolves a member handle to its ID.
 func (g *Graph) NodeByName(name string) (NodeID, bool) {
-	if id, ok := g.b.byName[name]; ok {
+	if id, ok := g.b.lookup(name); ok {
 		return id, true
 	}
 	id, ok := g.names[name]
@@ -220,10 +235,10 @@ func (g *Graph) NodeByName(name string) (NodeID, bool) {
 
 // Node returns the node record for id. It panics if id is out of range.
 func (g *Graph) Node(id NodeID) Node {
-	if nb := len(g.b.nodes); int(id) >= nb {
+	if nb := g.b.numNodes(); int(id) >= nb {
 		return g.nodes[int(id)-nb]
 	}
-	return g.b.nodes[id]
+	return g.b.node(id)
 }
 
 // Attr returns one attribute of a node.
@@ -487,11 +502,14 @@ func (g *Graph) Edges(fn func(Edge) bool) {
 
 // Nodes calls fn for every node in ID order.
 func (g *Graph) Nodes(fn func(Node) bool) {
-	for _, seg := range [...][]Node{g.b.nodes, g.nodes} {
-		for i := range seg {
-			if !fn(seg[i]) {
-				return
-			}
+	for id := range g.b.numNodes() {
+		if !fn(g.b.node(NodeID(id))) {
+			return
+		}
+	}
+	for i := range g.nodes {
+		if !fn(g.nodes[i]) {
+			return
 		}
 	}
 }
@@ -507,15 +525,16 @@ func (g *Graph) EdgeString(e Edge) string {
 // tombstones, the version and the CSR carry over; the delta log does not.
 func (g *Graph) Clone() *Graph {
 	c := &Graph{
-		b:       g.b,
-		nodes:   slices.Clip(g.nodes),
-		names:   maps.Clone(g.names),
-		edges:   slices.Clip(g.edges),
-		weights: slices.Clip(g.weights),
-		dead:    maps.Clone(g.dead),
-		labels:  g.labels.clone(),
-		live:    g.live,
-		csr:     g.csr.clone(),
+		b:         g.b,
+		nodes:     slices.Clip(g.nodes),
+		names:     maps.Clone(g.names),
+		nameBytes: g.nameBytes,
+		edges:     slices.Clip(g.edges),
+		weights:   slices.Clip(g.weights),
+		dead:      maps.Clone(g.dead),
+		labels:    g.labels.clone(),
+		live:      g.live,
+		csr:       g.csr.clone(),
 	}
 	v := g.version.Load()
 	c.version.Store(v)
@@ -528,10 +547,12 @@ func (g *Graph) Clone() *Graph {
 // are dropped and the surviving edges renumbered densely, so EdgeIDs held
 // across a Rebase are invalid; node IDs, the version and the delta log stay
 // (no relationship changed). The old base is not written: clones on it keep
-// reading it until the last of them goes. The first rebase of a graph built
-// since New, and a Loader's, moves its tables into the base instead of
-// concatenating them, copying only a table with append slack, so that a
-// base holds no slack. Rebase returns the new CSR.
+// reading it until the last of them goes. Nodes added since the base give
+// the new base a fresh member table: the old names and the new ones copied
+// into one string, and a new index. The first rebase of a graph built since
+// New moves its edge tables into the base instead of concatenating them,
+// copying only a table with append slack, so that a base holds no slack.
+// Rebase returns the new CSR.
 func (g *Graph) Rebase() *CSR {
 	g.fold()
 	return g.layOut(g.csr.labels)
@@ -540,15 +561,9 @@ func (g *Graph) Rebase() *CSR {
 // fold moves the private part into a new base; see Rebase.
 func (g *Graph) fold() {
 	b := g.b
-	next := &Base{nodes: b.nodes, byName: b.byName, edges: b.edges, weights: b.weights}
-	switch {
-	case len(g.nodes) == 0:
-	case len(b.nodes) == 0:
-		next.nodes, next.byName = tight(g.nodes), g.names
-	default:
-		next.nodes = slices.Concat(b.nodes, g.nodes)
-		next.byName = maps.Clone(b.byName)
-		maps.Copy(next.byName, g.names)
+	next := *b
+	if len(g.nodes) > 0 {
+		next.names, next.off, next.attrs, next.index = b.withNodes(g.nodes)
 	}
 	switch {
 	case len(g.dead) > 0:
@@ -571,8 +586,8 @@ func (g *Graph) fold() {
 			copy(next.weights[len(b.edges):], g.weights)
 		}
 	}
-	g.b = next
-	g.nodes, g.names, g.edges, g.weights, g.dead = nil, nil, nil, nil, nil
+	g.b = &next
+	g.nodes, g.names, g.nameBytes, g.edges, g.weights, g.dead = nil, nil, 0, nil, nil, nil
 }
 
 // tight returns s, or a copy of it without append slack if it has some.

@@ -1,23 +1,28 @@
 package graph
 
-import "maps"
+import "strings"
 
 // Loader builds a graph in bulk: it takes the nodes and edges of a whole
 // graph, as a sequence of AddNode and AddEdge calls on a new Graph would,
 // and Graph lays them out as a base in one pass. Added one by one, each
-// edge would scan its source's cell for a duplicate, patch two CSR cells
-// and log a delta, all of which the first Rebase throws away; a Loader
-// only appends records.
+// node would be hashed into a name map and each edge would scan its
+// source's cell for a duplicate, patch two CSR cells and log a delta, all
+// of which the first Rebase throws away; a Loader only appends to the
+// base's columns.
 //
 // The graph Graph returns is the one those calls on a new Graph followed by
 // a Rebase give: the same node, edge and label IDs, weights and version,
 // with an empty delta log and a CSR laid out over its base, so that
 // NeedsRebase is false. A Loader rejects what AddNode and AddWeightedEdge
-// reject, with their error text, except that Graph, not AddEdge, reports a
-// duplicate edge, or a graph whose CSR would cross its cell bound.
+// reject, with their error text, except that Graph, not AddNode or AddEdge,
+// reports a repeated name, a duplicate edge, or a graph whose CSR would
+// cross its cell bound. A Loader keeps no name index, so its AddNode gives
+// a repeated name an ID of its own; Graph reports the first repeat, before
+// any duplicate edge, and returns no graph.
 type Loader struct {
-	nodes   []Node
-	names   map[string]NodeID
+	names   strings.Builder
+	off     []uint32
+	attrs   []Attrs
 	edges   []edgeRec
 	weights []float64
 	labels  *labelTable
@@ -25,35 +30,37 @@ type Loader struct {
 
 // NewLoader returns an empty Loader.
 func NewLoader() *Loader {
-	return &Loader{names: make(map[string]NodeID), labels: newLabelTable()}
+	return &Loader{off: []uint32{0}, labels: newLabelTable()}
 }
 
 // Grow makes room for the given numbers of further nodes and edges, so
 // that a caller knowing the size of its graph pays for no growth of the
 // tables, and Graph hands them to the base as they are.
 func (l *Loader) Grow(nodes, edges int) {
-	l.nodes = grown(l.nodes, nodes)
+	l.off = grown(l.off, nodes)
+	if l.attrs != nil {
+		l.attrs = grown(l.attrs, nodes)
+	}
 	l.edges = grown(l.edges, edges)
-	names := make(map[string]NodeID, len(l.names)+nodes)
-	maps.Copy(names, l.names)
-	l.names = names
 }
 
-// AddNode adds a member as Graph.AddNode does.
+// AddNode adds a member as Graph.AddNode does, but for a repeated name,
+// which Graph reports.
 func (l *Loader) AddNode(name string, attrs Attrs) (NodeID, error) {
-	if id, ok := l.names[name]; ok {
-		return id, errDuplicateNode(name)
+	if err := checkNameBytes(l.names.Len() + len(name)); err != nil {
+		return InvalidNode, err
 	}
-	id := NodeID(len(l.nodes))
-	l.nodes = append(l.nodes, Node{ID: id, Name: name, Attrs: attrs})
-	l.names[name] = id
+	id := NodeID(len(l.off) - 1)
+	l.names.WriteString(name)
+	l.off = append(l.off, uint32(l.names.Len()))
+	l.attrs = withAttrs(l.attrs, int(id), cap(l.off)-1, attrs)
 	return id, nil
 }
 
 // AddEdge adds a relationship as Graph.AddWeightedEdge does, its ID the
 // number of edges added before it. A duplicate is reported by Graph.
 func (l *Loader) AddEdge(from, to NodeID, label string, weight float64) error {
-	if err := checkEndpoints(len(l.nodes), from, to); err != nil {
+	if err := checkEndpoints(len(l.off)-1, from, to); err != nil {
 		return err
 	}
 	l.weights = withWeight(l.weights, len(l.edges), weight)
@@ -62,18 +69,27 @@ func (l *Loader) AddEdge(from, to NodeID, label string, weight float64) error {
 }
 
 // Graph returns the graph loaded so far and empties the Loader. If some
-// edge repeats the (from, to, label) of an earlier one, it returns the
-// error AddWeightedEdge gives the first such edge instead.
+// name repeats an earlier one, it returns the error AddNode gives the first
+// such node instead, and else, if some edge repeats the (from, to, label)
+// of an earlier one, the error AddWeightedEdge gives the first such edge.
 func (l *Loader) Graph() (*Graph, error) {
-	g := &Graph{b: &Base{}, nodes: l.nodes, names: l.names, edges: l.edges, weights: l.weights, labels: l.labels, live: len(l.edges)}
+	names := l.names.String()
+	if l.names.Cap() != len(names) {
+		names = strings.Clone(names)
+	}
+	b := &Base{names: names, off: tight(l.off), attrs: tight(l.attrs), edges: tight(l.edges), weights: tight(l.weights)}
+	g := &Graph{b: b, labels: l.labels, live: len(b.edges)}
 	*l = *NewLoader()
+	var dup NodeID
+	if b.index, dup = buildIndex(b.names, b.off); dup != InvalidNode {
+		return nil, errDuplicateNode(b.node(dup).Name)
+	}
 	if err := checkCells(g.NumNodes(), g.labels.len()); err != nil {
 		return nil, err
 	}
-	v := uint64(len(g.nodes) + g.live)
+	v := uint64(g.NumNodes() + g.live)
 	g.version.Store(v)
 	g.deltaBase = v
-	g.fold()
 	g.layOut(g.labels.len())
 	if id := firstDuplicate(g.csr); id != InvalidEdge {
 		e := g.rec(id)

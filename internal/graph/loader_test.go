@@ -166,8 +166,9 @@ func TestLoaderMatchesIncrementalBuild(t *testing.T) {
 
 // TestLoaderRejectsAsBuildDoes checks that a Loader rejects the first bad
 // input of a random build with the error AddNode or AddWeightedEdge gives
-// it: a repeated name, an endpoint out of range or a self-loop when it is
-// added, and the first of several duplicate edges when Graph is called.
+// it: an endpoint out of range or a self-loop when it is added, and a
+// repeated name or the first of several duplicate edges when Graph is
+// called.
 func TestLoaderRejectsAsBuildDoes(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	labels := []string{"friend", "colleague", "parent"}
@@ -182,10 +183,13 @@ func TestLoaderRejectsAsBuildDoes(t *testing.T) {
 		kind := trial % 4
 		if kind == 0 {
 			name := fmt.Sprintf("n%d", rng.Intn(nodes))
-			gid, gerr := l.AddNode(name, nil)
-			wid, werr := want.AddNode(name, nil)
-			if gerr == nil || gid != wid || gerr.Error() != werr.Error() {
-				t.Fatalf("trial %d: AddNode(%q) = %d, %v, want %d, %v", trial, name, gid, gerr, wid, werr)
+			if _, err := l.AddNode(name, nil); err != nil {
+				t.Fatalf("trial %d: AddNode(%q) = %v; Graph reports a repeat", trial, name, err)
+			}
+			_, werr := want.AddNode(name, nil)
+			l.AddEdge(0, 1, "friend", 0)
+			if _, gerr := l.Graph(); werr == nil || fmt.Sprint(gerr) != werr.Error() {
+				t.Fatalf("trial %d: Graph() = %v, want %v", trial, gerr, werr)
 			}
 			continue
 		}
@@ -235,31 +239,51 @@ func TestLoaderRejectsAsBuildDoes(t *testing.T) {
 }
 
 // TestBaseTablesTight checks that a base holds no append slack: Rebase
-// copies a node, edge or weight table with slack that it would otherwise
-// move into the base, on an incremental build and on a Loader's, and moves
-// a table a Loader was grown to fit exactly.
+// copies an offset, attribute, edge or weight table with slack that it
+// would otherwise move into the base, on an incremental build and on a
+// Loader's, and moves a table a Loader was grown to fit exactly. The names
+// column is exactly the names' bytes, and the index the smallest power of
+// two of at least 2n slots.
 func TestBaseTablesTight(t *testing.T) {
+	const nodes = 100
 	tight := func(name string, g *Graph) {
 		t.Helper()
 		b := g.b
-		if cap(b.nodes) != len(b.nodes) || cap(b.edges) != len(b.edges) || cap(b.weights) != len(b.weights) {
-			t.Fatalf("%s: base tables %d/%d nodes, %d/%d edges, %d/%d weights (len/cap)", name,
-				len(b.nodes), cap(b.nodes), len(b.edges), cap(b.edges), len(b.weights), cap(b.weights))
+		if cap(b.off) != len(b.off) || cap(b.attrs) != len(b.attrs) || cap(b.index) != len(b.index) ||
+			cap(b.edges) != len(b.edges) || cap(b.weights) != len(b.weights) {
+			t.Fatalf("%s: base tables %d/%d offsets, %d/%d attrs, %d/%d index, %d/%d edges, %d/%d weights (len/cap)", name,
+				len(b.off), cap(b.off), len(b.attrs), cap(b.attrs), len(b.index), cap(b.index),
+				len(b.edges), cap(b.edges), len(b.weights), cap(b.weights))
 		}
-		if len(b.nodes) != 100 || len(b.edges) != 99 || len(b.weights) != 99 {
-			t.Fatalf("%s: base holds %d nodes, %d edges, %d weights", name, len(b.nodes), len(b.edges), len(b.weights))
+		if len(b.off) != nodes+1 || len(b.attrs) != nodes || len(b.index) != 256 || len(b.edges) != nodes-1 || len(b.weights) != nodes-1 {
+			t.Fatalf("%s: base holds %d offsets, %d attrs, %d index slots, %d edges, %d weights", name,
+				len(b.off), len(b.attrs), len(b.index), len(b.edges), len(b.weights))
+		}
+		var bytes int
+		for i := range nodes {
+			bytes += len(fmt.Sprintf("n%d", i))
+		}
+		if len(b.names) != bytes {
+			t.Fatalf("%s: names column of %d bytes, want %d", name, len(b.names), bytes)
 		}
 	}
-	build := func(addNode func(string), addEdge func(from, to NodeID, w float64)) {
-		for i := range 100 {
-			addNode(fmt.Sprintf("n%d", i))
+	// Attributes start at node 3, so that the column is allocated late.
+	attrs := func(i int) Attrs {
+		if i < 3 {
+			return nil
 		}
-		for i := range 99 {
+		return Attrs{"age": Int(i)}
+	}
+	build := func(addNode func(string, Attrs), addEdge func(from, to NodeID, w float64)) {
+		for i := range nodes {
+			addNode(fmt.Sprintf("n%d", i), attrs(i))
+		}
+		for i := range nodes - 1 {
 			addEdge(NodeID(i), NodeID(i+1), float64(i))
 		}
 	}
 	g := New()
-	build(func(name string) { g.MustAddNode(name, nil) },
+	build(func(name string, a Attrs) { g.MustAddNode(name, a) },
 		func(from, to NodeID, w float64) { g.AddWeightedEdge(from, to, "friend", w) })
 	g.Rebase()
 	tight("incremental", g)
@@ -267,17 +291,17 @@ func TestBaseTablesTight(t *testing.T) {
 	for _, grow := range []bool{false, true} {
 		l := NewLoader()
 		if grow {
-			l.Grow(100, 99)
+			l.Grow(nodes, nodes-1)
 		}
-		build(func(name string) { l.AddNode(name, nil) },
+		build(func(name string, a Attrs) { l.AddNode(name, a) },
 			func(from, to NodeID, w float64) { l.AddEdge(from, to, "friend", w) })
-		nodes, edges := &l.nodes[0], &l.edges[0]
+		off, attrs, edges := &l.off[0], &l.attrs[0], &l.edges[0]
 		g, err := l.Graph()
 		if err != nil {
 			t.Fatal(err)
 		}
 		tight(fmt.Sprintf("loader grown %v", grow), g)
-		if moved := &g.b.nodes[0] == nodes && &g.b.edges[0] == edges; moved != grow {
+		if moved := &g.b.off[0] == off && &g.b.attrs[0] == attrs && &g.b.edges[0] == edges; moved != grow {
 			t.Fatalf("loader grown %v: tables moved %v", grow, moved)
 		}
 	}

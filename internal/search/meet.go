@@ -23,8 +23,8 @@ import (
 // (revPreds) before it searches, and the requester's seed stands for them.
 //
 // Termination. Each layer expands the side whose pending layer admits fewer
-// traversals, and every position it reaches is marked and probed against
-// the other side's marks. A match of L edges splits, after any i of them,
+// traversals (see choose), and every position it reaches is marked and
+// probed against the other side's marks. A match of L edges splits, after any i of them,
 // into an owner-side position at distance at most i and a requester-side
 // one at most L-i: once the sides have expanded L layers between them, both
 // have been reached, and whichever was reached later found the other. So a
@@ -62,9 +62,44 @@ type half struct {
 	// marked[head:] is the layer it expands next.
 	marked []uint64
 	head   int
-	// fan counts the traversals the next layer admits; layers counts the
-	// layers expanded.
-	fan, layers int
+	// fan counts the traversals that the positions marked[head:counted] of
+	// the next layer admit, the whole layer's once complete; layers counts
+	// the layers expanded.
+	counted, fan, layers int
+}
+
+// count adds the traversals the next uncounted position of h's pending
+// layer admits to fan.
+func (h *half) count(csr *graph.CSR) {
+	n, s, _ := unpackState(h.marked[h.counted])
+	h.fan += fanout(csr, n, &h.c.steps[s])
+	h.counted++
+}
+
+// complete reports whether fan counts h's whole pending layer.
+func (h *half) complete() bool { return h.counted == len(h.marked) }
+
+// choose returns the side whose pending layer admits fewer traversals, fw
+// on a tie, with its fan complete. It counts the layers only as far as the
+// choice needs: it extends the side with the smaller partial count until
+// one side is complete and its count below the other's partial one (not
+// above, for fw), so it chooses as complete counts would. The side not
+// chosen keeps its partial count for the next choice, and a side's last
+// pending layer, never expanded, is counted only as far as a choice read
+// it.
+func choose(csr *graph.CSR, fw, bw *half) *half {
+	for {
+		switch {
+		case fw.complete() && fw.fan <= bw.fan:
+			return fw
+		case bw.complete() && bw.fan < fw.fan:
+			return bw
+		case bw.fan < fw.fan:
+			bw.count(csr)
+		default:
+			fw.count(csr)
+		}
+	}
 }
 
 // holds reports whether h has marked, at node n in step s of its numbering,
@@ -85,14 +120,14 @@ func (e *Engine) meet(pl *Plan, owner, requester graph.NodeID) bool {
 	sc := scratchPool.Get().(*scratch)
 	words := pl.flatWords(e.g.NumNodes())
 	fw := half{c: &pl.compiled, seed: owner, visited: sized(sc.visited, words),
-		marked: append(sc.frontier[:0], packState(owner, 0, 0)), fan: fanout(csr, owner, &pl.steps[0])}
+		marked: append(sc.frontier[:0], packState(owner, 0, 0))}
 	bw := half{c: &pl.rev, seed: requester, visited: sized(sc.backVisited, words),
-		marked: append(sc.backMarked[:0], packState(requester, 0, 0)), fan: fanout(csr, requester, &pl.rev.steps[0])}
+		marked: append(sc.backMarked[:0], packState(requester, 0, 0))}
 	met := false
 	for layers := 0; !met && layers < pl.maxLen; layers++ {
-		h, o := &fw, &bw
-		if bw.fan < fw.fan {
-			h, o = &bw, &fw
+		h, o := choose(csr, &fw, &bw), &fw
+		if h == &fw {
+			o = &bw
 		}
 		if h.fan == 0 {
 			break
@@ -119,13 +154,12 @@ func (e *Engine) advance(csr *graph.CSR, h, o *half, final bool) bool {
 	}
 	h.layers++
 	last := int32(len(c.steps) - 1)
-	// The position being expanded, what one more edge of its step allows,
-	// and the traversals the layer being built admits.
+	// The position being expanded and what one more edge of its step
+	// allows.
 	var (
 		st       *compiledStep
 		step, dk int32
 		mayClose bool
-		fan      int
 	)
 	// reach takes position (n, s, d) into the layer and reports whether it
 	// meets o. Like visit below, it is made once per layer and does not
@@ -137,7 +171,6 @@ func (e *Engine) advance(csr *graph.CSR, h, o *half, final bool) bool {
 				return false
 			}
 			h.marked = append(h.marked, packState(n, s, d))
-			fan += fanout(csr, n, ps)
 		}
 		lo, hi := max(int32(ps.MinDepth)-d, 0), int32(ps.Depths()-1)
 		if !ps.Unbounded {
@@ -176,7 +209,7 @@ func (e *Engine) advance(csr *graph.CSR, h, o *half, final bool) bool {
 			}
 		}
 	}
-	h.fan = fan
+	h.counted, h.fan = h.head, 0
 	return false
 }
 

@@ -272,3 +272,49 @@ func FuzzReachableMeet(f *testing.F) {
 		agreesWithRef(t, "fuzz", New(g), g, p, ids, ids)
 	})
 }
+
+// TestChooseAsCompleteCounts: choose, counting layers only in part, picks
+// the side that complete counts pick (the smaller fan, the owner's on a
+// tie), with the chosen side's fan complete and each partial count the sum
+// over the positions it covers, from any partial counts it starts from.
+func TestChooseAsCompleteCounts(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	g, ids := randomGraph(rng, 60, 2)
+	e := New(g)
+	pl, err := e.Plan(pathexpr.MustParse("friend*[1,2]/colleague+[1]"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	csr := g.CSR()
+	sum := func(h *half, end int) int {
+		n := 0
+		for _, p := range h.marked[h.head:end] {
+			node, s, _ := unpackState(p)
+			n += fanout(csr, node, &h.c.steps[s])
+		}
+		return n
+	}
+	layer := func(c *compiled) *half {
+		h := &half{c: c, head: rng.Intn(3)}
+		for range h.head + rng.Intn(4) {
+			h.marked = append(h.marked, packState(ids[rng.Intn(len(ids))], int32(rng.Intn(len(c.steps))), 0))
+		}
+		h.head = min(h.head, len(h.marked))
+		h.counted = h.head + rng.Intn(len(h.marked)-h.head+1)
+		h.fan = sum(h, h.counted)
+		return h
+	}
+	for trial := range 2000 {
+		fw, bw := layer(&pl.compiled), layer(&pl.rev)
+		wantBw := sum(bw, len(bw.marked)) < sum(fw, len(fw.marked))
+		got := choose(csr, fw, bw)
+		if (got == bw) != wantBw || !got.complete() {
+			t.Fatalf("trial %d: chose the requester's side %v (complete %v), want %v", trial, got == bw, got.complete(), wantBw)
+		}
+		for _, h := range []*half{fw, bw} {
+			if h.fan != sum(h, h.counted) {
+				t.Fatalf("trial %d: fan %d over %d positions, want %d", trial, h.fan, h.counted-h.head, sum(h, h.counted))
+			}
+		}
+	}
+}
