@@ -1116,74 +1116,109 @@ func BenchmarkGraphLoad(b *testing.B) {
 	})
 }
 
-// BenchmarkDurableImport imports the 20k-member degree-8 ldbc graph into a
-// fresh durable network (SyncNever) as one Batch, one AddUser per member and
-// one Relate per relationship, as the HTTP workloads set up. An iteration
-// runs the Batch and the checkpoint its record group triggers (Checkpoint
-// waits for it); ns/edge, B/edge and allocs/edge are per relationship
-// imported, and retained-MB is the heap the open network holds afterwards.
+// BenchmarkDurableImport makes a fresh durable network (SyncNever) holding
+// the degree-8 ldbc graph, two ways. The tx arm replays the built 20k graph
+// as one Batch, one AddUser per member and one Relate per relationship, as
+// the repo benchmark's HTTP workloads set up; an iteration runs the Batch
+// and the checkpoint its record group triggers (Checkpoint waits for it).
+// The create arms time the whole path from the topology: generate.Build,
+// then Create writing the graph as the first checkpoint. There is no
+// tx-100k arm: its record group (~56 MB) passes wal.MaxRecordSize. ns/edge,
+// B/edge and allocs/edge are per relationship imported, and retained-MB is
+// the heap the open network holds afterwards.
 func BenchmarkDurableImport(b *testing.B) {
-	top, err := generate.New("ldbc", generate.WithNodes(20000), generate.WithDegree(8), generate.WithSeed(1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	g, err := generate.Build(top)
-	if err != nil {
-		b.Fatal(err)
-	}
-	edges := g.NumEdges()
-	var allocated, mallocs, retained uint64
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		dir, err := os.MkdirTemp(b.TempDir(), "import-")
-		if err != nil {
-			b.Fatal(err)
-		}
-		before := liveHeap()
-		n, err := Open(dir, WithSync(SyncNever))
-		if err != nil {
-			b.Fatal(err)
-		}
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		b.StartTimer()
-		err = n.Batch(func(tx *Tx) error {
-			var err error
-			g.Nodes(func(node graph.Node) bool {
-				_, err = tx.AddUser(node.Name)
-				return err == nil
-			})
+	for _, c := range []struct {
+		name   string
+		nodes  int
+		create bool
+	}{
+		{"tx-20k", 20000, false},
+		{"create-20k", 20000, true},
+		{"create-100k", 100000, true},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			top, err := generate.New("ldbc", generate.WithNodes(c.nodes), generate.WithDegree(8), generate.WithSeed(1))
 			if err != nil {
-				return err
+				b.Fatal(err)
 			}
-			g.Edges(func(e graph.Edge) bool {
-				err = tx.Relate(e.From, e.To, g.LabelName(e.Label))
-				return err == nil
-			})
-			return err
+			var g *graph.Graph
+			if !c.create {
+				if g, err = generate.Build(top); err != nil {
+					b.Fatal(err)
+				}
+			}
+			var allocated, mallocs, retained uint64
+			var edges int
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				dir, err := os.MkdirTemp(b.TempDir(), "import-")
+				if err != nil {
+					b.Fatal(err)
+				}
+				before := liveHeap()
+				var n *Network
+				if !c.create {
+					if n, err = Open(dir, WithSync(SyncNever)); err != nil {
+						b.Fatal(err)
+					}
+				}
+				var m0, m1 runtime.MemStats
+				runtime.ReadMemStats(&m0)
+				b.StartTimer()
+				if c.create {
+					var built *graph.Graph
+					if built, err = generate.Build(top); err == nil {
+						n, err = Create(dir, built, WithSync(SyncNever))
+					}
+				} else {
+					err = importTx(n, g)
+				}
+				b.StopTimer()
+				if err != nil {
+					b.Fatal(err)
+				}
+				runtime.ReadMemStats(&m1)
+				allocated += m1.TotalAlloc - m0.TotalAlloc
+				mallocs += m1.Mallocs - m0.Mallocs
+				retained = liveHeap() - before
+				edges = n.NumRelationships()
+				if err := n.Close(); err != nil {
+					b.Fatal(err)
+				}
+				os.RemoveAll(dir)
+				b.StartTimer()
+			}
+			imported := float64(b.N) * float64(edges)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/imported, "ns/edge")
+			b.ReportMetric(float64(allocated)/imported, "B/edge")
+			b.ReportMetric(float64(mallocs)/imported, "allocs/edge")
+			b.ReportMetric(float64(retained)/1e6, "retained-MB")
 		})
-		if err == nil {
-			err = n.Checkpoint()
-		}
-		b.StopTimer()
-		if err != nil {
-			b.Fatal(err)
-		}
-		runtime.ReadMemStats(&m1)
-		allocated += m1.TotalAlloc - m0.TotalAlloc
-		mallocs += m1.Mallocs - m0.Mallocs
-		retained = liveHeap() - before
-		if err := n.Close(); err != nil {
-			b.Fatal(err)
-		}
-		os.RemoveAll(dir)
-		b.StartTimer()
 	}
-	imported := float64(b.N) * float64(edges)
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/imported, "ns/edge")
-	b.ReportMetric(float64(allocated)/imported, "B/edge")
-	b.ReportMetric(float64(mallocs)/imported, "allocs/edge")
-	b.ReportMetric(float64(retained)/1e6, "retained-MB")
+}
+
+// importTx replays g into the durable network n as one Batch and waits for
+// the checkpoint its record group triggers.
+func importTx(n *Network, g *graph.Graph) error {
+	err := n.Batch(func(tx *Tx) error {
+		var err error
+		g.Nodes(func(node graph.Node) bool {
+			_, err = tx.AddUser(node.Name)
+			return err == nil
+		})
+		if err != nil {
+			return err
+		}
+		g.Edges(func(e graph.Edge) bool {
+			err = tx.Relate(e.From, e.To, g.LabelName(e.Label))
+			return err == nil
+		})
+		return err
+	})
+	if err != nil {
+		return err
+	}
+	return n.Checkpoint()
 }
 
 // liveHeap returns the heap in use after two collections: what an earlier

@@ -160,8 +160,8 @@ func (t *embeddedTarget) close() error { return nil }
 // --- streamed embedded ---
 
 // viewSource adapts a pinned engine snapshot to workload.Source, so
-// streamed cells can build resource specs and generators without ever
-// materializing a *graph.Graph.
+// streamed cells can build resource specs and generators without reading
+// the graph the network owns and mutates.
 type viewSource struct{ v *reachac.View }
 
 func (s viewSource) NumNodes() int                { return s.v.NumUsers() }
@@ -173,11 +173,11 @@ func (s viewSource) HasEdge(from, to graph.NodeID, relType string) bool {
 	return s.v.HasRelationship(from, to, relType)
 }
 
-// streamedCellTarget is an embeddedTarget whose graph arrived via
-// Network.LoadTopology instead of FromGraph, plus the snapshot pin the
-// workload was built against. The pin must be released (releaseView)
-// before the measured window so publication advances cheaply under
-// mutation.
+// streamedCellTarget is an embeddedTarget whose network owns the cell's
+// graph (built for the cell and handed to FromGraph, never shared with
+// other cells), plus the snapshot pin the workload was built against. The
+// pin must be released (releaseView) before the measured window so
+// publication advances cheaply under mutation.
 type streamedCellTarget struct {
 	embeddedTarget
 	view *reachac.View
@@ -195,10 +195,9 @@ func (t *streamedCellTarget) close() error {
 	return t.embeddedTarget.close()
 }
 
-// streamedCell bundles what runScenario needs from a streamed build: the
+// streamedCell bundles what runScenario needs from a per-cell build: the
 // target, the Source the generators sample (valid until release), the
-// pre-shared specs, and the loaded counts (the graph itself never
-// existed to ask).
+// pre-shared specs, and the loaded counts.
 type streamedCell struct {
 	target       *streamedCellTarget
 	src          workload.Source
@@ -209,16 +208,16 @@ type streamedCell struct {
 func (c *streamedCell) release() { c.target.releaseView() }
 
 // newStreamedCell builds an embedded cell for node counts at/above
-// -stream-min: a fresh network, the topology streamed in as chunked
-// batch commits (bounded peak memory — the point of the streaming
-// generator layer), then specs and a pinned view for workload
-// construction. Mirrors newEmbeddedTarget's ordering: share specs first,
-// select the engine last.
+// -stream-min: the topology built with generate.Build and handed to
+// FromGraph, so the cell's network holds the only copy of the graph, then
+// specs and a pinned view for workload construction. Mirrors
+// newEmbeddedTarget's ordering: share specs first, select the engine last.
 func newStreamedCell(top generate.Topology, kind reachac.EngineKind, sc workload.Scenario, cfg benchConfig) (*streamedCell, error) {
-	n := reachac.New()
-	if err := n.LoadTopology(top, reachac.DefaultLoadChunk); err != nil {
+	g, err := generate.Build(top)
+	if err != nil {
 		return nil, err
 	}
+	n := reachac.FromGraph(g)
 	v, err := n.View()
 	if err != nil {
 		return nil, err
@@ -501,9 +500,9 @@ func (t *httpTarget) close() error {
 }
 
 // newSelfHostedTarget starts a real acserverd serving stack (durable
-// network in a temp directory, coalescing server, loopback listener) for
-// one engine kind, imports g into it, pre-shares the resources, and
-// returns an httpTarget driving it.
+// network created from a clone of g in a temp directory, coalescing
+// server, loopback listener) for one engine kind, pre-shares the
+// resources, and returns an httpTarget driving it.
 func newSelfHostedTarget(g *graph.Graph, kind reachac.EngineKind, specs []workload.ResourceSpec, workers int, sync reachac.Option) (*httpTarget, error) {
 	dir, err := os.MkdirTemp("", "acbench-*")
 	if err != nil {
@@ -513,13 +512,9 @@ func newSelfHostedTarget(g *graph.Graph, kind reachac.EngineKind, specs []worklo
 		os.RemoveAll(dir)
 		return nil, e
 	}
-	n, err := reachac.Open(dir, reachac.WithEngine(kind), sync)
+	n, err := reachac.Create(dir, g.Clone(), reachac.WithEngine(kind), sync)
 	if err != nil {
 		return fail(err)
-	}
-	if err := importGraph(n, g); err != nil {
-		n.Close()
-		return fail(fmt.Errorf("importing graph: %w", err))
 	}
 	if err := shareSpecs(n, specs); err != nil {
 		n.Close()
@@ -598,30 +593,6 @@ func newExternalTarget(addr string, g *graph.Graph, specs []workload.ResourceSpe
 		cleanup:   true,
 		liveEdges: make([][]edgeRef, workers),
 	}, nil
-}
-
-// importGraph replays g into a durable network as one atomic batch (node
-// IDs are reassigned densely in node order, matching g's own IDs).
-func importGraph(n *reachac.Network, g *graph.Graph) error {
-	return n.Batch(func(tx *reachac.Tx) error {
-		var err error
-		g.Nodes(func(node graph.Node) bool {
-			if _, err = tx.AddUser(node.Name); err != nil {
-				return false
-			}
-			return true
-		})
-		if err != nil {
-			return err
-		}
-		g.Edges(func(e graph.Edge) bool {
-			if err = tx.Relate(e.From, e.To, g.LabelName(e.Label)); err != nil {
-				return false
-			}
-			return true
-		})
-		return err
-	})
 }
 
 func countersFromStats(st reachac.Stats, srv *httpapi.ServerStats) Counters {

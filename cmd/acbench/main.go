@@ -17,8 +17,9 @@
 // Scaling sweeps: -nodes takes a comma list and -topology selects the
 // generator family, so one run records a node-count scaling curve
 // (-topology ldbc -nodes 10000,100000,1000000). Embedded cells at or
-// above -stream-min nodes stream the topology straight into batch
-// commits instead of materializing a graph, keeping peak memory bounded.
+// above -stream-min nodes build the graph per cell and hand it to the
+// network, instead of sharing one graph that every cell clones, so no
+// more than one copy of a large graph is alive.
 //
 // Open-loop latency-under-load: -rates sweeps fixed arrival rates
 // (-rates 2000,10000,40000), recording, per rate, the latency
@@ -65,7 +66,7 @@ func main() {
 		topology    = flag.String("topology", "osn", "topology family: "+strings.Join(generate.Kinds(), ", "))
 		communities = flag.Int("communities", 0, "planted community count (0 = per-family default)")
 		degree      = flag.Int("degree", 8, "average out-degree of the generated graph")
-		streamMin   = flag.Int("stream-min", 200_000, "node count at which embedded cells stream the topology into batch commits instead of materializing the graph")
+		streamMin   = flag.Int("stream-min", 200_000, "node count at which embedded cells build the graph per cell instead of cloning one shared graph")
 		resources   = flag.Int("resources", 48, "pre-shared resources per scenario")
 		workers     = flag.Int("workers", 8, "load-generating workers")
 		duration    = flag.Duration("duration", 3*time.Second, "measured window per scenario")
@@ -160,7 +161,7 @@ func main() {
 			log.Printf("graph: %s, %d users, %d relationships",
 				top.Kind(), env.g.NumNodes(), env.g.NumEdges())
 		} else {
-			log.Printf("graph: %s, %d users (streamed — no materialization)", top.Kind(), nodeCount)
+			log.Printf("graph: %s, %d users (built per cell)", top.Kind(), nodeCount)
 		}
 		for _, m := range modes {
 			for _, kind := range kinds {
@@ -224,8 +225,8 @@ type benchConfig struct {
 	// in http mode it only labels the cell (the external daemon's
 	// topology is whatever it was started with).
 	shards int
-	// streamMin is the node count at which embedded cells switch to the
-	// streaming loader.
+	// streamMin is the node count at which embedded cells switch to a
+	// per-cell build.
 	streamMin int
 	seed      int64
 	addr      string
@@ -236,8 +237,8 @@ type benchConfig struct {
 }
 
 // cellEnv is the per-node-count environment scenario cells share: the
-// topology, and — below the streaming threshold — its materialization.
-// A nil g means cells stream the topology themselves (embedded mode
+// topology, and — below the -stream-min threshold — its materialization.
+// A nil g means cells build the topology themselves (embedded mode
 // only).
 type cellEnv struct {
 	top generate.Topology
@@ -258,7 +259,7 @@ func runScenario(mode string, env cellEnv, kind reachac.EngineKind, sc workload.
 		err            error
 	)
 	if env.g == nil {
-		// Streamed cell: the graph is never materialized; workload
+		// Streamed cell: the network owns the cell's graph; workload
 		// construction samples a pinned engine snapshot instead.
 		if mode != "embedded" || cfg.shards > 0 {
 			return ScenarioResult{}, fmt.Errorf(

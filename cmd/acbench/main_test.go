@@ -197,8 +197,8 @@ func TestRunScenarioEmbeddedSmoke(t *testing.T) {
 	}
 }
 
-// TestRunScenarioStreamedSmoke forces the streaming path at tiny n (as if
-// -stream-min were crossed): the graph is never materialized, the
+// TestRunScenarioStreamedSmoke forces the streamed path at tiny n (as if
+// -stream-min were crossed): the graph is built for the cell alone, the
 // workload is built off a pinned snapshot, and the cell must match a
 // materialized run's shape. Also pins the streamed-mode restrictions.
 func TestRunScenarioStreamedSmoke(t *testing.T) {

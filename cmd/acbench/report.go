@@ -106,8 +106,9 @@ type ScenarioResult struct {
 	Engine   string `json:"engine"`
 	Scenario string `json:"scenario"`
 	// Topology is the generator family the cell's graph came from
-	// (osn, ldbc, ...); Streamed marks cells whose graph was streamed
-	// into batch commits instead of materialized (large node counts).
+	// (osn, ldbc, ...); Streamed marks cells whose graph was built for
+	// the cell alone instead of cloned from a shared one (large node
+	// counts).
 	Topology string `json:"topology,omitempty"`
 	Streamed bool   `json:"streamed,omitempty"`
 	// Shards is the shard-router fan-out of a sharded cell (0 for the

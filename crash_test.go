@@ -12,7 +12,9 @@ import (
 	"time"
 
 	"reachac/internal/core"
+	"reachac/internal/generate"
 	"reachac/internal/graph"
+	"reachac/internal/replica"
 	"reachac/internal/wal"
 )
 
@@ -602,4 +604,101 @@ func policyShape(n *Network) string {
 		b.WriteString(") ")
 	}
 	return b.String()
+}
+
+// TestCreateCrashStates builds, file by file, each directory state a crash
+// inside Create can leave: after the log's open (the epoch file and an
+// empty first segment), after the rotation, with a torn checkpoint.tmp
+// beside the rotated log, and after the checkpoint's rename. Each must
+// recover either empty, after which a retried Create succeeds, or whole,
+// after which Create refuses; either way the directory ends whole and its
+// chain verifies.
+func TestCreateCrashStates(t *testing.T) {
+	build := func() *graph.Graph {
+		return generate.MustBuild(generate.MustNew("osn",
+			generate.WithNodes(120), generate.WithSeed(3), generate.WithAttrs()))
+	}
+	want := stateSignature(FromGraph(build()))
+
+	// A finished Create writes checkpoint 1 (covering the first segment);
+	// its bytes seed the states past the rotation.
+	refDir := t.TempDir()
+	ref, err := Create(refDir, build())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ckpt, err := os.ReadFile(wal.CheckpointFile(refDir, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	empty := []byte{}
+	for _, c := range []struct {
+		name  string
+		files map[string][]byte
+		whole bool
+	}{
+		{"opened", map[string][]byte{"wal-00000001.log": empty}, false},
+		{"rotated", map[string][]byte{"wal-00000001.log": empty, "wal-00000002.log": empty}, false},
+		{"torn-tmp", map[string][]byte{"wal-00000001.log": empty, "wal-00000002.log": empty,
+			"checkpoint.tmp": ckpt[:len(ckpt)/2]}, false},
+		{"renamed", map[string][]byte{"wal-00000001.log": empty, "wal-00000002.log": empty,
+			"checkpoint-00000001.ckpt": ckpt}, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := replica.WriteEpoch(dir, 1); err != nil {
+				t.Fatal(err)
+			}
+			for name, data := range c.files {
+				if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			n, err := Open(dir)
+			if err != nil {
+				t.Fatalf("recovery: %v", err)
+			}
+			got, rec := stateSignature(n), n.Recovery()
+			if err := n.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if c.whole {
+				if got != want || rec.CheckpointSeq != 1 {
+					t.Fatalf("recovered %+v, not the whole network", rec)
+				}
+				if _, err := Create(dir, build()); err == nil {
+					t.Fatal("Create accepted a directory holding the whole network")
+				}
+			} else {
+				if n.NumUsers() != 0 || rec.CheckpointSeq != 0 || rec.Groups != 0 {
+					t.Fatalf("recovered %d users (%+v), want empty", n.NumUsers(), rec)
+				}
+				n, err := Create(dir, build())
+				if err != nil {
+					t.Fatalf("retried Create: %v", err)
+				}
+				if err := n.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			back, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = stateSignature(back)
+			if err := back.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Fatal("directory does not hold the whole network")
+			}
+			if _, err := VerifyChain(dir); err != nil {
+				t.Fatalf("VerifyChain: %v", err)
+			}
+		})
+	}
 }

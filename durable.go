@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"time"
 
+	"reachac/internal/core"
+	"reachac/internal/graph"
 	"reachac/internal/replica"
 	"reachac/internal/wal"
 )
@@ -30,7 +32,8 @@ const (
 // checkpoint and log rotation.
 const DefaultCheckpointEvery int64 = 4 << 20
 
-// openConfig collects the constructor options (Open, New, FromGraph).
+// openConfig collects the constructor options (Open, Create, New,
+// FromGraph).
 type openConfig struct {
 	kind         EngineKind
 	sync         SyncPolicy
@@ -40,7 +43,16 @@ type openConfig struct {
 	followHTTP   *http.Client
 }
 
-// Option configures Open.
+// newOpenConfig folds opts over the defaults.
+func newOpenConfig(opts []Option) openConfig {
+	cfg := openConfig{kind: Online, sync: SyncAlways, ckptEvery: DefaultCheckpointEvery}
+	for _, o := range opts {
+		o(&cfg)
+	}
+	return cfg
+}
+
+// Option configures Open, Create, New and FromGraph.
 type Option func(*openConfig)
 
 // WithEngine selects the evaluator kind the recovered network publishes.
@@ -87,10 +99,7 @@ type RecoveryInfo struct {
 // acknowledged, and a size-triggered background checkpoint compacts and
 // rotates the log. Call Close to flush and release the log.
 func Open(dir string, opts ...Option) (*Network, error) {
-	cfg := openConfig{kind: Online, sync: SyncAlways, ckptEvery: DefaultCheckpointEvery}
-	for _, o := range opts {
-		o(&cfg)
-	}
+	cfg := newOpenConfig(opts)
 	if cfg.follow != "" {
 		return openFollower(dir, cfg)
 	}
@@ -98,6 +107,44 @@ func Open(dir string, opts ...Option) (*Network, error) {
 	if err != nil {
 		return nil, err
 	}
+	return openLeader(dir, l, rec, cfg, false)
+}
+
+// Create makes a durable network rooted at dir whose state is g, written
+// as the directory's first checkpoint: the durable twin of FromGraph. The
+// network takes g over; the caller must not mutate g afterwards. Build g
+// with generate.Build or a graph.Loader, so a bulk load never passes
+// through the mutation log.
+//
+// Create refuses a directory whose recovered state is not empty (one with
+// a checkpoint or a record group), so it never overwrites a network. A
+// directory a crashed Create left behind recovers either empty, and Create
+// can be retried on it, or whole. Create refuses WithFollow: a follower is
+// born from its leader's checkpoint, not from a graph.
+func Create(dir string, g *graph.Graph, opts ...Option) (*Network, error) {
+	cfg := newOpenConfig(opts)
+	if cfg.follow != "" {
+		return nil, errors.New("reachac: Create: a follower bootstraps from its leader; use Open with WithFollow")
+	}
+	l, rec, err := wal.Open(dir, wal.Options{Sync: cfg.sync, Interval: cfg.syncInterval})
+	if err != nil {
+		return nil, err
+	}
+	if rec.CheckpointSeq != 0 || rec.Groups != 0 {
+		l.Close()
+		return nil, fmt.Errorf("reachac: Create: %s already holds a network (checkpoint %d, %d record groups)",
+			dir, rec.CheckpointSeq, rec.Groups)
+	}
+	rec.Graph, rec.Store = g, core.NewStore()
+	return openLeader(dir, l, rec, cfg, true)
+}
+
+// openLeader is the body Open and Create share once the log is open: it
+// bumps the directory's leadership epoch, builds the network over the
+// recovered state and publishes its engine snapshot. With first set
+// (Create), the state is written as a checkpoint before the snapshot is
+// published. Any failure closes l.
+func openLeader(dir string, l *wal.Log, rec wal.Recovered, cfg openConfig, first bool) (*Network, error) {
 	// Every leader open bumps the directory's leadership epoch, so a promoted
 	// follower (an ordinary restart on the replicated directory) supersedes
 	// the leader that shipped it the bytes.
@@ -115,6 +162,18 @@ func Open(dir string, opts ...Option) (*Network, error) {
 	n.replSource.OnStaleEpoch(func(e uint64) { n.ObserveEpoch(e) })
 	n.ckptEvery = cfg.ckptEvery
 	n.recovery = RecoveryInfo{Groups: rec.Groups, TornTail: rec.TornTail, CheckpointSeq: rec.CheckpointSeq}
+	if first {
+		n.mu.Lock()
+		write, err := n.checkpointLocked()
+		n.mu.Unlock()
+		if err == nil {
+			err = write()
+		}
+		if err != nil {
+			l.Close()
+			return nil, err
+		}
+	}
 	// Republish the snapshot now, so the first read after recovery doesn't
 	// pay for the engine build.
 	if err := n.UseEngine(cfg.kind); err != nil {
@@ -125,11 +184,11 @@ func Open(dir string, opts ...Option) (*Network, error) {
 }
 
 // Recovery reports what Open reconstructed; it is the zero value on networks
-// not created by Open.
+// not created by Open (Create reports the empty state it started from).
 func (n *Network) Recovery() RecoveryInfo { return n.recovery }
 
 // Durable reports whether the network persists mutations to a write-ahead
-// log (i.e. was created by Open).
+// log (i.e. was created by Open or Create).
 func (n *Network) Durable() bool { return n.wal != nil }
 
 // Close waits for any in-flight checkpoint, flushes and closes the
@@ -158,36 +217,36 @@ func (n *Network) Close() error {
 
 // Checkpoint synchronously compacts the log: it waits for any background
 // checkpoint, rotates the WAL and writes a durable checkpoint of the current
-// state, after which the superseded segments are deleted. When no record was
+// state, after which the superseded segments are deleted. Writers wait only
+// for the rotation and the state clone; the write itself runs off the
+// mutator lock, as a background checkpoint's does. When no record was
 // appended since the last checkpoint the call is a no-op — an idle Close or
 // SIGTERM does not rewrite an identical checkpoint file. It is
-// ErrNotDurable on networks not created by Open and ErrClosed after Close.
+// ErrNotDurable on networks not created by Open or Create and ErrClosed
+// after Close.
 func (n *Network) Checkpoint() error {
 	n.mu.Lock()
-	defer n.mu.Unlock()
 	if n.wal == nil {
+		n.mu.Unlock()
 		return fmt.Errorf("reachac: Checkpoint: %w", ErrNotDurable)
 	}
 	if err := n.writeGuardLocked(); err != nil {
+		n.mu.Unlock()
 		return err
 	}
-	// Safe to wait under mu: the background checkpointer never takes it.
+	// Safe to wait under mu: the checkpoint write never takes it.
 	n.ckptWG.Wait()
 	if n.wal.Clean() {
 		n.ctr.ckptSkipped.Add(1)
+		n.mu.Unlock()
 		return nil
 	}
-	covered, err := n.wal.Rotate()
+	write, err := n.checkpointLocked()
+	n.mu.Unlock()
 	if err != nil {
 		return err
 	}
-	// No clones needed: mu blocks every mutator for the whole (synchronous)
-	// write, and the checkpoint writers only read.
-	if err := n.wal.WriteCheckpoint(covered, n.g, n.store.Load()); err != nil {
-		return err
-	}
-	n.ctr.ckptTaken.Add(1)
-	return nil
+	return write()
 }
 
 // writeGuardLocked rejects mutations on closed, WAL-poisoned, fenced or
@@ -277,34 +336,49 @@ func (n *Network) poisonLocked(err error) error {
 }
 
 // maybeCheckpointLocked starts at most one background checkpoint once a
-// durable network's current WAL segment exceeds the configured threshold.
-// The rotation and the state clone happen under n.mu — so the checkpoint
-// covers exactly the rotated segments — while the expensive serialization
-// and fsyncs run in a goroutine off the mutation path. Callers hold n.mu.
+// durable network's current WAL segment exceeds the configured threshold;
+// the write runs in a goroutine off the mutation path. Callers hold n.mu.
 func (n *Network) maybeCheckpointLocked() {
-	if n.wal == nil || n.ckptEvery <= 0 || n.wal.Size() < n.ckptEvery {
+	if n.wal == nil || n.ckptEvery <= 0 || n.wal.Size() < n.ckptEvery || n.ckptActive.Load() {
 		return
 	}
-	if !n.ckptActive.CompareAndSwap(false, true) {
-		return
-	}
-	covered, err := n.wal.Rotate()
+	write, err := n.checkpointLocked()
 	if err != nil {
 		n.recordCkptErr(err)
-		n.ckptActive.Store(false)
 		return
+	}
+	go func() {
+		if err := write(); err != nil {
+			n.recordCkptErr(err)
+		}
+	}()
+}
+
+// checkpointLocked is the one checkpoint path. Under n.mu it rotates the
+// log and clones the graph and the policy store, so the checkpoint covers
+// exactly the rotated segments, and it returns the write: the
+// serialization and fsyncs, which the caller runs after releasing n.mu.
+// The checkpoint counts as active (ckptActive, ckptWG) from the rotation
+// until the write returns, so Close and Checkpoint wait for it and no
+// second one starts. Callers hold n.mu with no checkpoint active.
+func (n *Network) checkpointLocked() (write func() error, err error) {
+	n.ckptActive.Store(true)
+	covered, err := n.wal.Rotate()
+	if err != nil {
+		n.ckptActive.Store(false)
+		return nil, err
 	}
 	gc, sc := n.g.Clone(), n.store.Load().Clone()
 	n.ckptWG.Add(1)
-	go func() {
+	return func() error {
 		defer n.ckptWG.Done()
 		defer n.ckptActive.Store(false)
 		if err := n.wal.WriteCheckpoint(covered, gc, sc); err != nil {
-			n.recordCkptErr(err)
-			return
+			return err
 		}
 		n.ctr.ckptTaken.Add(1)
-	}()
+		return nil
+	}, nil
 }
 
 // recordCkptErr retains the first background checkpoint failure for Close to

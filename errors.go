@@ -43,6 +43,6 @@ var (
 	// ErrClosed marks a mutation on a network after Close.
 	ErrClosed = errors.New("network is closed")
 	// ErrNotDurable marks a durability-only operation (Checkpoint) on a
-	// network not created by Open.
+	// network not created by Open or Create.
 	ErrNotDurable = errors.New("network is not durable")
 )

@@ -5,11 +5,11 @@
 // # Topologies
 //
 // The core abstraction is [Topology]: a deterministic, seeded graph
-// emitted as a stream of node ops followed by edge ops, so consumers can
-// write or load million-node graphs without ever materializing them
-// (cmd/gengraph streams to disk, reachac.Network.LoadTopology streams
-// into chunked WAL commits). Construct one with [New] and functional
-// options:
+// emitted as a stream of node ops followed by edge ops, so a consumer can
+// write a million-node graph without materializing it (cmd/gengraph
+// streams to disk) or build it in one pass ([Build], whose graph
+// reachac.FromGraph serves and reachac.Create makes durable). Construct
+// one with [New] and functional options:
 //
 //	t, err := generate.New("ldbc",
 //	    generate.WithNodes(1_000_000),

@@ -35,9 +35,9 @@ type Op struct {
 
 // Topology is a seeded synthetic graph emitted as a stream: Stream calls
 // emit once per node and once per edge instead of materializing a
-// *graph.Graph, so consumers (gengraph's file writer, the facade's
-// chunked Batch loader) can build million-node graphs under bounded
-// memory.
+// *graph.Graph, so a consumer (gengraph's file writer, Build's loader)
+// can write or lay out a million-node graph without generator state
+// beyond the stream.
 //
 // Contract, relied on by every consumer:
 //
@@ -61,10 +61,10 @@ type Topology interface {
 	Stream(emit func(Op) error) error
 }
 
-// Build materializes a topology into a graph — the convenience path for
-// tests, experiments and small benchmark graphs — through a graph.Loader,
-// so the graph comes back rebased, laid out in one pass. Large graphs
-// should stream instead (reachac.Network.LoadTopology, gengraph).
+// Build materializes a topology into a graph through a graph.Loader, so
+// the graph comes back rebased, laid out in one pass. A network takes
+// the graph over with reachac.FromGraph, or durably with reachac.Create;
+// gengraph streams a topology to disk without building it.
 func Build(t Topology) (*graph.Graph, error) {
 	l := graph.NewLoader()
 	l.Grow(t.Nodes(), 0)

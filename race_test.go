@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"reachac/internal/search"
@@ -171,6 +172,115 @@ func TestConcurrentStress(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestCheckpointBesideWriters races synchronous Checkpoint calls against
+// Batch writers and readers on a durable network whose small threshold
+// also starts background checkpoints, then closes it. Under -race this
+// covers the one checkpoint path: rotation and clone under the mutator
+// lock, the write off it. The reopened network must equal the live one.
+func TestCheckpointBesideWriters(t *testing.T) {
+	dir := t.TempDir()
+	n, err := Open(dir, WithSync(SyncNever), WithCheckpointEvery(2<<10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const writers, members, rounds = 3, 12, 60
+	for i := 0; i < writers*members; i++ {
+		n.MustAddUser(fmt.Sprintf("u%03d", i))
+	}
+	if _, err := n.Share("album", 0, "friend+[1,3]"); err != nil {
+		t.Fatal(err)
+	}
+	// The checkpointer calls Checkpoint each time step more batches have
+	// committed, and writers run at most window batches past the step, so
+	// every call finds writes to cover and writes in flight beside it.
+	const calls = 10
+	const step, window = writers * rounds / (calls + 1), writers * 4
+	errc := make(chan error, writers+2)
+	var writing, others sync.WaitGroup
+	var written, taken atomic.Int64
+	for w := 0; w < writers; w++ {
+		writing.Add(1)
+		go func(w int) {
+			defer writing.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			base := UserID(w * members)
+			for i := 0; i < rounds; i++ {
+				for written.Load() >= (taken.Load()+1)*step+window && taken.Load() < calls {
+					runtime.Gosched()
+				}
+				err := n.Batch(func(tx *Tx) error {
+					from, to := base+UserID(rng.Intn(members)), base+UserID(rng.Intn(members))
+					if from == to {
+						_, err := tx.AddUser(fmt.Sprintf("w%d-%03d", w, i))
+						return err
+					}
+					if err := tx.Relate(from, to, "friend"); err != nil {
+						return tx.Unrelate(from, to, "friend")
+					}
+					return nil
+				})
+				if err != nil {
+					errc <- err
+					return
+				}
+				written.Add(1)
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	go func() { writing.Wait(); close(done) }()
+	others.Add(2)
+	go func() {
+		defer others.Done()
+		defer taken.Store(calls)
+		for k := int64(1); k <= calls; k++ {
+			for written.Load() < k*step {
+				select {
+				case <-done:
+					return
+				default:
+					runtime.Gosched()
+				}
+			}
+			if err := n.Checkpoint(); err != nil {
+				errc <- err
+				return
+			}
+			taken.Store(k)
+		}
+	}()
+	go func() {
+		defer others.Done()
+		for i := 0; i < 300; i++ {
+			if _, err := n.CanAccess("album", UserID(i%members)); err != nil {
+				errc <- err
+				return
+			}
+		}
+	}()
+	<-done
+	others.Wait()
+	close(errc)
+	for err := range errc {
+		t.Fatal(err)
+	}
+	if st := n.Stats(); st.Checkpoints == 0 {
+		t.Fatalf("no checkpoint was taken: %+v", st)
+	}
+	if err := n.Close(); err != nil {
+		t.Fatal(err)
+	}
+	back, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer back.Close()
+	if got, want := stateSignature(back), stateSignature(n); got != want {
+		t.Fatalf("reopened network differs from the live one:\n%s\nwant\n%s", got, want)
+	}
+	assertSameDecisions(t, "reopen", back, n, []EngineKind{Online})
 }
 
 // TestConcurrentViewsAgainstPlainEvaluator races readers that hold Views for

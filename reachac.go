@@ -124,11 +124,11 @@ type Evaluator = core.Evaluator
 // since the previous one. Use Batch to coalesce many mutations into one
 // republication.
 //
-// A network created by Open is durable: every committed mutation batch is
-// appended to a write-ahead log (one atomic record group, fsynced per the
-// sync policy) before it is acknowledged, a size-triggered background
-// checkpoint compacts the log, and Open recovers exactly the acknowledged
-// prefix after a crash. See durable.go and internal/wal.
+// A network created by Open or Create is durable: every committed mutation
+// batch is appended to a write-ahead log (one atomic record group, fsynced
+// per the sync policy) before it is acknowledged, a size-triggered
+// background checkpoint compacts the log, and Open recovers exactly the
+// acknowledged prefix after a crash. See durable.go and internal/wal.
 type Network struct {
 	// mu serializes mutations of the master graph and snapshot
 	// publication; readers never take it on the fast path.
@@ -153,8 +153,9 @@ type Network struct {
 	// Guarded by mu.
 	spares []*snapshot
 
-	// wal, when non-nil, is the durability log a network created by Open
-	// appends every committed mutation batch to before acknowledging it.
+	// wal, when non-nil, is the durability log a network created by Open or
+	// Create appends every committed mutation batch to before acknowledging
+	// it.
 	// walErr poisons the network read-only after an append failure and
 	// closed marks Close; both are guarded by mu. See durable.go.
 	wal      *wal.Log
@@ -169,7 +170,7 @@ type Network struct {
 	// ckptEvery is the segment size triggering a background checkpoint;
 	// ckptActive admits one checkpointer at a time, ckptWG lets Close and
 	// Checkpoint wait for it, and ckptErr (guarded by ckptMu, not mu)
-	// retains its first failure.
+	// retains the first background failure.
 	ckptEvery  int64
 	ckptActive atomic.Bool
 	ckptWG     sync.WaitGroup
@@ -209,11 +210,7 @@ func newNetwork(g *graph.Graph, store *core.Store) *Network {
 // applyOptions folds constructor options into a fresh (not yet shared)
 // network.
 func (n *Network) applyOptions(opts []Option) *Network {
-	cfg := openConfig{kind: n.kind}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	n.kind = cfg.kind
+	n.kind = newOpenConfig(opts).kind
 	return n
 }
 
@@ -347,7 +344,7 @@ func LoadState(r io.Reader) (*Network, error) {
 
 // FromGraph wraps an existing social graph (used by the command-line tools
 // and benchmarks; the graph must not be mutated externally afterwards).
-// Options are the same as New's.
+// Options are the same as New's. Create is its durable twin.
 func FromGraph(g *graph.Graph, opts ...Option) *Network {
 	return newNetwork(g, core.NewStore()).applyOptions(opts)
 }

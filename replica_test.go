@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"reachac/internal/generate"
 	"reachac/internal/replica"
 	"reachac/internal/wal"
 )
@@ -109,6 +110,54 @@ func TestReplicaDifferentialAllEngines(t *testing.T) {
 	}
 
 	// Both chains verify offline — after closing, so the locks are released.
+	if err := follower.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := leader.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, dir := range []string{ldir, fdir} {
+		if _, err := VerifyChain(dir); err != nil {
+			t.Fatalf("VerifyChain(%s): %v", dir, err)
+		}
+	}
+}
+
+// TestReplicaBootstrapsFromCreatedLeader: a follower of a Created leader
+// bootstraps from the leader's first checkpoint, then follows its log; it
+// decides as the leader does after further leader steps, and both chains
+// verify.
+func TestReplicaBootstrapsFromCreatedLeader(t *testing.T) {
+	ldir := t.TempDir()
+	g := generate.MustBuild(generate.MustNew("osn", generate.WithNodes(80), generate.WithSeed(5)))
+	leader, err := Create(ldir, g, WithCheckpointEvery(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer leader.Close()
+	if _, err := leader.Share("wall", 0, "friend+[1,2]"); err != nil {
+		t.Fatal(err)
+	}
+	srv := serveLeader(t, leader)
+
+	fdir := t.TempDir()
+	follower, err := Open(fdir, WithFollow(srv.URL))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer follower.Close()
+	if rec := follower.Recovery(); rec.CheckpointSeq == 0 {
+		t.Fatalf("follower did not bootstrap from the leader's checkpoint: %+v", rec)
+	}
+	waitReplicaCaughtUp(t, follower, leader)
+	assertSameDecisions(t, "bootstrap", follower, leader, EngineKinds())
+	for i, step := range makeTrace(13, 10) {
+		if err := applyStep(leader, step); err != nil {
+			t.Fatalf("leader step %d: %v", i, err)
+		}
+		waitReplicaCaughtUp(t, follower, leader)
+		assertSameDecisions(t, fmt.Sprintf("step %d", i), follower, leader, EngineKinds())
+	}
 	if err := follower.Close(); err != nil {
 		t.Fatal(err)
 	}
