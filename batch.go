@@ -77,10 +77,13 @@ type undo struct {
 // Reads against the currently published snapshot proceed untouched, but
 // once the batch's first mutation lands, a reader that needs a fresh
 // snapshot waits for the whole batch before republishing (once) — so keep
-// callbacks short and precompute outside the batch.
+// callbacks short and precompute outside the batch. A batch that takes the
+// master graph past its rebase bound ends with the rebase (see
+// rebaseLocked), so the reader never pays for it.
 func (n *Network) Batch(fn func(*Tx) error) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	defer n.rebaseLocked()
 	if err := n.writeGuardLocked(); err != nil {
 		return err
 	}
@@ -291,11 +294,11 @@ func (tx *Tx) Unrelate(from, to UserID, relType string) error {
 	if e == graph.InvalidEdge {
 		return fmt.Errorf("reachac: no %s relationship %d -> %d: %w", relType, from, to, ErrUnknownRelationship)
 	}
-	rec := tx.n.g.Edge(e)
+	weight := tx.n.g.Weight(e)
 	if err := tx.n.g.RemoveEdge(e); err != nil {
 		return err
 	}
-	tx.pushUndo(undo{from: rec.From, to: rec.To, label: l, removed: true, weight: rec.Weight})
+	tx.pushUndo(undo{from: from, to: to, label: l, removed: true, weight: weight})
 	tx.record(&wal.Op{Kind: wal.OpGraph, Delta: &graph.Delta{Op: graph.OpRemoveEdge, From: from, To: to, Label: relType}})
 	return nil
 }

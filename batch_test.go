@@ -268,3 +268,59 @@ func TestTxSubPartialRollback(t *testing.T) {
 		t.Fatal("replayed graph diverges from the live one")
 	}
 }
+
+// TestBatchEndsWithRebase checks that the master graph rebases where a
+// batch's mutations end, not at the next read: after a batch adding 20k
+// members and a relationship each, with no read since, the master asks for
+// no rebase and Stats counts one. The rebase drops the master's delta log,
+// so a version from before it is no longer covered, while a batch that
+// crosses no bound keeps the log.
+func TestBatchEndsWithRebase(t *testing.T) {
+	const members = 20_000
+	n := New()
+	first, second := n.MustAddUser("u0"), n.MustAddUser("u1")
+	// The first relationship of a type lays the CSR out again, which the
+	// batch ends by rebasing; the next crosses no bound.
+	if err := n.Relate(second, first, "friend"); err != nil {
+		t.Fatal(err)
+	}
+	before := n.Graph().Version()
+	if err := n.Relate(first, second, "friend"); err != nil {
+		t.Fatal(err)
+	}
+	if !n.Graph().Covers(before) {
+		t.Fatal("a small batch dropped the delta log")
+	}
+	published, rebases, base := n.Graph().Version(), n.Stats().GraphRebases, n.Graph().Base()
+	err := n.Batch(func(tx *Tx) error {
+		prev := UserID(1)
+		for i := 2; i < members; i++ {
+			id, err := tx.AddUser(fmt.Sprintf("u%d", i))
+			if err != nil {
+				return err
+			}
+			if err := tx.Relate(prev, id, "friend"); err != nil {
+				return err
+			}
+			prev = id
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := n.Graph()
+	if g.NeedsRebase() || g.Base() == base || g.NumEdges() != members {
+		t.Fatalf("after the batch: NeedsRebase %v, a new base %v, %d edges", g.NeedsRebase(), g.Base() != base, g.NumEdges())
+	}
+	if got := n.Stats().GraphRebases; got != rebases+1 {
+		t.Fatalf("%d rebases counted for the batch, want 1", got-rebases)
+	}
+	if g.Covers(published) || g.Covers(before) || !g.Covers(g.Version()) {
+		t.Fatalf("after the rebase the log covers %d: %v, %d: %v, the current %d: %v",
+			published, g.Covers(published), before, g.Covers(before), g.Version(), g.Covers(g.Version()))
+	}
+	if d, err := n.CanAccess("nothing", first); err != nil || d.Effect != Deny {
+		t.Fatalf("a read after the batch = %v, %v", d.Effect, err)
+	}
+}

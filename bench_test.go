@@ -1053,6 +1053,50 @@ func BenchmarkNodeByName(b *testing.B) {
 	}
 }
 
+// BenchmarkEdgeByID measures reading a base's edges, which the base
+// stores in its CSR slabs, on the degree-8 ldbc graph at 20k and 100k
+// members: Graph.Edge of random IDs (a read at the edge's out position and
+// a search for the cell holding it), and one Edges pass in ID order (one
+// walk of the cells into scratch records). ns/edge is per edge read.
+func BenchmarkEdgeByID(b *testing.B) {
+	for _, nodes := range []int{20_000, 100_000} {
+		top, err := generate.New("ldbc", generate.WithNodes(nodes), generate.WithDegree(8), generate.WithSeed(1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		g, err := generate.Build(top)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(1))
+		ids := make([]graph.EdgeID, 1<<16)
+		for i := range ids {
+			ids[i] = graph.EdgeID(rng.Intn(g.NumEdges()))
+		}
+		var sink graph.NodeID
+		b.Run(fmt.Sprintf("random-%dk", nodes/1000), func(b *testing.B) {
+			b.ReportAllocs()
+			i := 0
+			for b.Loop() {
+				sink += g.Edge(ids[i]).From
+				i = (i + 1) & (len(ids) - 1)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/edge")
+		})
+		b.Run(fmt.Sprintf("pass-%dk", nodes/1000), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				g.Edges(func(e graph.Edge) bool {
+					sink += e.From
+					return true
+				})
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(g.NumEdges())), "ns/edge")
+		})
+		runtime.KeepAlive(sink)
+	}
+}
+
 // BenchmarkGraphLoad measures the bulk loads, which lay a graph out as a base
 // in one pass through graph.Loader: generate.Build of the degree-8 ldbc graph
 // the benchmark workloads start from, at 20k and 100k members, and

@@ -368,6 +368,7 @@ func (n *Network) checkpointLocked() (write func() error, err error) {
 		n.ckptActive.Store(false)
 		return nil, err
 	}
+	n.rebaseLocked()
 	gc, sc := n.g.Clone(), n.store.Load().Clone()
 	n.ckptWG.Add(1)
 	return func() error {

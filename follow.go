@@ -67,6 +67,7 @@ func openFollower(dir string, cfg openConfig) (*Network, error) {
 func (n *Network) applyReplicated(ops []wal.Op) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	defer n.rebaseLocked()
 	s := n.store.Load()
 	for _, op := range ops {
 		ns, err := op.Apply(n.g, s)

@@ -13,13 +13,18 @@ import (
 // per-edge label filtering, no pointer chasing through edge records), and
 // per-node degrees are O(1) offset subtractions. The out direction carries,
 // parallel to its neighbors, the ID of each edge, which serves FindEdge,
-// OutEdges, InEdges and removal; the in direction carries neighbors only.
+// OutEdges, InEdges, removal and a base's edge table (see Base); the in
+// direction carries neighbors only.
 //
 // A graph always has a CSR, from New on, so CSR never returns nil. Layouts
-// (New, Rebase, BuildCSR, a Loader's Graph) lay the runs out in tight slabs;
-// from then on every structural mutation patches the CSR in place, and
-// readers never build one. The slabs are never rewritten; a clone's CSR
-// shares them, copying only the overlay and the dirty bitset. The first edge
+// (New, Rebase, a Loader's Graph) lay the runs out in tight slabs that are
+// the base's own (see Base): the base stores its edges in them, and the CSR
+// of every graph on that base reads them. Only a CSR laid out again over a
+// private part (for a new label, or by BuildCSR) holds slabs of its own,
+// until the next Rebase, which NeedsRebase asks for. From a layout on,
+// every structural mutation patches the CSR in place, and readers never
+// build one. The slabs are never rewritten; a clone's CSR shares them,
+// copying only the overlay and the dirty bitset. The first edge
 // added to or removed from a cell (n, l) copies that run into a
 // per-direction overlay and sets n's dirty bit; lookups test the bit — one
 // load for an untouched node — and return the overlay run when there is
@@ -50,13 +55,13 @@ type CSR struct {
 	// never falls, so it also bounds the graph's private part (a removal
 	// leaves a tombstone); NeedsRebase holds once it exceeds limit.
 	overlay, limit int
-	// base is the base the slabs were laid out over when they hold nothing
-	// else; nil for a CSR laid out over a private part too.
+	// base is the base whose slabs the CSR reads; nil for a CSR laid out
+	// over a private part too, which holds slabs of its own.
 	base *Base
 }
 
-// adjacency is one direction of a CSR.
-type adjacency struct {
+// slabs is one direction of a layout.
+type slabs struct {
 	// off has one entry per slab cell plus one: the run of cell
 	// i = n*labels+l is nbr[off[i]:off[i+1]], and the cells of one node are
 	// adjacent, so a clean node's degree is off[(n+1)*labels] - off[n*labels].
@@ -66,6 +71,11 @@ type adjacency struct {
 	// ids holds, in the out direction only (nil in the in direction), the
 	// ID of the edge to each neighbor in nbr, at the same index.
 	ids []EdgeID
+}
+
+// adjacency is one direction of a CSR: its slabs and its overlay.
+type adjacency struct {
+	slabs
 	// The overlay holds the run of every cell not in the slabs as a span of
 	// the arenas onbr (neighbors) and, out direction only, oids (edge IDs).
 	// A slab cell patched since the layout has its span at spans[over[i]];
@@ -207,20 +217,10 @@ func (c *CSR) edgeID(from, to NodeID, l Label) EdgeID {
 	return InvalidEdge
 }
 
-// outIDs returns the IDs of the live edges of the out cell (n, l), in ID
-// order; see OutNeighbors.
-func (c *CSR) outIDs(n NodeID, l Label) []EdgeID {
-	return c.cell(&c.out, n, int(n)*c.labels+int(l)).ids
-}
-
-// appendInIDs appends to dst the IDs of the live edges of the in cell
-// (n, l), in ID order: each in-neighbor m is the edge m -l-> n, which is
-// unique.
-func (c *CSR) appendInIDs(dst []EdgeID, n NodeID, l Label) []EdgeID {
-	for _, m := range c.InNeighbors(n, l) {
-		dst = append(dst, c.edgeID(NodeID(m), n, l))
-	}
-	return dst
+// outRun returns the run of the out cell (n, l): the live edges' targets
+// and IDs, in ID order; see OutNeighbors.
+func (c *CSR) outRun(n NodeID, l Label) run {
+	return c.cell(&c.out, n, int(n)*c.labels+int(l))
 }
 
 // own returns the overlay span of cell i of node n, copying a slab cell's
@@ -341,71 +341,105 @@ func (c *CSR) removeEdge(from, to NodeID, l Label) {
 // requires external synchronization with readers.
 func (g *Graph) BuildCSR() *CSR { return g.layOut(g.csr.labels) }
 
-// layOut replaces the graph's CSR with one laid out in slabs over the live
-// edges of the base's nodes, with cells for the first labels labels, which
-// must cover every live edge's label and fit maxCSRCells with the graph's
-// nodes. The cells of the nodes added since the base go to the overlay.
+// layOut replaces the graph's CSR with one with cells for the first labels
+// labels, which must cover every live edge's label and fit maxCSRCells with
+// the graph's nodes. A graph that is its base alone, at the base's width,
+// gets a CSR over the base's slabs. Any other gets slabs of its own over the
+// base's nodes, laid out from the records of every edge (see records); the
+// cells of the nodes added since the base go to the overlay.
 func (g *Graph) layOut(labels int) *CSR {
-	v, sv, l := g.NumNodes(), g.b.numNodes(), labels
-	c := &CSR{
-		labels: l,
-		slab:   sv,
-		out:    adjacency{off: make([]uint32, sv*l+1), over: map[uint32]uint32{}, tail: make([]uint32, v-sv)},
-		in:     adjacency{off: make([]uint32, sv*l+1), over: map[uint32]uint32{}, tail: make([]uint32, v-sv)},
-		dirty:  make([]uint64, (v+63)/64),
-		limit:  overlayFloor + (v+g.live)/overlayFraction,
+	if len(g.nodes) == 0 && len(g.edges) == 0 && len(g.dead) == 0 && labels == g.b.labels {
+		g.csr = g.b.csr()
+		return g.csr
 	}
-	for n := sv; n < v; n++ {
-		c.dirty[n>>6] |= 1 << (n & 63)
-	}
-	if len(g.nodes) == 0 && len(g.edges) == 0 && len(g.dead) == 0 {
-		c.base = g.b
-	}
-	outOff, inOff := c.out.off, c.in.off
-	edges, dead := EdgeID(len(g.b.edges)+len(g.edges)), g.deadSet()
-	// Count pass: run lengths into off[i+1], then prefix-sum to offsets.
-	for id := EdgeID(0); id < edges; id++ {
-		if e := g.rec(id); !inSet(dead, id) {
-			if int(e.From) < sv {
-				outOff[int(e.From)*l+int(e.Label)+1]++
+	v, sv := g.NumNodes(), g.b.numNodes()
+	c := newCSR(labels, v, sv, g.live)
+	recs, dead := g.records(), g.deadSet()
+	c.out.slabs, c.in.slabs = laySlabs(recs, dead, sv, labels, nil)
+	if v > sv {
+		// The runs of the nodes past the slabs, in edge-ID order.
+		for id, e := range recs {
+			if inSet(dead, EdgeID(id)) {
+				continue
 			}
-			if int(e.To) < sv {
-				inOff[int(e.To)*l+int(e.Label)+1]++
+			if int(e.From) >= sv {
+				c.push(&c.out, e.From, int(e.From)*labels+int(e.Label), uint32(e.To), EdgeID(id))
 			}
-		}
-	}
-	for i := 1; i < len(outOff); i++ {
-		outOff[i] += outOff[i-1]
-		inOff[i] += inOff[i-1]
-	}
-	c.out.nbr, c.out.ids = make([]uint32, outOff[sv*l]), make([]EdgeID, outOff[sv*l])
-	c.in.nbr = make([]uint32, inOff[sv*l])
-	// Fill pass in edge-ID order, so that every run is in ID order, with a
-	// write cursor per slab run.
-	outNext := slices.Clone(outOff[:sv*l])
-	inNext := slices.Clone(inOff[:sv*l])
-	for id := EdgeID(0); id < edges; id++ {
-		e := g.rec(id)
-		if inSet(dead, id) {
-			continue
-		}
-		oi, ii := int(e.From)*l+int(e.Label), int(e.To)*l+int(e.Label)
-		if int(e.From) < sv {
-			c.out.nbr[outNext[oi]] = uint32(e.To)
-			c.out.ids[outNext[oi]] = id
-			outNext[oi]++
-		} else {
-			c.push(&c.out, e.From, oi, uint32(e.To), id)
-		}
-		if int(e.To) < sv {
-			c.in.nbr[inNext[ii]] = uint32(e.From)
-			inNext[ii]++
-		} else {
-			c.push(&c.in, e.To, ii, uint32(e.From), 0)
+			if int(e.To) >= sv {
+				c.push(&c.in, e.To, int(e.To)*labels+int(e.Label), uint32(e.From), 0)
+			}
 		}
 	}
 	g.csr = c
 	return c
+}
+
+// newCSR returns a CSR with cells for labels labels over v nodes, the first
+// sv of them in slabs not laid out yet, and the overlay bound of a graph of
+// v nodes and live edges.
+func newCSR(labels, v, sv, live int) *CSR {
+	c := &CSR{
+		labels: labels,
+		slab:   sv,
+		out:    adjacency{over: map[uint32]uint32{}, tail: make([]uint32, v-sv)},
+		in:     adjacency{over: map[uint32]uint32{}, tail: make([]uint32, v-sv)},
+		dirty:  make([]uint64, (v+63)/64),
+		limit:  overlayFloor + (v+live)/overlayFraction,
+	}
+	for n := sv; n < v; n++ {
+		c.dirty[n>>6] |= 1 << (n & 63)
+	}
+	return c
+}
+
+// laySlabs lays out the slabs of both directions over the nodes [0, sv), with
+// cells for labels labels, from recs, the record of edge id at recs[id],
+// skipping the edges in dead and the ends of edges at nodes past sv. Every
+// run is in edge-ID order. Unless pos is nil, it sets pos[id] to edge id's
+// position in the out slab.
+func laySlabs(recs []edgeRec, dead []uint64, sv, labels int, pos []uint32) (out, in slabs) {
+	l := labels
+	out.off, in.off = make([]uint32, sv*l+1), make([]uint32, sv*l+1)
+	// Count pass: run lengths into off[i+1], then prefix-sum to offsets.
+	for id, e := range recs {
+		if !inSet(dead, EdgeID(id)) {
+			if int(e.From) < sv {
+				out.off[int(e.From)*l+int(e.Label)+1]++
+			}
+			if int(e.To) < sv {
+				in.off[int(e.To)*l+int(e.Label)+1]++
+			}
+		}
+	}
+	for i := 1; i < len(out.off); i++ {
+		out.off[i] += out.off[i-1]
+		in.off[i] += in.off[i-1]
+	}
+	out.nbr, out.ids = make([]uint32, out.off[sv*l]), make([]EdgeID, out.off[sv*l])
+	in.nbr = make([]uint32, in.off[sv*l])
+	// Fill pass in edge-ID order, so that every run is in ID order, with a
+	// write cursor per slab run.
+	outNext := slices.Clone(out.off[:sv*l])
+	inNext := slices.Clone(in.off[:sv*l])
+	for id, e := range recs {
+		if inSet(dead, EdgeID(id)) {
+			continue
+		}
+		if int(e.From) < sv {
+			p := &outNext[int(e.From)*l+int(e.Label)]
+			out.nbr[*p], out.ids[*p] = uint32(e.To), EdgeID(id)
+			if pos != nil {
+				pos[id] = *p
+			}
+			*p++
+		}
+		if int(e.To) < sv {
+			p := &inNext[int(e.To)*l+int(e.Label)]
+			in.nbr[*p] = uint32(e.From)
+			*p++
+		}
+	}
+	return out, in
 }
 
 // CSR returns the graph's CSR, which mutators keep current; never nil.

@@ -70,7 +70,7 @@ func FuzzCSRAdjacency(f *testing.F) {
 				g.Edges(func(e Edge) bool { live = append(live, e.ID); return true })
 				if len(live) > 0 {
 					id := live[int(x)%len(live)]
-					delete(models[w], *g.rec(id))
+					delete(models[w], g.rec(id))
 					if err := g.RemoveEdge(id); err != nil {
 						t.Fatalf("RemoveEdge: %v", err)
 					}
@@ -100,7 +100,7 @@ func FuzzCSRAdjacency(f *testing.F) {
 				weight := float64(op>>4) / 8
 				overlay, dirty := g.csr.overlay, slices.Clone(g.csr.dirty)
 				if id, err := g.AddWeightedEdge(from, to, labels[int(op)%len(labels)], weight); err == nil {
-					models[w][*g.rec(id)] = weight
+					models[w][g.rec(id)] = weight
 				} else if g.csr.overlay != overlay || !slices.Equal(g.csr.dirty, dirty) {
 					t.Fatalf("a refused AddWeightedEdge (%v) patched the CSR", err)
 				}
@@ -157,9 +157,10 @@ func (c *checksum) addFloat(f float64) {
 	c.add(uint32(b), uint32(b>>32))
 }
 
-// sharedSum checksums what a graph shares with its clones: its base b and
-// the slabs of its CSR csr. Recomputed over the same
-// objects, it catches any write into them, whichever graph made it.
+// sharedSum checksums what a graph shares with its clones: its base b —
+// member columns, slabs, pos, directory and weights — and the slabs of its
+// CSR csr, the base's or its own. Recomputed over the same objects, it
+// catches any write into them, whichever graph made it.
 func sharedSum(b *Base, csr *CSR) uint64 {
 	var c checksum
 	for i := range len(b.names) {
@@ -175,20 +176,26 @@ func sharedSum(b *Base, csr *CSR) uint64 {
 			c.addFloat(v.Num())
 		}
 	}
-	for _, e := range b.edges {
-		c.add(uint32(e.From), uint32(e.To), uint32(e.Label))
-	}
+	c.add(uint32(b.labels))
+	slabSum(&c, b.out, b.in)
+	c.add(b.pos...)
+	c.add(b.dir...)
 	for _, w := range b.weights {
 		c.addFloat(w)
 	}
-	c.add(csr.out.off...)
-	c.add(csr.out.nbr...)
-	for _, id := range csr.out.ids {
+	slabSum(&c, csr.out.slabs, csr.in.slabs)
+	return c.h
+}
+
+// slabSum adds a layout's out and in slabs to c.
+func slabSum(c *checksum, out, in slabs) {
+	c.add(out.off...)
+	c.add(out.nbr...)
+	for _, id := range out.ids {
 		c.add(uint32(id))
 	}
-	c.add(csr.in.off...)
-	c.add(csr.in.nbr...)
-	return c.h
+	c.add(in.off...)
+	c.add(in.nbr...)
 }
 
 // fingerprint checksums everything a reader of g can observe: nodes, live

@@ -8,9 +8,11 @@ import (
 	"testing"
 )
 
-// scanEdges collects every live edge of g by a scan of its edge table, the
-// one store of edges that does not go through the CSR: each node's outgoing
-// and incoming edges, in ID order.
+// scanEdges collects every live edge of g by a scan of its edge table —
+// one walk of its base's slabs, then its private records, the tombstones
+// skipped — which never reads the CSR's overlay: each node's outgoing and
+// incoming edges, in ID order. The base's slabs themselves are checked
+// against a plain table by TestEdgeTableMatchesReference.
 func scanEdges(g *Graph) (out, in [][]Edge) {
 	out, in = make([][]Edge, g.NumNodes()), make([][]Edge, g.NumNodes())
 	g.Edges(func(e Edge) bool {

@@ -166,6 +166,15 @@ func (g *Graph) trimDeltas() {
 	g.deltas = append(g.deltas[:0], g.deltas[drop:]...)
 }
 
+// DropChanges empties the delta log: ChangesSince serves the current
+// version alone until the next mutation. It is for an owner that knows no
+// clone will be advanced from an earlier version, as after a rebase of a
+// graph whose clones advance only while they share its base.
+func (g *Graph) DropChanges() {
+	g.deltas = nil
+	g.deltaBase = g.version.Load()
+}
+
 // ChangesSince returns the deltas that advance the graph from the given
 // version to its current version, oldest first. ok is false when the window
 // no longer reaches back that far (or version is from the future), in which

@@ -186,8 +186,8 @@ func TestCompactTombstones(t *testing.T) {
 	}
 	v := g.Version()
 	g.Rebase()
-	if g.NumTombstones() != 0 || g.NumEdges() != 3 || len(g.b.edges) != 3 {
-		t.Fatalf("after rebase: %d tombstones, %d edges in a base of %d", g.NumTombstones(), g.NumEdges(), len(g.b.edges))
+	if g.NumTombstones() != 0 || g.NumEdges() != 3 || g.b.numEdges() != 3 {
+		t.Fatalf("after rebase: %d tombstones, %d edges in a base of %d", g.NumTombstones(), g.NumEdges(), g.b.numEdges())
 	}
 	if g.Version() != v {
 		t.Fatalf("a rebase changes no relationship, but moved the version %d -> %d", v, g.Version())
@@ -235,7 +235,7 @@ func TestRebaseRenumbersWeights(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[*g.rec(id)] = w
+		want[g.rec(id)] = w
 		return id
 	}
 	var ids []EdgeID
@@ -247,15 +247,15 @@ func TestRebaseRenumbersWeights(t *testing.T) {
 		ids = append(ids, add(NodeID(i+1), NodeID(i), "parent", float64(i+1)))
 	}
 	for i := 0; i < len(ids); i += 2 {
-		delete(want, *g.rec(ids[i]))
+		delete(want, g.rec(ids[i]))
 		if err := g.RemoveEdge(ids[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
 	clone := g.Clone()
 	g.Rebase()
-	if len(g.b.weights) != len(g.b.edges) || g.NumEdges() != len(want) {
-		t.Fatalf("after rebase: %d weights for %d edges, %d live, want %d", len(g.b.weights), len(g.b.edges), g.NumEdges(), len(want))
+	if len(g.b.weights) != g.b.numEdges() || g.NumEdges() != len(want) {
+		t.Fatalf("after rebase: %d weights for %d edges, %d live, want %d", len(g.b.weights), g.b.numEdges(), g.NumEdges(), len(want))
 	}
 	seen := 0
 	g.Edges(func(e Edge) bool {

@@ -3,16 +3,19 @@
 // per-node attribute tuples and δ assigns each edge a relationship type from
 // a finite alphabet Σ.
 //
-// The representation favors read-heavy access-control workloads: nodes and
-// edges are stored as dense columns indexed by NodeID/EdgeID — a base's
-// member names in one string beside a pointer-free name index — and the
-// adjacency is one label-partitioned compressed-sparse-row view (see CSR).
-// Edges may be removed (tombstoned); node IDs are never reused. A graph is
-// an immutable Base, shared with every clone taken of it, plus a private
-// part holding what changed since that base (see Graph).
+// The representation favors read-heavy access-control workloads: nodes are
+// stored as dense columns indexed by NodeID — a base's member names in one
+// string beside a pointer-free name index — and the adjacency is one
+// label-partitioned compressed-sparse-row view (see CSR), in which a base
+// also stores its edges: an edge's ID maps to its position in the out
+// slab, whose cell is its source and label. Edges may be removed
+// (tombstoned); node IDs are never reused. A graph is an immutable Base,
+// shared with every clone taken of it, plus a private part holding what
+// changed since that base (see Graph).
 package graph
 
 import (
+	"cmp"
 	"fmt"
 	"maps"
 	"slices"
@@ -45,7 +48,8 @@ type Node struct {
 // Edge is a directed relationship (x, y) with type δ(e) and an optional
 // weight (the paper's figures annotate some edges with trust weights such as
 // "Babysitting;0.8"; the weight is carried but not interpreted by the model).
-// A graph stores edges as edgeRecs and assembles an Edge when asked for one.
+// A graph assembles an Edge when asked for one: from its base's slabs, or
+// from a record of its private part.
 type Edge struct {
 	ID     EdgeID
 	From   NodeID
@@ -54,9 +58,11 @@ type Edge struct {
 	Weight float64
 }
 
-// edgeRec is how a graph stores an edge: the Edge less its ID, which is the
-// record's index in the edge table, and its weight, which lives in a column
-// of its own (see Base). 12 bytes, against Edge's 24.
+// edgeRec is how a graph's private part stores an edge, and what a layout
+// reads: the Edge less its ID, which is the record's index in its table,
+// and its weight, which lives in a column of its own (see Base). 12 bytes,
+// against Edge's 24. A base holds no records; a pass over its edges
+// materializes them as scratch (see Base.records).
 type edgeRec struct {
 	From, To NodeID
 	Label    Label
@@ -99,7 +105,7 @@ func withWeight(weights []float64, n int, w float64) []float64 {
 type Graph struct {
 	b *Base
 	// nodes and edges are the records added since the base: node id is
-	// nodes[id-b.numNodes()] and edge id is edges[id-len(b.edges)] once id
+	// nodes[id-b.numNodes()] and edge id is edges[id-b.numEdges()] once id
 	// is past the base's. names indexes the added nodes by name, nameBytes
 	// totals their lengths, and weights is the edges' weight column (see
 	// Base).
@@ -133,35 +139,43 @@ type Graph struct {
 }
 
 // Base is the immutable part of a graph: the member table and the edge
-// records, laid out by Rebase together with the CSR slabs (see CSR). The
-// graph that rebased and every clone taken of it since share one Base;
-// nothing writes it, so any number of them may read it without
-// synchronization, and the garbage collector frees it once no graph points
-// at it. Its edge table holds live edges only, edge i at edges[i]: a rebase
-// drops tombstones.
+// table, laid out by Rebase. The graph that rebased and every clone taken of
+// it since share one Base; nothing writes it, so any number of them may
+// read it without synchronization, and the garbage collector frees it once
+// no graph points at it. Its edges are live edges only, IDs 0 to
+// numEdges()-1: a rebase drops tombstones.
 //
 // The member table is columns (see members.go): node i is named
 // names[off[i]:off[i+1]], a substring of every name in ID order, and has the
 // attributes attrs[i], and index resolves a name to its node. Attrs is nil,
 // and every node's attributes nil, until some node has attributes, so a
 // member without them costs its name's bytes, 4 bytes of offset and 8 to 16
-// of index. Weights are a column beside the edge table, weights[i] edge
-// i's: nil, and every weight 0, until some edge has a nonzero one, so an
-// unweighted graph stores 12 bytes per edge record and a weighted one 20.
+// of index.
+//
+// The edge table is the CSR slabs out and in, with cells for labels labels
+// (see CSR), which every graph on the base reads as its CSR, plus pos:
+// edge i is at out position pos[i], and dir samples the out cells for
+// finding the one holding a position (see edges.go). Weights are a column
+// beside them, weights[i] edge i's: nil, and every weight 0, until some
+// edge has a nonzero one. An unweighted base stores 16 bytes per edge — a
+// target and an ID out, a source in, and pos — and a weighted one 24.
 type Base struct {
 	names   string
 	off     []uint32
 	attrs   []Attrs
 	index   []uint32
-	edges   []edgeRec
+	labels  int
+	out, in slabs
+	pos     []uint32
+	dir     []uint32
 	weights []float64
 }
 
 // New returns an empty social network graph.
 func New() *Graph {
-	g := &Graph{b: &Base{}, labels: newLabelTable()}
-	g.layOut(0)
-	return g
+	b := &Base{}
+	b.layOut(nil, 0)
+	return &Graph{b: b, labels: newLabelTable(), csr: b.csr()}
 }
 
 // Base returns the graph's shared base. Graphs returning the same Base share
@@ -295,7 +309,7 @@ func (g *Graph) AddWeightedEdge(from, to NodeID, label string, weight float64) (
 	if g.csr.edgeID(from, to, l) != InvalidEdge {
 		return InvalidEdge, errDuplicateEdge(g.Node(from).Name, label, g.Node(to).Name)
 	}
-	id := EdgeID(len(g.b.edges) + len(g.edges))
+	id := EdgeID(g.numEdgeIDs())
 	g.csr.addEdge(from, to, l, id)
 	g.weights = withWeight(g.weights, len(g.edges), weight)
 	g.edges = append(g.edges, edgeRec{From: from, To: to, Label: l})
@@ -341,7 +355,7 @@ func (g *Graph) RemoveEdge(id EdgeID) error {
 	if !g.EdgeAlive(id) {
 		return fmt.Errorf("graph: no live edge %d", id)
 	}
-	e := *g.rec(id)
+	e := g.rec(id)
 	if g.dead == nil {
 		g.dead = make(map[EdgeID]struct{})
 	}
@@ -353,17 +367,23 @@ func (g *Graph) RemoveEdge(id EdgeID) error {
 	return nil
 }
 
-// rec returns the record of edge id, which must be in range.
-func (g *Graph) rec(id EdgeID) *edgeRec {
-	if nb := len(g.b.edges); int(id) >= nb {
-		return &g.edges[int(id)-nb]
+// numEdgeIDs returns the number of edge IDs given out: live edges and
+// tombstones.
+func (g *Graph) numEdgeIDs() int { return g.b.numEdges() + len(g.edges) }
+
+// rec returns the record of edge id, which must be in range: a lookup in
+// the base's slabs (see Base.edge) or a read of the private part.
+func (g *Graph) rec(id EdgeID) edgeRec {
+	if nb := g.b.numEdges(); int(id) >= nb {
+		return g.edges[int(id)-nb]
 	}
-	return &g.b.edges[id]
+	return g.b.edge(id)
 }
 
-// weight returns the weight of edge id, which must be in range.
-func (g *Graph) weight(id EdgeID) float64 {
-	if nb := len(g.b.edges); int(id) >= nb {
+// Weight returns the weight of edge id (which may be tombstoned), which
+// must be in range.
+func (g *Graph) Weight(id EdgeID) float64 {
+	if nb := g.b.numEdges(); int(id) >= nb {
 		return weightAt(g.weights, int(id)-nb)
 	}
 	return weightAt(g.b.weights, int(id))
@@ -384,7 +404,7 @@ func (g *Graph) deadSet() []uint64 {
 	if len(g.dead) == 0 {
 		return nil
 	}
-	set := make([]uint64, (len(g.b.edges)+len(g.edges)+63)/64)
+	set := make([]uint64, (g.numEdgeIDs()+63)/64)
 	for id := range g.dead {
 		set[id>>6] |= 1 << (id & 63)
 	}
@@ -398,14 +418,17 @@ func inSet(set []uint64, id EdgeID) bool {
 
 // EdgeAlive reports whether id names a live edge.
 func (g *Graph) EdgeAlive(id EdgeID) bool {
-	return int(id) < len(g.b.edges)+len(g.edges) && !g.isDead(id)
+	return int(id) < g.numEdgeIDs() && !g.isDead(id)
 }
 
 // Edge returns the edge record for id (which may be tombstoned; check
-// EdgeAlive). It panics if id is out of range.
-func (g *Graph) Edge(id EdgeID) Edge {
-	r := g.rec(id)
-	return Edge{ID: id, From: r.From, To: r.To, Label: r.Label, Weight: g.weight(id)}
+// EdgeAlive). It panics if id is out of range. A caller that knows the
+// edge's endpoints and label has all of it but the weight (see Weight).
+func (g *Graph) Edge(id EdgeID) Edge { return g.assemble(id, g.rec(id)) }
+
+// assemble returns edge id, whose record is r.
+func (g *Graph) assemble(id EdgeID, r edgeRec) Edge {
+	return Edge{ID: id, From: r.From, To: r.To, Label: r.Label, Weight: g.Weight(id)}
 }
 
 // FindEdge returns the live edge (from, to, label) or InvalidEdge: a scan
@@ -429,13 +452,13 @@ func (g *Graph) HasEdge(from, to NodeID, label string) bool {
 // OutEdges calls fn for every live outgoing edge of n, in ID order, which is
 // the order they were added in. fn returning false stops the iteration.
 func (g *Graph) OutEdges(n NodeID, fn func(Edge) bool) {
-	var buf [32]EdgeID
-	ids := buf[:0]
+	var buf [32]Edge
+	es := buf[:0]
 	for l := range g.csr.labels {
-		ids = append(ids, g.csr.outIDs(n, Label(l))...)
+		es = g.appendOut(es, n, Label(l))
 	}
-	slices.Sort(ids)
-	g.each(ids, fn)
+	slices.SortFunc(es, byID)
+	g.each(es, fn)
 }
 
 // Neighbors calls fn once per live outgoing edge of n with the target
@@ -448,21 +471,27 @@ func (g *Graph) Neighbors(n NodeID, fn func(NodeID) bool) {
 
 // InEdges calls fn for every live incoming edge of n, in ID order.
 func (g *Graph) InEdges(n NodeID, fn func(Edge) bool) {
-	var buf [32]EdgeID
-	ids := buf[:0]
+	var buf [32]Edge
+	es := buf[:0]
 	for l := range g.csr.labels {
-		ids = g.csr.appendInIDs(ids, n, Label(l))
+		es = g.appendIn(es, n, Label(l))
 	}
-	slices.Sort(ids)
-	g.each(ids, fn)
+	slices.SortFunc(es, byID)
+	g.each(es, fn)
 }
 
 // LabeledOutEdges calls fn for every live outgoing edge of n under label l,
 // in ID order: a read of one CSR cell. fn returning false stops the
 // iteration.
 func (g *Graph) LabeledOutEdges(n NodeID, l Label, fn func(Edge) bool) {
-	if int(l) < g.csr.labels {
-		g.each(g.csr.outIDs(n, l), fn)
+	if int(l) >= g.csr.labels {
+		return
+	}
+	r := g.csr.outRun(n, l)
+	for j, id := range r.ids {
+		if !fn(Edge{ID: id, From: n, To: NodeID(r.nbr[j]), Label: l, Weight: g.Weight(id)}) {
+			return
+		}
 	}
 }
 
@@ -470,15 +499,40 @@ func (g *Graph) LabeledOutEdges(n NodeID, l Label, fn func(Edge) bool) {
 // scan of one out cell of its source.
 func (g *Graph) LabeledInEdges(n NodeID, l Label, fn func(Edge) bool) {
 	if int(l) < g.csr.labels {
-		var buf [32]EdgeID
-		g.each(g.csr.appendInIDs(buf[:0], n, l), fn)
+		var buf [32]Edge
+		g.each(g.appendIn(buf[:0], n, l), fn)
 	}
 }
 
-// each calls fn with the edge of every ID in ids until fn returns false.
-func (g *Graph) each(ids []EdgeID, fn func(Edge) bool) {
-	for _, id := range ids {
-		if !fn(g.Edge(id)) {
+// appendOut appends to dst the live edges of the out cell (n, l), in ID
+// order, less their weights: a CSR cell holds the rest of each.
+func (g *Graph) appendOut(dst []Edge, n NodeID, l Label) []Edge {
+	r := g.csr.outRun(n, l)
+	for j, id := range r.ids {
+		dst = append(dst, Edge{ID: id, From: n, To: NodeID(r.nbr[j]), Label: l})
+	}
+	return dst
+}
+
+// appendIn appends to dst the live edges of the in cell (n, l), in ID
+// order, less their weights: each in-neighbor m is the edge m -l-> n, which
+// is unique, and its ID is found in m's out cell.
+func (g *Graph) appendIn(dst []Edge, n NodeID, l Label) []Edge {
+	for _, m := range g.csr.InNeighbors(n, l) {
+		dst = append(dst, Edge{ID: g.csr.edgeID(NodeID(m), n, l), From: NodeID(m), To: n, Label: l})
+	}
+	return dst
+}
+
+// byID orders edges by ID.
+func byID(a, b Edge) int { return cmp.Compare(a.ID, b.ID) }
+
+// each calls fn with every edge of es, its weight filled in, until fn
+// returns false.
+func (g *Graph) each(es []Edge, fn func(Edge) bool) {
+	for _, e := range es {
+		e.Weight = g.Weight(e.ID)
+		if !fn(e) {
 			return
 		}
 	}
@@ -491,10 +545,18 @@ func (g *Graph) OutDegree(n NodeID) int { return g.csr.OutDegree(n) }
 // InDegree returns the number of live incoming edges of n; see OutDegree.
 func (g *Graph) InDegree(n NodeID) int { return g.csr.InDegree(n) }
 
-// Edges calls fn for every live edge in ID order.
+// Edges calls fn for every live edge in ID order. The base's edges are
+// read from one walk of its cells into scratch records (see Base.records),
+// so a pass costs O(V+E) and 12 bytes per base edge while it runs.
 func (g *Graph) Edges(fn func(Edge) bool) {
-	for id := EdgeID(0); int(id) < len(g.b.edges)+len(g.edges); id++ {
-		if !g.isDead(id) && !fn(g.Edge(id)) {
+	recs := g.b.records(0)
+	for id, r := range recs {
+		if !g.isDead(EdgeID(id)) && !fn(g.assemble(EdgeID(id), r)) {
+			return
+		}
+	}
+	for i, r := range g.edges {
+		if id := EdgeID(len(recs) + i); !g.isDead(id) && !fn(g.assemble(id, r)) {
 			return
 		}
 	}
@@ -542,52 +604,49 @@ func (g *Graph) Clone() *Graph {
 	return c
 }
 
-// Rebase folds the private part into a new base and lays the CSR out over
-// it: O(V+E), after which a Clone copies only what changes next. Tombstones
-// are dropped and the surviving edges renumbered densely, so EdgeIDs held
-// across a Rebase are invalid; node IDs, the version and the delta log stay
-// (no relationship changed). The old base is not written: clones on it keep
-// reading it until the last of them goes. Nodes added since the base give
-// the new base a fresh member table: the old names and the new ones copied
-// into one string, and a new index. The first rebase of a graph built since
-// New moves its edge tables into the base instead of concatenating them,
-// copying only a table with append slack, so that a base holds no slack.
-// Rebase returns the new CSR.
+// Rebase folds the private part into a new base, laid out with cells for
+// the labels the CSR has, and gives the graph a CSR over the new base's
+// slabs: O(V+E), after which a Clone copies only what changes next.
+// Tombstones are dropped and the surviving edges renumbered densely, so
+// EdgeIDs held across a Rebase are invalid; node IDs, the version and the
+// delta log stay (no relationship changed). The old base is not written:
+// clones on it keep reading it until the last of them goes. Nodes added
+// since the base give the new base a fresh member table: the old names and
+// the new ones copied into one string, and a new index. The first rebase of
+// a graph built since New moves its weight column into the base instead of
+// concatenating, copying it only if it has append slack, so that a base
+// holds no slack. Rebase returns the new CSR.
 func (g *Graph) Rebase() *CSR {
-	g.fold()
-	return g.layOut(g.csr.labels)
-}
-
-// fold moves the private part into a new base; see Rebase.
-func (g *Graph) fold() {
 	b := g.b
-	next := *b
+	next := Base{names: b.names, off: b.off, attrs: b.attrs, index: b.index, weights: b.weights}
 	if len(g.nodes) > 0 {
 		next.names, next.off, next.attrs, next.index = b.withNodes(g.nodes)
 	}
+	// The live records in their new ID order, scratch for the layout.
+	recs := g.records()
 	switch {
 	case len(g.dead) > 0:
-		dead := g.deadSet()
-		next.edges, next.weights = make([]edgeRec, 0, g.live), nil
-		for id := EdgeID(0); int(id) < len(b.edges)+len(g.edges); id++ {
-			if !inSet(dead, id) {
-				next.weights = withWeight(next.weights, len(next.edges), g.weight(id))
-				next.edges = append(next.edges, *g.rec(id))
+		dead, live := g.deadSet(), recs[:0]
+		next.weights = nil
+		for id, r := range recs {
+			if !inSet(dead, EdgeID(id)) {
+				next.weights = withWeight(next.weights, len(live), g.Weight(EdgeID(id)))
+				live = append(live, r)
 			}
 		}
+		recs = live
 	case len(g.edges) == 0:
-	case len(b.edges) == 0:
-		next.edges, next.weights = tight(g.edges), tight(g.weights)
-	default:
-		next.edges = slices.Concat(b.edges, g.edges)
-		if b.weights != nil || g.weights != nil {
-			next.weights = make([]float64, len(next.edges))
-			copy(next.weights, b.weights)
-			copy(next.weights[len(b.edges):], g.weights)
-		}
+	case b.numEdges() == 0:
+		next.weights = tight(g.weights)
+	case b.weights != nil || g.weights != nil:
+		next.weights = make([]float64, len(recs))
+		copy(next.weights, b.weights)
+		copy(next.weights[b.numEdges():], g.weights)
 	}
-	g.b = &next
+	next.layOut(recs, g.csr.labels)
+	g.b, g.csr = &next, next.csr()
 	g.nodes, g.names, g.nameBytes, g.edges, g.weights, g.dead = nil, nil, 0, nil, nil, nil
+	return g.csr
 }
 
 // tight returns s, or a copy of it without append slack if it has some.
@@ -608,9 +667,10 @@ func grown[S ~[]E, E any](s S, n int) S {
 }
 
 // NeedsRebase reports whether a Clone would copy more than a bounded private
-// part: the CSR's slabs were laid out over more than the current base (it
-// was re-laid out for a new label, or built by BuildCSR over a private
-// part), or its patches crossed the overlay bound (see CSR).
+// part, or the graph holds more than its base: the CSR holds slabs of its
+// own, not the base's (it was re-laid out for a new label, or built by
+// BuildCSR over a private part), or its patches crossed the overlay bound
+// (see CSR).
 func (g *Graph) NeedsRebase() bool {
 	c := g.csr
 	return c.base != g.b || c.overlay > c.limit

@@ -298,11 +298,14 @@ func TestSortedNodeNames(t *testing.T) {
 	}
 }
 
-// TestEdgeFootprint pins what a base stores per edge: a 12-byte record, no
-// weight column while every weight is zero, and one float per edge once some
-// weight is not, so a fully weighted graph stores 20 bytes per edge. Each
-// graph goes through all three ways Rebase builds a base: moving the loaded
-// tables, appending to a base and compacting out a tombstone.
+// TestEdgeFootprint pins what a base stores per edge: a target and an ID in
+// the out slab, a source in the in slab and a position, 16 bytes, beside a
+// directory of 4 bytes per 64 edges; no weight column while every weight
+// is zero, and one float per edge once some weight is not, so a fully
+// weighted graph stores 24 bytes per edge and its directory. The private
+// part's record stays 12 bytes. Each graph goes through all three ways
+// Rebase builds a base: moving the loaded weights, appending to a base and
+// compacting out a tombstone.
 func TestEdgeFootprint(t *testing.T) {
 	if got := unsafe.Sizeof(edgeRec{}); got != 12 {
 		t.Fatalf("edge record is %d bytes, want 12", got)
@@ -331,12 +334,17 @@ func TestEdgeFootprint(t *testing.T) {
 			}
 			continue
 		}
-		if len(b.weights) != len(b.edges) {
-			t.Fatalf("%d weights for %d edges", len(b.weights), len(b.edges))
+		edges := b.numEdges()
+		if len(b.weights) != edges || len(b.out.nbr) != edges || len(b.out.ids) != edges || len(b.in.nbr) != edges {
+			t.Fatalf("%d weights, %d out targets, %d out IDs and %d in sources for %d edges",
+				len(b.weights), len(b.out.nbr), len(b.out.ids), len(b.in.nbr), edges)
 		}
-		stored := int(unsafe.Sizeof(edgeRec{}))*len(b.edges) + int(unsafe.Sizeof(weight))*len(b.weights)
-		if per := float64(stored) / float64(len(b.edges)); per > 20 {
-			t.Fatalf("a weighted base stores %.1f bytes per edge, want at most 20", per)
+		if want := (edges + 63) / 64; len(b.dir) != want+1 {
+			t.Fatalf("a directory of %d entries for %d edges, want %d", len(b.dir), edges, want+1)
+		}
+		stored := 4*(len(b.out.nbr)+len(b.out.ids)+len(b.in.nbr)+len(b.pos)) + int(unsafe.Sizeof(weight))*len(b.weights)
+		if per := float64(stored) / float64(edges); per > 24 {
+			t.Fatalf("a weighted base stores %.1f bytes per edge, want at most 24", per)
 		}
 	}
 }

@@ -8,7 +8,8 @@ import "strings"
 // node would be hashed into a name map and each edge would scan its
 // source's cell for a duplicate, patch two CSR cells and log a delta, all
 // of which the first Rebase throws away; a Loader only appends to the
-// base's columns.
+// base's member columns and to edge records, which Graph lays out into the
+// base's slabs and drops.
 //
 // The graph Graph returns is the one those calls on a new Graph followed by
 // a Rebase give: the same node, edge and label IDs, weights and version,
@@ -35,7 +36,7 @@ func NewLoader() *Loader {
 
 // Grow makes room for the given numbers of further nodes and edges, so
 // that a caller knowing the size of its graph pays for no growth of the
-// tables, and Graph hands them to the base as they are.
+// tables, and Graph hands the member tables to the base as they are.
 func (l *Loader) Grow(nodes, edges int) {
 	l.off = grown(l.off, nodes)
 	if l.attrs != nil {
@@ -77,8 +78,9 @@ func (l *Loader) Graph() (*Graph, error) {
 	if l.names.Cap() != len(names) {
 		names = strings.Clone(names)
 	}
-	b := &Base{names: names, off: tight(l.off), attrs: tight(l.attrs), edges: tight(l.edges), weights: tight(l.weights)}
-	g := &Graph{b: b, labels: l.labels, live: len(b.edges)}
+	b := &Base{names: names, off: tight(l.off), attrs: tight(l.attrs), weights: tight(l.weights)}
+	recs := l.edges
+	g := &Graph{b: b, labels: l.labels, live: len(recs)}
 	*l = *NewLoader()
 	var dup NodeID
 	if b.index, dup = buildIndex(b.names, b.off); dup != InvalidNode {
@@ -90,7 +92,8 @@ func (l *Loader) Graph() (*Graph, error) {
 	v := uint64(g.NumNodes() + g.live)
 	g.version.Store(v)
 	g.deltaBase = v
-	g.layOut(g.labels.len())
+	b.layOut(recs, g.labels.len())
+	g.csr = b.csr()
 	if id := firstDuplicate(g.csr); id != InvalidEdge {
 		e := g.rec(id)
 		return nil, errDuplicateEdge(g.Node(e.From).Name, g.LabelName(e.Label), g.Node(e.To).Name)

@@ -239,25 +239,34 @@ func TestLoaderRejectsAsBuildDoes(t *testing.T) {
 }
 
 // TestBaseTablesTight checks that a base holds no append slack: Rebase
-// copies an offset, attribute, edge or weight table with slack that it
-// would otherwise move into the base, on an incremental build and on a
-// Loader's, and moves a table a Loader was grown to fit exactly. The names
-// column is exactly the names' bytes, and the index the smallest power of
-// two of at least 2n slots.
+// copies an offset, attribute or weight table with slack that it would
+// otherwise move into the base, on an incremental build and on a Loader's,
+// and moves a table a Loader was grown to fit exactly. The names column is
+// exactly the names' bytes, the index the smallest power of two of at
+// least 2n slots, and the edge table slabs of one entry per edge (two
+// out), one position per edge and a directory entry per 64 edges plus one.
 func TestBaseTablesTight(t *testing.T) {
 	const nodes = 100
 	tight := func(name string, g *Graph) {
 		t.Helper()
 		b := g.b
-		if cap(b.off) != len(b.off) || cap(b.attrs) != len(b.attrs) || cap(b.index) != len(b.index) ||
-			cap(b.edges) != len(b.edges) || cap(b.weights) != len(b.weights) {
-			t.Fatalf("%s: base tables %d/%d offsets, %d/%d attrs, %d/%d index, %d/%d edges, %d/%d weights (len/cap)", name,
-				len(b.off), cap(b.off), len(b.attrs), cap(b.attrs), len(b.index), cap(b.index),
-				len(b.edges), cap(b.edges), len(b.weights), cap(b.weights))
+		if cap(b.off) != len(b.off) || cap(b.attrs) != len(b.attrs) || cap(b.index) != len(b.index) || cap(b.weights) != len(b.weights) {
+			t.Fatalf("%s: base tables %d/%d offsets, %d/%d attrs, %d/%d index, %d/%d weights (len/cap)", name,
+				len(b.off), cap(b.off), len(b.attrs), cap(b.attrs), len(b.index), cap(b.index), len(b.weights), cap(b.weights))
 		}
-		if len(b.off) != nodes+1 || len(b.attrs) != nodes || len(b.index) != 256 || len(b.edges) != nodes-1 || len(b.weights) != nodes-1 {
+		if len(b.off) != nodes+1 || len(b.attrs) != nodes || len(b.index) != 256 || b.numEdges() != nodes-1 || len(b.weights) != nodes-1 {
 			t.Fatalf("%s: base holds %d offsets, %d attrs, %d index slots, %d edges, %d weights", name,
-				len(b.off), len(b.attrs), len(b.index), len(b.edges), len(b.weights))
+				len(b.off), len(b.attrs), len(b.index), b.numEdges(), len(b.weights))
+		}
+		for _, s := range [][]uint32{b.out.off, b.out.nbr, b.in.off, b.in.nbr, b.pos, b.dir} {
+			if cap(s) != len(s) {
+				t.Fatalf("%s: a slab or column of %d/%d entries (len/cap)", name, len(s), cap(s))
+			}
+		}
+		if cap(b.out.ids) != len(b.out.ids) || len(b.out.nbr) != nodes-1 || len(b.out.ids) != nodes-1 || len(b.in.nbr) != nodes-1 ||
+			len(b.out.off) != nodes+1 || len(b.in.off) != nodes+1 || len(b.dir) != (nodes-1+63)/64+1 {
+			t.Fatalf("%s: slabs of %d offsets, %d targets and %d IDs out, %d offsets and %d sources in; %d directory entries", name,
+				len(b.out.off), len(b.out.nbr), len(b.out.ids), len(b.in.off), len(b.in.nbr), len(b.dir))
 		}
 		var bytes int
 		for i := range nodes {
@@ -295,13 +304,13 @@ func TestBaseTablesTight(t *testing.T) {
 		}
 		build(func(name string, a Attrs) { l.AddNode(name, a) },
 			func(from, to NodeID, w float64) { l.AddEdge(from, to, "friend", w) })
-		off, attrs, edges := &l.off[0], &l.attrs[0], &l.edges[0]
+		off, attrs := &l.off[0], &l.attrs[0]
 		g, err := l.Graph()
 		if err != nil {
 			t.Fatal(err)
 		}
 		tight(fmt.Sprintf("loader grown %v", grow), g)
-		if moved := &g.b.off[0] == off && &g.b.attrs[0] == attrs && &g.b.edges[0] == edges; moved != grow {
+		if moved := &g.b.off[0] == off && &g.b.attrs[0] == attrs; moved != grow {
 			t.Fatalf("loader grown %v: tables moved %v", grow, moved)
 		}
 	}

@@ -409,7 +409,13 @@ func (idx *Index) tupleSurvives(owner, requester graph.NodeID, lq *linegraph.Lin
 	}
 	for i := range lq.Steps {
 		n := idx.l.Nodes[tup[i]]
-		if !idx.admits(lq, i, traversal{edge: idx.g.Edge(n.Edge), forward: true}) {
+		// The line node is a traversal of its edge; admits reads the edge's
+		// label and head, which the node carries.
+		e := graph.Edge{ID: n.Edge, From: n.Tail, To: n.Head, Label: n.Label}
+		if !n.Forward {
+			e.From, e.To = n.Head, n.Tail
+		}
+		if !idx.admits(lq, i, traversal{edge: e, forward: true}) {
 			return false
 		}
 	}

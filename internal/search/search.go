@@ -271,11 +271,13 @@ func (e *Engine) prev(c *compiled, index map[uint64]int, n graph.NodeID, s, d in
 						ps < s && d == 0 && st.MayClose(d1) && st.predsHold(g, n)) {
 						continue
 					}
-					id := g.FindEdge(p, n, st.label)
+					e := graph.Edge{From: p, To: n, Label: st.label}
 					if !forward {
-						id = g.FindEdge(n, p, st.label)
+						e.From, e.To = n, p
 					}
-					return Hop{Edge: g.Edge(id), Forward: forward, Step: int(ps)}, i
+					e.ID = g.FindEdge(e.From, e.To, e.Label)
+					e.Weight = g.Weight(e.ID)
+					return Hop{Edge: e, Forward: forward, Step: int(ps)}, i
 				}
 			}
 		}

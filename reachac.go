@@ -204,6 +204,9 @@ func New(opts ...Option) *Network {
 func newNetwork(g *graph.Graph, store *core.Store) *Network {
 	n := &Network{g: g, kind: Online, audit: core.NewAuditLog(0)}
 	n.store.Store(store)
+	// The graph's mutations so far end here: a recovery's log replay, or
+	// whatever built a graph handed to FromGraph.
+	n.rebaseLocked()
 	return n
 }
 

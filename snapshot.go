@@ -163,9 +163,9 @@ const sparePoolCap = 3
 // concurrent publishers.
 //
 // Every snapshot's graph is a clone of the master sharing its base (see
-// graph.Graph). Before a graph publication the master rebases, O(V+E), when
-// graph.Graph.NeedsRebase says a clone would cost more than a bounded
-// private part; parked snapshots on the old base then leave the pool.
+// graph.Graph). The master rebases where its mutations end (see
+// rebaseLocked), never here, so a publication clones a bounded private
+// part; parked snapshots on an old base leave the pool.
 //
 // Publication cost, cheapest first (Stats counts each tier):
 //
@@ -213,15 +213,9 @@ func (n *Network) publishLocked() (*snapshot, error) {
 		// Policy-only change: share the clone, engines and reader count.
 		gc, eval, se, refs = cur.g, cur.eval, cur.search, cur.refs
 		tier = &n.ctr.pubShared
-	} else {
-		if n.g.NeedsRebase() {
-			n.g.Rebase()
-			n.ctr.rebases.Add(1)
-		}
-		if agc, aeval, ase := n.advanceSpareLocked(cur); agc != nil {
-			gc, eval, se = agc, aeval, ase
-			tier = &n.ctr.pubAdvanced
-		}
+	} else if agc, aeval, ase := n.advanceSpareLocked(cur); agc != nil {
+		gc, eval, se = agc, aeval, ase
+		tier = &n.ctr.pubAdvanced
 	}
 	if gc == nil {
 		gc = n.g.Clone()
@@ -273,6 +267,23 @@ func (n *Network) publishLocked() (*snapshot, error) {
 		}
 	}
 	return s, nil
+}
+
+// rebaseLocked rebases the master graph when graph.Graph.NeedsRebase says
+// a clone of it would cost more than a bounded private part, and drops the
+// master's delta log: every parked snapshot is on the old base, which
+// advanceSpareLocked drops unadvanced, so the log serves none of them. Each
+// section that mutates the master ends with it — a Batch, a replicated
+// group, a recovery — and a checkpoint calls it before it clones, so a
+// reader never pays for the O(V+E) fold. Callers hold n.mu, or own a
+// network not yet shared.
+func (n *Network) rebaseLocked() {
+	if !n.g.NeedsRebase() {
+		return
+	}
+	n.g.Rebase()
+	n.g.DropChanges()
+	n.ctr.rebases.Add(1)
 }
 
 // advanceSpareLocked tries to satisfy a publication by fast-forwarding a

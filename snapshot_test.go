@@ -136,12 +136,13 @@ func TestDeltaWindowOverflowFallsBack(t *testing.T) {
 	}
 }
 
-// TestPublishCompactsTombstones pins the full-rebuild compaction: enough
-// Unrelate churn leaves the master with zero tombstones after the next
-// publication.
+// TestPublishCompactsTombstones pins the full-rebuild compaction: a batch
+// of Unrelate churn past the overlay bound leaves the master with zero
+// tombstones when it ends, before any publication, and the next
+// publication decides on the compacted graph.
 func TestPublishCompactsTombstones(t *testing.T) {
 	n := New()
-	const members = 90
+	const members = 600
 	ids := make([]UserID, members)
 	for i := range ids {
 		ids[i] = n.MustAddUser(fmt.Sprintf("u%02d", i))
@@ -155,13 +156,23 @@ func TestPublishCompactsTombstones(t *testing.T) {
 	if _, err := n.Share("r", ids[0], "friend+[1]"); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < members-1; i++ {
-		if err := n.Unrelate(ids[i], ids[i+1], "friend"); err != nil {
-			t.Fatal(err)
+	rebases := n.Stats().GraphRebases
+	err := n.Batch(func(tx *Tx) error {
+		for i := 0; i < members-1; i++ {
+			if err := tx.Unrelate(ids[i], ids[i+1], "friend"); err != nil {
+				return err
+			}
 		}
+		if got := n.Graph().NumTombstones(); got != members-1 {
+			t.Errorf("tombstones within the batch = %d, want %d", got, members-1)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if n.Graph().NumTombstones() != members-1 {
-		t.Fatalf("tombstones = %d, want %d", n.Graph().NumTombstones(), members-1)
+	if got := n.Graph().NumTombstones(); got != 0 || n.Stats().GraphRebases != rebases+1 {
+		t.Fatalf("the batch left %d tombstones after %d rebases", got, n.Stats().GraphRebases-rebases)
 	}
 	publish(t, n)
 	if got := n.Graph().NumTombstones(); got != 0 {

@@ -42,9 +42,10 @@ type Stats struct {
 	PublicationsShared   uint64 `json:"publications_shared"`
 	PublicationsAdvanced uint64 `json:"publications_advanced"`
 	PublicationsRebuilt  uint64 `json:"publications_rebuilt"`
-	// GraphRebases counts publications that first folded the master graph's
-	// changes into a new shared base, the one O(V+E) graph step left (see
-	// graph.Graph.Rebase); a rebuilt publication or two follows each.
+	// GraphRebases counts the times the master graph folded its changes
+	// into a new shared base, the one O(V+E) graph step left (see
+	// graph.Graph.Rebase), at the end of the mutations that crossed the
+	// bound; a rebuilt publication or two follows each.
 	GraphRebases uint64 `json:"graph_rebases"`
 
 	// The next seven fields are always zero: decisions are not cached, and
