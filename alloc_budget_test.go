@@ -78,10 +78,9 @@ func TestAudienceAllocBudget(t *testing.T) {
 	}
 }
 
-// TestCanAccessAllAllocBudget: a warmed 16-requester batch — below
-// fanOutMin, so decided serially — pays for the result slice and nothing
-// else (measured: 1 object/op; it was 2 plus scheduler-dependent goroutine
-// bookkeeping while every batch fanned out).
+// TestCanAccessAllAllocBudget: a warmed 16-requester batch pays for the
+// result slice and nothing else (measured: 1 object/op; it was 2 plus
+// scheduler-dependent goroutine bookkeeping while every batch fanned out).
 func TestCanAccessAllAllocBudget(t *testing.T) {
 	n, ids := allocNet(t)
 	reqs := ids[:16]

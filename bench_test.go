@@ -239,28 +239,9 @@ func BenchmarkPathParse(b *testing.B) {
 	}
 }
 
-func BenchmarkFacadeCanAccess(b *testing.B) {
-	g := benchGraph("social")
-	n := FromGraph(g)
-	owner, _ := n.UserID("u000010")
-	if _, err := n.Share("r", owner, "friend+[1,2]"); err != nil {
-		b.Fatal(err)
-	}
-	if err := n.UseEngine(Index); err != nil {
-		b.Fatal(err)
-	}
-	pairs := workload.HitPairs(g, 64, 2, 7)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := n.CanAccess("r", pairs[i%len(pairs)].Requester); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // benchAccessNetwork builds a shared-graph network with one policy and a
 // pool of requester pairs for the serial/parallel CanAccess benchmarks.
-func benchAccessNetwork(b *testing.B, kind EngineKind) (*Network, []workload.Pair) {
+func benchAccessNetwork(b *testing.B) (*Network, []workload.Pair) {
 	b.Helper()
 	g := benchGraph("social")
 	n := FromGraph(g)
@@ -268,12 +249,8 @@ func benchAccessNetwork(b *testing.B, kind EngineKind) (*Network, []workload.Pai
 	if _, err := n.Share("r", owner, "friend+[1,2]"); err != nil {
 		b.Fatal(err)
 	}
-	if err := n.UseEngine(kind); err != nil {
-		b.Fatal(err)
-	}
 	pairs := workload.HitPairs(g, 256, 2, 7)
-	// Publish the snapshot and warm lazily built structures outside the
-	// timer.
+	// Publish the snapshot and warm the plan cache outside the timer.
 	if _, err := n.CanAccess("r", pairs[0].Requester); err != nil {
 		b.Fatal(err)
 	}
@@ -283,16 +260,12 @@ func benchAccessNetwork(b *testing.B, kind EngineKind) (*Network, []workload.Pai
 // BenchmarkCanAccessSerial is the single-goroutine baseline for
 // BenchmarkCanAccessParallel: same network, same requester pool.
 func BenchmarkCanAccessSerial(b *testing.B) {
-	for _, kind := range []EngineKind{Online, Closure, Index} {
-		b.Run(kind.String(), func(b *testing.B) {
-			n, pairs := benchAccessNetwork(b, kind)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := n.CanAccess("r", pairs[i%len(pairs)].Requester); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	n, pairs := benchAccessNetwork(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := n.CanAccess("r", pairs[i%len(pairs)].Requester); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -302,164 +275,135 @@ func BenchmarkCanAccessSerial(b *testing.B) {
 // serial rate; snapshot isolation should scale near-linearly with cores
 // (compare ns/op against BenchmarkCanAccessSerial).
 func BenchmarkCanAccessParallel(b *testing.B) {
-	for _, kind := range []EngineKind{Online, Closure, Index} {
-		b.Run(kind.String(), func(b *testing.B) {
-			n, pairs := benchAccessNetwork(b, kind)
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				i := 0
-				for pb.Next() {
-					if _, err := n.CanAccess("r", pairs[i%len(pairs)].Requester); err != nil {
-						// b.Fatal must not run on RunParallel workers.
-						b.Error(err)
-						return
-					}
-					i++
-				}
-			})
-		})
-	}
+	n, pairs := benchAccessNetwork(b)
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		i := 0
+		for pb.Next() {
+			if _, err := n.CanAccess("r", pairs[i%len(pairs)].Requester); err != nil {
+				// b.Fatal must not run on RunParallel workers.
+				b.Error(err)
+				return
+			}
+			i++
+		}
+	})
 }
 
 // BenchmarkCheckPathParallel is the audit-free companion of
 // BenchmarkCanAccessParallel: CheckPath parses and evaluates the path
-// expression without recording a decision, so this measures the evaluators'
+// expression without recording a decision, so this measures the search's
 // own concurrent read throughput against one snapshot.
 func BenchmarkCheckPathParallel(b *testing.B) {
-	for _, kind := range []EngineKind{Online, Closure, Index} {
-		b.Run(kind.String(), func(b *testing.B) {
-			n, pairs := benchAccessNetwork(b, kind)
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				i := 0
-				for pb.Next() {
-					p := pairs[i%len(pairs)]
-					if _, err := n.CheckPath(p.Owner, p.Requester, "friend+[1,2]"); err != nil {
-						// b.Fatal must not run on RunParallel workers.
-						b.Error(err)
-						return
-					}
-					i++
-				}
-			})
-		})
-	}
+	n, pairs := benchAccessNetwork(b)
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		i := 0
+		for pb.Next() {
+			p := pairs[i%len(pairs)]
+			if _, err := n.CheckPath(p.Owner, p.Requester, "friend+[1,2]"); err != nil {
+				// b.Fatal must not run on RunParallel workers.
+				b.Error(err)
+				return
+			}
+			i++
+		}
+	})
 }
 
-// BenchmarkCanAccessAll measures the batch API below fanOutMin (decided
-// serially), at it (fanned out over the worker pool) and over every member
-// of the graph, on the online search and on the join index. The "loop" arm
-// makes the same decisions one View.CanAccess at a time: the serial
-// reference for the sizes "batch" fans out. It is the measurement
-// fanOutMin's comment quotes.
+// BenchmarkCanAccessAll measures the batch API at a serving-layer
+// check-batch (16), at 64 and over every member of the graph. The "loop"
+// arm makes the same decisions one View.CanAccess at a time, the reference
+// the batch must not lose to.
 func BenchmarkCanAccessAll(b *testing.B) {
-	for _, kind := range []EngineKind{Online, Index} {
-		b.Run(kind.String(), func(b *testing.B) {
-			n, _ := benchAccessNetwork(b, kind)
-			for _, size := range []int{16, 32, fanOutMin, benchSize} {
-				requesters := make([]UserID, size)
-				for i := range requesters {
-					requesters[i] = UserID(i)
+	n, _ := benchAccessNetwork(b)
+	for _, size := range []int{16, 64, benchSize} {
+		requesters := make([]UserID, size)
+		for i := range requesters {
+			requesters[i] = UserID(i)
+		}
+		b.Run(fmt.Sprintf("batch/n=%d", size), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := n.CanAccessAll("r", requesters); err != nil {
+					b.Fatal(err)
 				}
-				b.Run(fmt.Sprintf("batch/n=%d", size), func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						if _, err := n.CanAccessAll("r", requesters); err != nil {
-							b.Fatal(err)
-						}
-					}
-					b.ReportMetric(float64(size), "decisions/op")
-				})
-				b.Run(fmt.Sprintf("loop/n=%d", size), func(b *testing.B) {
-					v, err := n.View()
-					if err != nil {
+			}
+			b.ReportMetric(float64(size), "decisions/op")
+		})
+		b.Run(fmt.Sprintf("loop/n=%d", size), func(b *testing.B) {
+			v, err := n.View()
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer v.Close()
+			for i := 0; i < b.N; i++ {
+				for _, r := range requesters {
+					if _, err := v.CanAccess("r", r); err != nil {
 						b.Fatal(err)
 					}
-					defer v.Close()
-					for i := 0; i < b.N; i++ {
-						for _, r := range requesters {
-							if _, err := v.CanAccess("r", r); err != nil {
-								b.Fatal(err)
-							}
-						}
-					}
-					b.ReportMetric(float64(size), "decisions/op")
-				})
+				}
 			}
+			b.ReportMetric(float64(size), "decisions/op")
 		})
 	}
 }
 
 // BenchmarkInterleavedMutateRead measures the snapshot republication cost
-// under the worst-case production pattern PR 1 documented: every mutation
+// under the worst-case production pattern: every mutation
 // is immediately followed by a read, so each read pays a publication. The
 // "delta" arm uses the default bounded delta log (the retired clone is
 // fast-forwarded in O(Δ)); the "rebuild" arm disables the log, forcing a
 // rebuilt publication every time: a clone of the master's changes since its
-// base and a new evaluator, which is O(V+E) only for the precomputed
-// engines. Online engines run on a 50k-member graph; the precomputed engines
-// run smaller (a 50k×50k bitset closure would not fit) but exercise the same
-// two paths.
+// base and a new search engine, on a 50k-member graph.
 func BenchmarkInterleavedMutateRead(b *testing.B) {
-	cases := []struct {
-		kind EngineKind
-		size int
-	}{
-		{Online, 50000},
-		{Closure, 2000},
-		{Index, 2000},
-	}
-	for _, c := range cases {
-		for _, mode := range []string{"delta", "rebuild"} {
-			b.Run(fmt.Sprintf("%s-%d/%s", c.kind, c.size, mode), func(b *testing.B) {
-				g := generate.MustBuild(generate.MustNew("osn", generate.WithNodes(c.size), generate.WithSeed(7), generate.WithAttrs()))
-				if mode == "rebuild" {
-					g.SetDeltaLogLimit(-1)
-				}
-				n := FromGraph(g)
-				owner, _ := n.UserID("u000010")
-				if _, err := n.Share("r", owner, "friend+[1,2]"); err != nil {
+	const size = 50000
+	for _, mode := range []string{"delta", "rebuild"} {
+		b.Run(fmt.Sprintf("%d/%s", size, mode), func(b *testing.B) {
+			g := generate.MustBuild(generate.MustNew("osn", generate.WithNodes(size), generate.WithSeed(7), generate.WithAttrs()))
+			if mode == "rebuild" {
+				g.SetDeltaLogLimit(-1)
+			}
+			n := FromGraph(g)
+			owner, _ := n.UserID("u000010")
+			if _, err := n.Share("r", owner, "friend+[1,2]"); err != nil {
+				b.Fatal(err)
+			}
+			pairs := workload.HitPairs(g, 64, 2, 7)
+			x, _ := n.UserID("u000001")
+			y, _ := n.UserID("u000002")
+			// Warm: publish twice so the delta arm's ping-pong has a
+			// retired spare, and lazily built structures exist.
+			for i := 0; i < 2; i++ {
+				if err := n.Relate(x, y, "bench-touch"); err != nil {
 					b.Fatal(err)
 				}
-				if err := n.UseEngine(c.kind); err != nil {
+				if _, err := n.CanAccess("r", pairs[0].Requester); err != nil {
 					b.Fatal(err)
 				}
-				pairs := workload.HitPairs(g, 64, 2, 7)
-				x, _ := n.UserID("u000001")
-				y, _ := n.UserID("u000002")
-				// Warm: publish twice so the delta arm's ping-pong has a
-				// retired spare, and lazily built structures exist.
-				for i := 0; i < 2; i++ {
-					if err := n.Relate(x, y, "bench-touch"); err != nil {
-						b.Fatal(err)
-					}
-					if _, err := n.CanAccess("r", pairs[0].Requester); err != nil {
-						b.Fatal(err)
-					}
-					if err := n.Unrelate(x, y, "bench-touch"); err != nil {
-						b.Fatal(err)
-					}
-					if _, err := n.CanAccess("r", pairs[0].Requester); err != nil {
-						b.Fatal(err)
-					}
+				if err := n.Unrelate(x, y, "bench-touch"); err != nil {
+					b.Fatal(err)
 				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					var err error
-					if i%2 == 0 {
-						err = n.Relate(x, y, "bench-touch")
-					} else {
-						err = n.Unrelate(x, y, "bench-touch")
-					}
-					if err != nil {
-						b.Fatal(err)
-					}
-					if _, err := n.CanAccess("r", pairs[i%len(pairs)].Requester); err != nil {
-						b.Fatal(err)
-					}
+				if _, err := n.CanAccess("r", pairs[0].Requester); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var err error
+				if i%2 == 0 {
+					err = n.Relate(x, y, "bench-touch")
+				} else {
+					err = n.Unrelate(x, y, "bench-touch")
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := n.CanAccess("r", pairs[i%len(pairs)].Requester); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -658,35 +602,6 @@ func BenchmarkBatchMutate(b *testing.B) {
 	})
 }
 
-// BenchmarkTwoHopInsert measures incremental 2-hop maintenance (one edge
-// insertion with resumed pruned BFS) against the full rebuild it replaces.
-func BenchmarkTwoHopInsert(b *testing.B) {
-	g := benchGraph("follow")
-	l := linegraph.Build(g, linegraph.Opts{})
-	base := l.D
-	rev := base.Reverse()
-	cover := twohop.Pruned(base)
-	rng := 12345
-	b.Run("incremental", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			// Pseudo-random existing vertices; the edge may duplicate, which
-			// Insert handles as already-covered.
-			rng = rng*1103515245 + 12345
-			u := (rng >> 16 & 0x7fff) % base.N()
-			rng = rng*1103515245 + 12345
-			v := (rng >> 16 & 0x7fff) % base.N()
-			base.AddEdge(u, v)
-			rev.AddEdge(v, u)
-			cover.Insert(base, rev, u, v)
-		}
-	})
-	b.Run("rebuild", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			twohop.Pruned(base)
-		}
-	})
-}
-
 // BenchmarkScenarioMixes measures per-operation cost of the acbench
 // workload mixes (internal/workload) against the embedded facade with the
 // paper's join index — the same operation streams cmd/acbench drives at
@@ -706,9 +621,6 @@ func BenchmarkScenarioMixes(b *testing.B) {
 				}
 				return nil
 			}); err != nil {
-				b.Fatal(err)
-			}
-			if err := n.UseEngine(Index); err != nil {
 				b.Fatal(err)
 			}
 			gen := workload.NewGenerator(base, mix, workload.GenConfig{Resources: specs}, 11)

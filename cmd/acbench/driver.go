@@ -31,10 +31,6 @@ type target interface {
 	stats() (Counters, error)
 	// classify maps an operation error to a loadgen outcome.
 	classify(err error) loadgen.Outcome
-	// engineName reports the engine actually serving, or "" when the
-	// caller's requested kind is authoritative (an external daemon's
-	// engine is whatever it was started with, not what acbench asked).
-	engineName() string
 	// close releases the target (self-hosted servers shut down here; an
 	// external daemon gets this run's leftover mutations undone).
 	close() error
@@ -78,14 +74,11 @@ type embeddedTarget struct {
 
 // newEmbeddedTarget builds a network over a private clone of g (each
 // scenario starts from the pristine graph), pre-shares the scenario's
-// resources in one batch and selects the engine.
-func newEmbeddedTarget(g *graph.Graph, kind reachac.EngineKind, specs []workload.ResourceSpec, workers int) (*embeddedTarget, error) {
+// resources in one batch.
+func newEmbeddedTarget(g *graph.Graph, specs []workload.ResourceSpec, workers int) (*embeddedTarget, error) {
 	n := reachac.FromGraph(g.Clone())
 	if err := shareSpecs(n, specs); err != nil {
 		return nil, err
-	}
-	if err := n.UseEngine(kind); err != nil {
-		return nil, fmt.Errorf("engine %s: %w", kind, err)
 	}
 	return &embeddedTarget{net: n, specs: specs, rules: newRuleStacks(workers, len(specs))}, nil
 }
@@ -153,8 +146,6 @@ func (t *embeddedTarget) classify(err error) loadgen.Outcome {
 	return loadgen.OK
 }
 
-func (t *embeddedTarget) engineName() string { return "" }
-
 func (t *embeddedTarget) close() error { return nil }
 
 // --- streamed embedded ---
@@ -210,9 +201,8 @@ func (c *streamedCell) release() { c.target.releaseView() }
 // newStreamedCell builds an embedded cell for node counts at/above
 // -stream-min: the topology built with generate.Build and handed to
 // FromGraph, so the cell's network holds the only copy of the graph, then
-// specs and a pinned view for workload construction. Mirrors
-// newEmbeddedTarget's ordering: share specs first, select the engine last.
-func newStreamedCell(top generate.Topology, kind reachac.EngineKind, sc workload.Scenario, cfg benchConfig) (*streamedCell, error) {
+// specs and a pinned view for workload construction.
+func newStreamedCell(top generate.Topology, sc workload.Scenario, cfg benchConfig) (*streamedCell, error) {
 	g, err := generate.Build(top)
 	if err != nil {
 		return nil, err
@@ -227,10 +217,6 @@ func newStreamedCell(top generate.Topology, kind reachac.EngineKind, sc workload
 	if err := shareSpecs(n, specs); err != nil {
 		v.Close()
 		return nil, err
-	}
-	if err := n.UseEngine(kind); err != nil {
-		v.Close()
-		return nil, fmt.Errorf("engine %s: %w", kind, err)
 	}
 	t := &streamedCellTarget{
 		embeddedTarget: embeddedTarget{net: n, specs: specs, rules: newRuleStacks(cfg.workers, len(specs))},
@@ -257,10 +243,10 @@ type shardedTarget struct {
 
 func (t *shardedTarget) name(id graph.NodeID) string { return generate.UserName(int(id)) }
 
-func newShardedTarget(g *graph.Graph, kind reachac.EngineKind, specs []workload.ResourceSpec, workers, shards int) (*shardedTarget, error) {
+func newShardedTarget(g *graph.Graph, specs []workload.ResourceSpec, workers, shards int) (*shardedTarget, error) {
 	backends := make([]shard.Backend, shards)
 	for i := range backends {
-		backends[i] = shard.NewEmbedded(reachac.New(reachac.WithEngine(kind)))
+		backends[i] = shard.NewEmbedded(reachac.New())
 	}
 	ctx := context.Background()
 	r, err := shard.New(ctx, backends, shard.Config{})
@@ -356,8 +342,6 @@ func (t *shardedTarget) classify(err error) loadgen.Outcome {
 	return loadgen.OK
 }
 
-func (t *shardedTarget) engineName() string { return "" }
-
 func (t *shardedTarget) close() error { return t.r.Close() }
 
 // --- HTTP ---
@@ -369,10 +353,6 @@ type httpTarget struct {
 	c     *client.Client
 	specs []workload.ResourceSpec
 	rules ruleStacks
-	// engine is the daemon-reported engine kind (external mode, where
-	// the daemon — not acbench — chose it); "" means the caller's kind
-	// stands.
-	engine string
 	// cleanup, set for external daemons (which persist across scenario
 	// cells and acbench runs), makes close undo this run's leftover
 	// mutations: still-live toggled edges and still-outstanding churn
@@ -389,8 +369,6 @@ type edgeRef struct {
 }
 
 func (t *httpTarget) name(id graph.NodeID) string { return generate.UserName(int(id)) }
-
-func (t *httpTarget) engineName() string { return t.engine }
 
 func (t *httpTarget) do(ctx context.Context, worker int, op workload.Op) error {
 	spec := t.specs[op.Resource]
@@ -501,9 +479,9 @@ func (t *httpTarget) close() error {
 
 // newSelfHostedTarget starts a real acserverd serving stack (durable
 // network created from a clone of g in a temp directory, coalescing
-// server, loopback listener) for one engine kind, pre-shares the
-// resources, and returns an httpTarget driving it.
-func newSelfHostedTarget(g *graph.Graph, kind reachac.EngineKind, specs []workload.ResourceSpec, workers int, sync reachac.Option) (*httpTarget, error) {
+// server, loopback listener), pre-shares the resources, and returns an
+// httpTarget driving it.
+func newSelfHostedTarget(g *graph.Graph, specs []workload.ResourceSpec, workers int, sync reachac.Option) (*httpTarget, error) {
 	dir, err := os.MkdirTemp("", "acbench-*")
 	if err != nil {
 		return nil, err
@@ -512,7 +490,7 @@ func newSelfHostedTarget(g *graph.Graph, kind reachac.EngineKind, specs []worklo
 		os.RemoveAll(dir)
 		return nil, e
 	}
-	n, err := reachac.Create(dir, g.Clone(), reachac.WithEngine(kind), sync)
+	n, err := reachac.Create(dir, g.Clone(), sync)
 	if err != nil {
 		return fail(err)
 	}
@@ -549,16 +527,14 @@ func newSelfHostedTarget(g *graph.Graph, kind reachac.EngineKind, specs []worklo
 // alreadySeeded (a previous scenario cell of this run loaded it), the
 // graph and resources are loaded over the wire; duplicate users,
 // relationships and re-registered resources are tolerated so repeated
-// runs against a persistent daemon work. The cell's engine label comes
-// from the daemon's own stats — the daemon, not acbench, chose it.
+// runs against a persistent daemon work.
 func newExternalTarget(addr string, g *graph.Graph, specs []workload.ResourceSpec, workers int, alreadySeeded bool) (*httpTarget, error) {
 	c, err := client.New(addr)
 	if err != nil {
 		return nil, err
 	}
 	ctx := context.Background()
-	st, err := c.Stats(ctx)
-	if err != nil {
+	if _, err := c.Stats(ctx); err != nil {
 		return nil, fmt.Errorf("probing %s: %w", addr, err)
 	}
 	if !alreadySeeded {
@@ -589,7 +565,6 @@ func newExternalTarget(addr string, g *graph.Graph, specs []workload.ResourceSpe
 		c:         c,
 		specs:     specs,
 		rules:     newRuleStacks(workers, len(specs)),
-		engine:    st.Engine,
 		cleanup:   true,
 		liveEdges: make([][]edgeRef, workers),
 	}, nil

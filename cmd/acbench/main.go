@@ -8,7 +8,7 @@
 //
 // Run benchmarks:
 //
-//	acbench -mode embedded -engines online,index -scenarios all \
+//	acbench -mode embedded -scenarios all \
 //	        -nodes 2000 -duration 3s -out BENCH_acbench.json
 //	acbench -mode http                   # self-hosts a real serving stack
 //	acbench -mode http -addr host:8708   # drives an external daemon
@@ -60,7 +60,6 @@ func main() {
 	var (
 		mode        = flag.String("mode", "embedded", "benchmark mode: embedded, http, or both")
 		addr        = flag.String("addr", "", "drive an external acserverd at this address (http mode; default self-hosts one per engine)")
-		engines     = flag.String("engines", "online,index", "comma-separated engine kinds, or 'all'")
 		scenarios   = flag.String("scenarios", "all", "comma-separated scenario names from the workload registry, or 'all' (have: "+strings.Join(workload.Names(), ", ")+")")
 		nodesCSV    = flag.String("nodes", "2000", "social graph size, or a comma list for a scaling sweep")
 		topology    = flag.String("topology", "osn", "topology family: "+strings.Join(generate.Kinds(), ", "))
@@ -92,10 +91,6 @@ func main() {
 	}
 
 	modes, err := parseModes(*mode)
-	if err != nil {
-		log.Fatal(err)
-	}
-	kinds, err := parseEngines(*engines)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -164,34 +159,29 @@ func main() {
 			log.Printf("graph: %s, %d users (built per cell)", top.Kind(), nodeCount)
 		}
 		for _, m := range modes {
-			for _, kind := range kinds {
-				for _, sc := range scens {
-					for _, shardCount := range shardCounts {
-						for _, r := range rates {
-							cellCfg := cfg
-							cellCfg.nodes = nodeCount
-							cellCfg.shards = shardCount
-							cellCfg.rate = r
-							res, err := runScenario(m, env, kind, sc, cellCfg)
-							if err != nil {
-								log.Fatalf("%s/%s/%s: %v", m, kind, sc.Name, err)
-							}
-							art.Scenarios = append(art.Scenarios, res)
-							label := res.Scenario
-							if res.Shards > 0 {
-								label = fmt.Sprintf("%s/s=%d", res.Scenario, res.Shards)
-							}
-							if res.RateLimit > 0 {
-								label = fmt.Sprintf("%s@%g", label, res.RateLimit)
-							}
-							log.Printf("%-8s %-16s %-18s n=%-8d %9.0f ops/s  p50 %7.0fµs  p99 %7.0fµs  err %d  shed %d",
-								res.Mode, res.Engine, label, res.Nodes, res.Throughput,
-								res.Latency.P50, res.Latency.P99, res.Errors, res.Shed)
+			for _, sc := range scens {
+				for _, shardCount := range shardCounts {
+					for _, r := range rates {
+						cellCfg := cfg
+						cellCfg.nodes = nodeCount
+						cellCfg.shards = shardCount
+						cellCfg.rate = r
+						res, err := runScenario(m, env, sc, cellCfg)
+						if err != nil {
+							log.Fatalf("%s/%s: %v", m, sc.Name, err)
 						}
+						art.Scenarios = append(art.Scenarios, res)
+						label := res.Scenario
+						if res.Shards > 0 {
+							label = fmt.Sprintf("%s/s=%d", res.Scenario, res.Shards)
+						}
+						if res.RateLimit > 0 {
+							label = fmt.Sprintf("%s@%g", label, res.RateLimit)
+						}
+						log.Printf("%-8s %-18s n=%-8d %9.0f ops/s  p50 %7.0fµs  p99 %7.0fµs  err %d  shed %d",
+							res.Mode, label, res.Nodes, res.Throughput,
+							res.Latency.P50, res.Latency.P99, res.Errors, res.Shed)
 					}
-				}
-				if m == "http" && cfg.addr != "" {
-					break // an external daemon serves one engine; don't redrive it per kind
 				}
 			}
 		}
@@ -245,11 +235,11 @@ type cellEnv struct {
 	g   *graph.Graph
 }
 
-// runScenario benchmarks one (mode, engine, scenario[, shards, rate])
+// runScenario benchmarks one (mode, scenario[, shards, rate])
 // cell: build the target, spin up per-worker deterministic generators,
 // run the loadgen window, and fold the counter deltas into a
 // ScenarioResult.
-func runScenario(mode string, env cellEnv, kind reachac.EngineKind, sc workload.Scenario, cfg benchConfig) (ScenarioResult, error) {
+func runScenario(mode string, env cellEnv, sc workload.Scenario, cfg benchConfig) (ScenarioResult, error) {
 	var (
 		t              target
 		src            workload.Source
@@ -266,7 +256,7 @@ func runScenario(mode string, env cellEnv, kind reachac.EngineKind, sc workload.
 				"%d nodes is at/above -stream-min: streamed cells support unsharded embedded mode only", env.top.Nodes())
 		}
 		streamed = true
-		st, err := newStreamedCell(env.top, kind, sc, cfg)
+		st, err := newStreamedCell(env.top, sc, cfg)
 		if err != nil {
 			return ScenarioResult{}, err
 		}
@@ -279,9 +269,9 @@ func runScenario(mode string, env cellEnv, kind reachac.EngineKind, sc workload.
 		switch mode {
 		case "embedded":
 			if cfg.shards > 0 {
-				t, err = newShardedTarget(env.g, kind, specs, cfg.workers, cfg.shards)
+				t, err = newShardedTarget(env.g, specs, cfg.workers, cfg.shards)
 			} else {
-				t, err = newEmbeddedTarget(env.g, kind, specs, cfg.workers)
+				t, err = newEmbeddedTarget(env.g, specs, cfg.workers)
 			}
 		case "http":
 			if cfg.addr != "" {
@@ -290,7 +280,7 @@ func runScenario(mode string, env cellEnv, kind reachac.EngineKind, sc workload.
 					cfg.seeded[cfg.addr] = true
 				}
 			} else {
-				t, err = newSelfHostedTarget(env.g, kind, specs, cfg.workers, cfg.syncOpt)
+				t, err = newSelfHostedTarget(env.g, specs, cfg.workers, cfg.syncOpt)
 			}
 		default:
 			err = fmt.Errorf("unknown mode %q", mode)
@@ -334,14 +324,10 @@ func runScenario(mode string, env cellEnv, kind reachac.EngineKind, sc workload.
 		return ScenarioResult{}, err
 	}
 
-	engine := t.engineName()
-	if engine == "" {
-		engine = kind.String()
-	}
 	total := res.Ops + res.Errors + res.Shed
 	sr := ScenarioResult{
 		Mode:        mode,
-		Engine:      engine,
+		Engine:      engineLabel,
 		Scenario:    sc.Name,
 		Topology:    env.top.Kind(),
 		Streamed:    streamed,
@@ -427,25 +413,6 @@ func parseModes(s string) ([]string, error) {
 		return []string{"embedded", "http"}, nil
 	}
 	return nil, fmt.Errorf("unknown -mode %q (have embedded, http, both)", s)
-}
-
-func parseEngines(s string) ([]reachac.EngineKind, error) {
-	if s == "all" {
-		return reachac.EngineKinds(), nil
-	}
-	var kinds []reachac.EngineKind
-	for _, name := range strings.Split(s, ",") {
-		name = strings.TrimSpace(name)
-		kind, err := reachac.ParseEngineKind(name)
-		if err != nil {
-			return nil, err
-		}
-		kinds = append(kinds, kind)
-	}
-	if len(kinds) == 0 {
-		return nil, fmt.Errorf("-engines is empty")
-	}
-	return kinds, nil
 }
 
 // parseScenarios resolves -scenarios against the workload registry,

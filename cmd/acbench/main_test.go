@@ -164,7 +164,7 @@ func TestRunScenarioEmbeddedSmoke(t *testing.T) {
 		duration: 150 * time.Millisecond, warmup: 30 * time.Millisecond, seed: 5,
 	}
 	for _, sc := range workload.Scenarios() {
-		res, err := runScenario("embedded", env, reachac.Index, sc, cfg)
+		res, err := runScenario("embedded", env, sc, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", sc.Name, err)
 		}
@@ -177,7 +177,7 @@ func TestRunScenarioEmbeddedSmoke(t *testing.T) {
 		if res.Throughput <= 0 || res.Latency.P99 < res.Latency.P50 {
 			t.Fatalf("%s: implausible result %+v", sc.Name, res)
 		}
-		if res.Topology != "osn" || res.Nodes != 150 || res.Streamed {
+		if res.Topology != "osn" || res.Nodes != 150 || res.Streamed || res.Engine != "online-bfs" {
 			t.Fatalf("%s: cell identity wrong: %+v", sc.Name, res)
 		}
 		switch sc.Name {
@@ -213,7 +213,7 @@ func TestRunScenarioStreamedSmoke(t *testing.T) {
 	if !ok {
 		t.Fatal("missing read-heavy scenario")
 	}
-	res, err := runScenario("embedded", env, reachac.Online, sc, cfg)
+	res, err := runScenario("embedded", env, sc, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,12 +223,12 @@ func TestRunScenarioStreamedSmoke(t *testing.T) {
 	if !res.Streamed || res.Topology != "ldbc" || res.Nodes != 400 || res.Edges == 0 {
 		t.Fatalf("streamed cell identity wrong: %+v", res)
 	}
-	if _, err := runScenario("http", env, reachac.Online, sc, cfg); err == nil {
+	if _, err := runScenario("http", env, sc, cfg); err == nil {
 		t.Fatal("streamed cell accepted http mode")
 	}
 	shardCfg := cfg
 	shardCfg.shards = 2
-	if _, err := runScenario("embedded", env, reachac.Online, sc, shardCfg); err == nil {
+	if _, err := runScenario("embedded", env, sc, shardCfg); err == nil {
 		t.Fatal("streamed cell accepted sharding")
 	}
 }
@@ -244,7 +244,7 @@ func TestRunScenarioOpenLoop(t *testing.T) {
 		rate: 200,
 	}
 	sc, _ := workload.Lookup("read-heavy")
-	res, err := runScenario("embedded", env, reachac.Online, sc, cfg)
+	res, err := runScenario("embedded", env, sc, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func TestRunScenarioHTTPSmoke(t *testing.T) {
 	if !ok {
 		t.Fatal("missing write-heavy scenario")
 	}
-	res, err := runScenario("http", env, reachac.Online, sc, cfg)
+	res, err := runScenario("http", env, sc, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,17 +292,6 @@ func TestParseHelpers(t *testing.T) {
 	}
 	if ms, _ := parseModes("both"); len(ms) != 2 {
 		t.Fatalf("both = %v", ms)
-	}
-	if ks, err := parseEngines("all"); err != nil || len(ks) != len(reachac.EngineKinds()) {
-		t.Fatalf("all engines = %v, %v", ks, err)
-	}
-	if k, err := parseEngines("online, index"); err != nil || len(k) != 2 || k[0] != reachac.Online || k[1] != reachac.Index {
-		t.Fatalf("online, index = %v, %v", k, err)
-	}
-	for _, name := range []string{"warp-drive", "planner"} {
-		if _, err := parseEngines(name); err == nil {
-			t.Fatalf("engine %q accepted", name)
-		}
 	}
 	if scens, err := parseScenarios("all", 8); err != nil || len(scens) != len(workload.Names()) {
 		t.Fatalf("all scenarios = %v, %v", scens, err)

@@ -99,10 +99,16 @@ func (c Counters) delta(prev Counters) Counters {
 	}
 }
 
+// engineLabel stamps every cell. The engine key stays in each cell's key
+// so that the keys of cells measured before the online search became the
+// only engine match those measured since.
+const engineLabel = "online-bfs"
+
 // ScenarioResult is one benchmarked
 // (mode, engine, scenario, topology, nodes[, shards][, rate]) cell.
 type ScenarioResult struct {
-	Mode     string `json:"mode"`
+	Mode string `json:"mode"`
+	// Engine is always engineLabel: the online search is the one engine.
 	Engine   string `json:"engine"`
 	Scenario string `json:"scenario"`
 	// Topology is the generator family the cell's graph came from

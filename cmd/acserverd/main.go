@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	acserverd -dir /var/lib/reachac [-addr :8708] [-engine online|closure|index|...]
+//	acserverd -dir /var/lib/reachac [-addr :8708]
 //	          [-sync always|interval|never] [-sync-interval 50ms]
 //	          [-checkpoint-every 4194304] [-max-checks 64] [-max-queue 1024]
 //	          [-coalesce 128] [-coalesce-wait 0] [-follow leader:8708]
@@ -50,7 +50,6 @@ func main() {
 	var (
 		addr         = flag.String("addr", ":8708", "listen address")
 		dir          = flag.String("dir", "", "durable network directory (required; created if absent)")
-		engine       = flag.String("engine", "online", "evaluator: online, closure, index")
 		syncMode     = flag.String("sync", "always", "WAL fsync policy: always, interval, never")
 		syncInterval = flag.Duration("sync-interval", 50*time.Millisecond, "fsync cadence under -sync interval")
 		ckptEvery    = flag.Int64("checkpoint-every", reachac.DefaultCheckpointEvery, "WAL segment bytes triggering a background checkpoint (<=0 disables)")
@@ -66,16 +65,11 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	kind, err := reachac.ParseEngineKind(*engine)
-	if err != nil {
-		log.Fatal(err)
-	}
-
 	syncOpt, err := server.SyncOption(*syncMode, *syncInterval)
 	if err != nil {
 		log.Fatal(err)
 	}
-	opts := []reachac.Option{reachac.WithEngine(kind), reachac.WithCheckpointEvery(*ckptEvery), syncOpt}
+	opts := []reachac.Option{reachac.WithCheckpointEvery(*ckptEvery), syncOpt}
 	if *follow != "" {
 		opts = append(opts, reachac.WithFollow(*follow))
 	}
@@ -97,7 +91,6 @@ func main() {
 		CoalesceBatch:       *coalesce,
 		CoalesceWait:        *coalesceWait,
 	})
-	log.Printf("serving the %s engine", kind)
 	if err := server.Serve("acserverd", *addr, srv, *drainTimeout, srv.Shutdown); err != nil {
 		log.Fatal(err)
 	}

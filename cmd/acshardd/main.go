@@ -46,7 +46,6 @@ func main() {
 		backendsFlag = flag.String("backends", "", "comma-separated acserverd shard addresses (remote mode)")
 		shards       = flag.Int("shards", 0, "embedded shard count (embedded mode; requires -dir)")
 		dir          = flag.String("dir", "", "base directory for embedded shards (shard-<i> subdirectories)")
-		engine       = flag.String("engine", "online", "embedded shards' evaluator: online, closure, index")
 		syncMode     = flag.String("sync", "always", "embedded shards' WAL fsync policy: always, interval, never")
 		vnodes       = flag.Int("vnodes", ring.DefaultVNodes, "virtual nodes per shard on the hash ring")
 		timeout      = flag.Duration("shard-timeout", 2*time.Second, "per-shard deadline on scatter calls")
@@ -70,17 +69,12 @@ func main() {
 		if *dir == "" {
 			log.Fatal("-shards requires -dir")
 		}
-		kind, err := reachac.ParseEngineKind(*engine)
-		if err != nil {
-			log.Fatal(err)
-		}
 		syncOpt, err := server.SyncOption(*syncMode, 50*time.Millisecond)
 		if err != nil {
 			log.Fatal(err)
 		}
-		opts := []reachac.Option{reachac.WithEngine(kind), syncOpt}
 		for i := 0; i < *shards; i++ {
-			n, err := reachac.Open(filepath.Join(*dir, fmt.Sprintf("shard-%d", i)), opts...)
+			n, err := reachac.Open(filepath.Join(*dir, fmt.Sprintf("shard-%d", i)), syncOpt)
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -409,21 +409,19 @@ func e7() {
 	tbl2.Fprint(os.Stdout)
 }
 
-// e8 measures concurrent access-check throughput through the facade: W
-// worker goroutines share one snapshot-isolated network and hammer reads.
+// e8 measures concurrent access-check throughput through the facade, whose
+// one engine is the online search: W worker goroutines share one
+// snapshot-isolated network and hammer reads.
 // CanAccess is a full decision (rule lookup, evaluation, audit record);
 // CheckPath parses its expression and evaluates it, without the audit. With
 // the old global mutex both columns plateaued at the 1-worker rate; snapshot
 // isolation scales them with GOMAXPROCS.
 func e8() {
-	fmt.Println("E8: snapshot-isolated concurrent access-check throughput, 5k social graph, join-index engine")
+	fmt.Println("E8: snapshot-isolated concurrent access-check throughput, 5k social graph, online search (the facade's one engine)")
 	g := makeGraph(5000, "social")
 	net := reachac.FromGraph(g)
 	owner, _ := net.UserID("u000010")
 	if _, err := net.Share("r", owner, "friend+[1,2]"); err != nil {
-		log.Fatal(err)
-	}
-	if err := net.UseEngine(reachac.Index); err != nil {
 		log.Fatal(err)
 	}
 	pairs := workload.HitPairs(g, 512, 2, *seed+9)
@@ -471,8 +469,8 @@ func e8() {
 			_, err := net.CheckPath(p.Owner, p.Requester, "friend+[1,2]")
 			return err
 		})
-		// CanAccessAll sizes its own worker pool from GOMAXPROCS; report it
-		// once on the first row.
+		// CanAccessAll decides on the calling goroutine; report it once on
+		// the first row.
 		batch := ""
 		if workers == 1 {
 			start := time.Now()

@@ -270,12 +270,13 @@ func stateSignature(n *Network) string {
 	return b.String()
 }
 
-// assertSameDecisions asserts got and want agree on (resource, requester)
-// decisions under each of the given engine kinds, and on the basic
-// structural counters. Small networks are checked exhaustively; large ones
-// are stride-sampled (deterministically) to keep the cross product of
-// engines × resources × requesters bounded.
-func assertSameDecisions(t *testing.T, label string, got, want *Network, kinds []EngineKind) {
+// assertSameDecisions asserts got and want agree on the basic structural
+// counters and on (resource, requester) decisions, and that got decides as
+// the two library engines do on want's state (see libraryEngines). Small
+// networks are checked exhaustively; large ones are stride-sampled
+// (deterministically) to keep the cross product of resources × requesters
+// bounded.
+func assertSameDecisions(t *testing.T, label string, got, want *Network) {
 	t.Helper()
 	if got.NumUsers() != want.NumUsers() || got.NumRelationships() != want.NumRelationships() {
 		t.Fatalf("%s: structure (%d users, %d rels) vs reference (%d users, %d rels)",
@@ -287,30 +288,23 @@ func assertSameDecisions(t *testing.T, label string, got, want *Network, kinds [
 	}
 	checkRes := sampleResources(wantRes, 20)
 	requesters := sampleUsers(want.NumUsers(), 30)
-	for _, kind := range kinds {
-		if err := got.UseEngine(kind); err != nil {
-			t.Fatalf("%s: recovered UseEngine(%v): %v", label, kind, err)
-		}
-		if err := want.UseEngine(kind); err != nil {
-			t.Fatalf("%s: reference UseEngine(%v): %v", label, kind, err)
-		}
-		for _, res := range checkRes {
-			for _, u := range requesters {
-				dg, err := got.CanAccess(string(res), UserID(u))
-				if err != nil {
-					t.Fatalf("%s/%v: recovered CanAccess(%s,%d): %v", label, kind, res, u, err)
-				}
-				dw, err := want.CanAccess(string(res), UserID(u))
-				if err != nil {
-					t.Fatalf("%s/%v: reference CanAccess(%s,%d): %v", label, kind, res, u, err)
-				}
-				if dg.Effect != dw.Effect || dg.RuleID != dw.RuleID {
-					t.Fatalf("%s/%v: CanAccess(%s,%d) = (%v,%q), reference (%v,%q)",
-						label, kind, res, u, dg.Effect, dg.RuleID, dw.Effect, dw.RuleID)
-				}
+	for _, res := range checkRes {
+		for _, u := range requesters {
+			dg, err := got.CanAccess(string(res), u)
+			if err != nil {
+				t.Fatalf("%s: recovered CanAccess(%s,%d): %v", label, res, u, err)
+			}
+			dw, err := want.CanAccess(string(res), u)
+			if err != nil {
+				t.Fatalf("%s: reference CanAccess(%s,%d): %v", label, res, u, err)
+			}
+			if dg.Effect != dw.Effect || dg.RuleID != dw.RuleID {
+				t.Fatalf("%s: CanAccess(%s,%d) = (%v,%q), reference (%v,%q)",
+					label, res, u, dg.Effect, dg.RuleID, dw.Effect, dw.RuleID)
 			}
 		}
 	}
+	assertLibrariesAgree(t, label, got, libraryEngines(t, want), checkRes, requesters)
 }
 
 // sampleResources returns all resources when few, else an even stride
@@ -327,17 +321,17 @@ func sampleResources(rs []core.ResourceID, max int) []core.ResourceID {
 }
 
 // sampleUsers returns user IDs 0..n-1 when few, else an even stride sample.
-func sampleUsers(n, max int) []int {
+func sampleUsers(n, max int) []UserID {
 	if n <= max {
-		out := make([]int, n)
+		out := make([]UserID, n)
 		for i := range out {
-			out[i] = i
+			out[i] = UserID(i)
 		}
 		return out
 	}
-	out := make([]int, 0, max)
+	out := make([]UserID, 0, max)
 	for i := 0; i < max; i++ {
-		out = append(out, i*(n-1)/(max-1))
+		out = append(out, UserID(i*(n-1)/(max-1)))
 	}
 	return out
 }
@@ -346,7 +340,7 @@ func sampleUsers(n, max int) []int {
 // Crash-consistency differential: truncate the WAL at every record boundary
 // (and at assorted byte offsets inside records) and assert the recovered
 // network's decisions equal an in-memory network replaying the surviving
-// step prefix, across every engine kind.
+// step prefix, and the library engines' on the same state.
 // ---------------------------------------------------------------------------
 
 func TestCrashConsistencyTruncation(t *testing.T) {
@@ -398,7 +392,7 @@ func TestCrashConsistencyTruncation(t *testing.T) {
 			t.Fatalf("cut %d: torn = %v, want %v", cut, rec.TornTail, wantTorn)
 		}
 		ref := replayPrefix(t, trace, wantSteps)
-		assertSameDecisions(t, fmt.Sprintf("cut@%d", cut), n2, ref, EngineKinds())
+		assertSameDecisions(t, fmt.Sprintf("cut@%d", cut), n2, ref)
 	}
 
 	// Every record boundary, torn-free.
@@ -540,7 +534,7 @@ func TestKillRecovery(t *testing.T) {
 
 	trace := makeTrace(crashSeed, crashMaxSteps)
 	ref := replayPrefix(t, trace, rec.Groups)
-	assertSameDecisions(t, "kill", n, ref, EngineKinds())
+	assertSameDecisions(t, "kill", n, ref)
 }
 
 func TestKillRecoveryWithCheckpoints(t *testing.T) {
@@ -585,9 +579,7 @@ func TestKillRecoveryWithCheckpoints(t *testing.T) {
 			n.NumUsers(), n.NumRelationships(), acked)
 	}
 	t.Logf("recovered state matches trace prefix of %d steps", matched)
-	// Compare decisions on a subset of engines (the full six ran in the
-	// truncation differential; this test is about the checkpoint protocol).
-	assertSameDecisions(t, "kill-ckpt", n, ref, []EngineKind{Online, Closure, Index})
+	assertSameDecisions(t, "kill-ckpt", n, ref)
 }
 
 // policyShape canonically renders resources with their rule IDs.

@@ -59,7 +59,7 @@ func TestCreateMatchesFromGraph(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	assertSameDecisions(t, "create", created, built, EngineKinds())
+	assertSameDecisions(t, "create", created, built)
 }
 
 // TestCreateSurvivesReopen: a created network is its checkpoint, so a

@@ -5,11 +5,13 @@
 // the colleagues of my friends, up to friends-of-friends.
 //
 // The package wraps the full implementation: the labeled social graph, the
-// path-expression policy language, the policy store with deny-by-default
-// enforcement, and three interchangeable query evaluators — online
-// constrained search, per-label transitive closure, and the paper's
-// cluster-based join index (line graph → SCC condensation → interval
-// labeling → 2-hop cover → W-table).
+// path-expression policy language and the policy store with deny-by-default
+// enforcement. Every check is decided by online constrained search from
+// both endpoints (internal/search). The paper's cluster-based join index
+// (line graph → SCC condensation → interval labeling → 2-hop cover →
+// W-table) and the per-label transitive closure it is measured against are
+// libraries (internal/joinindex, internal/tclosure) behind cmd/figures,
+// cmd/experiments and the tests that cross-check the search against them.
 //
 // Quick start:
 //

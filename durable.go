@@ -35,7 +35,6 @@ const DefaultCheckpointEvery int64 = 4 << 20
 // openConfig collects the constructor options (Open, Create, New,
 // FromGraph).
 type openConfig struct {
-	kind         EngineKind
 	sync         SyncPolicy
 	syncInterval time.Duration
 	ckptEvery    int64
@@ -45,7 +44,7 @@ type openConfig struct {
 
 // newOpenConfig folds opts over the defaults.
 func newOpenConfig(opts []Option) openConfig {
-	cfg := openConfig{kind: Online, sync: SyncAlways, ckptEvery: DefaultCheckpointEvery}
+	cfg := openConfig{sync: SyncAlways, ckptEvery: DefaultCheckpointEvery}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -55,9 +54,10 @@ func newOpenConfig(opts []Option) openConfig {
 // Option configures Open, Create, New and FromGraph.
 type Option func(*openConfig)
 
-// WithEngine selects the evaluator kind the recovered network publishes.
-func WithEngine(kind EngineKind) Option {
-	return func(c *openConfig) { c.kind = kind }
+// WithEngine sets nothing: Online is the only engine. It exists only
+// because benchmark/setup.go:186 passes it (see EngineKind).
+func WithEngine(EngineKind) Option {
+	return func(*openConfig) {}
 }
 
 // WithSync selects the WAL fsync policy (default SyncAlways).
@@ -174,12 +174,9 @@ func openLeader(dir string, l *wal.Log, rec wal.Recovered, cfg openConfig, first
 			return nil, err
 		}
 	}
-	// Republish the snapshot now, so the first read after recovery doesn't
-	// pay for the engine build.
-	if err := n.UseEngine(cfg.kind); err != nil {
-		l.Close()
-		return nil, err
-	}
+	// Publish the snapshot now, so the first read after recovery doesn't
+	// pay for it.
+	n.publish()
 	return n, nil
 }
 

@@ -105,7 +105,7 @@ func TestStatsCounters(t *testing.T) {
 	if st.Users != 2 || st.Relationships != 1 || st.Resources != 1 {
 		t.Fatalf("sizes: %+v", st)
 	}
-	if !st.Durable || st.Engine != Online.String() {
+	if !st.Durable {
 		t.Fatalf("identity: %+v", st)
 	}
 	if st.Checks != 3 || st.BatchChecks != 1 || st.Audiences != 2 {

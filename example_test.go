@@ -51,8 +51,7 @@ func ExampleNetwork_Share() {
 	// alternative: allow
 }
 
-// ExampleNetwork_CheckPath evaluates a raw reachability constraint with the
-// paper's join index.
+// ExampleNetwork_CheckPath evaluates a raw reachability constraint.
 func ExampleNetwork_CheckPath() {
 	n := reachac.New()
 	a := n.MustAddUser("a")
@@ -61,7 +60,6 @@ func ExampleNetwork_CheckPath() {
 	n.Relate(a, b, "friend")
 	n.Relate(b, c, "colleague")
 
-	n.UseEngine(reachac.Index)
 	ok, _ := n.CheckPath(a, c, "friend+[1]/colleague+[1]")
 	fmt.Println(ok)
 	// Output:

@@ -58,11 +58,6 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Use the paper's join index for enforcement.
-	if err := n.UseEngine(reachac.Index); err != nil {
-		log.Fatal(err)
-	}
-
 	for _, res := range []string{
 		"alice/holiday-album", "alice/party-photos", "alice/birthday-photos", "david/jokes",
 	} {

@@ -52,10 +52,7 @@ func openFollower(dir string, cfg openConfig) (*Network, error) {
 	n := newNetwork(rec.Graph, rec.Store)
 	n.follower = f
 	n.recovery = RecoveryInfo{Groups: rec.Groups, TornTail: rec.TornTail, CheckpointSeq: rec.CheckpointSeq}
-	if err := n.UseEngine(cfg.kind); err != nil {
-		f.Close()
-		return nil, err
-	}
+	n.publish()
 	f.Start(n.applyReplicated)
 	return n, nil
 }

@@ -18,7 +18,8 @@
 //
 // Validating a condition reduces to an ordered label-constraint
 // reachability query between owner and requester, delegated to an Evaluator
-// (online search, transitive closure, or the cluster-based join index).
+// (the online search that serves checks, or one of the paper's index
+// libraries: the transitive closure and the cluster-based join index).
 package core
 
 import (
@@ -84,23 +85,6 @@ func (r *Rule) Validate() error {
 // implement it.
 type Evaluator interface {
 	Reachable(owner, requester graph.NodeID, p *pathexpr.Path) (bool, error)
-}
-
-// IncrementalEvaluator is implemented by evaluators that can advance in
-// place after the graph they were built over — a snapshot's private clone —
-// has been fast-forwarded by a batch of recorded deltas (graph.Delta).
-//
-// ApplyDelta is called with the already-advanced clone and the delta batch
-// that advanced it, and reports whether the evaluator absorbed the batch.
-// Returning false declines the batch: the caller must rebuild the evaluator
-// from scratch over g, so correctness holds by construction — an evaluator
-// may decline any delta it cannot (or would rather not) handle
-// incrementally, and a partially-advanced evaluator that declined must
-// simply never be queried again. ApplyDelta is never invoked concurrently
-// with queries; the caller guarantees the evaluator is quiescent.
-type IncrementalEvaluator interface {
-	Evaluator
-	ApplyDelta(g *graph.Graph, deltas []graph.Delta) bool
 }
 
 // storeFanout is the number of buckets a Store spreads its resources over.

@@ -19,16 +19,6 @@ func New(n int) *D {
 // N returns the number of vertices.
 func (d *D) N() int { return d.n }
 
-// Grow appends k isolated vertices and returns the id of the first one.
-// Used by incremental index maintenance to extend a line graph or
-// condensation DAG in place.
-func (d *D) Grow(k int) int {
-	first := d.n
-	d.n += k
-	d.adj = append(d.adj, make([][]int32, k)...)
-	return first
-}
-
 // M returns the number of edges.
 func (d *D) M() int {
 	m := 0

@@ -178,7 +178,6 @@ type HealthResponse struct {
 	// Role is "leader" (durable, followable), "follower" (read replica) or
 	// "standalone" (non-durable).
 	Role          string    `json:"role"`
-	Engine        string    `json:"engine"`
 	Durable       bool      `json:"durable"`
 	Users         int       `json:"users"`
 	Relationships int       `json:"relationships"`
@@ -237,11 +236,10 @@ type RouterStats struct {
 
 // ShardStats summarizes one backend as seen from the router.
 type ShardStats struct {
-	Index         int    `json:"index"`
-	Engine        string `json:"engine"`
-	Users         int    `json:"users"`
-	Relationships int    `json:"relationships"`
-	Healthy       bool   `json:"healthy"`
+	Index         int  `json:"index"`
+	Users         int  `json:"users"`
+	Relationships int  `json:"relationships"`
+	Healthy       bool `json:"healthy"`
 }
 
 // ServerStats counts serving-layer events on top of the engine counters.

@@ -43,7 +43,6 @@ import (
 	"time"
 
 	"reachac/internal/btree"
-	"reachac/internal/digraph"
 	"reachac/internal/graph"
 	"reachac/internal/interval"
 	"reachac/internal/linegraph"
@@ -138,15 +137,6 @@ type Index struct {
 	parts *scc.Result
 	lab   *interval.Labeling
 	cover *twohop.Cover
-	// dag is the condensation of the line graph and dagRev its reverse;
-	// retained (since they drive the 2-hop cover's labels) so that
-	// ApplyDelta can grow them and resume the cover's pruned BFS for
-	// incremental edge insertion instead of rebuilding the pipeline.
-	dag, dagRev *digraph.D
-	// incremental is set once ApplyDelta has grown the structures beyond
-	// the interval labeling's universe; lineReach then decides with the
-	// exact (incrementally maintained) 2-hop cover alone.
-	incremental bool
 	// tables holds one base table per relationship type.
 	tables map[graph.Label]*reldb.Table
 	// wtable maps an ordered label pair to the ranks of the centers
@@ -199,8 +189,6 @@ func Build(g *graph.Graph, opts Options) (*Index, error) {
 	t1 := time.Now()
 	idx.parts = scc.Tarjan(idx.l.D)
 	dag := scc.Condense(idx.l.D, idx.parts)
-	idx.dag = dag
-	idx.dagRev = dag.Reverse()
 	idx.stats.SCCs = idx.parts.NumComp
 	idx.stats.SCCTime = time.Since(t1)
 	// Reciprocity-heavy social graphs collapse the line graph into a few
@@ -274,13 +262,6 @@ func (idx *Index) comp(lineNode int32) int { return idx.parts.Comp[lineNode] }
 // interval sets were truncated, the exact 2-hop labels decide.
 func (idx *Index) lineReach(x, y int32) bool {
 	cx, cy := idx.comp(x), idx.comp(y)
-	if idx.incremental {
-		// Incremental growth added condensation vertices the interval
-		// labeling has never seen (and may have created reachability the
-		// stale intervals would wrongly rule out); the 2-hop cover is
-		// maintained exactly by ApplyDelta, so it decides alone.
-		return idx.cover.Reachable(cx, cy)
-	}
 	if !idx.lab.Reachable(cx, cy) {
 		return false
 	}

@@ -151,39 +151,6 @@ func (l *L) Forward(e graph.EdgeID) int32 {
 	return l.fwdOf[e]
 }
 
-// AddForwardNode appends the forward line node of a social edge added to G
-// after Build and wires its adjacency from the caller-collected endpoints:
-// preds are the existing line nodes whose head is e.From, succs those
-// whose tail is e.To (callers already walk both adjacency lists to decide
-// whether the insertion is safe, so the sets are passed in rather than
-// re-derived). Line nodes of edges registered later in the same delta
-// batch are absent from both sets; they wire both sides when their own
-// turn comes. Only forward line nodes are grown — the incremental path is
-// used by index configurations built without IncludeReverse.
-func (l *L) AddForwardNode(e graph.Edge, preds, succs []int32) int32 {
-	id := int32(len(l.Nodes))
-	n := Node{Edge: e.ID, Forward: true, Label: e.Label, Tail: e.From, Head: e.To}
-	l.Nodes = append(l.Nodes, n)
-	l.byTail[n.Tail] = append(l.byTail[n.Tail], id)
-	l.byLabelDir[labelDir{n.Label, true}] = append(l.byLabelDir[labelDir{n.Label, true}], id)
-	for int(e.ID) >= len(l.fwdOf) {
-		l.fwdOf = append(l.fwdOf, -1)
-		l.revOf = append(l.revOf, -1)
-	}
-	l.fwdOf[e.ID] = id
-	l.D.Grow(1)
-	if r, ok := l.rootOf[n.Tail]; ok {
-		l.D.AddEdge(int(r), int(id))
-	}
-	for _, p := range preds {
-		l.D.AddEdge(int(p), int(id))
-	}
-	for _, s := range succs {
-		l.D.AddEdge(int(id), int(s))
-	}
-	return id
-}
-
 // Backward returns the line node traversing edge e backward, or -1 (also -1
 // when the graph was built without IncludeReverse).
 func (l *L) Backward(e graph.EdgeID) int32 {

@@ -114,11 +114,6 @@ type Engine struct {
 // New returns an online-search evaluator over g.
 func New(g *graph.Graph) *Engine { return &Engine{g: g} }
 
-// ApplyDelta implements core.IncrementalEvaluator. Online engines hold no
-// precomputed state — every query traverses the live graph — so once the
-// underlying clone has been advanced there is nothing left to do.
-func (e *Engine) ApplyDelta(g *graph.Graph, _ []graph.Delta) bool { return e.g == g }
-
 // Reachable reports whether requester is reachable from owner through a path
 // matching p (Definition 3: the requester must have a direct or indirect
 // relationship with the owner that matches the specified path). It searches

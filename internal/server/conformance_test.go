@@ -156,7 +156,7 @@ var wireTable = []wireRow{
 	{name: "audit tail", method: "GET", path: "/v1/audit?n=2", status: 200, want: `{"decisions":[{"resource":"photo"},{"resource":"photo"}]}`},
 	{name: "audit negative n", method: "GET", path: "/v1/audit?n=-1", status: 400, code: "bad-request"},
 	{name: "audit non-numeric n", method: "GET", path: "/v1/audit?n=all", status: 400, code: "bad-request"},
-	{name: "health", method: "GET", path: "/v1/health", status: 200, want: `{"status":"ok","engine":"online-bfs","durable":true,"users":5}`},
+	{name: "health", method: "GET", path: "/v1/health", status: 200, want: `{"status":"ok","durable":true,"users":5}`},
 	{name: "stats", method: "GET", path: "/v1/stats", status: 200, want: `{"users":5,"durable":true}`},
 
 	// Revoke, then the ways a durable network stops taking writes. A commit

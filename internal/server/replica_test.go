@@ -17,7 +17,7 @@ import (
 // the follower advertises its role and staleness, serves replicated reads,
 // and turns every mutation away with the read-only protocol error.
 func TestFollowerServing(t *testing.T) {
-	leader := newHarness(t, reachac.Online, server.Config{})
+	leader := newHarness(t, server.Config{})
 	ctx := context.Background()
 
 	if _, err := leader.c.AddUser(ctx, "alice", nil); err != nil {
@@ -32,7 +32,7 @@ func TestFollowerServing(t *testing.T) {
 
 	// The follower attaches to the leader's public URL: the replication
 	// endpoints ride on the same mux as the serving API.
-	follower := newHarness(t, reachac.Online, server.Config{}, reachac.WithFollow(leader.ts.URL))
+	follower := newHarness(t, server.Config{}, reachac.WithFollow(leader.ts.URL))
 
 	deadline := time.Now().Add(10 * time.Second)
 	for {

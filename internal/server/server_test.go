@@ -23,10 +23,10 @@ type harness struct {
 	c   *client.Client
 }
 
-func newHarness(t *testing.T, kind reachac.EngineKind, cfg server.Config, opts ...reachac.Option) *harness {
+func newHarness(t *testing.T, cfg server.Config, opts ...reachac.Option) *harness {
 	t.Helper()
 	dir := t.TempDir()
-	n, err := reachac.Open(dir, append([]reachac.Option{reachac.WithEngine(kind)}, opts...)...)
+	n, err := reachac.Open(dir, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,144 +48,142 @@ func newHarness(t *testing.T, kind reachac.EngineKind, cfg server.Config, opts .
 	return h
 }
 
-// TestServerEndpointsAllEngines drives the endpoints whose answers an engine
-// computes, and the ones only a single node serves (policies, engine name,
-// commit-group counters), end to end — through the real HTTP stack and the
-// typed client — across every engine kind. What does not depend on the engine
-// (validation, the error rows) is TestWireConformance's.
+// TestServerEndpointsAllEngines drives the endpoints whose answers the engine
+// computes, and the ones only a single node serves (policies, commit-group
+// counters), end to end — through the real HTTP stack and the typed client —
+// on every engine the server runs: one, the online search, whose name the
+// subtest carries. What does not depend on the engine (validation, the error
+// rows) is TestWireConformance's.
 func TestServerEndpointsAllEngines(t *testing.T) {
-	for _, kind := range reachac.EngineKinds() {
-		t.Run(kind.String(), func(t *testing.T) {
-			h := newHarness(t, kind, server.Config{})
-			ctx := context.Background()
-			c := h.c
+	t.Run("online-bfs", serverEndpoints)
+}
 
-			// Users.
-			if _, err := c.AddUser(ctx, "alice", nil); err != nil {
-				t.Fatal(err)
-			}
-			bobID, err := c.AddUser(ctx, "bob", map[string]any{"age": 24, "admin": true, "city": "basel"})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, name := range []string{"carol", "dave"} {
-				if _, err := c.AddUser(ctx, name, nil); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if id, err := c.UserID(ctx, "bob"); err != nil || id != bobID {
-				t.Fatalf("UserID(bob) = %d, %v (want %d)", id, err, bobID)
-			}
+func serverEndpoints(t *testing.T) {
+	h := newHarness(t, server.Config{})
+	ctx := context.Background()
+	c := h.c
 
-			// Relationships.
-			if err := c.Relate(ctx, "alice", "bob", "friend"); err != nil {
-				t.Fatal(err)
-			}
-			if err := c.RelateMutual(ctx, "bob", "carol", "friend"); err != nil {
-				t.Fatal(err)
-			}
+	// Users.
+	if _, err := c.AddUser(ctx, "alice", nil); err != nil {
+		t.Fatal(err)
+	}
+	bobID, err := c.AddUser(ctx, "bob", map[string]any{"age": 24, "admin": true, "city": "basel"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"carol", "dave"} {
+		if _, err := c.AddUser(ctx, name, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if id, err := c.UserID(ctx, "bob"); err != nil || id != bobID {
+		t.Fatalf("UserID(bob) = %d, %v (want %d)", id, err, bobID)
+	}
 
-			// Share / check / audience.
-			rule, err := c.Share(ctx, "photo", "alice", "friend+[1,2]")
-			if err != nil || rule == "" {
-				t.Fatalf("Share = %q, %v", rule, err)
-			}
-			d, err := c.Check(ctx, "photo", "bob")
-			if err != nil || d.Effect != "allow" {
-				t.Fatalf("Check(photo, bob) = %+v, %v", d, err)
-			}
-			if d.Requester != "bob" || d.Rule != rule {
-				t.Fatalf("decision wire form: %+v", d)
-			}
-			if d, err = c.Check(ctx, "photo", "dave"); err != nil || d.Effect != "deny" {
-				t.Fatalf("Check(photo, dave) = %+v, %v", d, err)
-			}
+	// Relationships.
+	if err := c.Relate(ctx, "alice", "bob", "friend"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.RelateMutual(ctx, "bob", "carol", "friend"); err != nil {
+		t.Fatal(err)
+	}
 
-			ds, err := c.CheckBatch(ctx, "photo", []string{"bob", "carol", "dave"})
-			if err != nil || len(ds) != 3 {
-				t.Fatalf("CheckBatch = %v, %v", ds, err)
-			}
-			for i, want := range []string{"allow", "allow", "deny"} {
-				if ds[i].Effect != want {
-					t.Fatalf("CheckBatch[%d] = %+v, want %s", i, ds[i], want)
-				}
-			}
+	// Share / check / audience.
+	rule, err := c.Share(ctx, "photo", "alice", "friend+[1,2]")
+	if err != nil || rule == "" {
+		t.Fatalf("Share = %q, %v", rule, err)
+	}
+	d, err := c.Check(ctx, "photo", "bob")
+	if err != nil || d.Effect != "allow" {
+		t.Fatalf("Check(photo, bob) = %+v, %v", d, err)
+	}
+	if d.Requester != "bob" || d.Rule != rule {
+		t.Fatalf("decision wire form: %+v", d)
+	}
+	if d, err = c.Check(ctx, "photo", "dave"); err != nil || d.Effect != "deny" {
+		t.Fatalf("Check(photo, dave) = %+v, %v", d, err)
+	}
 
-			aud, err := c.Audience(ctx, "photo")
-			if err != nil || len(aud) != 2 || aud[0] != "bob" || aud[1] != "carol" {
-				t.Fatalf("Audience = %v, %v", aud, err)
-			}
+	ds, err := c.CheckBatch(ctx, "photo", []string{"bob", "carol", "dave"})
+	if err != nil || len(ds) != 3 {
+		t.Fatalf("CheckBatch = %v, %v", ds, err)
+	}
+	for i, want := range []string{"allow", "allow", "deny"} {
+		if ds[i].Effect != want {
+			t.Fatalf("CheckBatch[%d] = %+v, want %s", i, ds[i], want)
+		}
+	}
 
-			// Raw reachability.
-			if ok, err := c.Reach(ctx, "alice", "carol", "friend+[1,2]"); err != nil || !ok {
-				t.Fatalf("Reach(alice, carol) = %v, %v", ok, err)
-			}
-			if ok, err := c.Reach(ctx, "alice", "dave", "friend+[1,2]"); err != nil || ok {
-				t.Fatalf("Reach(alice, dave) = %v, %v", ok, err)
-			}
-			ra, err := c.ReachAudience(ctx, "alice", "friend+[1,2]")
-			if err != nil || len(ra) != 2 {
-				t.Fatalf("ReachAudience = %v, %v", ra, err)
-			}
+	aud, err := c.Audience(ctx, "photo")
+	if err != nil || len(aud) != 2 || aud[0] != "bob" || aud[1] != "carol" {
+		t.Fatalf("Audience = %v, %v", aud, err)
+	}
 
-			// Revoke.
-			if removed, err := c.Revoke(ctx, "photo", rule); err != nil || !removed {
-				t.Fatalf("Revoke = %v, %v", removed, err)
-			}
-			if d, err = c.Check(ctx, "photo", "bob"); err != nil || d.Effect != "deny" {
-				t.Fatalf("Check after revoke = %+v, %v", d, err)
-			}
+	// Raw reachability.
+	if ok, err := c.Reach(ctx, "alice", "carol", "friend+[1,2]"); err != nil || !ok {
+		t.Fatalf("Reach(alice, carol) = %v, %v", ok, err)
+	}
+	if ok, err := c.Reach(ctx, "alice", "dave", "friend+[1,2]"); err != nil || ok {
+		t.Fatalf("Reach(alice, dave) = %v, %v", ok, err)
+	}
+	ra, err := c.ReachAudience(ctx, "alice", "friend+[1,2]")
+	if err != nil || len(ra) != 2 {
+		t.Fatalf("ReachAudience = %v, %v", ra, err)
+	}
 
-			// Policies round-trip.
-			if _, err := c.Share(ctx, "photo", "alice", "friend+[1]"); err != nil {
-				t.Fatal(err)
-			}
-			pol, err := c.Policies(ctx)
-			if err != nil || len(pol) == 0 {
-				t.Fatalf("Policies = %d bytes, %v", len(pol), err)
-			}
-			if err := c.SetPolicies(ctx, pol); err != nil {
-				t.Fatalf("SetPolicies: %v", err)
-			}
-			if d, err = c.Check(ctx, "photo", "bob"); err != nil || d.Effect != "allow" {
-				t.Fatalf("Check after policy round-trip = %+v, %v", d, err)
-			}
+	// Revoke.
+	if removed, err := c.Revoke(ctx, "photo", rule); err != nil || !removed {
+		t.Fatalf("Revoke = %v, %v", removed, err)
+	}
+	if d, err = c.Check(ctx, "photo", "bob"); err != nil || d.Effect != "deny" {
+		t.Fatalf("Check after revoke = %+v, %v", d, err)
+	}
 
-			// Audit tail.
-			trail, err := c.Audit(ctx, 5)
-			if err != nil || len(trail) == 0 || len(trail) > 5 {
-				t.Fatalf("Audit = %d decisions, %v", len(trail), err)
-			}
+	// Policies round-trip.
+	if _, err := c.Share(ctx, "photo", "alice", "friend+[1]"); err != nil {
+		t.Fatal(err)
+	}
+	pol, err := c.Policies(ctx)
+	if err != nil || len(pol) == 0 {
+		t.Fatalf("Policies = %d bytes, %v", len(pol), err)
+	}
+	if err := c.SetPolicies(ctx, pol); err != nil {
+		t.Fatalf("SetPolicies: %v", err)
+	}
+	if d, err = c.Check(ctx, "photo", "bob"); err != nil || d.Effect != "allow" {
+		t.Fatalf("Check after policy round-trip = %+v, %v", d, err)
+	}
 
-			// Health and stats.
-			hl, err := c.Health(ctx)
-			if err != nil || hl.Status != "ok" || !hl.Durable || hl.Users != 4 {
-				t.Fatalf("Health = %+v, %v", hl, err)
-			}
-			if hl.Engine != kind.String() {
-				t.Fatalf("Health.Engine = %q, want %q", hl.Engine, kind)
-			}
-			st, err := c.Stats(ctx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st.Checks == 0 || st.Mutations == 0 || st.Batches == 0 || !st.Durable {
-				t.Fatalf("Stats = %+v", st)
-			}
-			if st.PlanCompiles == 0 || st.PlanCacheEntries == 0 {
-				t.Fatalf("plan counters did not cross the wire: compiles=%d entries=%d", st.PlanCompiles, st.PlanCacheEntries)
-			}
-			if st.Server.CommitGroups == 0 || st.Server.CoalescedMutations == 0 {
-				t.Fatalf("Server stats = %+v", st.Server)
-			}
-		})
+	// Audit tail.
+	trail, err := c.Audit(ctx, 5)
+	if err != nil || len(trail) == 0 || len(trail) > 5 {
+		t.Fatalf("Audit = %d decisions, %v", len(trail), err)
+	}
+
+	// Health and stats.
+	hl, err := c.Health(ctx)
+	if err != nil || hl.Status != "ok" || !hl.Durable || hl.Users != 4 {
+		t.Fatalf("Health = %+v, %v", hl, err)
+	}
+	st, err := c.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Checks == 0 || st.Mutations == 0 || st.Batches == 0 || !st.Durable {
+		t.Fatalf("Stats = %+v", st)
+	}
+	if st.PlanCompiles == 0 || st.PlanCacheEntries == 0 {
+		t.Fatalf("plan counters did not cross the wire: compiles=%d entries=%d", st.PlanCompiles, st.PlanCacheEntries)
+	}
+	if st.Server.CommitGroups == 0 || st.Server.CoalescedMutations == 0 {
+		t.Fatalf("Server stats = %+v", st.Server)
 	}
 }
 
 // TestServerCoalescesConcurrentWriters is the group-commit acceptance test:
 // many concurrent writers must need fewer WAL fsyncs than mutations.
 func TestServerCoalescesConcurrentWriters(t *testing.T) {
-	h := newHarness(t, reachac.Online, server.Config{
+	h := newHarness(t, server.Config{
 		CoalesceWait:  2 * time.Millisecond,
 		CoalesceBatch: 64,
 	}, reachac.WithSync(reachac.SyncAlways))

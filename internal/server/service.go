@@ -411,7 +411,6 @@ func (l *Local) Health(context.Context) httpapi.HealthResponse {
 	resp := httpapi.HealthResponse{
 		Status:        "ok",
 		Role:          "standalone",
-		Engine:        st.Engine,
 		Durable:       st.Durable,
 		Users:         st.Users,
 		Relationships: st.Relationships,

@@ -12,7 +12,7 @@ import (
 	"reachac/internal/shard"
 )
 
-// The differential suite: for every engine kind and shard count N ∈ {1,2,4},
+// The differential suite: for every shard count N ∈ {1,2,4},
 // a router over N embedded shards must answer exactly like one unsharded
 // Network fed the same trace — same check effects, same audience sets, same
 // unknown-user failures — while edges straddle the partition cut and
@@ -51,15 +51,15 @@ type diffHarness struct {
 	owners    []string
 }
 
-func newDiffHarness(t *testing.T, kind reachac.EngineKind, shards int, rng *rand.Rand) *diffHarness {
+func newDiffHarness(t *testing.T, shards int, rng *rand.Rand) *diffHarness {
 	t.Helper()
 	ctx := context.Background()
-	oracle := shard.NewEmbedded(reachac.New(reachac.WithEngine(kind)))
+	oracle := shard.NewEmbedded(reachac.New())
 	t.Cleanup(func() { oracle.Close() })
 
 	backends := make([]shard.Backend, shards)
 	for i := range backends {
-		backends[i] = shard.NewEmbedded(reachac.New(reachac.WithEngine(kind)))
+		backends[i] = shard.NewEmbedded(reachac.New())
 	}
 	router, err := shard.New(ctx, backends, shard.Config{})
 	if err != nil {
@@ -242,53 +242,49 @@ func (h *diffHarness) requester(rng *rand.Rand) string {
 }
 
 func TestDifferentialShardedVsSingleNode(t *testing.T) {
-	kinds := reachac.EngineKinds()
 	counts := []int{1, 2, 4}
 	steps := 350
 	if testing.Short() || raceEnabled {
-		kinds = kinds[:2]
 		counts = []int{1, 4}
 		steps = 150
 	}
-	for _, kind := range kinds {
-		for _, n := range counts {
-			t.Run(fmt.Sprintf("%s/shards=%d", kind, n), func(t *testing.T) {
-				rng := rand.New(rand.NewSource(int64(42 + 1000*int(kind) + n)))
-				h := newDiffHarness(t, kind, n, rng)
+	for _, n := range counts {
+		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(42 + n)))
+			h := newDiffHarness(t, n, rng)
 
-				for step := 0; step < steps; step++ {
-					switch op := rng.Intn(10); {
-					case op < 5: // check
-						res := h.resources[rng.Intn(len(h.resources))]
-						h.compareCheck(res, h.requester(rng))
-					case op < 8: // toggle an edge, then spot-check a resource
-						i := rng.Intn(len(h.edges))
-						if h.edges[i].present {
-							h.unrelate(i)
-						} else {
-							h.relate(i)
-						}
-						ri := rng.Intn(len(h.resources))
-						h.compareCheck(h.resources[ri], h.requester(rng))
-					case op < 9: // full audience comparison
-						h.compareAudience(h.resources[rng.Intn(len(h.resources))])
-					default: // raw reachability point query
-						ri := rng.Intn(len(h.resources))
-						req := h.users[rng.Intn(len(h.users))]
-						h.compareReach(h.owners[ri], req, diffCatalog[ri])
+			for step := 0; step < steps; step++ {
+				switch op := rng.Intn(10); {
+				case op < 5: // check
+					res := h.resources[rng.Intn(len(h.resources))]
+					h.compareCheck(res, h.requester(rng))
+				case op < 8: // toggle an edge, then spot-check a resource
+					i := rng.Intn(len(h.edges))
+					if h.edges[i].present {
+						h.unrelate(i)
+					} else {
+						h.relate(i)
 					}
+					ri := rng.Intn(len(h.resources))
+					h.compareCheck(h.resources[ri], h.requester(rng))
+				case op < 9: // full audience comparison
+					h.compareAudience(h.resources[rng.Intn(len(h.resources))])
+				default: // raw reachability point query
+					ri := rng.Intn(len(h.resources))
+					req := h.users[rng.Intn(len(h.users))]
+					h.compareReach(h.owners[ri], req, diffCatalog[ri])
 				}
+			}
 
-				// Final exhaustive pass: every audience, and every resource
-				// against a fixed requester panel.
-				for ri, res := range h.resources {
-					h.compareAudience(res)
-					for u := 0; u < len(h.users); u += 7 {
-						h.compareCheck(res, h.users[u])
-					}
-					h.compareCheck(res, h.owners[ri]) // owner fast-allow parity
+			// Final exhaustive pass: every audience, and every resource
+			// against a fixed requester panel.
+			for ri, res := range h.resources {
+				h.compareAudience(res)
+				for u := 0; u < len(h.users); u += 7 {
+					h.compareCheck(res, h.users[u])
 				}
-			})
-		}
+				h.compareCheck(res, h.owners[ri]) // owner fast-allow parity
+			}
+		})
 	}
 }

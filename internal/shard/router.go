@@ -561,7 +561,6 @@ func (r *Router) Stats(ctx context.Context) (httpapi.StatsResponse, error) {
 	for i, st := range per {
 		shardStats[i] = httpapi.ShardStats{
 			Index:         i,
-			Engine:        st.Engine,
 			Users:         st.Users,
 			Relationships: st.Relationships,
 			Healthy:       errs[i] == nil,
@@ -586,7 +585,6 @@ func (r *Router) Stats(ctx context.Context) (httpapi.StatsResponse, error) {
 	}
 	if errs[0] == nil {
 		agg.Users = per[0].Users
-		agg.Engine = per[0].Engine
 		agg.Durable = per[0].Durable
 	}
 	r.pmu.RLock()
@@ -606,7 +604,6 @@ func (r *Router) Health(ctx context.Context) httpapi.HealthResponse {
 	resp := httpapi.HealthResponse{
 		Status:        "ok",
 		Role:          "router",
-		Engine:        st.Engine,
 		Durable:       st.Durable,
 		Users:         st.Users,
 		Relationships: st.Relationships,

@@ -28,7 +28,6 @@ type bitset []uint64
 func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
 
 func (b bitset) set(i int)      { b[i>>6] |= 1 << (i & 63) }
-func (b bitset) unset(i int)    { b[i>>6] &^= 1 << (i & 63) }
 func (b bitset) get(i int) bool { return b[i>>6]&(1<<(i&63)) != 0 }
 func (b bitset) orWith(o bitset) {
 	for i := range b {
@@ -169,68 +168,6 @@ func (e *Engine) Bytes() int {
 	return (len(e.adj) + len(e.closure)) * per
 }
 
-// ApplyDelta implements core.IncrementalEvaluator: edge additions and
-// removals flip single bits in the per-(label, direction) adjacency
-// matrices and invalidate only the affected label's cached closures —
-// replacing the wholesale engine rebuild a mutation used to force. Node
-// additions are free (a node with no incident edges is unreachable; see the
-// Reachable guard). The batch is declined — forcing a full rebuild —
-// when an edge touches a node beyond the matrices' width, since growing
-// every row of every matrix would cost as much as rebuilding.
-func (e *Engine) ApplyDelta(g *graph.Graph, deltas []graph.Delta) bool {
-	if e.g != g {
-		return false
-	}
-	// Pre-scan so a decline never leaves the matrices half-advanced.
-	for _, d := range deltas {
-		switch d.Op {
-		case graph.OpAddNode:
-		case graph.OpAddEdge, graph.OpRemoveEdge:
-			if int(d.From) >= e.n || int(d.To) >= e.n {
-				return false
-			}
-		default:
-			return false
-		}
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for _, d := range deltas {
-		if d.Op != graph.OpAddEdge && d.Op != graph.OpRemoveEdge {
-			continue
-		}
-		l, ok := g.LookupLabel(d.Label)
-		if !ok {
-			return false // clone and log diverged; rebuild
-		}
-		fk, bk := labelDir{l, true}, labelDir{l, false}
-		if d.Op == graph.OpAddEdge {
-			if e.adj[fk] == nil {
-				e.adj[fk] = newMatrix(e.n)
-			}
-			if e.adj[bk] == nil {
-				e.adj[bk] = newMatrix(e.n)
-			}
-			e.adj[fk].rows[d.From].set(int(d.To))
-			e.adj[bk].rows[d.To].set(int(d.From))
-		} else {
-			if e.adj[fk] != nil {
-				e.adj[fk].rows[d.From].unset(int(d.To))
-			}
-			if e.adj[bk] != nil {
-				e.adj[bk].rows[d.To].unset(int(d.From))
-			}
-		}
-		// Per-label invalidation: only this label's closures are rebuilt
-		// (lazily, on next unbounded use); every other label's cache
-		// survives the mutation.
-		delete(e.closure, fk)
-		delete(e.closure, bk)
-		delete(e.bothClosure, l)
-	}
-	return true
-}
-
 // MaterializeClosures forces construction of every per-label closure, so
 // that build cost can be measured up front (E6).
 func (e *Engine) MaterializeClosures() {
@@ -332,9 +269,8 @@ func (e *Engine) Reachable(owner, requester graph.NodeID, p *pathexpr.Path) (boo
 		return false, err
 	}
 	if int(owner) >= e.n || int(requester) >= e.n {
-		// Nodes added after the matrices were sized are edge-free (an
-		// incident edge would have forced a rebuild, see ApplyDelta), and
-		// every path pattern consumes at least one edge.
+		// Nodes added to g after New lie outside the matrices, which
+		// describe g as it was when the engine was built.
 		return false, nil
 	}
 	frontier := newBitset(e.n)

@@ -61,22 +61,6 @@ func (c *Cover) Size() int {
 	return s
 }
 
-// AddVertex grows the cover by one isolated vertex, registering it as a new
-// lowest-priority center whose labels initially witness only its self-pair
-// (Lin = Lout = {its own rank}), and returns the vertex id. Edges incident
-// to the new vertex are then integrated with Insert, whose resumed BFS uses
-// the new rank like any other; the Definition 6 cover property is preserved
-// at every step.
-func (c *Cover) AddVertex() int {
-	v := c.n
-	c.n++
-	r := int32(len(c.rankToVertex))
-	c.rankToVertex = append(c.rankToVertex, int32(v))
-	c.in = append(c.in, []int32{r})
-	c.out = append(c.out, []int32{r})
-	return v
-}
-
 // Reachable reports u ⇝ v via label intersection.
 func (c *Cover) Reachable(u, v int) bool {
 	if u == v {

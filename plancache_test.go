@@ -151,40 +151,37 @@ func TestAdHocExpressionsDoNotPoisonPlanCache(t *testing.T) {
 }
 
 // TestOnePlanPerExpressionPerSnapshot: a check, an audience and a shard
-// expand on one expression compile its plan exactly once, on every engine
-// kind, because every read of a snapshot that searches runs on the
-// snapshot's one search engine (on Online, the evaluator itself).
+// expand on one expression compile its plan exactly once, because every
+// read of a snapshot runs on the snapshot's one search engine.
 func TestOnePlanPerExpressionPerSnapshot(t *testing.T) {
-	for _, kind := range EngineKinds() {
-		n := New(WithEngine(kind))
-		a, b, c := n.MustAddUser("a"), n.MustAddUser("b"), n.MustAddUser("c")
-		if err := n.Relate(a, b, "friend"); err != nil {
-			t.Fatal(err)
-		}
-		if err := n.Relate(b, c, "friend"); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := n.Share("doc", a, "friend+[1,2]"); err != nil {
-			t.Fatal(err)
-		}
-		v, err := n.View()
-		if err != nil {
-			t.Fatal(err)
-		}
-		before := n.Stats()
-		if d, err := n.CanAccess("doc", c); err != nil || d.Effect != Allow {
-			t.Fatalf("%v: CanAccess = (%v, %v), want allow", kind, d.Effect, err)
-		}
-		if aud, err := n.Audience("doc"); err != nil || len(aud) != 2 {
-			t.Fatalf("%v: Audience = (%v, %v), want b and c", kind, aud, err)
-		}
-		resp, err := v.ShardExpand(ShardExpandRequest{Path: "friend+[1,2]", Shards: 1, States: []ShardState{{Name: "a"}}})
-		if err != nil || len(resp.Accepted) != 2 {
-			t.Fatalf("%v: ShardExpand = (%+v, %v), want b and c", kind, resp, err)
-		}
-		v.Close()
-		if d := n.Stats().Delta(before); d.PlanCompiles != 1 || d.Republications != 0 {
-			t.Fatalf("%v: compiled %d plans over %d publications, want 1 over 0", kind, d.PlanCompiles, d.Republications)
-		}
+	n := New()
+	a, b, c := n.MustAddUser("a"), n.MustAddUser("b"), n.MustAddUser("c")
+	if err := n.Relate(a, b, "friend"); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Relate(b, c, "friend"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := n.Share("doc", a, "friend+[1,2]"); err != nil {
+		t.Fatal(err)
+	}
+	v, err := n.View()
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := n.Stats()
+	if d, err := n.CanAccess("doc", c); err != nil || d.Effect != Allow {
+		t.Fatalf("CanAccess = (%v, %v), want allow", d.Effect, err)
+	}
+	if aud, err := n.Audience("doc"); err != nil || len(aud) != 2 {
+		t.Fatalf("Audience = (%v, %v), want b and c", aud, err)
+	}
+	resp, err := v.ShardExpand(ShardExpandRequest{Path: "friend+[1,2]", Shards: 1, States: []ShardState{{Name: "a"}}})
+	if err != nil || len(resp.Accepted) != 2 {
+		t.Fatalf("ShardExpand = (%+v, %v), want b and c", resp, err)
+	}
+	v.Close()
+	if d := n.Stats().Delta(before); d.PlanCompiles != 1 || d.Republications != 0 {
+		t.Fatalf("compiled %d plans over %d publications, want 1 over 0", d.PlanCompiles, d.Republications)
 	}
 }

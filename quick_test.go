@@ -1,8 +1,9 @@
 package reachac
 
 // Property-based tests over randomized social graphs AND randomized path
-// expressions: all evaluation engines must return identical decisions, and
-// granted decisions must be witnessed by a verifiable path.
+// expressions: the network and the paper's index libraries must return
+// identical decisions, and granted decisions must be witnessed by a
+// verifiable path.
 
 import (
 	"math/rand"
@@ -79,7 +80,7 @@ func TestQuickEngineAgreement(t *testing.T) {
 		n := 4 + rng.Intn(12)
 		g := randGraph(rng, n, n*2+rng.Intn(n*2))
 
-		oracle := search.New(g)
+		net := FromGraph(g.Clone())
 		closure := tclosure.New(g)
 		idx, err := joinindex.Build(g, joinindex.Options{GreedyCover: true})
 		if err != nil {
@@ -100,9 +101,9 @@ func TestQuickEngineAgreement(t *testing.T) {
 			for probe := 0; probe < 12; probe++ {
 				o := graph.NodeID(rng.Intn(n))
 				r := graph.NodeID(rng.Intn(n))
-				want, err := oracle.Reachable(o, r, p)
+				want, err := net.CheckPath(o, r, p.String())
 				if err != nil {
-					t.Logf("seed %d: oracle: %v", seed, err)
+					t.Logf("seed %d: network: %v", seed, err)
 					return false
 				}
 				for name, eval := range map[string]interface {
@@ -181,7 +182,8 @@ func TestQuickPathRoundTrip(t *testing.T) {
 
 func TestQuickMutationConsistency(t *testing.T) {
 	// After any sequence of relate/unrelate operations through the facade,
-	// the Index engine must agree with a freshly-built Online engine.
+	// the network must agree with both library engines built afresh over
+	// its graph.
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := New()
@@ -214,28 +216,27 @@ func TestQuickMutationConsistency(t *testing.T) {
 				live = append(live, rel{a, b, l})
 			}
 		}
-		if err := n.UseEngine(Index); err != nil {
-			return false
-		}
 		p := randPath(rng)
 		if p.Validate() != nil {
 			return true
 		}
-		oracle := search.New(n.Graph())
+		libs := libraryEngines(t, n)
 		for probe := 0; probe < 10; probe++ {
 			o := ids[rng.Intn(users)]
 			r := ids[rng.Intn(users)]
-			want, err := oracle.Reachable(o, r, p)
-			if err != nil {
-				return false
-			}
 			got, err := n.CheckPath(o, r, p.String())
 			if err != nil {
 				return false
 			}
-			if got != want {
-				t.Logf("seed %d: mutated-index disagrees on (%d,%d,%s)", seed, o, r, p)
-				return false
+			for _, lib := range libs {
+				want, err := lib.eval.Reachable(o, r, p)
+				if err != nil {
+					return false
+				}
+				if got != want {
+					t.Logf("seed %d: mutated network disagrees with %s on (%d,%d,%s)", seed, lib.name, o, r, p)
+					return false
+				}
 			}
 		}
 		return true

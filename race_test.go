@@ -8,169 +8,159 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"reachac/internal/search"
+	"reachac/internal/tclosure"
 )
 
 // TestConcurrentStress races mutators (Relate/Unrelate/Share/Revoke)
 // against snapshot-isolated readers (CanAccess/CanAccessAll/CheckPath/
-// Audience) across every engine kind. It asserts no errors and, run under
-// -race, the absence of data races in the snapshot publication protocol and
-// the evaluators' query paths.
+// Audience). It asserts no errors and, run under -race, the absence of data
+// races in the snapshot publication protocol and the search's query paths.
 func TestConcurrentStress(t *testing.T) {
-	for _, kind := range EngineKinds() {
-		t.Run(kind.String(), func(t *testing.T) {
-			t.Parallel()
-			n := New()
-			const members = 40
-			ids := make([]UserID, members)
-			for i := range ids {
-				ids[i] = n.MustAddUser(fmt.Sprintf("u%02d", i))
-			}
-			// A ring of friendships plus some colleague chords, so the
-			// policies below have both hits and misses.
-			for i := range ids {
-				if err := n.Relate(ids[i], ids[(i+1)%members], "friend"); err != nil {
-					t.Fatal(err)
-				}
-				if i%3 == 0 {
-					if err := n.Relate(ids[i], ids[(i+7)%members], "colleague"); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			if _, err := n.Share("album", ids[0], "friend+[1,3]"); err != nil {
+	t.Parallel()
+	// The subtest is named after the engine that answers: the online search.
+	t.Run("online-bfs", concurrentStress)
+}
+
+func concurrentStress(t *testing.T) {
+	n := New()
+	const members = 40
+	ids := make([]UserID, members)
+	for i := range ids {
+		ids[i] = n.MustAddUser(fmt.Sprintf("u%02d", i))
+	}
+	// A ring of friendships plus some colleague chords, so the
+	// policies below have both hits and misses.
+	for i := range ids {
+		if err := n.Relate(ids[i], ids[(i+1)%members], "friend"); err != nil {
+			t.Fatal(err)
+		}
+		if i%3 == 0 {
+			if err := n.Relate(ids[i], ids[(i+7)%members], "colleague"); err != nil {
 				t.Fatal(err)
 			}
-			if err := n.UseEngine(kind); err != nil {
-				t.Fatal(err)
-			}
+		}
+	}
+	if _, err := n.Share("album", ids[0], "friend+[1,3]"); err != nil {
+		t.Fatal(err)
+	}
 
-			// Index engines pay a full rebuild per published snapshot, and
-			// the race detector multiplies that cost; keep their iteration
-			// budget small so the test stays fast while still interleaving
-			// plenty of publications with reads.
-			readers, reads, mutations := 4, 300, 150
-			if kind == Index {
-				reads, mutations = 40, 20
-			}
-			errc := make(chan error, readers+3)
-			var wg sync.WaitGroup
+	const readers, reads, mutations = 4, 300, 150
+	errc := make(chan error, readers+3)
+	var wg sync.WaitGroup
 
-			// Edge mutator: flips one chord on and off.
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := 0; i < mutations; i++ {
-					if err := n.Relate(ids[5], ids[20], "friend"); err != nil {
-						errc <- err
-						return
-					}
-					if err := n.Unrelate(ids[5], ids[20], "friend"); err != nil {
-						errc <- err
-						return
-					}
-				}
-			}()
-			// Policy mutator: adds and revokes an alternative rule.
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := 0; i < mutations; i++ {
-					rid, err := n.Share("album", ids[0], "colleague+[1,2]")
-					if err != nil {
-						errc <- err
-						return
-					}
-					if !n.Revoke("album", rid) {
-						errc <- fmt.Errorf("rule %s vanished before revoke", rid)
-						return
-					}
-				}
-			}()
-			// Batch mutator: coalesced edge flips racing the readers, so the
-			// delta-advance steal of a retired clone runs under the race
-			// detector against in-flight snapshot readers.
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := 0; i < mutations; i++ {
-					err := n.Batch(func(tx *Tx) error {
-						if err := tx.Relate(ids[10], ids[25], "friend"); err != nil {
-							return err
-						}
-						if err := tx.Relate(ids[11], ids[26], "friend"); err != nil {
-							return err
-						}
-						if err := tx.Unrelate(ids[10], ids[25], "friend"); err != nil {
-							return err
-						}
-						return tx.Unrelate(ids[11], ids[26], "friend")
-					})
-					if err != nil {
-						errc <- err
-						return
-					}
-				}
-			}()
-			for r := 0; r < readers; r++ {
-				wg.Add(1)
-				go func(seed int) {
-					defer wg.Done()
-					for i := 0; i < reads; i++ {
-						req := ids[(seed*31+i)%members]
-						if _, err := n.CanAccess("album", req); err != nil {
-							errc <- err
-							return
-						}
-						switch i % 16 {
-						case 3:
-							if _, err := n.CanAccessAll("album", ids[:8]); err != nil {
-								errc <- err
-								return
-							}
-						case 7:
-							if _, err := n.CheckPath(ids[0], req, "friend+[1,2]"); err != nil {
-								errc <- err
-								return
-							}
-						case 11:
-							if _, err := n.Audience("album"); err != nil {
-								errc <- err
-								return
-							}
-						case 15:
-							n.Audit()
-						}
-					}
-				}(r)
+	// Edge mutator: flips one chord on and off.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < mutations; i++ {
+			if err := n.Relate(ids[5], ids[20], "friend"); err != nil {
+				errc <- err
+				return
 			}
-			wg.Wait()
-			close(errc)
-			for err := range errc {
-				t.Fatal(err)
+			if err := n.Unrelate(ids[5], ids[20], "friend"); err != nil {
+				errc <- err
+				return
 			}
-
-			// The graph must be back in its pre-race shape, and decisions
-			// must still be exact on the settled state.
-			chords := (members + 2) / 3 // one colleague chord per i%3==0
-			if got := n.NumRelationships(); got != members+chords {
-				t.Fatalf("relationships = %d after stress, want %d", got, members+chords)
-			}
-			d, err := n.CanAccess("album", ids[1])
+		}
+	}()
+	// Policy mutator: adds and revokes an alternative rule.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < mutations; i++ {
+			rid, err := n.Share("album", ids[0], "colleague+[1,2]")
 			if err != nil {
-				t.Fatal(err)
+				errc <- err
+				return
 			}
-			if d.Effect != Allow {
-				t.Fatalf("direct friend denied after stress: %+v", d)
+			if !n.Revoke("album", rid) {
+				errc <- fmt.Errorf("rule %s vanished before revoke", rid)
+				return
 			}
-			d, err = n.CanAccess("album", ids[members/2])
+		}
+	}()
+	// Batch mutator: coalesced edge flips racing the readers, so the
+	// delta-advance steal of a retired clone runs under the race
+	// detector against in-flight snapshot readers.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < mutations; i++ {
+			err := n.Batch(func(tx *Tx) error {
+				if err := tx.Relate(ids[10], ids[25], "friend"); err != nil {
+					return err
+				}
+				if err := tx.Relate(ids[11], ids[26], "friend"); err != nil {
+					return err
+				}
+				if err := tx.Unrelate(ids[10], ids[25], "friend"); err != nil {
+					return err
+				}
+				return tx.Unrelate(ids[11], ids[26], "friend")
+			})
 			if err != nil {
-				t.Fatal(err)
+				errc <- err
+				return
 			}
-			if d.Effect != Deny {
-				t.Fatalf("distant member allowed after stress: %+v", d)
+		}
+	}()
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(seed int) {
+			defer wg.Done()
+			for i := 0; i < reads; i++ {
+				req := ids[(seed*31+i)%members]
+				if _, err := n.CanAccess("album", req); err != nil {
+					errc <- err
+					return
+				}
+				switch i % 16 {
+				case 3:
+					if _, err := n.CanAccessAll("album", ids[:8]); err != nil {
+						errc <- err
+						return
+					}
+				case 7:
+					if _, err := n.CheckPath(ids[0], req, "friend+[1,2]"); err != nil {
+						errc <- err
+						return
+					}
+				case 11:
+					if _, err := n.Audience("album"); err != nil {
+						errc <- err
+						return
+					}
+				case 15:
+					n.Audit()
+				}
 			}
-		})
+		}(r)
+	}
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Fatal(err)
+	}
+
+	// The graph must be back in its pre-race shape, and decisions
+	// must still be exact on the settled state.
+	chords := (members + 2) / 3 // one colleague chord per i%3==0
+	if got := n.NumRelationships(); got != members+chords {
+		t.Fatalf("relationships = %d after stress, want %d", got, members+chords)
+	}
+	d, err := n.CanAccess("album", ids[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Effect != Allow {
+		t.Fatalf("direct friend denied after stress: %+v", d)
+	}
+	d, err = n.CanAccess("album", ids[members/2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Effect != Deny {
+		t.Fatalf("distant member allowed after stress: %+v", d)
 	}
 }
 
@@ -280,113 +270,110 @@ func TestCheckpointBesideWriters(t *testing.T) {
 	if got, want := stateSignature(back), stateSignature(n); got != want {
 		t.Fatalf("reopened network differs from the live one:\n%s\nwant\n%s", got, want)
 	}
-	assertSameDecisions(t, "reopen", back, n, []EngineKind{Online})
+	assertSameDecisions(t, "reopen", back, n)
 }
 
 // TestConcurrentViewsAgainstPlainEvaluator races readers that hold Views for
 // random lifetimes — more of them than the spare pool has room for — against
-// an edge mutator and a policy mutator, on every engine kind. Each view's
-// decisions are checked against the plain BFS evaluator over the view's own
-// pinned graph and frozen rules: a publication that advanced a clone a view
-// still holds would show as a wrong decision here and as a data race under
-// -race.
+// an edge mutator and a policy mutator. Each view's decisions are checked
+// against the transitive-closure library over the view's own pinned graph
+// and frozen rules: a publication that advanced a clone a view still holds
+// would show as a wrong decision here and as a data race under -race.
 func TestConcurrentViewsAgainstPlainEvaluator(t *testing.T) {
-	for _, kind := range EngineKinds() {
-		t.Run(kind.String(), func(t *testing.T) {
-			t.Parallel()
-			n, ids := ringNet(t, kind, 24)
-			readers, views, mutations := 5, 120, 200
-			if kind == Index {
-				views, mutations = 25, 30
+	t.Parallel()
+	// The subtest is named after the engine that answers: the online search.
+	t.Run("online-bfs", concurrentViewsAgainstPlainEvaluator)
+}
+
+func concurrentViewsAgainstPlainEvaluator(t *testing.T) {
+	n, ids := ringNet(t, 24)
+	const readers, views, mutations = 5, 120, 200
+	errc := make(chan error, readers+2)
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < mutations; i++ {
+			if err := n.Relate(ids[3], ids[14], "friend"); err != nil {
+				errc <- err
+				return
 			}
-			errc := make(chan error, readers+2)
-			var wg sync.WaitGroup
-			wg.Add(2)
-			go func() {
-				defer wg.Done()
-				for i := 0; i < mutations; i++ {
-					if err := n.Relate(ids[3], ids[14], "friend"); err != nil {
-						errc <- err
-						return
-					}
-					if err := n.Unrelate(ids[3], ids[14], "friend"); err != nil {
-						errc <- err
-						return
+			if err := n.Unrelate(ids[3], ids[14], "friend"); err != nil {
+				errc <- err
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < mutations/4; i++ {
+			rid, err := n.Share("r", ids[0], "friend-[1,2]")
+			if err != nil {
+				errc <- err
+				return
+			}
+			if !n.Revoke("r", rid) {
+				errc <- fmt.Errorf("rule %s vanished before revoke", rid)
+				return
+			}
+		}
+	}()
+	// checkView opens a view, holds it for a random number of checked
+	// decisions and closes it.
+	checkView := func(rng *rand.Rand) error {
+		v, err := n.View()
+		if err != nil {
+			return err
+		}
+		defer v.Close()
+		plain, pinnedAt := tclosure.New(v.s.g), v.s.g.Version()
+		for c := rng.Intn(6); c >= 0; c-- {
+			req := ids[rng.Intn(len(ids))]
+			got, err := v.CanAccess("r", req)
+			if err != nil {
+				return err
+			}
+			want := req == ids[0]
+			for _, rule := range v.s.store.RulesFor("r") {
+				ok := !want
+				for _, cond := range rule.Conditions {
+					if ok {
+						ok, _ = plain.Reachable(rule.Owner, req, cond.Path)
 					}
 				}
-			}()
-			go func() {
-				defer wg.Done()
-				for i := 0; i < mutations/4; i++ {
-					rid, err := n.Share("r", ids[0], "friend-[1,2]")
-					if err != nil {
-						errc <- err
-						return
-					}
-					if !n.Revoke("r", rid) {
-						errc <- fmt.Errorf("rule %s vanished before revoke", rid)
-						return
-					}
-				}
-			}()
-			// checkView opens a view, holds it for a random number of checked
-			// decisions and closes it.
-			checkView := func(rng *rand.Rand) error {
-				v, err := n.View()
-				if err != nil {
-					return err
-				}
-				defer v.Close()
-				plain, pinnedAt := search.New(v.s.g), v.s.g.Version()
-				for c := rng.Intn(6); c >= 0; c-- {
-					req := ids[rng.Intn(len(ids))]
-					got, err := v.CanAccess("r", req)
-					if err != nil {
-						return err
-					}
-					want := req == ids[0]
-					for _, rule := range v.s.store.RulesFor("r") {
-						ok := !want
-						for _, cond := range rule.Conditions {
-							if ok {
-								ok, _ = plain.Reachable(rule.Owner, req, cond.Path)
-							}
-						}
-						want = want || ok
-					}
-					if (got.Effect == Allow) != want {
-						return fmt.Errorf("view at version %d: requester %d %v, plain evaluator allows=%v",
-							v.s.version, req, got.Effect, want)
-					}
-					runtime.Gosched()
-				}
-				if got := v.s.g.Version(); got != pinnedAt {
-					return fmt.Errorf("view at version %d: its clone went from version %d to %d while pinned", v.s.version, pinnedAt, got)
-				}
-				return nil
+				want = want || ok
 			}
-			for r := 0; r < readers; r++ {
-				wg.Add(1)
-				go func(seed int64) {
-					defer wg.Done()
-					rng := rand.New(rand.NewSource(seed))
-					for i := 0; i < views; i++ {
-						if err := checkView(rng); err != nil {
-							errc <- err
-							return
-						}
-					}
-				}(int64(r) + 1)
+			if (got.Effect == Allow) != want {
+				return fmt.Errorf("view at version %d: requester %d %v, closure allows=%v",
+					v.s.version, req, got.Effect, want)
 			}
-			wg.Wait()
-			close(errc)
-			for err := range errc {
-				t.Fatal(err)
+			runtime.Gosched()
+		}
+		if got := v.s.g.Version(); got != pinnedAt {
+			return fmt.Errorf("view at version %d: its clone went from version %d to %d while pinned", v.s.version, pinnedAt, got)
+		}
+		return nil
+	}
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < views; i++ {
+				if err := checkView(rng); err != nil {
+					errc <- err
+					return
+				}
 			}
-			if len(n.spares) > sparePoolCap {
-				t.Fatalf("%d snapshots parked, capacity %d", len(n.spares), sparePoolCap)
-			}
-		})
+		}(int64(r) + 1)
+	}
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Fatal(err)
+	}
+	if len(n.spares) > sparePoolCap {
+		t.Fatalf("%d snapshots parked, capacity %d", len(n.spares), sparePoolCap)
 	}
 }
 

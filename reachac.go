@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -45,61 +44,15 @@ func NumberAttr(k string, v float64) Attr { return Attr{k, graph.Number(v)} }
 // BoolAttr builds a boolean attribute.
 func BoolAttr(k string, v bool) Attr { return Attr{k, graph.Bool(v)} }
 
-// EngineKind selects the reachability evaluator backing access decisions.
+// EngineKind is WithEngine's and UseEngine's argument. Online is its only
+// value: the online search (see search.Engine) decides every check. The
+// type, Online and both functions exist only because the benchmark's
+// set-up calls them (benchmark/setup.go:186 passes WithEngine(Online),
+// benchmark/setup.go:205 calls UseEngine(Online)); they go once it stops.
 type EngineKind int
 
-// Available engines.
-const (
-	// Online evaluates each query with a constrained BFS over the graph —
-	// no precomputation, O(V+E) per query (the paper's §1 baseline).
-	Online EngineKind = iota
-	// Closure precomputes per-label adjacency/closure bitsets — fast
-	// queries, O(V²)-ish space (the paper's other §1 baseline).
-	Closure
-	// Index is the paper's cluster-based join index (§3) with the anchored
-	// evaluation strategy.
-	Index
-)
-
-func (k EngineKind) String() string {
-	switch k {
-	case Online:
-		return "online-bfs"
-	case Closure:
-		return "closure"
-	case Index:
-		return "join-index"
-	default:
-		return fmt.Sprintf("EngineKind(%d)", int(k))
-	}
-}
-
-// EngineKinds lists every engine kind, in declaration order.
-func EngineKinds() []EngineKind {
-	return []EngineKind{Online, Closure, Index}
-}
-
-// ParseEngineKind resolves an engine name: a kind's String form, or one of
-// the command-line shorthands "online" and "index".
-func ParseEngineKind(name string) (EngineKind, error) {
-	switch name {
-	case "online":
-		return Online, nil
-	case "index":
-		return Index, nil
-	}
-	kinds := EngineKinds()
-	names := make([]string, len(kinds))
-	for i, k := range kinds {
-		if names[i] = k.String(); name == names[i] {
-			return k, nil
-		}
-	}
-	return 0, fmt.Errorf("reachac: unknown engine kind %q (have %s)", name, strings.Join(names, ", "))
-}
-
-// Evaluator answers reachability queries; see core.Evaluator.
-type Evaluator = core.Evaluator
+// Online is the online search, the one engine behind every Network.
+const Online EngineKind = 0
 
 // Network is a social graph with privacy policies and an enforcement
 // engine. The zero value is not usable; call New. All methods are safe for
@@ -107,7 +60,7 @@ type Evaluator = core.Evaluator
 //
 // Reads are snapshot-isolated: access checks (CanAccess, CanAccessAll,
 // CheckPath, Audience) run against an immutable engine snapshot — a private
-// graph clone, an evaluator built over it, and a frozen policy view —
+// graph clone, the online search over it, and a frozen policy view —
 // published through an atomic pointer, so they proceed concurrently with
 // zero lock contention. Mutations (AddUser, Relate, Unrelate, Share, …)
 // serialize on an internal lock and bump version counters; the first read
@@ -118,8 +71,8 @@ type Evaluator = core.Evaluator
 // more has its clone fast-forwarded by replaying the log (O(Δ) in the
 // number of mutations) instead of re-cloned from scratch (O(V+E)); a small
 // pool of retired snapshots keeps one available while Views pin others.
-// Evaluators that implement core.IncrementalEvaluator advance in place too;
-// the rest are rebuilt over the advanced clone. The frozen policy view is
+// The search engine holds no precomputed state, so it carries over to the
+// advanced clone with its compiled plans. The frozen policy view is
 // copy-on-write: a publication copies only what policy mutations touched
 // since the previous one. Use Batch to coalesce many mutations into one
 // republication.
@@ -132,9 +85,8 @@ type Evaluator = core.Evaluator
 type Network struct {
 	// mu serializes mutations of the master graph and snapshot
 	// publication; readers never take it on the fast path.
-	mu   sync.Mutex
-	g    *graph.Graph
-	kind EngineKind
+	mu sync.Mutex
+	g  *graph.Graph
 	// store is the live policy store; an atomic pointer because
 	// LoadPolicies replaces it wholesale while readers check staleness
 	// lock-free.
@@ -142,8 +94,8 @@ type Network struct {
 	// audit is shared by every engine incarnation so the decision trail
 	// survives snapshot republication.
 	audit *core.AuditLog
-	// snap is the published engine snapshot; nil until the first access
-	// check or UseEngine call.
+	// snap is the published engine snapshot; nil until the first read
+	// publishes one (Open publishes before it returns).
 	snap atomic.Pointer[snapshot]
 	// spares parks retired snapshots whose graph clone is not shared with
 	// the published one, oldest first, at most sparePoolCap of them.
@@ -194,26 +146,19 @@ type Network struct {
 	ctr counters
 }
 
-// New returns an empty network using the Online engine. Options are the
-// same as Open's; WAL-specific ones (sync policy, checkpoint cadence) have
-// no effect on a non-durable network.
-func New(opts ...Option) *Network {
-	return newNetwork(graph.New(), core.NewStore()).applyOptions(opts)
+// New returns an empty network. Options are the same as Open's; none of
+// them (sync policy, checkpoint cadence, following) has an effect on a
+// non-durable network.
+func New(...Option) *Network {
+	return newNetwork(graph.New(), core.NewStore())
 }
 
 func newNetwork(g *graph.Graph, store *core.Store) *Network {
-	n := &Network{g: g, kind: Online, audit: core.NewAuditLog(0)}
+	n := &Network{g: g, audit: core.NewAuditLog(0)}
 	n.store.Store(store)
 	// The graph's mutations so far end here: a recovery's log replay, or
 	// whatever built a graph handed to FromGraph.
 	n.rebaseLocked()
-	return n
-}
-
-// applyOptions folds constructor options into a fresh (not yet shared)
-// network.
-func (n *Network) applyOptions(opts []Option) *Network {
-	n.kind = newOpenConfig(opts).kind
 	return n
 }
 
@@ -347,9 +292,10 @@ func LoadState(r io.Reader) (*Network, error) {
 
 // FromGraph wraps an existing social graph (used by the command-line tools
 // and benchmarks; the graph must not be mutated externally afterwards).
-// Options are the same as New's. Create is its durable twin.
-func FromGraph(g *graph.Graph, opts ...Option) *Network {
-	return newNetwork(g, core.NewStore()).applyOptions(opts)
+// Options are the same as New's, and have no effect either. Create is its
+// durable twin.
+func FromGraph(g *graph.Graph, _ ...Option) *Network {
+	return newNetwork(g, core.NewStore())
 }
 
 // Graph exposes the underlying master graph for inspection. Mutating it
@@ -361,26 +307,13 @@ func (n *Network) Graph() *graph.Graph { return n.g }
 // Store exposes the live policy store.
 func (n *Network) Store() *core.Store { return n.store.Load() }
 
-// UseEngine selects the evaluator kind for subsequent access checks. The
-// engine snapshot is (re)built and published immediately; an error leaves
-// the previous engine in place.
-func (n *Network) UseEngine(kind EngineKind) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	prev := n.kind
-	n.kind = kind
-	if _, err := n.publishLocked(); err != nil {
-		n.kind = prev
-		return err
-	}
+// UseEngine publishes the engine snapshot of the current state now, so the
+// next read does not pay for it; the kind is always Online. It never fails.
+// It exists only because benchmark/setup.go:205 calls it and times the
+// publication as reachac.engine_build_s (see EngineKind).
+func (n *Network) UseEngine(EngineKind) error {
+	n.publish()
 	return nil
-}
-
-// EngineKind reports the selected engine.
-func (n *Network) EngineKind() EngineKind {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.kind
 }
 
 // Share registers resource to owner (if new) and attaches one access rule
@@ -452,15 +385,12 @@ func (n *Network) Revoke(resource, ruleID string) bool {
 }
 
 // CanAccess decides whether requester may access resource under the current
-// policies, using the selected engine. The check runs against the current
+// policies, using the online search. The check runs against the current
 // engine snapshot (republished first if the graph or policies changed), so
 // concurrent checks never contend on a lock. Every call is evaluated afresh
 // and recorded in the audit trail.
 func (n *Network) CanAccess(resource string, requester UserID) (Decision, error) {
-	s, err := n.snapshot()
-	if err != nil {
-		return Decision{}, err
-	}
+	s := n.snapshot()
 	defer s.release()
 	n.ctr.checks.Add(1)
 	return s.engine.Decide(core.ResourceID(resource), requester)
@@ -473,17 +403,14 @@ func (n *Network) CheckPath(owner, requester UserID, expr string) (bool, error) 
 	if err != nil {
 		return false, err
 	}
-	s, err := n.snapshot()
-	if err != nil {
-		return false, err
-	}
+	s := n.snapshot()
 	defer s.release()
 	n.ctr.checks.Add(1)
-	return s.eval.Reachable(owner, requester, p)
+	return s.search.Reachable(owner, requester, p)
 }
 
 // Audit returns the retained decision trail. The trail is shared across
-// engine snapshots, so it survives graph mutations and engine switches.
+// engine snapshots, so it survives graph mutations.
 func (n *Network) Audit() []Decision {
 	return n.audit.Decisions()
 }
@@ -547,10 +474,7 @@ func (n *Network) LoadPolicies(r io.Reader) error {
 // runs against the current engine snapshot, concurrently with other reads.
 // An unregistered resource is ErrUnknownResource.
 func (n *Network) Audience(resource string) ([]UserID, error) {
-	s, err := n.snapshot()
-	if err != nil {
-		return nil, err
-	}
+	s := n.snapshot()
 	defer s.release()
 	n.ctr.audiences.Add(1)
 	return s.audience(resource)
@@ -560,10 +484,7 @@ func (n *Network) Audience(resource string) ([]UserID, error) {
 // reaches — the audience a Share with that single condition would grant.
 // Like the other reads it runs against the current engine snapshot.
 func (n *Network) PathAudience(owner UserID, expr string) ([]UserID, error) {
-	s, err := n.snapshot()
-	if err != nil {
-		return nil, err
-	}
+	s := n.snapshot()
 	defer s.release()
 	n.ctr.audiences.Add(1)
 	return s.pathAudience(owner, expr)

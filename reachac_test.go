@@ -2,10 +2,10 @@ package reachac
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 
 	"reachac/internal/core"
+	"reachac/internal/pathexpr"
 	"reachac/internal/search"
 )
 
@@ -65,6 +65,9 @@ func TestQuickstartFlow(t *testing.T) {
 	}
 }
 
+// TestAllEnginesAgreeOnPolicies checks every path query on the paper's
+// running example between every pair of members against both library
+// engines (see libraryEngines) on the same graph.
 func TestAllEnginesAgreeOnPolicies(t *testing.T) {
 	queries := []string{
 		"friend+[1,2]/colleague+[1]",
@@ -73,36 +76,24 @@ func TestAllEnginesAgreeOnPolicies(t *testing.T) {
 		"friend*[1,3]",
 		"friend+[1,*]",
 	}
-	kinds := EngineKinds()
 	names := []string{"Alice", "Bill", "Colin", "David", "Elena", "Fred", "George"}
-
-	// Reference decision matrix from the Online engine.
-	ref := map[string]bool{}
 	n, ids := buildPaperNetwork(t)
+	libs := libraryEngines(t, n)
 	for _, q := range queries {
+		p := pathexpr.MustParse(q)
 		for _, o := range names {
 			for _, r := range names {
-				ok, err := n.CheckPath(ids[o], ids[r], q)
+				got, err := n.CheckPath(ids[o], ids[r], q)
 				if err != nil {
 					t.Fatal(err)
 				}
-				ref[q+o+r] = ok
-			}
-		}
-	}
-	for _, kind := range kinds[1:] {
-		if err := n.UseEngine(kind); err != nil {
-			t.Fatalf("%v: %v", kind, err)
-		}
-		for _, q := range queries {
-			for _, o := range names {
-				for _, r := range names {
-					ok, err := n.CheckPath(ids[o], ids[r], q)
+				for _, lib := range libs {
+					want, err := lib.eval.Reachable(ids[o], ids[r], p)
 					if err != nil {
-						t.Fatalf("%v (%s,%s,%s): %v", kind, o, r, q, err)
+						t.Fatalf("%s (%s,%s,%s): %v", lib.name, o, r, q, err)
 					}
-					if ok != ref[q+o+r] {
-						t.Fatalf("%v disagrees on (%s,%s,%s): %v vs %v", kind, o, r, q, ok, ref[q+o+r])
+					if got != want {
+						t.Fatalf("(%s,%s,%s): %v, %s %v", o, r, q, got, lib.name, want)
 					}
 				}
 			}
@@ -112,9 +103,6 @@ func TestAllEnginesAgreeOnPolicies(t *testing.T) {
 
 func TestIndexRebuildsAfterMutation(t *testing.T) {
 	n, ids := buildPaperNetwork(t)
-	if err := n.UseEngine(Index); err != nil {
-		t.Fatal(err)
-	}
 	// Initially: Alice -friend-> Bill only, not Bill -friend-> Colin.
 	ok, err := n.CheckPath(ids["Alice"], ids["George"], "colleague+[1]/colleague+[1]")
 	if err != nil {
@@ -132,7 +120,7 @@ func TestIndexRebuildsAfterMutation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !ok {
-		t.Fatal("index not rebuilt after mutation")
+		t.Fatal("snapshot not republished after mutation")
 	}
 	// Remove it again.
 	if err := n.Unrelate(ids["David"], ids["George"], "colleague"); err != nil {
@@ -376,62 +364,6 @@ func TestParsePathCanonicalizes(t *testing.T) {
 	}
 }
 
-func TestEngineKindString(t *testing.T) {
-	kinds := map[EngineKind]string{
-		Online: "online-bfs", Closure: "closure", Index: "join-index",
-	}
-	for k, want := range kinds {
-		if k.String() != want {
-			t.Errorf("%d String = %q", int(k), k.String())
-		}
-	}
-	if err := New().UseEngine(EngineKind(99)); err == nil {
-		t.Fatal("unknown engine accepted")
-	}
-}
-
-func TestParseEngineKind(t *testing.T) {
-	for _, c := range []struct {
-		name string
-		want EngineKind
-		ok   bool
-	}{
-		{"online-bfs", Online, true},
-		{"closure", Closure, true},
-		{"join-index", Index, true},
-		{"online", Online, true},
-		{"index", Index, true},
-		{"join-index-paper", 0, false},
-		{"index-paper", 0, false},
-		{"online-dfs", 0, false},
-		{"online-adaptive", 0, false},
-		{"", 0, false},
-		{"Closure", 0, false},
-	} {
-		got, err := ParseEngineKind(c.name)
-		if c.ok {
-			if err != nil || got != c.want {
-				t.Errorf("ParseEngineKind(%q) = (%v, %v), want %v", c.name, got, err, c.want)
-			}
-			continue
-		}
-		if err == nil {
-			t.Errorf("ParseEngineKind(%q) = %v, want an error", c.name, got)
-			continue
-		}
-		for _, k := range EngineKinds() {
-			if !strings.Contains(err.Error(), k.String()) {
-				t.Errorf("ParseEngineKind(%q) error %q does not list %v", c.name, err, k)
-			}
-		}
-	}
-	for _, k := range EngineKinds() {
-		if got, err := ParseEngineKind(k.String()); err != nil || got != k {
-			t.Errorf("ParseEngineKind(%v.String()) = (%v, %v)", k, got, err)
-		}
-	}
-}
-
 func TestDuplicateUserRejected(t *testing.T) {
 	n := New()
 	n.MustAddUser("a")
@@ -509,15 +441,6 @@ func TestAttrConstructorsAndAccessors(t *testing.T) {
 	if n.Store() == nil {
 		t.Fatal("Store accessor nil")
 	}
-	if n.EngineKind() != Online {
-		t.Fatalf("default engine = %v", n.EngineKind())
-	}
-	if err := n.UseEngine(Closure); err != nil {
-		t.Fatal(err)
-	}
-	if n.EngineKind() != Closure {
-		t.Fatalf("engine after UseEngine = %v", n.EngineKind())
-	}
 }
 
 func TestFromGraph(t *testing.T) {
@@ -555,17 +478,8 @@ func TestRelateMutualErrorPath(t *testing.T) {
 	}
 }
 
-func TestUnknownEngineString(t *testing.T) {
-	if EngineKind(42).String() != "EngineKind(42)" {
-		t.Fatal("unknown EngineKind String")
-	}
-}
-
 func TestDirectGraphMutationTriggersRebuild(t *testing.T) {
 	n, ids := buildPaperNetwork(t)
-	if err := n.UseEngine(Index); err != nil {
-		t.Fatal(err)
-	}
 	ok, err := n.CheckPath(ids["Alice"], ids["George"], "colleague+[2]")
 	if err != nil || ok {
 		t.Fatalf("before: %v %v", ok, err)

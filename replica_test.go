@@ -54,8 +54,9 @@ func waitReplicaCaughtUp(t *testing.T, follower, leader *Network) {
 
 // TestReplicaDifferentialAllEngines drives the deterministic trace through a
 // leader, catches the follower up after every committed step, and asserts
-// the replicated state decides identically to the leader under every
-// engine kind — with a follower restart mid-stream, after which the two
+// the replicated state decides identically to the leader and to both
+// library engines on the leader's state — with a follower restart
+// mid-stream, after which the two
 // directories must hold byte-identical logs.
 func TestReplicaDifferentialAllEngines(t *testing.T) {
 	const seed, steps, restartAt = 11, 14, 7
@@ -93,7 +94,7 @@ func TestReplicaDifferentialAllEngines(t *testing.T) {
 			defer follower.Close()
 		}
 		waitReplicaCaughtUp(t, follower, leader)
-		assertSameDecisions(t, fmt.Sprintf("step %d", i), follower, leader, EngineKinds())
+		assertSameDecisions(t, fmt.Sprintf("step %d", i), follower, leader)
 	}
 
 	// The mirror is byte-identical, not just decision-identical.
@@ -150,13 +151,13 @@ func TestReplicaBootstrapsFromCreatedLeader(t *testing.T) {
 		t.Fatalf("follower did not bootstrap from the leader's checkpoint: %+v", rec)
 	}
 	waitReplicaCaughtUp(t, follower, leader)
-	assertSameDecisions(t, "bootstrap", follower, leader, EngineKinds())
+	assertSameDecisions(t, "bootstrap", follower, leader)
 	for i, step := range makeTrace(13, 10) {
 		if err := applyStep(leader, step); err != nil {
 			t.Fatalf("leader step %d: %v", i, err)
 		}
 		waitReplicaCaughtUp(t, follower, leader)
-		assertSameDecisions(t, fmt.Sprintf("step %d", i), follower, leader, EngineKinds())
+		assertSameDecisions(t, fmt.Sprintf("step %d", i), follower, leader)
 	}
 	if err := follower.Close(); err != nil {
 		t.Fatal(err)
@@ -310,7 +311,7 @@ func TestReplicaTransientTailLoss(t *testing.T) {
 		t.Fatalf("healed follower status %+v", rs)
 	}
 	ref := replayPrefix(t, trace, 12)
-	assertSameDecisions(t, "post-heal", follower, ref, []EngineKind{Online, Index})
+	assertSameDecisions(t, "post-heal", follower, ref)
 }
 
 // ---------------------------------------------------------------------------
@@ -388,7 +389,7 @@ func TestReplicaKillFollower(t *testing.T) {
 	defer follower.Close()
 	waitReplicaCaughtUp(t, follower, leader)
 	ref := replayPrefix(t, trace, steps)
-	assertSameDecisions(t, "post-kill", follower, ref, []EngineKind{Online, Closure, Index})
+	assertSameDecisions(t, "post-kill", follower, ref)
 
 	// And its mirrored log still chain-verifies against the leader's.
 	if err := follower.Close(); err != nil {

@@ -6,7 +6,7 @@ import (
 )
 
 // TestPersistenceRoundTrips drives table-driven scenarios that interleave
-// mutations, engine switches and every persistence surface the facade
+// mutations and every persistence surface the facade
 // offers — Save/Load (graph only), SavePolicies/LoadPolicies (policies
 // only), SaveState/LoadState (both) — and asserts the expected decisions at
 // marked points. It pins the documented split: Save/Load alone silently
@@ -18,7 +18,6 @@ func TestPersistenceRoundTrips(t *testing.T) {
 	//   rel:FROM,TO,LABEL    add a relationship
 	//   unrel:FROM,TO,LABEL  remove one
 	//   share:RES,OWNER,PATH attach a rule
-	//   engine:KIND          switch engines (a ParseEngineKind name)
 	//   graph-rt             round-trip through Save/Load (policies LOST)
 	//   policy-rt            round-trip policies through SavePolicies/LoadPolicies
 	//   full-rt              round-trip through Save+SavePolicies/Load+LoadPolicies
@@ -73,19 +72,15 @@ func TestPersistenceRoundTrips(t *testing.T) {
 			},
 		},
 		{
-			name: "engine-switches-across-round-trips",
+			name: "chained-round-trips",
 			steps: []string{
 				"user:alice", "user:bob", "user:carol",
 				"rel:alice,bob,friend", "rel:bob,carol,colleague",
 				"share:note,alice,friend+[1,1]/colleague+[1,1]",
-				"engine:closure",
 				"allow:note,carol",
 				"state-rt",
-				"engine:index",
 				"allow:note,carol", "deny:note,bob",
 				"full-rt",
-				"allow:note,carol",
-				"engine:online",
 				"allow:note,carol",
 			},
 		},
@@ -136,14 +131,6 @@ func TestPersistenceRoundTrips(t *testing.T) {
 					}
 				case scan(step, "share:%s,%s,%s", &a, &b, &c):
 					if _, err := n.Share(a, lookup(b), c); err != nil {
-						fail(err)
-					}
-				case scan(step, "engine:%s", &a):
-					k, err := ParseEngineKind(a)
-					if err != nil {
-						fail(err)
-					}
-					if err := n.UseEngine(k); err != nil {
 						fail(err)
 					}
 				case step == "graph-rt":

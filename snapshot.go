@@ -1,35 +1,26 @@
 package reachac
 
 import (
-	"fmt"
-	"runtime"
 	"slices"
-	"sync"
 	"sync/atomic"
 
 	"reachac/internal/core"
 	"reachac/internal/graph"
-	"reachac/internal/joinindex"
 	"reachac/internal/search"
-	"reachac/internal/tclosure"
 )
 
 // snapshot is one immutable engine generation: a private clone of the social
-// graph, an evaluator built over it and a frozen policy view. Once published
-// via Network.snap it is never mutated, so any number of readers may use it
-// with no coordination while mutators prepare the next generation.
+// graph, the online search engine over it and a frozen policy view. Once
+// published via Network.snap it is never mutated, so any number of readers
+// may use it with no coordination while mutators prepare the next
+// generation.
 type snapshot struct {
 	// g is a private clone of the master graph; nothing mutates it after
-	// the snapshot is built, so evaluators may traverse it lock-free.
-	g    *graph.Graph
-	kind EngineKind
-	// eval is the evaluator of the selected kind: every check and CheckPath
-	// decides on it, and delta advances (core.IncrementalEvaluator) talk to
-	// it directly.
-	eval Evaluator
-	// search is the snapshot's online search engine over g, which audiences
-	// and ShardExpand run on. On the Online kind it is eval itself, so each
-	// expression compiles one plan per snapshot graph.
+	// the snapshot is built, so the search may traverse it lock-free.
+	g *graph.Graph
+	// search is the online search engine over g: every check, CheckPath,
+	// audience and ShardExpand runs on it, and it compiles each expression
+	// once per snapshot graph.
 	search *search.Engine
 	// store is the frozen policy view (a Store clone, shared by consecutive
 	// snapshots of one policy generation); engine decides against it, so
@@ -82,58 +73,19 @@ func (s *snapshot) current(g *graph.Graph, store *core.Store) bool {
 	return s.version == g.Version() && s.src == store && s.gen == store.Generation()
 }
 
-// buildEvaluator constructs the evaluator of the given kind over g, which
-// must not be mutated afterwards. The online kinds count the plans they
-// compile in compiles.
-func buildEvaluator(kind EngineKind, g *graph.Graph, compiles *atomic.Uint64) (Evaluator, error) {
-	online := func(e *search.Engine) *search.Engine {
-		e.PlanCompiles = compiles
-		return e
-	}
-	switch kind {
-	case Online:
-		return online(search.New(g)), nil
-	case Closure:
-		return tclosure.New(g), nil
-	case Index:
-		idx, err := joinindex.Build(g, joinindex.Options{})
-		if err != nil {
-			return nil, fmt.Errorf("reachac: building index: %w", err)
-		}
-		return idx, nil
-	default:
-		return nil, fmt.Errorf("reachac: unknown engine kind %d", int(kind))
-	}
-}
-
-// searchEngine returns the online search engine of a snapshot over gc whose
-// evaluator is eval: eval itself on the Online kind, otherwise prev (an
-// engine over gc, or nil), or a new engine when there is none.
-func (n *Network) searchEngine(eval Evaluator, gc *graph.Graph, prev *search.Engine) *search.Engine {
-	if e, ok := eval.(*search.Engine); ok {
-		return e
-	}
-	if prev != nil {
-		return prev
-	}
-	e := search.New(gc)
-	e.PlanCompiles = &n.ctr.planCompiles
-	return e
-}
-
 // snapshot returns the current engine snapshot pinned for one read
 // operation (the caller must release it), publishing a fresh one if the
 // graph or policies changed since the last publication. The fast path is
 // two atomic loads, two atomic counter reads and one pin; only the first
 // reader after a change pays for the republication.
-func (n *Network) snapshot() (*snapshot, error) {
+func (n *Network) snapshot() *snapshot {
 	for {
 		s := n.snap.Load()
 		if s == nil || !s.current(n.g, n.store.Load()) {
 			break
 		}
 		if s.acquire() {
-			return s, nil
+			return s
 		}
 		// Retired under our feet: a newer snapshot is already published
 		// (retirement happens only after the replacing Store), so the next
@@ -141,13 +93,10 @@ func (n *Network) snapshot() (*snapshot, error) {
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	s, err := n.publishLocked()
-	if err != nil {
-		return nil, err
-	}
+	s := n.publishLocked()
 	// Under mu a snapshot cannot retire, so this acquire never fails.
 	s.acquire()
-	return s, nil
+	return s
 }
 
 // sparePoolCap bounds Network.spares. Three clones — published, free spare,
@@ -170,18 +119,18 @@ const sparePoolCap = 3
 // Publication cost, cheapest first (Stats counts each tier):
 //
 //  1. shared — a policy-only change reuses the previous snapshot's graph
-//     clone and engines; only the policy view is refreshed;
+//     clone and search engine; only the policy view is refreshed;
 //  2. advanced — the newest parked snapshot no reader holds is
 //     fast-forwarded by replaying the master's delta log (O(Δ)); each
 //     replayed delta patches the clone's CSR (see graph.CSR), and its
-//     evaluator advances in place when it implements
-//     core.IncrementalEvaluator. A parked snapshot a View still pins is
+//     search engine, which holds nothing the deltas invalidate, carries
+//     over with its compiled plans. A parked snapshot a View still pins is
 //     passed over and waits in the pool, so a pinned reader costs one
 //     private part of memory, not a rebuild;
-//  3. rebuilt — a clone of the master's private part and a new evaluator
-//     (O(V+E) for the index kinds, which re-index the whole graph): after a
-//     rebase, and when every parked snapshot is pinned or behind the delta
-//     window, or the replay fails.
+//  3. rebuilt — a clone of the master's private part and a new search
+//     engine, whose plans compile again on first use: after a rebase, and
+//     when every parked snapshot is pinned or behind the delta window, or
+//     the replay fails.
 //
 // The policy view is O(Δ) on every tier: the previous snapshot's view when
 // no policy changed since, a copy-on-write core.Store.Clone otherwise.
@@ -191,7 +140,7 @@ const sparePoolCap = 3
 // provably unobserved (see snapshot.acquire) — which is also what makes
 // patching its CSR in place safe — and a published snapshot's graph carries
 // its CSR, which every tier keeps current, so no reader pays for a build.
-func (n *Network) publishLocked() (*snapshot, error) {
+func (n *Network) publishLocked() *snapshot {
 	store := n.store.Load()
 	cur := n.snap.Load()
 	// Read both counters before cloning: a mutation racing the clone then
@@ -199,35 +148,29 @@ func (n *Network) publishLocked() (*snapshot, error) {
 	// rebuild), never lets it linger as current with missing state.
 	gv, gen := n.g.Version(), store.Generation()
 	samePolicy := cur != nil && cur.src == store && cur.gen == gen
-	if samePolicy && cur.version == gv && cur.kind == n.kind {
-		return cur, nil
+	if samePolicy && cur.version == gv {
+		return cur
 	}
 	var (
 		gc   *graph.Graph
-		eval Evaluator
 		se   *search.Engine
 		refs *atomic.Int64
 		tier = &n.ctr.pubRebuilt
 	)
-	if cur != nil && cur.version == gv && cur.kind == n.kind {
-		// Policy-only change: share the clone, engines and reader count.
-		gc, eval, se, refs = cur.g, cur.eval, cur.search, cur.refs
+	if cur != nil && cur.version == gv {
+		// Policy-only change: share the clone, engine and reader count.
+		gc, se, refs = cur.g, cur.search, cur.refs
 		tier = &n.ctr.pubShared
-	} else if agc, aeval, ase := n.advanceSpareLocked(cur); agc != nil {
-		gc, eval, se = agc, aeval, ase
+	} else if spare := n.advanceSpareLocked(cur); spare != nil {
+		gc, se = spare.g, spare.search
 		tier = &n.ctr.pubAdvanced
-	}
-	if gc == nil {
+	} else {
 		gc = n.g.Clone()
 		// Private clones never serve ChangesSince (the master's log drives
 		// every advance), so don't let delta replays accumulate in them.
 		gc.SetDeltaLogLimit(-1)
-		var err error
-		eval, err = buildEvaluator(n.kind, gc, &n.ctr.planCompiles)
-		if err != nil {
-			return nil, err
-		}
-		se = n.searchEngine(eval, gc, nil)
+		se = search.New(gc)
+		se.PlanCompiles = &n.ctr.planCompiles
 	}
 	if refs == nil {
 		refs = new(atomic.Int64)
@@ -240,11 +183,9 @@ func (n *Network) publishLocked() (*snapshot, error) {
 	}
 	s := &snapshot{
 		g:       gc,
-		kind:    n.kind,
-		eval:    eval,
 		search:  se,
 		store:   view,
-		engine:  core.NewEngineWithLog(view, eval, n.audit),
+		engine:  core.NewEngineWithLog(view, se, n.audit),
 		version: gv,
 		src:     store,
 		gen:     gen,
@@ -266,7 +207,15 @@ func (n *Network) publishLocked() (*snapshot, error) {
 			n.spares = append(n.spares, old)
 		}
 	}
-	return s, nil
+	return s
+}
+
+// publish publishes a snapshot of the current state now, so that the next
+// read does not pay for it.
+func (n *Network) publish() {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.publishLocked()
 }
 
 // rebaseLocked rebases the master graph when graph.Graph.NeedsRebase says
@@ -287,17 +236,16 @@ func (n *Network) rebaseLocked() {
 }
 
 // advanceSpareLocked tries to satisfy a publication by fast-forwarding a
-// parked snapshot's private clone to the master's current version —
-// replaying the bounded delta log at O(Δ) instead of paying a clone and a
-// new evaluator — and advancing its evaluator in place when possible. The
-// search engine holds nothing the deltas invalidate, so it carries over.
-// Parked snapshots the delta window has left behind, or on a base the master
-// has rebased away from, are dropped first: they can only fall further
-// behind. Of the rest it takes the newest that no reader holds
-// (refs == 0 after retired: the acquire/back-off proof); pinned ones stay
-// parked. It returns nils when no parked snapshot qualifies. Callers must
-// hold n.mu.
-func (n *Network) advanceSpareLocked(cur *snapshot) (*graph.Graph, Evaluator, *search.Engine) {
+// parked snapshot's private clone to the master's current version,
+// replaying the bounded delta log at O(Δ) instead of paying a clone. It
+// returns the spare, whose clone is now current and whose search engine
+// carries over: it holds nothing the deltas invalidate. Parked snapshots
+// the delta window has left behind, or on a base the master has rebased
+// away from, are dropped first: they can only fall further behind. Of the
+// rest it takes the newest that no reader holds (refs == 0 after retired:
+// the acquire/back-off proof); pinned ones stay parked. It returns nil when
+// no parked snapshot qualifies or the replay fails. Callers must hold n.mu.
+func (n *Network) advanceSpareLocked(cur *snapshot) *snapshot {
 	n.spares = slices.DeleteFunc(n.spares, func(c *snapshot) bool {
 		return !n.g.Covers(c.version) || c.g.Base() != n.g.Base()
 	})
@@ -313,103 +261,43 @@ func (n *Network) advanceSpareLocked(cur *snapshot) (*graph.Graph, Evaluator, *s
 		}
 	}
 	if spare == nil {
-		return nil, nil, nil
+		return nil
 	}
 	deltas, _ := n.g.ChangesSince(spare.version)
-	gc := spare.g
 	for _, d := range deltas {
-		if err := gc.Apply(d); err != nil {
-			return nil, nil, nil
+		if err := spare.g.Apply(d); err != nil {
+			return nil
 		}
 	}
-	if spare.kind == n.kind {
-		if inc, isInc := spare.eval.(core.IncrementalEvaluator); isInc && inc.ApplyDelta(gc, deltas) {
-			return gc, spare.eval, spare.search
-		}
-	}
-	// Evaluator declined (or the engine kind changed): the advanced clone
-	// is still sound, rebuild only the evaluator over it.
-	eval, err := buildEvaluator(n.kind, gc, &n.ctr.planCompiles)
-	if err != nil {
-		return nil, nil, nil
-	}
-	return gc, eval, n.searchEngine(eval, gc, spare.search)
+	return spare
 }
 
 // CanAccessAll decides access to one resource for many requesters in a
-// single call, fanning large batches out across a worker pool. All
-// decisions are made against one engine snapshot, so the result is a
-// consistent view even if mutations land mid-batch. The returned slice is
-// index-aligned with requesters. On any evaluation error the batch is
-// abandoned and the first error is returned.
+// single call. All decisions are made against one engine snapshot, so the
+// result is a consistent view even if mutations land mid-batch. The
+// returned slice is index-aligned with requesters. On any evaluation error
+// the batch is abandoned and the first error is returned.
 func (n *Network) CanAccessAll(resource string, requesters []UserID) ([]Decision, error) {
-	s, err := n.snapshot()
-	if err != nil {
-		return nil, err
-	}
+	s := n.snapshot()
 	defer s.release()
 	n.ctr.batchChecks.Add(1)
 	n.ctr.checks.Add(uint64(len(requesters)))
 	return s.decideAll(core.ResourceID(resource), requesters)
 }
 
-// fanOutMin is the batch size from which decideAll fans out over goroutines.
-// Whether that pays depends on what one decision costs, since every decision
-// ends in the audit log's mutex. Serial vs fanned out on two cores
-// (BenchmarkCanAccessAll, medians of three to six runs): on the join index,
-// ~6 µs a decision, 16 decisions are a wash (89 vs 90 µs), 32 gain 1.2x (199
-// vs 161 µs), 64 gain 1.3x (412 vs 309 µs) and 2 000 gain 1.6x (14.8 vs 9.1
-// ms); on the online search, ~0.5 µs a decision, fanning out loses at every
-// size — 16: 10 vs 22 µs, 32: 20 vs 37 µs, 64: 34 vs 47 µs, 2 000: 0.97 vs
-// 1.07 ms, a quarter of the fanned CPU time being AuditLog.Record under
-// contention. 64 keeps a serving-layer check-batch (16) serial on both and
-// bounds the online loss to 13 µs a batch where the index starts to gain.
-const fanOutMin = 64
-
 // decideAll is CanAccessAll's body over an already-pinned snapshot, shared
-// with View.CanAccessAll.
+// with View.CanAccessAll. It decides one requester after another: a
+// decision costs about half a microsecond and ends in the audit log's
+// mutex, so spreading a batch over goroutines lost at every size measured
+// (see BenchmarkCanAccessAll).
 func (s *snapshot) decideAll(res core.ResourceID, requesters []UserID) ([]Decision, error) {
 	out := make([]Decision, len(requesters))
-	workers := min(runtime.GOMAXPROCS(0), len(requesters))
-	if workers <= 1 || len(requesters) < fanOutMin {
-		for i, r := range requesters {
-			d, err := s.engine.Decide(res, r)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = d
+	for i, r := range requesters {
+		d, err := s.engine.Decide(res, r)
+		if err != nil {
+			return nil, err
 		}
-		return out, nil
-	}
-	var (
-		err     error
-		next    atomic.Int64
-		failed  atomic.Bool
-		errOnce sync.Once
-		wg      sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !failed.Load() {
-				i := int(next.Add(1)) - 1
-				if i >= len(requesters) {
-					return
-				}
-				d, derr := s.engine.Decide(res, requesters[i])
-				if derr != nil {
-					errOnce.Do(func() { err = derr })
-					failed.Store(true)
-					return
-				}
-				out[i] = d
-			}
-		}()
-	}
-	wg.Wait()
-	if err != nil {
-		return nil, err
+		out[i] = d
 	}
 	return out, nil
 }

@@ -25,7 +25,7 @@ func publish(t *testing.T, n *Network) *snapshot {
 
 // TestDeltaAdvanceRecyclesClone pins the recycling: after two publications
 // the retired clone is taken from the pool and fast-forwarded instead of
-// re-cloned, and an incremental evaluator survives with it.
+// re-cloned, and its search engine survives with it.
 func TestDeltaAdvanceRecyclesClone(t *testing.T) {
 	n := New()
 	ids := make([]UserID, 8)
@@ -55,8 +55,8 @@ func TestDeltaAdvanceRecyclesClone(t *testing.T) {
 	if s3.g != s1.g {
 		t.Fatal("third publication should delta-advance the retired clone")
 	}
-	if s3.eval != s1.eval {
-		t.Fatal("online evaluator should advance in place with its clone")
+	if s3.search != s1.search {
+		t.Fatal("the search engine should carry over with its clone")
 	}
 	if s3.version != n.g.Version() {
 		t.Fatalf("advanced snapshot at version %d, master at %d", s3.version, n.g.Version())
@@ -79,7 +79,7 @@ func TestDeltaAdvanceRecyclesClone(t *testing.T) {
 }
 
 // TestPolicyOnlyPublicationShares pins that a policy-only change keeps
-// sharing the clone and evaluator, and that the shared clone is never
+// sharing the clone and search engine, and that the shared clone is never
 // offered for stealing.
 func TestPolicyOnlyPublicationShares(t *testing.T) {
 	n := New()
@@ -96,8 +96,8 @@ func TestPolicyOnlyPublicationShares(t *testing.T) {
 		t.Fatal(err)
 	}
 	s2 := publish(t, n)
-	if s2 == s1 || s2.g != s1.g || s2.eval != s1.eval {
-		t.Fatal("policy-only change must share clone and evaluator")
+	if s2 == s1 || s2.g != s1.g || s2.search != s1.search {
+		t.Fatal("policy-only change must share clone and search engine")
 	}
 	if slices.Contains(n.spares, s1) {
 		t.Fatal("a snapshot sharing the published clone must not be parked")
@@ -213,8 +213,8 @@ func TestRelateMutualRollback(t *testing.T) {
 }
 
 // ringNet builds a friend ring of the given size with "r" shared by member
-// 0 under friend+[1,3], on the given engine, and returns the member IDs.
-func ringNet(t *testing.T, kind EngineKind, members int) (*Network, []UserID) {
+// 0 under friend+[1,3], publishes its snapshot and returns the member IDs.
+func ringNet(t *testing.T, members int) (*Network, []UserID) {
 	t.Helper()
 	n := New()
 	ids := make([]UserID, members)
@@ -229,104 +229,103 @@ func ringNet(t *testing.T, kind EngineKind, members int) (*Network, []UserID) {
 	if _, err := n.Share("r", ids[0], "friend+[1,3]"); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.UseEngine(kind); err != nil {
-		t.Fatal(err)
-	}
+	n.publish()
 	return n, ids
 }
 
 // TestPinnedReaderKeepsPublicationIncremental holds a View across 200 graph
-// publications on every engine kind, then re-pins one every tenth
+// publications, then re-pins one every tenth
 // publication for 200 more: a pinned snapshot parks in the pool instead of
 // forcing a rebuild, every decision equals a from-scratch network's over
 // the same graph, and after Close the parked clone is advanced again.
 func TestPinnedReaderKeepsPublicationIncremental(t *testing.T) {
-	for _, kind := range EngineKinds() {
-		t.Run(kind.String(), func(t *testing.T) {
-			t.Parallel()
-			n, ids := ringNet(t, kind, 16)
-			toggle := func(i int) {
-				t.Helper()
-				var err error
-				if i%2 == 0 {
-					err = n.Relate(ids[2], ids[9], "friend")
-				} else {
-					err = n.Unrelate(ids[2], ids[9], "friend")
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-			}
-			// Warm: a network that has published twice holds two clones, the
-			// published one and a spare. The reader below costs the third,
-			// which is the one rebuild allowed.
-			for i := 0; i < 2; i++ {
-				toggle(i)
-				publish(t, n)
-			}
-			v, err := n.View()
-			if err != nil {
+	t.Parallel()
+	// The subtest is named after the engine that answers: the online search.
+	t.Run("online-bfs", pinnedReaderKeepsPublicationIncremental)
+}
+
+func pinnedReaderKeepsPublicationIncremental(t *testing.T) {
+	n, ids := ringNet(t, 16)
+	toggle := func(i int) {
+		t.Helper()
+		var err error
+		if i%2 == 0 {
+			err = n.Relate(ids[2], ids[9], "friend")
+		} else {
+			err = n.Unrelate(ids[2], ids[9], "friend")
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Warm: a network that has published twice holds two clones, the
+	// published one and a spare. The reader below costs the third,
+	// which is the one rebuild allowed.
+	for i := 0; i < 2; i++ {
+		toggle(i)
+		publish(t, n)
+	}
+	v, err := n.View()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned, pinnedAt := v.s.g, v.s.g.Version()
+	before := n.Stats()
+	for i := 0; i < 200; i++ {
+		toggle(i)
+		req := ids[(i*7)%len(ids)]
+		got, err := n.CanAccess("r", req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := FromGraph(n.Graph().Clone())
+		if _, err := ref.Share("r", ids[0], "friend+[1,3]"); err != nil {
+			t.Fatal(err)
+		}
+		want, err := ref.CanAccess("r", req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Effect != want.Effect {
+			t.Fatalf("step %d requester %d: %v, a fresh rebuild says %v", i, req, got.Effect, want.Effect)
+		}
+		// The pinned snapshot keeps answering from its own generation.
+		if v.s.g != pinned || pinned.Version() != pinnedAt {
+			t.Fatalf("step %d: the pinned view observed a later publication", i)
+		}
+	}
+	held := n.Stats().Delta(before)
+	if held.Republications != 200 || held.PublicationsRebuilt > 1 {
+		t.Fatalf("200 publications under a pinned reader: %d advanced, %d rebuilt, %d shared; want at most 1 rebuilt",
+			held.PublicationsAdvanced, held.PublicationsRebuilt, held.PublicationsShared)
+	}
+	v.Close()
+
+	// A reader that re-pins the published snapshot every tenth
+	// publication: with a single spare each new pin cost a rebuild.
+	// The pool passes over the pinned snapshot (newest, parked) and
+	// advances an older free one — first of all the clone the first
+	// view had parked.
+	before = n.Stats()
+	reused := false
+	for i := 200; i < 400; i++ {
+		if i%10 == 0 {
+			if v, err = n.View(); err != nil {
 				t.Fatal(err)
 			}
-			pinned, pinnedAt := v.s.g, v.s.g.Version()
-			before := n.Stats()
-			for i := 0; i < 200; i++ {
-				toggle(i)
-				req := ids[(i*7)%len(ids)]
-				got, err := n.CanAccess("r", req)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ref := FromGraph(n.Graph().Clone())
-				if _, err := ref.Share("r", ids[0], "friend+[1,3]"); err != nil {
-					t.Fatal(err)
-				}
-				want, err := ref.CanAccess("r", req)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got.Effect != want.Effect {
-					t.Fatalf("step %d requester %d: %v, a fresh rebuild says %v", i, req, got.Effect, want.Effect)
-				}
-				// The pinned snapshot keeps answering from its own generation.
-				if v.s.g != pinned || pinned.Version() != pinnedAt {
-					t.Fatalf("step %d: the pinned view observed a later publication", i)
-				}
-			}
-			held := n.Stats().Delta(before)
-			if held.Republications != 200 || held.PublicationsRebuilt > 1 {
-				t.Fatalf("200 publications under a pinned reader: %d advanced, %d rebuilt, %d shared; want at most 1 rebuilt",
-					held.PublicationsAdvanced, held.PublicationsRebuilt, held.PublicationsShared)
-			}
+		}
+		toggle(i)
+		if publish(t, n).g == pinned {
+			reused = true
+		}
+		if i%10 == 9 {
 			v.Close()
-
-			// A reader that re-pins the published snapshot every tenth
-			// publication: with a single spare each new pin cost a rebuild.
-			// The pool passes over the pinned snapshot (newest, parked) and
-			// advances an older free one — first of all the clone the first
-			// view had parked.
-			before = n.Stats()
-			reused := false
-			for i := 200; i < 400; i++ {
-				if i%10 == 0 {
-					if v, err = n.View(); err != nil {
-						t.Fatal(err)
-					}
-				}
-				toggle(i)
-				if publish(t, n).g == pinned {
-					reused = true
-				}
-				if i%10 == 9 {
-					v.Close()
-				}
-			}
-			after := n.Stats().Delta(before)
-			if !reused || after.PublicationsAdvanced != 200 || after.PublicationsRebuilt != 0 {
-				t.Fatalf("re-pinning reader: parked clone reused=%v, %d advanced, %d rebuilt; want true, 200, 0",
-					reused, after.PublicationsAdvanced, after.PublicationsRebuilt)
-			}
-		})
+		}
+	}
+	after := n.Stats().Delta(before)
+	if !reused || after.PublicationsAdvanced != 200 || after.PublicationsRebuilt != 0 {
+		t.Fatalf("re-pinning reader: parked clone reused=%v, %d advanced, %d rebuilt; want true, 200, 0",
+			reused, after.PublicationsAdvanced, after.PublicationsRebuilt)
 	}
 }
 
@@ -335,7 +334,7 @@ func TestPinnedReaderKeepsPublicationIncremental(t *testing.T) {
 // resource leaves every other resource's rule slice shared between
 // consecutive views.
 func TestPolicyViewIsCopyOnWrite(t *testing.T) {
-	n, ids := ringNet(t, Online, 8)
+	n, ids := ringNet(t, 8)
 	resources := []string{"r"}
 	for i := 0; i < 40; i++ {
 		res := fmt.Sprintf("res%02d", i)
@@ -377,7 +376,7 @@ func TestPolicyViewIsCopyOnWrite(t *testing.T) {
 // the pool once the delta window no longer reaches it, never advanced —
 // its reader keeps it alive and readable for as long as it likes.
 func TestParkedSpareBehindWindowIsDropped(t *testing.T) {
-	n, ids := ringNet(t, Online, 8)
+	n, ids := ringNet(t, 8)
 	v, err := n.View()
 	if err != nil {
 		t.Fatal(err)
@@ -437,7 +436,7 @@ func TestParkedSpareBehindWindowIsDropped(t *testing.T) {
 // that no clone is patched while a reader can see it.
 func TestPublishedSnapshotsAreIndexed(t *testing.T) {
 	const members = 64
-	n, ids := ringNet(t, Online, members)
+	n, ids := ringNet(t, members)
 	indexed := func(g *graph.Graph) error {
 		if c := g.CSR(); c.NumNodes() != g.NumNodes() || c.NumLabels() != g.NumLabels() {
 			return fmt.Errorf("published graph at version %d has a CSR over %d of %d nodes and %d of %d labels", g.Version(), c.NumNodes(), g.NumNodes(), c.NumLabels(), g.NumLabels())
@@ -518,8 +517,7 @@ func TestPublishedSnapshotsAreIndexed(t *testing.T) {
 	}
 }
 
-// TestSnapshotsShareOneBase churns a relationship ring on every engine kind
-// through 600 toggles — a new relationship type at step 100, and past the
+// TestSnapshotsShareOneBase churns a relationship ring through 600 toggles — a new relationship type at step 100, and past the
 // overlay bound after it — while two readers hold Views across the
 // publications. After every publication the published and every parked
 // snapshot share the master's base, and every decision equals a network
@@ -527,122 +525,122 @@ func TestPublishedSnapshotsAreIndexed(t *testing.T) {
 // bases the run made are still reachable. Run under -race it also checks
 // that no graph writes what a clone or a reader shares.
 func TestSnapshotsShareOneBase(t *testing.T) {
-	for _, kind := range EngineKinds() {
-		t.Run(kind.String(), func(t *testing.T) {
-			t.Parallel()
-			// Small, because the paper's join engine is slow on anything
-			// larger; a ring of 16 still crosses the overlay bound.
-			const members = 16
-			n, ids := ringNet(t, kind, members)
-			bases := map[weak.Pointer[graph.Base]]bool{}
-			shareOneBase := func(step int) {
-				t.Helper()
-				n.mu.Lock()
-				defer n.mu.Unlock()
-				b := n.g.Base()
-				bases[weak.Make(b)] = true
-				if n.snap.Load().g.Base() != b {
-					t.Fatalf("step %d: the published snapshot is not on the master's base", step)
-				}
-				for _, sp := range n.spares {
-					if sp.g.Base() != b {
-						t.Fatalf("step %d: a parked snapshot is not on the master's base", step)
-					}
-				}
+	t.Parallel()
+	// The subtest is named after the engine that answers: the online search.
+	t.Run("online-bfs", snapshotsShareOneBase)
+}
+
+func snapshotsShareOneBase(t *testing.T) {
+	// A ring of 16 crosses the overlay bound.
+	const members = 16
+	n, ids := ringNet(t, members)
+	bases := map[weak.Pointer[graph.Base]]bool{}
+	shareOneBase := func(step int) {
+		t.Helper()
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		b := n.g.Base()
+		bases[weak.Make(b)] = true
+		if n.snap.Load().g.Base() != b {
+			t.Fatalf("step %d: the published snapshot is not on the master's base", step)
+		}
+		for _, sp := range n.spares {
+			if sp.g.Base() != b {
+				t.Fatalf("step %d: a parked snapshot is not on the master's base", step)
 			}
-			shareOneBase(-1)
-			done := make(chan struct{})
-			errc := make(chan error, 2)
-			var wg sync.WaitGroup
-			for r := 0; r < cap(errc); r++ {
-				wg.Add(1)
-				go func(r int) {
-					defer wg.Done()
-					for i := r; ; i++ {
-						select {
-						case <-done:
-							return
-						default:
-						}
-						v, err := n.View()
-						if err != nil {
-							errc <- err
-							return
-						}
-						for j := 0; j < 8 && err == nil; j++ {
-							_, err = v.CheckPath(ids[(i+j)%members], ids[(i*7+j)%members], "friend+[1,3]")
-						}
-						v.Close()
-						if err != nil {
-							errc <- err
-							return
-						}
-					}
-				}(r)
-			}
-			before := n.Stats()
-			for i := 0; i < 600; i++ {
-				// Pair k = i/2 is related on the even step and unrelated on
-				// the odd one; its offset of 2..14 keeps it off the ring's own
-				// edges.
-				k := i / 2
-				from, to, rel := ids[k*5%members], ids[(k*5+2+k%13)%members], "friend"
-				if i >= 100 && i%8 < 4 {
-					rel = "colleague"
-				}
-				var err error
-				if i%2 == 0 {
-					err = n.Relate(from, to, rel)
-				} else {
-					err = n.Unrelate(from, to, rel)
-				}
-				if err != nil {
-					t.Fatalf("step %d: %v", i, err)
-				}
-				req := ids[(i*7)%members]
-				got, err := n.CanAccess("r", req)
-				if err != nil {
-					t.Fatal(err)
-				}
-				shareOneBase(i)
-				n.mu.Lock()
-				ref := FromGraph(n.g.Clone())
-				n.mu.Unlock()
-				if _, err := ref.Share("r", ids[0], "friend+[1,3]"); err != nil {
-					t.Fatal(err)
-				}
-				want, err := ref.CanAccess("r", req)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got.Effect != want.Effect {
-					t.Fatalf("step %d requester %d: %v, a fresh network says %v", i, req, got.Effect, want.Effect)
-				}
-			}
-			close(done)
-			wg.Wait()
-			select {
-			case err := <-errc:
-				t.Fatal(err)
-			default:
-			}
-			d := n.Stats().Delta(before)
-			if d.GraphRebases < 2 || d.PublicationsAdvanced < 300 {
-				t.Fatalf("%d rebases and %d advanced publications of %d; want a new type and a bound crossing, and most publications advanced",
-					d.GraphRebases, d.PublicationsAdvanced, d.Republications)
-			}
-			runtime.GC()
-			runtime.GC()
-			live := 0
-			for b := range bases {
-				if b.Value() != nil {
-					live++
-				}
-			}
-			if live > 2 {
-				t.Fatalf("%d of the %d bases the run made are still reachable", live, len(bases))
-			}
-			runtime.KeepAlive(n) // its base is one of the reachable
-		})
+		}
 	}
+	shareOneBase(-1)
+	done := make(chan struct{})
+	errc := make(chan error, 2)
+	var wg sync.WaitGroup
+	for r := 0; r < cap(errc); r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := r; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				v, err := n.View()
+				if err != nil {
+					errc <- err
+					return
+				}
+				for j := 0; j < 8 && err == nil; j++ {
+					_, err = v.CheckPath(ids[(i+j)%members], ids[(i*7+j)%members], "friend+[1,3]")
+				}
+				v.Close()
+				if err != nil {
+					errc <- err
+					return
+				}
+			}
+		}(r)
+	}
+	before := n.Stats()
+	for i := 0; i < 600; i++ {
+		// Pair k = i/2 is related on the even step and unrelated on
+		// the odd one; its offset of 2..14 keeps it off the ring's own
+		// edges.
+		k := i / 2
+		from, to, rel := ids[k*5%members], ids[(k*5+2+k%13)%members], "friend"
+		if i >= 100 && i%8 < 4 {
+			rel = "colleague"
+		}
+		var err error
+		if i%2 == 0 {
+			err = n.Relate(from, to, rel)
+		} else {
+			err = n.Unrelate(from, to, rel)
+		}
+		if err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+		req := ids[(i*7)%members]
+		got, err := n.CanAccess("r", req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shareOneBase(i)
+		n.mu.Lock()
+		ref := FromGraph(n.g.Clone())
+		n.mu.Unlock()
+		if _, err := ref.Share("r", ids[0], "friend+[1,3]"); err != nil {
+			t.Fatal(err)
+		}
+		want, err := ref.CanAccess("r", req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Effect != want.Effect {
+			t.Fatalf("step %d requester %d: %v, a fresh network says %v", i, req, got.Effect, want.Effect)
+		}
+	}
+	close(done)
+	wg.Wait()
+	select {
+	case err := <-errc:
+		t.Fatal(err)
+	default:
+	}
+	d := n.Stats().Delta(before)
+	if d.GraphRebases < 2 || d.PublicationsAdvanced < 300 {
+		t.Fatalf("%d rebases and %d advanced publications of %d; want a new type and a bound crossing, and most publications advanced",
+			d.GraphRebases, d.PublicationsAdvanced, d.Republications)
+	}
+	runtime.GC()
+	runtime.GC()
+	live := 0
+	for b := range bases {
+		if b.Value() != nil {
+			live++
+		}
+	}
+	if live > 2 {
+		t.Fatalf("%d of the %d bases the run made are still reachable", live, len(bases))
+	}
+	runtime.KeepAlive(n) // its base is one of the reachable
 }

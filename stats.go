@@ -10,8 +10,6 @@ type Stats struct {
 	Users         int `json:"users"`
 	Relationships int `json:"relationships"`
 	Resources     int `json:"resources"`
-	// Engine names the selected evaluator kind.
-	Engine string `json:"engine"`
 	// Durable reports whether mutations persist to a write-ahead log.
 	Durable bool `json:"durable"`
 
@@ -35,9 +33,8 @@ type Stats struct {
 	// it by what each one cost (see publishLocked): Shared reused the
 	// published graph clone (policy-only change), Advanced fast-forwarded a
 	// retired clone through the delta log (O(Δ)), Rebuilt cloned the
-	// master's changes since its base (O(Δ) since the last rebase) and
-	// built a new evaluator — O(V+E) on the index kinds, which re-index the
-	// whole graph.
+	// master's changes since its base (O(Δ) since the last rebase) into a
+	// new search engine, whose plans compile again.
 	Republications       uint64 `json:"republications"`
 	PublicationsShared   uint64 `json:"publications_shared"`
 	PublicationsAdvanced uint64 `json:"publications_advanced"`
@@ -121,7 +118,7 @@ type Stats struct {
 // the activity of one measured window (acbench records Stats before and
 // after each scenario and reports the difference). The size fields (Users,
 // Relationships, Resources, AuditRetained, PlanCacheEntries) and identity
-// fields (Engine, Durable, WALSegmentBytes, WALSegmentSeq) carry s's values
+// fields (Durable, WALSegmentBytes, WALSegmentSeq) carry s's values
 // unchanged — they are gauges, not monotonic counters.
 func (s Stats) Delta(prev Stats) Stats {
 	d := s
@@ -168,13 +165,12 @@ type counters struct {
 // counters are atomic.
 func (n *Network) Stats() Stats {
 	n.mu.Lock()
-	users, rels, kind := n.g.NumNodes(), n.g.NumEdges(), n.kind
+	users, rels := n.g.NumNodes(), n.g.NumEdges()
 	n.mu.Unlock()
 	st := Stats{
 		Users:              users,
 		Relationships:      rels,
 		Resources:          len(n.store.Load().Resources()),
-		Engine:             kind.String(),
 		Durable:            n.wal != nil,
 		Checks:             n.ctr.checks.Load(),
 		BatchChecks:        n.ctr.batchChecks.Load(),

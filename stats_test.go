@@ -7,7 +7,7 @@ import "testing"
 // rests on.
 func TestStatsDelta(t *testing.T) {
 	prev := Stats{
-		Users: 10, Relationships: 20, Engine: "online-bfs",
+		Users: 10, Relationships: 20,
 		Checks: 100, BatchChecks: 5, Audiences: 2,
 		Mutations: 50, Batches: 30, Republications: 7, GraphRebases: 1,
 		PlanCompiles: 5, PlanCacheEntries: 5,
@@ -15,7 +15,7 @@ func TestStatsDelta(t *testing.T) {
 		WALAppends: 40, WALFsyncs: 25, WALSegmentBytes: 111, WALSegmentSeq: 1,
 	}
 	cur := Stats{
-		Users: 12, Relationships: 24, Engine: "online-bfs", Durable: true,
+		Users: 12, Relationships: 24, Durable: true,
 		Checks: 350, BatchChecks: 9, Audiences: 6,
 		Mutations: 80, Batches: 45, Republications: 9, GraphRebases: 3,
 		PlanCompiles: 12, PlanCacheEntries: 3,
@@ -32,7 +32,7 @@ func TestStatsDelta(t *testing.T) {
 	}
 	// Gauges and identity fields carry the current values.
 	if d.Users != 12 || d.Relationships != 24 || !d.Durable ||
-		d.Engine != "online-bfs" || d.WALSegmentBytes != 222 || d.WALSegmentSeq != 2 ||
+		d.WALSegmentBytes != 222 || d.WALSegmentSeq != 2 ||
 		d.PlanCacheEntries != 3 {
 		t.Fatalf("gauges not carried: %+v", d)
 	}

@@ -37,14 +37,10 @@ type View struct {
 }
 
 // View pins the current engine snapshot (republishing first if the graph or
-// policies changed) and returns a handle reading from it. The caller must
-// Close the view.
+// policies changed) and returns a handle reading from it; the error is
+// always nil. The caller must Close the view.
 func (n *Network) View() (*View, error) {
-	s, err := n.snapshot()
-	if err != nil {
-		return nil, err
-	}
-	return &View{n: n, s: s}, nil
+	return &View{n: n, s: n.snapshot()}, nil
 }
 
 // Close releases the view's snapshot pin. It must be called exactly once.
@@ -114,7 +110,7 @@ func (v *View) CheckPath(owner, requester UserID, expr string) (bool, error) {
 		return false, err
 	}
 	v.n.ctr.checks.Add(1)
-	return v.s.eval.Reachable(owner, requester, p)
+	return v.s.search.Reachable(owner, requester, p)
 }
 
 // Audience is Network.Audience against the pinned snapshot.
@@ -131,8 +127,7 @@ func (v *View) PathAudience(owner UserID, expr string) ([]UserID, error) {
 
 // audience enumerates the users the resource's rules admit; an unregistered
 // resource is ErrUnknownResource. Each rule condition's audience is one
-// product search on the snapshot's search engine, whatever kind answers
-// point checks.
+// product search on the snapshot's search engine.
 func (s *snapshot) audience(resource string) ([]UserID, error) {
 	res := core.ResourceID(resource)
 	if _, ok := s.store.Owner(res); !ok {
